@@ -32,7 +32,6 @@ from .numerics import (
     QuadratureSettings,
     c_integral,
     c_integral_quadrature,
-    gauss_2f1,
     pareto_received_power_cdf,
 )
 from .analytic import (

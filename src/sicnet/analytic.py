@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import DegenerateReaError, DomainError
 from .model import (
@@ -132,12 +133,9 @@ def ps_ic(
     rho0 = float(n)              # pi mu_j R_{I,n}^2
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        out = np.empty_like(tau)
-        for idx, t in enumerate(tau):
-            b_arg = 0.0 if rho0 == 0.0 else rho0 / (eta_e * ratio * t)
-            c_val = c_integral(b_arg, alpha, settings)
-            out[idx] = math.exp(-ratio * eta_e * c_val * t - t)
-        return out
+        # Gauss nodes are interior, so tau > tau0 >= 0
+        c_val = c_integral(rho0 / (eta_e * ratio * tau), alpha)
+        return np.exp(-ratio * eta_e * c_val * tau - tau)
 
     tau_max = tau0 + 60.0 + 10.0 * math.sqrt(tau0 + 1.0)
     value = adaptive_gauss(integrand, tau0, tau_max, settings)
@@ -384,34 +382,16 @@ def load_order_statistic_pmf(i: int, m: int, n_aps: int, load_cdf) -> float:
     """PMF of the i-th smallest of ``n_aps`` iid loads at value m.
 
     Beta-integral form: the regularized incomplete beta I_x(i, n-i+1)
-    evaluated at x = F(m) and x = F(m-1) and differenced; for integer
-    parameters I_x reduces to a binomial tail sum.
+    (``scipy.special.betainc``) evaluated at x = F(m) and x = F(m-1) and
+    differenced.
     """
     if not 1 <= i <= n_aps:
         raise DomainError(f"order statistic rank {i} outside 1..{n_aps}")
     if m < 0:
         raise DomainError(f"load m must be >= 0, got {m}")
-    hi = float(load_cdf(m))
-    lo = float(load_cdf(m - 1)) if m > 0 else 0.0
-
-    def reg_inc_beta(x: float) -> float:
-        x = min(max(x, 0.0), 1.0)
-        return sum(
-            math.comb(n_aps, j) * x**j * (1.0 - x) ** (n_aps - j)
-            for j in range(i, n_aps + 1)
-        )
-
-    return reg_inc_beta(hi) - reg_inc_beta(lo)
-
-
-def _nearest_bs_coverage(varsigma: float, alpha: float) -> float:
-    """DL coverage of the nearest-BS link at SIR threshold varsigma:
-    1 / (1 + varsigma^(2/a) C(varsigma^(-2/a), a)); density-free."""
-    if varsigma <= 0.0:
-        return 1.0
-    e = 2.0 / alpha
-    t = varsigma**e
-    return 1.0 / (1.0 + t * c_integral(1.0 / t, alpha))
+    x = [float(load_cdf(m - 1)) if m > 0 else 0.0, float(load_cdf(m))]
+    lo, hi = betainc(i, n_aps - i + 1, np.clip(x, 0.0, 1.0))
+    return float(hi - lo)
 
 
 def _rate_threshold(rho: float, m_plus_one: int) -> float:
@@ -424,23 +404,22 @@ def _rate_threshold(rho: float, m_plus_one: int) -> float:
 
 def rate_coverage_max_sir(rho: float, lam: float, mu_j: float, alpha: float) -> float:
     """Rate coverage P[(1/M') log2(1+SIR) > rho] under max-SIR association,
-    M' = M + 1 counting the admitted user; the load M is mixed over f_M."""
+    M' = M + 1 counting the admitted user; the load M is mixed over f_M.
+
+    At load m the nearest-BS link covers its SIR threshold
+    varsigma = 2^(rho (m+1)) - 1 with the density-free probability
+    1 / (1 + varsigma^(2/a) C(varsigma^(-2/a), a)).
+    """
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"rate threshold rho must be > 0, got {rho}")
     _check_density("lam", lam)
     _check_density("mu_j", mu_j)
     _check_alpha(alpha)
     pmf = load_pmf_table(mu_j, lam)
-    total = 0.0
-    for m, f in enumerate(pmf):
-        varsigma = _rate_threshold(rho, m + 1)
-        if math.isinf(varsigma):
-            continue  # coverage term below any representable mass
-        term = f * _nearest_bs_coverage(varsigma, alpha)
-        if term < 1e-300:
-            continue
-        total += term
-    return total
+    x = rho * np.arange(1, len(pmf) + 1) * _LN2
+    keep = x <= 700.0  # beyond, the coverage term is below any representable mass
+    t = np.expm1(x[keep]) ** (2.0 / alpha)
+    return float(np.sum(pmf[keep] / (1.0 + t * c_integral(1.0 / t, alpha))))
 
 
 def rate_coverage_min_load(
@@ -530,19 +509,14 @@ def _sic_gain_integral(
     e = 2.0 / alpha
     eta_e = eta**e
     q_single = ps_can(eta, 1, alpha)
-
-    def decode_factor(n: int, tau: np.ndarray) -> np.ndarray:
-        out = np.empty_like(tau)
-        for idx, t in enumerate(tau):
-            b_arg = 0.0 if n == 0 else n / (eta_e * t)
-            out[idx] = math.exp(-eta_e * c_integral(b_arg, alpha, settings) * t)
-        return out
+    orders = np.arange(n_max + 1, dtype=float)[:, None]
 
     def integrand(tau: np.ndarray) -> np.ndarray:
         gain = np.zeros_like(tau)
         outage_prod = np.ones_like(tau)
         cancel_prod = 1.0
-        factors = {n: decode_factor(n, tau) for n in range(n_max + 1)}
+        # decode factor of order n (row n) at every node; nodes are interior, tau > 0
+        factors = np.exp(-eta_e * c_integral(orders / (eta_e * tau), alpha) * tau)
         for i in range(1, n_max + 1):
             outage_prod = outage_prod * (1.0 - factors[i - 1])
             cancel_prod *= q_single**i

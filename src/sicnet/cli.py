@@ -31,7 +31,7 @@ from .model import (
     load_config,
     rea_association_prob,
 )
-from .numerics import c_integral, gauss_2f1, pareto_received_power_cdf
+from .numerics import c_integral, pareto_received_power_cdf
 from .analytic import (
     kurtosis_after_cancellation,
     load_pmf,
@@ -120,11 +120,6 @@ FORMULAS = {
         ("b", "alpha"),
         "interference integral C(b, alpha)",
     ),
-    "gauss_2f1": (
-        lambda p: gauss_2f1(p["a2f1"], p["b2f1"], p["c2f1"], p["z"]),
-        ("a2f1", "b2f1", "c2f1", "z"),
-        "Gauss hypergeometric function (z <= 0)",
-    ),
     "pareto_cdf": (
         lambda p: pareto_received_power_cdf(p["y"], p["alpha"], p["r_max"]),
         ("y", "alpha", "r_max"),
@@ -170,10 +165,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--b", type=float, help="lower integration limit of C(b, alpha)")
     g.add_argument("--y", type=float, help="received power value")
     g.add_argument("--r-max", type=float, help="maximum interferer range [m]")
-    g.add_argument("--a2f1", type=float, help="2F1 parameter a")
-    g.add_argument("--b2f1", type=float, help="2F1 parameter b")
-    g.add_argument("--c2f1", type=float, help="2F1 parameter c")
-    g.add_argument("--z", type=float, help="2F1 argument (<= 0)")
     g.add_argument("--config", type=str, help="network config JSON path")
 
 
@@ -196,10 +187,6 @@ def _collect_params(args: argparse.Namespace) -> dict:
         "b": args.b,
         "y": args.y,
         "r_max": args.r_max,
-        "a2f1": args.a2f1,
-        "b2f1": args.b2f1,
-        "c2f1": args.c2f1,
-        "z": args.z,
     }
     if args.config is not None:
         cfg = load_config(args.config)

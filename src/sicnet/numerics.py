@@ -3,18 +3,19 @@
 The central object is
 
     C(b, alpha) = int_b^inf dw / (1 + w^(alpha/2))
-                = (2*pi/alpha) * csc(2*pi/alpha)
-                  - b * 2F1(1, 2/alpha; (2+alpha)/alpha; -b^(alpha/2)),
+                = C(0, alpha) * I_x(1 - 2/alpha, 2/alpha),  x = 1/(1 + b^(alpha/2)),
 
-which shows up in every probability-generating-functional bound on the
+with C(0, alpha) = (2*pi/alpha) * csc(2*pi/alpha) and I_x the regularized
+incomplete beta function (DLMF 8.17; substitute t = 1/(1 + w^(alpha/2))).
+It shows up in every probability-generating-functional bound on the
 aggregate interference seen from a Poisson field with path-loss exponent
-``alpha``.  Special values used throughout: C(0, alpha) = (2*pi/alpha) *
-csc(2*pi/alpha) and C(b, 4) = arctan(1/b).
+``alpha``.  Special value used throughout: C(b, 4) = arctan(1/b).
 
-Two independent evaluation routes are provided: the hypergeometric closed
-form (:func:`c_integral`) and an adaptive nested-Gauss panel integration
-with an analytic alternating-series tail (:func:`c_integral_quadrature`).
-The two must agree; the validation suite checks them against each other.
+Two independent evaluation routes are provided: the incomplete-beta closed
+form (:func:`c_integral`, scalar or array ``b``) and an adaptive
+nested-Gauss panel integration with an analytic alternating-series tail
+(:func:`c_integral_quadrature`).  The two must agree; the validation suite
+checks them against each other.
 
 All functions are pure and thread-safe.
 """
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaincc
 
 from .errors import DomainError, NumericsError
 
@@ -33,7 +35,6 @@ __all__ = [
     "QuadratureSettings",
     "DEFAULT_QUADRATURE",
     "adaptive_gauss",
-    "gauss_2f1",
     "c_integral",
     "c_integral_quadrature",
     "pareto_received_power_cdf",
@@ -112,112 +113,19 @@ def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric function on the half line z <= 0
-# ---------------------------------------------------------------------------
-
-_SERIES_MAX_TERMS = 200_000
-_SERIES_EPS = 1e-17
-
-
-def _hyp_series(a: float, b: float, c: float, w: float) -> float:
-    """Power series sum of 2F1(a, b; c; w); caller guarantees convergence."""
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * w
-        total += term
-        if abs(term) <= _SERIES_EPS * abs(total):
-            small_streak += 1
-            if small_streak >= 2 or term == 0.0:
-                return total
-        else:
-            small_streak = 0
-    raise NumericsError(
-        f"2F1 series did not converge: a={a}, b={b}, c={c}, w={w}, "
-        f"last term {term:.3e} after {_SERIES_MAX_TERMS} terms"
-    )
-
-
-def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
-
-
-def _pfaff(a: float, b: float, c: float, z: float) -> float:
-    # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)); keeping the smaller
-    # of (a, b) outside the series makes the transformed terms decay like
-    # n^(min(a,b) - max(a,b) - 1), absolutely summable even as w -> 1.
-    w = z / (z - 1.0)
-    if a <= b:
-        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, w)
-    return (1.0 - z) ** (-b) * _hyp_series(b, c - a, c, w)
-
-
-def _connection(a: float, b: float, c: float, z: float) -> float:
-    # DLMF 15.8.2: expansion around z = -inf, valid for non-integer a - b.
-    u = 1.0 / z
-    g = math.gamma
-    t1 = (
-        g(c) * g(b - a) / (g(b) * g(c - a))
-        * (-z) ** (-a)
-        * _hyp_series(a, a - c + 1.0, a - b + 1.0, u)
-    )
-    t2 = (
-        g(c) * g(a - b) / (g(a) * g(c - b))
-        * (-z) ** (-b)
-        * _hyp_series(b, b - c + 1.0, b - a + 1.0, u)
-    )
-    return t1 + t2
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z <= 0.
-
-    Strategy: moderate |z| goes through the Pfaff transformation, which maps
-    z in (-inf, 0] to w = z/(z-1) in [0, 1); large |z| switches to the
-    1/z connection formula so the series argument stays small.  Only the
-    half line z <= 0 is supported (the only regime the C(b, alpha) closed
-    form needs).
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise DomainError(f"gauss_2f1: argument {name}={v} is not finite")
-    if _is_nonpositive_int(c):
-        raise DomainError(f"gauss_2f1: c={c} is a non-positive integer (pole)")
-    if z > 0.0:
-        raise DomainError(f"gauss_2f1: only z <= 0 is supported, got z={z}")
-    if z == 0.0:
-        return 1.0
-    # terminating series: a or b a non-positive integer
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _hyp_series(a, b, c, z)
-    if z >= -4.0:
-        return _pfaff(a, b, c, z)
-    diff = a - b
-    if abs(diff - round(diff)) < 1e-10:
-        # connection coefficients blow up; the Pfaff series still converges
-        # (slowly) because its terms decay like a power of n
-        return _pfaff(a, b, c, z)
-    try:
-        return _connection(a, b, c, z)
-    except (ValueError, OverflowError):
-        # gamma pole in a coefficient (e.g. c - a a non-positive integer)
-        return _pfaff(a, b, c, z)
-
-
-# ---------------------------------------------------------------------------
 # The interference integral C(b, alpha)
 # ---------------------------------------------------------------------------
 
 
-def _validate_c_args(b: float, alpha: float) -> None:
-    if not (math.isfinite(b) and math.isfinite(alpha)):
+def _validate_c_args(b, alpha: float) -> None:
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(b).all() and math.isfinite(alpha)):
         raise DomainError(f"c_integral: non-finite input b={b}, alpha={alpha}")
     if alpha <= 2.0:
         raise DomainError(
             f"c_integral: alpha={alpha} <= 2 makes the integral divergent"
         )
-    if b < 0.0:
+    if (b < 0.0).any():
         raise DomainError(f"c_integral: b={b} must be >= 0")
 
 
@@ -238,36 +146,38 @@ def _c_tail_series(lo: float, alpha: float) -> float:
     if q >= 1.0:
         raise DomainError(f"tail series needs lo^(alpha/2) > 1, got lo={lo}")
     total = 0.0
-    powk = q  # lo^(-k*alpha/2)
+    lead = lo ** (1.0 - h)  # lo * lo^(-k*alpha/2), formed directly so q^k may underflow
     for k in range(1, 400):
-        term = (-1.0) ** (k + 1) * lo * powk / (k * h - 1.0)
+        term = (-1.0) ** (k + 1) * lead / (k * h - 1.0)
         total += term
         if abs(term) <= 1e-18 * abs(total) + 5e-324:
             break
-        powk *= q
+        lead *= q
     return total
 
 
-def c_integral(
-    b: float,
-    alpha: float,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> float:
-    """Closed form of C(b, alpha) via the hypergeometric representation.
+def c_integral(b, alpha: float):
+    """Closed form of C(b, alpha) via the regularized incomplete beta.
 
-    ``settings`` is accepted for interface symmetry with the quadrature
-    route; the closed form itself needs no quadrature.  Strictly positive,
-    strictly decreasing in b, and equal to arctan(1/b) at alpha = 4.
+    With t = b^(alpha/2), b >= 1 evaluates I_x at x = 1/(1+t) and b < 1
+    evaluates the complement at 1 - x = t/(1+t) through ``betaincc``, so x
+    never rounds to 1.  Where t overflows, the alternating tail series takes
+    over.  Accepts scalar or array ``b``; a scalar gives a float.  Strictly
+    positive, strictly decreasing in b, and equal to arctan(1/b) at alpha = 4.
     """
     _validate_c_args(b, alpha)
-    head = _c_zero(alpha)
-    if b == 0.0:
-        return head
-    z = -(b ** (0.5 * alpha))
-    if not math.isfinite(z):
-        # b^(alpha/2) overflowed; the alternating tail series is exact here
-        return _c_tail_series(b, alpha)
-    return head - b * gauss_2f1(1.0, 2.0 / alpha, (2.0 + alpha) / alpha, z)
+    b_arr = np.asarray(b, dtype=float)
+    e = 2.0 / alpha
+    with np.errstate(over="ignore"):
+        t = b_arr ** (0.5 * alpha)
+    big = b_arr >= 1.0
+    x = np.where(big, 1.0, t) / (1.0 + t)
+    out = _c_zero(alpha) * np.where(big, betainc(1.0 - e, e, x), betaincc(e, 1.0 - e, x))
+    over = np.isinf(t)
+    if over.any():
+        out = np.asarray(out)
+        out[over] = [_c_tail_series(lo, alpha) for lo in b_arr[over]]
+    return out if out.ndim else float(out)
 
 
 def c_integral_quadrature(

@@ -111,8 +111,8 @@ def _result(suite, name, measured, tolerance, passed=None, detail="") -> CheckRe
 # 1. Numerics gate
 # ---------------------------------------------------------------------------
 
-_B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
-_ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
+_B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8)
+_ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0)
 
 
 def check_numerics(trials=None, seed=0, threads=1) -> list[CheckResult]:

@@ -1,8 +1,8 @@
 """Special-function kernel tests.
 
-Independent oracles: scipy.special.hyp2f1 and scipy.integrate.quad check the
-hand-rolled hypergeometric series and the panel quadrature; a direct sampling
-experiment checks the received-power Pareto law.
+Independent oracles: scipy.integrate.quad, mpmath quadrature and sicnet's own
+panel quadrature check the incomplete-beta closed form of C(b, alpha); a
+direct sampling experiment checks the received-power Pareto law.
 """
 
 import math
@@ -19,12 +19,11 @@ from sicnet.numerics import (
     adaptive_gauss,
     c_integral,
     c_integral_quadrature,
-    gauss_2f1,
     pareto_received_power_cdf,
 )
 
-B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
-ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
+B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8)
+ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0)
 TIGHT = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
 
 
@@ -65,60 +64,6 @@ class TestAdaptiveGauss:
             adaptive_gauss(np.sin, 0.0, math.inf)
 
 
-class TestGauss2F1:
-    def test_z_zero_is_one(self):
-        assert gauss_2f1(0.7, 1.3, 2.1, 0.0) == 1.0
-
-    def test_arctan_identity(self):
-        # 2F1(1, 1/2; 3/2; -x^2) = arctan(x)/x at x = 1
-        assert gauss_2f1(1.0, 0.5, 1.5, -1.0) == pytest.approx(math.pi / 4, rel=1e-13)
-
-    def test_against_scipy_grid(self):
-        for a in (0.3, 1.0, 2.25):
-            for b in (0.4, 0.9, 1.7):
-                for c in (1.2, 2.8):
-                    for z in (-0.25, -1.0, -7.0, -300.0, -1e4):
-                        ref = float(scipy.special.hyp2f1(a, b, c, z))
-                        assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=5e-13)
-
-    def test_degenerate_connection_parameters(self):
-        # c - a a non-positive integer breaks the 1/z connection formula
-        # (scipy returns +-inf here); the slow Pfaff fallback must cover it
-        mpmath = pytest.importorskip("mpmath")
-        for z in (-7.0, -300.0):
-            ref = float(mpmath.hyp2f1(2.2, 0.4, 1.2, z))
-            assert gauss_2f1(2.2, 0.4, 1.2, z) == pytest.approx(ref, rel=1e-10)
-
-    def test_c_family_large_z(self):
-        # the parameters the interference integral uses, out to |z| = 1e6
-        for alpha in ALPHA_GRID:
-            a, b, c = 1.0, 2.0 / alpha, (2.0 + alpha) / alpha
-            for z in (-1.0, -100.0, -1e6):
-                ref = float(scipy.special.hyp2f1(a, b, c, z))
-                assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-12)
-
-    def test_terminating_series(self):
-        # a = -2 terminates: 2F1(-2, b; c; z) is a quadratic polynomial
-        b, c, z = 0.7, 1.9, -5.0
-        expected = 1.0 + (-2 * b / c) * z + ((-2) * (-1) * b * (b + 1)) / (
-            c * (c + 1) * 2
-        ) * z**2
-        assert gauss_2f1(-2.0, b, c, z) == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (1.0, 0.5, 0.0, -1.0),    # c is a non-positive integer
-            (1.0, 0.5, -3.0, -1.0),
-            (1.0, 0.5, 1.5, 0.5),     # z > 0 unsupported
-            (math.nan, 0.5, 1.5, -1.0),
-        ],
-    )
-    def test_domain_errors(self, args):
-        with pytest.raises(DomainError):
-            gauss_2f1(*args)
-
-
 class TestCIntegral:
     def test_b_zero_closed_form(self):
         for alpha in ALPHA_GRID:
@@ -141,12 +86,39 @@ class TestCIntegral:
             assert err < 1e-9
             assert c_integral(b, alpha) == pytest.approx(ref, rel=1e-9)
 
+    def test_mpmath_oracle_at_large_and_small_b(self):
+        # large b^(alpha/2), where head - b * 2F1(...; -b^(alpha/2)) cancels,
+        # and small b, where x = 1/(1 + b^(alpha/2)) rounds to 1
+        mpmath = pytest.importorskip("mpmath")
+        for alpha, b in ((5.0, 1e8), (6.0, 1e8), (8.0, 1e6), (8.0, 1e-4)):
+            with mpmath.workdps(30):
+                h = mpmath.mpf(alpha) / 2
+                ref = float(mpmath.quad(lambda w: 1 / (1 + w**h), [b, 2 * b + 1, mpmath.inf]))
+            assert c_integral(b, alpha) == pytest.approx(ref, rel=1e-9, abs=0.0), (b, alpha)
+
+    def test_array_matches_scalar_calls(self):
+        b = np.array([[0.0, 1e-4, 0.5, 1.0], [2.0, 1e3, 1e8, 1e200]])
+        for alpha in ALPHA_GRID:
+            batch = c_integral(b, alpha)
+            assert batch.shape == b.shape
+            expected = [[c_integral(float(v), alpha) for v in row] for row in b]
+            assert np.array_equal(batch, np.array(expected))
+
+    def test_scalar_returns_float(self):
+        assert type(c_integral(2.0, 4.0)) is float
+        assert type(c_integral(np.float64(0.0), 3.0)) is float
+
+    def test_overflowing_power_uses_tail(self):
+        # b^(alpha/2) overflows; C(b, 4) = arctan(1/b) = 1/b to double precision
+        assert c_integral(1e200, 4.0) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
     def test_closed_form_vs_own_quadrature_grid(self):
         for b in B_GRID:
             for alpha in ALPHA_GRID:
                 cf = c_integral(b, alpha)
                 qd = c_integral_quadrature(b, alpha, TIGHT)
-                assert cf == pytest.approx(qd, rel=1e-9), (b, alpha)
+                # abs=0: C(1e8, 8) is 3e-25, far below pytest's default abs slack
+                assert cf == pytest.approx(qd, rel=1e-9, abs=0.0), (b, alpha)
 
     def test_strictly_decreasing_in_b(self):
         delta = 1e-4
@@ -161,7 +133,17 @@ class TestCIntegral:
         assert c_integral(1e6, 4.0) < 1e-5
 
     @pytest.mark.parametrize(
-        "args", [(1.0, 2.0), (1.0, 1.5), (-0.5, 4.0), (math.inf, 4.0), (1.0, math.nan)]
+        "args",
+        [
+            (1.0, 2.0),
+            (1.0, 1.5),
+            (-0.5, 4.0),
+            (math.inf, 4.0),
+            (1.0, math.nan),
+            (np.array([0.5, -1.0, 2.0]), 4.0),
+            (np.array([0.5, math.inf]), 4.0),
+            (np.array([math.nan]), 4.0),
+        ],
     )
     def test_domain_errors(self, args):
         with pytest.raises(DomainError):
