@@ -807,44 +807,101 @@ def voronoi_load_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _max_sir_trial_fields(cfg: NetworkConfig, rng, cand_radius, user_radius):
-    """Sample candidate APs (position, tier) and interfering users
-    (position, UL power) for one max-SIR trial."""
-    ap_pos = []
-    ap_tier = []
-    for k, tier in enumerate(cfg.tiers):
-        pts = sample_ppp(tier.lam, cand_radius, rng)
-        ap_pos.append(pts)
-        ap_tier.append(np.full(len(pts), k))
-    aps = np.concatenate(ap_pos) if ap_pos else np.empty((0, 2))
-    tiers = np.concatenate(ap_tier) if ap_tier else np.empty(0, dtype=int)
-    usr_pos = []
-    usr_pow = []
-    for k, tier in enumerate(cfg.tiers):
-        mu_k = association_prob_max_power(cfg, k) * cfg.mu
-        pts = sample_ppp(mu_k, user_radius, rng)
-        usr_pos.append(pts)
-        usr_pow.append(np.full(len(pts), tier.q_ul))
-    users = np.concatenate(usr_pos) if usr_pos else np.empty((0, 2))
-    powers = np.concatenate(usr_pow) if usr_pow else np.empty(0)
-    return aps, tiers, users, powers
+def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
+    """The ``m`` nearest (``distance_only``, by ``d2``) or strongest
+    (``power_with_fading``, by ``p``) entries of each row of ``p``, in that
+    order: the first ``m`` columns of ``p`` under a stable argsort of the key,
+    found by partial selection so that whole rows are never sorted.  Rows
+    shorter than ``m`` come back whole and fully ordered.  Entries whose keys
+    tie at the m-th place may be picked differently from the stable sort;
+    ties between distinct values occur with probability zero, and the
+    inf-padded entries of a field all carry the value 0."""
+    if m == 0:
+        return p[:, :0]
+    key = d2 if ordering == "distance_only" else -p
+    if m >= key.shape[1]:
+        order = np.argsort(key, axis=1, kind="stable")
+    else:
+        part = np.sort(np.argpartition(key, m - 1, axis=1)[:, :m], axis=1)
+        sub = np.argsort(np.take_along_axis(key, part, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(part, sub, axis=1)
+    return np.take_along_axis(p, order, axis=1)
 
 
-def _independent_interference(cfg: NetworkConfig, rng, n_aps: int) -> np.ndarray:
-    """Aggregate UL interference at ``n_aps`` receivers, each seeing its own
-    independent multi-tier user field (the model behind the max-SIR closed
-    forms).  Only radial distances matter, so fields are drawn as radii."""
+def _independent_fields(
+    rng: np.random.Generator, n_aps: int, fields, alpha: float, m: int
+):
+    """Give each of ``n_aps`` receivers its own multi-tier user field, one
+    tier per ``(density, window radius, UL power)`` in ``fields``, drawn as
+    radii only (nothing else matters).  Return the aggregate interference
+    per receiver and, for ``m > 0``, the powers and squared radii of all
+    users side by side (empty arrays for ``m = 0``)."""
     total = np.zeros(n_aps)
-    for i in range(cfg.n_tiers):
-        mu_i = association_prob_max_power(cfg, i) * cfg.mu
-        r_w = window_radius(mu_i)
-        counts = rng.poisson(mu_i * math.pi * r_w * r_w, n_aps)
+    parts_p, parts_r2 = [], []
+    for mu_k, r_w, q in fields:
+        counts = rng.poisson(mu_k * math.pi * r_w * r_w, n_aps)
         pmax = max(int(counts.max(initial=0)), 1)
         r2 = r_w * r_w * (1.0 - rng.random((n_aps, pmax)))
         r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        h = rng.exponential(size=(n_aps, pmax))
-        total += cfg.tiers[i].q_ul * (h * r2 ** (-0.5 * cfg.alpha)).sum(axis=1)
-    return total
+        base = rng.exponential(size=(n_aps, pmax)) * r2 ** (-0.5 * alpha)
+        total += q * base.sum(axis=1)
+        if m:
+            parts_p.append(q * base)
+            parts_r2.append(r2)
+    if not m:
+        return total, np.empty((n_aps, 0)), np.empty((n_aps, 0))
+    return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
+
+
+def _max_sir_trials(
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    size: int,
+    cand_radius: float,
+    independent_fields: bool,
+    ordering: str,
+    m: int,
+):
+    """Draw ``size`` max-SIR trials and yield ``(signal, total, top, cum)``
+    for each trial that has a candidate AP, one row per AP: the user's
+    received power, the aggregate UL interference, the ``m`` nearest or
+    strongest interferer powers (:func:`_top_m`) and their running sums.
+
+    Per trial the candidate APs of every tier and the interfering users of
+    every tier (density p_a,k mu, UL power Q_k) are drawn in a disk.  By
+    default all APs observe that one user field through independent per-link
+    fading; ``independent_fields=True`` instead gives every AP its own field,
+    drawn as radii only, which is exactly the decoupling the closed forms
+    assume.  The draws do not depend on ``ordering`` or ``m``."""
+    alpha = cfg.alpha
+    q_ul = np.array([t.q_ul for t in cfg.tiers])
+    mu = [association_prob_max_power(cfg, k) * cfg.mu for k in range(cfg.n_tiers)]
+    user_radius = window_radius(cfg.mu)
+    fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in zip(mu, q_ul)]
+    for _ in range(size):
+        aps = [sample_ppp(t.lam, cand_radius, rng) for t in cfg.tiers]
+        # drawn in both modes: the independent-field draws follow these
+        users = [sample_ppp(mu_k, user_radius, rng) for mu_k in mu]
+        n_aps = sum(len(a) for a in aps)
+        if n_aps == 0:
+            continue
+        q_ap = np.repeat(q_ul, [len(a) for a in aps])
+        aps = np.concatenate(aps)
+        d_ap = np.hypot(aps[:, 0], aps[:, 1])
+        signal = q_ap * rng.exponential(size=n_aps) * d_ap**-alpha
+        if independent_fields:
+            total, p, d2 = _independent_fields(rng, n_aps, fields, alpha, m)
+        else:
+            u_pow = np.repeat(q_ul, [len(u) for u in users])
+            users = np.concatenate(users)
+            d2 = (
+                (aps[:, 0, None] - users[None, :, 0]) ** 2
+                + (aps[:, 1, None] - users[None, :, 1]) ** 2
+            )
+            p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
+            total = p.sum(axis=1)
+        top = _top_m(p, d2, m, ordering)
+        yield signal, total, top, np.cumsum(top, axis=1)
 
 
 def max_sir_success_curve_mc(
@@ -863,73 +920,25 @@ def max_sir_success_curve_mc(
     all APs observe the same physical interfering-user field (through
     independent per-link fading); ``independent_fields=True`` instead draws
     a fresh field per AP, which is exactly the decoupling the closed form
-    assumes, so it isolates implementation errors from model error.
+    assumes, so it isolates implementation errors from model error.  The
+    trials are those of :func:`simulate_max_inst_sir` with N = 0.
     """
     _check_trials(trials)
-    etas = [float(e) for e in np.atleast_1d(etas)]
-    user_radius = window_radius(cfg.mu)
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
 
     def worker(block: int, size: int) -> np.ndarray:
-        rng = _stream(seed, block)
         wins = np.zeros(len(etas), dtype=np.int64)
-        for _ in range(size):
-            aps, tiers, users, u_pow = _max_sir_trial_fields(
-                cfg, rng, cand_radius, user_radius
-            )
-            if len(aps) == 0:
-                continue
-            q_ap = np.array([cfg.tiers[k].q_ul for k in tiers])
-            d_ap = np.hypot(aps[:, 0], aps[:, 1])
-            signal = q_ap * rng.exponential(size=len(aps)) * d_ap**-cfg.alpha
-            if independent_fields:
-                interf = _independent_interference(cfg, rng, len(aps))
-                best = float(np.max(signal / interf))
-            elif len(users):
-                d2 = (
-                    (aps[:, 0, None] - users[None, :, 0]) ** 2
-                    + (aps[:, 1, None] - users[None, :, 1]) ** 2
-                )
-                h = rng.exponential(size=d2.shape)
-                interf = (u_pow[None, :] * h * d2 ** (-0.5 * cfg.alpha)).sum(axis=1)
-                best = float(np.max(signal / interf))
-            else:
-                best = math.inf
-            for e_idx, eta in enumerate(etas):
-                if best >= eta:
-                    wins[e_idx] += 1
+        rng = _stream(seed, block)
+        for signal, total, _, _ in _max_sir_trials(
+            cfg, rng, size, cand_radius, independent_fields, "distance_only", 0
+        ):
+            wins += float(np.max(signal / total)) >= etas
         return wins
 
     totals = np.zeros(len(etas), dtype=np.int64)
     for partial in _map_blocks(trials, worker, threads):
         totals += partial
     return [Estimate.from_counts(int(c), trials, seed) for c in totals]
-
-
-def _independent_ordered_fields(cfg: NetworkConfig, rng, n_aps: int, ordering: str, m: int):
-    """Per-receiver independent multi-tier user fields, reduced to ordered
-    power statistics (total, top-m, running sums) per receiver."""
-    parts_p = []
-    parts_r2 = []
-    for i in range(cfg.n_tiers):
-        mu_i = association_prob_max_power(cfg, i) * cfg.mu
-        r_w = window_radius(mu_i)
-        counts = rng.poisson(mu_i * math.pi * r_w * r_w, n_aps)
-        pmax = max(int(counts.max(initial=0)), 1)
-        r2 = r_w * r_w * (1.0 - rng.random((n_aps, pmax)))
-        r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        h = rng.exponential(size=(n_aps, pmax))
-        parts_p.append(cfg.tiers[i].q_ul * h * r2 ** (-0.5 * cfg.alpha))
-        parts_r2.append(r2)
-    p = np.concatenate(parts_p, axis=1)
-    r2 = np.concatenate(parts_r2, axis=1)
-    total = p.sum(axis=1)
-    if ordering == "distance_only":
-        order = np.argsort(r2, axis=1, kind="stable")
-    else:
-        order = np.argsort(-p, axis=1, kind="stable")
-    p_ord = np.take_along_axis(p, order, axis=1)
-    top = p_ord[:, :m] if m else np.empty((n_aps, 0))
-    return total, top, np.cumsum(top, axis=1)
 
 
 def simulate_max_inst_sir(
@@ -951,51 +960,18 @@ def simulate_max_inst_sir(
     _check_trials(trials)
     eta = sic.eta_t
     n_max = sic.n_max
-    user_radius = window_radius(cfg.mu)
 
-    def worker(block: int, size: int) -> np.ndarray:
+    def worker(block: int, size: int) -> int:
         rng = _stream(seed, block)
-        wins = 0
-        for _ in range(size):
-            aps, tiers, users, u_pow = _max_sir_trial_fields(
-                cfg, rng, cand_radius, user_radius
-            )
-            if len(aps) == 0:
-                continue
-            q_ap = np.array([cfg.tiers[k].q_ul for k in tiers])
-            d_ap = np.hypot(aps[:, 0], aps[:, 1])
-            signal = q_ap * rng.exponential(size=len(aps)) * d_ap**-cfg.alpha
-            if independent_fields:
-                totals, top, cum = _independent_ordered_fields(
-                    cfg, rng, len(aps), ordering, n_max
-                )
-            elif len(users) == 0:
-                wins += 1
-                continue
-            else:
-                d2 = (
-                    (aps[:, 0, None] - users[None, :, 0]) ** 2
-                    + (aps[:, 1, None] - users[None, :, 1]) ** 2
-                )
-                h = rng.exponential(size=d2.shape)
-                p = u_pow[None, :] * h * d2 ** (-0.5 * cfg.alpha)
-                if ordering == "distance_only":
-                    order = np.argsort(d2, axis=1, kind="stable")
-                else:
-                    order = np.argsort(-p, axis=1, kind="stable")
-                p_ord = np.take_along_axis(p, order, axis=1)
-                totals = p_ord.sum(axis=1)
-                top = p_ord[:, :n_max] if n_max else np.empty((len(aps), 0))
-                cum = np.cumsum(top, axis=1)
-            levels = _chain_levels(signal, totals, top, cum, eta, n_max)
-            if (levels >= 0).any():
-                wins += 1
-        return np.array([wins], dtype=np.int64)
+        fields = _max_sir_trials(
+            cfg, rng, size, cand_radius, independent_fields, ordering, n_max
+        )
+        return sum(
+            bool((_chain_levels(signal, total, top, cum, eta, n_max) >= 0).any())
+            for signal, total, top, cum in fields
+        )
 
-    total = 0
-    for partial in _map_blocks(trials, worker, threads):
-        total += int(partial[0])
-    return Estimate.from_counts(total, trials, seed)
+    return Estimate.from_counts(sum(_map_blocks(trials, worker, threads)), trials, seed)
 
 
 # ---------------------------------------------------------------------------

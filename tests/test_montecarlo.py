@@ -396,6 +396,51 @@ class TestMaxSir:
         est = simulate_max_inst_sir(cfg, SicConfig(1e9, 1), 500, seed=73)
         assert est.mean == 0.0
 
+    def test_top_m_matches_stable_argsort(self):
+        from sicnet.montecarlo import _top_m
+
+        rng = np.random.default_rng(5)
+        d2 = rng.random((6, 9))
+        d2[2, 4:] = np.inf  # rows padded past their count, as sampled fields are
+        d2[3, 1:] = np.inf
+        p = rng.exponential(size=d2.shape) * d2**-2.0
+        for ordering, key in (("distance_only", d2), ("power_with_fading", -p)):
+            ref = np.take_along_axis(p, np.argsort(key, axis=1, kind="stable"), axis=1)
+            for m in (0, 1, 2, 3, 5, 8, 9, 12):
+                assert np.array_equal(_top_m(p, d2, m, ordering), ref[:, :m])
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_zero_budget_draws_the_curve_trials(self, independent):
+        # N = 0 cancels nothing, so the ordering is idle and the chain is the
+        # plain max-SIR event on the same draws as the no-SIC simulator
+        cfg = two_tier()
+        etas = [10.0 ** (d / 10.0) for d in (-4.0, 0.0, 6.0)]
+        curve = max_sir_success_curve_mc(
+            cfg, etas, 200, seed=29, independent_fields=independent
+        )
+        for eta, est in zip(etas, curve):
+            for ordering in ("distance_only", "power_with_fading"):
+                sic = simulate_max_inst_sir(
+                    cfg, SicConfig(eta, 0), 200, seed=29, ordering=ordering,
+                    independent_fields=independent,
+                )
+                assert sic.mean == est.mean
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("ordering", ["distance_only", "power_with_fading"])
+    def test_success_nondecreasing_in_budget(self, independent, ordering):
+        # the draws do not depend on N, and a chain that succeeds within N
+        # cancellations succeeds within N + 1
+        means = [
+            simulate_max_inst_sir(
+                two_tier(), SicConfig(1.0, n), 200, seed=31, ordering=ordering,
+                independent_fields=independent,
+            ).mean
+            for n in range(4)
+        ]
+        assert means == sorted(means)
+        assert means[-1] > means[0]
+
 
 class TestRea:
     def test_degenerate_guard(self):
