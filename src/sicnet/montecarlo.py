@@ -12,10 +12,10 @@ far-field mean is < 0.1% of the in-window mean at alpha = 4).  While an
 interferer is being decoded, the signal of interest is not counted as
 interference, mirroring the trimmed-sum definition of the residual field.
 
-Reproducibility contract: all sampling uses the counter-based Philox
-generator.  Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block
-``b`` draws exclusively from ``Philox(SeedSequence(seed, spawn_key=(b,)))``
-and covers trials [b * BLOCK_TRIALS, (b+1) * BLOCK_TRIALS).  Thread count
+Reproducibility contract: all sampling uses numpy's SFC64 generator.
+Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
+exclusively from ``SFC64(SeedSequence(seed, spawn_key=(b,)))`` and covers
+trials [b * BLOCK_TRIALS, (b+1) * BLOCK_TRIALS).  Thread count
 only changes how blocks are dispatched, never what they draw, so results
 are bit-identical for any ``threads`` value.  Aggregation is a sum of
 per-block counts and therefore order-insensitive.
@@ -79,11 +79,13 @@ def _check_trials(trials: int) -> int:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    """Philox stream ``index`` of the root ``seed`` (see module docstring)."""
+    """SFC64 stream ``index`` of the root ``seed`` (see module docstring).
+    Streams are independent through ``SeedSequence``'s spawn key alone, so
+    no generator state is ever advanced or jumped."""
     if seed < 0:
         raise DomainError(f"seed must be a non-negative 64-bit integer, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def window_radius(mu_j: float) -> float:
@@ -867,12 +869,13 @@ def _max_sir_trials(
     received power, the aggregate UL interference, the ``m`` nearest or
     strongest interferer powers (:func:`_top_m`) and their running sums.
 
-    Per trial the candidate APs of every tier and the interfering users of
-    every tier (density p_a,k mu, UL power Q_k) are drawn in a disk.  By
-    default all APs observe that one user field through independent per-link
-    fading; ``independent_fields=True`` instead gives every AP its own field,
-    drawn as radii only, which is exactly the decoupling the closed forms
-    assume.  The draws do not depend on ``ordering`` or ``m``."""
+    Per trial the candidate APs of every tier are drawn in a disk.  By
+    default the interfering users of every tier (density p_a,k mu, UL power
+    Q_k) are drawn in a disk too, and all APs observe that one user field
+    through independent per-link fading; ``independent_fields=True`` instead
+    gives every AP its own field, drawn as radii only, which is exactly the
+    decoupling the closed forms assume, and draws no shared field.  The
+    draws do not depend on ``ordering`` or ``m``."""
     alpha = cfg.alpha
     q_ul = np.array([t.q_ul for t in cfg.tiers])
     mu = [association_prob_max_power(cfg, k) * cfg.mu for k in range(cfg.n_tiers)]
@@ -880,8 +883,8 @@ def _max_sir_trials(
     fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in zip(mu, q_ul)]
     for _ in range(size):
         aps = [sample_ppp(t.lam, cand_radius, rng) for t in cfg.tiers]
-        # drawn in both modes: the independent-field draws follow these
-        users = [sample_ppp(mu_k, user_radius, rng) for mu_k in mu]
+        if not independent_fields:
+            users = [sample_ppp(mu_k, user_radius, rng) for mu_k in mu]
         n_aps = sum(len(a) for a in aps)
         if n_aps == 0:
             continue

@@ -71,6 +71,7 @@ from .experiments import (
     two_tier_config,
 )
 from .montecarlo import (
+    BLOCK_TRIALS,
     max_sir_success_curve_mc,
     ps_can_curve_mc,
     ps_sic_curve_mc,
@@ -619,8 +620,11 @@ def check_scale_invariance(trials=100_000, seed=808, threads=1) -> list[CheckRes
 def check_determinism(trials=2000, seed=909, threads=4) -> list[CheckResult]:
     import io
 
-    trials = trials or 2000
-    threads = max(threads, 2)  # a single-thread-only comparison proves nothing
+    # a single-thread or single-block comparison proves nothing: at least two
+    # threads, and two full blocks plus a partial one to dispatch
+    threads = max(threads, 2)
+    trials = max(trials or 2000, 2 * BLOCK_TRIALS + 1)
+    n_blocks = -(-trials // BLOCK_TRIALS)
 
     def csv_without_runtime(threads_n: int) -> str:
         spec = default_spec("fig2", trials=trials, seed=seed, threads=threads_n)
@@ -639,7 +643,8 @@ def check_determinism(trials=2000, seed=909, threads=4) -> list[CheckResult]:
     return [
         _result(
             "determinism",
-            f"fig2 CSV identical across reruns and thread counts (1, {threads})",
+            f"fig2 CSV identical across reruns and thread counts (1, {threads}),"
+            f" {trials} trials in {n_blocks} blocks",
             0.0 if same else 1.0, 0.0, passed=same,
         )
     ]

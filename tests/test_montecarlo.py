@@ -43,6 +43,33 @@ def two_tier(bias2=1.0):
     )
 
 
+class TestStreams:
+    def test_stream_is_sfc64_of_spawned_seed_sequence(self):
+        from sicnet.montecarlo import _GEOMETRY_STREAM, _SERVING_STREAM, _stream
+
+        for seed in (0, 909, 2**63):
+            for index in (0, 1, 7, _SERVING_STREAM, _GEOMETRY_STREAM):
+                ref = np.random.Generator(
+                    np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,)))
+                )
+                got = _stream(seed, index)
+                assert isinstance(got.bit_generator, np.random.SFC64)
+                assert np.array_equal(got.random(32), ref.random(32))
+                assert np.array_equal(got.exponential(size=32), ref.exponential(size=32))
+
+    def test_streams_differ(self):
+        from sicnet.montecarlo import _GEOMETRY_STREAM, _SERVING_STREAM, _stream
+
+        reserved = [_SERVING_STREAM, _GEOMETRY_STREAM]
+        assert min(reserved) >= 1 << 32  # beyond any block index in reach
+        draws = [
+            tuple(_stream(seed, index).integers(0, 2**62, 4))
+            for seed in (42, 43)
+            for index in list(range(8)) + reserved
+        ]
+        assert len(set(draws)) == len(draws)
+
+
 class TestSamplePpp:
     def test_zero_density(self):
         rng = np.random.default_rng(0)
