@@ -198,7 +198,10 @@ def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.nd
     n = rng.poisson(density * math.pi * radius * radius)
     r = radius * np.sqrt(1.0 - rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    xy = np.empty((n, 2))
+    np.multiply(r, np.cos(theta), out=xy[:, 0])
+    np.multiply(r, np.sin(theta), out=xy[:, 1])
+    return xy
 
 
 def sample_scene(
@@ -330,9 +333,7 @@ def _field_block(
     cum its running sum."""
     powers, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
     total = powers.sum(axis=1)
-    if ordering == "power_with_fading":
-        powers = -np.sort(-powers, axis=1)
-    top = powers[:, :m]
+    top = powers[:, :m] if ordering == "distance_only" else _top_m(powers, None, m, ordering)
     cum = np.cumsum(top, axis=1)
     return total, top, cum, counts
 
@@ -809,25 +810,31 @@ def voronoi_load_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
+def _top_m(p: np.ndarray, d2: np.ndarray | None, m: int, ordering: str) -> np.ndarray:
     """The ``m`` nearest (``distance_only``, by ``d2``) or strongest
     (``power_with_fading``, by ``p``) entries of each row of ``p``, in that
-    order: the first ``m`` columns of ``p`` under a stable argsort of the key,
-    found by partial selection so that whole rows are never sorted.  Rows
-    shorter than ``m`` come back whole and fully ordered.  Entries whose keys
-    tie at the m-th place may be picked differently from the stable sort;
-    ties between distinct values occur with probability zero, and the
-    inf-padded entries of a field all carry the value 0."""
+    order: exactly the first ``m`` columns of ``p`` under a stable argsort of
+    the key, ties included.  The columns are picked one at a time by
+    ``argmin``/``argmax`` over a copy of the key, in which every picked entry
+    is then retired (set to inf / -inf), so whole rows are never sorted.  The
+    first occurrence wins, as in a stable sort; inf padding in ``d2`` is
+    mapped to the largest finite float so that it still ranks below the
+    retired entries.  Rows shorter than ``m`` come back whole and fully
+    ordered."""
+    m = min(m, p.shape[1])
     if m == 0:
         return p[:, :0]
-    key = d2 if ordering == "distance_only" else -p
-    if m >= key.shape[1]:
-        order = np.argsort(key, axis=1, kind="stable")
+    if ordering == "distance_only":
+        key, pick, retired = np.minimum(d2, np.finfo(float).max), np.argmin, np.inf
     else:
-        part = np.sort(np.argpartition(key, m - 1, axis=1)[:, :m], axis=1)
-        sub = np.argsort(np.take_along_axis(key, part, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(part, sub, axis=1)
-    return np.take_along_axis(p, order, axis=1)
+        key, pick, retired = p.copy(), np.argmax, -np.inf
+    flat = key.reshape(-1)
+    row_start = np.arange(0, key.size, key.shape[1])
+    picked = np.empty((len(p), m), dtype=np.intp)
+    for i in range(m):
+        picked[:, i] = j = pick(key, axis=1) + row_start
+        flat[j] = retired
+    return p.reshape(-1)[picked]
 
 
 def _independent_fields(
@@ -864,10 +871,10 @@ def _max_sir_trials(
     ordering: str,
     m: int,
 ):
-    """Draw ``size`` max-SIR trials and yield ``(signal, total, top, cum)``
-    for each trial that has a candidate AP, one row per AP: the user's
-    received power, the aggregate UL interference, the ``m`` nearest or
-    strongest interferer powers (:func:`_top_m`) and their running sums.
+    """Draw ``size`` max-SIR trials and yield ``(signal, total, top)`` for
+    each trial that has a candidate AP, one row per AP: the user's received
+    power, the aggregate UL interference and the ``m`` nearest or strongest
+    interferer powers (:func:`_top_m`; fewer where the field is smaller).
 
     Per trial the candidate APs of every tier are drawn in a disk.  By
     default the interfering users of every tier (density p_a,k mu, UL power
@@ -903,8 +910,7 @@ def _max_sir_trials(
             )
             p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
             total = p.sum(axis=1)
-        top = _top_m(p, d2, m, ordering)
-        yield signal, total, top, np.cumsum(top, axis=1)
+        yield signal, total, _top_m(p, d2, m, ordering)
 
 
 def max_sir_success_curve_mc(
@@ -932,7 +938,7 @@ def max_sir_success_curve_mc(
     def worker(block: int, size: int) -> np.ndarray:
         wins = np.zeros(len(etas), dtype=np.int64)
         rng = _stream(seed, block)
-        for signal, total, _, _ in _max_sir_trials(
+        for signal, total, _ in _max_sir_trials(
             cfg, rng, size, cand_radius, independent_fields, "distance_only", 0
         ):
             wins += float(np.max(signal / total)) >= etas
@@ -958,7 +964,13 @@ def simulate_max_inst_sir(
     candidate AP decodes the user after at most N cancellations, running
     the full event chain independently at each AP.  ``independent_fields``
     gives every AP its own interferer field (the closed form's decoupling);
-    the default shares the physical field across APs."""
+    the default shares the physical field across APs.
+
+    Trials are sampled one by one (:func:`_max_sir_trials`), but the chain
+    runs once per block on all their AP rows together.  Where a field holds
+    fewer than N interferers, its row is padded with zero-power stages: such
+    a stage leaves the residual as it was, so it cannot succeed where the
+    shorter chain failed."""
     _check_ordering(ordering)
     _check_trials(trials)
     eta = sic.eta_t
@@ -966,13 +978,20 @@ def simulate_max_inst_sir(
 
     def worker(block: int, size: int) -> int:
         rng = _stream(seed, block)
-        fields = _max_sir_trials(
+        rows = []
+        for signal, total, top in _max_sir_trials(
             cfg, rng, size, cand_radius, independent_fields, ordering, n_max
-        )
-        return sum(
-            bool((_chain_levels(signal, total, top, cum, eta, n_max) >= 0).any())
-            for signal, total, top, cum in fields
-        )
+        ):
+            pad = n_max - top.shape[1]  # fewer interferers than N
+            rows.append((signal, total, np.pad(top, ((0, 0), (0, pad))) if pad else top))
+        if not rows:
+            return 0
+        # one row per candidate AP: a trial succeeds if any of its APs does
+        first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
+        signal, total, top = (np.concatenate(col) for col in zip(*rows))
+        del rows  # a third of the peak memory if held through the chain
+        levels = _chain_levels(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
+        return int(np.logical_or.reduceat(levels >= 0, first_row).sum())
 
     return Estimate.from_counts(sum(_map_blocks(trials, worker, threads)), trials, seed)
 

@@ -164,7 +164,10 @@ def c_integral(b, alpha: float):
     never rounds to 1.  Where t overflows, the alternating tail series takes
     over.  Accepts scalar or array ``b``; a scalar gives a float.  Strictly
     positive, strictly decreasing in b, and equal to arctan(1/b) at alpha = 4.
+    A valid scalar b = 0 returns C(0, alpha) without touching numpy.
     """
+    if isinstance(b, (int, float)) and b == 0 and math.isfinite(alpha) and alpha > 2.0:
+        return _c_zero(float(alpha))
     _validate_c_args(b, alpha)
     b_arr = np.asarray(b, dtype=float)
     e = 2.0 / alpha

@@ -436,6 +436,59 @@ class TestMaxSir:
             for m in (0, 1, 2, 3, 5, 8, 9, 12):
                 assert np.array_equal(_top_m(p, d2, m, ordering), ref[:, :m])
 
+    def test_top_m_ties_match_stable_argsort(self):
+        # every distance key occurs four times, so the m-th place is tied in
+        # most rows; the powers are distinct, so a wrong tie-break shows
+        from sicnet.montecarlo import _top_m
+
+        rng = np.random.default_rng(17)
+        d2 = np.repeat(rng.random((8, 5)), 4, axis=1)
+        d2 = np.take_along_axis(d2, rng.permuted(np.tile(np.arange(20), (8, 1)), axis=1), axis=1)
+        d2[1, 12:] = np.inf
+        d2[4, 2:] = np.inf
+        p = rng.exponential(size=d2.shape) * np.where(np.isinf(d2), 0.0, 1.0)
+        ref = np.take_along_axis(p, np.argsort(d2, axis=1, kind="stable"), axis=1)
+        for m in range(21):
+            assert np.array_equal(_top_m(p, d2, m, "distance_only"), ref[:, :m]), m
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("ordering", ["distance_only", "power_with_fading"])
+    @pytest.mark.parametrize("n_max", [0, 1, 3])
+    def test_block_chain_matches_trial_loop(self, independent, ordering, n_max):
+        # the chain run once over the block's rows against one run per trial
+        from sicnet.montecarlo import _chain_levels, _max_sir_trials, _stream
+
+        cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
+        wins = sum(
+            bool((_chain_levels(s, t, top, np.cumsum(top, axis=1), eta, n_max) >= 0).any())
+            for s, t, top in _max_sir_trials(
+                cfg, _stream(seed, 0), trials, 250.0, independent, ordering, n_max
+            )
+        )
+        est = simulate_max_inst_sir(
+            cfg, SicConfig(eta, n_max), trials, seed, ordering=ordering,
+            independent_fields=independent,
+        )
+        assert est == Estimate.from_counts(wins, trials, seed)
+
+    def test_zero_power_padding_keeps_chain_outcome(self):
+        # rows of k < N interferers: padding them with zero-power stages up
+        # to N must not change the level at which the chain succeeds
+        from sicnet.montecarlo import _chain_levels
+
+        rng = np.random.default_rng(41)
+        n_max = 4
+        for k in range(n_max):
+            field = rng.exponential(size=(500, k)) * rng.random((500, k)) ** -2.0
+            top = -np.sort(-field, axis=1)
+            total = field.sum(axis=1) + np.where(np.arange(500) % 2, 0.0, rng.random(500))
+            soi = rng.exponential(size=500) * rng.random(500) ** -2.0
+            padded = np.pad(top, ((0, 0), (0, n_max - k)))
+            for eta in (0.1, 1.0, 10.0):
+                short = _chain_levels(soi, total, top, np.cumsum(top, axis=1), eta, k)
+                long = _chain_levels(soi, total, padded, np.cumsum(padded, axis=1), eta, n_max)
+                assert np.array_equal(short, long), (k, eta)
+
     @pytest.mark.parametrize("independent", [False, True])
     def test_zero_budget_draws_the_curve_trials(self, independent):
         # N = 0 cancels nothing, so the ordering is idle and the chain is the

@@ -108,6 +108,16 @@ class TestCIntegral:
         assert type(c_integral(2.0, 4.0)) is float
         assert type(c_integral(np.float64(0.0), 3.0)) is float
 
+    def test_scalar_zero_is_c_zero(self):
+        # the scalar b = 0 shortcut equals the incomplete-beta path bit for bit
+        from sicnet.numerics import _c_zero
+
+        for alpha in np.linspace(2.1, 10.0, 11):
+            got = c_integral(0.0, alpha)
+            assert type(got) is float
+            assert got == _c_zero(alpha)
+            assert got == c_integral(np.array([0.0]), alpha)[0]
+
     def test_overflowing_power_uses_tail(self):
         # b^(alpha/2) overflows; C(b, 4) = arctan(1/b) = 1/b to double precision
         assert c_integral(1e200, 4.0) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
