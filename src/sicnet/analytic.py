@@ -598,15 +598,18 @@ def ps_ic_rea(
     e = 2.0 / cfg.alpha
     eta_e = eta**e
     ref = cfg.tiers[k]
+    if cancelled:
+        c_first = c_second = [eta**-e] * cfg.n_tiers
+    else:
+        c_first = [(t.bias / (eta * ref.bias)) ** e for t in cfg.tiers]
+        c_second = c_first if biased_second_term else [eta**-e] * cfg.n_tiers
+    # one array call per side; the tiers are summed in order below
+    c_first = c_integral(np.array(c_first), cfg.alpha).tolist()
+    c_second = c_integral(np.array(c_second), cfg.alpha).tolist()
     sum_biased = 0.0
     sum_unit = 0.0
-    for t in cfg.tiers:
+    for t, c1, c2 in zip(cfg.tiers, c_first, c_second):
         w = (t.lam / ref.lam) * (t.p_dl / ref.p_dl) ** e
-        if cancelled:
-            c_first = c_second = eta**-e
-        else:
-            c_first = (t.bias / (eta * ref.bias)) ** e
-            c_second = c_first if biased_second_term else eta**-e
-        sum_biased += w * (eta_e * c_integral(c_first, cfg.alpha) + (t.bias / ref.bias) ** e)
-        sum_unit += w * (eta_e * c_integral(c_second, cfg.alpha) + 1.0)
+        sum_biased += w * (eta_e * c1 + (t.bias / ref.bias) ** e)
+        sum_unit += w * (eta_e * c2 + 1.0)
     return (1.0 / sum_biased - 1.0 / sum_unit) / p_re

@@ -17,8 +17,17 @@ Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
 exclusively from ``SFC64(SeedSequence(seed, spawn_key=(b,)))`` and covers
 trials [b * BLOCK_TRIALS, (b+1) * BLOCK_TRIALS).  Thread count
 only changes how blocks are dispatched, never what they draw, so results
-are bit-identical for any ``threads`` value.  Aggregation is a sum of
-per-block counts and therefore order-insensitive.
+are bit-identical for any ``threads`` value.
+
+Estimators: the chain and policy simulators never draw the serving link's
+Rayleigh fading h.  Given everything else in a trial, success is the event
+h * S >= eta * I, whose probability is exp(-eta * I / S); each trial
+contributes that conditional probability instead of a 0/1 outcome
+(conditional Monte Carlo, Asmussen and Glynn, *Stochastic Simulation*,
+2007, ch. V), whose variance is never larger.  Workers return the sum and
+the sum of squares of these values per grid point, and the blocks' sums
+are added in block order.  ``ps_can_curve_mc`` and ``run_sic_trial``
+still count 0/1 outcomes.
 """
 
 from __future__ import annotations
@@ -112,7 +121,8 @@ def _map_blocks(trials: int, worker, threads: int = 1):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Bernoulli mean with its plug-in standard error."""
+    """Mean of per-trial samples in [0, 1] (success probabilities or 0/1
+    outcomes) with its plug-in standard error."""
 
     mean: float
     stderr: float
@@ -120,14 +130,26 @@ class Estimate:
     seed: int
 
     @classmethod
-    def from_counts(cls, successes: float, trials: int, seed: int) -> "Estimate":
-        p = successes / trials
+    def from_sums(
+        cls, total: float, total_sq: float, trials: int, seed: int
+    ) -> "Estimate":
+        """From the sum and the sum of squares of ``trials`` samples in [0, 1].
+        The plug-in variance E[X^2] - E[X]^2 is written p(1 - p) - E[X - X^2],
+        so that 0/1 samples (``total_sq == total``) give the Bernoulli
+        p(1 - p) bit for bit."""
+        total, total_sq = float(total), float(total_sq)
+        p = total / trials
+        var = p * (1.0 - p) - (total - total_sq) / trials
         return cls(
             mean=p,
-            stderr=math.sqrt(max(p * (1.0 - p), 0.0) / trials),
+            stderr=math.sqrt(max(var, 0.0) / trials),
             trials=trials,
             seed=seed,
         )
+
+    @classmethod
+    def from_counts(cls, successes: float, trials: int, seed: int) -> "Estimate":
+        return cls.from_sums(successes, successes, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -341,9 +363,10 @@ def _field_block(
 def _serving_block(
     rng: np.random.Generator, size: int, lambda_eq: float, alpha: float
 ) -> np.ndarray:
+    """Mean received power u^-alpha of the signal of interest, the serving
+    distance u drawn from the nearest-AP law; its fading is never drawn."""
     u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
-    h_u = rng.exponential(size=size)
-    return h_u * u2 ** (-0.5 * alpha)
+    return u2 ** (-0.5 * alpha)
 
 
 def _first_level(decoded: np.ndarray, cancelled: np.ndarray) -> np.ndarray:
@@ -360,11 +383,38 @@ def _first_level(decoded: np.ndarray, cancelled: np.ndarray) -> np.ndarray:
 
 
 def _chain_levels(soi, total, top, cum, eta: float, n_max: int) -> np.ndarray:
-    """:func:`_first_level` of the event chain on one field per trial: stage
-    n cancels the n-th strongest interferer and decodes against the rest."""
+    """:func:`_first_level` of the event chain on one field per trial, given
+    the faded signal of interest ``soi``: stage n cancels the n-th strongest
+    interferer and decodes against the rest.  This is the 0/1 indicator
+    that :func:`_chain_exponent` integrates over the serving fading; it
+    serves as that function's same-draw oracle."""
     residual = total[:, None] - cum[:, :n_max]
     decoded = np.column_stack((soi >= eta * total, soi[:, None] >= eta * residual))
     return _first_level(decoded, top[:, :n_max] >= eta * residual)
+
+
+def _reached(cancelled: np.ndarray) -> np.ndarray:
+    """(trials, n_max + 1) mask of the chain stages reached: stage n needs
+    the cancellations of stages 1..n (``cancelled[:, :n]``) to succeed."""
+    first = np.ones((len(cancelled), 1), dtype=bool)
+    return np.hstack((first, np.logical_and.accumulate(cancelled, axis=1)))
+
+
+def _chain_exponent(s0, total, top, cum, eta: float, n_max: int) -> np.ndarray:
+    """eta * R_L / s0 for every budget N = 0..n_max, a (trials, n_max + 1)
+    array: the chain with budget N succeeds with probability exp(-that)
+    over the serving fading, since the cancellations never involve it.
+
+    ``s0`` is the mean power of the signal of interest and R_n = total -
+    cum[:, n-1] the residual after n cancellations (R_0 = total).  L is
+    min(N, the number of consecutive successful cancellations), and stage
+    n cancels when top[:, n-1] >= eta * R_n.  The residual never grows
+    along the chain, so R_L is the running minimum over the stages the
+    chain reaches.  Residuals are clipped at 0 against rounding."""
+    residual = np.column_stack((total, total[:, None] - cum[:, :n_max]))
+    reached = _reached(top[:, :n_max] >= eta * residual[:, 1:])
+    r_l = np.minimum.accumulate(np.where(reached, residual, np.inf), axis=1)
+    return np.maximum(r_l, 0.0) / s0[:, None] * eta
 
 
 def _independent_stage_block(
@@ -384,28 +434,34 @@ def _independent_stage_block(
     fails outright when the serving distance falls inside it (no
     renormalization); stage n >= 1 first cancels the n-th strongest
     interferer of another fresh field against everything weaker.  Returns
-    the threshold-free statistics (soi, interference, top, weaker), each
-    trials x stages.
+    the threshold-free statistics (s, interference, top, weaker), each
+    trials x stages, where s is the mean signal power u^-alpha, or 0 where
+    the serving distance falls inside R_{I,n}.
     """
-    soi = np.empty((size, n_max + 1))
+    s = np.empty((size, n_max + 1))
     interference = np.empty((size, n_max + 1))
     top = np.empty((size, n_max))
     weaker = np.empty((size, n_max))
     for n in range(n_max + 1):
         r_in = math.sqrt(n / (math.pi * mu_j))
         u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
-        s = rng.exponential(size=size) * u2 ** (-0.5 * alpha)
-        soi[:, n] = np.where(u2 >= r_in * r_in, s, -np.inf)
+        s[:, n] = np.where(u2 >= r_in * r_in, u2 ** (-0.5 * alpha), 0.0)
         powers, _ = _radial_field(rng, size, mu_j, r_in, radius, 1, alpha)
         interference[:, n] = powers.sum(axis=1)
         if n:
             total, t, cum, _ = _field_block(rng, size, mu_j, radius, n, ordering, alpha)
             top[:, n - 1] = t[:, n - 1]
             weaker[:, n - 1] = total - cum[:, n - 1]
-    return soi, interference, top, weaker
+    return s, interference, top, weaker
 
 
-_GEOMETRY_STREAM = 1 << 33  # reserved stream for frozen-geometry sampling
+def _independent_stage_success(s, interference, top, weaker, eta: float) -> np.ndarray:
+    """Success probability over the stages' serving fadings for every budget
+    N = 0..n_max: 1 - prod over the stages n <= N the chain reaches of
+    (1 - exp(-eta I_n / S_n)), each stage decoding its own faded signal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = np.where(s > 0.0, -np.expm1(-eta * interference / s), 1.0)
+    return 1.0 - np.cumprod(np.where(_reached(top >= eta * weaker), miss, 1.0), axis=1)
 
 
 def ps_sic_curve_mc(
@@ -419,19 +475,15 @@ def ps_sic_curve_mc(
     ordering: str = "distance_only",
     threads: int = 1,
     radius: float | None = None,
-    freeze_positions: bool = False,
     independent_stages: bool = False,
 ):
     """Event-chain success estimates for every (eta, N <= n_max) pair.
 
     One sampling pass serves the whole grid: each trial's field statistics
-    are reused for every threshold, and the per-trial success level yields
-    the estimate for every cancellation budget at once.  Returns an
-    (n_eta, n_max+1) array of :class:`Estimate`.
-
-    ``freeze_positions`` draws the geometry (serving distance and interferer
-    radii) once from a reserved stream and only redraws fading per trial,
-    for studies of the variance conditional on the node placement.
+    are reused for every threshold and every cancellation budget.  Each
+    trial contributes its success probability over the serving fading
+    (:func:`_chain_exponent`).  Returns an (n_eta, n_max+1) array of
+    :class:`Estimate`.
 
     ``independent_stages=True`` draws each decode and each cancellation of
     the chain from its own scene and cancels at the deterministic radius
@@ -442,62 +494,38 @@ def ps_sic_curve_mc(
     """
     _check_ordering(ordering)
     _check_trials(trials)
-    if freeze_positions and independent_stages:
-        raise DomainError("freeze_positions and independent_stages exclude each other")
     etas = [float(e) for e in np.atleast_1d(etas)]
     if radius is None:
         radius = window_radius(mu_j)
 
-    frozen_r2 = None
-    frozen_serving = None
-    if freeze_positions:
-        geo = _stream(seed, _GEOMETRY_STREAM)
-        frozen_serving = math.sqrt(geo.exponential(1.0 / (math.pi * lambda_eq)))
-        n_pts = geo.poisson(mu_j * math.pi * radius * radius)
-        r2 = np.sort(radius * radius * (1.0 - geo.random(max(n_pts, 1))))[:n_pts]
-        # pad with empty slots so the chain always sees n_max columns
-        frozen_r2 = np.concatenate([r2, np.full(max(n_max - n_pts, 0), np.inf)])
-
     def worker(block: int, size: int) -> np.ndarray:
         rng = _stream(seed, block)
-        if freeze_positions:
-            h_u = rng.exponential(size=size)
-            soi = h_u * frozen_serving ** (-alpha)
-            h = rng.exponential(size=(size, len(frozen_r2)))
-            powers = h * frozen_r2[None, :] ** (-0.5 * alpha)
-            total = powers.sum(axis=1)
-            if ordering == "power_with_fading":
-                powers = -np.sort(-powers, axis=1)
-            top = powers[:, :n_max]
-            cum = np.cumsum(top, axis=1)
-        elif independent_stages:
-            soi, interference, top, weaker = _independent_stage_block(
+        if independent_stages:
+            s, interference, top, weaker = _independent_stage_block(
                 rng, size, lambda_eq, mu_j, radius, n_max, ordering, alpha
             )
         else:
-            soi = _serving_block(rng, size, lambda_eq, alpha)
+            s0 = _serving_block(rng, size, lambda_eq, alpha)
             total, top, cum, _ = _field_block(
                 rng, size, mu_j, radius, n_max, ordering, alpha
             )
-        counts = np.zeros((len(etas), n_max + 1), dtype=np.int64)
+        sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             if independent_stages:
-                levels = _first_level(soi >= eta * interference, top >= eta * weaker)
+                p = _independent_stage_success(s, interference, top, weaker, eta)
             else:
-                levels = _chain_levels(soi, total, top, cum, eta, n_max)
-            ok = levels >= 0
-            if ok.any():
-                counts[e_idx] = np.bincount(levels[ok], minlength=n_max + 1).cumsum()
-            # cumsum: success within budget N counts every level <= N
-        return counts
+                p = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
+            sums[0, e_idx] = p.sum(axis=0)
+            sums[1, e_idx] = (p * p).sum(axis=0)
+        return sums
 
-    totals = np.zeros((len(etas), n_max + 1), dtype=np.int64)
+    sums = np.zeros((2, len(etas), n_max + 1))
     for partial in _map_blocks(trials, worker, threads):
-        totals += partial
+        sums += partial
     return np.array(
         [
-            [Estimate.from_counts(int(c), trials, seed) for c in row]
-            for row in totals
+            [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*rows)]
+            for rows in zip(*sums)
         ],
         dtype=object,
     )
@@ -649,7 +677,7 @@ def window_sensitivity_probe(
 
     def worker(block: int, size: int):
         rng = _stream(seed, block)
-        soi = _serving_block(rng, size, lambda_eq, alpha)
+        s0 = _serving_block(rng, size, lambda_eq, alpha)
         mean = mu_j * math.pi * r_out * r_out
         counts = rng.poisson(mean, size)
         pmax = max(int(counts.max(initial=0)), n_max, 1)
@@ -661,24 +689,90 @@ def window_sensitivity_probe(
         inner = np.where(r2 <= r_in * r_in, powers, 0.0)
         top = inner[:, :n_max]
         cum = np.cumsum(top, axis=1)
-        lv_in = _chain_levels(soi, inner.sum(axis=1), top, cum, eta, n_max)
-        lv_full = _chain_levels(soi, powers.sum(axis=1), top, cum, eta, n_max)
-        return np.array(
-            [(lv_in >= 0).sum(), (lv_full >= 0).sum()], dtype=np.int64
+        p = np.exp(
+            -np.column_stack([
+                _chain_exponent(s0, field_sum, top, cum, eta, n_max)[:, n_max]
+                for field_sum in (inner.sum(axis=1), powers.sum(axis=1))
+            ])
         )
+        return p.sum(axis=0), (p * p).sum(axis=0)
 
-    sums = np.zeros(2, dtype=np.int64)
+    sums = np.zeros((2, 2))
     for partial in _map_blocks(trials, worker, threads=1):
         sums += partial
-    return (
-        Estimate.from_counts(int(sums[0]), trials, seed),
-        Estimate.from_counts(int(sums[1]), trials, seed),
-    )
+    return tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in sums.T)
 
 
 # ---------------------------------------------------------------------------
 # Minimum-load association
 # ---------------------------------------------------------------------------
+
+
+def _min_load_trials(
+    rng: np.random.Generator,
+    size: int,
+    lam: float,
+    mu_j: float,
+    r_con: float,
+    alpha: float,
+):
+    """Draw ``size`` minimum-load trials.  For each trial with an AP in the
+    window, yield the load of the origin's cell and, if some AP lies within
+    ``r_con``, the row (M, S0, I, x1): the chosen AP's load of other users,
+    the user's mean received power there, the faded interference from every
+    other AP, and its strongest term.
+
+    Every user joins its nearest AP (unit-weight Voronoi); the user picks
+    the minimum-load candidate, ties broken by distance, then index.  The
+    fading marks of all APs are drawn in one call, so the chosen AP's own
+    mark is drawn and never read."""
+    r_ap = r_con + 1200.0 / math.sqrt(lam * 1e5)   # AP window margin
+    r_user = r_con + 600.0 / math.sqrt(lam * 1e5)  # user window margin
+    for _ in range(size):
+        aps = sample_ppp(lam, r_ap, rng)
+        users = sample_ppp(mu_j, r_user, rng)
+        if len(aps) == 0:
+            continue
+        d_origin = np.hypot(aps[:, 0], aps[:, 1])
+        if len(users):
+            d2 = (
+                (users[:, 0, None] - aps[None, :, 0]) ** 2
+                + (users[:, 1, None] - aps[None, :, 1]) ** 2
+            )
+            loads = np.bincount(np.argmin(d2, axis=1), minlength=len(aps))
+        else:
+            loads = np.zeros(len(aps), dtype=np.int64)
+        origin_load = int(loads[np.argmin(d_origin)])
+        cand = np.flatnonzero(d_origin <= r_con)
+        if len(cand) == 0:
+            yield origin_load, None
+            continue
+        order = np.lexsort((cand, d_origin[cand], loads[cand]))
+        chosen = cand[order[0]]
+        p = rng.exponential(size=len(aps)) * d_origin**-alpha
+        p[chosen] = 0.0
+        x1 = p.max() if len(p) > 1 else 0.0
+        yield origin_load, (loads[chosen], d_origin[chosen] ** -alpha, p.sum(), x1)
+
+
+def _min_load_success(rows: np.ndarray, rhos) -> np.ndarray:
+    """Rate-coverage probability over the serving fading, a (2, n_rho,
+    trials) array for rows (M, S0, I, x1) of :func:`_min_load_trials`.
+
+    With varsigma = 2^(rho (M + 1)) - 1, the uncancelled link covers with
+    probability exp(-varsigma I / S0).  One cancellation removes x1 when it
+    decodes against the rest, x1 >= varsigma I_res with I_res = I - x1, and
+    then covers with probability exp(-varsigma I_res / S0)."""
+    m_load, s0, i_total, x1 = rows.T
+    i_res = np.maximum(i_total - x1, 0.0)
+    # capped so that varsigma stays finite: beyond e^700 nothing decodes
+    x = np.minimum(np.multiply.outer(rhos, (m_load + 1.0) * math.log(2.0)), 700.0)
+    varsigma = np.expm1(x)
+    uncancelled = np.exp(-varsigma * (i_total / s0))
+    cancelled = np.where(
+        x1 >= varsigma * i_res, np.exp(-varsigma * (i_res / s0)), uncancelled
+    )
+    return np.stack((uncancelled, cancelled))
 
 
 def simulate_min_load(
@@ -694,80 +788,46 @@ def simulate_min_load(
     """Rate coverage when the typical user picks the least-loaded AP within
     ``r_con``, with and without one interference cancellation.
 
-    Per trial: sample the AP and user PPPs, assign every user to its nearest
-    AP (unit-weight Voronoi), pick the minimum-load candidate (ties broken
-    by distance, then index), and test (1/(M+1)) log2(1+SIR) > rho for the
-    whole rho grid from the same trial statistics.  Trials with no AP inside
-    the connectivity range count as coverage failures.  Also returns the
-    load histogram of the cell containing the origin (the f_M diagnostic).
+    Per trial: sample the AP and user PPPs, pick the minimum-load candidate
+    (:func:`_min_load_trials`), and average the probability over the
+    serving fading that (1/(M+1)) log2(1+SIR) > rho, for the whole rho grid
+    from the same trial statistics (:func:`_min_load_success`).  Trials
+    with no AP inside the connectivity range count as coverage failures.
+    Also returns the load histogram of the cell containing the origin (the
+    f_M diagnostic).
     """
     _check_trials(trials)
-    rhos = [float(r) for r in np.atleast_1d(rhos)]
-    if any(r <= 0.0 for r in rhos):
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+    if np.any(rhos <= 0.0):
         raise DomainError("rate thresholds must be > 0")
-    r_ap = r_con + 1200.0 / math.sqrt(lam * 1e5)   # AP window margin
-    r_user = r_con + 600.0 / math.sqrt(lam * 1e5)  # user window margin
     hist_cap = 256
 
     def worker(block: int, size: int):
         rng = _stream(seed, block)
-        base = np.zeros(len(rhos), dtype=np.int64)
-        sic = np.zeros(len(rhos), dtype=np.int64)
         hist = np.zeros(hist_cap, dtype=np.int64)
-        no_cand = 0
-        for _ in range(size):
-            aps = sample_ppp(lam, r_ap, rng)
-            users = sample_ppp(mu_j, r_user, rng)
-            if len(aps) == 0:
-                no_cand += 1
-                continue
-            d_origin = np.hypot(aps[:, 0], aps[:, 1])
-            if len(users):
-                d2 = (
-                    (users[:, 0, None] - aps[None, :, 0]) ** 2
-                    + (users[:, 1, None] - aps[None, :, 1]) ** 2
-                )
-                loads = np.bincount(np.argmin(d2, axis=1), minlength=len(aps))
-            else:
-                loads = np.zeros(len(aps), dtype=np.int64)
-            hist[min(loads[np.argmin(d_origin)], hist_cap - 1)] += 1
-            cand = np.flatnonzero(d_origin <= r_con)
-            if len(cand) == 0:
-                no_cand += 1
-                continue
-            order = np.lexsort((cand, d_origin[cand], loads[cand]))
-            chosen = cand[order[0]]
-            m_load = int(loads[chosen])
-            h = rng.exponential(size=len(aps))
-            p = h * d_origin**-alpha
-            signal = p[chosen]
-            p[chosen] = 0.0
-            i_total = p.sum()
-            x1 = p.max() if len(p) > 1 else 0.0
-            i_res = i_total - x1
-            for r_idx, rho in enumerate(rhos):
-                x = rho * (m_load + 1) * math.log(2.0)
-                varsigma = math.inf if x > 700.0 else math.expm1(x)
-                if signal >= varsigma * i_total:
-                    base[r_idx] += 1
-                    sic[r_idx] += 1
-                elif x1 >= varsigma * i_res and signal >= varsigma * i_res:
-                    sic[r_idx] += 1
-        return base, sic, hist, no_cand
+        rows = []
+        for origin_load, row in _min_load_trials(rng, size, lam, mu_j, r_con, alpha):
+            hist[min(origin_load, hist_cap - 1)] += 1
+            if row is not None:
+                rows.append(row)
+        p = _min_load_success(np.array(rows, dtype=float).reshape(-1, 4), rhos)
+        return np.stack((p.sum(axis=2), (p * p).sum(axis=2))), hist, size - len(rows)
 
-    base = np.zeros(len(rhos), dtype=np.int64)
-    sic = np.zeros(len(rhos), dtype=np.int64)
+    sums = np.zeros((2, 2, len(rhos)))
     hist = np.zeros(hist_cap, dtype=np.int64)
     no_cand = 0
-    for b, s, h, nc in _map_blocks(trials, worker, threads):
-        base += b
-        sic += s
+    for s, h, nc in _map_blocks(trials, worker, threads):
+        sums += s
         hist += h
         no_cand += nc
+    base, sic = (
+        tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, i]))
+        for i in range(2)
+    )
     return MinLoadResult(
-        rhos=tuple(rhos),
-        coverage=tuple(Estimate.from_counts(int(c), trials, seed) for c in base),
-        coverage_sic=tuple(Estimate.from_counts(int(c), trials, seed) for c in sic),
+        rhos=tuple(rhos.tolist()),
+        coverage=base,
+        coverage_sic=sic,
         load_histogram=hist,
         no_candidate_trials=no_cand,
     )
@@ -823,7 +883,7 @@ def _top_m(p: np.ndarray, d2: np.ndarray | None, m: int, ordering: str) -> np.nd
     ordered."""
     m = min(m, p.shape[1])
     if m == 0:
-        return p[:, :0]
+        return np.empty((len(p), 0))  # not a view: it must not keep p alive
     if ordering == "distance_only":
         key, pick, retired = np.minimum(d2, np.finfo(float).max), np.argmin, np.inf
     else:
@@ -872,9 +932,10 @@ def _max_sir_trials(
     m: int,
 ):
     """Draw ``size`` max-SIR trials and yield ``(signal, total, top)`` for
-    each trial that has a candidate AP, one row per AP: the user's received
-    power, the aggregate UL interference and the ``m`` nearest or strongest
-    interferer powers (:func:`_top_m`; fewer where the field is smaller).
+    each trial that has a candidate AP, one row per AP: the user's mean
+    received power (its link fading is never drawn), the aggregate UL
+    interference and the ``m`` nearest or strongest interferer powers
+    (:func:`_top_m`; fewer where the field is smaller).
 
     Per trial the candidate APs of every tier are drawn in a disk.  By
     default the interfering users of every tier (density p_a,k mu, UL power
@@ -898,7 +959,7 @@ def _max_sir_trials(
         q_ap = np.repeat(q_ul, [len(a) for a in aps])
         aps = np.concatenate(aps)
         d_ap = np.hypot(aps[:, 0], aps[:, 1])
-        signal = q_ap * rng.exponential(size=n_aps) * d_ap**-alpha
+        signal = q_ap * d_ap**-alpha
         if independent_fields:
             total, p, d2 = _independent_fields(rng, n_aps, fields, alpha, m)
         else:
@@ -913,6 +974,34 @@ def _max_sir_trials(
         yield signal, total, _top_m(p, d2, m, ordering)
 
 
+def _max_sir_block(
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    size: int,
+    cand_radius: float,
+    independent_fields: bool,
+    ordering: str,
+    m: int,
+):
+    """The AP rows of one block of :func:`_max_sir_trials` stacked, with the
+    index of each trial's first row: ``(signal, total, top, first_row)``,
+    or None if no trial has a candidate AP.  Where a field holds fewer than
+    ``m`` interferers, its row is padded with zero-power stages: such a
+    stage cancels and leaves the residual as it was, so it cannot change
+    the chain's outcome."""
+    rows = []
+    for signal, total, top in _max_sir_trials(
+        cfg, rng, size, cand_radius, independent_fields, ordering, m
+    ):
+        pad = m - top.shape[1]
+        rows.append((signal, total, np.pad(top, ((0, 0), (0, pad))) if pad else top))
+    if not rows:
+        return None
+    first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
+    signal, total, top = (np.concatenate(col) for col in zip(*rows))
+    return signal, total, top, first_row
+
+
 def max_sir_success_curve_mc(
     cfg: NetworkConfig,
     etas,
@@ -923,10 +1012,12 @@ def max_sir_success_curve_mc(
     independent_fields: bool = False,
 ) -> list[Estimate]:
     """Success probability of the max-instantaneous-SIR policy without SIC,
-    for every threshold at once (the per-trial best SIR is threshold-free).
+    for every threshold at once.
 
-    Per trial the typical user uplinks to every candidate AP.  By default
-    all APs observe the same physical interfering-user field (through
+    Per trial the typical user uplinks to every candidate AP, and each link
+    has its own fading, so the trial succeeds with probability
+    1 - prod_a (1 - exp(-eta I_a / S_a)) over the APs a.  By default all
+    APs observe the same physical interfering-user field (through
     independent per-link fading); ``independent_fields=True`` instead draws
     a fresh field per AP, which is exactly the decoupling the closed form
     assumes, so it isolates implementation errors from model error.  The
@@ -936,18 +1027,23 @@ def max_sir_success_curve_mc(
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
 
     def worker(block: int, size: int) -> np.ndarray:
-        wins = np.zeros(len(etas), dtype=np.int64)
-        rng = _stream(seed, block)
-        for signal, total, _ in _max_sir_trials(
-            cfg, rng, size, cand_radius, independent_fields, "distance_only", 0
-        ):
-            wins += float(np.max(signal / total)) >= etas
-        return wins
+        rows = _max_sir_block(
+            cfg, _stream(seed, block), size, cand_radius, independent_fields,
+            "distance_only", 0,
+        )
+        if rows is None:
+            return np.zeros((2, len(etas)))
+        signal, total, _, first_row = rows
+        ratio = total / signal
+        p = np.empty((len(etas), len(first_row)))
+        for e_idx, eta in enumerate(etas):
+            p[e_idx] = 1.0 - np.multiply.reduceat(-np.expm1(-eta * ratio), first_row)
+        return np.stack((p.sum(axis=1), (p * p).sum(axis=1)))
 
-    totals = np.zeros(len(etas), dtype=np.int64)
+    sums = np.zeros((2, len(etas)))
     for partial in _map_blocks(trials, worker, threads):
-        totals += partial
-    return [Estimate.from_counts(int(c), trials, seed) for c in totals]
+        sums += partial
+    return [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums)]
 
 
 def simulate_max_inst_sir(
@@ -966,39 +1062,107 @@ def simulate_max_inst_sir(
     gives every AP its own interferer field (the closed form's decoupling);
     the default shares the physical field across APs.
 
-    Trials are sampled one by one (:func:`_max_sir_trials`), but the chain
-    runs once per block on all their AP rows together.  Where a field holds
-    fewer than N interferers, its row is padded with zero-power stages: such
-    a stage leaves the residual as it was, so it cannot succeed where the
-    shorter chain failed."""
+    Each AP a decodes with probability P_a = exp(-eta R_{a,L_a} / S_a) over
+    its link fading (:func:`_chain_exponent`), independently of the other
+    APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
+    are sampled one by one, but the chain runs once per block on all their
+    AP rows together (:func:`_max_sir_block`)."""
     _check_ordering(ordering)
     _check_trials(trials)
     eta = sic.eta_t
     n_max = sic.n_max
 
-    def worker(block: int, size: int) -> int:
-        rng = _stream(seed, block)
-        rows = []
-        for signal, total, top in _max_sir_trials(
-            cfg, rng, size, cand_radius, independent_fields, ordering, n_max
-        ):
-            pad = n_max - top.shape[1]  # fewer interferers than N
-            rows.append((signal, total, np.pad(top, ((0, 0), (0, pad))) if pad else top))
-        if not rows:
-            return 0
-        # one row per candidate AP: a trial succeeds if any of its APs does
-        first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-        signal, total, top = (np.concatenate(col) for col in zip(*rows))
-        del rows  # a third of the peak memory if held through the chain
-        levels = _chain_levels(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
-        return int(np.logical_or.reduceat(levels >= 0, first_row).sum())
+    def worker(block: int, size: int) -> np.ndarray:
+        rows = _max_sir_block(
+            cfg, _stream(seed, block), size, cand_radius, independent_fields,
+            ordering, n_max,
+        )
+        if rows is None:
+            return np.zeros(2)
+        signal, total, top, first_row = rows
+        x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
+        p = 1.0 - np.multiply.reduceat(-np.expm1(-x[:, n_max]), first_row)
+        return np.array([p.sum(), (p * p).sum()])
 
-    return Estimate.from_counts(sum(_map_blocks(trials, worker, threads)), trials, seed)
+    total, total_sq = sum(_map_blocks(trials, worker, threads))
+    return Estimate.from_sums(total, total_sq, trials, seed)
 
 
 # ---------------------------------------------------------------------------
 # Range expansion
 # ---------------------------------------------------------------------------
+
+
+def _rea_block(
+    cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int, cancel_mode: str
+):
+    """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
+    return (signal, i_total, i_res, serving, draws, kept): the serving AP's
+    mean received power (its fading is never drawn), the faded interference
+    before and after the cancellation, the serving distances, and the
+    rejection sampler's draws and REA hits."""
+    e2 = 2.0 / cfg.alpha
+    lam = np.array([t.lam for t in cfg.tiers])
+    p_dl = np.array([t.p_dl for t in cfg.tiers])
+    bias = np.array([t.bias for t in cfg.tiers])
+    radius = np.array([window_radius(t.lam) for t in cfg.tiers])
+    n_tiers = cfg.n_tiers
+
+    # rejection sample nearest-distance tuples conditioned on REA_k
+    kept = []
+    n_kept = 0
+    batches = 0
+    total_draws = 0
+    while n_kept < size and batches < 10_000:
+        batch = max(4 * size, 1024)
+        x2 = rng.exponential(1.0 / (math.pi * lam), size=(batch, n_tiers))
+        unbiased = p_dl[None, :] * x2 ** (-0.5 * cfg.alpha)
+        biased = bias[None, :] * unbiased
+        is_rea = (np.argmax(biased, axis=1) == k) & (np.argmax(unbiased, axis=1) != k)
+        kept.append(np.sqrt(x2[is_rea]))
+        n_kept += int(is_rea.sum())
+        total_draws += batch
+        batches += 1
+    dist = np.concatenate(kept)[:size]
+    if len(dist) < size:
+        raise DomainError(
+            "REA rejection sampling starved; is the bias configuration sane?"
+        )
+
+    # interference per tier: the nearest AP (interferer for i != k) plus
+    # the conditional PPP beyond the nearest
+    i_total = np.zeros(size)
+    removed = np.zeros(size)          # annulus mode: all unbiased-stronger APs
+    strongest_unbiased = np.full(size, -math.inf)
+    x_strong = np.zeros(size)
+    x_k2 = dist[:, k] ** 2
+    for i in range(n_tiers):
+        x_i = dist[:, i]
+        r_out = radius[i]
+        mean_beyond = lam[i] * math.pi * np.maximum(r_out**2 - x_i**2, 0.0)
+        counts = rng.poisson(mean_beyond)
+        pmax = max(int(counts.max(initial=0)), 1)
+        u = rng.random((size, pmax))
+        r2 = x_i[:, None] ** 2 + u * np.maximum(r_out**2 - x_i[:, None] ** 2, 0.0)
+        r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
+        h = rng.exponential(size=(size, pmax))
+        powers = p_dl[i] * h * r2 ** (-0.5 * cfg.alpha)
+        i_total += powers.sum(axis=1)
+        if i != k:
+            # unbiased exclusion radius: P_i r^-a > P_k x_k^-a
+            c2_i = (p_dl[i] / p_dl[k]) ** e2 * x_k2
+            removed += np.where(r2 < c2_i[:, None], powers, 0.0).sum(axis=1)
+            h_near = rng.exponential(size=size)
+            contrib = p_dl[i] * h_near * x_i**-cfg.alpha
+            i_total += contrib
+            removed += np.where(x_i**2 < c2_i, contrib, 0.0)
+            mean_power = p_dl[i] * x_i**-cfg.alpha
+            better = mean_power > strongest_unbiased
+            strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
+            x_strong = np.where(better, contrib, x_strong)
+    signal = p_dl[k] * dist[:, k] ** -cfg.alpha
+    i_res = i_total - (removed if cancel_mode == "annulus" else x_strong)
+    return signal, i_total, i_res, dist[:, k], total_draws, n_kept
 
 
 def simulate_rea(
@@ -1016,6 +1180,8 @@ def simulate_rea(
     Trials are rejection-sampled on the per-tier nearest distances until
     the user lands in the REA: the biased winner is tier k while the
     unbiased winner is some other tier.  ``trials`` counts kept REA trials.
+    Each trial contributes exp(-eta I / S) and exp(-eta I_res / S), its
+    success probabilities over the serving fading (:func:`_rea_block`).
 
     ``cancel_mode`` selects what the single cancellation removes:
       strongest -- the one AP with the highest unbiased mean power (the
@@ -1030,102 +1196,34 @@ def simulate_rea(
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
     if all(t.bias == 1.0 for t in cfg.tiers):
         raise DegenerateReaError("no tier carries a bias > 1; REA is empty")
-    etas = [float(e) for e in np.atleast_1d(etas)]
-    e2 = 2.0 / cfg.alpha
-    lam = np.array([t.lam for t in cfg.tiers])
-    p_dl = np.array([t.p_dl for t in cfg.tiers])
-    bias = np.array([t.bias for t in cfg.tiers])
-    radius = np.array([window_radius(t.lam) for t in cfg.tiers])
-    n_tiers = cfg.n_tiers
-
-    def draw_rea_distances(rng, want: int):
-        """Rejection sample nearest-distance tuples conditioned on REA_k."""
-        kept = []
-        n_kept = 0
-        batches = 0
-        total_draws = 0
-        total_rea = 0
-        while n_kept < want and batches < 10_000:
-            batch = max(4 * want, 1024)
-            x2 = rng.exponential(1.0 / (math.pi * lam), size=(batch, n_tiers))
-            unbiased = p_dl[None, :] * x2 ** (-0.5 * cfg.alpha)
-            biased = bias[None, :] * unbiased
-            is_rea = (np.argmax(biased, axis=1) == k) & (
-                np.argmax(unbiased, axis=1) != k
-            )
-            kept.append(np.sqrt(x2[is_rea]))
-            n_kept += int(is_rea.sum())
-            total_rea += int(is_rea.sum())
-            total_draws += batch
-            batches += 1
-        samples = np.concatenate(kept)[:want]
-        return samples, total_draws, total_rea
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
 
     def worker(block: int, size: int):
-        rng = _stream(seed, block)
-        dist, attempts, n_rea = draw_rea_distances(rng, size)
-        if len(dist) < size:
-            raise DomainError(
-                "REA rejection sampling starved; is the bias configuration sane?"
-            )
-        # interference per tier: the nearest AP (interferer for i != k) plus
-        # the conditional PPP beyond the nearest
-        i_total = np.zeros(size)
-        removed = np.zeros(size)          # annulus mode: all unbiased-stronger APs
-        strongest_unbiased = np.full(size, -math.inf)
-        x_strong = np.zeros(size)
-        x_k2 = dist[:, k] ** 2
-        for i in range(n_tiers):
-            x_i = dist[:, i]
-            r_out = radius[i]
-            mean_beyond = lam[i] * math.pi * np.maximum(r_out**2 - x_i**2, 0.0)
-            counts = rng.poisson(mean_beyond)
-            pmax = max(int(counts.max(initial=0)), 1)
-            u = rng.random((size, pmax))
-            r2 = x_i[:, None] ** 2 + u * np.maximum(
-                r_out**2 - x_i[:, None] ** 2, 0.0
-            )
-            r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-            h = rng.exponential(size=(size, pmax))
-            powers = p_dl[i] * h * r2 ** (-0.5 * cfg.alpha)
-            i_total += powers.sum(axis=1)
-            if i != k:
-                # unbiased exclusion radius: P_i r^-a > P_k x_k^-a
-                c2_i = (p_dl[i] / p_dl[k]) ** e2 * x_k2
-                removed += np.where(r2 < c2_i[:, None], powers, 0.0).sum(axis=1)
-                h_near = rng.exponential(size=size)
-                contrib = p_dl[i] * h_near * x_i**-cfg.alpha
-                i_total += contrib
-                removed += np.where(x_i**2 < c2_i, contrib, 0.0)
-                mean_power = p_dl[i] * x_i**-cfg.alpha
-                better = mean_power > strongest_unbiased
-                strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
-                x_strong = np.where(better, contrib, x_strong)
-        h_serv = rng.exponential(size=size)
-        signal = p_dl[k] * h_serv * dist[:, k] ** -cfg.alpha
-        unc = np.zeros(len(etas), dtype=np.int64)
-        can = np.zeros(len(etas), dtype=np.int64)
-        i_res = i_total - (removed if cancel_mode == "annulus" else x_strong)
-        for e_idx, eta in enumerate(etas):
-            unc[e_idx] = int((signal >= eta * i_total).sum())
-            can[e_idx] = int((signal >= eta * i_res).sum())
-        return unc, can, dist[:, k], attempts, n_rea
+        signal, i_total, i_res, serving, draws, kept = _rea_block(
+            cfg, k, _stream(seed, block), size, cancel_mode
+        )
+        ratio = np.stack((i_total, np.maximum(i_res, 0.0))) / signal
+        # eta x (uncancelled, cancelled) x trial
+        p = np.exp(-np.multiply.outer(etas, ratio))
+        return np.stack((p.sum(axis=2), (p * p).sum(axis=2))), serving, draws, kept
 
-    unc = np.zeros(len(etas), dtype=np.int64)
-    can = np.zeros(len(etas), dtype=np.int64)
+    sums = np.zeros((2, len(etas), 2))
     serving = []
     draws = 0
     kept = 0
-    for u, c, sd, att, nr in _map_blocks(trials, worker, threads):
-        unc += u
-        can += c
+    for s, sd, att, nr in _map_blocks(trials, worker, threads):
+        sums += s
         serving.append(sd)
         draws += att
         kept += nr
+    unc, can = (
+        tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, :, c]))
+        for c in range(2)
+    )
     return ReaResult(
-        etas=tuple(etas),
-        uncancelled=tuple(Estimate.from_counts(int(c), trials, seed) for c in unc),
-        cancelled=tuple(Estimate.from_counts(int(c), trials, seed) for c in can),
+        etas=tuple(etas.tolist()),
+        uncancelled=unc,
+        cancelled=can,
         rea_fraction=kept / max(draws, 1),
         serving_distances=np.concatenate(serving),
     )

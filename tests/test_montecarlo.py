@@ -11,6 +11,19 @@ from sicnet.model import NetworkConfig, SicConfig, TierParams, rea_distance_pdf
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
+    _SERVING_STREAM,
+    _chain_exponent,
+    _chain_levels,
+    _field_block,
+    _first_level,
+    _independent_stage_block,
+    _max_sir_block,
+    _min_load_success,
+    _min_load_trials,
+    _ordered_powers,
+    _rea_block,
+    _serving_block,
+    _stream,
     Estimate,
     SampledScene,
     TrialOutcome,
@@ -45,10 +58,10 @@ def two_tier(bias2=1.0):
 
 class TestStreams:
     def test_stream_is_sfc64_of_spawned_seed_sequence(self):
-        from sicnet.montecarlo import _GEOMETRY_STREAM, _SERVING_STREAM, _stream
+        from sicnet.montecarlo import _SERVING_STREAM, _stream
 
         for seed in (0, 909, 2**63):
-            for index in (0, 1, 7, _SERVING_STREAM, _GEOMETRY_STREAM):
+            for index in (0, 1, 7, _SERVING_STREAM):
                 ref = np.random.Generator(
                     np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,)))
                 )
@@ -58,9 +71,9 @@ class TestStreams:
                 assert np.array_equal(got.exponential(size=32), ref.exponential(size=32))
 
     def test_streams_differ(self):
-        from sicnet.montecarlo import _GEOMETRY_STREAM, _SERVING_STREAM, _stream
+        from sicnet.montecarlo import _SERVING_STREAM, _stream
 
-        reserved = [_SERVING_STREAM, _GEOMETRY_STREAM]
+        reserved = [_SERVING_STREAM]
         assert min(reserved) >= 1 << 32  # beyond any block index in reach
         draws = [
             tuple(_stream(seed, index).integers(0, 2**62, 4))
@@ -252,6 +265,21 @@ class TestChainEstimators:
         assert est.mean == 0.25
         assert est.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 1000))
 
+    def test_from_counts_is_from_sums_of_indicators(self):
+        for c, n in ((0, 10), (250, 1000), (7, 7), (4095, 4097)):
+            assert Estimate.from_counts(c, n, seed=3) == Estimate.from_sums(c, c, n, seed=3)
+        est = Estimate.from_counts(250, 1000, seed=0)
+        assert est.stderr == math.sqrt(0.25 * 0.75 / 1000)
+
+    def test_from_sums_plug_in_stderr(self):
+        x = np.random.default_rng(7).beta(0.5, 2.0, size=5000)
+        est = Estimate.from_sums(x.sum(), (x * x).sum(), len(x), seed=0)
+        assert est.mean == pytest.approx(x.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(math.sqrt(x.var() / len(x)), rel=1e-9)
+        # a constant sample has no spread, and rounding never makes it negative
+        flat = Estimate.from_sums(0.3 * 1000, 0.09 * 1000, 1000, seed=0)
+        assert flat.stderr == pytest.approx(0.0, abs=1e-9)
+
     def test_curve_levels_nested(self):
         grid = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 4, 20_000, seed=23)
         means = [grid[0][n].mean for n in range(5)]
@@ -271,13 +299,6 @@ class TestChainEstimators:
             for threads in (1, 1, 4)
         ]
         assert runs[0] == runs[1] == runs[2]
-
-    def test_independent_stages_excludes_frozen_geometry(self):
-        with pytest.raises(DomainError):
-            ps_sic_curve_mc(
-                LAM, MU, 4.0, [1.0], 2, 1000, seed=1,
-                freeze_positions=True, independent_stages=True,
-            )
 
     def test_chain_levels_match_loop_reference(self):
         from sicnet.montecarlo import _chain_levels
@@ -347,16 +368,6 @@ class TestPsCanEstimators:
             estimate_ps_can_mc(cfg, 1.0, 1, 1000, seed=1, conditioning="bogus")
         with pytest.raises(DomainError):
             ps_can_curve_mc(MU, 4.0, [1.0], 2, 1000, seed=1, ordering="nearest")
-
-
-class TestFrozenPositions:
-    def test_frozen_geometry_is_deterministic_per_seed(self):
-        a = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 2, 4000, seed=3, freeze_positions=True)
-        b = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 2, 4000, seed=3, freeze_positions=True)
-        assert all(a[0][n] == b[0][n] for n in range(3))
-        # another seed freezes another geometry, another conditional law
-        c = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 2, 4000, seed=4, freeze_positions=True)
-        assert any(a[0][n] != c[0][n] for n in range(3))
 
 
 class TestWindowSufficiency:
@@ -455,21 +466,31 @@ class TestMaxSir:
     @pytest.mark.parametrize("ordering", ["distance_only", "power_with_fading"])
     @pytest.mark.parametrize("n_max", [0, 1, 3])
     def test_block_chain_matches_trial_loop(self, independent, ordering, n_max):
-        # the chain run once over the block's rows against one run per trial
-        from sicnet.montecarlo import _chain_levels, _max_sir_trials, _stream
+        # the chain run once over the block's rows against a loop over each
+        # trial's APs and stages: P = 1 - prod_a (1 - exp(-eta R_{a,L_a} / S_a))
+        from sicnet.montecarlo import _max_sir_trials, _stream
 
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
-        wins = sum(
-            bool((_chain_levels(s, t, top, np.cumsum(top, axis=1), eta, n_max) >= 0).any())
-            for s, t, top in _max_sir_trials(
-                cfg, _stream(seed, 0), trials, 250.0, independent, ordering, n_max
-            )
-        )
+        probs = []
+        for signal, total, top in _max_sir_trials(
+            cfg, _stream(seed, 0), trials, 250.0, independent, ordering, n_max
+        ):
+            miss = 1.0
+            for s, residual, powers in zip(signal, total, top):
+                for x in powers:
+                    if x < eta * (residual - x):
+                        break  # the cancellation fails and the chain stops
+                    residual -= x
+                miss *= 1.0 - math.exp(-eta * max(residual, 0.0) / s)
+            probs.append(1.0 - miss)
+        probs = np.array(probs)
         est = simulate_max_inst_sir(
             cfg, SicConfig(eta, n_max), trials, seed, ordering=ordering,
             independent_fields=independent,
         )
-        assert est == Estimate.from_counts(wins, trials, seed)
+        ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
+        assert est.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
 
     def test_zero_power_padding_keeps_chain_outcome(self):
         # rows of k < N interferers: padding them with zero-power stages up
@@ -558,3 +579,176 @@ class TestRea:
     def test_invalid_cancel_mode(self):
         with pytest.raises(DomainError):
             simulate_rea(two_tier(bias2=5.0), 1, [1.0], 1000, seed=1, cancel_mode="x")
+
+
+def _same_draws(cond, ind, what):
+    """Conditional estimator ``cond`` against the indicator ``ind`` on the
+    same draws, both (trials, points): the per-trial difference has mean 0,
+    so its mean must lie within 3 of its standard errors (which account
+    for the shared draws); the indicator's variance is never smaller.
+    Returns the variance ratios, indicator over conditional."""
+    d = ind - cond
+    se = d.std(axis=0) / math.sqrt(len(d))
+    z = np.abs(d.mean(axis=0)) / se
+    ratio = ind.var(axis=0) / cond.var(axis=0)
+    print(f"{what}: max |z| {z.max():.2f}, variance ratio {ratio.min():.2f}-{ratio.max():.2f}")
+    assert np.all(z <= 3.0), z
+    assert np.all(ratio >= 1.0), ratio
+    return ratio
+
+
+def _within_budget(level, n_max):
+    """Success within budget N = 0..n_max from the first successful stage."""
+    return ((level[:, None] >= 0) & (level[:, None] <= np.arange(n_max + 1))).astype(float)
+
+
+class TestConditionalEstimators:
+    """Each simulator averages exp(-eta I / S) over the serving fading; the
+    0/1 indicator of the same chain, with the fading drawn separately, is
+    its oracle on the same draws."""
+
+    def test_fixed_scene_matches_run_sic_trial(self):
+        # one scene, the serving fading redrawn through the scene's seed:
+        # run_sic_trial's success fraction against exp(-eta R_L / S0)
+        import dataclasses
+
+        from scipy import stats
+
+        n_max, redraws = 3, 3000
+        for scene_seed, eta in ((0, 0.5), (8, 2.0)):
+            scene = sample_scene(LAM, MU, rng_seed=scene_seed)
+            ordered = _ordered_powers(scene, 4.0, "distance_only")
+            top = ordered[None, :n_max]
+            x = _chain_exponent(
+                np.array([scene.serving_distance**-4.0]), np.array([ordered.sum()]),
+                top, np.cumsum(top, axis=1), eta, n_max,
+            )[0]
+            assert x[-1] < x[0]  # cancellation matters in this scene
+            wins = np.zeros(n_max + 1, dtype=int)
+            for i in range(redraws):
+                redrawn = dataclasses.replace(scene, rng_seed=10_000 + i)
+                for n in range(n_max + 1):
+                    wins[n] += run_sic_trial(redrawn, SicConfig(eta, n)).succeeded
+            for n, (k, p) in enumerate(zip(wins, np.exp(-x))):
+                assert 0.2 < p < 0.99
+                tail = min(stats.binom.cdf(k, redraws, p), stats.binom.sf(k - 1, redraws, p))
+                assert tail >= stats.norm.sf(4.0), (scene_seed, n, k, p)
+
+    def test_chain(self):
+        etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 11
+        rng = _stream(seed, 0)
+        s0 = _serving_block(rng, size, LAM, 4.0)
+        total, top, cum, _ = _field_block(
+            rng, size, MU, window_radius(MU), n_max, "distance_only", 4.0
+        )
+        h = np.random.default_rng(12).exponential(size=size)
+        grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed)
+        for e_idx, eta in enumerate(etas):
+            cond = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
+            assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
+            level = _chain_levels(h * s0, total, top, cum, eta, n_max)
+            _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
+
+    def test_independent_stages(self):
+        from sicnet.montecarlo import _independent_stage_success
+
+        etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 13
+        s, interference, top, weaker = _independent_stage_block(
+            _stream(seed, 0), size, LAM, MU, window_radius(MU), n_max,
+            "distance_only", 4.0,
+        )
+        h = np.random.default_rng(14).exponential(size=s.shape)
+        grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
+        for e_idx, eta in enumerate(etas):
+            cond = _independent_stage_success(s, interference, top, weaker, eta)
+            assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
+            level = _first_level(h * s >= eta * interference, top >= eta * weaker)
+            _same_draws(cond, _within_budget(level, n_max), f"independent stages {eta:g}")
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_max_sir(self, independent):
+        cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 3, 400, 15
+        signal, total, top, first_row = _max_sir_block(
+            cfg, _stream(seed, 0), size, 250.0, independent, "distance_only", n_max
+        )
+        cum = np.cumsum(top, axis=1)
+        x = _chain_exponent(signal, total, top, cum, eta, n_max)
+        cond = np.zeros((size, n_max + 1))
+        cond[: len(first_row)] = 1.0 - np.multiply.reduceat(-np.expm1(-x), first_row)
+        level = _chain_levels(
+            np.random.default_rng(16).exponential(size=len(signal)) * signal,
+            total, top, cum, eta, n_max,
+        )
+        ind = np.zeros((size, n_max + 1))
+        ind[: len(first_row)] = np.logical_or.reduceat(_within_budget(level, n_max), first_row)
+        for n in range(n_max + 1):
+            est = simulate_max_inst_sir(
+                cfg, SicConfig(eta, n), size, seed, independent_fields=independent
+            )
+            assert est.mean == pytest.approx(cond[:, n].sum() / size, rel=1e-12)
+        _same_draws(cond, ind, f"max-SIR independent={independent}")
+
+    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
+    def test_rea(self, cancel_mode):
+        cfg, etas, size, seed = two_tier(bias2=5.0), np.array([0.5, 1.0, 2.0]), 4000, 17
+        signal, i_total, i_res, *_ = _rea_block(cfg, 1, _stream(seed, 0), size, cancel_mode)
+        interference = np.stack((i_total, np.maximum(i_res, 0.0)))
+        cond = np.exp(-np.multiply.outer(etas, interference / signal))
+        res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+        for e_idx in range(len(etas)):
+            assert res.uncancelled[e_idx].mean == cond[e_idx, 0].sum() / size
+            assert res.cancelled[e_idx].mean == cond[e_idx, 1].sum() / size
+        h = np.random.default_rng(18).exponential(size=size)
+        ind = h * signal >= np.multiply.outer(etas, interference)
+        _same_draws(
+            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float),
+            f"REA {cancel_mode}",
+        )
+
+    def test_min_load(self):
+        rhos, size, seed = np.array([0.2, 0.5, 1.0]), 600, 19
+        args = (1e-5, 5e-5, 400.0)
+        trials = _min_load_trials(_stream(seed, 0), size, *args, 4.0)
+        rows = np.array([row for _, row in trials if row is not None])
+        covered = _min_load_success(rows, rhos)
+        res = simulate_min_load(*args, rhos, size, seed)
+        for i in range(len(rhos)):
+            assert res.coverage[i].mean == covered[0, i].sum() / size
+            assert res.coverage_sic[i].mean == covered[1, i].sum() / size
+        cond = np.zeros((2, len(rhos), size))  # trials without a candidate fail
+        cond[:, :, : len(rows)] = covered
+        m_load, s0, i_total, x1 = rows.T
+        signal = np.random.default_rng(20).exponential(size=len(rows)) * s0
+        varsigma = np.expm1(np.multiply.outer(rhos, (m_load + 1.0) * math.log(2.0)))
+        i_res = i_total - x1
+        base = signal >= varsigma * i_total
+        sic = base | ((x1 >= varsigma * i_res) & (signal >= varsigma * i_res))
+        ind = np.zeros((2, len(rhos), size))
+        ind[:, :, : len(rows)] = np.stack((base, sic))
+        _same_draws(cond.reshape(-1, size).T, ind.reshape(-1, size).T, "min-load")
+
+    def test_thread_invariance(self):
+        # a full block and a partial one, dispatched on 1 and 4 threads
+        trials = BLOCK_TRIALS + 100
+        cfg = two_tier()
+        runs = [
+            (
+                simulate_rea(two_tier(bias2=5.0), 1, [0.5, 2.0], trials, 21, threads=t),
+                simulate_min_load(1e-4, 5e-4, 100.0, [0.2, 1.0], trials, 22, threads=t),
+                max_sir_success_curve_mc(
+                    cfg, [1.0, 3.0], trials, 23, threads=t, cand_radius=80.0
+                ),
+                simulate_max_inst_sir(
+                    cfg, SicConfig(1.0, 2), trials, 24, threads=t, cand_radius=80.0,
+                    independent_fields=True,
+                ),
+            )
+            for t in (1, 4)
+        ]
+        single, multi = runs
+        assert single[0].uncancelled == multi[0].uncancelled
+        assert single[0].cancelled == multi[0].cancelled
+        assert single[1].coverage == multi[1].coverage
+        assert single[1].coverage_sic == multi[1].coverage_sic
+        assert np.array_equal(single[1].load_histogram, multi[1].load_histogram)
+        assert single[2:] == multi[2:]
