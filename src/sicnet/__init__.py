@@ -53,8 +53,6 @@ from .montecarlo import (
     Estimate,
     SampledScene,
     TrialOutcome,
-    estimate_ps_can_mc,
-    estimate_ps_sic_mc,
     run_sic_trial,
     sample_ppp,
     simulate_max_inst_sir,

@@ -40,13 +40,11 @@ from .numerics import (
 __all__ = [
     "SicGainBreakdown",
     "SicLevel",
-    "TsdParams",
     "ps_plain",
     "ps_ic",
     "ps_can",
     "ps_can_tsd",
     "tsd_cumulant",
-    "tsd_params",
     "tsd_conditional_cancel_prob",
     "kurtosis_after_cancellation",
     "ps_sic",
@@ -203,29 +201,6 @@ def tsd_cumulant(
     if not (math.isfinite(fading_moment) and fading_moment > 0.0):
         raise DomainError(f"fading_moment must be > 0, got {fading_moment}")
     return q**k * 2.0 * math.pi * mu_j / (k * alpha - 2.0) * d_min ** (2.0 - k * alpha) * fading_moment
-
-
-@dataclass(frozen=True)
-class TsdParams:
-    """Tilted-stable parameters matched to the first two interference cumulants."""
-
-    alpha_i: float
-    gamma_prime: float
-    g: float
-    kappa1: float
-    kappa2: float
-
-
-def tsd_params(kappa1: float, kappa2: float, alpha: float) -> TsdParams:
-    """Cumulant matching: g = kappa1 (1 - alpha_I) / kappa2 and gamma' chosen
-    so the tilted-stable law reproduces kappa1 exactly."""
-    _check_density("kappa1", kappa1)
-    _check_density("kappa2", kappa2)
-    _check_alpha(alpha)
-    alpha_i = 2.0 / alpha
-    g = kappa1 * (1.0 - alpha_i) / kappa2
-    gamma_prime = -kappa1 / (math.gamma(-alpha_i) * alpha_i * g ** (alpha_i - 1.0))
-    return TsdParams(alpha_i=alpha_i, gamma_prime=gamma_prime, g=g, kappa1=kappa1, kappa2=kappa2)
 
 
 def tsd_conditional_cancel_prob(eta: float, mu_j: float, r: float) -> float:

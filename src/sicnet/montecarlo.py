@@ -43,7 +43,6 @@ from .model import (
     NetworkConfig,
     SicConfig,
     association_prob_max_power,
-    equivalent_density,
 )
 
 __all__ = [
@@ -58,16 +57,13 @@ __all__ = [
     "sample_scene",
     "trimmed_sum_oracle",
     "run_sic_trial",
-    "estimate_ps_sic_mc",
     "ps_sic_curve_mc",
-    "estimate_ps_can_mc",
     "ps_can_curve_mc",
     "simulate_min_load",
     "voronoi_load_histogram",
     "max_sir_success_curve_mc",
     "simulate_max_inst_sir",
     "simulate_rea",
-    "window_sensitivity_probe",
 ]
 
 BLOCK_TRIALS = 4096
@@ -328,17 +324,47 @@ def _radial_field(
     alpha: float,
 ):
     """Sample ``size`` independent faded PPP fields on the annulus
-    r_in < r <= r_out; return (powers, counts) with each row's received
-    powers ordered nearest first and zero-padded past its count."""
+    r_in < r <= r_out: a Poisson count per row, squared radii uniform on
+    (r_in^2, r_out^2] and a unit-mean exponential fading mark per point.
+    Return (powers, r2, counts) in draw order, not sorted: each row is
+    padded past its count, to at least ``min_cols`` columns, with r2 = inf
+    and zero power.  Callers that need the nearest or strongest points pick
+    them with :func:`_top_m`."""
     # two products, so that r_in = 0 reproduces the disk mean bit for bit
     mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
     r2 = r_in * r_in + (r_out * r_out - r_in * r_in) * (1.0 - rng.random((size, pmax)))
     r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-    r2.sort(axis=1)
-    h = rng.exponential(size=(size, pmax))
-    return h * r2 ** (-0.5 * alpha), counts
+    powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
+    return powers, r2, counts
+
+
+def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
+    """The ``m`` nearest (``distance_only``, by ``d2``) or strongest
+    (``power_with_fading``, by ``p``) entries of each row of ``p``, in that
+    order: exactly the first ``m`` columns of ``p`` under a stable argsort of
+    the key, ties included.  The columns are picked one at a time by
+    ``argmin``/``argmax`` over a copy of the key, in which every picked entry
+    is then retired (set to inf / -inf), so whole rows are never sorted.  The
+    first occurrence wins, as in a stable sort; inf padding in ``d2`` is
+    mapped to the largest finite float so that it still ranks below the
+    retired entries.  Rows shorter than ``m`` come back whole and fully
+    ordered."""
+    m = min(m, p.shape[1])
+    if m == 0:
+        return np.empty((len(p), 0))  # not a view: it must not keep p alive
+    if ordering == "distance_only":
+        key, pick, retired = np.minimum(d2, np.finfo(float).max), np.argmin, np.inf
+    else:
+        key, pick, retired = p.copy(), np.argmax, -np.inf
+    flat = key.reshape(-1)
+    row_start = np.arange(0, key.size, key.shape[1])
+    picked = np.empty((len(p), m), dtype=np.intp)
+    for i in range(m):
+        picked[:, i] = j = pick(key, axis=1) + row_start
+        flat[j] = retired
+    return p.reshape(-1)[picked]
 
 
 def _field_block(
@@ -350,14 +376,14 @@ def _field_block(
     ordering: str,
     alpha: float,
 ):
-    """Sample ``size`` interferer fields; return (total, top, cum, counts)
-    where top[:, i] is the (i+1)-th strongest power under the ordering and
-    cum its running sum."""
-    powers, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
-    total = powers.sum(axis=1)
-    top = powers[:, :m] if ordering == "distance_only" else _top_m(powers, None, m, ordering)
-    cum = np.cumsum(top, axis=1)
-    return total, top, cum, counts
+    """Sample ``size`` interferer fields in the disk of radius ``radius``
+    (:func:`_radial_field`); return (total, top, cum, counts) where total is
+    each row's power sum, top[:, i] the (i+1)-th nearest or strongest power
+    under the ordering (:func:`_top_m`; zero past the row's count) and cum
+    its running sum."""
+    powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
+    top = _top_m(powers, r2, m, ordering)
+    return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
 
 
 def _serving_block(
@@ -446,7 +472,7 @@ def _independent_stage_block(
         r_in = math.sqrt(n / (math.pi * mu_j))
         u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
         s[:, n] = np.where(u2 >= r_in * r_in, u2 ** (-0.5 * alpha), 0.0)
-        powers, _ = _radial_field(rng, size, mu_j, r_in, radius, 1, alpha)
+        powers, _, _ = _radial_field(rng, size, mu_j, r_in, radius, 1, alpha)
         interference[:, n] = powers.sum(axis=1)
         if n:
             total, t, cum, _ = _field_block(rng, size, mu_j, radius, n, ordering, alpha)
@@ -494,6 +520,8 @@ def ps_sic_curve_mc(
     """
     _check_ordering(ordering)
     _check_trials(trials)
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     etas = [float(e) for e in np.atleast_1d(etas)]
     if radius is None:
         radius = window_radius(mu_j)
@@ -531,25 +559,6 @@ def ps_sic_curve_mc(
     )
 
 
-def estimate_ps_sic_mc(
-    cfg: NetworkConfig,
-    sic: SicConfig,
-    trials: int,
-    seed: int,
-    ordering: str = "distance_only",
-    threads: int = 1,
-) -> Estimate:
-    """SIC success probability for the given network, validated against the
-    closed-form chain.  The network is reduced to its single-tier
-    equivalent before sampling."""
-    lam_eq = equivalent_density(cfg).lambda_eq
-    grid = ps_sic_curve_mc(
-        lam_eq, cfg.mu_j, cfg.alpha, [sic.eta_t], sic.n_max, trials, seed,
-        ordering=ordering, threads=threads,
-    )
-    return grid[0][sic.n_max]
-
-
 def ps_can_curve_mc(
     mu_j: float,
     alpha: float,
@@ -576,6 +585,8 @@ def ps_can_curve_mc(
     """
     _check_ordering(ordering)
     _check_trials(trials)
+    if n_orders < 1:
+        raise DomainError(f"n_orders must be >= 1, got {n_orders}")
     etas = [float(e) for e in np.atleast_1d(etas)]
     if radius is None:
         radius = window_radius(mu_j)
@@ -632,75 +643,6 @@ def ps_can_curve_mc(
         "chain_survival": survival_est,
         "chain_stage": stage_est,
     }
-
-
-def estimate_ps_can_mc(
-    cfg: NetworkConfig,
-    eta: float,
-    n: int,
-    trials: int,
-    seed: int,
-    ordering: str = "distance_only",
-    conditioning: str = "direct",
-    threads: int = 1,
-) -> Estimate:
-    """Probability of decoding the n-th strongest interferer.
-    ``conditioning`` picks the estimator; see :func:`ps_can_curve_mc`."""
-    if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n}")
-    if conditioning not in ("direct", "chain_survival", "chain_stage"):
-        raise DomainError(
-            "conditioning must be direct|chain_survival|chain_stage, "
-            f"got {conditioning}"
-        )
-    curves = ps_can_curve_mc(
-        cfg.mu_j, cfg.alpha, [eta], n, trials, seed, ordering=ordering,
-        threads=threads,
-    )
-    return curves[conditioning][0][n - 1]
-
-
-def window_sensitivity_probe(
-    lambda_eq: float,
-    mu_j: float,
-    alpha: float,
-    eta: float,
-    n_max: int,
-    trials: int,
-    seed: int,
-) -> tuple[Estimate, Estimate]:
-    """Paired window-sufficiency check: the same trials evaluated with the
-    default window and with a doubled window (extra annulus interference
-    added on top of identical draws).  Returns (default, doubled)."""
-    r_in = window_radius(mu_j)
-    r_out = 2.0 * r_in
-
-    def worker(block: int, size: int):
-        rng = _stream(seed, block)
-        s0 = _serving_block(rng, size, lambda_eq, alpha)
-        mean = mu_j * math.pi * r_out * r_out
-        counts = rng.poisson(mean, size)
-        pmax = max(int(counts.max(initial=0)), n_max, 1)
-        r2 = r_out * r_out * (1.0 - rng.random((size, pmax)))
-        r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        r2.sort(axis=1)
-        h = rng.exponential(size=(size, pmax))
-        powers = h * r2 ** (-0.5 * alpha)
-        inner = np.where(r2 <= r_in * r_in, powers, 0.0)
-        top = inner[:, :n_max]
-        cum = np.cumsum(top, axis=1)
-        p = np.exp(
-            -np.column_stack([
-                _chain_exponent(s0, field_sum, top, cum, eta, n_max)[:, n_max]
-                for field_sum in (inner.sum(axis=1), powers.sum(axis=1))
-            ])
-        )
-        return p.sum(axis=0), (p * p).sum(axis=0)
-
-    sums = np.zeros((2, 2))
-    for partial in _map_blocks(trials, worker, threads=1):
-        sums += partial
-    return tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in sums.T)
 
 
 # ---------------------------------------------------------------------------
@@ -870,49 +812,18 @@ def voronoi_load_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _top_m(p: np.ndarray, d2: np.ndarray | None, m: int, ordering: str) -> np.ndarray:
-    """The ``m`` nearest (``distance_only``, by ``d2``) or strongest
-    (``power_with_fading``, by ``p``) entries of each row of ``p``, in that
-    order: exactly the first ``m`` columns of ``p`` under a stable argsort of
-    the key, ties included.  The columns are picked one at a time by
-    ``argmin``/``argmax`` over a copy of the key, in which every picked entry
-    is then retired (set to inf / -inf), so whole rows are never sorted.  The
-    first occurrence wins, as in a stable sort; inf padding in ``d2`` is
-    mapped to the largest finite float so that it still ranks below the
-    retired entries.  Rows shorter than ``m`` come back whole and fully
-    ordered."""
-    m = min(m, p.shape[1])
-    if m == 0:
-        return np.empty((len(p), 0))  # not a view: it must not keep p alive
-    if ordering == "distance_only":
-        key, pick, retired = np.minimum(d2, np.finfo(float).max), np.argmin, np.inf
-    else:
-        key, pick, retired = p.copy(), np.argmax, -np.inf
-    flat = key.reshape(-1)
-    row_start = np.arange(0, key.size, key.shape[1])
-    picked = np.empty((len(p), m), dtype=np.intp)
-    for i in range(m):
-        picked[:, i] = j = pick(key, axis=1) + row_start
-        flat[j] = retired
-    return p.reshape(-1)[picked]
-
-
 def _independent_fields(
     rng: np.random.Generator, n_aps: int, fields, alpha: float, m: int
 ):
     """Give each of ``n_aps`` receivers its own multi-tier user field, one
-    tier per ``(density, window radius, UL power)`` in ``fields``, drawn as
-    radii only (nothing else matters).  Return the aggregate interference
+    tier per ``(density, window radius, UL power)`` in ``fields``, each a
+    disk field of :func:`_radial_field`.  Return the aggregate interference
     per receiver and, for ``m > 0``, the powers and squared radii of all
     users side by side (empty arrays for ``m = 0``)."""
     total = np.zeros(n_aps)
     parts_p, parts_r2 = [], []
     for mu_k, r_w, q in fields:
-        counts = rng.poisson(mu_k * math.pi * r_w * r_w, n_aps)
-        pmax = max(int(counts.max(initial=0)), 1)
-        r2 = r_w * r_w * (1.0 - rng.random((n_aps, pmax)))
-        r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        base = rng.exponential(size=(n_aps, pmax)) * r2 ** (-0.5 * alpha)
+        base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, r_w, 1, alpha)
         total += q * base.sum(axis=1)
         if m:
             parts_p.append(q * base)

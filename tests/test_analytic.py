@@ -35,7 +35,6 @@ from sicnet.analytic import (
     rate_coverage_min_load,
     tsd_conditional_cancel_prob,
     tsd_cumulant,
-    tsd_params,
 )
 
 LAM = MU = 1e-4
@@ -184,16 +183,6 @@ class TestTsd:
         k1b = tsd_cumulant(1, 2.0, 1e-4, 50.0, 4.0, 1.0)
         k2b = tsd_cumulant(2, 2.0, 1e-4, 50.0, 4.0, 2.0)
         assert k2b / k1b == pytest.approx(2.0 * k2 / k1, rel=1e-12)
-
-    def test_params_reproduce_first_cumulant(self):
-        k1 = tsd_cumulant(1, 1.0, 1e-4, 50.0, 4.0, 1.0)
-        k2 = tsd_cumulant(2, 1.0, 1e-4, 50.0, 4.0, 2.0)
-        p = tsd_params(k1, k2, 4.0)
-        assert p.g > 0.0
-        reproduced = -p.gamma_prime * math.gamma(-p.alpha_i) * p.alpha_i * p.g ** (
-            p.alpha_i - 1.0
-        )
-        assert reproduced == pytest.approx(k1, rel=1e-12)
 
     def test_conditional_cancel_at_zero_threshold(self):
         assert tsd_conditional_cancel_prob(0.0, 1e-4, 75.0) == 1.0

@@ -21,14 +21,13 @@ from sicnet.montecarlo import (
     _min_load_success,
     _min_load_trials,
     _ordered_powers,
+    _radial_field,
     _rea_block,
     _serving_block,
     _stream,
     Estimate,
     SampledScene,
     TrialOutcome,
-    estimate_ps_can_mc,
-    estimate_ps_sic_mc,
     max_sir_success_curve_mc,
     ps_can_curve_mc,
     ps_sic_curve_mc,
@@ -41,7 +40,6 @@ from sicnet.montecarlo import (
     trimmed_sum_oracle,
     voronoi_load_histogram,
     window_radius,
-    window_sensitivity_probe,
 )
 
 LAM = MU = 1e-4
@@ -248,16 +246,14 @@ class TestRunSicTrial:
 
 class TestChainEstimators:
     def test_determinism_and_threads(self):
-        cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
-        sic = SicConfig(1.0, 2)
-        a = estimate_ps_sic_mc(cfg, sic, 6000, seed=17, threads=1)
-        b = estimate_ps_sic_mc(cfg, sic, 6000, seed=17, threads=1)
-        c = estimate_ps_sic_mc(cfg, sic, 6000, seed=17, threads=4)
-        assert a == b == c
+        runs = [
+            ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 2, 6000, seed=17, threads=threads).tolist()
+            for threads in (1, 1, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_zero_budget_matches_plain(self):
-        cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
-        est = estimate_ps_sic_mc(cfg, SicConfig(1.0, 0), 40_000, seed=19)
+        est = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 0, 40_000, seed=19)[0][0]
         assert abs(est.mean - ps_plain(1.0, LAM, MU, 4.0)) <= 3.0 * est.stderr
 
     def test_stderr_definition(self):
@@ -332,8 +328,7 @@ class TestChainEstimators:
 
 class TestPsCanEstimators:
     def test_direct_matches_closed_form(self):
-        cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
-        est = estimate_ps_can_mc(cfg, 1.0, 1, 30_000, seed=29)
+        est = ps_can_curve_mc(MU, 4.0, [1.0], 1, 30_000, seed=29)["direct"][0][0]
         assert abs(est.mean - ps_can(1.0, 1, 4.0)) <= 3.0 * est.stderr
 
     def test_decreasing_in_order(self):
@@ -361,18 +356,51 @@ class TestPsCanEstimators:
         assert curves["chain_survival"][0][0].mean == curves["chain_stage"][0][0].mean
 
     def test_invalid_arguments(self):
-        cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
-        with pytest.raises(DomainError):
-            estimate_ps_can_mc(cfg, 1.0, 0, 1000, seed=1)
-        with pytest.raises(DomainError):
-            estimate_ps_can_mc(cfg, 1.0, 1, 1000, seed=1, conditioning="bogus")
+        for n_orders in (0, -2):
+            with pytest.raises(DomainError):
+                ps_can_curve_mc(MU, 4.0, [1.0], n_orders, 1000, seed=1)
         with pytest.raises(DomainError):
             ps_can_curve_mc(MU, 4.0, [1.0], 2, 1000, seed=1, ordering="nearest")
+        with pytest.raises(DomainError):
+            ps_sic_curve_mc(LAM, MU, 4.0, [1.0], -1, 1000, seed=1)
+
+
+class TestRadialField:
+    def test_annulus_campbell(self):
+        # Campbell: E[sum of h r^-alpha] = 2 pi lam (r_in^(2-a) - r_out^(2-a)) / (a - 2)
+        lam, r_in, r_out, alpha, size = 1e-4, 50.0, 400.0, 4.0, 20_000
+        powers, r2, counts = _radial_field(_stream(61, 0), size, lam, r_in, r_out, 3, alpha)
+        drawn = np.arange(r2.shape[1])[None, :] < counts[:, None]
+        assert np.all((r2[drawn] > r_in**2) & (r2[drawn] <= r_out**2))
+        assert np.all(np.isinf(r2[~drawn])) and np.all(powers[~drawn] == 0.0)
+        mean_count = lam * math.pi * (r_out**2 - r_in**2)
+        assert abs(counts.mean() - mean_count) <= 4.0 * math.sqrt(mean_count / size)
+        sums = powers.sum(axis=1)
+        campbell = 2.0 * math.pi * lam * (r_in ** (2 - alpha) - r_out ** (2 - alpha)) / (alpha - 2)
+        assert abs(sums.mean() - campbell) <= 4.0 * sums.std() / math.sqrt(size)
 
 
 class TestWindowSufficiency:
     def test_doubling_window_changes_little(self):
-        base, doubled = window_sensitivity_probe(LAM, MU, 4.0, 1.0, 2, 20_000, seed=43)
+        # the default-window chain against the same trials with the annulus
+        # (R, 2R] added: its points lie beyond R, so only the totals change
+        eta, n_max, blocks, size, seed = 1.0, 2, 5, 4000, 43
+        r = window_radius(MU)
+        p = []
+        for b in range(blocks):
+            rng = _stream(seed, b)
+            s0 = _serving_block(rng, size, LAM, 4.0)
+            total, top, cum, _ = _field_block(rng, size, MU, r, n_max, "distance_only", 4.0)
+            annulus, _, _ = _radial_field(rng, size, MU, r, 2.0 * r, 1, 4.0)
+            p.append([
+                np.exp(-_chain_exponent(s0, t, top, cum, eta, n_max)[:, n_max])
+                for t in (total, total + annulus.sum(axis=1))
+            ])
+        base, doubled = (
+            Estimate.from_sums(x.sum(), (x * x).sum(), x.size, seed)
+            for x in np.concatenate(p, axis=1)
+        )
+        assert doubled.mean < base.mean
         assert abs(base.mean - doubled.mean) < base.stderr
 
 
