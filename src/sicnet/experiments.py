@@ -162,19 +162,16 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _run_fig2(spec: SweepSpec) -> list[dict]:
+def _run_fig2(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
     radius = 2.0 * window_radius(DENSITY_MACRO)  # deep-n tests need the far field
     etas = [db_to_linear(d) for d in FIG2_ETA_DB]
     t0 = time.perf_counter()
-    dist = ps_can_curve_mc(
+    curves = ps_can_curve_mc(
         DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, spec.trials, spec.seed,
-        ordering="distance_only", threads=spec.threads, radius=radius,
+        threads=spec.threads, radius=radius,
     )
-    fade = ps_can_curve_mc(
-        DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, spec.trials, spec.seed + 1,
-        ordering="power_with_fading", threads=spec.threads, radius=radius,
-    )
+    dist, fade = curves["distance_only"], curves["power_with_fading"]
     ms = _ms(t0) / (len(etas) * FIG2_ORDERS)
     for e_idx, eta_db in enumerate(FIG2_ETA_DB):
         eta = etas[e_idx]
@@ -201,7 +198,7 @@ def _run_fig2(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _run_fig3(spec: SweepSpec) -> list[dict]:
+def _run_fig3(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
     etas = [db_to_linear(d) for d in FIG3_ETA_DB]
     t0 = time.perf_counter()
@@ -232,12 +229,13 @@ def _run_fig3(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _run_fig4(spec: SweepSpec) -> list[dict]:
+def _run_fig4(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     t0 = time.perf_counter()
     res = simulate_min_load(
         FIG4_LAMBDA, FIG4_MU_J, FIG4_R_CON, FIG4_RHOS, spec.trials, spec.seed,
         threads=spec.threads,
     )
+    diagnostics["no_candidate_trials"] = res.no_candidate_trials
     ms = _ms(t0) / len(FIG4_RHOS)
     rows = []
     for idx, rho in enumerate(FIG4_RHOS):
@@ -258,7 +256,7 @@ def _run_fig4(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _run_fig5(spec: SweepSpec) -> list[dict]:
+def _run_fig5(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     cfg = two_tier_config()
     etas = [db_to_linear(d) for d in FIG5_ETA_DB]
     t0 = time.perf_counter()
@@ -298,8 +296,9 @@ def _run_fig5(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _run_fig6(spec: SweepSpec) -> list[dict]:
+def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
+    rea_fraction = diagnostics["rea_fraction"] = {}
     etas = [db_to_linear(d) for d in FIG6_ETA_DB]
     for b_idx, b in enumerate(FIG6_BIASES):
         cfg = two_tier_config(bias2=b)
@@ -308,6 +307,7 @@ def _run_fig6(spec: SweepSpec) -> list[dict]:
             cfg, 1, etas, spec.trials, spec.seed + b_idx, threads=spec.threads
         )
         ms = _ms(t0) / len(etas)
+        rea_fraction[f"{b:g}"] = res.rea_fraction
         for e_idx, eta_db in enumerate(FIG6_ETA_DB):
             eta = etas[e_idx]
             rows.append(
@@ -327,7 +327,7 @@ def _run_fig6(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _run_custom(spec: SweepSpec) -> list[dict]:
+def _run_custom(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     from .cli import evaluate_formula  # registry lives with the CLI
 
     rows = []
@@ -370,9 +370,12 @@ def _config_hash(spec: SweepSpec) -> str:
 
 def run_preset(spec: SweepSpec) -> SweepResult:
     """Evaluate one preset; one row per grid point, analytic and MC columns
-    filled per the preset definition, deterministic given the seed."""
+    filled per the preset definition, deterministic given the seed.  The
+    metadata also carries the simulators' diagnostics that no row holds:
+    fig4's ``no_candidate_trials`` and fig6's ``rea_fraction`` per bias."""
     t0 = time.perf_counter()
-    rows = _RUNNERS[spec.preset](spec)
+    diagnostics = {}
+    rows = _RUNNERS[spec.preset](spec, diagnostics)
     if not rows:
         raise DomainError(f"preset {spec.preset} produced no rows")
     columns = list(rows[0].keys())
@@ -386,6 +389,7 @@ def run_preset(spec: SweepSpec) -> SweepResult:
         "tool_version": _version,
         "wall_clock_s": round(time.perf_counter() - t0, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        **diagnostics,
     }
     return SweepResult(preset=spec.preset, columns=columns, rows=rows, metadata=metadata)
 

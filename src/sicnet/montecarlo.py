@@ -326,15 +326,19 @@ def _radial_field(
     """Sample ``size`` independent faded PPP fields on the annulus
     r_in < r <= r_out: a Poisson count per row, squared radii uniform on
     (r_in^2, r_out^2] and a unit-mean exponential fading mark per point.
-    Return (powers, r2, counts) in draw order, not sorted: each row is
-    padded past its count, to at least ``min_cols`` columns, with r2 = inf
-    and zero power.  Callers that need the nearest or strongest points pick
-    them with :func:`_top_m`."""
+    ``r_in`` is a scalar or one inner radius per row; a row whose r_in
+    exceeds r_out is empty.  Return (powers, r2, counts) in draw order, not
+    sorted: each row is padded past its count, to at least ``min_cols``
+    columns, with r2 = inf and zero power.  Callers that need the nearest
+    or strongest points pick them with :func:`_top_m`."""
     # two products, so that r_in = 0 reproduces the disk mean bit for bit
     mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
+    span = r_out * r_out - r_in * r_in
+    if isinstance(r_in, np.ndarray):
+        mean, span, r_in = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None], r_in[:, None]
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
-    r2 = r_in * r_in + (r_out * r_out - r_in * r_in) * (1.0 - rng.random((size, pmax)))
+    r2 = r_in * r_in + span * (1.0 - rng.random((size, pmax)))
     r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
     powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
     return powers, r2, counts
@@ -450,7 +454,6 @@ def _independent_stage_block(
     mu_j: float,
     radius: float,
     n_max: int,
-    ordering: str,
     alpha: float,
 ):
     """Draw every stage of the chain from its own independent scene.
@@ -458,11 +461,14 @@ def _independent_stage_block(
     Stage n decodes a fresh signal of interest against a fresh field beyond
     the deterministic cancellation radius R_{I,n} = sqrt(n / (pi mu_j)) and
     fails outright when the serving distance falls inside it (no
-    renormalization); stage n >= 1 first cancels the n-th strongest
-    interferer of another fresh field against everything weaker.  Returns
-    the threshold-free statistics (s, interference, top, weaker), each
-    trials x stages, where s is the mean signal power u^-alpha, or 0 where
-    the serving distance falls inside R_{I,n}.
+    renormalization); stage n >= 1 first cancels the n-th nearest
+    interferer of another fresh field against everything beyond it.  That
+    scene needs no window: pi mu_j r_n^2 ~ Gamma(n) (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, 2012, ch. 2), the node gets one fading
+    mark, and the field beyond r_n is an independent PPP.  Returns the
+    threshold-free statistics (s, interference, top, weaker), each trials x
+    stages, where s is the mean signal power u^-alpha, or 0 where the
+    serving distance falls inside R_{I,n}.
     """
     s = np.empty((size, n_max + 1))
     interference = np.empty((size, n_max + 1))
@@ -475,9 +481,11 @@ def _independent_stage_block(
         powers, _, _ = _radial_field(rng, size, mu_j, r_in, radius, 1, alpha)
         interference[:, n] = powers.sum(axis=1)
         if n:
-            total, t, cum, _ = _field_block(rng, size, mu_j, radius, n, ordering, alpha)
-            top[:, n - 1] = t[:, n - 1]
-            weaker[:, n - 1] = total - cum[:, n - 1]
+            r2_n = rng.standard_gamma(n, size) / (math.pi * mu_j)
+            top[:, n - 1] = rng.exponential(size=size) * r2_n ** (-0.5 * alpha)
+            weaker[:, n - 1] = _radial_field(
+                rng, size, mu_j, np.sqrt(r2_n), radius, 1, alpha
+            )[0].sum(axis=1)
     return s, interference, top, weaker
 
 
@@ -516,12 +524,15 @@ def ps_sic_curve_mc(
     R_{I,n} (see :func:`_independent_stage_block`).  That is exactly the
     decoupling the closed-form chain assumes, so it isolates implementation
     errors from model error, as ``independent_fields=True`` does in
-    :func:`max_sir_success_curve_mc`.
+    :func:`max_sir_success_curve_mc`.  Like the closed form, it orders by
+    distance only.
     """
     _check_ordering(ordering)
     _check_trials(trials)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if independent_stages and ordering != "distance_only":
+        raise DomainError("independent_stages=True orders by distance only")
     etas = [float(e) for e in np.atleast_1d(etas)]
     if radius is None:
         radius = window_radius(mu_j)
@@ -530,7 +541,7 @@ def ps_sic_curve_mc(
         rng = _stream(seed, block)
         if independent_stages:
             s, interference, top, weaker = _independent_stage_block(
-                rng, size, lambda_eq, mu_j, radius, n_max, ordering, alpha
+                rng, size, lambda_eq, mu_j, radius, n_max, alpha
             )
         else:
             s0 = _serving_block(rng, size, lambda_eq, alpha)
@@ -566,11 +577,11 @@ def ps_can_curve_mc(
     n_orders: int,
     trials: int,
     seed: int,
-    ordering: str = "distance_only",
     threads: int = 1,
     radius: float | None = None,
 ):
-    """Cancellation-success estimates for n = 1..n_orders and each eta.
+    """Cancellation-success estimates for n = 1..n_orders and each eta, under
+    both ORDERINGS of one field per trial (picked by :func:`_top_m`).
 
     Three estimators per grid point:
       direct         -- per scene, test the n-th strongest signal against
@@ -581,9 +592,9 @@ def ps_can_curve_mc(
       chain_stage    -- stage-n success among scenes that survived the
                         first n-1 stages (per-stage conditional).
 
-    Returns a dict of object arrays of Estimates, shape (n_eta, n_orders).
+    Returns ``{ordering: {estimator: Estimates}}`` for both ORDERINGS, each
+    an object array of shape (n_eta, n_orders).
     """
-    _check_ordering(ordering)
     _check_trials(trials)
     if n_orders < 1:
         raise DomainError(f"n_orders must be >= 1, got {n_orders}")
@@ -591,57 +602,37 @@ def ps_can_curve_mc(
     if radius is None:
         radius = window_radius(mu_j)
 
-    def worker(block: int, size: int):
-        rng = _stream(seed, block)
-        total, top, cum, counts = _field_block(
-            rng, size, mu_j, radius, n_orders, ordering, alpha
+    def worker(block: int, size: int) -> np.ndarray:
+        powers, r2, counts = _radial_field(
+            _stream(seed, block), size, mu_j, 0.0, radius, n_orders, alpha
         )
+        total = powers.sum(axis=1)
         enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
-        direct = np.zeros((len(etas), n_orders), dtype=np.int64)
-        chain_num = np.zeros_like(direct)
-        chain_den = np.zeros_like(direct)
-        residual = total[:, None] - cum
-        for e_idx, eta in enumerate(etas):
-            ok = (top >= eta * residual) & enough
-            direct[e_idx] = ok.sum(axis=0)
-            alive = np.ones(len(total), dtype=bool)
-            for n in range(n_orders):
-                chain_den[e_idx, n] = alive.sum()
-                alive = alive & ok[:, n]
-                chain_num[e_idx, n] = alive.sum()
-        return direct, chain_num, chain_den
+        # (direct, chain survivors) x ordering x eta x n
+        wins = np.zeros((2, len(ORDERINGS), len(etas), n_orders), dtype=np.int64)
+        for o_idx, ordering in enumerate(ORDERINGS):
+            top = _top_m(powers, r2, n_orders, ordering)
+            residual = total[:, None] - np.cumsum(top, axis=1)
+            for e_idx, eta in enumerate(etas):
+                ok = (top >= eta * residual) & enough
+                wins[0, o_idx, e_idx] = ok.sum(axis=0)
+                wins[1, o_idx, e_idx] = np.logical_and.accumulate(ok, axis=1).sum(axis=0)
+        return wins
 
-    direct = np.zeros((len(etas), n_orders), dtype=np.int64)
-    chain_num = np.zeros_like(direct)
-    chain_den = np.zeros_like(direct)
-    for d, cn, cd in _map_blocks(trials, worker, threads):
-        direct += d
-        chain_num += cn
-        chain_den += cd
-    direct_est = np.array(
-        [[Estimate.from_counts(int(c), trials, seed) for c in row] for row in direct],
-        dtype=object,
+    direct, survivors = sum(_map_blocks(trials, worker, threads))
+    # stage n is entered by the survivors of stage n - 1, stage 1 by all
+    entered = np.insert(survivors[..., :-1], 0, trials, axis=-1)
+    estimate = np.frompyfunc(
+        lambda c, t: Estimate.from_counts(int(c), int(t), seed)
+        if t else Estimate(math.nan, math.nan, 0, seed), 2, 1,
     )
-    survival_est = np.array(
-        [
-            [Estimate.from_counts(int(c), trials, seed) for c in row]
-            for row in chain_num
-        ],
-        dtype=object,
-    )
-    stage_est = np.empty((len(etas), n_orders), dtype=object)
-    for i in range(len(etas)):
-        for j in range(n_orders):
-            den = int(chain_den[i, j])
-            stage_est[i, j] = (
-                Estimate.from_counts(int(chain_num[i, j]), den, seed)
-                if den > 0
-                else Estimate(math.nan, math.nan, 0, seed)
-            )
     return {
-        "direct": direct_est,
-        "chain_survival": survival_est,
-        "chain_stage": stage_est,
+        ordering: {
+            "direct": estimate(direct[o_idx], trials),
+            "chain_survival": estimate(survivors[o_idx], trials),
+            "chain_stage": estimate(survivors[o_idx], entered[o_idx]),
+        }
+        for o_idx, ordering in enumerate(ORDERINGS)
     }
 
 
@@ -1042,6 +1033,7 @@ def _rea_block(
 
     # interference per tier: the nearest AP (interferer for i != k) plus
     # the conditional PPP beyond the nearest
+    annulus = cancel_mode == "annulus"
     i_total = np.zeros(size)
     removed = np.zeros(size)          # annulus mode: all unbiased-stronger APs
     strongest_unbiased = np.full(size, -math.inf)
@@ -1049,30 +1041,36 @@ def _rea_block(
     x_k2 = dist[:, k] ** 2
     for i in range(n_tiers):
         x_i = dist[:, i]
-        r_out = radius[i]
-        mean_beyond = lam[i] * math.pi * np.maximum(r_out**2 - x_i**2, 0.0)
-        counts = rng.poisson(mean_beyond)
+        x2_i = x_i**2
+        span = np.maximum(radius[i] ** 2 - x2_i, 0.0)
+        counts = rng.poisson(lam[i] * math.pi * span)
         pmax = max(int(counts.max(initial=0)), 1)
-        u = rng.random((size, pmax))
-        r2 = x_i[:, None] ** 2 + u * np.maximum(r_out**2 - x_i[:, None] ** 2, 0.0)
+        r2 = rng.random((size, pmax))
+        r2 *= span[:, None]
+        r2 += x2_i[:, None]
         r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        h = rng.exponential(size=(size, pmax))
-        powers = p_dl[i] * h * r2 ** (-0.5 * cfg.alpha)
+        # unbiased exclusion radius: P_i r^-a > P_k x_k^-a
+        c2_i = (p_dl[i] / p_dl[k]) ** e2 * x_k2
+        inside = r2 < c2_i[:, None] if annulus and i != k else None
+        powers = rng.exponential(size=(size, pmax))
+        powers *= p_dl[i]
+        r2 **= -0.5 * cfg.alpha
+        powers *= r2
         i_total += powers.sum(axis=1)
+        if inside is not None:
+            removed += np.where(inside, powers, 0.0).sum(axis=1)
         if i != k:
-            # unbiased exclusion radius: P_i r^-a > P_k x_k^-a
-            c2_i = (p_dl[i] / p_dl[k]) ** e2 * x_k2
-            removed += np.where(r2 < c2_i[:, None], powers, 0.0).sum(axis=1)
             h_near = rng.exponential(size=size)
             contrib = p_dl[i] * h_near * x_i**-cfg.alpha
             i_total += contrib
-            removed += np.where(x_i**2 < c2_i, contrib, 0.0)
+            if annulus:
+                removed += np.where(x2_i < c2_i, contrib, 0.0)
             mean_power = p_dl[i] * x_i**-cfg.alpha
             better = mean_power > strongest_unbiased
             strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
             x_strong = np.where(better, contrib, x_strong)
     signal = p_dl[k] * dist[:, k] ** -cfg.alpha
-    i_res = i_total - (removed if cancel_mode == "annulus" else x_strong)
+    i_res = i_total - (removed if annulus else x_strong)
     return signal, i_total, i_res, dist[:, k], total_draws, n_kept
 
 

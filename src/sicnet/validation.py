@@ -174,14 +174,11 @@ def check_fig2(trials=100_000, seed=202, threads=1) -> list[CheckResult]:
     # doubled window: the deep-n tests are sensitive to the ~0.1% far-field
     # truncation of the default radius
     radius = 2.0 * window_radius(DENSITY_MACRO)
-    dist = ps_can_curve_mc(
-        DENSITY_MACRO, 4.0, etas, 8, trials, seed, ordering="distance_only",
-        threads=threads, radius=radius,
-    )["direct"]
-    fade = ps_can_curve_mc(
-        DENSITY_MACRO, 4.0, etas, 8, trials, seed + 1,
-        ordering="power_with_fading", threads=threads, radius=radius,
-    )["direct"]
+    curves = ps_can_curve_mc(
+        DENSITY_MACRO, 4.0, etas, 8, trials, seed, threads=threads, radius=radius
+    )
+    dist = curves["distance_only"]["direct"]
+    fade = curves["power_with_fading"]["direct"]
     worst_z = 0.0
     for e_idx, eta in enumerate(etas):
         for n in range(1, 9):
@@ -584,6 +581,19 @@ def check_fig6(trials=100_000, seed=707, threads=1) -> list[CheckResult]:
             -mono_margin, 0.0, passed=mono_margin > 0.0,
         )
     )
+    # the same ordering on the closed forms, free of sampling noise
+    closed_margin = min(
+        ps_ic_rea(eta, results[lo][0], 1, c) - ps_ic_rea(eta, results[hi][0], 1, c)
+        for eta in etas
+        for lo, hi in zip(FIG6_BIASES, FIG6_BIASES[1:])
+        for c in (0, 1)
+    )
+    out.append(
+        _result(
+            "fig6", "closed form decreases with bias (both curves)",
+            -closed_margin, 0.0, passed=closed_margin > 0.0,
+        )
+    )
     out.append(
         _result(
             "fig6", "cancelled curve above uncancelled everywhere",
@@ -602,8 +612,9 @@ def check_fig6(trials=100_000, seed=707, threads=1) -> list[CheckResult]:
 def check_scale_invariance(trials=100_000, seed=808, threads=1) -> list[CheckResult]:
     trials = trials or 100_000
     eta = db_to_linear(5.0)
-    lo = ps_can_curve_mc(1e-4, 4.0, [eta], 3, trials, seed, threads=threads)["direct"]
-    hi = ps_can_curve_mc(1e-3, 4.0, [eta], 3, trials, seed + 1, threads=threads)["direct"]
+    lo = ps_can_curve_mc(1e-4, 4.0, [eta], 3, trials, seed, threads=threads)
+    hi = ps_can_curve_mc(1e-3, 4.0, [eta], 3, trials, seed + 1, threads=threads)
+    lo, hi = lo["distance_only"]["direct"], hi["distance_only"]["direct"]
     worst = 0.0
     for n in range(1, 4):
         a, b = lo[0][n - 1], hi[0][n - 1]

@@ -7,6 +7,7 @@ import pytest
 
 from sicnet.errors import DomainError
 from sicnet.experiments import (
+    FIG6_BIASES,
     PRESETS,
     SweepResult,
     SweepSpec,
@@ -144,3 +145,16 @@ class TestRunDirectory:
         meta = json.loads((run_dir / "meta.json").read_text())
         for key in ("seed", "trials", "config_hash", "tool_version", "rows"):
             assert key in meta
+
+    def test_simulator_diagnostics_in_metadata(self, tmp_path):
+        # diagnostics that no row holds reach meta.json; the columns do not change
+        meta = {}
+        for preset in ("fig4", "fig6"):
+            result = run_preset(default_spec(preset, trials=1000, seed=7))
+            run_dir = write_run_directory(result, tmp_path)
+            meta[preset] = json.loads((run_dir / "meta.json").read_text())
+            assert not {"no_candidate_trials", "rea_fraction"} & set(result.columns)
+        assert 0 <= meta["fig4"]["no_candidate_trials"] <= 1000
+        fractions = meta["fig6"]["rea_fraction"]
+        assert sorted(fractions) == sorted(f"{b:g}" for b in FIG6_BIASES)
+        assert all(0.0 < f < 1.0 for f in fractions.values())

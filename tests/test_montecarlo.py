@@ -25,6 +25,7 @@ from sicnet.montecarlo import (
     _rea_block,
     _serving_block,
     _stream,
+    _top_m,
     Estimate,
     SampledScene,
     TrialOutcome,
@@ -328,21 +329,21 @@ class TestChainEstimators:
 
 class TestPsCanEstimators:
     def test_direct_matches_closed_form(self):
-        est = ps_can_curve_mc(MU, 4.0, [1.0], 1, 30_000, seed=29)["direct"][0][0]
+        curves = ps_can_curve_mc(MU, 4.0, [1.0], 1, 30_000, seed=29)
+        est = curves["distance_only"]["direct"][0][0]
         assert abs(est.mean - ps_can(1.0, 1, 4.0)) <= 3.0 * est.stderr
 
     def test_decreasing_in_order(self):
-        curves = ps_can_curve_mc(MU, 4.0, [1.0], 6, 20_000, seed=31)["direct"]
+        curves = ps_can_curve_mc(MU, 4.0, [1.0], 6, 20_000, seed=31)["distance_only"]["direct"]
         means = [curves[0][n].mean for n in range(6)]
         assert all(b < a for a, b in zip(means, means[1:]))
 
     def test_orderings_coincide_at_high_threshold(self):
         # distance and fading orderings nearly agree at 10 dB and split at 0 dB
         etas = [1.0, 10.0]
-        dist = ps_can_curve_mc(MU, 4.0, etas, 1, 30_000, seed=37)["direct"]
-        fade = ps_can_curve_mc(
-            MU, 4.0, etas, 1, 30_000, seed=38, ordering="power_with_fading"
-        )["direct"]
+        curves = ps_can_curve_mc(MU, 4.0, etas, 1, 30_000, seed=37)
+        dist = curves["distance_only"]["direct"]
+        fade = curves["power_with_fading"]["direct"]
         gap_low = abs(dist[0][0].mean - fade[0][0].mean)
         gap_high = abs(dist[1][0].mean - fade[1][0].mean)
         assert gap_high <= 0.015
@@ -350,19 +351,116 @@ class TestPsCanEstimators:
 
     def test_conditioning_modes(self):
         curves = ps_can_curve_mc(MU, 4.0, [1.0], 3, 10_000, seed=41)
-        for key in ("direct", "chain_survival", "chain_stage"):
-            assert curves[key].shape == (1, 3)
-        # stage-1 estimators coincide by construction
-        assert curves["chain_survival"][0][0].mean == curves["chain_stage"][0][0].mean
+        assert set(curves) == {"distance_only", "power_with_fading"}
+        for by_key in curves.values():
+            for key in ("direct", "chain_survival", "chain_stage"):
+                assert by_key[key].shape == (1, 3)
+            # stage-1 estimators coincide by construction
+            assert by_key["chain_survival"][0][0].mean == by_key["chain_stage"][0][0].mean
+
+    def test_fading_order_wins_on_the_same_field(self):
+        # n = 1 on one field: the strongest point's power is at least the
+        # nearest's and its residual is no larger, so it decodes whenever the
+        # nearest does, at every threshold
+        etas = [10.0 ** (d / 10.0) for d in (-10.0, -3.0, 0.0, 3.0, 10.0, 20.0)]
+        curves = ps_can_curve_mc(MU, 4.0, etas, 2, BLOCK_TRIALS + 700, seed=43)
+        for dist, fade in zip(curves["distance_only"]["direct"], curves["power_with_fading"]["direct"]):
+            assert fade[0].mean >= dist[0].mean
+
+    def test_distance_order_is_the_field_block_construction(self):
+        # the distance-ordered counts, rebuilt block by block from
+        # _field_block as a per-ordering simulator drew them
+        etas, n_orders, trials, seed = [0.5, 1.0, 4.0], 4, BLOCK_TRIALS + 900, 47
+        radius = 2.0 * window_radius(MU)
+        direct = np.zeros((len(etas), n_orders), dtype=np.int64)
+        alive_after = np.zeros_like(direct)
+        entered = np.zeros_like(direct)
+        for block, size in enumerate((BLOCK_TRIALS, trials - BLOCK_TRIALS)):
+            total, top, cum, counts = _field_block(
+                _stream(seed, block), size, MU, radius, n_orders, "distance_only", 4.0
+            )
+            enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
+            for e_idx, eta in enumerate(etas):
+                ok = (top >= eta * (total[:, None] - cum)) & enough
+                direct[e_idx] += ok.sum(axis=0)
+                alive = np.ones(size, dtype=bool)
+                for n in range(n_orders):
+                    entered[e_idx, n] += alive.sum()
+                    alive = alive & ok[:, n]
+                    alive_after[e_idx, n] += alive.sum()
+        got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed, threads=2, radius=radius)
+        got = got["distance_only"]
+        for e_idx in range(len(etas)):
+            for n in range(n_orders):
+                assert got["direct"][e_idx][n] == Estimate.from_counts(
+                    int(direct[e_idx, n]), trials, seed
+                )
+                assert got["chain_survival"][e_idx][n] == Estimate.from_counts(
+                    int(alive_after[e_idx, n]), trials, seed
+                )
+                stage = got["chain_stage"][e_idx][n]
+                if entered[e_idx, n]:
+                    assert stage == Estimate.from_counts(
+                        int(alive_after[e_idx, n]), int(entered[e_idx, n]), seed
+                    )
+                else:
+                    assert stage.trials == 0 and math.isnan(stage.mean)
 
     def test_invalid_arguments(self):
         for n_orders in (0, -2):
             with pytest.raises(DomainError):
                 ps_can_curve_mc(MU, 4.0, [1.0], n_orders, 1000, seed=1)
         with pytest.raises(DomainError):
-            ps_can_curve_mc(MU, 4.0, [1.0], 2, 1000, seed=1, ordering="nearest")
-        with pytest.raises(DomainError):
             ps_sic_curve_mc(LAM, MU, 4.0, [1.0], -1, 1000, seed=1)
+        with pytest.raises(DomainError):
+            ps_sic_curve_mc(
+                LAM, MU, 4.0, [1.0], 1, 1000, seed=1, ordering="power_with_fading",
+                independent_stages=True,
+            )
+
+
+class TestExactLawStage:
+    """The cancellation stage of the independent-stage chain draws the n-th
+    nearest radius from its law instead of from a window."""
+
+    def test_nth_nearest_radius_is_gamma(self, monkeypatch):
+        from scipy import stats
+
+        from sicnet import montecarlo
+
+        # the cancellation fields are the calls with per-row inner radii
+        inner = []
+        radial_field = montecarlo._radial_field
+
+        def spy(rng, size, density, r_in, *rest):
+            if isinstance(r_in, np.ndarray):
+                inner.append(r_in.copy())
+            return radial_field(rng, size, density, r_in, *rest)
+
+        monkeypatch.setattr(montecarlo, "_radial_field", spy)
+        n_max, size = 5, 4000
+        _independent_stage_block(_stream(53, 0), size, LAM, MU, window_radius(MU), n_max, 4.0)
+        assert len(inner) == n_max
+        for n, r_n in enumerate(inner, start=1):
+            ks = stats.kstest(math.pi * MU * r_n**2, stats.gamma(n).cdf)
+            assert ks.pvalue > 1e-3, (n, ks)
+
+    def test_cancellation_rate_matches_full_window(self):
+        # stage n cancels when the n-th nearest's power beats eta times
+        # everything beyond it; a full window drawn by _radial_field, with
+        # the n-th nearest picked by _top_m, is the same event
+        eta, n_max, size = 1.0, 5, 20_000
+        radius = window_radius(MU)
+        s, interference, top, weaker = _independent_stage_block(
+            _stream(59, 0), size, LAM, MU, radius, n_max, 4.0
+        )
+        exact = (top >= eta * weaker).mean(axis=0)
+        powers, r2, _ = _radial_field(_stream(60, 0), size, MU, 0.0, radius, n_max, 4.0)
+        nearest = _top_m(powers, r2, n_max, "distance_only")
+        beyond = powers.sum(axis=1)[:, None] - np.cumsum(nearest, axis=1)
+        window = (nearest >= eta * beyond).mean(axis=0)
+        se = np.sqrt((exact * (1 - exact) + window * (1 - window)) / size)
+        assert np.all(np.abs(exact - window) <= 4.0 * se), (exact, window)
 
 
 class TestRadialField:
@@ -604,6 +702,17 @@ class TestRea:
         )
         assert float(np.max(np.abs(emp - cdf))) <= 0.02
 
+    def test_modes_share_their_draws(self):
+        # the modes differ only in the residual subtracted at the end
+        cfg, etas = two_tier(bias2=5.0), [0.3, 1.0, 3.0]
+        strongest, annulus = (
+            simulate_rea(cfg, 1, etas, 5000, seed=91, cancel_mode=mode)
+            for mode in ("strongest", "annulus")
+        )
+        assert strongest.uncancelled == annulus.uncancelled
+        assert np.array_equal(strongest.serving_distances, annulus.serving_distances)
+        assert strongest.rea_fraction == annulus.rea_fraction
+
     def test_invalid_cancel_mode(self):
         with pytest.raises(DomainError):
             simulate_rea(two_tier(bias2=5.0), 1, [1.0], 1000, seed=1, cancel_mode="x")
@@ -682,8 +791,7 @@ class TestConditionalEstimators:
 
         etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 13
         s, interference, top, weaker = _independent_stage_block(
-            _stream(seed, 0), size, LAM, MU, window_radius(MU), n_max,
-            "distance_only", 4.0,
+            _stream(seed, 0), size, LAM, MU, window_radius(MU), n_max, 4.0
         )
         h = np.random.default_rng(14).exponential(size=s.shape)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
