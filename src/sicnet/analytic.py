@@ -9,9 +9,7 @@ R_{I,n} = sqrt(n/(mu_j pi)) encloses on average the n canceled interferers.
 The decode-after-cancellation probability is evaluated exactly as the
 integral is written: the serving-distance density is integrated from
 R_{I,n} upward *without* renormalization, embedding the "serving distance
-exceeds the cancellation radius on average" approximation.  Pass
-``renormalize_serving_distance=True`` to divide that truncation mass out
-for sensitivity studies.
+exceeds the cancellation radius on average" approximation.
 """
 
 from __future__ import annotations
@@ -103,7 +101,6 @@ def ps_ic(
     mu_j: float,
     alpha: float,
     settings: QuadratureSettings = DEFAULT_QUADRATURE,
-    renormalize_serving_distance: bool = False,
 ) -> float:
     """Probability of decoding the signal of interest after n cancellations.
 
@@ -136,10 +133,7 @@ def ps_ic(
         return np.exp(-ratio * eta_e * c_val * tau - tau)
 
     tau_max = tau0 + 60.0 + 10.0 * math.sqrt(tau0 + 1.0)
-    value = adaptive_gauss(integrand, tau0, tau_max, settings)
-    if renormalize_serving_distance:
-        value /= math.exp(-tau0)
-    return value
+    return adaptive_gauss(integrand, tau0, tau_max, settings)
 
 
 def ps_can(eta: float, n: int, alpha: float) -> float:
@@ -260,7 +254,6 @@ def ps_sic(
     mu_j: float,
     alpha: float,
     settings: QuadratureSettings = DEFAULT_QUADRATURE,
-    renormalize_serving_distance: bool = False,
 ) -> SicGainBreakdown:
     """Success probability with at most ``n_max`` cancellations:
 
@@ -273,8 +266,7 @@ def ps_sic(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     ps_ic_vals = [
-        ps_ic(eta, n, lambda_eq, mu_j, alpha, settings, renormalize_serving_distance)
-        for n in range(n_max + 1)
+        ps_ic(eta, n, lambda_eq, mu_j, alpha, settings) for n in range(n_max + 1)
     ]
     ps_no_ic = ps_ic_vals[0]
     q_single = ps_can(eta, 1, alpha) if n_max >= 1 else 1.0
@@ -542,7 +534,6 @@ def ps_ic_rea(
     cfg: NetworkConfig,
     k: int,
     cancelled: int,
-    biased_second_term: bool = False,
 ) -> float:
     """DL success probability for users in tier k's range-expanded area.
 
@@ -556,10 +547,9 @@ def ps_ic_rea(
     For ``cancelled=0`` the exact second term also uses the unbiased
     exclusion (argument eta^(-2/alpha)): conditioning on "no AP would win
     unbiased" empties the disk out to the unbiased radius, so the residual
-    field starts there.  ``biased_second_term=True`` instead reuses the
-    biased exclusion argument in the second term; that variant overstates
-    the success probability substantially (by ~0.17 at b=5, eta=1 in the
-    two-tier reference scenario) and is kept only for comparison studies.
+    field starts there.  Reusing the biased exclusion argument in the
+    second term instead overstates the success probability substantially
+    (by ~0.17 at b=5, eta=1 in the two-tier reference scenario).
     """
     _check_eta(eta)
     cfg.check_tier(k)
@@ -573,11 +563,11 @@ def ps_ic_rea(
     e = 2.0 / cfg.alpha
     eta_e = eta**e
     ref = cfg.tiers[k]
+    c_second = [eta**-e] * cfg.n_tiers
     if cancelled:
-        c_first = c_second = [eta**-e] * cfg.n_tiers
+        c_first = c_second
     else:
         c_first = [(t.bias / (eta * ref.bias)) ** e for t in cfg.tiers]
-        c_second = c_first if biased_second_term else [eta**-e] * cfg.n_tiers
     # one array call per side; the tiers are summed in order below
     c_first = c_integral(np.array(c_first), cfg.alpha).tolist()
     c_second = c_integral(np.array(c_second), cfg.alpha).tolist()

@@ -100,6 +100,14 @@ def two_tier_config(bias2: float = 1.0) -> NetworkConfig:
     )
 
 
+def fig6_runs(seed: int) -> list[tuple[float, NetworkConfig, int]]:
+    """(bias, config, seed) of each fig6 bias: bias number i draws its REA
+    trials from ``seed + i``."""
+    return [
+        (b, two_tier_config(bias2=b), seed + b_idx) for b_idx, b in enumerate(FIG6_BIASES)
+    ]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     preset: str
@@ -300,12 +308,9 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
     rea_fraction = diagnostics["rea_fraction"] = {}
     etas = [db_to_linear(d) for d in FIG6_ETA_DB]
-    for b_idx, b in enumerate(FIG6_BIASES):
-        cfg = two_tier_config(bias2=b)
+    for b, cfg, seed in fig6_runs(spec.seed):
         t0 = time.perf_counter()
-        res = simulate_rea(
-            cfg, 1, etas, spec.trials, spec.seed + b_idx, threads=spec.threads
-        )
+        res = simulate_rea(cfg, 1, etas, spec.trials, seed, threads=spec.threads)
         ms = _ms(t0) / len(etas)
         rea_fraction[f"{b:g}"] = res.rea_fraction
         for e_idx, eta_db in enumerate(FIG6_ETA_DB):

@@ -583,17 +583,16 @@ def ps_can_curve_mc(
     """Cancellation-success estimates for n = 1..n_orders and each eta, under
     both ORDERINGS of one field per trial (picked by :func:`_top_m`).
 
-    Three estimators per grid point:
+    Two estimators per grid point:
       direct         -- per scene, test the n-th strongest signal against
                         the residual field (the deconditioned quantity the
-                        closed form integrates);
+                        closed form integrates), under both orderings;
       chain_survival -- fraction of scenes where all of stages 1..n decode
-                        (the event-chain population after n cancels);
-      chain_stage    -- stage-n success among scenes that survived the
-                        first n-1 stages (per-stage conditional).
+                        (the event-chain population after n cancels), under
+                        distance ordering only.
 
-    Returns ``{ordering: {estimator: Estimates}}`` for both ORDERINGS, each
-    an object array of shape (n_eta, n_orders).
+    Returns ``{ordering: {estimator: Estimates}}``, each an object array of
+    shape (n_eta, n_orders).
     """
     _check_trials(trials)
     if n_orders < 1:
@@ -608,31 +607,23 @@ def ps_can_curve_mc(
         )
         total = powers.sum(axis=1)
         enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
-        # (direct, chain survivors) x ordering x eta x n
-        wins = np.zeros((2, len(ORDERINGS), len(etas), n_orders), dtype=np.int64)
+        # (direct per ordering, distance-ordered chain survivors) x eta x n
+        wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
         for o_idx, ordering in enumerate(ORDERINGS):
             top = _top_m(powers, r2, n_orders, ordering)
             residual = total[:, None] - np.cumsum(top, axis=1)
             for e_idx, eta in enumerate(etas):
                 ok = (top >= eta * residual) & enough
-                wins[0, o_idx, e_idx] = ok.sum(axis=0)
-                wins[1, o_idx, e_idx] = np.logical_and.accumulate(ok, axis=1).sum(axis=0)
+                wins[o_idx, e_idx] = ok.sum(axis=0)
+                if ordering == "distance_only":
+                    wins[-1, e_idx] = np.logical_and.accumulate(ok, axis=1).sum(axis=0)
         return wins
 
-    direct, survivors = sum(_map_blocks(trials, worker, threads))
-    # stage n is entered by the survivors of stage n - 1, stage 1 by all
-    entered = np.insert(survivors[..., :-1], 0, trials, axis=-1)
-    estimate = np.frompyfunc(
-        lambda c, t: Estimate.from_counts(int(c), int(t), seed)
-        if t else Estimate(math.nan, math.nan, 0, seed), 2, 1,
-    )
+    dist, fade, survivors = sum(_map_blocks(trials, worker, threads))
+    estimate = np.frompyfunc(lambda c: Estimate.from_counts(int(c), trials, seed), 1, 1)
     return {
-        ordering: {
-            "direct": estimate(direct[o_idx], trials),
-            "chain_survival": estimate(survivors[o_idx], trials),
-            "chain_stage": estimate(survivors[o_idx], entered[o_idx]),
-        }
-        for o_idx, ordering in enumerate(ORDERINGS)
+        "distance_only": {"direct": estimate(dist), "chain_survival": estimate(survivors)},
+        "power_with_fading": {"direct": estimate(fade)},
     }
 
 
@@ -904,6 +895,44 @@ def _max_sir_block(
     return signal, total, top, first_row
 
 
+def _max_sir_sums(
+    cfg: NetworkConfig, etas, n_max: int, trials: int, seed: int, threads: int,
+    cand_radius: float, independent_fields: bool, ordering: str,
+) -> np.ndarray:
+    """Sums and sums of squares over ``trials`` max-SIR trials of each
+    trial's success probability, a (2, n_eta, n_max + 1) array over every
+    threshold and budget N = 0..n_max.
+
+    Each AP a decodes with probability P_a = exp(-eta R_{a,L_a} / S_a) over
+    its link fading (:func:`_chain_exponent`), independently of the other
+    APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
+    are sampled one by one, but the chain runs once per block on all their
+    AP rows together (:func:`_max_sir_block`); a trial without a candidate
+    AP contributes 0."""
+
+    def worker(block: int, size: int) -> np.ndarray:
+        sums = np.zeros((2, len(etas), n_max + 1))
+        rows = _max_sir_block(
+            cfg, _stream(seed, block), size, cand_radius, independent_fields,
+            ordering, n_max,
+        )
+        if rows is None:
+            return sums
+        signal, total, top, first_row = rows
+        cum = np.cumsum(top, axis=1)
+        for e_idx, eta in enumerate(etas):
+            x = _chain_exponent(signal, total, top, cum, eta, n_max)
+            # trials along the last axis, as the per-budget sums read them
+            p = np.ascontiguousarray(
+                1.0 - np.multiply.reduceat(-np.expm1(-x), first_row).T
+            )
+            sums[0, e_idx] = p.sum(axis=1)
+            sums[1, e_idx] = (p * p).sum(axis=1)
+        return sums
+
+    return sum(_map_blocks(trials, worker, threads))
+
+
 def max_sir_success_curve_mc(
     cfg: NetworkConfig,
     etas,
@@ -927,25 +956,11 @@ def max_sir_success_curve_mc(
     """
     _check_trials(trials)
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-
-    def worker(block: int, size: int) -> np.ndarray:
-        rows = _max_sir_block(
-            cfg, _stream(seed, block), size, cand_radius, independent_fields,
-            "distance_only", 0,
-        )
-        if rows is None:
-            return np.zeros((2, len(etas)))
-        signal, total, _, first_row = rows
-        ratio = total / signal
-        p = np.empty((len(etas), len(first_row)))
-        for e_idx, eta in enumerate(etas):
-            p[e_idx] = 1.0 - np.multiply.reduceat(-np.expm1(-eta * ratio), first_row)
-        return np.stack((p.sum(axis=1), (p * p).sum(axis=1)))
-
-    sums = np.zeros((2, len(etas)))
-    for partial in _map_blocks(trials, worker, threads):
-        sums += partial
-    return [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums)]
+    sums = _max_sir_sums(
+        cfg, etas, 0, trials, seed, threads, cand_radius, independent_fields,
+        "distance_only",
+    )
+    return [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, :, 0])]
 
 
 def simulate_max_inst_sir(
@@ -960,34 +975,17 @@ def simulate_max_inst_sir(
 ) -> Estimate:
     """Max-instantaneous-SIR policy with SIC: the uplink succeeds if any
     candidate AP decodes the user after at most N cancellations, running
-    the full event chain independently at each AP.  ``independent_fields``
-    gives every AP its own interferer field (the closed form's decoupling);
-    the default shares the physical field across APs.
-
-    Each AP a decodes with probability P_a = exp(-eta R_{a,L_a} / S_a) over
-    its link fading (:func:`_chain_exponent`), independently of the other
-    APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
-    are sampled one by one, but the chain runs once per block on all their
-    AP rows together (:func:`_max_sir_block`)."""
+    the full event chain independently at each AP (:func:`_max_sir_sums`).
+    ``independent_fields`` gives every AP its own interferer field (the
+    closed form's decoupling); the default shares the physical field across
+    APs."""
     _check_ordering(ordering)
     _check_trials(trials)
-    eta = sic.eta_t
-    n_max = sic.n_max
-
-    def worker(block: int, size: int) -> np.ndarray:
-        rows = _max_sir_block(
-            cfg, _stream(seed, block), size, cand_radius, independent_fields,
-            ordering, n_max,
-        )
-        if rows is None:
-            return np.zeros(2)
-        signal, total, top, first_row = rows
-        x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
-        p = 1.0 - np.multiply.reduceat(-np.expm1(-x[:, n_max]), first_row)
-        return np.array([p.sum(), (p * p).sum()])
-
-    total, total_sq = sum(_map_blocks(trials, worker, threads))
-    return Estimate.from_sums(total, total_sq, trials, seed)
+    sums = _max_sir_sums(
+        cfg, [sic.eta_t], sic.n_max, trials, seed, threads, cand_radius,
+        independent_fields, ordering,
+    )
+    return Estimate.from_sums(*sums[:, 0, sic.n_max], trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ Each check returns :class:`CheckResult` records with the measured quantity
 and the tolerated bound, so callers (the ``validate`` CLI subcommand and the
 acceptance test module) can print one pass/fail line per criterion.
 
+The figure gates (fig2..fig6) read what the presets publish: each runs
+:func:`~sicnet.experiments.run_preset` at the gate's seed and budget and
+checks the rows' closed-form and Monte Carlo columns.  Every scenario
+(grid, window, seeds, default budget) is therefore defined once, in
+``experiments``; a gate runs a simulator itself only for an oracle that no
+preset runs (the independent-stage chain of fig3 and the annulus-clearing
+REA of fig6).  Budgets below the presets' floor of 1000 trials are refused.
+
 Where a gate compares a closed form against Monte Carlo, the tolerance is
 3 standard errors plus any documented model tolerance.  Checks are
 deterministic given their seed.
@@ -26,8 +34,8 @@ tolerance:
     law with mean (9/7) mu_j/lam;
   * fig6: the cancelled ``ps_ic_rea`` clears the whole unbiased-exclusion
     annulus; it is gated two-sided against an annulus-clearing simulation
-    and one-sided against a one-cancellation simulation, which sits up to
-    0.03 below it.
+    on the preset's draws and one-sided against the preset's one-
+    cancellation simulation, which sits up to 0.03 below it.
 """
 
 from __future__ import annotations
@@ -40,45 +48,16 @@ import numpy as np
 from scipy.stats import nbinom
 
 from .errors import DomainError
-from .model import NetworkConfig, SicConfig, db_to_linear
+from .model import db_to_linear
 from .numerics import QuadratureSettings, c_integral, c_integral_quadrature
-from .analytic import (
-    kurtosis_after_cancellation,
-    load_pmf_table,
-    outage_max_inst_sir,
-    ps_can,
-    ps_can_tsd,
-    ps_ic_rea,
-    ps_sic,
-    ps_sic_max_inst_sir,
-    rate_coverage_max_sir,
-    rate_coverage_min_load,
-)
-from .experiments import (
-    FIG3_ETA_DB,
-    FIG3_N_MAX,
-    FIG4_LAMBDA,
-    FIG4_MU_J,
-    FIG4_R_CON,
-    FIG4_RHOS,
-    FIG5_ETA_DB,
-    FIG5_N_MAX,
-    FIG6_BIASES,
-    DENSITY_MACRO,
-    default_spec,
-    emit_csv,
-    run_preset,
-    two_tier_config,
-)
+from .analytic import kurtosis_after_cancellation, load_pmf_table
+from .experiments import DENSITY_MACRO, default_spec, fig6_runs, run_preset
 from .montecarlo import (
     BLOCK_TRIALS,
-    max_sir_success_curve_mc,
     ps_can_curve_mc,
     ps_sic_curve_mc,
-    simulate_min_load,
     simulate_rea,
     voronoi_load_histogram,
-    window_radius,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "format_report"]
@@ -106,6 +85,18 @@ def _result(suite, name, measured, tolerance, passed=None, detail="") -> CheckRe
     if passed is None:
         passed = measured <= tolerance
     return CheckResult(suite, name, bool(passed), float(measured), float(tolerance), detail)
+
+
+def _preset(name: str, trials, seed: int, threads: int):
+    """The rows of one preset run at the gate's seed, and its trial budget
+    (the preset's default when ``trials`` is None)."""
+    result = run_preset(default_spec(name, trials, seed, threads=threads))
+    return result.rows, result.metadata["trials"]
+
+
+def _grid(rows, column: str, n_outer: int) -> np.ndarray:
+    """One preset column as an (n_outer, rows // n_outer) array, in row order."""
+    return np.array([r[column] for r in rows]).reshape(n_outer, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,46 +156,32 @@ def _ps_strongest_exact(eta: float, alpha: float) -> float:
     return eta**-delta * math.sin(math.pi * delta) / (math.pi * delta)
 
 
-def check_fig2(trials=100_000, seed=202, threads=1) -> list[CheckResult]:
-    trials = trials or 100_000
+def check_fig2(trials=None, seed=202, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    rows, trials = _preset("fig2", trials, seed, threads)
     out = []
-    etas_db = (0.0, 5.0, 10.0)
-    etas = [db_to_linear(d) for d in etas_db]
-    # doubled window: the deep-n tests are sensitive to the ~0.1% far-field
-    # truncation of the default radius
-    radius = 2.0 * window_radius(DENSITY_MACRO)
-    curves = ps_can_curve_mc(
-        DENSITY_MACRO, 4.0, etas, 8, trials, seed, threads=threads, radius=radius
-    )
-    dist = curves["distance_only"]["direct"]
-    fade = curves["power_with_fading"]["direct"]
-    worst_z = 0.0
-    for e_idx, eta in enumerate(etas):
-        for n in range(1, 9):
-            est = dist[e_idx][n - 1]
-            # stderr of the comparison under the closed-form null; stays
-            # meaningful when the expected success count is O(1)
-            p = ps_can(eta, n, 4.0)
-            se = math.sqrt(p * (1.0 - p) / trials)
-            worst_z = max(worst_z, abs(est.mean - p) / se)
+
+    def z(mean: float, p: float) -> float:
+        # stderr of the comparison under the closed-form null; stays
+        # meaningful when the expected success count is O(1)
+        return abs(mean - p) / math.sqrt(p * (1.0 - p) / trials)
+
+    worst_z = max(z(r["mc_dist_mean"], r["ps_can_pgfl"]) for r in rows)
     out.append(
         _result("fig2", "distance-ordered MC vs closed form (|z|, n=1..8)", worst_z, 3.0)
     )
     # n = 1 under fading ordering is the strongest node, whose exact law
     # holds at every threshold of the grid (all >= 0 dB)
-    worst_z1 = 0.0
-    for e_idx, eta in enumerate(etas):
-        p = _ps_strongest_exact(eta, 4.0)
-        se = math.sqrt(p * (1.0 - p) / trials)
-        worst_z1 = max(worst_z1, abs(fade[e_idx][0].mean - p) / se)
+    first = [r for r in rows if r["n"] == 1]
+    worst_z1 = max(z(r["mc_fade_mean"], _ps_strongest_exact(r["eta_lin"], 4.0)) for r in first)
     out.append(
         _result(
             "fig2", "fading-ordered MC at n=1 vs exact strongest-node law (|z|)",
             worst_z1, 3.0, detail="eta^(-1/2) 2/pi at alpha=4",
         )
     )
-    model_error = _ps_strongest_exact(1.0, 4.0) - ps_can(1.0, 1, 4.0)
+    at_0db = next(r for r in first if r["eta_db"] == 0.0)
+    model_error = _ps_strongest_exact(at_0db["eta_lin"], 4.0) - at_0db["ps_can_pgfl"]
     out.append(
         _result(
             "fig2", "exact n=1 law minus closed form at 0 dB (diagnostic, ungated)",
@@ -213,10 +190,10 @@ def check_fig2(trials=100_000, seed=202, threads=1) -> list[CheckResult]:
         )
     )
     for eta_db, tol, n_lo in ((0.0, 0.05, 2), (10.0, 0.01, 1)):
-        idx = etas_db.index(eta_db)
         worst = max(
-            abs(fade[idx][n - 1].mean - ps_can(etas[idx], n, 4.0))
-            for n in range(n_lo, 9)
+            abs(r["mc_fade_mean"] - r["ps_can_pgfl"])
+            for r in rows
+            if r["eta_db"] == eta_db and r["n"] >= n_lo
         )
         out.append(
             _result(
@@ -226,13 +203,13 @@ def check_fig2(trials=100_000, seed=202, threads=1) -> list[CheckResult]:
         )
     # closed-form agreement between the PGFL and truncated-stable routes;
     # absolute floor 0.01 anchored at n=1, 10% relative envelope for n <= 5
-    worst1 = max(abs(ps_can(e, 1, 4.0) - ps_can_tsd(e, 1)) for e in etas)
+    worst1 = max(abs(r["ps_can_pgfl"] - r["ps_can_tsd"]) for r in first)
     out.append(_result("fig2", "PGFL vs TSD at n=1 (absolute)", worst1, 0.01))
     worst_pair = (0.0, 1.0)
-    for e in etas:
-        for n in range(2, 6):
-            p, t = ps_can(e, n, 4.0), ps_can_tsd(e, n)
-            gap, tol = abs(p - t), 0.01 + 0.10 * p
+    for r in rows:
+        if 2 <= r["n"] <= 5:
+            p = r["ps_can_pgfl"]
+            gap, tol = abs(p - r["ps_can_tsd"]), 0.01 + 0.10 * p
             if gap - tol > worst_pair[0] - worst_pair[1]:
                 worst_pair = (gap, tol)
     out.append(
@@ -250,30 +227,25 @@ def check_fig2(trials=100_000, seed=202, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_fig3(trials=100_000, seed=303, threads=1) -> list[CheckResult]:
-    trials = trials or 100_000
+def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    rows, trials = _preset("fig3", trials, seed, threads)
     out = []
-    etas = [db_to_linear(d) for d in FIG3_ETA_DB]
-    grid = ps_sic_curve_mc(
-        DENSITY_MACRO, DENSITY_MACRO, 4.0, etas, FIG3_N_MAX, trials, seed,
-        ordering="distance_only", threads=threads,
+    no_sic = [r for r in rows if r["n_max"] == 0]
+    etas_db = [r["eta_db"] for r in no_sic]
+    analytic, mc, mc_se = (
+        _grid(rows, c, len(no_sic)) for c in ("ps_sic_analytic", "mc_mean", "mc_stderr")
     )
+    n_max = analytic.shape[1] - 1
     stages = ps_sic_curve_mc(
-        DENSITY_MACRO, DENSITY_MACRO, 4.0, etas, FIG3_N_MAX, trials, seed + 1,
-        ordering="distance_only", threads=threads, independent_stages=True,
+        DENSITY_MACRO, DENSITY_MACRO, 4.0, [r["eta_lin"] for r in no_sic], n_max,
+        trials, seed + 1, ordering="distance_only", threads=threads,
+        independent_stages=True,
     )
-    analytic = np.empty((len(etas), FIG3_N_MAX + 1))
-    for e_idx, eta in enumerate(etas):
-        breakdown = ps_sic(eta, FIG3_N_MAX, DENSITY_MACRO, DENSITY_MACRO, 4.0)
-        totals = [breakdown.ps_no_ic]
-        for lv in breakdown.per_level:
-            totals.append(totals[-1] + lv.level_contribution)
-        analytic[e_idx] = totals
     worst_z = 0.0
     z_at = ""
-    for e_idx, eta_db in enumerate(FIG3_ETA_DB):
-        for n in range(FIG3_N_MAX + 1):
+    for e_idx, eta_db in enumerate(etas_db):
+        for n in range(n_max + 1):
             est = stages[e_idx][n]
             z = abs(analytic[e_idx, n] - est.mean) / max(est.stderr, 1e-12)
             if z > worst_z:
@@ -286,10 +258,9 @@ def check_fig3(trials=100_000, seed=303, threads=1) -> list[CheckResult]:
     )
     worst_excess = -math.inf
     worst_at = ""
-    for e_idx, eta_db in enumerate(FIG3_ETA_DB):
-        est = grid[e_idx][0]
-        gap = abs(analytic[e_idx, 0] - est.mean)
-        tol = 3.0 * est.stderr + 0.02
+    for e_idx, eta_db in enumerate(etas_db):
+        gap = abs(analytic[e_idx, 0] - mc[e_idx, 0])
+        tol = 3.0 * mc_se[e_idx, 0] + 0.02
         if gap - tol > worst_excess:
             worst_excess = gap - tol
             worst_at = f"eta={eta_db:g} dB: gap {gap:.4f} vs tol {tol:.4f}"
@@ -303,12 +274,13 @@ def check_fig3(trials=100_000, seed=303, threads=1) -> list[CheckResult]:
     # only lose successes the faithful chain keeps
     worst_excess = -math.inf
     worst_gap = (-math.inf, "")
-    for e_idx, eta_db in enumerate(FIG3_ETA_DB):
-        for n in range(1, FIG3_N_MAX + 1):
-            est = grid[e_idx][n]
-            worst_excess = max(worst_excess, analytic[e_idx, n] - est.mean - 3.0 * est.stderr)
+    for e_idx, eta_db in enumerate(etas_db):
+        for n in range(1, n_max + 1):
+            worst_excess = max(
+                worst_excess, analytic[e_idx, n] - mc[e_idx, n] - 3.0 * mc_se[e_idx, n]
+            )
             worst_gap = max(
-                worst_gap, (est.mean - analytic[e_idx, n], f"eta={eta_db:g} dB, N={n}")
+                worst_gap, (mc[e_idx, n] - analytic[e_idx, n], f"eta={eta_db:g} dB, N={n}")
             )
     out.append(
         _result(
@@ -318,18 +290,16 @@ def check_fig3(trials=100_000, seed=303, threads=1) -> list[CheckResult]:
         )
     )
     inc = np.diff(analytic, axis=1)
-    mc_means = np.array(
-        [[grid[e][n].mean for n in range(FIG3_N_MAX + 1)] for e in range(len(etas))]
-    )
+    mc_inc = np.diff(mc, axis=1)
     out.append(
         _result(
             "fig3", "monotone nondecreasing in N (analytic and MC)",
-            float(min(inc.min(), np.diff(mc_means, axis=1).min())), 0.0,
-            passed=bool(inc.min() >= -1e-12 and np.diff(mc_means, axis=1).min() >= 0.0),
+            float(min(inc.min(), mc_inc.min())), 0.0,
+            passed=bool(inc.min() >= -1e-12 and mc_inc.min() >= 0.0),
             detail="smallest increment",
         )
     )
-    nonneg_db = [i for i, d in enumerate(FIG3_ETA_DB) if d >= 0.0]
+    nonneg_db = [i for i, d in enumerate(etas_db) if d >= 0.0]
     dim = float(max(inc[i, 1] - inc[i, 0] for i in nonneg_db))
     out.append(
         _result(
@@ -337,7 +307,7 @@ def check_fig3(trials=100_000, seed=303, threads=1) -> list[CheckResult]:
             dim, 0.0, passed=dim <= 0.0, detail="max of inc(1->2)-inc(0->1)",
         )
     )
-    high_db = [i for i, d in enumerate(FIG3_ETA_DB) if d >= 2.0]
+    high_db = [i for i, d in enumerate(etas_db) if d >= 2.0]
     worst_inc = float(max(inc[i].max() for i in high_db))
     out.append(
         _result("fig3", "all increments < 0.02 at eta >= 2 dB (analytic)", worst_inc, 0.02)
@@ -395,16 +365,11 @@ def check_load_model(trials=100_000, seed=404, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_fig4(trials=20_000, seed=505, threads=1) -> list[CheckResult]:
-    trials = trials or 20_000
+def check_fig4(trials=None, seed=505, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    rows, _ = _preset("fig4", trials, seed, threads)
     out = []
-    res = simulate_min_load(
-        FIG4_LAMBDA, FIG4_MU_J, FIG4_R_CON, FIG4_RHOS, trials, seed, threads=threads
-    )
-    min_load = [rate_coverage_min_load(r, FIG4_LAMBDA, FIG4_MU_J, 4.0, FIG4_R_CON) for r in FIG4_RHOS]
-    max_sir = [rate_coverage_max_sir(r, FIG4_LAMBDA, FIG4_MU_J, 4.0) for r in FIG4_RHOS]
-    ordering_margin = min(ms - ml for ms, ml in zip(max_sir, min_load))
+    ordering_margin = min(r["p_cov_max_sir"] - r["p_cov_min_load"] for r in rows)
     out.append(
         _result(
             "fig4", "min-load (no SIC) below max-SIR at every rho",
@@ -412,24 +377,23 @@ def check_fig4(trials=20_000, seed=505, threads=1) -> list[CheckResult]:
             detail="negative of the smallest max-SIR minus min-load margin",
         )
     )
-    med = (len(FIG4_RHOS) - 1) // 2
-    uplift = res.coverage_sic[med].mean - res.coverage[med].mean
+    med = rows[(len(rows) - 1) // 2]
+    uplift = med["mc_min_load_sic_mean"] - med["mc_min_load_mean"]
     out.append(
         _result(
-            "fig4", f"SIC uplift at median rho={FIG4_RHOS[med]:.2f}",
+            "fig4", f"SIC uplift at median rho={med['rho']:.2f}",
             uplift, 0.05, passed=uplift >= 0.05,
             detail="must be at least 0.05",
         )
     )
     worst_excess = -math.inf
     worst_at = ""
-    for idx, rho in enumerate(FIG4_RHOS):
-        est = res.coverage[idx]
-        gap = abs(est.mean - min_load[idx])
-        tol = 3.0 * est.stderr + 0.03
+    for r in rows:
+        gap = abs(r["mc_min_load_mean"] - r["p_cov_min_load"])
+        tol = 3.0 * r["mc_min_load_stderr"] + 0.03
         if gap - tol > worst_excess:
             worst_excess = gap - tol
-            worst_at = f"rho={rho:.2f}: gap {gap:.4f} vs tol {tol:.4f}"
+            worst_at = f"rho={r['rho']:.2f}: gap {gap:.4f} vs tol {tol:.4f}"
     out.append(
         _result(
             "fig4", "analytic min-load vs MC (3 stderr + 0.03)",
@@ -445,27 +409,18 @@ def check_fig4(trials=20_000, seed=505, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_fig5(trials=20_000, seed=606, threads=1) -> list[CheckResult]:
-    trials = trials or 20_000
+def check_fig5(trials=None, seed=606, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    rows, _ = _preset("fig5", trials, seed, threads)
     out = []
-    cfg = two_tier_config()
-    etas = [db_to_linear(d) for d in FIG5_ETA_DB]
-    model_mc = max_sir_success_curve_mc(
-        cfg, etas, trials, seed, threads=threads, independent_fields=True
+    # the Monte Carlo columns are filled at N = 0, where ps_analytic is the
+    # no-SIC success law
+    no_sic = [r for r in rows if r["n_max"] == 0]
+    worst_z = max(
+        abs(r["mc_model_mean"] - r["ps_analytic"]) / max(r["mc_model_stderr"], 1e-12)
+        for r in no_sic
     )
-    shared_mc = max_sir_success_curve_mc(
-        cfg, etas, trials, seed + 1, threads=threads, independent_fields=False
-    )
-    worst_z = 0.0
-    worst_shared = 0.0
-    for e_idx, eta in enumerate(etas):
-        ana = 1.0 - outage_max_inst_sir(eta, cfg)
-        worst_z = max(
-            worst_z,
-            abs(model_mc[e_idx].mean - ana) / max(model_mc[e_idx].stderr, 1e-12),
-        )
-        worst_shared = max(worst_shared, abs(shared_mc[e_idx].mean - ana))
+    worst_shared = max(abs(r["mc_shared_mean"] - r["ps_analytic"]) for r in no_sic)
     out.append(
         _result(
             "fig5", "no-SIC success law vs MC (|z|, eta >= 0 dB)", worst_z, 3.0,
@@ -479,19 +434,14 @@ def check_fig5(trials=20_000, seed=606, threads=1) -> list[CheckResult]:
             detail="model error of the per-AP independence assumption",
         )
     )
-    uplifts = np.empty((len(etas), FIG5_N_MAX))
-    for e_idx, eta in enumerate(etas):
-        base = 1.0 - outage_max_inst_sir(eta, cfg)
-        for n in range(1, FIG5_N_MAX + 1):
-            uplifts[e_idx, n - 1] = ps_sic_max_inst_sir(eta, n, cfg) - base
+    uplifts = [r["sic_uplift"] for r in rows if r["n_max"] >= 1]
+    smallest, peak = min(uplifts), max(uplifts)
     out.append(
         _result(
             "fig5", "SIC uplift positive for N=1..3 at every eta in [0,10] dB",
-            float(uplifts.min()), 0.0, passed=bool(uplifts.min() > 0.0),
-            detail="smallest uplift",
+            smallest, 0.0, passed=smallest > 0.0, detail="smallest uplift",
         )
     )
-    peak = float(uplifts.max())
     out.append(
         _result(
             "fig5", "peak SIC uplift within [0.05, 0.25]", peak, 0.25,
@@ -507,40 +457,36 @@ def check_fig5(trials=20_000, seed=606, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_fig6(trials=100_000, seed=707, threads=1) -> list[CheckResult]:
-    trials = trials or 100_000
+def check_fig6(trials=None, seed=707, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    rows, trials = _preset("fig6", trials, seed, threads)
     out = []
-    etas_db = np.linspace(-10.0, 10.0, 11)
-    etas = [db_to_linear(d) for d in etas_db]
-    results = {}
-    annulus = {}
-    for b_idx, b in enumerate(FIG6_BIASES):
-        cfg = two_tier_config(bias2=b)
-        # same seed for both cancellation modes: identical draws, paired
-        results[b] = (cfg, simulate_rea(cfg, 1, etas, trials, seed + b_idx, threads=threads))
-        annulus[b] = simulate_rea(
-            cfg, 1, etas, trials, seed + b_idx, threads=threads, cancel_mode="annulus"
-        )
+    runs = fig6_runs(seed)
+    etas = [r["eta_lin"] for r in rows[: len(rows) // len(runs)]]
+    # the annulus-clearing oracle on the preset's own draws, bias by bias
+    annulus = [
+        est
+        for _, cfg, b_seed in runs
+        for est in simulate_rea(
+            cfg, 1, etas, trials, b_seed, threads=threads, cancel_mode="annulus"
+        ).cancelled
+    ]
     worst_unc = worst_ann = worst_one = -math.inf
     worst_gap = (-math.inf, "")
     at_unc = at_ann = ""
-    for b, (cfg, res) in results.items():
-        for e_idx, eta in enumerate(etas):
-            where = f"b={b:g}, eta={etas_db[e_idx]:g} dB"
-            unc, can = res.uncancelled[e_idx], res.cancelled[e_idx]
-            ann = annulus[b].cancelled[e_idx]
-            closed = ps_ic_rea(eta, cfg, 1, 1)
-            gap_u = abs(unc.mean - ps_ic_rea(eta, cfg, 1, 0))
-            gap_a = abs(ann.mean - closed)
-            if gap_u - 3.0 * unc.stderr > worst_unc:
-                worst_unc = gap_u - 3.0 * unc.stderr
-                at_unc = f"{where}: gap {gap_u:.4f}"
-            if gap_a - 3.0 * ann.stderr > worst_ann:
-                worst_ann = gap_a - 3.0 * ann.stderr
-                at_ann = f"{where}: gap {gap_a:.4f}"
-            worst_one = max(worst_one, can.mean - closed - 3.0 * can.stderr)
-            worst_gap = max(worst_gap, (closed - can.mean, where))
+    for r, ann in zip(rows, annulus):
+        where = f"b={r['bias']:g}, eta={r['eta_db']:g} dB"
+        closed = r["ps_rea_sic_analytic"]
+        gap_u = abs(r["mc_rea_mean"] - r["ps_rea_analytic"])
+        gap_a = abs(ann.mean - closed)
+        if gap_u - 3.0 * r["mc_rea_stderr"] > worst_unc:
+            worst_unc = gap_u - 3.0 * r["mc_rea_stderr"]
+            at_unc = f"{where}: gap {gap_u:.4f}"
+        if gap_a - 3.0 * ann.stderr > worst_ann:
+            worst_ann = gap_a - 3.0 * ann.stderr
+            at_ann = f"{where}: gap {gap_a:.4f}"
+        worst_one = max(worst_one, r["mc_rea_sic_mean"] - closed - 3.0 * r["mc_rea_sic_stderr"])
+        worst_gap = max(worst_gap, (closed - r["mc_rea_sic_mean"], where))
     out.append(
         _result(
             "fig6", "uncancelled closed form vs REA MC (3 stderr)",
@@ -560,21 +506,12 @@ def check_fig6(trials=100_000, seed=707, threads=1) -> list[CheckResult]:
             detail=f"largest model error {worst_gap[0]:.4f} at {worst_gap[1]}",
         )
     )
-    mono_margin = math.inf
-    order_margin = math.inf
-    for e_idx in range(len(etas)):
-        for lo, hi in ((2.0, 5.0), (5.0, 10.0)):
-            for attr in ("uncancelled", "cancelled"):
-                mono_margin = min(
-                    mono_margin,
-                    getattr(results[lo][1], attr)[e_idx].mean
-                    - getattr(results[hi][1], attr)[e_idx].mean,
-                )
-        for b in FIG6_BIASES:
-            r = results[b][1]
-            order_margin = min(
-                order_margin, r.cancelled[e_idx].mean - r.uncancelled[e_idx].mean
-            )
+    # bias by eta grids; each bias is compared with the next larger one
+    unc, can, closed_unc, closed_can = (
+        _grid(rows, c, len(runs))
+        for c in ("mc_rea_mean", "mc_rea_sic_mean", "ps_rea_analytic", "ps_rea_sic_analytic")
+    )
+    mono_margin = min((g[:-1] - g[1:]).min() for g in (unc, can))
     out.append(
         _result(
             "fig6", "success decreases with bias (both curves)",
@@ -582,18 +519,14 @@ def check_fig6(trials=100_000, seed=707, threads=1) -> list[CheckResult]:
         )
     )
     # the same ordering on the closed forms, free of sampling noise
-    closed_margin = min(
-        ps_ic_rea(eta, results[lo][0], 1, c) - ps_ic_rea(eta, results[hi][0], 1, c)
-        for eta in etas
-        for lo, hi in zip(FIG6_BIASES, FIG6_BIASES[1:])
-        for c in (0, 1)
-    )
+    closed_margin = min((g[:-1] - g[1:]).min() for g in (closed_unc, closed_can))
     out.append(
         _result(
             "fig6", "closed form decreases with bias (both curves)",
             -closed_margin, 0.0, passed=closed_margin > 0.0,
         )
     )
+    order_margin = (can - unc).min()
     out.append(
         _result(
             "fig6", "cancelled curve above uncancelled everywhere",

@@ -101,11 +101,6 @@ class TestPsIc:
         # is deliberately not renormalized, so eta -> 0 leaves exp(-1)
         assert ps_ic(1e-12, 1, MU, MU, 4.0) == pytest.approx(math.exp(-1.0), abs=1e-5)
 
-    def test_renormalize_flag(self):
-        raw = ps_ic(1.0, 2, LAM, MU, 4.0)
-        renorm = ps_ic(1.0, 2, LAM, MU, 4.0, renormalize_serving_distance=True)
-        assert renorm == pytest.approx(raw * math.exp(LAM * 2.0 / MU), rel=1e-10)
-
     def test_matches_quadpack_oracle(self):
         for eta, n in ((1.0, 1), (0.5, 2), (3.0, 1)):
             assert ps_ic(eta, n, LAM, MU, 4.0) == pytest.approx(
@@ -424,14 +419,6 @@ class TestReaSuccess:
                 ps_ic_rea(1.0, two_tier(bias2=b), 1, cancelled) for b in (2.0, 5.0, 10.0)
             ]
             assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_biased_second_term_variant_overstates(self):
-        # keeping the biased exclusion in the second PGFL term breaks the
-        # disjoint-region conditioning and sits well above the exact law
-        cfg = two_tier(bias2=5.0)
-        exact = ps_ic_rea(1.0, cfg, 1, 0)
-        variant = ps_ic_rea(1.0, cfg, 1, 0, biased_second_term=True)
-        assert variant > exact + 0.1
 
     def test_invalid_cancelled(self):
         with pytest.raises(DomainError):

@@ -122,6 +122,11 @@ class TestValidate:
         with pytest.raises(SystemExit):
             main(["validate", "everything"])
 
+    def test_preset_trials_floor_exits_2(self, capsys):
+        # the figure gates run the presets, which refuse fewer than 1000 trials
+        assert main(["validate", "can", "--trials", "500"]) == 2
+        assert "trials >= 1000" in capsys.readouterr().err
+
 
 class TestInspectAndPresets:
     def test_inspect_reports_equivalents(self, capsys, config_path):

@@ -351,12 +351,16 @@ class TestPsCanEstimators:
 
     def test_conditioning_modes(self):
         curves = ps_can_curve_mc(MU, 4.0, [1.0], 3, 10_000, seed=41)
-        assert set(curves) == {"distance_only", "power_with_fading"}
+        assert {o: set(by_key) for o, by_key in curves.items()} == {
+            "distance_only": {"direct", "chain_survival"},
+            "power_with_fading": {"direct"},
+        }
         for by_key in curves.values():
-            for key in ("direct", "chain_survival", "chain_stage"):
-                assert by_key[key].shape == (1, 3)
-            # stage-1 estimators coincide by construction
-            assert by_key["chain_survival"][0][0].mean == by_key["chain_stage"][0][0].mean
+            for est in by_key.values():
+                assert est.shape == (1, 3)
+        # surviving stage 1 is decoding the nearest node, by construction
+        dist = curves["distance_only"]
+        assert dist["chain_survival"][0][0] == dist["direct"][0][0]
 
     def test_fading_order_wins_on_the_same_field(self):
         # n = 1 on one field: the strongest point's power is at least the
@@ -374,7 +378,6 @@ class TestPsCanEstimators:
         radius = 2.0 * window_radius(MU)
         direct = np.zeros((len(etas), n_orders), dtype=np.int64)
         alive_after = np.zeros_like(direct)
-        entered = np.zeros_like(direct)
         for block, size in enumerate((BLOCK_TRIALS, trials - BLOCK_TRIALS)):
             total, top, cum, counts = _field_block(
                 _stream(seed, block), size, MU, radius, n_orders, "distance_only", 4.0
@@ -385,7 +388,6 @@ class TestPsCanEstimators:
                 direct[e_idx] += ok.sum(axis=0)
                 alive = np.ones(size, dtype=bool)
                 for n in range(n_orders):
-                    entered[e_idx, n] += alive.sum()
                     alive = alive & ok[:, n]
                     alive_after[e_idx, n] += alive.sum()
         got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed, threads=2, radius=radius)
@@ -398,13 +400,6 @@ class TestPsCanEstimators:
                 assert got["chain_survival"][e_idx][n] == Estimate.from_counts(
                     int(alive_after[e_idx, n]), trials, seed
                 )
-                stage = got["chain_stage"][e_idx][n]
-                if entered[e_idx, n]:
-                    assert stage == Estimate.from_counts(
-                        int(alive_after[e_idx, n]), int(entered[e_idx, n]), seed
-                    )
-                else:
-                    assert stage.trials == 0 and math.isnan(stage.mean)
 
     def test_invalid_arguments(self):
         for n_orders in (0, -2):
