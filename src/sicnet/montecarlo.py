@@ -6,11 +6,23 @@ trial by trial, independently of every closed form it checks.
 Typical-receiver construction (uplink): the receiving AP sits at the origin,
 the serving transmitter's distance is drawn from the nearest-AP law of the
 equivalent network (density ``lambda_eq``), and interferers form an
-independent PPP of density ``mu_j`` inside a disk of radius
-R_sim = 20 / sqrt(pi mu_j) (about 400 expected interferers; the omitted
-far-field mean is < 0.1% of the in-window mean at alpha = 4).  While an
-interferer is being decoded, the signal of interest is not counted as
-interference, mirroring the trimmed-sum definition of the residual field.
+independent PPP of density ``mu_j``.  While an interferer is being decoded,
+the signal of interest is not counted as interference, mirroring the
+trimmed-sum definition of the residual field.
+
+Windows: where no decision in a trial reads the far field, the field is
+sampled only out to a near window that holds 25 expected points beyond its
+inner radius, and each trial multiplies in the exact Laplace transform of
+the field beyond (:func:`_far_field`), so the estimate has no truncation
+bias: ``simulate_rea`` (both modes) and the independent-stage oracle of
+``ps_sic_curve_mc``.  Every other simulator decides cancellations on the
+residual or decides loads inside its window, so the factor would not be
+exact there, and they still truncate at a fixed disk, which drops a small
+share of the interference and so reads success slightly high: the
+faithful chain, ``ps_can_curve_mc`` and the max-SIR simulators at
+R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400 expected
+interferers), ``simulate_min_load`` at its connectivity range plus a
+margin.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -26,8 +38,9 @@ contributes that conditional probability instead of a 0/1 outcome
 (conditional Monte Carlo, Asmussen and Glynn, *Stochastic Simulation*,
 2007, ch. V), whose variance is never larger.  Workers return the sum and
 the sum of squares of these values per grid point, and the blocks' sums
-are added in block order.  ``ps_can_curve_mc`` and ``run_sic_trial``
-still count 0/1 outcomes.
+are added in block order.  The independent-stage oracle averages each
+cancellation over the cancelled node's fading in the same way.
+``ps_can_curve_mc`` and ``run_sic_trial`` still count 0/1 outcomes.
 """
 
 from __future__ import annotations
@@ -38,12 +51,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import _check_eta
 from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
     SicConfig,
     association_prob_max_power,
 )
+from .numerics import c_integral
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -75,6 +90,13 @@ def _check_ordering(ordering: str) -> str:
     if ordering not in ORDERINGS:
         raise DomainError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     return ordering
+
+
+def _check_etas(etas) -> list[float]:
+    etas = [float(e) for e in np.atleast_1d(etas)]
+    for eta in etas:
+        _check_eta(eta)
+    return etas
 
 
 def _check_trials(trials: int) -> int:
@@ -326,22 +348,51 @@ def _radial_field(
     """Sample ``size`` independent faded PPP fields on the annulus
     r_in < r <= r_out: a Poisson count per row, squared radii uniform on
     (r_in^2, r_out^2] and a unit-mean exponential fading mark per point.
-    ``r_in`` is a scalar or one inner radius per row; a row whose r_in
-    exceeds r_out is empty.  Return (powers, r2, counts) in draw order, not
-    sorted: each row is padded past its count, to at least ``min_cols``
+    ``r_in`` and ``r_out`` are scalars or one radius per row; a row whose
+    r_in exceeds r_out is empty.  Return (powers, r2, counts) in draw order,
+    not sorted: each row is padded past its count, to at least ``min_cols``
     columns, with r2 = inf and zero power.  Callers that need the nearest
     or strongest points pick them with :func:`_top_m`."""
     # two products, so that r_in = 0 reproduces the disk mean bit for bit
     mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
     span = r_out * r_out - r_in * r_in
-    if isinstance(r_in, np.ndarray):
-        mean, span, r_in = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None], r_in[:, None]
+    if isinstance(span, np.ndarray):
+        mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None]
+        r_in = np.reshape(r_in, (-1, 1))
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
     r2 = r_in * r_in + span * (1.0 - rng.random((size, pmax)))
     r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
     powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
     return powers, r2, counts
+
+
+# Expected points of a near field beyond its inner radius, where the far
+# field beyond it enters exactly through _far_field.
+_NEAR_POINTS = 25.0
+
+
+def _near_window2(density: float, r_in2):
+    """Squared outer radius of the near field that holds ``_NEAR_POINTS``
+    expected points of a PPP of ``density`` beyond the squared inner radius
+    ``r_in2`` (a scalar or one per row)."""
+    return r_in2 + _NEAR_POINTS / (math.pi * density)
+
+
+def _far_field(density, r_lo2, s, alpha: float):
+    """-log E[exp(-s I)] for the faded PPP of ``density`` beyond radius
+    r_lo (``r_lo2`` = r_lo^2), I the sum of h r^-alpha over its points with
+    unit-mean exponential marks h:
+
+        pi density s^(2/alpha) C(r_lo^2 s^(-2/alpha), alpha)
+
+    (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012, ch. 5).
+    A trial that averages exp(-s I_near) over a near field sampled out to
+    r_lo and multiplies by exp(-this) is exactly unbiased, whatever r_lo,
+    provided no decision in the trial reads the far field.  Broadcasts over
+    its arguments with one array call of :func:`c_integral`."""
+    s_e = s ** (2.0 / alpha)
+    return math.pi * density * s_e * c_integral(r_lo2 / s_e, alpha)
 
 
 def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
@@ -452,7 +503,6 @@ def _independent_stage_block(
     size: int,
     lambda_eq: float,
     mu_j: float,
-    radius: float,
     n_max: int,
     alpha: float,
 ):
@@ -464,38 +514,78 @@ def _independent_stage_block(
     renormalization); stage n >= 1 first cancels the n-th nearest
     interferer of another fresh field against everything beyond it.  That
     scene needs no window: pi mu_j r_n^2 ~ Gamma(n) (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, 2012, ch. 2), the node gets one fading
-    mark, and the field beyond r_n is an independent PPP.  Returns the
-    threshold-free statistics (s, interference, top, weaker), each trials x
-    stages, where s is the mean signal power u^-alpha, or 0 where the
-    serving distance falls inside R_{I,n}.
+    Geometry for Wireless Networks*, 2012, ch. 2), and the field beyond r_n
+    is an independent PPP.  Each field is sampled out to the near window of
+    its inner radius (:func:`_near_window2`); :func:`_independent_stage_probs`
+    adds the field beyond it exactly.  Returns the threshold-free
+    statistics (s, interference, r2, weaker): s (trials x stages) is the
+    mean signal power u^-alpha, or 0 where the serving distance falls
+    inside R_{I,n}, and interference the near field of each decode stage;
+    r2 (trials x cancellation stages) is r_n^2 and weaker the near field
+    beyond it.  The cancelled node's fading is never drawn.
     """
     s = np.empty((size, n_max + 1))
     interference = np.empty((size, n_max + 1))
-    top = np.empty((size, n_max))
+    r2 = np.empty((size, n_max))
     weaker = np.empty((size, n_max))
     for n in range(n_max + 1):
         r_in = math.sqrt(n / (math.pi * mu_j))
         u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
         s[:, n] = np.where(u2 >= r_in * r_in, u2 ** (-0.5 * alpha), 0.0)
-        powers, _, _ = _radial_field(rng, size, mu_j, r_in, radius, 1, alpha)
+        r_out = math.sqrt(_near_window2(mu_j, r_in * r_in))
+        powers, _, _ = _radial_field(rng, size, mu_j, r_in, r_out, 1, alpha)
         interference[:, n] = powers.sum(axis=1)
         if n:
-            r2_n = rng.standard_gamma(n, size) / (math.pi * mu_j)
-            top[:, n - 1] = rng.exponential(size=size) * r2_n ** (-0.5 * alpha)
+            r2[:, n - 1] = r2_n = rng.standard_gamma(n, size) / (math.pi * mu_j)
             weaker[:, n - 1] = _radial_field(
-                rng, size, mu_j, np.sqrt(r2_n), radius, 1, alpha
+                rng, size, mu_j, np.sqrt(r2_n), np.sqrt(_near_window2(mu_j, r2_n)), 1,
+                alpha,
             )[0].sum(axis=1)
-    return s, interference, top, weaker
+    return s, interference, r2, weaker
 
 
-def _independent_stage_success(s, interference, top, weaker, eta: float) -> np.ndarray:
-    """Success probability over the stages' serving fadings for every budget
-    N = 0..n_max: 1 - prod over the stages n <= N the chain reaches of
-    (1 - exp(-eta I_n / S_n)), each stage decoding its own faded signal."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        miss = np.where(s > 0.0, -np.expm1(-eta * interference / s), 1.0)
-    return 1.0 - np.cumprod(np.where(_reached(top >= eta * weaker), miss, 1.0), axis=1)
+def _stage_chain_success(miss: np.ndarray, cancel: np.ndarray) -> np.ndarray:
+    """Success probability for every budget N = 0..n_max of a chain whose
+    stages are independent: stage n's decode misses with probability
+    ``miss[:, n]`` and its cancellation (n >= 1) succeeds with probability
+    ``cancel[:, n-1]``.  With M_n = prod_{m<=n} miss_m and W_n =
+    prod_{1<=m<=n} cancel_m, the chain fails with probability
+
+        F_N = sum_{j=1}^{N} (1 - cancel_j) W_{j-1} M_{j-1} + W_N M_N,
+
+    the chain dying at cancellation j or running out of budget, and
+    succeeds with 1 - F_N = sum_{n<=N} (1 - miss_n) M_{n-1} W_n.  F_N never
+    grows with N; its running minimum over N removes the rounding that
+    could make it do so.  Where every cancellation probability is 0 or 1
+    this is 1 - prod(miss) over the stages reached, bit for bit."""
+    m = np.cumprod(miss, axis=1)
+    w = np.cumprod(np.column_stack((np.ones(len(miss)), cancel)), axis=1)
+    died = np.cumsum((1.0 - cancel) * w[:, :-1] * m[:, :-1], axis=1)
+    fail = w * m + np.column_stack((np.zeros(len(miss)), died))
+    return 1.0 - np.minimum.accumulate(fail, axis=1)
+
+
+def _independent_stage_probs(
+    s, interference, r2, weaker, eta: float, mu_j: float, alpha: float
+):
+    """Per-stage probabilities of :func:`_independent_stage_block`'s chain,
+    (miss, cancel) as :func:`_stage_chain_success` takes them.  Stage n
+    decodes with probability exp(-eta I_n / S_n - far) over its serving
+    fading, 0 where S_n = 0; its cancellation succeeds with probability
+    exp(-eta r_n^alpha R_n - far) over the cancelled node's fading, which is
+    independent of r_n and of the residual R_n.  Each far term is the exact
+    factor of the field beyond the stage's near window (:func:`_far_field`),
+    so the estimate has no truncation bias."""
+    decode_lo2 = _near_window2(mu_j, np.arange(s.shape[1]) / (math.pi * mu_j))
+    ok = s > 0.0
+    x = np.full(s.shape, np.inf)
+    s_ok = s[ok]
+    x[ok] = eta * interference[ok] / s_ok + _far_field(
+        mu_j, np.broadcast_to(decode_lo2, s.shape)[ok], eta / s_ok, alpha
+    )
+    cancel_s = eta * r2 ** (0.5 * alpha)
+    far = _far_field(mu_j, _near_window2(mu_j, r2), cancel_s, alpha)
+    return -np.expm1(-x), np.exp(-(cancel_s * weaker + far))
 
 
 def ps_sic_curve_mc(
@@ -525,7 +615,11 @@ def ps_sic_curve_mc(
     decoupling the closed-form chain assumes, so it isolates implementation
     errors from model error, as ``independent_fields=True`` does in
     :func:`max_sir_success_curve_mc`.  Like the closed form, it orders by
-    distance only.
+    distance only.  No decision of that chain reads the far field, so it
+    adds the field beyond each stage's near window exactly
+    (:func:`_independent_stage_probs`) and takes no ``radius``.  The
+    default chain decides its cancellations on the residual, so it stays
+    truncated at ``radius`` (default :func:`window_radius`).
     """
     _check_ordering(ordering)
     _check_trials(trials)
@@ -533,16 +627,16 @@ def ps_sic_curve_mc(
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if independent_stages and ordering != "distance_only":
         raise DomainError("independent_stages=True orders by distance only")
-    etas = [float(e) for e in np.atleast_1d(etas)]
+    if independent_stages and radius is not None:
+        raise DomainError("independent_stages=True sets its own windows; radius must be None")
+    etas = _check_etas(etas)
     if radius is None:
         radius = window_radius(mu_j)
 
     def worker(block: int, size: int) -> np.ndarray:
         rng = _stream(seed, block)
         if independent_stages:
-            s, interference, top, weaker = _independent_stage_block(
-                rng, size, lambda_eq, mu_j, radius, n_max, alpha
-            )
+            stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
         else:
             s0 = _serving_block(rng, size, lambda_eq, alpha)
             total, top, cum, _ = _field_block(
@@ -551,7 +645,9 @@ def ps_sic_curve_mc(
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             if independent_stages:
-                p = _independent_stage_success(s, interference, top, weaker, eta)
+                p = _stage_chain_success(
+                    *_independent_stage_probs(*stats, eta, mu_j, alpha)
+                )
             else:
                 p = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
             sums[0, e_idx] = p.sum(axis=0)
@@ -997,15 +1093,23 @@ def _rea_block(
     cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int, cancel_mode: str
 ):
     """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
-    return (signal, i_total, i_res, serving, draws, kept): the serving AP's
-    mean received power (its fading is never drawn), the faded interference
-    before and after the cancellation, the serving distances, and the
-    rejection sampler's draws and REA hits."""
+    return (signal, i_total, i_res, lo2, serving, draws, kept): the serving
+    AP's mean received power (its fading is never drawn), the faded
+    near-field interference before and after the cancellation, the squared
+    radii beyond which each tier's far field is left out, the serving
+    distances, and the rejection sampler's draws and REA hits.
+
+    Tier i's field beyond its nearest AP x_i is sampled out to the near
+    window of x_i (:func:`_near_window2`).  ``lo2`` is (modes, trials,
+    tiers): row 0 holds those windows, which bound the uncancelled far
+    field; in annulus mode row 1 holds the larger of the window and the
+    exclusion radius c_i, beyond which the cancelled far field starts.
+    The strongest mode cancels a nearest AP, never a far one, so it returns
+    row 0 alone."""
     e2 = 2.0 / cfg.alpha
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
     bias = np.array([t.bias for t in cfg.tiers])
-    radius = np.array([window_radius(t.lam) for t in cfg.tiers])
     n_tiers = cfg.n_tiers
 
     # rejection sample nearest-distance tuples conditioned on REA_k
@@ -1030,46 +1134,41 @@ def _rea_block(
         )
 
     # interference per tier: the nearest AP (interferer for i != k) plus
-    # the conditional PPP beyond the nearest
+    # the conditional PPP beyond the nearest, out to the near window
     annulus = cancel_mode == "annulus"
+    x2 = dist**2
+    # unbiased exclusion radii, P_i r^-a > P_k x_k^-a inside c_i (c_k = x_k)
+    c2 = (p_dl / p_dl[k]) ** e2 * x2[:, k:k + 1]
+    lo2 = _near_window2(lam, x2)
     i_total = np.zeros(size)
     removed = np.zeros(size)          # annulus mode: all unbiased-stronger APs
     strongest_unbiased = np.full(size, -math.inf)
     x_strong = np.zeros(size)
-    x_k2 = dist[:, k] ** 2
     for i in range(n_tiers):
         x_i = dist[:, i]
-        x2_i = x_i**2
-        span = np.maximum(radius[i] ** 2 - x2_i, 0.0)
-        counts = rng.poisson(lam[i] * math.pi * span)
-        pmax = max(int(counts.max(initial=0)), 1)
-        r2 = rng.random((size, pmax))
-        r2 *= span[:, None]
-        r2 += x2_i[:, None]
-        r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-        # unbiased exclusion radius: P_i r^-a > P_k x_k^-a
-        c2_i = (p_dl[i] / p_dl[k]) ** e2 * x_k2
-        inside = r2 < c2_i[:, None] if annulus and i != k else None
-        powers = rng.exponential(size=(size, pmax))
+        powers, r2, _ = _radial_field(
+            rng, size, lam[i], x_i, np.sqrt(lo2[:, i]), 1, cfg.alpha
+        )
         powers *= p_dl[i]
-        r2 **= -0.5 * cfg.alpha
-        powers *= r2
         i_total += powers.sum(axis=1)
-        if inside is not None:
-            removed += np.where(inside, powers, 0.0).sum(axis=1)
+        if annulus and i != k:
+            removed += np.where(r2 < c2[:, i, None], powers, 0.0).sum(axis=1)
         if i != k:
             h_near = rng.exponential(size=size)
             contrib = p_dl[i] * h_near * x_i**-cfg.alpha
             i_total += contrib
             if annulus:
-                removed += np.where(x2_i < c2_i, contrib, 0.0)
+                removed += np.where(x2[:, i] < c2[:, i], contrib, 0.0)
             mean_power = p_dl[i] * x_i**-cfg.alpha
             better = mean_power > strongest_unbiased
             strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
             x_strong = np.where(better, contrib, x_strong)
     signal = p_dl[k] * dist[:, k] ** -cfg.alpha
-    i_res = i_total - (removed if annulus else x_strong)
-    return signal, i_total, i_res, dist[:, k], total_draws, n_kept
+    if annulus:
+        i_res, lo2 = i_total - removed, np.stack((lo2, np.maximum(lo2, c2)))
+    else:
+        i_res, lo2 = i_total - x_strong, lo2[None]
+    return signal, i_total, i_res, lo2, dist[:, k], total_draws, n_kept
 
 
 def simulate_rea(
@@ -1087,15 +1186,21 @@ def simulate_rea(
     Trials are rejection-sampled on the per-tier nearest distances until
     the user lands in the REA: the biased winner is tier k while the
     unbiased winner is some other tier.  ``trials`` counts kept REA trials.
-    Each trial contributes exp(-eta I / S) and exp(-eta I_res / S), its
-    success probabilities over the serving fading (:func:`_rea_block`).
+    Each trial contributes its success probabilities over the serving
+    fading, exp(-eta I / S - far) and exp(-eta I_res / S - far_res), where
+    I and I_res are the near-field interference of :func:`_rea_block` and
+    far, far_res the exact factors (:func:`_far_field`) of every tier's
+    field beyond the near window, at s = eta P_i / S.  No decision reads
+    the far field, so the estimates carry no window-truncation bias.
 
     ``cancel_mode`` selects what the single cancellation removes:
       strongest -- the one AP with the highest unbiased mean power (the
-                   physical one-cancellation receiver);
+                   physical one-cancellation receiver); it is a nearest AP,
+                   so far_res = far;
       annulus   -- every AP whose unbiased mean power exceeds the serving
                    AP's (the event the closed form models; it clears the
-                   whole exclusion annulus, not just its strongest member).
+                   whole exclusion annulus, not just its strongest member),
+                   so far_res starts beyond the exclusion radius too.
     """
     cfg.check_tier(k)
     _check_trials(trials)
@@ -1103,15 +1208,20 @@ def simulate_rea(
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
     if all(t.bias == 1.0 for t in cfg.tiers):
         raise DegenerateReaError("no tier carries a bias > 1; REA is empty")
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    etas = np.array(_check_etas(etas))
+    lam = np.array([t.lam for t in cfg.tiers])
+    p_dl = np.array([t.p_dl for t in cfg.tiers])
 
     def worker(block: int, size: int):
-        signal, i_total, i_res, serving, draws, kept = _rea_block(
+        signal, i_total, i_res, lo2, serving, draws, kept = _rea_block(
             cfg, k, _stream(seed, block), size, cancel_mode
         )
         ratio = np.stack((i_total, np.maximum(i_res, 0.0))) / signal
-        # eta x (uncancelled, cancelled) x trial
-        p = np.exp(-np.multiply.outer(etas, ratio))
+        s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
+        # eta x (uncancelled, cancelled) x trial; one far row serves both
+        # in strongest mode
+        x = np.multiply.outer(etas, ratio) + _far_field(lam, lo2, s, cfg.alpha).sum(axis=-1)
+        p = np.exp(-x)
         return np.stack((p.sum(axis=2), (p * p).sum(axis=2))), serving, draws, kept
 
     sums = np.zeros((2, len(etas), 2))

@@ -14,16 +14,20 @@ from sicnet.montecarlo import (
     _SERVING_STREAM,
     _chain_exponent,
     _chain_levels,
+    _far_field,
     _field_block,
     _first_level,
     _independent_stage_block,
+    _independent_stage_probs,
     _max_sir_block,
     _min_load_success,
     _min_load_trials,
     _ordered_powers,
     _radial_field,
     _rea_block,
+    _reached,
     _serving_block,
+    _stage_chain_success,
     _stream,
     _top_m,
     Estimate,
@@ -49,6 +53,17 @@ LAM = MU = 1e-4
 def two_tier(bias2=1.0):
     return NetworkConfig(
         tiers=(TierParams(1e-5, 10.0, 10.0), TierParams(1e-4, 1.0, 1.0, bias=bias2)),
+        alpha=4.0,
+        mu=1e-4,
+        mu_j=1e-4,
+    )
+
+
+def _dense_macro():
+    """Dense strong tier 0 around a sparse biased tier 1: the exclusion
+    radius of tier 0 often lies beyond its near window."""
+    return NetworkConfig(
+        tiers=(TierParams(1e-4, 100.0, 1.0), TierParams(1e-5, 1.0, 1.0, bias=100.0)),
         alpha=4.0,
         mu=1e-4,
         mu_j=1e-4,
@@ -418,43 +433,31 @@ class TestExactLawStage:
     """The cancellation stage of the independent-stage chain draws the n-th
     nearest radius from its law instead of from a window."""
 
-    def test_nth_nearest_radius_is_gamma(self, monkeypatch):
+    def test_nth_nearest_radius_is_gamma(self):
         from scipy import stats
 
-        from sicnet import montecarlo
-
-        # the cancellation fields are the calls with per-row inner radii
-        inner = []
-        radial_field = montecarlo._radial_field
-
-        def spy(rng, size, density, r_in, *rest):
-            if isinstance(r_in, np.ndarray):
-                inner.append(r_in.copy())
-            return radial_field(rng, size, density, r_in, *rest)
-
-        monkeypatch.setattr(montecarlo, "_radial_field", spy)
         n_max, size = 5, 4000
-        _independent_stage_block(_stream(53, 0), size, LAM, MU, window_radius(MU), n_max, 4.0)
-        assert len(inner) == n_max
-        for n, r_n in enumerate(inner, start=1):
-            ks = stats.kstest(math.pi * MU * r_n**2, stats.gamma(n).cdf)
+        _, _, r2, _ = _independent_stage_block(_stream(53, 0), size, LAM, MU, n_max, 4.0)
+        for n in range(1, n_max + 1):
+            ks = stats.kstest(math.pi * MU * r2[:, n - 1], stats.gamma(n).cdf)
             assert ks.pvalue > 1e-3, (n, ks)
 
     def test_cancellation_rate_matches_full_window(self):
-        # stage n cancels when the n-th nearest's power beats eta times
-        # everything beyond it; a full window drawn by _radial_field, with
-        # the n-th nearest picked by _top_m, is the same event
+        # stage n cancels with probability exp(-eta r_n^alpha R_n) over the
+        # node's fading, R_n everything beyond it; a full window drawn by
+        # _radial_field, with the n-th nearest picked by _top_m, is the same
+        # event counted 0/1
         eta, n_max, size = 1.0, 5, 20_000
-        radius = window_radius(MU)
-        s, interference, top, weaker = _independent_stage_block(
-            _stream(59, 0), size, LAM, MU, radius, n_max, 4.0
+        stats = _independent_stage_block(_stream(59, 0), size, LAM, MU, n_max, 4.0)
+        _, cancel = _independent_stage_probs(*stats, eta, MU, 4.0)
+        exact = cancel.mean(axis=0)
+        powers, r2, _ = _radial_field(
+            _stream(60, 0), size, MU, 0.0, window_radius(MU), n_max, 4.0
         )
-        exact = (top >= eta * weaker).mean(axis=0)
-        powers, r2, _ = _radial_field(_stream(60, 0), size, MU, 0.0, radius, n_max, 4.0)
         nearest = _top_m(powers, r2, n_max, "distance_only")
         beyond = powers.sum(axis=1)[:, None] - np.cumsum(nearest, axis=1)
         window = (nearest >= eta * beyond).mean(axis=0)
-        se = np.sqrt((exact * (1 - exact) + window * (1 - window)) / size)
+        se = np.sqrt((cancel.var(axis=0) + window * (1 - window)) / size)
         assert np.all(np.abs(exact - window) <= 4.0 * se), (exact, window)
 
 
@@ -471,6 +474,111 @@ class TestRadialField:
         sums = powers.sum(axis=1)
         campbell = 2.0 * math.pi * lam * (r_in ** (2 - alpha) - r_out ** (2 - alpha)) / (alpha - 2)
         assert abs(sums.mean() - campbell) <= 4.0 * sums.std() / math.sqrt(size)
+
+
+def _agree(a, b, what):
+    """Estimates ``a`` and ``b`` of the same quantities, from runs that share
+    only their serving draws, agree within 4 combined standard errors."""
+    for x, y in zip(a, b):
+        assert abs(x.mean - y.mean) <= 4.0 * math.hypot(x.stderr, y.stderr), (what, x, y)
+
+
+class TestFarField:
+    """The exact far-field factor of the REA simulator and the
+    independent-stage oracle: those estimates do not depend on the near
+    window."""
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_factor_composes_with_sampled_annulus(self, alpha):
+        # the field beyond R is the annulus (R, R'] plus an independent
+        # field beyond R', so a sampled annulus times the factor at R'
+        # averages to the factor at R
+        lam, r, r_out, size = 1e-4, 50.0, 200.0, 20_000
+        s = r**alpha  # C's argument is 1 at R: neither term is negligible
+        powers, _, _ = _radial_field(_stream(67, 0), size, lam, r, r_out, 1, alpha)
+        x = np.exp(-s * powers.sum(axis=1) - _far_field(lam, r_out**2, s, alpha))
+        want = math.exp(-_far_field(lam, r**2, s, alpha))
+        assert 0.2 < want < 0.6
+        assert abs(x.mean() - want) <= 4.0 * x.std() / math.sqrt(size), (x.mean(), want)
+
+    def test_stage_recursion_is_the_indicator_product(self):
+        rng = np.random.default_rng(71)
+        size, n_max = 5000, 5
+        miss = rng.random((size, n_max + 1))
+        miss[rng.random(miss.shape) < 0.2] = 1.0  # serving distance inside R_{I,n}
+        # with every cancellation 0 or 1: 1 - prod(miss) over the stages
+        # reached, as the chain was computed with 0/1 cancellations
+        cancel = (rng.random((size, n_max)) < 0.7).astype(float)
+        old = 1.0 - np.cumprod(np.where(_reached(cancel == 1.0), miss, 1.0), axis=1)
+        assert np.array_equal(_stage_chain_success(miss, cancel), old)
+        # fractional: sum over n <= N of (1 - miss_n) M_{n-1} W_n
+        cancel = rng.random((size, n_max))
+        m_prev = np.cumprod(np.column_stack((np.ones(size), miss[:, :-1])), axis=1)
+        w = np.cumprod(np.column_stack((np.ones(size), cancel)), axis=1)
+        direct = np.cumsum((1.0 - miss) * m_prev * w, axis=1)
+        success = _stage_chain_success(miss, cancel)
+        assert np.allclose(success, direct, rtol=0.0, atol=1e-12)
+        # a larger budget never loses a success, not even to rounding
+        assert np.all(np.diff(success, axis=1) >= 0.0)
+
+    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
+    @pytest.mark.parametrize("near_points", [0.25, 50.0])
+    def test_rea_window_invariance(self, monkeypatch, cancel_mode, near_points):
+        # a near window of 1/4 expected point leaves almost all of the
+        # interference, and in annulus mode the exclusion radius, to the
+        # factor; twice the window (in expected points) leaves less
+        from sicnet import montecarlo
+
+        etas, size, seed = [0.1, 1.0, 4.0], 20_000, 37
+        for cfg in (two_tier(bias2=5.0), _dense_macro()):
+            base = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
+            other = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            monkeypatch.undo()
+            for est in ("uncancelled", "cancelled"):
+                _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
+
+    @pytest.mark.parametrize("near_points", [0.25, 50.0])
+    def test_independent_stage_window_invariance(self, monkeypatch, near_points):
+        from sicnet import montecarlo
+
+        etas, n_max, size, seed = [0.1, 0.3, 1.0], 3, 20_000, 41
+        base = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
+        monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
+        other = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
+        _agree(base.ravel(), other.ravel(), "independent stages")
+
+    def test_edges_fail_loudly(self):
+        cfg = two_tier(bias2=5.0)
+        with np.errstate(all="raise"):
+            for eta in (0.0, -1.0, math.nan, math.inf):
+                for independent in (False, True):
+                    with pytest.raises(DomainError):
+                        ps_sic_curve_mc(
+                            LAM, MU, 4.0, [1.0, eta], 1, 100, 1,
+                            independent_stages=independent,
+                        )
+                with pytest.raises(DomainError):
+                    simulate_rea(cfg, 1, [eta], 100, 1)
+            with pytest.raises(DomainError):
+                ps_sic_curve_mc(
+                    LAM, MU, 4.0, [1.0], 1, 100, 1, independent_stages=True,
+                    radius=window_radius(MU),
+                )
+
+    def test_serving_inside_cancellation_radius_never_decodes(self):
+        # rows with S_n = 0 miss for certain, with no floating-point warning
+        with np.errstate(all="raise"):
+            stats = _independent_stage_block(_stream(73, 0), 2000, LAM, MU, 3, 4.0)
+            miss, cancel = _independent_stage_probs(*stats, 1.0, MU, 4.0)
+            ps_sic_curve_mc(LAM, MU, 4.0, [0.1, 10.0], 3, 2000, 73, independent_stages=True)
+            for mode in ("strongest", "annulus"):
+                simulate_rea(two_tier(bias2=5.0), 1, [0.1, 10.0], 2000, 73, cancel_mode=mode)
+        s = stats[0]
+        assert (s[:, 1:] == 0.0).any()
+        assert np.all(miss[s == 0.0] == 1.0)
+        assert np.all((miss >= 0.0) & (miss <= 1.0) & np.isfinite(miss))
+        assert np.all((cancel >= 0.0) & (cancel <= 1.0))
 
 
 class TestWindowSufficiency:
@@ -782,18 +890,22 @@ class TestConditionalEstimators:
             _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
 
     def test_independent_stages(self):
-        from sicnet.montecarlo import _independent_stage_success
-
+        # the near fields' chain, 0/1 with every fading drawn, against the
+        # recursion over the stages' conditional probabilities
         etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 13
-        s, interference, top, weaker = _independent_stage_block(
-            _stream(seed, 0), size, LAM, MU, window_radius(MU), n_max, 4.0
+        s, interference, r2, weaker = stats = _independent_stage_block(
+            _stream(seed, 0), size, LAM, MU, n_max, 4.0
         )
         h = np.random.default_rng(14).exponential(size=s.shape)
+        h_cancel = np.random.default_rng(15).exponential(size=r2.shape)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
         for e_idx, eta in enumerate(etas):
-            cond = _independent_stage_success(s, interference, top, weaker, eta)
-            assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
-            level = _first_level(h * s >= eta * interference, top >= eta * weaker)
+            p = _stage_chain_success(*_independent_stage_probs(*stats, eta, MU, 4.0))
+            assert [e.mean for e in grid[e_idx]] == (p.sum(axis=0) / size).tolist()
+            with np.errstate(divide="ignore"):
+                miss = np.where(s > 0.0, -np.expm1(-eta * interference / s), 1.0)
+            cond = _stage_chain_success(miss, np.exp(-eta * r2**2 * weaker))
+            level = _first_level(h * s >= eta * interference, h_cancel >= eta * r2**2 * weaker)
             _same_draws(cond, _within_budget(level, n_max), f"independent stages {eta:g}")
 
     @pytest.mark.parametrize("independent", [False, True])
@@ -821,14 +933,26 @@ class TestConditionalEstimators:
 
     @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
     def test_rea(self, cancel_mode):
+        # the near fields, 0/1 with the serving fading drawn, against their
+        # conditional probabilities; simulate_rea multiplies each by the
+        # tiers' far-field factors
         cfg, etas, size, seed = two_tier(bias2=5.0), np.array([0.5, 1.0, 2.0]), 4000, 17
-        signal, i_total, i_res, *_ = _rea_block(cfg, 1, _stream(seed, 0), size, cancel_mode)
+        signal, i_total, i_res, lo2, *_ = _rea_block(
+            cfg, 1, _stream(seed, 0), size, cancel_mode
+        )
         interference = np.stack((i_total, np.maximum(i_res, 0.0)))
         cond = np.exp(-np.multiply.outer(etas, interference / signal))
+        far = np.ones_like(cond)
+        for i, tier in enumerate(cfg.tiers):
+            s = np.multiply.outer(etas, tier.p_dl / signal)
+            for c in range(2):  # strongest mode: one lower limit for both
+                lo2_c = lo2[min(c, len(lo2) - 1), :, i]
+                far[:, c] *= np.exp(-_far_field(tier.lam, lo2_c, s, 4.0))
         res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
         for e_idx in range(len(etas)):
-            assert res.uncancelled[e_idx].mean == cond[e_idx, 0].sum() / size
-            assert res.cancelled[e_idx].mean == cond[e_idx, 1].sum() / size
+            for c, est in enumerate((res.uncancelled[e_idx], res.cancelled[e_idx])):
+                got = (cond[e_idx, c] * far[e_idx, c]).sum() / size
+                assert est.mean == pytest.approx(got, rel=1e-12)
         h = np.random.default_rng(18).exponential(size=size)
         ind = h * signal >= np.multiply.outer(etas, interference)
         _same_draws(
