@@ -28,12 +28,7 @@ from .model import (
     equivalent_density,
     rea_association_prob,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSettings,
-    adaptive_gauss,
-    c_integral,
-)
+from .numerics import adaptive_gauss, c_integral
 
 __all__ = [
     "SicGainBreakdown",
@@ -100,7 +95,6 @@ def ps_ic(
     lambda_eq: float,
     mu_j: float,
     alpha: float,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> float:
     """Probability of decoding the signal of interest after n cancellations.
 
@@ -109,9 +103,9 @@ def ps_ic(
         int_{R_{I,n}}^inf exp(-pi mu_j eta^(2/a) u^2 C(R_{I,n}^2/(eta^(2/a) u^2), a))
                           2 pi lambda_eq u exp(-lambda_eq pi u^2) du
 
-    by adaptive quadrature in the dimensionless variable tau = pi lambda_eq u^2.
-    The serving-distance truncation at R_{I,n} is kept un-renormalized (see
-    module docstring).
+    by adaptive quadrature at default tolerances in the dimensionless
+    variable tau = pi lambda_eq u^2.  The serving-distance truncation at
+    R_{I,n} is kept un-renormalized (see module docstring).
     """
     _check_eta(eta)
     if n < 0:
@@ -133,7 +127,7 @@ def ps_ic(
         return np.exp(-ratio * eta_e * c_val * tau - tau)
 
     tau_max = tau0 + 60.0 + 10.0 * math.sqrt(tau0 + 1.0)
-    return adaptive_gauss(integrand, tau0, tau_max, settings)
+    return adaptive_gauss(integrand, tau0, tau_max)
 
 
 def ps_can(eta: float, n: int, alpha: float) -> float:
@@ -253,7 +247,6 @@ def ps_sic(
     lambda_eq: float,
     mu_j: float,
     alpha: float,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> SicGainBreakdown:
     """Success probability with at most ``n_max`` cancellations:
 
@@ -262,12 +255,11 @@ def ps_sic(
                                       P_s,IC(eta, i).
 
     Each added level is non-negative, so the total is nondecreasing in N.
+    Every P_s,IC term is a :func:`ps_ic` quadrature at default tolerances.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    ps_ic_vals = [
-        ps_ic(eta, n, lambda_eq, mu_j, alpha, settings) for n in range(n_max + 1)
-    ]
+    ps_ic_vals = [ps_ic(eta, n, lambda_eq, mu_j, alpha) for n in range(n_max + 1)]
     ps_no_ic = ps_ic_vals[0]
     q_single = ps_can(eta, 1, alpha) if n_max >= 1 else 1.0
     levels = []
@@ -327,16 +319,15 @@ def load_pmf(m: int, mu_j: float, lam: float) -> float:
     return math.exp(log_f)
 
 
-def load_pmf_table(
-    mu_j: float,
-    lam: float,
-    tail: float = 1e-12,
-    m_cap: int = 100_000,
-) -> np.ndarray:
-    """PMF values f_M(0..M) with M chosen so the omitted tail mass < ``tail``."""
+_LOAD_M_CAP = 100_000  # largest load tabulated, whatever the tail
+
+
+def load_pmf_table(mu_j: float, lam: float, tail: float = 1e-12) -> np.ndarray:
+    """PMF values f_M(0..M) with M chosen so the omitted tail mass < ``tail``
+    (M at most ``_LOAD_M_CAP``)."""
     values = []
     cumulative = 0.0
-    for m in range(m_cap + 1):
+    for m in range(_LOAD_M_CAP + 1):
         f = load_pmf(m, mu_j, lam)
         values.append(f)
         cumulative += f
@@ -465,12 +456,7 @@ def outage_max_inst_sir(eta: float, cfg: NetworkConfig) -> float:
     return math.exp(-num / (eta**e * c0 * den))
 
 
-def _sic_gain_integral(
-    eta: float,
-    n_max: int,
-    alpha: float,
-    settings: QuadratureSettings,
-) -> float:
+def _sic_gain_integral(eta: float, n_max: int, alpha: float) -> float:
     """int_0^inf P_gain(eta, N | tau) dtau in the scaled variable
     tau = pi mu_tilde u^2; the cancellation disks map to integers."""
     e = 2.0 / alpha
@@ -492,14 +478,13 @@ def _sic_gain_integral(
 
     c0 = c_integral(0.0, alpha)
     tau_max = 2.0 * n_max / eta_e + 120.0 / (eta_e * c0)
-    return adaptive_gauss(integrand, 0.0, tau_max, settings)
+    return adaptive_gauss(integrand, 0.0, tau_max)
 
 
 def ps_sic_max_inst_sir(
     eta: float,
     n_max: int,
     cfg: NetworkConfig,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> float:
     """Success probability of the max-instantaneous-SIR policy with SIC:
 
@@ -516,7 +501,7 @@ def ps_sic_max_inst_sir(
     if n_max == 0:
         return 1.0 - p_out
     eq = equivalent_density(cfg)
-    gain_integral = _sic_gain_integral(eta, n_max, cfg.alpha, settings)
+    gain_integral = _sic_gain_integral(eta, n_max, cfg.alpha)
     log_factor = 0.0
     for k, tier in enumerate(cfg.tiers):
         # 2 pi lam_k int P_gain u du = (lam_k / mu_tilde_k) int P_gain dtau

@@ -212,7 +212,7 @@ def _run_fig3(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     t0 = time.perf_counter()
     grid = ps_sic_curve_mc(
         DENSITY_MACRO, DENSITY_MACRO, 4.0, etas, FIG3_N_MAX, spec.trials,
-        spec.seed, ordering="distance_only", threads=spec.threads,
+        spec.seed, threads=spec.threads,
     )
     ms = _ms(t0) / (len(etas) * (FIG3_N_MAX + 1))
     for e_idx, eta_db in enumerate(FIG3_ETA_DB):

@@ -10,6 +10,11 @@ independent PPP of density ``mu_j``.  While an interferer is being decoded,
 the signal of interest is not counted as interference, mirroring the
 trimmed-sum definition of the residual field.
 
+Ordering: every SIC chain (``ps_sic_curve_mc``, ``simulate_max_inst_sir``)
+cancels in order of mean received power, nearest interferer first, as the
+paper's chain does.  Only ``ps_can_curve_mc`` and the scene oracles
+(``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded power.
+
 Windows: where no decision in a trial reads the far field, the field is
 sampled only out to a near window that holds 25 expected points beyond its
 inner radius, and each trial multiplies in the exact Laplace transform of
@@ -168,6 +173,15 @@ class Estimate:
     @classmethod
     def from_counts(cls, successes: float, trials: int, seed: int) -> "Estimate":
         return cls.from_sums(successes, successes, trials, seed)
+
+
+def _estimates(sums, trials: int, seed: int):
+    """One :class:`Estimate` per grid point from ``sums``, the per-point sums
+    and sums of squares stacked on the first axis: an object array of the
+    grid's shape, or a single Estimate for a scalar grid point.  A count of
+    0/1 outcomes is both its own sum and its own sum of squares."""
+    make = np.frompyfunc(lambda t, sq: Estimate.from_sums(t, sq, trials, seed), 2, 1)
+    return make(sums[0], sums[1])
 
 
 @dataclass(frozen=True)
@@ -428,16 +442,14 @@ def _field_block(
     mu_j: float,
     radius: float,
     m: int,
-    ordering: str,
     alpha: float,
 ):
     """Sample ``size`` interferer fields in the disk of radius ``radius``
     (:func:`_radial_field`); return (total, top, cum, counts) where total is
-    each row's power sum, top[:, i] the (i+1)-th nearest or strongest power
-    under the ordering (:func:`_top_m`; zero past the row's count) and cum
-    its running sum."""
+    each row's power sum, top[:, i] the (i+1)-th nearest power
+    (:func:`_top_m`; zero past the row's count) and cum its running sum."""
     powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
-    top = _top_m(powers, r2, m, ordering)
+    top = _top_m(powers, r2, m, "distance_only")
     return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
 
 
@@ -596,16 +608,16 @@ def ps_sic_curve_mc(
     n_max: int,
     trials: int,
     seed: int,
-    ordering: str = "distance_only",
     threads: int = 1,
-    radius: float | None = None,
     independent_stages: bool = False,
 ):
     """Event-chain success estimates for every (eta, N <= n_max) pair.
 
-    One sampling pass serves the whole grid: each trial's field statistics
-    are reused for every threshold and every cancellation budget.  Each
-    trial contributes its success probability over the serving fading
+    Stage n cancels the n-th nearest interferer, the one of n-th largest
+    mean received power, as the paper's chain does.  One sampling pass
+    serves the whole grid: each trial's field statistics are reused for
+    every threshold and every cancellation budget.  Each trial contributes
+    its success probability over the serving fading
     (:func:`_chain_exponent`).  Returns an (n_eta, n_max+1) array of
     :class:`Estimate`.
 
@@ -614,24 +626,17 @@ def ps_sic_curve_mc(
     R_{I,n} (see :func:`_independent_stage_block`).  That is exactly the
     decoupling the closed-form chain assumes, so it isolates implementation
     errors from model error, as ``independent_fields=True`` does in
-    :func:`max_sir_success_curve_mc`.  Like the closed form, it orders by
-    distance only.  No decision of that chain reads the far field, so it
-    adds the field beyond each stage's near window exactly
-    (:func:`_independent_stage_probs`) and takes no ``radius``.  The
-    default chain decides its cancellations on the residual, so it stays
-    truncated at ``radius`` (default :func:`window_radius`).
+    :func:`max_sir_success_curve_mc`.  No decision of that chain reads the
+    far field, so it adds the field beyond each stage's near window exactly
+    (:func:`_independent_stage_probs`).  The default chain decides its
+    cancellations on the residual, so it stays truncated at
+    :func:`window_radius`.
     """
-    _check_ordering(ordering)
     _check_trials(trials)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if independent_stages and ordering != "distance_only":
-        raise DomainError("independent_stages=True orders by distance only")
-    if independent_stages and radius is not None:
-        raise DomainError("independent_stages=True sets its own windows; radius must be None")
     etas = _check_etas(etas)
-    if radius is None:
-        radius = window_radius(mu_j)
+    radius = window_radius(mu_j)
 
     def worker(block: int, size: int) -> np.ndarray:
         rng = _stream(seed, block)
@@ -639,9 +644,7 @@ def ps_sic_curve_mc(
             stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
         else:
             s0 = _serving_block(rng, size, lambda_eq, alpha)
-            total, top, cum, _ = _field_block(
-                rng, size, mu_j, radius, n_max, ordering, alpha
-            )
+            total, top, cum, _ = _field_block(rng, size, mu_j, radius, n_max, alpha)
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             if independent_stages:
@@ -657,13 +660,7 @@ def ps_sic_curve_mc(
     sums = np.zeros((2, len(etas), n_max + 1))
     for partial in _map_blocks(trials, worker, threads):
         sums += partial
-    return np.array(
-        [
-            [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*rows)]
-            for rows in zip(*sums)
-        ],
-        dtype=object,
-    )
+    return _estimates(sums, trials, seed)
 
 
 def ps_can_curve_mc(
@@ -693,7 +690,7 @@ def ps_can_curve_mc(
     _check_trials(trials)
     if n_orders < 1:
         raise DomainError(f"n_orders must be >= 1, got {n_orders}")
-    etas = [float(e) for e in np.atleast_1d(etas)]
+    etas = _check_etas(etas)
     if radius is None:
         radius = window_radius(mu_j)
 
@@ -715,11 +712,12 @@ def ps_can_curve_mc(
                     wins[-1, e_idx] = np.logical_and.accumulate(ok, axis=1).sum(axis=0)
         return wins
 
-    dist, fade, survivors = sum(_map_blocks(trials, worker, threads))
-    estimate = np.frompyfunc(lambda c: Estimate.from_counts(int(c), trials, seed), 1, 1)
+    dist, fade, survivors = (
+        _estimates((c, c), trials, seed) for c in sum(_map_blocks(trials, worker, threads))
+    )
     return {
-        "distance_only": {"direct": estimate(dist), "chain_survival": estimate(survivors)},
-        "power_with_fading": {"direct": estimate(fade)},
+        "distance_only": {"direct": dist, "chain_survival": survivors},
+        "power_with_fading": {"direct": fade},
     }
 
 
@@ -818,8 +816,8 @@ def simulate_min_load(
     """
     _check_trials(trials)
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    if np.any(rhos <= 0.0):
-        raise DomainError("rate thresholds must be > 0")
+    if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
+        raise DomainError(f"rate thresholds must be finite and > 0, got {rhos.tolist()}")
     hist_cap = 256
 
     def worker(block: int, size: int):
@@ -840,10 +838,7 @@ def simulate_min_load(
         sums += s
         hist += h
         no_cand += nc
-    base, sic = (
-        tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, i]))
-        for i in range(2)
-    )
+    base, sic = (tuple(_estimates(sums[:, i], trials, seed)) for i in range(2))
     return MinLoadResult(
         rhos=tuple(rhos.tolist()),
         coverage=base,
@@ -911,35 +906,37 @@ def _independent_fields(
     return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
 
 
+# Radius of the disk in which the candidate APs of every tier are drawn, m.
+_CAND_RADIUS = 250.0
+
+
 def _max_sir_trials(
     cfg: NetworkConfig,
     rng: np.random.Generator,
     size: int,
-    cand_radius: float,
     independent_fields: bool,
-    ordering: str,
     m: int,
 ):
     """Draw ``size`` max-SIR trials and yield ``(signal, total, top)`` for
     each trial that has a candidate AP, one row per AP: the user's mean
     received power (its link fading is never drawn), the aggregate UL
-    interference and the ``m`` nearest or strongest interferer powers
-    (:func:`_top_m`; fewer where the field is smaller).
+    interference and the ``m`` nearest interferer powers (:func:`_top_m`;
+    fewer where the field is smaller), which the chain cancels in order.
 
-    Per trial the candidate APs of every tier are drawn in a disk.  By
-    default the interfering users of every tier (density p_a,k mu, UL power
-    Q_k) are drawn in a disk too, and all APs observe that one user field
-    through independent per-link fading; ``independent_fields=True`` instead
-    gives every AP its own field, drawn as radii only, which is exactly the
-    decoupling the closed forms assume, and draws no shared field.  The
-    draws do not depend on ``ordering`` or ``m``."""
+    Per trial the candidate APs of every tier are drawn in the disk of
+    radius ``_CAND_RADIUS``.  By default the interfering users of every tier
+    (density p_a,k mu, UL power Q_k) are drawn in a disk too, and all APs
+    observe that one user field through independent per-link fading;
+    ``independent_fields=True`` instead gives every AP its own field, drawn
+    as radii only, which is exactly the decoupling the closed forms assume,
+    and draws no shared field.  The draws do not depend on ``m``."""
     alpha = cfg.alpha
     q_ul = np.array([t.q_ul for t in cfg.tiers])
     mu = [association_prob_max_power(cfg, k) * cfg.mu for k in range(cfg.n_tiers)]
     user_radius = window_radius(cfg.mu)
     fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in zip(mu, q_ul)]
     for _ in range(size):
-        aps = [sample_ppp(t.lam, cand_radius, rng) for t in cfg.tiers]
+        aps = [sample_ppp(t.lam, _CAND_RADIUS, rng) for t in cfg.tiers]
         if not independent_fields:
             users = [sample_ppp(mu_k, user_radius, rng) for mu_k in mu]
         n_aps = sum(len(a) for a in aps)
@@ -960,16 +957,14 @@ def _max_sir_trials(
             )
             p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
             total = p.sum(axis=1)
-        yield signal, total, _top_m(p, d2, m, ordering)
+        yield signal, total, _top_m(p, d2, m, "distance_only")
 
 
 def _max_sir_block(
     cfg: NetworkConfig,
     rng: np.random.Generator,
     size: int,
-    cand_radius: float,
     independent_fields: bool,
-    ordering: str,
     m: int,
 ):
     """The AP rows of one block of :func:`_max_sir_trials` stacked, with the
@@ -979,9 +974,7 @@ def _max_sir_block(
     stage cancels and leaves the residual as it was, so it cannot change
     the chain's outcome."""
     rows = []
-    for signal, total, top in _max_sir_trials(
-        cfg, rng, size, cand_radius, independent_fields, ordering, m
-    ):
+    for signal, total, top in _max_sir_trials(cfg, rng, size, independent_fields, m):
         pad = m - top.shape[1]
         rows.append((signal, total, np.pad(top, ((0, 0), (0, pad))) if pad else top))
     if not rows:
@@ -993,7 +986,7 @@ def _max_sir_block(
 
 def _max_sir_sums(
     cfg: NetworkConfig, etas, n_max: int, trials: int, seed: int, threads: int,
-    cand_radius: float, independent_fields: bool, ordering: str,
+    independent_fields: bool,
 ) -> np.ndarray:
     """Sums and sums of squares over ``trials`` max-SIR trials of each
     trial's success probability, a (2, n_eta, n_max + 1) array over every
@@ -1008,10 +1001,7 @@ def _max_sir_sums(
 
     def worker(block: int, size: int) -> np.ndarray:
         sums = np.zeros((2, len(etas), n_max + 1))
-        rows = _max_sir_block(
-            cfg, _stream(seed, block), size, cand_radius, independent_fields,
-            ordering, n_max,
-        )
+        rows = _max_sir_block(cfg, _stream(seed, block), size, independent_fields, n_max)
         if rows is None:
             return sums
         signal, total, top, first_row = rows
@@ -1035,7 +1025,6 @@ def max_sir_success_curve_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-    cand_radius: float = 250.0,
     independent_fields: bool = False,
 ) -> list[Estimate]:
     """Success probability of the max-instantaneous-SIR policy without SIC,
@@ -1051,12 +1040,9 @@ def max_sir_success_curve_mc(
     trials are those of :func:`simulate_max_inst_sir` with N = 0.
     """
     _check_trials(trials)
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    sums = _max_sir_sums(
-        cfg, etas, 0, trials, seed, threads, cand_radius, independent_fields,
-        "distance_only",
-    )
-    return [Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, :, 0])]
+    etas = _check_etas(etas)
+    sums = _max_sir_sums(cfg, etas, 0, trials, seed, threads, independent_fields)
+    return _estimates(sums[:, :, 0], trials, seed).tolist()
 
 
 def simulate_max_inst_sir(
@@ -1064,24 +1050,20 @@ def simulate_max_inst_sir(
     sic: SicConfig,
     trials: int,
     seed: int,
-    ordering: str = "distance_only",
     threads: int = 1,
-    cand_radius: float = 250.0,
     independent_fields: bool = False,
 ) -> Estimate:
     """Max-instantaneous-SIR policy with SIC: the uplink succeeds if any
     candidate AP decodes the user after at most N cancellations, running
-    the full event chain independently at each AP (:func:`_max_sir_sums`).
-    ``independent_fields`` gives every AP its own interferer field (the
-    closed form's decoupling); the default shares the physical field across
-    APs."""
-    _check_ordering(ordering)
+    the full event chain, nearest interferer first, independently at each
+    AP (:func:`_max_sir_sums`).  ``independent_fields`` gives every AP its
+    own interferer field (the closed form's decoupling); the default shares
+    the physical field across APs."""
     _check_trials(trials)
     sums = _max_sir_sums(
-        cfg, [sic.eta_t], sic.n_max, trials, seed, threads, cand_radius,
-        independent_fields, ordering,
+        cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )
-    return Estimate.from_sums(*sums[:, 0, sic.n_max], trials, seed)
+    return _estimates(sums[:, 0, sic.n_max], trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1233,10 +1215,7 @@ def simulate_rea(
         serving.append(sd)
         draws += att
         kept += nr
-    unc, can = (
-        tuple(Estimate.from_sums(t, sq, trials, seed) for t, sq in zip(*sums[:, :, c]))
-        for c in range(2)
-    )
+    unc, can = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(2))
     return ReaResult(
         etas=tuple(etas.tolist()),
         uncancelled=unc,

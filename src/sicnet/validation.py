@@ -239,8 +239,7 @@ def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
     n_max = analytic.shape[1] - 1
     stages = ps_sic_curve_mc(
         DENSITY_MACRO, DENSITY_MACRO, 4.0, [r["eta_lin"] for r in no_sic], n_max,
-        trials, seed + 1, ordering="distance_only", threads=threads,
-        independent_stages=True,
+        trials, seed + 1, threads=threads, independent_stages=True,
     )
     worst_z = 0.0
     z_at = ""

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, unit discipline, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,19 @@ class TestInspectAndPresets:
         out = capsys.readouterr().out
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "custom"):
             assert name in out
+
+    def test_module_entry_point(self):
+        # python -m sicnet from a source checkout, without installing
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sicnet", "presets"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fig3" in proc.stdout
 
 
 class TestHelpDocumentsUnits:

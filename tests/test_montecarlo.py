@@ -395,7 +395,7 @@ class TestPsCanEstimators:
         alive_after = np.zeros_like(direct)
         for block, size in enumerate((BLOCK_TRIALS, trials - BLOCK_TRIALS)):
             total, top, cum, counts = _field_block(
-                _stream(seed, block), size, MU, radius, n_orders, "distance_only", 4.0
+                _stream(seed, block), size, MU, radius, n_orders, 4.0
             )
             enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
             for e_idx, eta in enumerate(etas):
@@ -422,11 +422,6 @@ class TestPsCanEstimators:
                 ps_can_curve_mc(MU, 4.0, [1.0], n_orders, 1000, seed=1)
         with pytest.raises(DomainError):
             ps_sic_curve_mc(LAM, MU, 4.0, [1.0], -1, 1000, seed=1)
-        with pytest.raises(DomainError):
-            ps_sic_curve_mc(
-                LAM, MU, 4.0, [1.0], 1, 1000, seed=1, ordering="power_with_fading",
-                independent_stages=True,
-            )
 
 
 class TestExactLawStage:
@@ -560,11 +555,12 @@ class TestFarField:
                         )
                 with pytest.raises(DomainError):
                     simulate_rea(cfg, 1, [eta], 100, 1)
-            with pytest.raises(DomainError):
-                ps_sic_curve_mc(
-                    LAM, MU, 4.0, [1.0], 1, 100, 1, independent_stages=True,
-                    radius=window_radius(MU),
-                )
+                with pytest.raises(DomainError):
+                    ps_can_curve_mc(MU, 4.0, [1.0, eta], 1, 100, 1)
+                with pytest.raises(DomainError):
+                    max_sir_success_curve_mc(cfg, [1.0, eta], 100, 1)
+                with pytest.raises(DomainError):
+                    simulate_min_load(1e-4, 5e-4, 100.0, [0.5, eta], 100, 1)
 
     def test_serving_inside_cancellation_radius_never_decodes(self):
         # rows with S_n = 0 miss for certain, with no floating-point warning
@@ -591,7 +587,7 @@ class TestWindowSufficiency:
         for b in range(blocks):
             rng = _stream(seed, b)
             s0 = _serving_block(rng, size, LAM, 4.0)
-            total, top, cum, _ = _field_block(rng, size, MU, r, n_max, "distance_only", 4.0)
+            total, top, cum, _ = _field_block(rng, size, MU, r, n_max, 4.0)
             annulus, _, _ = _radial_field(rng, size, MU, r, 2.0 * r, 1, 4.0)
             p.append([
                 np.exp(-_chain_exponent(s0, t, top, cum, eta, n_max)[:, n_max])
@@ -692,9 +688,9 @@ class TestMaxSir:
             assert np.array_equal(_top_m(p, d2, m, "distance_only"), ref[:, :m]), m
 
     @pytest.mark.parametrize("independent", [False, True])
-    @pytest.mark.parametrize("ordering", ["distance_only", "power_with_fading"])
-    @pytest.mark.parametrize("n_max", [0, 1, 3])
-    def test_block_chain_matches_trial_loop(self, independent, ordering, n_max):
+    # the ids name the chain's ordering: nearest interferer first
+    @pytest.mark.parametrize("n_max", [0, 1, 3], ids=lambda n: f"{n}-distance_only")
+    def test_block_chain_matches_trial_loop(self, independent, n_max):
         # the chain run once over the block's rows against a loop over each
         # trial's APs and stages: P = 1 - prod_a (1 - exp(-eta R_{a,L_a} / S_a))
         from sicnet.montecarlo import _max_sir_trials, _stream
@@ -702,7 +698,7 @@ class TestMaxSir:
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
         probs = []
         for signal, total, top in _max_sir_trials(
-            cfg, _stream(seed, 0), trials, 250.0, independent, ordering, n_max
+            cfg, _stream(seed, 0), trials, independent, n_max
         ):
             miss = 1.0
             for s, residual, powers in zip(signal, total, top):
@@ -714,8 +710,7 @@ class TestMaxSir:
             probs.append(1.0 - miss)
         probs = np.array(probs)
         est = simulate_max_inst_sir(
-            cfg, SicConfig(eta, n_max), trials, seed, ordering=ordering,
-            independent_fields=independent,
+            cfg, SicConfig(eta, n_max), trials, seed, independent_fields=independent
         )
         ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
@@ -741,29 +736,29 @@ class TestMaxSir:
 
     @pytest.mark.parametrize("independent", [False, True])
     def test_zero_budget_draws_the_curve_trials(self, independent):
-        # N = 0 cancels nothing, so the ordering is idle and the chain is the
-        # plain max-SIR event on the same draws as the no-SIC simulator
+        # N = 0 cancels nothing, so the chain is the plain max-SIR event on
+        # the same draws as the no-SIC simulator
         cfg = two_tier()
         etas = [10.0 ** (d / 10.0) for d in (-4.0, 0.0, 6.0)]
         curve = max_sir_success_curve_mc(
             cfg, etas, 200, seed=29, independent_fields=independent
         )
         for eta, est in zip(etas, curve):
-            for ordering in ("distance_only", "power_with_fading"):
-                sic = simulate_max_inst_sir(
-                    cfg, SicConfig(eta, 0), 200, seed=29, ordering=ordering,
-                    independent_fields=independent,
-                )
-                assert sic.mean == est.mean
+            sic = simulate_max_inst_sir(
+                cfg, SicConfig(eta, 0), 200, seed=29, independent_fields=independent
+            )
+            assert sic.mean == est.mean
 
-    @pytest.mark.parametrize("independent", [False, True])
-    @pytest.mark.parametrize("ordering", ["distance_only", "power_with_fading"])
-    def test_success_nondecreasing_in_budget(self, independent, ordering):
+    # the ids name the chain's ordering: nearest interferer first
+    @pytest.mark.parametrize(
+        "independent", [False, True], ids=lambda i: f"distance_only-{i}"
+    )
+    def test_success_nondecreasing_in_budget(self, independent):
         # the draws do not depend on N, and a chain that succeeds within N
         # cancellations succeeds within N + 1
         means = [
             simulate_max_inst_sir(
-                two_tier(), SicConfig(1.0, n), 200, seed=31, ordering=ordering,
+                two_tier(), SicConfig(1.0, n), 200, seed=31,
                 independent_fields=independent,
             ).mean
             for n in range(4)
@@ -878,9 +873,7 @@ class TestConditionalEstimators:
         etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 11
         rng = _stream(seed, 0)
         s0 = _serving_block(rng, size, LAM, 4.0)
-        total, top, cum, _ = _field_block(
-            rng, size, MU, window_radius(MU), n_max, "distance_only", 4.0
-        )
+        total, top, cum, _ = _field_block(rng, size, MU, window_radius(MU), n_max, 4.0)
         h = np.random.default_rng(12).exponential(size=size)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed)
         for e_idx, eta in enumerate(etas):
@@ -912,7 +905,7 @@ class TestConditionalEstimators:
     def test_max_sir(self, independent):
         cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 3, 400, 15
         signal, total, top, first_row = _max_sir_block(
-            cfg, _stream(seed, 0), size, 250.0, independent, "distance_only", n_max
+            cfg, _stream(seed, 0), size, independent, n_max
         )
         cum = np.cumsum(top, axis=1)
         x = _chain_exponent(signal, total, top, cum, eta, n_max)
@@ -982,20 +975,21 @@ class TestConditionalEstimators:
         ind[:, :, : len(rows)] = np.stack((base, sic))
         _same_draws(cond.reshape(-1, size).T, ind.reshape(-1, size).T, "min-load")
 
-    def test_thread_invariance(self):
-        # a full block and a partial one, dispatched on 1 and 4 threads
+    def test_thread_invariance(self, monkeypatch):
+        # a full block and a partial one, dispatched on 1 and 4 threads; the
+        # smaller candidate disk keeps the max-SIR runs short
+        from sicnet import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 80.0)
         trials = BLOCK_TRIALS + 100
         cfg = two_tier()
         runs = [
             (
                 simulate_rea(two_tier(bias2=5.0), 1, [0.5, 2.0], trials, 21, threads=t),
                 simulate_min_load(1e-4, 5e-4, 100.0, [0.2, 1.0], trials, 22, threads=t),
-                max_sir_success_curve_mc(
-                    cfg, [1.0, 3.0], trials, 23, threads=t, cand_radius=80.0
-                ),
+                max_sir_success_curve_mc(cfg, [1.0, 3.0], trials, 23, threads=t),
                 simulate_max_inst_sir(
-                    cfg, SicConfig(1.0, 2), trials, 24, threads=t, cand_radius=80.0,
-                    independent_fields=True,
+                    cfg, SicConfig(1.0, 2), trials, 24, threads=t, independent_fields=True
                 ),
             )
             for t in (1, 4)
