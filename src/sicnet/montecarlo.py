@@ -20,11 +20,14 @@ sampled only out to a near window that holds 25 expected points beyond its
 inner radius, and each trial multiplies in the exact Laplace transform of
 the field beyond (:func:`_far_field`), so the estimate has no truncation
 bias: ``simulate_rea`` (both modes) and the independent-stage oracle of
-``ps_sic_curve_mc``.  Every other simulator decides cancellations on the
+``ps_sic_curve_mc``.  The no-SIC max-SIR estimate with independent fields
+(``max_sir_success_curve_mc``, ``simulate_max_inst_sir`` at N = 0) reads
+no field at all, so it draws none and takes each AP's whole field from
+that transform.  Every other simulator decides cancellations on the
 residual or decides loads inside its window, so the factor would not be
 exact there, and they still truncate at a fixed disk, which drops a small
 share of the interference and so reads success slightly high: the
-faithful chain, ``ps_can_curve_mc`` and the max-SIR simulators at
+faithful chain, ``ps_can_curve_mc`` and the other max-SIR runs at
 R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400 expected
 interferers), ``simulate_min_load`` at its connectivity range plus a
 margin.
@@ -169,10 +172,6 @@ class Estimate:
             trials=trials,
             seed=seed,
         )
-
-    @classmethod
-    def from_counts(cls, successes: float, trials: int, seed: int) -> "Estimate":
-        return cls.from_sums(successes, successes, trials, seed)
 
 
 def _estimates(sums, trials: int, seed: int):
@@ -375,9 +374,14 @@ def _radial_field(
         r_in = np.reshape(r_in, (-1, 1))
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
-    r2 = r_in * r_in + span * (1.0 - rng.random((size, pmax)))
-    r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-    powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
+    # in place, the same operations as r_in^2 + span * (1 - u)
+    r2 = rng.random((size, pmax))
+    np.subtract(1.0, r2, out=r2)
+    r2 *= span
+    r2 += r_in * r_in
+    np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= counts[:, None])
+    powers = rng.standard_exponential((size, pmax))
+    powers *= r2 ** (-0.5 * alpha)
     return powers, r2, counts
 
 
@@ -885,25 +889,37 @@ def voronoi_load_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _independent_fields(
-    rng: np.random.Generator, n_aps: int, fields, alpha: float, m: int
-):
+def _interferer_tiers(cfg: NetworkConfig):
+    """``(density, UL power)`` of each tier's interfering users: the users
+    of tier k, density p_k mu under max-power association, transmit at Q_k."""
+    return [
+        (association_prob_max_power(cfg, k) * cfg.mu, t.q_ul)
+        for k, t in enumerate(cfg.tiers)
+    ]
+
+
+def _independent_fields(rng: np.random.Generator, n_aps: int, fields, alpha: float):
     """Give each of ``n_aps`` receivers its own multi-tier user field, one
     tier per ``(density, window radius, UL power)`` in ``fields``, each a
     disk field of :func:`_radial_field`.  Return the aggregate interference
-    per receiver and, for ``m > 0``, the powers and squared radii of all
-    users side by side (empty arrays for ``m = 0``)."""
+    per receiver and the powers and squared radii of all users side by
+    side."""
     total = np.zeros(n_aps)
     parts_p, parts_r2 = [], []
     for mu_k, r_w, q in fields:
         base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, r_w, 1, alpha)
         total += q * base.sum(axis=1)
-        if m:
-            parts_p.append(q * base)
-            parts_r2.append(r2)
-    if not m:
-        return total, np.empty((n_aps, 0)), np.empty((n_aps, 0))
+        parts_p.append(q * base)
+        parts_r2.append(r2)
     return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
+
+
+def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
+    """-log E[exp(-eta I_a / S_a)] for APs a that each see a whole user
+    field I_a of their own: the sum over the interferer ``tiers`` of
+    :func:`_far_field` from radius 0 at s = eta Q_k / S_a, one value per
+    entry of ``signal``."""
+    return sum(_far_field(mu_k, 0.0, eta * q / signal, alpha) for mu_k, q in tiers)
 
 
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
@@ -929,16 +945,20 @@ def _max_sir_trials(
     observe that one user field through independent per-link fading;
     ``independent_fields=True`` instead gives every AP its own field, drawn
     as radii only, which is exactly the decoupling the closed forms assume,
-    and draws no shared field.  The draws do not depend on ``m``."""
+    and draws no shared field.  With independent fields and ``m = 0`` no
+    cancellation reads a field, so none is drawn at all: ``total`` is None,
+    ``top`` has no columns, and the caller averages each AP's whole field
+    out exactly (:func:`_max_sir_far_exponent`).  Otherwise the draws do not
+    depend on ``m``."""
     alpha = cfg.alpha
-    q_ul = np.array([t.q_ul for t in cfg.tiers])
-    mu = [association_prob_max_power(cfg, k) * cfg.mu for k in range(cfg.n_tiers)]
+    tiers = _interferer_tiers(cfg)
+    q_ul = np.array([q for _, q in tiers])
     user_radius = window_radius(cfg.mu)
-    fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in zip(mu, q_ul)]
+    fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in tiers]
     for _ in range(size):
         aps = [sample_ppp(t.lam, _CAND_RADIUS, rng) for t in cfg.tiers]
         if not independent_fields:
-            users = [sample_ppp(mu_k, user_radius, rng) for mu_k in mu]
+            users = [sample_ppp(mu_k, user_radius, rng) for mu_k, _ in tiers]
         n_aps = sum(len(a) for a in aps)
         if n_aps == 0:
             continue
@@ -946,8 +966,11 @@ def _max_sir_trials(
         aps = np.concatenate(aps)
         d_ap = np.hypot(aps[:, 0], aps[:, 1])
         signal = q_ap * d_ap**-alpha
+        if independent_fields and not m:
+            yield signal, None, np.empty((n_aps, 0))
+            continue
         if independent_fields:
-            total, p, d2 = _independent_fields(rng, n_aps, fields, alpha, m)
+            total, p, d2 = _independent_fields(rng, n_aps, fields, alpha)
         else:
             u_pow = np.repeat(q_ul, [len(u) for u in users])
             users = np.concatenate(users)
@@ -972,7 +995,7 @@ def _max_sir_block(
     or None if no trial has a candidate AP.  Where a field holds fewer than
     ``m`` interferers, its row is padded with zero-power stages: such a
     stage cancels and leaves the residual as it was, so it cannot change
-    the chain's outcome."""
+    the chain's outcome.  ``total`` is None where no field was drawn."""
     rows = []
     for signal, total, top in _max_sir_trials(cfg, rng, size, independent_fields, m):
         pad = m - top.shape[1]
@@ -980,7 +1003,9 @@ def _max_sir_block(
     if not rows:
         return None
     first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    signal, total, top = (np.concatenate(col) for col in zip(*rows))
+    signal, total, top = (
+        None if col[0] is None else np.concatenate(col) for col in zip(*rows)
+    )
     return signal, total, top, first_row
 
 
@@ -997,7 +1022,10 @@ def _max_sir_sums(
     APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
     are sampled one by one, but the chain runs once per block on all their
     AP rows together (:func:`_max_sir_block`); a trial without a candidate
-    AP contributes 0."""
+    AP contributes 0.  With independent fields and ``n_max = 0`` no field
+    is drawn, and P_a also averages over AP a's field, exactly
+    (:func:`_max_sir_far_exponent`)."""
+    tiers = _interferer_tiers(cfg)
 
     def worker(block: int, size: int) -> np.ndarray:
         sums = np.zeros((2, len(etas), n_max + 1))
@@ -1007,7 +1035,10 @@ def _max_sir_sums(
         signal, total, top, first_row = rows
         cum = np.cumsum(top, axis=1)
         for e_idx, eta in enumerate(etas):
-            x = _chain_exponent(signal, total, top, cum, eta, n_max)
+            if total is None:
+                x = _max_sir_far_exponent(tiers, signal, eta, cfg.alpha)[:, None]
+            else:
+                x = _chain_exponent(signal, total, top, cum, eta, n_max)
             # trials along the last axis, as the per-budget sums read them
             p = np.ascontiguousarray(
                 1.0 - np.multiply.reduceat(-np.expm1(-x), first_row).T
@@ -1034,10 +1065,14 @@ def max_sir_success_curve_mc(
     has its own fading, so the trial succeeds with probability
     1 - prod_a (1 - exp(-eta I_a / S_a)) over the APs a.  By default all
     APs observe the same physical interfering-user field (through
-    independent per-link fading); ``independent_fields=True`` instead draws
-    a fresh field per AP, which is exactly the decoupling the closed form
-    assumes, so it isolates implementation errors from model error.  The
-    trials are those of :func:`simulate_max_inst_sir` with N = 0.
+    independent per-link fading); ``independent_fields=True`` instead gives
+    every AP a field of its own, which is exactly the decoupling the closed
+    form assumes, so it isolates implementation errors from model error.
+    No decision reads those fields, so they are not drawn: each AP's
+    exp(-eta I_a / S_a) is averaged over its field exactly, by the PPP's
+    Laplace transform (:func:`_max_sir_far_exponent`), and only the
+    candidate APs are sampled.  The trials are those of
+    :func:`simulate_max_inst_sir` with N = 0.
     """
     _check_trials(trials)
     etas = _check_etas(etas)
@@ -1057,8 +1092,9 @@ def simulate_max_inst_sir(
     candidate AP decodes the user after at most N cancellations, running
     the full event chain, nearest interferer first, independently at each
     AP (:func:`_max_sir_sums`).  ``independent_fields`` gives every AP its
-    own interferer field (the closed form's decoupling); the default shares
-    the physical field across APs."""
+    own interferer field (the closed form's decoupling), drawn only where
+    N >= 1 cancels from it; the default shares the physical field across
+    APs."""
     _check_trials(trials)
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields

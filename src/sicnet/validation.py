@@ -423,7 +423,8 @@ def check_fig5(trials=None, seed=606, threads=1) -> list[CheckResult]:
     out.append(
         _result(
             "fig5", "no-SIC success law vs MC (|z|, eta >= 0 dB)", worst_z, 3.0,
-            detail="MC draws the per-AP independent fields the closed form assumes",
+            detail="MC averages exactly over the per-AP independent fields the "
+            "closed form assumes",
         )
     )
     out.append(

@@ -7,8 +7,15 @@ import pytest
 import scipy.integrate
 
 from sicnet.errors import DegenerateReaError, DomainError
-from sicnet.model import NetworkConfig, SicConfig, TierParams, rea_distance_pdf
+from sicnet.model import (
+    NetworkConfig,
+    SicConfig,
+    TierParams,
+    association_prob_max_power,
+    rea_distance_pdf,
+)
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
+from sicnet.numerics import c_integral
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
     _SERVING_STREAM,
@@ -17,9 +24,13 @@ from sicnet.montecarlo import (
     _far_field,
     _field_block,
     _first_level,
+    _independent_fields,
     _independent_stage_block,
     _independent_stage_probs,
+    _interferer_tiers,
     _max_sir_block,
+    _max_sir_far_exponent,
+    _max_sir_trials,
     _min_load_success,
     _min_load_trials,
     _ordered_powers,
@@ -273,14 +284,19 @@ class TestChainEstimators:
         assert abs(est.mean - ps_plain(1.0, LAM, MU, 4.0)) <= 3.0 * est.stderr
 
     def test_stderr_definition(self):
-        est = Estimate.from_counts(250, 1000, seed=0)
+        est = Estimate.from_sums(250, 250, 1000, seed=0)
         assert est.mean == 0.25
         assert est.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 1000))
 
-    def test_from_counts_is_from_sums_of_indicators(self):
+    def test_indicator_sums_give_bernoulli_estimate(self):
+        # 0/1 samples are their own squares: a count is both sums, and the
+        # plug-in variance is the Bernoulli p(1 - p) bit for bit
         for c, n in ((0, 10), (250, 1000), (7, 7), (4095, 4097)):
-            assert Estimate.from_counts(c, n, seed=3) == Estimate.from_sums(c, c, n, seed=3)
-        est = Estimate.from_counts(250, 1000, seed=0)
+            p = c / n
+            assert Estimate.from_sums(c, c, n, seed=3) == Estimate(
+                p, math.sqrt(p * (1.0 - p) / n), n, 3
+            )
+        est = Estimate.from_sums(250, 250, 1000, seed=0)
         assert est.stderr == math.sqrt(0.25 * 0.75 / 1000)
 
     def test_from_sums_plug_in_stderr(self):
@@ -409,11 +425,11 @@ class TestPsCanEstimators:
         got = got["distance_only"]
         for e_idx in range(len(etas)):
             for n in range(n_orders):
-                assert got["direct"][e_idx][n] == Estimate.from_counts(
-                    int(direct[e_idx, n]), trials, seed
-                )
-                assert got["chain_survival"][e_idx][n] == Estimate.from_counts(
-                    int(alive_after[e_idx, n]), trials, seed
+                c = int(direct[e_idx, n])
+                assert got["direct"][e_idx][n] == Estimate.from_sums(c, c, trials, seed)
+                c = int(alive_after[e_idx, n])
+                assert got["chain_survival"][e_idx][n] == Estimate.from_sums(
+                    c, c, trials, seed
                 )
 
     def test_invalid_arguments(self):
@@ -470,6 +486,51 @@ class TestRadialField:
         campbell = 2.0 * math.pi * lam * (r_in ** (2 - alpha) - r_out ** (2 - alpha)) / (alpha - 2)
         assert abs(sums.mean() - campbell) <= 4.0 * sums.std() / math.sqrt(size)
 
+    @pytest.mark.parametrize(
+        "r_in, r_out",
+        [
+            (0.0, 300.0),
+            (50.0, 300.0),
+            # per row, the third row clipped empty (r_in > r_out)
+            (np.array([0.0, 40.0, 500.0, 120.0]), np.array([200.0, 90.0, 400.0, 130.0])),
+        ],
+        ids=["disk", "annulus", "per-row"],
+    )
+    def test_in_place_matches_expression(self, r_in, r_out):
+        # the in-place arithmetic against the expression it replaced, on
+        # the same stream: every field is bit for bit what it was
+        def reference(rng, size, density, r_in, r_out, min_cols, alpha):
+            mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
+            span = r_out * r_out - r_in * r_in
+            if isinstance(span, np.ndarray):
+                mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None]
+                r_in = np.reshape(r_in, (-1, 1))
+            counts = rng.poisson(mean, size)
+            pmax = max(int(counts.max(initial=0)), min_cols, 1)
+            r2 = r_in * r_in + span * (1.0 - rng.random((size, pmax)))
+            r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
+            powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
+            return powers, r2, counts
+
+        size = np.size(r_in) if np.ndim(r_in) else 50
+        for alpha in (3.0, 4.0):
+            for min_cols in (1, 40):
+                got = _radial_field(_stream(79, 0), size, 1e-4, r_in, r_out, min_cols, alpha)
+                want = reference(_stream(79, 0), size, 1e-4, r_in, r_out, min_cols, alpha)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+        if np.ndim(r_in):
+            assert got[2][2] == 0 and np.all(np.isinf(got[1][2]))
+
+    def test_standard_exponential_is_exponential(self):
+        # the sampler draws fading marks with standard_exponential: the
+        # same draws, and the same stream position after them, as the
+        # unit-scale exponential
+        a, b = _stream(83, 0), _stream(83, 0)
+        for shape in ((1000,), (37, 29), (0, 5)):
+            assert np.array_equal(a.standard_exponential(shape), b.exponential(size=shape))
+        assert a.random() == b.random()
+
 
 def _agree(a, b, what):
     """Estimates ``a`` and ``b`` of the same quantities, from runs that share
@@ -495,6 +556,27 @@ class TestFarField:
         want = math.exp(-_far_field(lam, r**2, s, alpha))
         assert 0.2 < want < 0.6
         assert abs(x.mean() - want) <= 4.0 * x.std() / math.sqrt(size), (x.mean(), want)
+
+    def test_max_sir_factor_matches_independent_fields(self):
+        # the exponent of the fieldless no-SIC max-SIR path against the
+        # sampled per-AP fields it replaces: E[exp(-s I)] over the fields of
+        # _independent_fields, I the Q_k-weighted sum over the tiers; the
+        # window (400 expected points per tier) leaves out under 0.1% of
+        # the exponent, well under the tolerance
+        cfg = two_tier()
+        tiers = _interferer_tiers(cfg)
+        fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in tiers]
+        unit = _max_sir_far_exponent(tiers, np.ones(1), 1.0, 4.0)[0]
+        # s at which the exact factor is about 0.8, 0.5 and 0.2 (alpha = 4)
+        s = np.array([0.2, 0.7, 1.6]) ** 2 / unit**2
+        total = np.concatenate(
+            [_independent_fields(_stream(89, b), 2000, fields, 4.0)[0] for b in range(5)]
+        )
+        x = np.exp(-np.multiply.outer(total, s))
+        want = np.exp(-_max_sir_far_exponent(tiers, 1.0 / s, 1.0, 4.0))
+        assert np.allclose(want, np.exp(-np.array([0.2, 0.7, 1.6])), rtol=1e-12)
+        se = x.std(axis=0) / math.sqrt(len(x))
+        assert np.all(np.abs(x.mean(axis=0) - want) <= 4.0 * se), (x.mean(axis=0), want)
 
     def test_stage_recursion_is_the_indicator_product(self):
         rng = np.random.default_rng(71)
@@ -635,6 +717,30 @@ class TestVoronoiLoads:
         assert 0.5 * float(np.abs(e - r).sum()) <= 0.05
 
 
+def _fieldless_max_sir(cfg, eta, size, seed):
+    """Each trial's no-SIC max-SIR success with every AP's own field
+    averaged out exactly, AP by AP in scalar arithmetic: 1 - prod_a (1 -
+    exp(-sum_k pi mu_k (eta Q_k / S_a)^(2/alpha) C(0, alpha))), mu_k the
+    density of tier k's users.  One block of trials."""
+    c0 = c_integral(0.0, cfg.alpha)
+    tiers = [
+        (association_prob_max_power(cfg, k) * cfg.mu, t.q_ul)
+        for k, t in enumerate(cfg.tiers)
+    ]
+    probs = []
+    for signal, total, top in _max_sir_trials(cfg, _stream(seed, 0), size, True, 0):
+        assert total is None and top.shape == (len(signal), 0)
+        miss = 1.0
+        for s in signal:
+            x = sum(
+                math.pi * mu_k * (eta * q / s) ** (2.0 / cfg.alpha) * c0
+                for mu_k, q in tiers
+            )
+            miss *= 1.0 - math.exp(-x)
+        probs.append(1.0 - miss)
+    return np.array(probs)
+
+
 class TestMaxSir:
     def test_single_tier_matches_formula(self):
         cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
@@ -692,23 +798,26 @@ class TestMaxSir:
     @pytest.mark.parametrize("n_max", [0, 1, 3], ids=lambda n: f"{n}-distance_only")
     def test_block_chain_matches_trial_loop(self, independent, n_max):
         # the chain run once over the block's rows against a loop over each
-        # trial's APs and stages: P = 1 - prod_a (1 - exp(-eta R_{a,L_a} / S_a))
-        from sicnet.montecarlo import _max_sir_trials, _stream
-
+        # trial's APs and stages: P = 1 - prod_a (1 - exp(-eta R_{a,L_a} / S_a));
+        # with independent fields and N = 0 no field is drawn, and each AP's
+        # own field is averaged out exactly
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
-        probs = []
-        for signal, total, top in _max_sir_trials(
-            cfg, _stream(seed, 0), trials, independent, n_max
-        ):
-            miss = 1.0
-            for s, residual, powers in zip(signal, total, top):
-                for x in powers:
-                    if x < eta * (residual - x):
-                        break  # the cancellation fails and the chain stops
-                    residual -= x
-                miss *= 1.0 - math.exp(-eta * max(residual, 0.0) / s)
-            probs.append(1.0 - miss)
-        probs = np.array(probs)
+        if independent and n_max == 0:
+            probs = _fieldless_max_sir(cfg, eta, trials, seed)
+        else:
+            probs = []
+            for signal, total, top in _max_sir_trials(
+                cfg, _stream(seed, 0), trials, independent, n_max
+            ):
+                miss = 1.0
+                for s, residual, powers in zip(signal, total, top):
+                    for x in powers:
+                        if x < eta * (residual - x):
+                            break  # the cancellation fails and the chain stops
+                        residual -= x
+                    miss *= 1.0 - math.exp(-eta * max(residual, 0.0) / s)
+                probs.append(1.0 - miss)
+            probs = np.array(probs)
         est = simulate_max_inst_sir(
             cfg, SicConfig(eta, n_max), trials, seed, independent_fields=independent
         )
@@ -754,8 +863,11 @@ class TestMaxSir:
         "independent", [False, True], ids=lambda i: f"distance_only-{i}"
     )
     def test_success_nondecreasing_in_budget(self, independent):
-        # the draws do not depend on N, and a chain that succeeds within N
-        # cancellations succeeds within N + 1
+        # the draws do not depend on N >= 1, and a chain that succeeds within
+        # N cancellations succeeds within N + 1.  N = 0 draws the same
+        # fields with shared fields; with independent fields it draws none
+        # and averages each AP's field out exactly, so there N = 1 lies
+        # above it by the SIC uplift (0.19, about 7 stderr), not draw by draw
         means = [
             simulate_max_inst_sir(
                 two_tier(), SicConfig(1.0, n), 200, seed=31,
@@ -921,7 +1033,11 @@ class TestConditionalEstimators:
             est = simulate_max_inst_sir(
                 cfg, SicConfig(eta, n), size, seed, independent_fields=independent
             )
-            assert est.mean == pytest.approx(cond[:, n].sum() / size, rel=1e-12)
+            if independent and n == 0:  # no field drawn: averaged out exactly
+                want = _fieldless_max_sir(cfg, eta, size, seed).sum() / size
+            else:
+                want = cond[:, n].sum() / size
+            assert est.mean == pytest.approx(want, rel=1e-12)
         _same_draws(cond, ind, f"max-SIR independent={independent}")
 
     @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
