@@ -23,6 +23,7 @@ from scipy.special import betainc
 from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
+    _require_positive,
     association_prob_max_power,
     cancellation_radius,
     equivalent_density,
@@ -54,16 +55,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be finite and > 0, got {eta}")
-
-
-def _check_density(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value}")
-
-
 def _check_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 2.0):
         raise DomainError(f"alpha must be > 2, got {alpha}")
@@ -81,9 +72,9 @@ def ps_plain(eta: float, lambda_eq: float, mu_j: float, alpha: float) -> float:
 
     This is the n = 0 case of the decode integral, evaluated in closed form.
     """
-    _check_eta(eta)
-    _check_density("lambda_eq", lambda_eq)
-    _check_density("mu_j", mu_j)
+    _require_positive("eta", eta)
+    _require_positive("lambda_eq", lambda_eq)
+    _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
     c0 = c_integral(0.0, alpha)
     return lambda_eq / (lambda_eq + mu_j * eta ** (2.0 / alpha) * c0)
@@ -107,11 +98,11 @@ def ps_ic(
     variable tau = pi lambda_eq u^2.  The serving-distance truncation at
     R_{I,n} is kept un-renormalized (see module docstring).
     """
-    _check_eta(eta)
+    _require_positive("eta", eta)
     if n < 0:
         raise DomainError(f"cancellation order n must be >= 0, got {n}")
-    _check_density("lambda_eq", lambda_eq)
-    _check_density("mu_j", mu_j)
+    _require_positive("lambda_eq", lambda_eq)
+    _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
 
     e = 2.0 / alpha
@@ -138,7 +129,7 @@ def ps_can(eta: float, n: int, alpha: float) -> float:
 
     Geometric in n and independent of the interferer density.
     """
-    _check_eta(eta)
+    _require_positive("eta", eta)
     _check_alpha(alpha)
     if n < 0:
         raise DomainError(f"order n must be >= 0, got {n}")
@@ -180,9 +171,9 @@ def tsd_cumulant(
     """
     if k < 1:
         raise DomainError(f"cumulant order k must be >= 1, got {k}")
-    _check_density("q", q)
-    _check_density("mu_j", mu_j)
-    _check_density("d_min", d_min)
+    _require_positive("q", q)
+    _require_positive("mu_j", mu_j)
+    _require_positive("d_min", d_min)
     _check_alpha(alpha)
     if k * alpha <= 2.0:
         raise DomainError(f"k*alpha={k * alpha} must exceed 2 for a finite cumulant")
@@ -198,7 +189,7 @@ def tsd_conditional_cancel_prob(eta: float, mu_j: float, r: float) -> float:
     """
     if not (math.isfinite(eta) and eta >= 0.0):
         raise DomainError(f"eta must be >= 0, got {eta}")
-    _check_density("mu_j", mu_j)
+    _require_positive("mu_j", mu_j)
     if r < 0.0:
         raise DomainError(f"radius must be >= 0, got {r}")
     return math.exp(-1.5 * mu_j * math.pi * r * r * (math.sqrt(1.0 + 4.0 * eta / 3.0) - 1.0))
@@ -304,8 +295,8 @@ def load_pmf(m: int, mu_j: float, lam: float) -> float:
     """
     if m < 0:
         raise DomainError(f"load m must be >= 0, got {m}")
-    _check_density("mu_j", mu_j)
-    _check_density("lam", lam)
+    _require_positive("mu_j", mu_j)
+    _require_positive("lam", lam)
     r = mu_j / lam
     c = _LOAD_SHAPE
     log_f = (
@@ -370,8 +361,8 @@ def rate_coverage_max_sir(rho: float, lam: float, mu_j: float, alpha: float) -> 
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"rate threshold rho must be > 0, got {rho}")
-    _check_density("lam", lam)
-    _check_density("mu_j", mu_j)
+    _require_positive("lam", lam)
+    _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
     pmf = load_pmf_table(mu_j, lam)
     x = rho * np.arange(1, len(pmf) + 1) * _LN2
@@ -395,10 +386,10 @@ def rate_coverage_min_load(
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"rate threshold rho must be > 0, got {rho}")
-    _check_density("lam", lam)
-    _check_density("mu_j", mu_j)
+    _require_positive("lam", lam)
+    _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
-    _check_density("r_con", r_con)
+    _require_positive("r_con", r_con)
     n_aps = int(math.floor(lam * math.pi * r_con * r_con))
     if n_aps < 1:
         raise DomainError(
@@ -445,7 +436,7 @@ def outage_max_inst_sir(eta: float, cfg: NetworkConfig) -> float:
     with per-tier user densities mu_i = p_a,i * mu.  Assumes the per-AP
     SIRs are independent, which is exact for eta > 1.
     """
-    _check_eta(eta)
+    _require_positive("eta", eta)
     e = 2.0 / cfg.alpha
     num = sum(t.lam * t.q_ul**e for t in cfg.tiers)
     den = sum(
@@ -494,7 +485,7 @@ def ps_sic_max_inst_sir(
     tier's UL power (interferer density mu_tilde_k, cancellation radii from
     mu_tilde_k).  SIC can only help: the result is >= 1 - P_out.
     """
-    _check_eta(eta)
+    _require_positive("eta", eta)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     p_out = outage_max_inst_sir(eta, cfg)
@@ -536,7 +527,7 @@ def ps_ic_rea(
     second term instead overstates the success probability substantially
     (by ~0.17 at b=5, eta=1 in the two-tier reference scenario).
     """
-    _check_eta(eta)
+    _require_positive("eta", eta)
     cfg.check_tier(k)
     if cancelled not in (0, 1):
         raise DomainError(f"cancelled must be 0 or 1, got {cancelled}")

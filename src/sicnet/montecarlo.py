@@ -37,33 +37,38 @@ Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
 exclusively from ``SFC64(SeedSequence(seed, spawn_key=(b,)))`` and covers
 trials [b * BLOCK_TRIALS, (b+1) * BLOCK_TRIALS).  Thread count
 only changes how blocks are dispatched, never what they draw, so results
-are bit-identical for any ``threads`` value.
+are bit-identical for any ``threads`` value.  :func:`_run_blocks` is the one
+place that checks the trial budget, hands each block its stream and
+dispatches the blocks; every simulator passes it a ``block(rng, size)``.
 
 Estimators: the chain and policy simulators never draw the serving link's
 Rayleigh fading h.  Given everything else in a trial, success is the event
 h * S >= eta * I, whose probability is exp(-eta * I / S); each trial
 contributes that conditional probability instead of a 0/1 outcome
 (conditional Monte Carlo, Asmussen and Glynn, *Stochastic Simulation*,
-2007, ch. V), whose variance is never larger.  Workers return the sum and
-the sum of squares of these values per grid point, and the blocks' sums
-are added in block order.  The independent-stage oracle averages each
+2007, ch. V), whose variance is never larger.  Each block returns the sum
+and the sum of squares of these values per grid point (:func:`_moments`),
+and :func:`_run_blocks` adds the blocks' outputs in block order, so the
+sums do not depend on scheduling.  The independent-stage oracle averages each
 cancellation over the cancelled node's fading in the same way.
 ``ps_can_curve_mc`` and ``run_sic_trial`` still count 0/1 outcomes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import _check_eta
 from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
     SicConfig,
+    _require_positive,
     association_prob_max_power,
 )
 from .numerics import c_integral
@@ -103,14 +108,8 @@ def _check_ordering(ordering: str) -> str:
 def _check_etas(etas) -> list[float]:
     etas = [float(e) for e in np.atleast_1d(etas)]
     for eta in etas:
-        _check_eta(eta)
+        _require_positive("eta", eta)
     return etas
-
-
-def _check_trials(trials: int) -> int:
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    return int(trials)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -130,19 +129,40 @@ def window_radius(mu_j: float) -> float:
     return 20.0 / math.sqrt(math.pi * mu_j)
 
 
-def _map_blocks(trials: int, worker, threads: int = 1):
-    """Run ``worker(block_index, block_size)`` over fixed trial blocks and
-    yield results in block order regardless of scheduling."""
-    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    sizes = [
-        min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) for b in range(n_blocks)
-    ]
-    if threads <= 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            yield worker(b, sizes[b])
-        return
+def _add(a, b):
+    """Block outputs added: arrays and counts add, a tuple adds item by
+    item and a list concatenates."""
+    if isinstance(a, tuple):
+        return tuple(map(_add, a, b))
+    return a + b
+
+
+def _run_blocks(trials: int, seed: int, block, threads: int = 1):
+    """Run ``block(rng, size)`` on each fixed block of ``trials``, block b
+    with ``rng = _stream(seed, b)``, sequentially or on ``threads`` pool
+    threads, and return the outputs added in block order (:func:`_add`),
+    whatever the scheduling.  ``trials`` must be an integer >= 1."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got {trials!r}") from None
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    sizes = [min(BLOCK_TRIALS, trials - b) for b in range(0, trials, BLOCK_TRIALS)]
+
+    def run(b: int):
+        return block(_stream(seed, b), sizes[b])
+
+    if threads <= 1 or len(sizes) == 1:
+        return functools.reduce(_add, map(run, range(len(sizes))))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, range(n_blocks), sizes)
+        return functools.reduce(_add, pool.map(run, range(len(sizes))))
+
+
+def _moments(p: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of ``p`` and of its squares over the trials ``axis``,
+    stacked on a new first axis, as :func:`_estimates` reads them."""
+    return np.stack((p.sum(axis=axis), (p * p).sum(axis=axis)))
 
 
 @dataclass(frozen=True)
@@ -217,20 +237,19 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class MinLoadResult:
-    """Estimates from the minimum-load association simulator."""
+    """Estimates from the minimum-load association simulator, one per rate
+    threshold, and the number of trials with no AP within range."""
 
-    rhos: tuple[float, ...]
     coverage: tuple[Estimate, ...]        # no cancellation
     coverage_sic: tuple[Estimate, ...]    # one cancellation allowed
-    load_histogram: np.ndarray            # typical user's cell load (others)
     no_candidate_trials: int
 
 
 @dataclass(frozen=True)
 class ReaResult:
-    """Paired success estimates for range-expanded users."""
+    """Paired success estimates for range-expanded users, one per
+    threshold."""
 
-    etas: tuple[float, ...]
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
     rea_fraction: float                   # empirical REA association share
@@ -636,14 +655,12 @@ def ps_sic_curve_mc(
     cancellations on the residual, so it stays truncated at
     :func:`window_radius`.
     """
-    _check_trials(trials)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     etas = _check_etas(etas)
     radius = window_radius(mu_j)
 
-    def worker(block: int, size: int) -> np.ndarray:
-        rng = _stream(seed, block)
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
         if independent_stages:
             stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
         else:
@@ -657,14 +674,10 @@ def ps_sic_curve_mc(
                 )
             else:
                 p = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
-            sums[0, e_idx] = p.sum(axis=0)
-            sums[1, e_idx] = (p * p).sum(axis=0)
+            sums[:, e_idx] = _moments(p, 0)
         return sums
 
-    sums = np.zeros((2, len(etas), n_max + 1))
-    for partial in _map_blocks(trials, worker, threads):
-        sums += partial
-    return _estimates(sums, trials, seed)
+    return _estimates(_run_blocks(trials, seed, block, threads), trials, seed)
 
 
 def ps_can_curve_mc(
@@ -691,17 +704,14 @@ def ps_can_curve_mc(
     Returns ``{ordering: {estimator: Estimates}}``, each an object array of
     shape (n_eta, n_orders).
     """
-    _check_trials(trials)
     if n_orders < 1:
         raise DomainError(f"n_orders must be >= 1, got {n_orders}")
     etas = _check_etas(etas)
     if radius is None:
         radius = window_radius(mu_j)
 
-    def worker(block: int, size: int) -> np.ndarray:
-        powers, r2, counts = _radial_field(
-            _stream(seed, block), size, mu_j, 0.0, radius, n_orders, alpha
-        )
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
+        powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, n_orders, alpha)
         total = powers.sum(axis=1)
         enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
         # (direct per ordering, distance-ordered chain survivors) x eta x n
@@ -717,7 +727,7 @@ def ps_can_curve_mc(
         return wins
 
     dist, fade, survivors = (
-        _estimates((c, c), trials, seed) for c in sum(_map_blocks(trials, worker, threads))
+        _estimates((c, c), trials, seed) for c in _run_blocks(trials, seed, block, threads)
     )
     return {
         "distance_only": {"direct": dist, "chain_survival": survivors},
@@ -738,11 +748,11 @@ def _min_load_trials(
     r_con: float,
     alpha: float,
 ):
-    """Draw ``size`` minimum-load trials.  For each trial with an AP in the
-    window, yield the load of the origin's cell and, if some AP lies within
-    ``r_con``, the row (M, S0, I, x1): the chosen AP's load of other users,
-    the user's mean received power there, the faded interference from every
-    other AP, and its strongest term.
+    """Draw ``size`` minimum-load trials and yield, for each trial with an
+    AP within ``r_con``, the row (M, S0, I, x1): the chosen AP's load of
+    other users, the user's mean received power there, the faded
+    interference from every other AP, and its strongest term.  Trials with
+    no such AP yield nothing.
 
     Every user joins its nearest AP (unit-weight Voronoi); the user picks
     the minimum-load candidate, ties broken by distance, then index.  The
@@ -753,9 +763,10 @@ def _min_load_trials(
     for _ in range(size):
         aps = sample_ppp(lam, r_ap, rng)
         users = sample_ppp(mu_j, r_user, rng)
-        if len(aps) == 0:
-            continue
         d_origin = np.hypot(aps[:, 0], aps[:, 1])
+        cand = np.flatnonzero(d_origin <= r_con)
+        if len(cand) == 0:
+            continue
         if len(users):
             d2 = (
                 (users[:, 0, None] - aps[None, :, 0]) ** 2
@@ -764,17 +775,12 @@ def _min_load_trials(
             loads = np.bincount(np.argmin(d2, axis=1), minlength=len(aps))
         else:
             loads = np.zeros(len(aps), dtype=np.int64)
-        origin_load = int(loads[np.argmin(d_origin)])
-        cand = np.flatnonzero(d_origin <= r_con)
-        if len(cand) == 0:
-            yield origin_load, None
-            continue
         order = np.lexsort((cand, d_origin[cand], loads[cand]))
         chosen = cand[order[0]]
         p = rng.exponential(size=len(aps)) * d_origin**-alpha
         p[chosen] = 0.0
         x1 = p.max() if len(p) > 1 else 0.0
-        yield origin_load, (loads[chosen], d_origin[chosen] ** -alpha, p.sum(), x1)
+        yield loads[chosen], d_origin[chosen] ** -alpha, p.sum(), x1
 
 
 def _min_load_success(rows: np.ndarray, rhos) -> np.ndarray:
@@ -814,42 +820,21 @@ def simulate_min_load(
     (:func:`_min_load_trials`), and average the probability over the
     serving fading that (1/(M+1)) log2(1+SIR) > rho, for the whole rho grid
     from the same trial statistics (:func:`_min_load_success`).  Trials
-    with no AP inside the connectivity range count as coverage failures.
-    Also returns the load histogram of the cell containing the origin (the
-    f_M diagnostic).
+    with no AP inside the connectivity range count as coverage failures;
+    the result also counts them (``no_candidate_trials``).
     """
-    _check_trials(trials)
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
         raise DomainError(f"rate thresholds must be finite and > 0, got {rhos.tolist()}")
-    hist_cap = 256
 
-    def worker(block: int, size: int):
-        rng = _stream(seed, block)
-        hist = np.zeros(hist_cap, dtype=np.int64)
-        rows = []
-        for origin_load, row in _min_load_trials(rng, size, lam, mu_j, r_con, alpha):
-            hist[min(origin_load, hist_cap - 1)] += 1
-            if row is not None:
-                rows.append(row)
+    def block(rng: np.random.Generator, size: int):
+        rows = list(_min_load_trials(rng, size, lam, mu_j, r_con, alpha))
         p = _min_load_success(np.array(rows, dtype=float).reshape(-1, 4), rhos)
-        return np.stack((p.sum(axis=2), (p * p).sum(axis=2))), hist, size - len(rows)
+        return _moments(p, 2), size - len(rows)
 
-    sums = np.zeros((2, 2, len(rhos)))
-    hist = np.zeros(hist_cap, dtype=np.int64)
-    no_cand = 0
-    for s, h, nc in _map_blocks(trials, worker, threads):
-        sums += s
-        hist += h
-        no_cand += nc
+    sums, no_cand = _run_blocks(trials, seed, block, threads)
     base, sic = (tuple(_estimates(sums[:, i], trials, seed)) for i in range(2))
-    return MinLoadResult(
-        rhos=tuple(rhos.tolist()),
-        coverage=base,
-        coverage_sic=sic,
-        load_histogram=hist,
-        no_candidate_trials=no_cand,
-    )
+    return MinLoadResult(coverage=base, coverage_sic=sic, no_candidate_trials=no_cand)
 
 
 def voronoi_load_histogram(
@@ -918,8 +903,12 @@ def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
     """-log E[exp(-eta I_a / S_a)] for APs a that each see a whole user
     field I_a of their own: the sum over the interferer ``tiers`` of
     :func:`_far_field` from radius 0 at s = eta Q_k / S_a, one value per
-    entry of ``signal``."""
-    return sum(_far_field(mu_k, 0.0, eta * q / signal, alpha) for mu_k, q in tiers)
+    entry of ``signal``.  From radius 0 the factor's C(0, alpha) is one
+    constant, evaluated once."""
+    c0 = c_integral(0.0, alpha)
+    return sum(
+        math.pi * mu_k * (eta * q / signal) ** (2.0 / alpha) * c0 for mu_k, q in tiers
+    )
 
 
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
@@ -1027,9 +1016,9 @@ def _max_sir_sums(
     (:func:`_max_sir_far_exponent`)."""
     tiers = _interferer_tiers(cfg)
 
-    def worker(block: int, size: int) -> np.ndarray:
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
         sums = np.zeros((2, len(etas), n_max + 1))
-        rows = _max_sir_block(cfg, _stream(seed, block), size, independent_fields, n_max)
+        rows = _max_sir_block(cfg, rng, size, independent_fields, n_max)
         if rows is None:
             return sums
         signal, total, top, first_row = rows
@@ -1043,11 +1032,10 @@ def _max_sir_sums(
             p = np.ascontiguousarray(
                 1.0 - np.multiply.reduceat(-np.expm1(-x), first_row).T
             )
-            sums[0, e_idx] = p.sum(axis=1)
-            sums[1, e_idx] = (p * p).sum(axis=1)
+            sums[:, e_idx] = _moments(p, 1)
         return sums
 
-    return sum(_map_blocks(trials, worker, threads))
+    return _run_blocks(trials, seed, block, threads)
 
 
 def max_sir_success_curve_mc(
@@ -1074,7 +1062,6 @@ def max_sir_success_curve_mc(
     candidate APs are sampled.  The trials are those of
     :func:`simulate_max_inst_sir` with N = 0.
     """
-    _check_trials(trials)
     etas = _check_etas(etas)
     sums = _max_sir_sums(cfg, etas, 0, trials, seed, threads, independent_fields)
     return _estimates(sums[:, :, 0], trials, seed).tolist()
@@ -1095,7 +1082,6 @@ def simulate_max_inst_sir(
     own interferer field (the closed form's decoupling), drawn only where
     N >= 1 cancels from it; the default shares the physical field across
     APs."""
-    _check_trials(trials)
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )
@@ -1221,7 +1207,6 @@ def simulate_rea(
                    so far_res starts beyond the exclusion radius too.
     """
     cfg.check_tier(k)
-    _check_trials(trials)
     if cancel_mode not in ("strongest", "annulus"):
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
     if all(t.bias == 1.0 for t in cfg.tiers):
@@ -1230,30 +1215,20 @@ def simulate_rea(
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
 
-    def worker(block: int, size: int):
+    def block(rng: np.random.Generator, size: int):
         signal, i_total, i_res, lo2, serving, draws, kept = _rea_block(
-            cfg, k, _stream(seed, block), size, cancel_mode
+            cfg, k, rng, size, cancel_mode
         )
         ratio = np.stack((i_total, np.maximum(i_res, 0.0))) / signal
         s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
         # eta x (uncancelled, cancelled) x trial; one far row serves both
         # in strongest mode
         x = np.multiply.outer(etas, ratio) + _far_field(lam, lo2, s, cfg.alpha).sum(axis=-1)
-        p = np.exp(-x)
-        return np.stack((p.sum(axis=2), (p * p).sum(axis=2))), serving, draws, kept
+        return _moments(np.exp(-x), 2), [serving], draws, kept
 
-    sums = np.zeros((2, len(etas), 2))
-    serving = []
-    draws = 0
-    kept = 0
-    for s, sd, att, nr in _map_blocks(trials, worker, threads):
-        sums += s
-        serving.append(sd)
-        draws += att
-        kept += nr
+    sums, serving, draws, kept = _run_blocks(trials, seed, block, threads)
     unc, can = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(2))
     return ReaResult(
-        etas=tuple(etas.tolist()),
         uncancelled=unc,
         cancelled=can,
         rea_fraction=kept / max(draws, 1),

@@ -33,10 +33,12 @@ from sicnet.montecarlo import (
     _max_sir_trials,
     _min_load_success,
     _min_load_trials,
+    _moments,
     _ordered_powers,
     _radial_field,
     _rea_block,
     _reached,
+    _run_blocks,
     _serving_block,
     _stage_chain_success,
     _stream,
@@ -106,6 +108,88 @@ class TestStreams:
             for index in list(range(8)) + reserved
         ]
         assert len(set(draws)) == len(draws)
+
+
+class TestBlockDriver:
+    # two full blocks and a partial one
+    TRIALS = 2 * BLOCK_TRIALS + 7
+    SIZES = [BLOCK_TRIALS, BLOCK_TRIALS, 7]
+
+    def test_block_receives_its_stream(self):
+        def block(rng, size):
+            return [(size, tuple(rng.integers(0, 2**62, 4)))]
+
+        for threads in (1, 4):
+            got = _run_blocks(self.TRIALS, 31, block, threads)
+            want = [
+                (size, tuple(_stream(31, b).integers(0, 2**62, 4)))
+                for b, size in enumerate(self.SIZES)
+            ]
+            assert got == want
+
+    def test_outputs_add_in_block_order(self):
+        def block(rng, size):
+            tag = int(rng.integers(0, 2**62))
+            return np.array([size, 1.0]), ([tag], size), 1
+
+        tags = [int(_stream(37, b).integers(0, 2**62)) for b in range(3)]
+        sums, (listed, count), blocks = _run_blocks(self.TRIALS, 37, block)
+        assert sums.tolist() == [self.TRIALS, 3.0]
+        assert listed == tags
+        assert count == self.TRIALS
+        assert blocks == 3
+
+    def test_thread_count_does_not_change_sums(self):
+        def block(rng, size):
+            p = rng.random((size, 3))
+            return _moments(p, 0), size
+
+        single, multi = (_run_blocks(self.TRIALS, 41, block, t) for t in (1, 4))
+        assert np.array_equal(single[0], multi[0])
+        assert single[1] == multi[1] == self.TRIALS
+
+    def test_numpy_integer_budget(self):
+        assert _run_blocks(np.int64(5000), 43, lambda rng, size: size) == 5000
+
+    @pytest.mark.parametrize("trials", [0, -1, 5000.0, 2.5, "5000", None])
+    def test_bad_budget_raises_before_any_block(self, trials):
+        ran = []
+        with pytest.raises(DomainError):
+            _run_blocks(trials, 47, lambda rng, size: ran.append(size) or size)
+        assert ran == []
+
+    def test_float_budget_raises_in_every_family(self):
+        cfg = two_tier(bias2=5.0)
+        calls = [
+            lambda t: ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, t, 1),
+            lambda t: ps_can_curve_mc(MU, 4.0, [1.0], 1, t, 1),
+            lambda t: simulate_min_load(1e-4, 5e-4, 100.0, [0.5], t, 1),
+            lambda t: max_sir_success_curve_mc(cfg, [1.0], t, 1),
+            lambda t: simulate_max_inst_sir(cfg, SicConfig(1.0, 1), t, 1),
+            lambda t: simulate_rea(cfg, 1, [1.0], t, 1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(100.0)
+
+
+def test_montecarlo_imports_nothing_from_analytic():
+    # the simulators are the closed forms' oracle, so they share no code
+    # with them
+    import ast
+    import inspect
+
+    from sicnet import montecarlo
+
+    tree = ast.parse(inspect.getsource(montecarlo))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not {m for m in imported if m.split(".")[-1] == "analytic"}
 
 
 class TestSamplePpp:
@@ -688,10 +772,6 @@ class TestMinLoad:
         res = simulate_min_load(1e-5, 5e-5, 400.0, [1e-6], 300, seed=47)
         assert res.coverage[0].mean >= 0.95
 
-    def test_load_histogram_emitted(self):
-        res = simulate_min_load(1e-5, 5e-5, 400.0, [0.5], 300, seed=53)
-        assert res.load_histogram.sum() > 0
-
     def test_sic_never_hurts(self):
         res = simulate_min_load(1e-5, 5e-5, 400.0, np.linspace(0.1, 1.0, 5), 2000, seed=59)
         for base, sic in zip(res.coverage, res.coverage_sic):
@@ -1072,8 +1152,7 @@ class TestConditionalEstimators:
     def test_min_load(self):
         rhos, size, seed = np.array([0.2, 0.5, 1.0]), 600, 19
         args = (1e-5, 5e-5, 400.0)
-        trials = _min_load_trials(_stream(seed, 0), size, *args, 4.0)
-        rows = np.array([row for _, row in trials if row is not None])
+        rows = np.array(list(_min_load_trials(_stream(seed, 0), size, *args, 4.0)))
         covered = _min_load_success(rows, rhos)
         res = simulate_min_load(*args, rhos, size, seed)
         for i in range(len(rhos)):
@@ -1115,5 +1194,4 @@ class TestConditionalEstimators:
         assert single[0].cancelled == multi[0].cancelled
         assert single[1].coverage == multi[1].coverage
         assert single[1].coverage_sic == multi[1].coverage_sic
-        assert np.array_equal(single[1].load_histogram, multi[1].load_histogram)
         assert single[2:] == multi[2:]

@@ -65,14 +65,14 @@ def test_determinism_gate_dispatches_several_blocks(monkeypatch):
     # thread invariance is only tested when trials span several blocks and
     # some of those runs use more than one thread
     dispatched = []
-    map_blocks = montecarlo._map_blocks
+    run_blocks = montecarlo._run_blocks
 
-    def spy(trials, worker, threads=1):
+    def spy(trials, seed, block, threads=1):
         n_blocks = -(-trials // montecarlo.BLOCK_TRIALS)
         dispatched.append((n_blocks, threads))
-        return map_blocks(trials, worker, threads)
+        return run_blocks(trials, seed, block, threads)
 
-    monkeypatch.setattr(montecarlo, "_map_blocks", spy)
+    monkeypatch.setattr(montecarlo, "_run_blocks", spy)
     results = validation.check_determinism(trials=2000, seed=909, threads=4)
     assert all(r.passed for r in results)
     assert max(n for n, _ in dispatched) > 1
