@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, gammaln
 
 from .errors import DegenerateReaError, DomainError
 from .model import (
@@ -250,28 +250,24 @@ def ps_sic(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    ps_ic_vals = [ps_ic(eta, n, lambda_eq, mu_j, alpha) for n in range(n_max + 1)]
-    ps_no_ic = ps_ic_vals[0]
+    decode = np.array([ps_ic(eta, n, lambda_eq, mu_j, alpha) for n in range(n_max + 1)])
     q_single = ps_can(eta, 1, alpha) if n_max >= 1 else 1.0
-    levels = []
-    total = ps_no_ic
-    outage_prod = 1.0
-    cancel_prod = 1.0
-    for i in range(1, n_max + 1):
-        outage_prod *= 1.0 - ps_ic_vals[i - 1]
-        cancel_prod *= q_single**i  # P_s,can(eta, i) appended to the product
-        contribution = outage_prod * cancel_prod * ps_ic_vals[i]
-        levels.append(
-            SicLevel(
-                level=i,
-                chain_outage_product=outage_prod,
-                cancel_product=cancel_prod,
-                decode_after=ps_ic_vals[i],
-                level_contribution=contribution,
-            )
-        )
-        total += contribution
-    return SicGainBreakdown(ps_no_ic=ps_no_ic, per_level=tuple(levels), ps_sic_total=total)
+    outage, cancel, contribution = _sic_levels(decode, q_single)
+    levels = map(SicLevel, range(1, n_max + 1), outage, cancel, decode[1:], contribution)
+    total = np.cumsum(np.r_[decode[0], contribution])[-1]  # in level order, as fig3 sums
+    return SicGainBreakdown(float(decode[0]), tuple(levels), float(total))
+
+
+def _sic_levels(decode: np.ndarray, q_single: float):
+    """The levels i = 1..N of the SIC sum from the decode probabilities
+    P_s,IC(eta, n), n = 0..N, along axis 0 of ``decode`` (any trailing
+    shape): the chain-outage products prod_{n<i} (1 - P_s,IC(eta, n)), the
+    cancel products prod_{n<=i} q_single^n with q_single = P_s,can(eta, 1),
+    and the contributions outage * cancel * P_s,IC(eta, i)."""
+    outage = (1.0 - decode[:-1]).cumprod(axis=0)
+    cancel = (q_single ** np.arange(1, len(decode))).cumprod()
+    cancel = cancel.reshape(cancel.shape + (1,) * (decode.ndim - 1))
+    return outage, cancel, outage * cancel * decode[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -297,58 +293,60 @@ def load_pmf(m: int, mu_j: float, lam: float) -> float:
         raise DomainError(f"load m must be >= 0, got {m}")
     _require_positive("mu_j", mu_j)
     _require_positive("lam", lam)
-    r = mu_j / lam
+    return float(np.exp(_load_log_pmf(m, mu_j / lam)))
+
+
+def _load_log_pmf(m, r: float):
+    """log f_M(m) of :func:`load_pmf` at the loads ``m`` for r = mu_j/lam."""
     c = _LOAD_SHAPE
-    log_f = (
-        c * math.log(c)
-        + math.lgamma(m + c + 1.0)
-        - math.lgamma(m + 1.0)
-        - math.lgamma(c)
-        + (m * math.log(r) if m > 0 else 0.0)
-        - (m + c + 1.0) * math.log(c + r)
+    return (
+        c * math.log(c) + gammaln(m + c + 1.0) - gammaln(m + 1.0) - math.lgamma(c)
+        + m * math.log(r) - (m + c + 1.0) * math.log(c + r)
     )
-    return math.exp(log_f)
 
 
-_LOAD_M_CAP = 100_000  # largest load tabulated, whatever the tail
+_LOAD_M_CAP = 100_000  # largest load tabulated
 
 
 def load_pmf_table(mu_j: float, lam: float, tail: float = 1e-12) -> np.ndarray:
-    """PMF values f_M(0..M) with M chosen so the omitted tail mass < ``tail``
-    (M at most ``_LOAD_M_CAP``)."""
-    values = []
-    cumulative = 0.0
-    for m in range(_LOAD_M_CAP + 1):
-        f = load_pmf(m, mu_j, lam)
-        values.append(f)
-        cumulative += f
-        if cumulative >= 1.0 - tail:
-            break
-    return np.asarray(values)
+    """PMF values f_M(0..M), M the first load at which the cumulative mass
+    reaches 1 - ``tail``.  The loads are tabulated over 0..63, then 0..255,
+    and so on up to ``_LOAD_M_CAP``; a law that still misses more than
+    ``tail`` there raises DomainError."""
+    _require_positive("mu_j", mu_j)
+    _require_positive("lam", lam)
+    r = mu_j / lam
+    for size in (64, 256, 1024, 4096, 16384, 65536, _LOAD_M_CAP + 1):
+        pmf = np.exp(_load_log_pmf(np.arange(size), r))
+        cdf = np.cumsum(pmf)  # nondecreasing, so searchsorted finds the first M
+        if cdf[-1] >= 1.0 - tail:
+            return pmf[: np.searchsorted(cdf, 1.0 - tail) + 1]
+    raise DomainError(
+        f"the load law at mu_j/lam = {r:.6g} leaves mass {1.0 - cdf[-1]:.3g} "
+        f"beyond m = {_LOAD_M_CAP}, more than the tail {tail:g}"
+    )
 
 
-def load_order_statistic_pmf(i: int, m: int, n_aps: int, load_cdf) -> float:
-    """PMF of the i-th smallest of ``n_aps`` iid loads at value m.
+def load_order_statistic_pmf(i: int, n_aps: int, cdf) -> np.ndarray:
+    """PMF of the i-th smallest of ``n_aps`` iid loads at every m = 0..M,
+    given the loads' CDF F(0..M) as an array.
 
     Beta-integral form: the regularized incomplete beta I_x(i, n-i+1)
-    (``scipy.special.betainc``) evaluated at x = F(m) and x = F(m-1) and
-    differenced.
+    (``scipy.special.betainc``) at x = F(m), differenced in m; F(-1) = 0.
     """
     if not 1 <= i <= n_aps:
         raise DomainError(f"order statistic rank {i} outside 1..{n_aps}")
-    if m < 0:
-        raise DomainError(f"load m must be >= 0, got {m}")
-    x = [float(load_cdf(m - 1)) if m > 0 else 0.0, float(load_cdf(m))]
-    lo, hi = betainc(i, n_aps - i + 1, np.clip(x, 0.0, 1.0))
-    return float(hi - lo)
+    x = np.clip(np.r_[0.0, cdf], 0.0, 1.0)
+    return np.diff(betainc(i, n_aps - i + 1, x))
 
 
-def _rate_threshold(rho: float, m_plus_one: int) -> float:
-    """varsigma = 2^(rho (m+1)) - 1 with overflow care."""
-    x = rho * m_plus_one * _LN2
-    if x > 700.0:
-        return math.inf
-    return math.expm1(x)
+def _rate_thresholds(rho: float, n: int, alpha: float):
+    """varsigma^(2/a) with varsigma = 2^(rho (m+1)) - 1 at the loads
+    m = 0..n-1 where x = rho (m+1) ln 2 <= 700, and the mask of those loads;
+    beyond, the coverage term is below any representable mass."""
+    x = rho * np.arange(1, n + 1) * _LN2
+    keep = x <= 700.0
+    return np.expm1(x[keep]) ** (2.0 / alpha), keep
 
 
 def rate_coverage_max_sir(rho: float, lam: float, mu_j: float, alpha: float) -> float:
@@ -365,9 +363,7 @@ def rate_coverage_max_sir(rho: float, lam: float, mu_j: float, alpha: float) -> 
     _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
     pmf = load_pmf_table(mu_j, lam)
-    x = rho * np.arange(1, len(pmf) + 1) * _LN2
-    keep = x <= 700.0  # beyond, the coverage term is below any representable mass
-    t = np.expm1(x[keep]) ** (2.0 / alpha)
+    t, keep = _rate_thresholds(rho, len(pmf), alpha)
     return float(np.sum(pmf[keep] / (1.0 + t * c_integral(1.0 / t, alpha))))
 
 
@@ -397,28 +393,11 @@ def rate_coverage_min_load(
             f"(lam pi r_con^2 = {lam * math.pi * r_con**2:.3f} < 1)"
         )
     pmf = load_pmf_table(mu_j, lam)
-    cdf = np.cumsum(pmf)
-
-    def load_cdf(m: int) -> float:
-        if m < 0:
-            return 0.0
-        return float(cdf[min(m, len(cdf) - 1)])
-
-    c0 = c_integral(0.0, alpha)
-    e = 2.0 / alpha
-    disk = math.pi * lam * r_con * r_con
-    total = 0.0
-    for m in range(len(pmf)):
-        w = load_order_statistic_pmf(1, m, n_aps, load_cdf)
-        if w <= 0.0:
-            continue
-        varsigma = _rate_threshold(rho, m + 1)
-        if math.isinf(varsigma):
-            continue
-        x = disk * varsigma**e * c0
-        cond = -math.expm1(-x) / x if x > 1e-8 else 1.0 - 0.5 * x
-        total += w * cond
-    return total
+    t, keep = _rate_thresholds(rho, len(pmf), alpha)
+    w = load_order_statistic_pmf(1, n_aps, np.cumsum(pmf))[keep]
+    x = math.pi * lam * r_con * r_con * t * c_integral(0.0, alpha)
+    cond = np.where(x > 1e-8, -np.expm1(-x) / x, 1.0 - 0.5 * x)
+    return float(np.sum(w * cond))
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +435,9 @@ def _sic_gain_integral(eta: float, n_max: int, alpha: float) -> float:
     orders = np.arange(n_max + 1, dtype=float)[:, None]
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        gain = np.zeros_like(tau)
-        outage_prod = np.ones_like(tau)
-        cancel_prod = 1.0
         # decode factor of order n (row n) at every node; nodes are interior, tau > 0
         factors = np.exp(-eta_e * c_integral(orders / (eta_e * tau), alpha) * tau)
-        for i in range(1, n_max + 1):
-            outage_prod = outage_prod * (1.0 - factors[i - 1])
-            cancel_prod *= q_single**i
-            gain = gain + outage_prod * cancel_prod * factors[i]
-        return gain
+        return _sic_levels(factors, q_single)[2].sum(axis=0)
 
     c0 = c_integral(0.0, alpha)
     tau_max = 2.0 * n_max / eta_e + 120.0 / (eta_e * c0)

@@ -34,7 +34,6 @@ __all__ = [
     "association_prob_max_power",
     "biased_association_prob",
     "rea_association_prob",
-    "nearest_ap_distance_pdf",
     "nth_interferer_distance_pdf",
     "cancellation_radius",
     "rea_distance_pdf",
@@ -238,17 +237,6 @@ def power_weighted_user_density(
 # ---------------------------------------------------------------------------
 
 
-def nearest_ap_distance_pdf(lambda_eq: float, u) -> float:
-    """Rayleigh law of the nearest-AP distance in a PPP of density lambda_eq:
-    f_D(u) = 2 pi lambda_eq u exp(-lambda_eq pi u^2)."""
-    _require_positive("lambda_eq", lambda_eq)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise DomainError("distances must be >= 0")
-    pdf = 2.0 * math.pi * lambda_eq * u_arr * np.exp(-lambda_eq * math.pi * u_arr**2)
-    return float(pdf) if np.ndim(u) == 0 else pdf
-
-
 def nth_interferer_distance_pdf(mu_j: float, n: int, r) -> float:
     """PDF of the distance to the n-th nearest point of a PPP(mu_j):
 
@@ -256,6 +244,8 @@ def nth_interferer_distance_pdf(mu_j: float, n: int, r) -> float:
 
     (Generalized-gamma form; the exponent is negative, as required for the
     density to integrate to one.)
+    At n = 1 it is the nearest-point (Rayleigh) law
+    2 pi mu_j r exp(-mu_j pi r^2).
     """
     _require_positive("mu_j", mu_j)
     if n < 1:

@@ -11,9 +11,14 @@ the signal of interest is not counted as interference, mirroring the
 trimmed-sum definition of the residual field.
 
 Ordering: every SIC chain (``ps_sic_curve_mc``, ``simulate_max_inst_sir``)
-cancels in order of mean received power, nearest interferer first, as the
-paper's chain does.  Only ``ps_can_curve_mc`` and the scene oracles
-(``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded power.
+cancels nearest interferer first.  ``ps_sic_curve_mc`` has one interferer
+tier, so that is the order of mean received power, as in the paper's chain.
+``simulate_max_inst_sir`` ranks the users of all tiers together by raw
+distance, which is mean-power order only when the tiers' UL powers Q_k are
+equal: with Q = (10, 1), as in fig5, a nearer low-power user is cancelled
+before a farther high-power one.  Only ``ps_can_curve_mc`` and the scene
+oracles (``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded
+power.
 
 Windows: where no decision in a trial reads the far field, the field is
 sampled only out to a near window that holds 25 expected points beyond its
@@ -925,8 +930,10 @@ def _max_sir_trials(
     """Draw ``size`` max-SIR trials and yield ``(signal, total, top)`` for
     each trial that has a candidate AP, one row per AP: the user's mean
     received power (its link fading is never drawn), the aggregate UL
-    interference and the ``m`` nearest interferer powers (:func:`_top_m`;
-    fewer where the field is smaller), which the chain cancels in order.
+    interference and the powers of the ``m`` interferers nearest the AP,
+    all tiers ranked together by raw distance (:func:`_top_m`; fewer where
+    the field is smaller), which the chain cancels in that order.  Where the
+    tiers' UL powers differ, that is not the order of mean received power.
 
     Per trial the candidate APs of every tier are drawn in the disk of
     radius ``_CAND_RADIUS``.  By default the interfering users of every tier
@@ -1077,11 +1084,12 @@ def simulate_max_inst_sir(
 ) -> Estimate:
     """Max-instantaneous-SIR policy with SIC: the uplink succeeds if any
     candidate AP decodes the user after at most N cancellations, running
-    the full event chain, nearest interferer first, independently at each
-    AP (:func:`_max_sir_sums`).  ``independent_fields`` gives every AP its
-    own interferer field (the closed form's decoupling), drawn only where
-    N >= 1 cancels from it; the default shares the physical field across
-    APs."""
+    the full event chain independently at each AP (:func:`_max_sir_sums`).
+    Each AP cancels its nearest interferers first, the users of all tiers
+    ranked together by raw distance, not by mean received power.
+    ``independent_fields`` gives every AP its own interferer field (the
+    closed form's decoupling), drawn only where N >= 1 cancels from it; the
+    default shares the physical field across APs."""
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )

@@ -3,8 +3,9 @@
 Oracles used here: scipy QUADPACK integration of the raw decode integral, a
 dedicated sampling experiment for the truncated decode law (interferers
 removed inside the cancellation disk, serving distance gated at the disk
-edge), brute-force series summation for the load model, and empirical order
-statistics for the minimum load.
+edge), brute-force series summation for the load model, empirical order
+statistics for the minimum load, and load-by-load and level-by-level sums
+as references for the array forms of the rate coverages and the SIC sum.
 """
 
 import inspect
@@ -68,6 +69,48 @@ def decode_integral_oracle(eta, n, lambda_eq, mu_j, alpha):
     value, err = scipy.integrate.quad(integrand, r_n, np.inf, limit=300)
     assert err < 1e-7
     return value
+
+
+def reference_load_table(mu_j, lam, tail=1e-12):
+    """f_M(0..M) by the scalar law, one load at a time, up to the first M
+    whose cumulative mass reaches 1 - tail."""
+    values, cumulative = [], 0.0
+    for m in range(100_001):
+        values.append(load_pmf(m, mu_j, lam))
+        cumulative += values[-1]
+        if cumulative >= 1.0 - tail:
+            return np.array(values)
+    raise AssertionError("tail not reached")
+
+
+def reference_rate_coverage_max_sir(rho, lam, mu_j, alpha):
+    """The max-SIR rate coverage summed load by load."""
+    total = 0.0
+    for m, f in enumerate(reference_load_table(mu_j, lam)):
+        x = rho * (m + 1) * math.log(2.0)
+        if x > 700.0:
+            continue
+        t = math.expm1(x) ** (2.0 / alpha)
+        total += f / (1.0 + t * c_integral(1.0 / t, alpha))
+    return total
+
+
+def reference_rate_coverage_min_load(rho, lam, mu_j, alpha, r_con):
+    """The min-load rate coverage summed load by load; the minimum of n iid
+    loads takes m with probability (1 - F(m-1))^n - (1 - F(m))^n."""
+    n_aps = math.floor(lam * math.pi * r_con * r_con)
+    cdf = np.cumsum(reference_load_table(mu_j, lam))
+    disk = math.pi * lam * r_con * r_con
+    total = 0.0
+    for m in range(len(cdf)):
+        lo = cdf[m - 1] if m > 0 else 0.0
+        w = (1.0 - lo) ** n_aps - (1.0 - cdf[m]) ** n_aps
+        x = rho * (m + 1) * math.log(2.0)
+        if x > 700.0:
+            continue
+        s = disk * math.expm1(x) ** (2.0 / alpha) * c_integral(0.0, alpha)
+        total += w * (-math.expm1(-s) / s if s > 1e-8 else 1.0 - 0.5 * s)
+    return total
 
 
 class TestPsPlain:
@@ -231,6 +274,26 @@ class TestPsSic:
             totals = [ps_sic(eta, n, LAM, MU, 4.0).ps_sic_total for n in range(6)]
             assert all(b >= a - 1e-14 for a, b in zip(totals, totals[1:]))
 
+    def test_levels_match_sequential_products(self):
+        # reference: the level products multiplied up one level at a time
+        for eta in (0.3, 1.0, 4.0):
+            bd = ps_sic(eta, 5, LAM, MU, 4.0)
+            decode = [ps_ic(eta, n, LAM, MU, 4.0) for n in range(6)]
+            q_single = ps_can(eta, 1, 4.0)
+            total, outage, cancel = decode[0], 1.0, 1.0
+            for i, lv in enumerate(bd.per_level, start=1):
+                outage *= 1.0 - decode[i - 1]
+                cancel *= q_single**i
+                contribution = outage * cancel * decode[i]
+                total += contribution
+                assert lv.level == i
+                assert lv.chain_outage_product == pytest.approx(outage, rel=1e-12)
+                assert lv.cancel_product == pytest.approx(cancel, rel=1e-12)
+                assert lv.decode_after == pytest.approx(decode[i], rel=1e-12)
+                assert lv.level_contribution == pytest.approx(contribution, rel=1e-12)
+            assert len(bd.per_level) == 5
+            assert bd.ps_sic_total == pytest.approx(total, rel=1e-12)
+
 
 class TestLoadModel:
     def test_reference_value(self):
@@ -253,6 +316,22 @@ class TestLoadModel:
         with pytest.raises(DomainError):
             load_pmf(-1, 1e-4, 1e-4)
 
+    @pytest.mark.parametrize("ratio", [5.0, 1e3])
+    def test_table_matches_scalar_loop(self, ratio):
+        # ratio 1e3 needs several table passes (10 822 loads)
+        pmf = load_pmf_table(ratio * 1e-5, 1e-5)
+        ref = reference_load_table(ratio * 1e-5, 1e-5)
+        assert len(pmf) == len(ref)
+        np.testing.assert_allclose(pmf, ref, rtol=1e-12, atol=0.0)
+        cdf = np.cumsum(pmf)
+        assert cdf[-2] < 1.0 - 1e-12 <= cdf[-1]
+
+    @pytest.mark.parametrize("ratio", [3e4, 1e5])
+    def test_table_beyond_cap_raises(self, ratio):
+        # the mass within 100 000 loads is 0.9945 at 3e4 and 0.363 at 1e5
+        with pytest.raises(DomainError, match=f"mu_j/lam = {ratio:.6g}"):
+            load_pmf_table(ratio * 1e-5, 1e-5)
+
 
 class TestLoadOrderStatistics:
     @staticmethod
@@ -262,32 +341,28 @@ class TestLoadOrderStatistics:
 
     def test_single_sample_is_parent(self):
         pmf = load_pmf_table(5e-5, 1e-5)
-        cdf = self.make_cdf(pmf)
+        order = load_order_statistic_pmf(1, 1, np.cumsum(pmf))
         for m in range(12):
-            assert load_order_statistic_pmf(1, m, 1, cdf) == pytest.approx(
-                pmf[m], rel=1e-10
-            )
+            assert order[m] == pytest.approx(pmf[m], rel=1e-10)
 
     def test_min_of_two_closed_form(self):
         pmf = load_pmf_table(5e-5, 1e-5)
         cdf = self.make_cdf(pmf)
+        mins = load_order_statistic_pmf(1, 2, np.cumsum(pmf))
+        maxs = load_order_statistic_pmf(2, 2, np.cumsum(pmf))
         for m in range(12):
             lo = cdf(m - 1) if m > 0 else 0.0
             expected_min = (1.0 - lo) ** 2 - (1.0 - cdf(m)) ** 2
-            assert load_order_statistic_pmf(1, m, 2, cdf) == pytest.approx(
-                expected_min, rel=1e-10
-            )
+            assert mins[m] == pytest.approx(expected_min, rel=1e-10)
             # the maximum of two draws carries the F^2 difference
             expected_max = cdf(m) ** 2 - lo**2
-            assert load_order_statistic_pmf(2, m, 2, cdf) == pytest.approx(
-                expected_max, rel=1e-10
-            )
+            assert maxs[m] == pytest.approx(expected_max, rel=1e-10)
 
     def test_sums_to_one_and_dominates(self):
         pmf = load_pmf_table(5e-5, 1e-5)
         cdf = self.make_cdf(pmf)
         n_aps = 5
-        mins = [load_order_statistic_pmf(1, m, n_aps, cdf) for m in range(len(pmf))]
+        mins = load_order_statistic_pmf(1, n_aps, np.cumsum(pmf))
         assert sum(mins) == pytest.approx(1.0, abs=1e-9)
         # first order statistic is stochastically dominated by the parent
         assert all(
@@ -296,22 +371,19 @@ class TestLoadOrderStatistics:
 
     def test_empirical_min_oracle(self):
         pmf = load_pmf_table(5e-5, 1e-5)
-        cdf = self.make_cdf(pmf)
         n_aps, draws = 4, 1_000_000
         rng = np.random.default_rng(17)
         samples = rng.choice(len(pmf), size=(draws, n_aps), p=pmf / pmf.sum())
         emp = np.bincount(samples.min(axis=1), minlength=len(pmf)) / draws
-        ana = np.array(
-            [load_order_statistic_pmf(1, m, n_aps, cdf) for m in range(len(pmf))]
-        )
+        ana = load_order_statistic_pmf(1, n_aps, np.cumsum(pmf))
         assert 0.5 * float(np.abs(emp - ana).sum()) <= 0.01
 
     def test_rank_bounds(self):
-        cdf = self.make_cdf(load_pmf_table(5e-5, 1e-5))
+        cdf = np.cumsum(load_pmf_table(5e-5, 1e-5))
         with pytest.raises(DomainError):
-            load_order_statistic_pmf(0, 1, 3, cdf)
+            load_order_statistic_pmf(0, 3, cdf)
         with pytest.raises(DomainError):
-            load_order_statistic_pmf(4, 1, 3, cdf)
+            load_order_statistic_pmf(4, 3, cdf)
 
 
 class TestRateCoverage:
@@ -343,6 +415,24 @@ class TestRateCoverage:
     def test_min_load_needs_an_ap(self):
         with pytest.raises(DomainError):
             rate_coverage_min_load(0.5, 1e-5, 5e-5, 4.0, 100.0)
+
+    @pytest.mark.parametrize("lam, mu_j", [(1e-5, 5e-5), (1e-4, 5e-4)])
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 20.0])
+    def test_match_per_load_sums(self, rho, lam, mu_j):
+        # at rho = 20 the rate threshold overflows for m >= 50 of the 70 loads
+        assert rate_coverage_max_sir(rho, lam, mu_j, 4.0) == pytest.approx(
+            reference_rate_coverage_max_sir(rho, lam, mu_j, 4.0), rel=1e-12
+        )
+        assert rate_coverage_min_load(rho, lam, mu_j, 4.0, 400.0) == pytest.approx(
+            reference_rate_coverage_min_load(rho, lam, mu_j, 4.0, 400.0), rel=1e-12
+        )
+
+    def test_load_table_cap_raises(self):
+        # mu_j/lam = 1e5 keeps 64% of the load mass beyond the table cap
+        with pytest.raises(DomainError, match="mu_j/lam = 100000"):
+            rate_coverage_max_sir(0.5, 1e-5, 1.0, 4.0)
+        with pytest.raises(DomainError, match="mu_j/lam = 100000"):
+            rate_coverage_min_load(1e-4, 1e-5, 1.0, 4.0, 400.0)
 
     def test_min_load_below_max_sir(self):
         # reference scenario ordering: the SIR loss of the min-load pick is

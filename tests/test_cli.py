@@ -66,6 +66,14 @@ class TestEval:
         assert main(["eval", "ps_can", "--eta", "1", "--n", "-1", "--alpha", "4"]) == 2
         assert "n" in capsys.readouterr().err
 
+    def test_load_table_beyond_cap_exits_2(self, capsys):
+        rc = main(
+            ["eval", "rate_coverage_min_load", "--rho", "1e-4", "--lam", "1e-5",
+             "--mu-j", "1", "--alpha", "4", "--r-con", "400"]
+        )
+        assert rc == 2
+        assert "mu_j/lam = 100000" in capsys.readouterr().err
+
     def test_missing_parameter_exits_2(self, capsys):
         assert main(["eval", "ps_can", "--eta", "1"]) == 2
         assert "alpha" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from sicnet.model import (
     equivalent_density,
     linear_to_db,
     load_config,
-    nearest_ap_distance_pdf,
     nth_interferer_distance_pdf,
     power_weighted_user_density,
     rea_association_prob,
@@ -232,7 +231,7 @@ class TestDistanceLaws:
     def test_nearest_pdf_normalizes(self):
         lam = 3e-4
         total, err = scipy.integrate.quad(
-            lambda u: nearest_ap_distance_pdf(lam, u), 0.0, np.inf
+            lambda u: nth_interferer_distance_pdf(lam, 1, u), 0.0, np.inf
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -240,7 +239,7 @@ class TestDistanceLaws:
         lam = 1e-4
         mode = 1.0 / math.sqrt(2.0 * math.pi * lam)
         grid = np.linspace(0.5 * mode, 1.5 * mode, 2001)
-        vals = nearest_ap_distance_pdf(lam, grid)
+        vals = nth_interferer_distance_pdf(lam, 1, grid)
         assert grid[int(np.argmax(vals))] == pytest.approx(mode, rel=1e-3)
 
     def test_nearest_pdf_sampling(self):
@@ -257,7 +256,7 @@ class TestDistanceLaws:
     def test_nth_pdf_reduces_to_nearest(self):
         for r in (10.0, 50.0, 120.0):
             assert nth_interferer_distance_pdf(1e-4, 1, r) == pytest.approx(
-                nearest_ap_distance_pdf(1e-4, r), rel=1e-12
+                2.0 * math.pi * 1e-4 * r * math.exp(-1e-4 * math.pi * r * r), rel=1e-12
             )
 
     def test_nth_pdf_square_moment(self):
