@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, poch
 
 from .errors import DegenerateReaError, DomainError
 from .model import (
@@ -297,11 +297,12 @@ def load_pmf(m: int, mu_j: float, lam: float) -> float:
 
 
 def _load_log_pmf(m, r: float):
-    """log f_M(m) of :func:`load_pmf` at the loads ``m`` for r = mu_j/lam."""
+    """log f_M(m) of :func:`load_pmf` at the loads ``m`` for r = mu_j/lam,
+    with no two terms of size m log m to cancel (``poch`` and ``log1p``)."""
     c = _LOAD_SHAPE
     return (
-        c * math.log(c) + gammaln(m + c + 1.0) - gammaln(m + 1.0) - math.lgamma(c)
-        + m * math.log(r) - (m + c + 1.0) * math.log(c + r)
+        c * math.log(c) + np.log(poch(m + 1.0, c)) - math.lgamma(c)
+        - m * math.log1p(c / r) - (c + 1.0) * math.log(c + r)
     )
 
 

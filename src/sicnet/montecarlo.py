@@ -25,17 +25,18 @@ sampled only out to a near window that holds 25 expected points beyond its
 inner radius, and each trial multiplies in the exact Laplace transform of
 the field beyond (:func:`_far_field`), so the estimate has no truncation
 bias: ``simulate_rea`` (both modes) and the independent-stage oracle of
-``ps_sic_curve_mc``.  The no-SIC max-SIR estimate with independent fields
-(``max_sir_success_curve_mc``, ``simulate_max_inst_sir`` at N = 0) reads
-no field at all, so it draws none and takes each AP's whole field from
-that transform.  Every other simulator decides cancellations on the
-residual or decides loads inside its window, so the factor would not be
-exact there, and they still truncate at a fixed disk, which drops a small
-share of the interference and so reads success slightly high: the
-faithful chain, ``ps_can_curve_mc`` and the other max-SIR runs at
-R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400 expected
-interferers), ``simulate_min_load`` at its connectivity range plus a
-margin.
+``ps_sic_curve_mc``.  The max-SIR runs with independent fields are
+window-free too: without SIC (``max_sir_success_curve_mc``, N = 0) they
+draw no field and take each AP's whole field from that transform; with
+SIC they draw only each AP's nearest users and integrate out their
+fadings and the field beyond exactly (:func:`_nearest_chain_success`).
+Every other simulator decides cancellations on the residual or decides
+loads inside its window, so the factor would not be exact there, and they
+still truncate at a fixed disk, which drops a small share of the
+interference and so reads success slightly high: the faithful chain,
+``ps_can_curve_mc`` and the shared-field max-SIR runs at R_sim = 20 /
+sqrt(pi mu_j) (:func:`window_radius`, about 400 expected interferers),
+``simulate_min_load`` at its connectivity range plus a margin.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -888,22 +889,6 @@ def _interferer_tiers(cfg: NetworkConfig):
     ]
 
 
-def _independent_fields(rng: np.random.Generator, n_aps: int, fields, alpha: float):
-    """Give each of ``n_aps`` receivers its own multi-tier user field, one
-    tier per ``(density, window radius, UL power)`` in ``fields``, each a
-    disk field of :func:`_radial_field`.  Return the aggregate interference
-    per receiver and the powers and squared radii of all users side by
-    side."""
-    total = np.zeros(n_aps)
-    parts_p, parts_r2 = [], []
-    for mu_k, r_w, q in fields:
-        base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, r_w, 1, alpha)
-        total += q * base.sum(axis=1)
-        parts_p.append(q * base)
-        parts_r2.append(r2)
-    return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
-
-
 def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
     """-log E[exp(-eta I_a / S_a)] for APs a that each see a whole user
     field I_a of their own: the sum over the interferer ``tiers`` of
@@ -919,6 +904,10 @@ def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
 _CAND_RADIUS = 250.0
 
+# The SIC chain with independent fields conditions on the max(n_max, this)
+# nearest users of each AP, so every budget up to it reads the same draws.
+_NEAREST_USERS = 3
+
 
 def _max_sir_trials(
     cfg: NetworkConfig,
@@ -931,26 +920,24 @@ def _max_sir_trials(
     each trial that has a candidate AP, one row per AP: the user's mean
     received power (its link fading is never drawn), the aggregate UL
     interference and the powers of the ``m`` interferers nearest the AP,
-    all tiers ranked together by raw distance (:func:`_top_m`; fewer where
-    the field is smaller), which the chain cancels in that order.  Where the
-    tiers' UL powers differ, that is not the order of mean received power.
+    all tiers ranked together by raw distance (:func:`_top_m`), which the
+    chain cancels in that order.  Where the tiers' UL powers differ, that
+    is not the order of mean received power.  Where a field holds fewer
+    than ``m`` interferers, zero-power stages pad its row: they leave the
+    residual as it was, so they cannot change the chain's outcome.
 
     Per trial the candidate APs of every tier are drawn in the disk of
     radius ``_CAND_RADIUS``.  By default the interfering users of every tier
     (density p_a,k mu, UL power Q_k) are drawn in a disk too, and all APs
-    observe that one user field through independent per-link fading;
-    ``independent_fields=True`` instead gives every AP its own field, drawn
-    as radii only, which is exactly the decoupling the closed forms assume,
-    and draws no shared field.  With independent fields and ``m = 0`` no
-    cancellation reads a field, so none is drawn at all: ``total`` is None,
-    ``top`` has no columns, and the caller averages each AP's whole field
-    out exactly (:func:`_max_sir_far_exponent`).  Otherwise the draws do not
-    depend on ``m``."""
+    observe that one user field through independent per-link fading; the
+    draws do not depend on ``m``.  ``independent_fields=True`` instead
+    gives every AP a field of its own, which is exactly the decoupling the
+    closed forms assume, and draws none here: ``total`` and ``top`` are
+    None."""
     alpha = cfg.alpha
     tiers = _interferer_tiers(cfg)
     q_ul = np.array([q for _, q in tiers])
     user_radius = window_radius(cfg.mu)
-    fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in tiers]
     for _ in range(size):
         aps = [sample_ppp(t.lam, _CAND_RADIUS, rng) for t in cfg.tiers]
         if not independent_fields:
@@ -962,21 +949,20 @@ def _max_sir_trials(
         aps = np.concatenate(aps)
         d_ap = np.hypot(aps[:, 0], aps[:, 1])
         signal = q_ap * d_ap**-alpha
-        if independent_fields and not m:
-            yield signal, None, np.empty((n_aps, 0))
-            continue
         if independent_fields:
-            total, p, d2 = _independent_fields(rng, n_aps, fields, alpha)
-        else:
-            u_pow = np.repeat(q_ul, [len(u) for u in users])
-            users = np.concatenate(users)
-            d2 = (
-                (aps[:, 0, None] - users[None, :, 0]) ** 2
-                + (aps[:, 1, None] - users[None, :, 1]) ** 2
-            )
-            p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
-            total = p.sum(axis=1)
-        yield signal, total, _top_m(p, d2, m, "distance_only")
+            yield signal, None, None
+            continue
+        u_pow = np.repeat(q_ul, [len(u) for u in users])
+        users = np.concatenate(users)
+        d2 = (
+            (aps[:, 0, None] - users[None, :, 0]) ** 2
+            + (aps[:, 1, None] - users[None, :, 1]) ** 2
+        )
+        p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
+        top = _top_m(p, d2, m, "distance_only")
+        if top.shape[1] < m:
+            top = np.pad(top, ((0, 0), (0, m - top.shape[1])))
+        yield signal, p.sum(axis=1), top
 
 
 def _max_sir_block(
@@ -988,14 +974,9 @@ def _max_sir_block(
 ):
     """The AP rows of one block of :func:`_max_sir_trials` stacked, with the
     index of each trial's first row: ``(signal, total, top, first_row)``,
-    or None if no trial has a candidate AP.  Where a field holds fewer than
-    ``m`` interferers, its row is padded with zero-power stages: such a
-    stage cancels and leaves the residual as it was, so it cannot change
-    the chain's outcome.  ``total`` is None where no field was drawn."""
-    rows = []
-    for signal, total, top in _max_sir_trials(cfg, rng, size, independent_fields, m):
-        pad = m - top.shape[1]
-        rows.append((signal, total, np.pad(top, ((0, 0), (0, pad))) if pad else top))
+    or None if no trial has a candidate AP.  ``total`` and ``top`` are None
+    where no field was drawn."""
+    rows = list(_max_sir_trials(cfg, rng, size, independent_fields, m))
     if not rows:
         return None
     first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
@@ -1003,6 +984,48 @@ def _max_sir_block(
         None if col[0] is None else np.concatenate(col) for col in zip(*rows)
     )
     return signal, total, top, first_row
+
+
+def _nearest_users(rng: np.random.Generator, size: int, tiers, depth: int, alpha: float):
+    """The ``depth`` nearest users of ``size`` independent fields of the
+    superposed ``tiers``: pi mu r_k^2 is a sum of k Exp(1), mu the total
+    density (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012,
+    ch. 2), and a user is of tier t with probability mu_t / mu.  Return
+    their mean powers x[:, k-1] = Q_t r_k^-alpha and r_depth^2."""
+    density, q_ul = np.array(tiers).T
+    r2 = np.cumsum(rng.standard_exponential((size, depth)), axis=1)
+    r2 /= math.pi * density.sum()
+    share = np.cumsum(density)[:-1] / density.sum()
+    marks = np.searchsorted(share, rng.random((size, depth)), side="right")
+    return q_ul[marks] * r2 ** (-0.5 * alpha), r2[:, -1]
+
+
+def _nearest_chain_success(x, r2_far, tiers, signal, eta: float, n_max: int, alpha: float):
+    """Each AP's chain success for budgets N = 0..n_max given the mean
+    powers ``x`` of its nearest users (:func:`_nearest_users`), exact over
+    every fading and the field beyond r_far.  With R_k the residual after k
+    cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k} (1 + c x_j)^-1
+    times the tiers' :func:`_far_field`.  Stage k cancels with probability
+    exp(-a_k R_k), a_k = eta / x_k, and decodes with exp(-g R_k), g = eta /
+    S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} / (1 + beta_{k-1} x_k) and
+    beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).  Where stages 1..k all
+    cancel, E[exp(-g R_k)] = W_k Phi_k(beta_k + g) and E[exp(-g R_{k-1})] =
+    W_{k-1} Phi_k((1 + b x_k) a_k + b) / (1 + b x_k), b = beta_{k-1} + g.  P_N
+    is Phi_0(g) plus their differences for k <= N, as a running maximum."""
+
+    def phi(k: int, c: np.ndarray) -> np.ndarray:
+        far = sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers)
+        return np.exp(-(np.log1p(c[:, None] * x[:, k:]).sum(axis=1) + far))
+
+    g = eta / signal
+    beta, w = np.zeros_like(g), np.ones_like(g)
+    p = [phi(0, g)]
+    for k in range(1, n_max + 1):
+        x_k, a_k, b = x[:, k - 1], eta / x[:, k - 1], beta + g
+        before = w / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
+        w, beta = w / (1.0 + beta * x_k), beta + a_k * (1.0 + beta * x_k)
+        p.append(p[-1] + w * phi(k, beta + g) - before)
+    return np.clip(np.maximum.accumulate(np.column_stack(p), axis=1), 0.0, 1.0)
 
 
 def _max_sir_sums(
@@ -1018,10 +1041,11 @@ def _max_sir_sums(
     APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
     are sampled one by one, but the chain runs once per block on all their
     AP rows together (:func:`_max_sir_block`); a trial without a candidate
-    AP contributes 0.  With independent fields and ``n_max = 0`` no field
-    is drawn, and P_a also averages over AP a's field, exactly
-    (:func:`_max_sir_far_exponent`)."""
-    tiers = _interferer_tiers(cfg)
+    AP contributes 0.  With independent fields P_a also averages over AP
+    a's field, exactly: the whole field for ``n_max = 0``
+    (:func:`_max_sir_far_exponent`), else all but its nearest users, drawn
+    after the trials (:func:`_nearest_chain_success`)."""
+    tiers, alpha = _interferer_tiers(cfg), cfg.alpha
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         sums = np.zeros((2, len(etas), n_max + 1))
@@ -1029,16 +1053,19 @@ def _max_sir_sums(
         if rows is None:
             return sums
         signal, total, top, first_row = rows
-        cum = np.cumsum(top, axis=1)
+        if total is not None:
+            cum = np.cumsum(top, axis=1)
+        elif n_max:
+            near = _nearest_users(rng, len(signal), tiers, max(n_max, _NEAREST_USERS), alpha)
         for e_idx, eta in enumerate(etas):
-            if total is None:
-                x = _max_sir_far_exponent(tiers, signal, eta, cfg.alpha)[:, None]
+            if total is not None:
+                miss = -np.expm1(-_chain_exponent(signal, total, top, cum, eta, n_max))
+            elif n_max:
+                miss = 1.0 - _nearest_chain_success(*near, tiers, signal, eta, n_max, alpha)
             else:
-                x = _chain_exponent(signal, total, top, cum, eta, n_max)
+                miss = -np.expm1(-_max_sir_far_exponent(tiers, signal[:, None], eta, alpha))
             # trials along the last axis, as the per-budget sums read them
-            p = np.ascontiguousarray(
-                1.0 - np.multiply.reduceat(-np.expm1(-x), first_row).T
-            )
+            p = np.ascontiguousarray(1.0 - np.multiply.reduceat(miss, first_row).T)
             sums[:, e_idx] = _moments(p, 1)
         return sums
 
@@ -1088,8 +1115,10 @@ def simulate_max_inst_sir(
     Each AP cancels its nearest interferers first, the users of all tiers
     ranked together by raw distance, not by mean received power.
     ``independent_fields`` gives every AP its own interferer field (the
-    closed form's decoupling), drawn only where N >= 1 cancels from it; the
-    default shares the physical field across APs."""
+    closed form's decoupling) and truncates it at no window: for N >= 1 it
+    draws each AP's nearest users and averages their fadings and the field
+    beyond them exactly.  The default shares the physical field across
+    APs, drawn in a window."""
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )

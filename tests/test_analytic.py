@@ -326,6 +326,28 @@ class TestLoadModel:
         cdf = np.cumsum(pmf)
         assert cdf[-2] < 1.0 - 1e-12 <= cdf[-1]
 
+    @pytest.mark.parametrize("ratio", [1e3, 5e3])
+    def test_log_pmf_precision(self, ratio):
+        # against the law in 40-digit arithmetic, pointwise at loads up to
+        # 20 mu_j/lam; and the mass over every load up to the table's cap
+        mpmath = pytest.importorskip("mpmath")
+        from sicnet.analytic import _LOAD_M_CAP, _load_log_pmf
+
+        loads = np.unique(np.concatenate((np.arange(8), np.linspace(0, 20 * ratio, 200))).astype(int))
+        with mpmath.workdps(40):
+            c, r = mpmath.mpf(3.5), mpmath.mpf(ratio)
+            want = [
+                float(mpmath.exp(
+                    c * mpmath.log(c) + mpmath.loggamma(m + c + 1) - mpmath.loggamma(m + 1)
+                    - mpmath.loggamma(c) + m * mpmath.log(r) - (m + c + 1) * mpmath.log(c + r)
+                ))
+                for m in loads.tolist()
+            ]
+        got = np.exp(_load_log_pmf(loads, ratio))
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 5e-11
+        mass = np.exp(_load_log_pmf(np.arange(_LOAD_M_CAP + 1), ratio)).sum()
+        assert abs(mass - 1.0) <= 1e-12, mass
+
     @pytest.mark.parametrize("ratio", [3e4, 1e5])
     def test_table_beyond_cap_raises(self, ratio):
         # the mass within 100 000 loads is 0.9945 at 3e4 and 0.363 at 1e5

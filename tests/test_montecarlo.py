@@ -18,22 +18,26 @@ from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
 from sicnet.numerics import c_integral
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
+    _NEAREST_USERS,
     _SERVING_STREAM,
     _chain_exponent,
     _chain_levels,
+    _estimates,
     _far_field,
     _field_block,
     _first_level,
-    _independent_fields,
     _independent_stage_block,
     _independent_stage_probs,
     _interferer_tiers,
     _max_sir_block,
     _max_sir_far_exponent,
+    _max_sir_sums,
     _max_sir_trials,
     _min_load_success,
     _min_load_trials,
     _moments,
+    _nearest_chain_success,
+    _nearest_users,
     _ordered_powers,
     _radial_field,
     _rea_block,
@@ -642,19 +646,18 @@ class TestFarField:
         assert abs(x.mean() - want) <= 4.0 * x.std() / math.sqrt(size), (x.mean(), want)
 
     def test_max_sir_factor_matches_independent_fields(self):
-        # the exponent of the fieldless no-SIC max-SIR path against the
-        # sampled per-AP fields it replaces: E[exp(-s I)] over the fields of
-        # _independent_fields, I the Q_k-weighted sum over the tiers; the
-        # window (400 expected points per tier) leaves out under 0.1% of
-        # the exponent, well under the tolerance
+        # the exponent of the fieldless no-SIC max-SIR path against sampled
+        # per-AP fields: E[exp(-s I)] over the fields of _sampled_fields, I
+        # the Q_k-weighted sum over the tiers; the window (400 expected
+        # points per tier) leaves out under 0.1% of the exponent, well under
+        # the tolerance
         cfg = two_tier()
         tiers = _interferer_tiers(cfg)
-        fields = [(mu_k, window_radius(mu_k), q) for mu_k, q in tiers]
         unit = _max_sir_far_exponent(tiers, np.ones(1), 1.0, 4.0)[0]
         # s at which the exact factor is about 0.8, 0.5 and 0.2 (alpha = 4)
         s = np.array([0.2, 0.7, 1.6]) ** 2 / unit**2
         total = np.concatenate(
-            [_independent_fields(_stream(89, b), 2000, fields, 4.0)[0] for b in range(5)]
+            [_sampled_fields(_stream(89, b), 2000, tiers, 4.0)[0] for b in range(5)]
         )
         x = np.exp(-np.multiply.outer(total, s))
         want = np.exp(-_max_sir_far_exponent(tiers, 1.0 / s, 1.0, 4.0))
@@ -797,6 +800,110 @@ class TestVoronoiLoads:
         assert 0.5 * float(np.abs(e - r).sum()) <= 0.05
 
 
+def _sampled_fields(rng, n_aps, tiers, alpha):
+    """Give each of ``n_aps`` receivers its own multi-tier user field, one
+    disk field of :func:`_radial_field` out to ``window_radius`` (400
+    expected points) per interferer tier ``(density, UL power)``.  Return
+    the aggregate interference per receiver and the powers and squared
+    radii of all users side by side."""
+    total = np.zeros(n_aps)
+    parts_p, parts_r2 = [], []
+    for mu_k, q in tiers:
+        base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, window_radius(mu_k), 1, alpha)
+        total += q * base.sum(axis=1)
+        parts_p.append(q * base)
+        parts_r2.append(r2)
+    return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
+
+
+def _sampled_field_max_sir(cfg, etas, n_max, trials, seed):
+    """Max-SIR success with independent fields for every (eta, N <= n_max),
+    each AP's field sampled out to its window (:func:`_sampled_fields`) and
+    the chain run on it: the truncated estimator that the window-free
+    kernel replaced, drawing each trial's fields right after its candidate
+    APs, as it did."""
+    tiers = _interferer_tiers(cfg)
+
+    def block(rng, size):
+        rows = []
+        for signal, _, _ in _max_sir_trials(cfg, rng, size, True, n_max):
+            total, p, d2 = _sampled_fields(rng, len(signal), tiers, cfg.alpha)
+            top = _top_m(p, d2, n_max, "distance_only")
+            rows.append((signal, total, np.pad(top, ((0, 0), (0, n_max - top.shape[1])))))
+        first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
+        signal, total, top = (np.concatenate(col) for col in zip(*rows))
+        sums = np.zeros((2, len(etas), n_max + 1))
+        for e_idx, eta in enumerate(etas):
+            x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
+            sums[:, e_idx] = _moments(1.0 - np.multiply.reduceat(-np.expm1(-x), first_row), 0)
+        return sums
+
+    return _estimates(_run_blocks(trials, seed, block), trials, seed)
+
+
+def _scalar_nearest_chain(x, r2_far, tiers, s, eta, n_max, alpha):
+    """One AP's chain success for budgets 0..n_max given the mean powers
+    ``x`` of its nearest users, in scalar arithmetic: the reference for the
+    array recursion of :func:`_nearest_chain_success`."""
+
+    def phi(k, c):
+        prod = math.exp(-sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers))
+        for x_j in x[k:]:
+            prod /= 1.0 + c * x_j
+        return prod
+
+    g = eta / s
+    beta, w = 0.0, 1.0
+    p = [phi(0, g)]
+    for k in range(1, n_max + 1):
+        x_k, a_k, b = x[k - 1], eta / x[k - 1], beta + g
+        before = w / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
+        w, beta = w / (1.0 + beta * x_k), beta + a_k * (1.0 + beta * x_k)
+        p.append(p[-1] + w * phi(k, beta + g) - before)
+    return [min(max(max(p[: n + 1]), 0.0), 1.0) for n in range(n_max + 1)]
+
+
+def _nearest_max_sir(cfg, eta, n_max, size, seed):
+    """Each trial's max-SIR success with independent fields for budget
+    ``n_max``, AP by AP: after one block's candidate APs, the nearest users
+    of every AP, pi mu r_k^2 a running sum of Exp(1) and of the second tier
+    where a uniform draw reaches mu_0 / mu (two tiers), then the scalar
+    recursion (:func:`_scalar_nearest_chain`)."""
+    tiers = _interferer_tiers(cfg)
+    (mu_0, q_0), (mu_1, q_1) = tiers
+    rng = _stream(seed, 0)
+    signals = [signal for signal, _, _ in _max_sir_trials(cfg, rng, size, True, n_max)]
+    shape = (sum(map(len, signals)), max(n_max, _NEAREST_USERS))
+    r2 = np.cumsum(rng.standard_exponential(shape), axis=1) / (math.pi * (mu_0 + mu_1))
+    q = np.where(rng.random(shape) >= mu_0 / (mu_0 + mu_1), q_1, q_0)
+    x = q * r2 ** (-0.5 * cfg.alpha)
+    probs, row = [], 0
+    for signal in signals:
+        miss = 1.0
+        for s in signal:
+            p = _scalar_nearest_chain(x[row], r2[row, -1], tiers, s, eta, n_max, cfg.alpha)
+            miss *= 1.0 - p[n_max]
+            row += 1
+        probs.append(1.0 - miss)
+    return np.array(probs)
+
+
+def _sampled_residual(rng, r2_far, tiers, share, alpha):
+    """The faded interference beyond r_far (``r2_far``, one squared radius
+    per row) of the tiers ``(density, UL power)``, sampled by
+    :func:`_radial_field` in chunks of rows out to r_far share^(-1/(alpha -
+    2)), beyond which the field left out carries ``share`` of the mean
+    interference beyond r_far."""
+    out = np.zeros(len(r2_far))
+    for lo in range(0, len(r2_far), 1000):
+        r_in = np.sqrt(r2_far[lo:lo + 1000])
+        r_out = r_in * share ** (-1.0 / (alpha - 2.0))
+        for mu_t, q_t in tiers:
+            powers, _, _ = _radial_field(rng, len(r_in), mu_t, r_in, r_out, 1, alpha)
+            out[lo:lo + 1000] += q_t * powers.sum(axis=1)
+    return out
+
+
 def _fieldless_max_sir(cfg, eta, size, seed):
     """Each trial's no-SIC max-SIR success with every AP's own field
     averaged out exactly, AP by AP in scalar arithmetic: 1 - prod_a (1 -
@@ -809,7 +916,7 @@ def _fieldless_max_sir(cfg, eta, size, seed):
     ]
     probs = []
     for signal, total, top in _max_sir_trials(cfg, _stream(seed, 0), size, True, 0):
-        assert total is None and top.shape == (len(signal), 0)
+        assert total is None and top is None
         miss = 1.0
         for s in signal:
             x = sum(
@@ -878,16 +985,20 @@ class TestMaxSir:
     @pytest.mark.parametrize("n_max", [0, 1, 3], ids=lambda n: f"{n}-distance_only")
     def test_block_chain_matches_trial_loop(self, independent, n_max):
         # the chain run once over the block's rows against a loop over each
-        # trial's APs and stages: P = 1 - prod_a (1 - exp(-eta R_{a,L_a} / S_a));
-        # with independent fields and N = 0 no field is drawn, and each AP's
-        # own field is averaged out exactly
+        # trial's APs: P = 1 - prod_a (1 - P_a).  With shared fields P_a =
+        # exp(-eta R_{a,L_a} / S_a), stage by stage; with independent fields
+        # and N = 0 no field is drawn, and each AP's own field is averaged
+        # out exactly; for N >= 1 P_a is the scalar recursion on the AP's
+        # nearest users, drawn after the block's candidate APs
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
         if independent and n_max == 0:
             probs = _fieldless_max_sir(cfg, eta, trials, seed)
+        elif independent:
+            probs = _nearest_max_sir(cfg, eta, n_max, trials, seed)
         else:
             probs = []
             for signal, total, top in _max_sir_trials(
-                cfg, _stream(seed, 0), trials, independent, n_max
+                cfg, _stream(seed, 0), trials, False, n_max
             ):
                 miss = 1.0
                 for s, residual, powers in zip(signal, total, top):
@@ -904,6 +1015,63 @@ class TestMaxSir:
         ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+
+    def test_nearest_chain_matches_sampled_chain(self):
+        # one AP with fixed nearest users, the nearest of the weak tier in
+        # front of one of the strong tier (Q = 10, 1): the recursion against
+        # the 0/1 chain on drawn fadings, a drawn serving fading and the
+        # field beyond the nearest users, sampled until 0.2% of its mean
+        # interference is left out, which moves no probability by 0.001
+        tiers = _interferer_tiers(two_tier())
+        depth, reps = _NEAREST_USERS, 20_000
+        r2 = np.array([0.5, 1.5, 3.0]) / (math.pi * sum(mu_t for mu_t, _ in tiers))
+        x = np.array([tiers[t][1] for t in (1, 0, 1)]) * r2**-2.0
+        signal = np.array([10.0 * (1.6**2 * r2[0]) ** -2.0])
+        rng = _stream(5, 0)
+        far = _sampled_residual(rng, np.full(reps, r2[-1]), tiers, 2e-3, 4.0)
+        top = rng.standard_exponential((reps, depth)) * x
+        soi = rng.standard_exponential(reps) * signal
+        for eta in (0.5, 1.0, 2.0):
+            want = _nearest_chain_success(x[None], r2[-1:], tiers, signal, eta, depth, 4.0)[0]
+            assert want[-1] - want[0] > 0.1  # the chain cancels often
+            total = top.sum(axis=1) + far
+            level = _chain_levels(soi, total, top, np.cumsum(top, axis=1), eta, depth)
+            ind = _within_budget(level, depth)
+            se = ind.std(axis=0) / math.sqrt(reps)
+            assert np.all(np.abs(ind.mean(axis=0) - want) <= 4.0 * se), (eta, ind.mean(0), want)
+
+    def test_independent_fields_match_sampled_fields(self):
+        # the window-free chain against each AP's field sampled out to its
+        # window (400 expected points per tier), on independent seeds, at
+        # fig5's 0, 6 and 10 dB
+        cfg, trials = two_tier(), 8000
+        etas = [10.0 ** (d / 10.0) for d in (0.0, 6.0, 10.0)]
+        got = _estimates(_max_sir_sums(cfg, etas, 3, trials, 41, 1, True), trials, 41)
+        want = _sampled_field_max_sir(cfg, etas, 3, trials, 43)
+        for a, b in zip(got[:, 1:].ravel(), want[:, 1:].ravel()):
+            assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.stderr, b.stderr), (a, b)
+
+    def test_budget_order_on_bench_draws(self):
+        # as the benchmark calls it: one seed, 64 trials and one threshold
+        # per call, N = 1..3.  The nearest users drawn do not depend on N <=
+        # _NEAREST_USERS, so each call is column N of one grid, bit for bit,
+        # and success never falls with N
+        from sicnet.experiments import FIG5_ETA_DB
+
+        cfg, trials = two_tier(), 64
+        etas = [10.0 ** (d / 10.0) for d in FIG5_ETA_DB]
+        for seed in range(10):
+            grid = _estimates(_max_sir_sums(cfg, etas, 3, trials, seed, 1, True), trials, seed)
+            for e_idx, eta in enumerate(etas):
+                ests = [
+                    simulate_max_inst_sir(
+                        cfg, SicConfig(eta, n), trials, seed, independent_fields=True
+                    )
+                    for n in (1, 2, 3)
+                ]
+                assert ests == grid[e_idx, 1:].tolist(), (seed, eta)
+                means = [e.mean for e in ests]
+                assert means == sorted(means), (seed, eta, means)
 
     def test_zero_power_padding_keeps_chain_outcome(self):
         # rows of k < N interferers: padding them with zero-power stages up
@@ -1095,14 +1263,25 @@ class TestConditionalEstimators:
 
     @pytest.mark.parametrize("independent", [False, True])
     def test_max_sir(self, independent):
+        # with independent fields the block draws each AP's nearest users
+        # after its candidate APs; the 0/1 chain adds their fadings and the
+        # field beyond them, sampled until 1% of its mean interference is
+        # left out, all drawn separately
         cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 3, 400, 15
-        signal, total, top, first_row = _max_sir_block(
-            cfg, _stream(seed, 0), size, independent, n_max
-        )
+        rng = _stream(seed, 0)
+        signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
+        if independent:
+            tiers = _interferer_tiers(cfg)
+            x, r2_far = _nearest_users(rng, len(signal), tiers, _NEAREST_USERS, 4.0)
+            miss = 1.0 - _nearest_chain_success(x, r2_far, tiers, signal, eta, n_max, 4.0)
+            other = np.random.default_rng(21)
+            top = other.standard_exponential(x.shape) * x
+            total = top.sum(axis=1) + _sampled_residual(other, r2_far, tiers, 1e-2, 4.0)
         cum = np.cumsum(top, axis=1)
-        x = _chain_exponent(signal, total, top, cum, eta, n_max)
+        if not independent:
+            miss = -np.expm1(-_chain_exponent(signal, total, top, cum, eta, n_max))
         cond = np.zeros((size, n_max + 1))
-        cond[: len(first_row)] = 1.0 - np.multiply.reduceat(-np.expm1(-x), first_row)
+        cond[: len(first_row)] = 1.0 - np.multiply.reduceat(miss, first_row)
         level = _chain_levels(
             np.random.default_rng(16).exponential(size=len(signal)) * signal,
             total, top, cum, eta, n_max,
