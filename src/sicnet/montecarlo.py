@@ -25,18 +25,20 @@ sampled only out to a near window that holds 25 expected points beyond its
 inner radius, and each trial multiplies in the exact Laplace transform of
 the field beyond (:func:`_far_field`), so the estimate has no truncation
 bias: ``simulate_rea`` (both modes) and the independent-stage oracle of
-``ps_sic_curve_mc``.  The max-SIR runs with independent fields are
-window-free too: without SIC (``max_sir_success_curve_mc``, N = 0) they
-draw no field and take each AP's whole field from that transform; with
-SIC they draw only each AP's nearest users and integrate out their
-fadings and the field beyond exactly (:func:`_nearest_chain_success`).
-Every other simulator decides cancellations on the residual or decides
-loads inside its window, so the factor would not be exact there, and they
-still truncate at a fixed disk, which drops a small share of the
-interference and so reads success slightly high: the faithful chain,
-``ps_can_curve_mc`` and the shared-field max-SIR runs at R_sim = 20 /
-sqrt(pi mu_j) (:func:`window_radius`, about 400 expected interferers),
-``simulate_min_load`` at its connectivity range plus a margin.
+``ps_sic_curve_mc``.  The SIC chains on fields of their own are
+window-free too: the faithful chain of ``ps_sic_curve_mc`` and the
+max-SIR runs with independent fields draw only each receiver's nearest
+interferers and integrate out their fadings and the field beyond exactly
+(:func:`_nearest_chain_success`); without SIC (``max_sir_success_curve_mc``,
+N = 0) the max-SIR runs draw no field and take each AP's whole field from
+that transform.  The other simulators decide cancellations on the residual
+of a field that several decisions share, or decide loads inside their
+window, so the factor would not be exact there, and they still truncate at
+a fixed disk, which drops a small share of the interference and so reads
+success slightly high: ``ps_can_curve_mc`` and the shared-field max-SIR
+runs at R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400
+expected interferers), ``simulate_min_load`` at its connectivity range
+plus a margin.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -55,8 +57,9 @@ contributes that conditional probability instead of a 0/1 outcome
 2007, ch. V), whose variance is never larger.  Each block returns the sum
 and the sum of squares of these values per grid point (:func:`_moments`),
 and :func:`_run_blocks` adds the blocks' outputs in block order, so the
-sums do not depend on scheduling.  The independent-stage oracle averages each
-cancellation over the cancelled node's fading in the same way.
+sums do not depend on scheduling.  The window-free chains and the
+independent-stage oracle average each cancellation over the cancelled
+node's fading in the same way.
 ``ps_can_curve_mc`` and ``run_sic_trial`` still count 0/1 outcomes.
 """
 
@@ -465,23 +468,6 @@ def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
     return p.reshape(-1)[picked]
 
 
-def _field_block(
-    rng: np.random.Generator,
-    size: int,
-    mu_j: float,
-    radius: float,
-    m: int,
-    alpha: float,
-):
-    """Sample ``size`` interferer fields in the disk of radius ``radius``
-    (:func:`_radial_field`); return (total, top, cum, counts) where total is
-    each row's power sum, top[:, i] the (i+1)-th nearest power
-    (:func:`_top_m`; zero past the row's count) and cum its running sum."""
-    powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
-    top = _top_m(powers, r2, m, "distance_only")
-    return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
-
-
 def _serving_block(
     rng: np.random.Generator, size: int, lambda_eq: float, alpha: float
 ) -> np.ndarray:
@@ -537,6 +523,60 @@ def _chain_exponent(s0, total, top, cum, eta: float, n_max: int) -> np.ndarray:
     reached = _reached(top[:, :n_max] >= eta * residual[:, 1:])
     r_l = np.minimum.accumulate(np.where(reached, residual, np.inf), axis=1)
     return np.maximum(r_l, 0.0) / s0[:, None] * eta
+
+
+# The window-free SIC chain conditions on the max(n_max, this) nearest
+# interferers of each receiver, so every budget up to it reads the same draws.
+_NEAREST_USERS = 3
+
+
+def _nearest_users(rng: np.random.Generator, size: int, tiers, n_max: int, alpha: float):
+    """The nearest users of ``size`` independent fields of the superposed
+    ``tiers`` ``(density, UL power)``, max(n_max, ``_NEAREST_USERS``) of
+    them: pi mu r_k^2 is a sum of k Exp(1), mu the total density (Haenggi,
+    *Stochastic Geometry for Wireless Networks*, 2012, ch. 2), and a user is
+    of tier t with probability mu_t / mu.  Return their mean powers x[:,
+    k-1] = Q_t r_k^-alpha and the squared radius r_far^2 of the farthest."""
+    depth = max(n_max, _NEAREST_USERS)
+    density, q_ul = np.array(tiers).T
+    r2 = np.cumsum(rng.standard_exponential((size, depth)), axis=1)
+    r2 /= math.pi * density.sum()
+    share = np.cumsum(density)[:-1] / density.sum()
+    marks = np.searchsorted(share, rng.random((size, depth)), side="right")
+    return q_ul[marks] * r2 ** (-0.5 * alpha), r2[:, -1]
+
+
+def _nearest_chain_success(x, r2_far, tiers, signal, eta: float, n_max: int, alpha: float):
+    """Each receiver's chain success for budgets N = 0..n_max, nearest
+    interferer first, given the mean power ``signal`` S of its signal of
+    interest and the mean powers ``x`` of its nearest users
+    (:func:`_nearest_users`), exact over every fading and the field beyond
+    r_far.  Every SIC chain that decides its cancellations on the residual
+    of its own field runs here: one tier for ``ps_sic_curve_mc``, the
+    interferer tiers for max-SIR with independent fields.  With R_k the
+    residual after k cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k}
+    (1 + c x_j)^-1 times the tiers' :func:`_far_field`.  Stage k cancels
+    with probability exp(-a_k R_k), a_k = eta / x_k, and decodes with
+    exp(-g R_k), g = eta / S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} /
+    (1 + beta_{k-1} x_k) and beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).
+    Where stages 1..k all cancel, E[exp(-g R_k)] = W_k Phi_k(beta_k + g)
+    and E[exp(-g R_{k-1})] = W_{k-1} Phi_k((1 + b x_k) a_k + b) / (1 + b
+    x_k), b = beta_{k-1} + g.  P_N is Phi_0(g) plus their differences for k
+    <= N, as a running maximum."""
+
+    def phi(k: int, c: np.ndarray) -> np.ndarray:
+        far = sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers)
+        return np.exp(-(np.log1p(c[:, None] * x[:, k:]).sum(axis=1) + far))
+
+    g = eta / signal
+    beta, w = np.zeros_like(g), np.ones_like(g)
+    p = [phi(0, g)]
+    for k in range(1, n_max + 1):
+        x_k, a_k, b = x[:, k - 1], eta / x[:, k - 1], beta + g
+        before = w / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
+        w, beta = w / (1.0 + beta * x_k), beta + a_k * (1.0 + beta * x_k)
+        p.append(p[-1] + w * phi(k, beta + g) - before)
+    return np.clip(np.maximum.accumulate(np.column_stack(p), axis=1), 0.0, 1.0)
 
 
 def _independent_stage_block(
@@ -643,12 +683,14 @@ def ps_sic_curve_mc(
     """Event-chain success estimates for every (eta, N <= n_max) pair.
 
     Stage n cancels the n-th nearest interferer, the one of n-th largest
-    mean received power, as the paper's chain does.  One sampling pass
-    serves the whole grid: each trial's field statistics are reused for
-    every threshold and every cancellation budget.  Each trial contributes
-    its success probability over the serving fading
-    (:func:`_chain_exponent`).  Returns an (n_eta, n_max+1) array of
-    :class:`Estimate`.
+    mean received power, as the paper's chain does, when it decodes against
+    the residual.  Each trial draws the serving distance and the nearest
+    interferers (:func:`_nearest_users`, one tier) and contributes its
+    success probability over every fading and the field beyond them
+    (:func:`_nearest_chain_success`), so no window truncates the field.
+    One sampling pass serves the whole grid: each trial's draws are reused
+    for every threshold and every cancellation budget.  Returns an (n_eta,
+    n_max+1) array of :class:`Estimate`.
 
     ``independent_stages=True`` draws each decode and each cancellation of
     the chain from its own scene and cancels at the deterministic radius
@@ -657,21 +699,19 @@ def ps_sic_curve_mc(
     errors from model error, as ``independent_fields=True`` does in
     :func:`max_sir_success_curve_mc`.  No decision of that chain reads the
     far field, so it adds the field beyond each stage's near window exactly
-    (:func:`_independent_stage_probs`).  The default chain decides its
-    cancellations on the residual, so it stays truncated at
-    :func:`window_radius`.
+    (:func:`_independent_stage_probs`).
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     etas = _check_etas(etas)
-    radius = window_radius(mu_j)
+    tiers = [(mu_j, 1.0)]
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         if independent_stages:
             stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
         else:
             s0 = _serving_block(rng, size, lambda_eq, alpha)
-            total, top, cum, _ = _field_block(rng, size, mu_j, radius, n_max, alpha)
+            near = _nearest_users(rng, size, tiers, n_max, alpha)
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             if independent_stages:
@@ -679,7 +719,7 @@ def ps_sic_curve_mc(
                     *_independent_stage_probs(*stats, eta, mu_j, alpha)
                 )
             else:
-                p = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
+                p = _nearest_chain_success(*near, tiers, s0, eta, n_max, alpha)
             sums[:, e_idx] = _moments(p, 0)
         return sums
 
@@ -904,10 +944,6 @@ def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
 _CAND_RADIUS = 250.0
 
-# The SIC chain with independent fields conditions on the max(n_max, this)
-# nearest users of each AP, so every budget up to it reads the same draws.
-_NEAREST_USERS = 3
-
 
 def _max_sir_trials(
     cfg: NetworkConfig,
@@ -986,48 +1022,6 @@ def _max_sir_block(
     return signal, total, top, first_row
 
 
-def _nearest_users(rng: np.random.Generator, size: int, tiers, depth: int, alpha: float):
-    """The ``depth`` nearest users of ``size`` independent fields of the
-    superposed ``tiers``: pi mu r_k^2 is a sum of k Exp(1), mu the total
-    density (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012,
-    ch. 2), and a user is of tier t with probability mu_t / mu.  Return
-    their mean powers x[:, k-1] = Q_t r_k^-alpha and r_depth^2."""
-    density, q_ul = np.array(tiers).T
-    r2 = np.cumsum(rng.standard_exponential((size, depth)), axis=1)
-    r2 /= math.pi * density.sum()
-    share = np.cumsum(density)[:-1] / density.sum()
-    marks = np.searchsorted(share, rng.random((size, depth)), side="right")
-    return q_ul[marks] * r2 ** (-0.5 * alpha), r2[:, -1]
-
-
-def _nearest_chain_success(x, r2_far, tiers, signal, eta: float, n_max: int, alpha: float):
-    """Each AP's chain success for budgets N = 0..n_max given the mean
-    powers ``x`` of its nearest users (:func:`_nearest_users`), exact over
-    every fading and the field beyond r_far.  With R_k the residual after k
-    cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k} (1 + c x_j)^-1
-    times the tiers' :func:`_far_field`.  Stage k cancels with probability
-    exp(-a_k R_k), a_k = eta / x_k, and decodes with exp(-g R_k), g = eta /
-    S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} / (1 + beta_{k-1} x_k) and
-    beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).  Where stages 1..k all
-    cancel, E[exp(-g R_k)] = W_k Phi_k(beta_k + g) and E[exp(-g R_{k-1})] =
-    W_{k-1} Phi_k((1 + b x_k) a_k + b) / (1 + b x_k), b = beta_{k-1} + g.  P_N
-    is Phi_0(g) plus their differences for k <= N, as a running maximum."""
-
-    def phi(k: int, c: np.ndarray) -> np.ndarray:
-        far = sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers)
-        return np.exp(-(np.log1p(c[:, None] * x[:, k:]).sum(axis=1) + far))
-
-    g = eta / signal
-    beta, w = np.zeros_like(g), np.ones_like(g)
-    p = [phi(0, g)]
-    for k in range(1, n_max + 1):
-        x_k, a_k, b = x[:, k - 1], eta / x[:, k - 1], beta + g
-        before = w / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
-        w, beta = w / (1.0 + beta * x_k), beta + a_k * (1.0 + beta * x_k)
-        p.append(p[-1] + w * phi(k, beta + g) - before)
-    return np.clip(np.maximum.accumulate(np.column_stack(p), axis=1), 0.0, 1.0)
-
-
 def _max_sir_sums(
     cfg: NetworkConfig, etas, n_max: int, trials: int, seed: int, threads: int,
     independent_fields: bool,
@@ -1056,7 +1050,7 @@ def _max_sir_sums(
         if total is not None:
             cum = np.cumsum(top, axis=1)
         elif n_max:
-            near = _nearest_users(rng, len(signal), tiers, max(n_max, _NEAREST_USERS), alpha)
+            near = _nearest_users(rng, len(signal), tiers, n_max, alpha)
         for e_idx, eta in enumerate(etas):
             if total is not None:
                 miss = -np.expm1(-_chain_exponent(signal, total, top, cum, eta, n_max))

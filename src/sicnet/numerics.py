@@ -175,10 +175,13 @@ def c_integral(b, alpha: float):
         t = b_arr ** (0.5 * alpha)
     big = b_arr >= 1.0
     x = np.where(big, 1.0, t) / (1.0 + t)
-    out = _c_zero(alpha) * np.where(big, betainc(1.0 - e, e, x), betaincc(e, 1.0 - e, x))
+    # each element evaluates only its own branch
+    out = np.empty(np.shape(x))
+    betainc(1.0 - e, e, x, out=out, where=big)
+    betaincc(e, 1.0 - e, x, out=out, where=~big)
+    out *= _c_zero(alpha)
     over = np.isinf(t)
     if over.any():
-        out = np.asarray(out)
         out[over] = [_c_tail_series(lo, alpha) for lo in b_arr[over]]
     return out if out.ndim else float(out)
 

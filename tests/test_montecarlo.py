@@ -24,7 +24,6 @@ from sicnet.montecarlo import (
     _chain_levels,
     _estimates,
     _far_field,
-    _field_block,
     _first_level,
     _independent_stage_block,
     _independent_stage_probs,
@@ -85,6 +84,35 @@ def _dense_macro():
         mu=1e-4,
         mu_j=1e-4,
     )
+
+
+def _field_block(rng, size, mu_j, radius, m, alpha):
+    """Sample ``size`` interferer fields in the disk of radius ``radius``
+    (:func:`_radial_field`); return (total, top, cum, counts) where total is
+    each row's power sum, top[:, i] the (i+1)-th nearest power
+    (:func:`_top_m`; zero past the row's count) and cum its running sum."""
+    powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
+    top = _top_m(powers, r2, m, "distance_only")
+    return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
+
+
+def _sampled_chain(etas, n_max, trials, seed):
+    """The faithful SIC chain for every (eta, N <= n_max) on sampled fields:
+    each trial's serving distance and its field out to ``window_radius``
+    (400 expected points, :func:`_field_block`), with the serving fading
+    averaged out (:func:`_chain_exponent`).  The truncated estimator that
+    the window-free kernel replaced in ``ps_sic_curve_mc``, draw for draw."""
+
+    def block(rng, size):
+        s0 = _serving_block(rng, size, LAM, 4.0)
+        total, top, cum, _ = _field_block(rng, size, MU, window_radius(MU), n_max, 4.0)
+        sums = np.zeros((2, len(etas), n_max + 1))
+        for e_idx, eta in enumerate(etas):
+            x = _chain_exponent(s0, total, top, cum, eta, n_max)
+            sums[:, e_idx] = _moments(np.exp(-x), 0)
+        return sums
+
+    return _estimates(_run_blocks(trials, seed, block), trials, seed)
 
 
 class TestStreams:
@@ -370,6 +398,18 @@ class TestChainEstimators:
     def test_zero_budget_matches_plain(self):
         est = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 0, 40_000, seed=19)[0][0]
         assert abs(est.mean - ps_plain(1.0, LAM, MU, 4.0)) <= 3.0 * est.stderr
+
+    def test_window_free_chain_matches_sampled_chain(self):
+        # the window-free chain against the chain on fields sampled out to
+        # window_radius (400 expected points), on independent seeds, on the
+        # whole fig3 grid
+        from sicnet.experiments import FIG3_ETA_DB, FIG3_N_MAX
+
+        etas, trials = [10.0 ** (d / 10.0) for d in FIG3_ETA_DB], 20_000
+        got = ps_sic_curve_mc(LAM, MU, 4.0, etas, FIG3_N_MAX, trials, 51)
+        want = _sampled_chain(etas, FIG3_N_MAX, trials, 53)
+        for a, b in zip(got.ravel(), want.ravel()):
+            assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.stderr, b.stderr), (a, b)
 
     def test_stderr_definition(self):
         est = Estimate.from_sums(250, 250, 1000, seed=0)
@@ -748,8 +788,9 @@ class TestFarField:
 
 class TestWindowSufficiency:
     def test_doubling_window_changes_little(self):
-        # the default-window chain against the same trials with the annulus
-        # (R, 2R] added: its points lie beyond R, so only the totals change
+        # the windowed oracle chain (_sampled_chain) against the same trials
+        # with the annulus (R, 2R] added: its points lie beyond R, so only
+        # the totals change
         eta, n_max, blocks, size, seed = 1.0, 2, 5, 4000, 43
         r = window_radius(MU)
         p = []
@@ -1016,17 +1057,23 @@ class TestMaxSir:
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
 
-    def test_nearest_chain_matches_sampled_chain(self):
-        # one AP with fixed nearest users, the nearest of the weak tier in
-        # front of one of the strong tier (Q = 10, 1): the recursion against
-        # the 0/1 chain on drawn fadings, a drawn serving fading and the
-        # field beyond the nearest users, sampled until 0.2% of its mean
-        # interference is left out, which moves no probability by 0.001
-        tiers = _interferer_tiers(two_tier())
+    @pytest.mark.parametrize(
+        "tiers, marks, q_signal",
+        [(_interferer_tiers(two_tier()), (1, 0, 1), 10.0), ([(MU, 1.0)], (0, 0, 0), 1.0)],
+        ids=["two-tier", "one-tier"],
+    )
+    def test_nearest_chain_matches_sampled_chain(self, tiers, marks, q_signal):
+        # one receiver with fixed nearest users, the recursion against the
+        # 0/1 chain on drawn fadings, a drawn serving fading and the field
+        # beyond the nearest users, sampled until 0.2% of its mean
+        # interference is left out, which moves no probability by 0.001.
+        # Two tiers: a max-SIR AP, the nearest of the weak tier in front of
+        # one of the strong tier (Q = 10, 1).  One tier: ps_sic_curve_mc's
+        # chain, serving power u^-alpha
         depth, reps = _NEAREST_USERS, 20_000
         r2 = np.array([0.5, 1.5, 3.0]) / (math.pi * sum(mu_t for mu_t, _ in tiers))
-        x = np.array([tiers[t][1] for t in (1, 0, 1)]) * r2**-2.0
-        signal = np.array([10.0 * (1.6**2 * r2[0]) ** -2.0])
+        x = np.array([tiers[t][1] for t in marks]) * r2**-2.0
+        signal = np.array([q_signal * (1.6**2 * r2[0]) ** -2.0])
         rng = _stream(5, 0)
         far = _sampled_residual(rng, np.full(reps, r2[-1]), tiers, 2e-3, 4.0)
         top = rng.standard_exponential((reps, depth)) * x
@@ -1230,14 +1277,23 @@ class TestConditionalEstimators:
                 assert tail >= stats.norm.sf(4.0), (scene_seed, n, k, p)
 
     def test_chain(self):
+        # the block draws the serving distance and the nearest interferers;
+        # the 0/1 chain adds their fadings, the serving fading and the field
+        # beyond them, sampled until 1% of its mean interference is left
+        # out, all drawn separately
         etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 11
+        tiers = [(MU, 1.0)]
         rng = _stream(seed, 0)
         s0 = _serving_block(rng, size, LAM, 4.0)
-        total, top, cum, _ = _field_block(rng, size, MU, window_radius(MU), n_max, 4.0)
-        h = np.random.default_rng(12).exponential(size=size)
+        x, r2_far = _nearest_users(rng, size, tiers, n_max, 4.0)
+        other = np.random.default_rng(12)
+        top = other.standard_exponential(x.shape) * x
+        total = top.sum(axis=1) + _sampled_residual(other, r2_far, tiers, 1e-2, 4.0)
+        cum = np.cumsum(top, axis=1)
+        h = other.exponential(size=size)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed)
         for e_idx, eta in enumerate(etas):
-            cond = np.exp(-_chain_exponent(s0, total, top, cum, eta, n_max))
+            cond = _nearest_chain_success(x, r2_far, tiers, s0, eta, n_max, 4.0)
             assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
             level = _chain_levels(h * s0, total, top, cum, eta, n_max)
             _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
@@ -1272,7 +1328,7 @@ class TestConditionalEstimators:
         signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
         if independent:
             tiers = _interferer_tiers(cfg)
-            x, r2_far = _nearest_users(rng, len(signal), tiers, _NEAREST_USERS, 4.0)
+            x, r2_far = _nearest_users(rng, len(signal), tiers, n_max, 4.0)
             miss = 1.0 - _nearest_chain_success(x, r2_far, tiers, signal, eta, n_max, 4.0)
             other = np.random.default_rng(21)
             top = other.standard_exponential(x.shape) * x

@@ -104,6 +104,40 @@ class TestCIntegral:
             expected = [[c_integral(float(v), alpha) for v in row] for row in b]
             assert np.array_equal(batch, np.array(expected))
 
+    def test_one_branch_per_element_matches_both_branches(self):
+        # each element evaluates only its own incomplete beta; the expression
+        # that evaluates both on every element and keeps one is the reference,
+        # bit for bit, across b = 1, its neighbours and the overflow tail
+        from sicnet.numerics import _c_tail_series, _c_zero
+
+        def both_branches(b, alpha):
+            b_arr = np.asarray(b, dtype=float)
+            e = 2.0 / alpha
+            with np.errstate(over="ignore"):
+                t = b_arr ** (0.5 * alpha)
+            big = b_arr >= 1.0
+            x = np.where(big, 1.0, t) / (1.0 + t)
+            out = np.asarray(_c_zero(alpha) * np.where(
+                big, scipy.special.betainc(1.0 - e, e, x),
+                scipy.special.betaincc(e, 1.0 - e, x),
+            ))
+            over = np.isinf(t)
+            out[over] = [_c_tail_series(lo, alpha) for lo in b_arr[over]]
+            return out if out.ndim else float(out)
+
+        b = np.concatenate((
+            [0.0, 1.0 - 1e-16, 1.0, 1.0 + 1e-15, 1e150, 1e200, 1e300],
+            np.geomspace(1e-12, 1e12, 2000),
+            np.random.default_rng(3).uniform(0.0, 4.0, 1000),
+        ))
+        for alpha in ALPHA_GRID:
+            assert np.array_equal(c_integral(b, alpha), both_branches(b, alpha)), alpha
+            grid = b[:1000].reshape(20, 50)
+            assert np.array_equal(c_integral(grid, alpha), both_branches(grid, alpha))
+            for v in (0.5, 1.0, 3.0, 1e200):
+                assert c_integral(v, alpha) == both_branches(v, alpha)
+                assert c_integral(np.array(v), alpha) == both_branches(np.array(v), alpha)
+
     def test_scalar_returns_float(self):
         assert type(c_integral(2.0, 4.0)) is float
         assert type(c_integral(np.float64(0.0), 3.0)) is float
