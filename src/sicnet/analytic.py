@@ -23,6 +23,8 @@ from scipy.special import betainc, poch
 from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
+    _check_alpha,
+    _require_count,
     _require_positive,
     association_prob_max_power,
     cancellation_radius,
@@ -53,11 +55,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 2.0):
-        raise DomainError(f"alpha must be > 2, got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +96,7 @@ def ps_ic(
     R_{I,n} is kept un-renormalized (see module docstring).
     """
     _require_positive("eta", eta)
-    if n < 0:
-        raise DomainError(f"cancellation order n must be >= 0, got {n}")
+    _require_count("cancellation order n", n)
     _require_positive("lambda_eq", lambda_eq)
     _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
@@ -131,8 +127,7 @@ def ps_can(eta: float, n: int, alpha: float) -> float:
     """
     _require_positive("eta", eta)
     _check_alpha(alpha)
-    if n < 0:
-        raise DomainError(f"order n must be >= 0, got {n}")
+    _require_count("order n", n)
     if n == 0:
         return 1.0
     e = 2.0 / alpha
@@ -147,8 +142,7 @@ def ps_can_tsd(eta: float, n: int) -> float:
     """
     if not (math.isfinite(eta) and eta >= 0.0):
         raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    if n < 0:
-        raise DomainError(f"order n must be >= 0, got {n}")
+    _require_count("order n", n)
     if n == 0:
         return 1.0
     return (math.sqrt(2.25 + 3.0 * eta) - 0.5) ** -n
@@ -169,8 +163,7 @@ def tsd_cumulant(
 
     For unit-mean Rayleigh power fading E[h^k] = k!.
     """
-    if k < 1:
-        raise DomainError(f"cumulant order k must be >= 1, got {k}")
+    _require_count("cumulant order k", k, 1)
     _require_positive("q", q)
     _require_positive("mu_j", mu_j)
     _require_positive("d_min", d_min)
@@ -202,8 +195,7 @@ def kurtosis_after_cancellation(alpha: float, n: int) -> float:
     Decays like 1/n: the residual converges to a Gaussian.
     """
     _check_alpha(alpha)
-    if n < 2:
-        raise DomainError(f"kurtosis needs n >= 2 canceled interferers, got {n}")
+    _require_count("canceled interferers n", n, 2)
     return 6.0 * (alpha - 1.0) ** 2 / (2.0 * alpha - 1.0) / (n - 1.0)
 
 
@@ -248,8 +240,7 @@ def ps_sic(
     Each added level is non-negative, so the total is nondecreasing in N.
     Every P_s,IC term is a :func:`ps_ic` quadrature at default tolerances.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _require_count("n_max", n_max)
     decode = np.array([ps_ic(eta, n, lambda_eq, mu_j, alpha) for n in range(n_max + 1)])
     q_single = ps_can(eta, 1, alpha) if n_max >= 1 else 1.0
     outage, cancel, contribution = _sic_levels(decode, q_single)
@@ -289,8 +280,7 @@ def load_pmf(m: int, mu_j: float, lam: float) -> float:
     cell, i.e. NB(4.5, 3.5/(3.5 + mu_j/lam)) with mean (9/7) mu_j/lam.
     Evaluated in log space.
     """
-    if m < 0:
-        raise DomainError(f"load m must be >= 0, got {m}")
+    _require_count("load m", m)
     _require_positive("mu_j", mu_j)
     _require_positive("lam", lam)
     return float(np.exp(_load_log_pmf(m, mu_j / lam)))
@@ -459,8 +449,7 @@ def ps_sic_max_inst_sir(
     mu_tilde_k).  SIC can only help: the result is >= 1 - P_out.
     """
     _require_positive("eta", eta)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _require_count("n_max", n_max)
     p_out = outage_max_inst_sir(eta, cfg)
     if n_max == 0:
         return 1.0 - p_out

@@ -57,34 +57,34 @@ FORMULAS = {
         "success probability without cancellation",
     ),
     "ps_ic": (
-        lambda p: ps_ic(p["eta"], int(p["n"]), p["lambda_eq"], p["mu_j"], p["alpha"]),
+        lambda p: ps_ic(p["eta"], p["n"], p["lambda_eq"], p["mu_j"], p["alpha"]),
         ("eta", "n", "lambda_eq", "mu_j", "alpha"),
         "decoding probability after n cancellations",
     ),
     "ps_can": (
-        lambda p: ps_can(p["eta"], int(p["n"]), p["alpha"]),
+        lambda p: ps_can(p["eta"], p["n"], p["alpha"]),
         ("eta", "n", "alpha"),
         "probability of decoding the n-th strongest interferer",
     ),
     "ps_can_tsd": (
-        lambda p: ps_can_tsd(p["eta"], int(p["n"])),
+        lambda p: ps_can_tsd(p["eta"], p["n"]),
         ("eta", "n"),
         "truncated-stable variant of ps_can (alpha = 4)",
     ),
     "ps_sic": (
         lambda p: ps_sic(
-            p["eta"], int(p["n_max"]), p["lambda_eq"], p["mu_j"], p["alpha"]
+            p["eta"], p["n_max"], p["lambda_eq"], p["mu_j"], p["alpha"]
         ).ps_sic_total,
         ("eta", "n_max", "lambda_eq", "mu_j", "alpha"),
         "full SIC success probability with budget N",
     ),
     "kurtosis": (
-        lambda p: kurtosis_after_cancellation(p["alpha"], int(p["n"])),
+        lambda p: kurtosis_after_cancellation(p["alpha"], p["n"]),
         ("alpha", "n"),
         "excess kurtosis of residual interference",
     ),
     "load_pmf": (
-        lambda p: load_pmf(int(p["m"]), p["mu_j"], p["lam"]),
+        lambda p: load_pmf(p["m"], p["mu_j"], p["lam"]),
         ("m", "mu_j", "lam"),
         "cell load probability mass function",
     ),
@@ -106,7 +106,7 @@ FORMULAS = {
         "outage of the max-instantaneous-SIR policy",
     ),
     "ps_sic_max_inst_sir": (
-        lambda p: ps_sic_max_inst_sir(p["eta"], int(p["n_max"]), p["config"]),
+        lambda p: ps_sic_max_inst_sir(p["eta"], p["n_max"], p["config"]),
         ("eta", "n_max", "config"),
         "max-instantaneous-SIR success with SIC",
     ),
@@ -126,7 +126,7 @@ FORMULAS = {
         "received-power Pareto CDF",
     ),
     "cancellation_radius": (
-        lambda p: cancellation_radius(p["mu_j"], int(p["n"])),
+        lambda p: cancellation_radius(p["mu_j"], p["n"]),
         ("mu_j", "n"),
         "radius enclosing on average n interferers [m]",
     ),
@@ -222,7 +222,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{args.formula}({', '.join(echo)}) = {value:.6f}")
     if args.formula == "ps_sic":
         breakdown = ps_sic(
-            params["eta"], int(params["n_max"]), params["lambda_eq"],
+            params["eta"], params["n_max"], params["lambda_eq"],
             params["mu_j"], params["alpha"],
         )
         print(f"  no-cancellation term: {breakdown.ps_no_ic:.6f}")

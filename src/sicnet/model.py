@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -58,6 +59,23 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError(f"alpha must be > 2, got {alpha}")
+
+
+def _require_count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int, if it is an integer (numpy integers included)
+    of at least ``minimum``: an order, a budget, a load or a trial count."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TierParams:
     """One tier of access points: density, DL/UL powers, association bias."""
@@ -93,8 +111,7 @@ class NetworkConfig:
         if len(self.tiers) < 1:
             raise DomainError("NetworkConfig needs at least one tier")
         object.__setattr__(self, "tiers", tuple(self.tiers))
-        if not (math.isfinite(self.alpha) and self.alpha > 2.0):
-            raise DomainError(f"alpha must be > 2, got {self.alpha}")
+        _check_alpha(self.alpha)
         _require_positive("mu", self.mu)
         _require_positive("mu_j", self.mu_j)
         if self.mu_j > self.mu * (1.0 + 1e-12):
@@ -140,8 +157,7 @@ class SicConfig:
 
     def __post_init__(self) -> None:
         _require_positive("eta_t", self.eta_t)
-        if self.n_max < 0:
-            raise DomainError(f"n_max must be >= 0, got {self.n_max}")
+        _require_count("n_max", self.n_max)
 
 
 @dataclass(frozen=True)
@@ -248,8 +264,7 @@ def nth_interferer_distance_pdf(mu_j: float, n: int, r) -> float:
     2 pi mu_j r exp(-mu_j pi r^2).
     """
     _require_positive("mu_j", mu_j)
-    if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n}")
+    _require_count("order n", n, 1)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise DomainError("distances must be > 0")
@@ -262,8 +277,7 @@ def cancellation_radius(mu_j: float, n: int) -> float:
     """Radius of the disk that contains n interferers on average:
     R_{I,n} = sqrt(n / (mu_j pi)); zero for n = 0."""
     _require_positive("mu_j", mu_j)
-    if n < 0:
-        raise DomainError(f"order n must be >= 0, got {n}")
+    _require_count("order n", n)
     return math.sqrt(n / (mu_j * math.pi))
 
 

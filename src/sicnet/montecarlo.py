@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -77,6 +76,8 @@ from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
     SicConfig,
+    _check_alpha,
+    _require_count,
     _require_positive,
     association_prob_max_power,
 )
@@ -151,12 +152,7 @@ def _run_blocks(trials: int, seed: int, block, threads: int = 1):
     with ``rng = _stream(seed, b)``, sequentially or on ``threads`` pool
     threads, and return the outputs added in block order (:func:`_add`),
     whatever the scheduling.  ``trials`` must be an integer >= 1."""
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise DomainError(f"trials must be an integer, got {trials!r}") from None
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = _require_count("trials", trials, 1)
     sizes = [min(BLOCK_TRIALS, trials - b) for b in range(0, trials, BLOCK_TRIALS)]
 
     def run(b: int):
@@ -701,8 +697,10 @@ def ps_sic_curve_mc(
     far field, so it adds the field beyond each stage's near window exactly
     (:func:`_independent_stage_probs`).
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _require_positive("lambda_eq", lambda_eq)
+    _require_positive("mu_j", mu_j)
+    _check_alpha(alpha)
+    n_max = _require_count("n_max", n_max)
     etas = _check_etas(etas)
     tiers = [(mu_j, 1.0)]
 
@@ -750,11 +748,13 @@ def ps_can_curve_mc(
     Returns ``{ordering: {estimator: Estimates}}``, each an object array of
     shape (n_eta, n_orders).
     """
-    if n_orders < 1:
-        raise DomainError(f"n_orders must be >= 1, got {n_orders}")
+    _require_positive("mu_j", mu_j)
+    _check_alpha(alpha)
+    n_orders = _require_count("n_orders", n_orders, 1)
     etas = _check_etas(etas)
     if radius is None:
         radius = window_radius(mu_j)
+    _require_positive("radius", radius)
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, n_orders, alpha)
@@ -869,6 +869,9 @@ def simulate_min_load(
     with no AP inside the connectivity range count as coverage failures;
     the result also counts them (``no_candidate_trials``).
     """
+    for name, value in (("lam", lam), ("mu_j", mu_j), ("r_con", r_con)):
+        _require_positive(name, value)
+    _check_alpha(alpha)
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     if not np.all(np.isfinite(rhos) & (rhos > 0.0)):
         raise DomainError(f"rate thresholds must be finite and > 0, got {rhos.tolist()}")
@@ -898,8 +901,9 @@ def voronoi_load_histogram(
     """
     from scipy.spatial import cKDTree
 
-    if n_cells < 1:
-        raise DomainError(f"n_cells must be >= 1, got {n_cells}")
+    _require_positive("lam", lam)
+    _require_positive("mu_j", mu_j)
+    n_cells = _require_count("n_cells", n_cells, 1)
     rng = _stream(seed, 0)
     margin = 4.0 / math.sqrt(math.pi * lam)
     r_core = math.sqrt(n_cells / (mu_j * math.pi)) * 1.05
@@ -945,62 +949,6 @@ def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
 _CAND_RADIUS = 250.0
 
 
-def _max_sir_trials(
-    cfg: NetworkConfig,
-    rng: np.random.Generator,
-    size: int,
-    independent_fields: bool,
-    m: int,
-):
-    """Draw ``size`` max-SIR trials and yield ``(signal, total, top)`` for
-    each trial that has a candidate AP, one row per AP: the user's mean
-    received power (its link fading is never drawn), the aggregate UL
-    interference and the powers of the ``m`` interferers nearest the AP,
-    all tiers ranked together by raw distance (:func:`_top_m`), which the
-    chain cancels in that order.  Where the tiers' UL powers differ, that
-    is not the order of mean received power.  Where a field holds fewer
-    than ``m`` interferers, zero-power stages pad its row: they leave the
-    residual as it was, so they cannot change the chain's outcome.
-
-    Per trial the candidate APs of every tier are drawn in the disk of
-    radius ``_CAND_RADIUS``.  By default the interfering users of every tier
-    (density p_a,k mu, UL power Q_k) are drawn in a disk too, and all APs
-    observe that one user field through independent per-link fading; the
-    draws do not depend on ``m``.  ``independent_fields=True`` instead
-    gives every AP a field of its own, which is exactly the decoupling the
-    closed forms assume, and draws none here: ``total`` and ``top`` are
-    None."""
-    alpha = cfg.alpha
-    tiers = _interferer_tiers(cfg)
-    q_ul = np.array([q for _, q in tiers])
-    user_radius = window_radius(cfg.mu)
-    for _ in range(size):
-        aps = [sample_ppp(t.lam, _CAND_RADIUS, rng) for t in cfg.tiers]
-        if not independent_fields:
-            users = [sample_ppp(mu_k, user_radius, rng) for mu_k, _ in tiers]
-        n_aps = sum(len(a) for a in aps)
-        if n_aps == 0:
-            continue
-        q_ap = np.repeat(q_ul, [len(a) for a in aps])
-        aps = np.concatenate(aps)
-        d_ap = np.hypot(aps[:, 0], aps[:, 1])
-        signal = q_ap * d_ap**-alpha
-        if independent_fields:
-            yield signal, None, None
-            continue
-        u_pow = np.repeat(q_ul, [len(u) for u in users])
-        users = np.concatenate(users)
-        d2 = (
-            (aps[:, 0, None] - users[None, :, 0]) ** 2
-            + (aps[:, 1, None] - users[None, :, 1]) ** 2
-        )
-        p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
-        top = _top_m(p, d2, m, "distance_only")
-        if top.shape[1] < m:
-            top = np.pad(top, ((0, 0), (0, m - top.shape[1])))
-        yield signal, p.sum(axis=1), top
-
-
 def _max_sir_block(
     cfg: NetworkConfig,
     rng: np.random.Generator,
@@ -1008,18 +956,64 @@ def _max_sir_block(
     independent_fields: bool,
     m: int,
 ):
-    """The AP rows of one block of :func:`_max_sir_trials` stacked, with the
-    index of each trial's first row: ``(signal, total, top, first_row)``,
-    or None if no trial has a candidate AP.  ``total`` and ``top`` are None
-    where no field was drawn."""
-    rows = list(_max_sir_trials(cfg, rng, size, independent_fields, m))
-    if not rows:
+    """Draw ``size`` max-SIR trials and return their candidate APs, one row
+    per AP, trial by trial and by tier within a trial: ``(signal, total,
+    top, first_row)``, or None if no trial has a candidate AP.  ``signal``
+    is the user's mean received power at the AP (its link fading is never
+    drawn), ``total`` the aggregate UL interference and ``top`` the powers
+    of the ``m`` interferers nearest the AP, all tiers ranked together by
+    raw distance (:func:`_top_m`), which the chain cancels in that order.
+    Where the tiers' UL powers differ, that is not the order of mean
+    received power.  Where a field holds fewer than ``m`` interferers,
+    zero-power stages pad its row: they leave the residual as it was, so
+    they cannot change the chain's outcome.  ``first_row`` indexes the
+    first row of each trial that has a candidate AP; the other trials have
+    no row.
+
+    The candidate APs of every tier are drawn for the whole block at once
+    in the disk of radius ``_CAND_RADIUS``: a Poisson count per trial and
+    tier, and squared radii uniform on (0, R^2] (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, 2012, ch. 2).  By default the
+    interfering users of every tier (density p_a,k mu, UL power Q_k) are
+    then drawn trial by trial in a disk too, and all APs of a trial observe
+    that one user field through independent per-link fading; the draws do
+    not depend on ``m``.  ``independent_fields=True`` instead gives every
+    AP a field of its own, which is exactly the decoupling the closed forms
+    assume, and draws neither AP angles nor users here: ``total`` and
+    ``top`` are None."""
+    alpha, r2_cand = cfg.alpha, _CAND_RADIUS * _CAND_RADIUS
+    tiers = _interferer_tiers(cfg)
+    q_ul = np.array([q for _, q in tiers])
+    lam = np.array([t.lam for t in cfg.tiers])
+    counts = rng.poisson(lam * (math.pi * r2_cand), (size, cfg.n_tiers))
+    n_aps = counts.sum(axis=1)
+    if not n_aps.any():
         return None
-    first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-    signal, total, top = (
-        None if col[0] is None else np.concatenate(col) for col in zip(*rows)
-    )
-    return signal, total, top, first_row
+    r2 = r2_cand * (1.0 - rng.random(n_aps.sum()))
+    signal = np.repeat(np.tile(q_ul, size), counts.ravel()) * r2 ** (-0.5 * alpha)
+    first_row = (np.cumsum(n_aps) - n_aps)[n_aps > 0]
+    if independent_fields:
+        return signal, None, None, first_row
+    theta = 2.0 * math.pi * rng.random(len(r2))
+    r = np.sqrt(r2)
+    aps = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    user_radius = window_radius(cfg.mu)
+    total, top = [], []
+    for trial_aps in np.split(aps, first_row[1:]):
+        users = [sample_ppp(mu_k, user_radius, rng) for mu_k, _ in tiers]
+        u_pow = np.repeat(q_ul, [len(u) for u in users])
+        users = np.concatenate(users)
+        d2 = (
+            (trial_aps[:, 0, None] - users[None, :, 0]) ** 2
+            + (trial_aps[:, 1, None] - users[None, :, 1]) ** 2
+        )
+        p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
+        nearest = _top_m(p, d2, m, "distance_only")
+        if nearest.shape[1] < m:
+            nearest = np.pad(nearest, ((0, 0), (0, m - nearest.shape[1])))
+        top.append(nearest)
+        total.append(p.sum(axis=1))
+    return signal, np.concatenate(total), np.concatenate(top), first_row
 
 
 def _max_sir_sums(
@@ -1032,13 +1026,13 @@ def _max_sir_sums(
 
     Each AP a decodes with probability P_a = exp(-eta R_{a,L_a} / S_a) over
     its link fading (:func:`_chain_exponent`), independently of the other
-    APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  Trials
-    are sampled one by one, but the chain runs once per block on all their
-    AP rows together (:func:`_max_sir_block`); a trial without a candidate
-    AP contributes 0.  With independent fields P_a also averages over AP
-    a's field, exactly: the whole field for ``n_max = 0``
-    (:func:`_max_sir_far_exponent`), else all but its nearest users, drawn
-    after the trials (:func:`_nearest_chain_success`)."""
+    APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  The
+    candidate APs of a whole block are drawn at once, and the chain runs
+    once per block on all their AP rows together (:func:`_max_sir_block`);
+    a trial without a candidate AP contributes 0.  With independent fields
+    P_a also averages over AP a's field, exactly: the whole field for
+    ``n_max = 0`` (:func:`_max_sir_far_exponent`), else all but its nearest
+    users, drawn after the candidate APs (:func:`_nearest_chain_success`)."""
     tiers, alpha = _interferer_tiers(cfg), cfg.alpha
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -1087,7 +1081,8 @@ def max_sir_success_curve_mc(
     No decision reads those fields, so they are not drawn: each AP's
     exp(-eta I_a / S_a) is averaged over its field exactly, by the PPP's
     Laplace transform (:func:`_max_sir_far_exponent`), and only the
-    candidate APs are sampled.  The trials are those of
+    candidate APs are sampled, a whole block's in one set of array draws
+    (:func:`_max_sir_block`).  The trials are those of
     :func:`simulate_max_inst_sir` with N = 0.
     """
     etas = _check_etas(etas)
@@ -1110,9 +1105,9 @@ def simulate_max_inst_sir(
     ranked together by raw distance, not by mean received power.
     ``independent_fields`` gives every AP its own interferer field (the
     closed form's decoupling) and truncates it at no window: for N >= 1 it
-    draws each AP's nearest users and averages their fadings and the field
-    beyond them exactly.  The default shares the physical field across
-    APs, drawn in a window."""
+    draws the nearest users of every AP of a block at once and averages
+    their fadings and the field beyond them exactly.  The default shares the physical field across APs, drawn in a window trial
+    by trial after the block's candidate APs (:func:`_max_sir_block`)."""
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )

@@ -16,7 +16,12 @@ import pytest
 import scipy.integrate
 
 from sicnet.errors import DegenerateReaError, DomainError
-from sicnet.model import NetworkConfig, TierParams, cancellation_radius
+from sicnet.model import (
+    NetworkConfig,
+    TierParams,
+    cancellation_radius,
+    nth_interferer_distance_pdf,
+)
 from sicnet.numerics import c_integral
 from sicnet.analytic import (
     SicGainBreakdown,
@@ -554,3 +559,34 @@ class TestProbabilityRange:
             cfg = NetworkConfig.single_tier(lam=lam, mu_j=mu, alpha=alpha)
             values.append(outage_max_inst_sir(eta, cfg))
             assert all(0.0 <= v <= 1.0 for v in values), values
+
+
+class TestIntegerOrders:
+    """Orders, budgets and loads are integers: a fractional one raises
+    DomainError (it used to be truncated or rounded up silently, or to fail
+    with TypeError), and numpy integers give the int's value."""
+
+    CALLS = {
+        "ps_can": lambda n: ps_can(1.0, n, 4.0),
+        "ps_ic": lambda n: ps_ic(1.0, n, LAM, MU, 4.0),
+        "ps_sic": lambda n: ps_sic(1.0, n, LAM, MU, 4.0).ps_sic_total,
+        "load_pmf": lambda n: load_pmf(n, MU, LAM),
+        "ps_sic_max_inst_sir": lambda n: ps_sic_max_inst_sir(1.0, n, two_tier()),
+        "ps_can_tsd": lambda n: ps_can_tsd(1.0, n),
+        "tsd_cumulant": lambda n: tsd_cumulant(n, 1.0, MU, 50.0, 4.0, 2.0),
+        "kurtosis_after_cancellation": lambda n: kurtosis_after_cancellation(4.0, n),
+        "cancellation_radius": lambda n: cancellation_radius(MU, n),
+        "nth_interferer_distance_pdf": lambda n: nth_interferer_distance_pdf(MU, n, 50.0),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+    def test_non_integer_raises(self, name, n):
+        with pytest.raises(DomainError):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integers_match_int(self, name):
+        want = self.CALLS[name](2)
+        for n in (np.int64(2), np.int32(2), np.arange(3)[2]):
+            assert self.CALLS[name](n) == want

@@ -102,6 +102,28 @@ class TestSweep:
         assert len(run_dirs) == 1
         assert (run_dirs[0] / "result.csv").exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"formula": "ps_can", "eta": 1.0, "n": 1.5, "alpha": 4.0},
+            {"formula": "load_pmf", "m": 2.5, "mu_j": 1e-4, "lam": 1e-4},
+            {"formula": "ps_sic", "eta": 1.0, "n_max": 1.5, "lambda_eq": 1e-4,
+             "mu_j": 1e-4, "alpha": 4.0},
+        ],
+        ids=["n", "m", "n_max"],
+    )
+    def test_custom_sweep_rejects_fractional_orders(self, tmp_path, capsys, row):
+        # a grid's order, load or budget reaches the formula as written, so
+        # 1.5 is an error rather than order 1
+        rc = main(
+            [
+                "sweep", "--preset", "custom", "--grid-json", json.dumps([row]),
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_env_var_sets_default_output_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SICNET_OUTPUT_DIR", str(tmp_path / "from_env"))
         parser = build_parser()

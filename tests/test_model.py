@@ -86,6 +86,10 @@ class TestTypes:
             SicConfig(0.0, 1)
         with pytest.raises(DomainError):
             SicConfig(1.0, -1)
+        for n_max in (1.5, 2.0, "2", None):
+            with pytest.raises(DomainError):
+                SicConfig(1.0, n_max)
+        assert SicConfig(1.0, np.int64(3)).n_max == 3
 
     def test_db_conversions(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)

@@ -31,7 +31,6 @@ from sicnet.montecarlo import (
     _max_sir_block,
     _max_sir_far_exponent,
     _max_sir_sums,
-    _max_sir_trials,
     _min_load_success,
     _min_load_trials,
     _moments,
@@ -203,6 +202,44 @@ class TestBlockDriver:
         for call in calls:
             with pytest.raises(DomainError):
                 call(100.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ps_can_curve_mc(MU, 1.0, [1.0], 2, 10, 1),
+            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=-1.0),
+            lambda: ps_can_curve_mc(0.0, 4.0, [1.0], 2, 10, 1, radius=100.0),
+            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2.5, 10, 1),
+            lambda: simulate_min_load(1e-4, 5e-4, 0.0, [0.5], 10, 1),
+            lambda: simulate_min_load(1e-4, 5e-4, -5.0, [0.5], 10, 1),
+            lambda: simulate_min_load(0.0, 5e-4, 100.0, [0.5], 10, 1),
+            lambda: simulate_min_load(1e-4, 5e-4, 100.0, [0.5], 10, 1, alpha=2.0),
+            lambda: ps_sic_curve_mc(0.0, MU, 4.0, [1.0], 1, 10, 1),
+            lambda: ps_sic_curve_mc(LAM, 0.0, 4.0, [1.0], 1, 10, 1),
+            lambda: ps_sic_curve_mc(LAM, -1.0, 4.0, [1.0], 1, 10, 1),
+            lambda: ps_sic_curve_mc(-1.0, MU, 4.0, [1.0], 1, 10, 1, independent_stages=True),
+            lambda: ps_sic_curve_mc(LAM, MU, 1.5, [1.0], 1, 10, 1),
+            lambda: ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1.5, 10, 1),
+            lambda: voronoi_load_histogram(0.0, 5e-4, 100, 1),
+            lambda: voronoi_load_histogram(1e-4, 0.0, 100, 1),
+        ],
+        ids=[
+            "can-alpha-1", "can-radius-neg", "can-mu_j-0", "can-n_orders-2.5",
+            "minload-r_con-0", "minload-r_con-neg", "minload-lam-0", "minload-alpha-2",
+            "sic-lambda_eq-0", "sic-mu_j-0", "sic-mu_j-neg", "stages-lambda_eq-neg",
+            "sic-alpha-1.5", "sic-n_max-1.5", "voronoi-lam-0", "voronoi-mu_j-0",
+        ],
+    )
+    def test_edge_inputs_raise_before_any_draw(self, monkeypatch, call):
+        # every simulator checks its inputs before a block draws anything
+        from sicnet import montecarlo
+
+        def no_draws(seed, index):
+            raise AssertionError("a stream was opened before the inputs were checked")
+
+        monkeypatch.setattr(montecarlo, "_stream", no_draws)
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_montecarlo_imports_nothing_from_analytic():
@@ -861,18 +898,18 @@ def _sampled_field_max_sir(cfg, etas, n_max, trials, seed):
     """Max-SIR success with independent fields for every (eta, N <= n_max),
     each AP's field sampled out to its window (:func:`_sampled_fields`) and
     the chain run on it: the truncated estimator that the window-free
-    kernel replaced, drawing each trial's fields right after its candidate
-    APs, as it did."""
+    kernel replaced, drawing the fields trial by trial after the block's
+    candidate APs."""
     tiers = _interferer_tiers(cfg)
 
     def block(rng, size):
+        signal, _, _, first_row = _max_sir_block(cfg, rng, size, True, n_max)
         rows = []
-        for signal, _, _ in _max_sir_trials(cfg, rng, size, True, n_max):
-            total, p, d2 = _sampled_fields(rng, len(signal), tiers, cfg.alpha)
+        for trial_signal in np.split(signal, first_row[1:]):
+            total, p, d2 = _sampled_fields(rng, len(trial_signal), tiers, cfg.alpha)
             top = _top_m(p, d2, n_max, "distance_only")
-            rows.append((signal, total, np.pad(top, ((0, 0), (0, n_max - top.shape[1])))))
-        first_row = np.cumsum([0] + [len(r[0]) for r in rows[:-1]])
-        signal, total, top = (np.concatenate(col) for col in zip(*rows))
+            rows.append((total, np.pad(top, ((0, 0), (0, n_max - top.shape[1])))))
+        total, top = (np.concatenate(col) for col in zip(*rows))
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
@@ -913,15 +950,15 @@ def _nearest_max_sir(cfg, eta, n_max, size, seed):
     tiers = _interferer_tiers(cfg)
     (mu_0, q_0), (mu_1, q_1) = tiers
     rng = _stream(seed, 0)
-    signals = [signal for signal, _, _ in _max_sir_trials(cfg, rng, size, True, n_max)]
-    shape = (sum(map(len, signals)), max(n_max, _NEAREST_USERS))
+    signal, _, _, first_row = _max_sir_block(cfg, rng, size, True, n_max)
+    shape = (len(signal), max(n_max, _NEAREST_USERS))
     r2 = np.cumsum(rng.standard_exponential(shape), axis=1) / (math.pi * (mu_0 + mu_1))
     q = np.where(rng.random(shape) >= mu_0 / (mu_0 + mu_1), q_1, q_0)
     x = q * r2 ** (-0.5 * cfg.alpha)
     probs, row = [], 0
-    for signal in signals:
+    for trial_signal in np.split(signal, first_row[1:]):
         miss = 1.0
-        for s in signal:
+        for s in trial_signal:
             p = _scalar_nearest_chain(x[row], r2[row, -1], tiers, s, eta, n_max, cfg.alpha)
             miss *= 1.0 - p[n_max]
             row += 1
@@ -955,11 +992,12 @@ def _fieldless_max_sir(cfg, eta, size, seed):
         (association_prob_max_power(cfg, k) * cfg.mu, t.q_ul)
         for k, t in enumerate(cfg.tiers)
     ]
+    signal, total, top, first_row = _max_sir_block(cfg, _stream(seed, 0), size, True, 0)
+    assert total is None and top is None
     probs = []
-    for signal, total, top in _max_sir_trials(cfg, _stream(seed, 0), size, True, 0):
-        assert total is None and top is None
+    for trial_signal in np.split(signal, first_row[1:]):
         miss = 1.0
-        for s in signal:
+        for s in trial_signal:
             x = sum(
                 math.pi * mu_k * (eta * q / s) ** (2.0 / cfg.alpha) * c0
                 for mu_k, q in tiers
@@ -1037,10 +1075,9 @@ class TestMaxSir:
         elif independent:
             probs = _nearest_max_sir(cfg, eta, n_max, trials, seed)
         else:
+            rows = _max_sir_block(cfg, _stream(seed, 0), trials, False, n_max)
             probs = []
-            for signal, total, top in _max_sir_trials(
-                cfg, _stream(seed, 0), trials, False, n_max
-            ):
+            for signal, total, top in zip(*(np.split(a, rows[3][1:]) for a in rows[:3])):
                 miss = 1.0
                 for s, residual, powers in zip(signal, total, top):
                     for x in powers:
@@ -1056,6 +1093,78 @@ class TestMaxSir:
         ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+
+    def test_candidate_ap_law(self, monkeypatch):
+        # one block's candidate APs: per trial and tier a Poisson count of
+        # mean lam_k pi R^2, squared radii uniform on (0, R^2], rows trial by
+        # trial and tier 0 before tier 1 within a trial.  A negative UL power
+        # marks tier 1's rows, so each row's tier and squared radius can be
+        # read back from its signal Q_k r^-4
+        from scipy import stats
+
+        from sicnet import montecarlo
+
+        cfg, size = two_tier(), BLOCK_TRIALS
+        monkeypatch.setattr(
+            montecarlo, "_interferer_tiers", lambda cfg: [(1e-5, 1.0), (9e-5, -1.0)]
+        )
+        signal, _, _, first_row = _max_sir_block(cfg, _stream(3, 0), size, True, 0)
+        tier1 = signal < 0.0
+        r2 = np.abs(signal) ** -0.5
+        r2_cand = montecarlo._CAND_RADIUS**2
+        per_trial = np.split(tier1, first_row[1:])
+        assert all(np.all(np.diff(t) >= 0) for t in per_trial)  # tier 0 first
+        assert np.all((r2 > 0.0) & (r2 <= r2_cand * (1.0 + 1e-12)))
+        for k, tier in enumerate(cfg.tiers):
+            counts = np.zeros(size)
+            counts[: len(first_row)] = [np.sum(t == bool(k)) for t in per_trial]
+            mean = tier.lam * math.pi * r2_cand
+            assert abs(counts.mean() - mean) <= 3.0 * math.sqrt(mean / size), (k, counts.mean())
+            assert counts.var() == pytest.approx(mean, rel=0.1)  # about 4 stderr
+            u = r2[tier1 == bool(k)] / r2_cand
+            assert abs(u.mean() - 0.5) <= 3.0 * math.sqrt(1.0 / 12.0 / len(u)), (k, u.mean())
+            assert stats.kstest(u, "uniform").pvalue >= 1e-3, k
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_empty_trials_count_as_zero(self, monkeypatch, independent):
+        # a candidate disk so small that about 70% of the trials hold no AP:
+        # the estimate equals a per-trial reference that splits the block's
+        # rows by the per-trial counts, drawn again from the block's stream,
+        # and gives each trial without a row 0.  A disk that holds no AP in
+        # any trial gives a block without rows and an estimate of exactly 0
+        from sicnet import montecarlo
+
+        cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 2, 600, 45
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 30.0)
+        lam = np.array([t.lam for t in cfg.tiers])
+        counts = _stream(seed, 0).poisson(lam * math.pi * 30.0**2, (size, 2)).sum(axis=1)
+        assert np.mean(counts == 0) > 0.6
+        rng = _stream(seed, 0)
+        signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
+        assert np.array_equal(first_row, (np.cumsum(counts) - counts)[counts > 0])
+        tiers = _interferer_tiers(cfg)
+        if independent:
+            near = _nearest_users(rng, len(signal), tiers, n_max, cfg.alpha)
+            p_a = _nearest_chain_success(*near, tiers, signal, eta, n_max, cfg.alpha)[:, n_max]
+        else:
+            x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
+            p_a = np.exp(-x[:, n_max])
+        probs = np.array(
+            [1.0 - np.prod(1.0 - p) for p in np.split(p_a, np.cumsum(counts)[:-1])]
+        )
+        assert len(probs) == size and np.all(probs[counts == 0] == 0.0)
+        est = simulate_max_inst_sir(
+            cfg, SicConfig(eta, n_max), size, seed, independent_fields=independent
+        )
+        ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), size, seed)
+        assert est.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 0.01)
+        assert _max_sir_block(cfg, _stream(seed, 0), 50, independent, n_max) is None
+        est = simulate_max_inst_sir(
+            cfg, SicConfig(eta, n_max), 50, seed, independent_fields=independent
+        )
+        assert (est.mean, est.stderr) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "tiers, marks, q_signal",
