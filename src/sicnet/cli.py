@@ -21,6 +21,7 @@ import sys
 from .errors import ConfigError, DomainError, NumericsError, SicnetError
 from .model import (
     NetworkConfig,
+    _require_count,
     association_prob_max_power,
     biased_association_prob,
     cancellation_radius,
@@ -111,7 +112,8 @@ FORMULAS = {
         "max-instantaneous-SIR success with SIC",
     ),
     "ps_ic_rea": (
-        lambda p: ps_ic_rea(p["eta"], p["config"], int(p["k"]) - 1, int(p["cancelled"])),
+        lambda p: ps_ic_rea(p["eta"], p["config"], _require_count("k", p["k"], 1) - 1,
+                            _require_count("cancelled", p["cancelled"])),
         ("eta", "config", "k", "cancelled"),
         "range-expanded-area success (tier k, 1-based)",
     ),

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import DomainError
-from .model import NetworkConfig, TierParams, db_to_linear
+from .model import NetworkConfig, TierParams, config_from_dict, db_to_linear, load_config
 from .analytic import (
     outage_max_inst_sir,
     ps_can,
@@ -339,9 +339,12 @@ def _run_custom(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     for point in spec.grid:
         if "formula" not in point:
             raise DomainError("custom grid points need a 'formula' key")
-        params = {k: v for k, v in point.items() if k != "formula"}
+        params = args = {k: v for k, v in point.items() if k != "formula"}
+        if "config" in params:  # an inline object or the path of a config file
+            read = load_config if isinstance(params["config"], str) else config_from_dict
+            args = {**params, "config": read(params["config"])}
         t0 = time.perf_counter()
-        value = evaluate_formula(point["formula"], params)
+        value = evaluate_formula(point["formula"], args)
         row = {"formula": point["formula"]}
         row.update(params)
         row["analytic_value"] = value

@@ -10,15 +10,9 @@ independent PPP of density ``mu_j``.  While an interferer is being decoded,
 the signal of interest is not counted as interference, mirroring the
 trimmed-sum definition of the residual field.
 
-Ordering: every SIC chain (``ps_sic_curve_mc``, ``simulate_max_inst_sir``)
-cancels nearest interferer first.  ``ps_sic_curve_mc`` has one interferer
-tier, so that is the order of mean received power, as in the paper's chain.
-``simulate_max_inst_sir`` ranks the users of all tiers together by raw
-distance, which is mean-power order only when the tiers' UL powers Q_k are
-equal: with Q = (10, 1), as in fig5, a nearer low-power user is cancelled
-before a farther high-power one.  Only ``ps_can_curve_mc`` and the scene
-oracles (``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded
-power.
+Ordering: every SIC chain cancels in order of mean received power, as the
+paper's chain does, and only ``ps_can_curve_mc`` and the scene oracles
+(``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded power.
 
 Windows: where no decision in a trial reads the far field, the field is
 sampled only out to a near window that holds 25 expected points beyond its
@@ -437,30 +431,27 @@ def _far_field(density, r_lo2, s, alpha: float):
     return math.pi * density * s_e * c_integral(r_lo2 / s_e, alpha)
 
 
-def _top_m(p: np.ndarray, d2: np.ndarray, m: int, ordering: str) -> np.ndarray:
-    """The ``m`` nearest (``distance_only``, by ``d2``) or strongest
-    (``power_with_fading``, by ``p``) entries of each row of ``p``, in that
-    order: exactly the first ``m`` columns of ``p`` under a stable argsort of
-    the key, ties included.  The columns are picked one at a time by
-    ``argmin``/``argmax`` over a copy of the key, in which every picked entry
-    is then retired (set to inf / -inf), so whole rows are never sorted.  The
-    first occurrence wins, as in a stable sort; inf padding in ``d2`` is
+def _top_m(p: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
+    """The entries of each row of ``p`` at the ``m`` smallest values of
+    ``key`` (squared distance, negated power or the mean-power key), in
+    ascending key order: exactly the first ``m`` columns of ``p`` under a
+    stable argsort of the key, ties included.  The columns are picked one
+    at a time by ``argmin`` over a copy of the key, in which every picked
+    entry is then retired (set to inf), so whole rows are never sorted.  The
+    first occurrence wins, as in a stable sort; inf padding in the key is
     mapped to the largest finite float so that it still ranks below the
     retired entries.  Rows shorter than ``m`` come back whole and fully
     ordered."""
     m = min(m, p.shape[1])
     if m == 0:
         return np.empty((len(p), 0))  # not a view: it must not keep p alive
-    if ordering == "distance_only":
-        key, pick, retired = np.minimum(d2, np.finfo(float).max), np.argmin, np.inf
-    else:
-        key, pick, retired = p.copy(), np.argmax, -np.inf
+    key = np.minimum(key, np.finfo(float).max)
     flat = key.reshape(-1)
     row_start = np.arange(0, key.size, key.shape[1])
     picked = np.empty((len(p), m), dtype=np.intp)
     for i in range(m):
-        picked[:, i] = j = pick(key, axis=1) + row_start
-        flat[j] = retired
+        picked[:, i] = j = np.argmin(key, axis=1) + row_start
+        flat[j] = np.inf
     return p.reshape(-1)[picked]
 
 
@@ -526,32 +517,31 @@ def _chain_exponent(s0, total, top, cum, eta: float, n_max: int) -> np.ndarray:
 _NEAREST_USERS = 3
 
 
-def _nearest_users(rng: np.random.Generator, size: int, tiers, n_max: int, alpha: float):
-    """The nearest users of ``size`` independent fields of the superposed
-    ``tiers`` ``(density, UL power)``, max(n_max, ``_NEAREST_USERS``) of
-    them: pi mu r_k^2 is a sum of k Exp(1), mu the total density (Haenggi,
-    *Stochastic Geometry for Wireless Networks*, 2012, ch. 2), and a user is
-    of tier t with probability mu_t / mu.  Return their mean powers x[:,
-    k-1] = Q_t r_k^-alpha and the squared radius r_far^2 of the farthest."""
+def _nearest_users(rng: np.random.Generator, size: int, density: float, n_max: int, alpha: float):
+    """The nearest users of ``size`` independent unit-power PPP fields of
+    ``density``, max(n_max, ``_NEAREST_USERS``) of them: pi density r_k^2
+    is a sum of k Exp(1) (Haenggi, *Stochastic Geometry for Wireless
+    Networks*, 2012, ch. 2).  Return their mean powers x[:, k-1] =
+    r_k^-alpha and the squared radius r_far^2 of the farthest.  Tiers of
+    UL powers Q_k map to one such field of density sum_k mu_k Q_k^(2/alpha)
+    (mapping theorem, ibid.), its users in order of mean received power."""
     depth = max(n_max, _NEAREST_USERS)
-    density, q_ul = np.array(tiers).T
     r2 = np.cumsum(rng.standard_exponential((size, depth)), axis=1)
-    r2 /= math.pi * density.sum()
-    share = np.cumsum(density)[:-1] / density.sum()
-    marks = np.searchsorted(share, rng.random((size, depth)), side="right")
-    return q_ul[marks] * r2 ** (-0.5 * alpha), r2[:, -1]
+    r2 /= math.pi * density
+    return r2 ** (-0.5 * alpha), r2[:, -1]
 
 
-def _nearest_chain_success(x, r2_far, tiers, signal, eta: float, n_max: int, alpha: float):
-    """Each receiver's chain success for budgets N = 0..n_max, nearest
-    interferer first, given the mean power ``signal`` S of its signal of
-    interest and the mean powers ``x`` of its nearest users
-    (:func:`_nearest_users`), exact over every fading and the field beyond
-    r_far.  Every SIC chain that decides its cancellations on the residual
-    of its own field runs here: one tier for ``ps_sic_curve_mc``, the
-    interferer tiers for max-SIR with independent fields.  With R_k the
-    residual after k cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k}
-    (1 + c x_j)^-1 times the tiers' :func:`_far_field`.  Stage k cancels
+def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, alpha: float):
+    """Each receiver's chain success for budgets N = 0..n_max, in order of
+    mean received power, given the mean power ``signal`` S of its signal of
+    interest and the mean powers ``x`` of the nearest users of its
+    unit-power field of ``density`` (:func:`_nearest_users`), exact over
+    every fading and the field beyond r_far.  Every SIC chain that decides
+    its cancellations on the residual of its own field runs here:
+    ``ps_sic_curve_mc`` on its one tier, max-SIR with independent fields on
+    the tiers' equivalent field.  With R_k the residual after k
+    cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k} (1 + c x_j)^-1
+    times :func:`_far_field` beyond r_far.  Stage k cancels
     with probability exp(-a_k R_k), a_k = eta / x_k, and decodes with
     exp(-g R_k), g = eta / S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} /
     (1 + beta_{k-1} x_k) and beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).
@@ -561,7 +551,7 @@ def _nearest_chain_success(x, r2_far, tiers, signal, eta: float, n_max: int, alp
     <= N, as a running maximum."""
 
     def phi(k: int, c: np.ndarray) -> np.ndarray:
-        far = sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers)
+        far = _far_field(density, r2_far, c, alpha)
         return np.exp(-(np.log1p(c[:, None] * x[:, k:]).sum(axis=1) + far))
 
     g = eta / signal
@@ -702,14 +692,13 @@ def ps_sic_curve_mc(
     _check_alpha(alpha)
     n_max = _require_count("n_max", n_max)
     etas = _check_etas(etas)
-    tiers = [(mu_j, 1.0)]
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         if independent_stages:
             stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
         else:
             s0 = _serving_block(rng, size, lambda_eq, alpha)
-            near = _nearest_users(rng, size, tiers, n_max, alpha)
+            near = _nearest_users(rng, size, mu_j, n_max, alpha)
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             if independent_stages:
@@ -717,7 +706,7 @@ def ps_sic_curve_mc(
                     *_independent_stage_probs(*stats, eta, mu_j, alpha)
                 )
             else:
-                p = _nearest_chain_success(*near, tiers, s0, eta, n_max, alpha)
+                p = _nearest_chain_success(*near, mu_j, s0, eta, n_max, alpha)
             sums[:, e_idx] = _moments(p, 0)
         return sums
 
@@ -763,7 +752,10 @@ def ps_can_curve_mc(
         # (direct per ordering, distance-ordered chain survivors) x eta x n
         wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
         for o_idx, ordering in enumerate(ORDERINGS):
-            top = _top_m(powers, r2, n_orders, ordering)
+            # the fading order's key, -powers, overwrites r2, which is read no
+            # more, so that no third field-sized array is held
+            key = r2 if ordering == "distance_only" else np.negative(powers, out=r2)
+            top = _top_m(powers, key, n_orders)
             residual = total[:, None] - np.cumsum(top, axis=1)
             for e_idx, eta in enumerate(etas):
                 ok = (top >= eta * residual) & enough
@@ -933,16 +925,13 @@ def _interferer_tiers(cfg: NetworkConfig):
     ]
 
 
-def _max_sir_far_exponent(tiers, signal: np.ndarray, eta: float, alpha: float):
+def _max_sir_far_exponent(mu_eq: float, signal: np.ndarray, eta: float, alpha: float):
     """-log E[exp(-eta I_a / S_a)] for APs a that each see a whole user
-    field I_a of their own: the sum over the interferer ``tiers`` of
-    :func:`_far_field` from radius 0 at s = eta Q_k / S_a, one value per
-    entry of ``signal``.  From radius 0 the factor's C(0, alpha) is one
-    constant, evaluated once."""
-    c0 = c_integral(0.0, alpha)
-    return sum(
-        math.pi * mu_k * (eta * q / signal) ** (2.0 / alpha) * c0 for mu_k, q in tiers
-    )
+    field I_a of their own, the unit-power field of density ``mu_eq``
+    (:func:`_nearest_users`): :func:`_far_field` from radius 0 at s = eta /
+    S_a, one value per entry of ``signal``.  From radius 0 the factor's
+    C(0, alpha) is one constant, evaluated once."""
+    return math.pi * mu_eq * (eta / signal) ** (2.0 / alpha) * c_integral(0.0, alpha)
 
 
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
@@ -961,14 +950,13 @@ def _max_sir_block(
     top, first_row)``, or None if no trial has a candidate AP.  ``signal``
     is the user's mean received power at the AP (its link fading is never
     drawn), ``total`` the aggregate UL interference and ``top`` the powers
-    of the ``m`` interferers nearest the AP, all tiers ranked together by
-    raw distance (:func:`_top_m`), which the chain cancels in that order.
-    Where the tiers' UL powers differ, that is not the order of mean
-    received power.  Where a field holds fewer than ``m`` interferers,
-    zero-power stages pad its row: they leave the residual as it was, so
-    they cannot change the chain's outcome.  ``first_row`` indexes the
-    first row of each trial that has a candidate AP; the other trials have
-    no row.
+    of the ``m`` interferers of largest mean received power at the AP, the
+    users of all tiers ranked together by d^2 Q_k^(-2/alpha)
+    (:func:`_top_m`), which the chain cancels in that order.  Where a field
+    holds fewer than ``m`` interferers, zero-power stages pad its row: they
+    leave the residual as it was, so they cannot change the chain's
+    outcome.  ``first_row`` indexes the first row of each trial that has a
+    candidate AP; the other trials have no row.
 
     The candidate APs of every tier are drawn for the whole block at once
     in the disk of radius ``_CAND_RADIUS``: a Poisson count per trial and
@@ -1008,10 +996,10 @@ def _max_sir_block(
             + (trial_aps[:, 1, None] - users[None, :, 1]) ** 2
         )
         p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
-        nearest = _top_m(p, d2, m, "distance_only")
-        if nearest.shape[1] < m:
-            nearest = np.pad(nearest, ((0, 0), (0, m - nearest.shape[1])))
-        top.append(nearest)
+        strongest = _top_m(p, d2 * u_pow ** (-2.0 / alpha), m)
+        if strongest.shape[1] < m:
+            strongest = np.pad(strongest, ((0, 0), (0, m - strongest.shape[1])))
+        top.append(strongest)
         total.append(p.sum(axis=1))
     return signal, np.concatenate(total), np.concatenate(top), first_row
 
@@ -1029,11 +1017,15 @@ def _max_sir_sums(
     APs, so a trial succeeds with probability 1 - prod_a (1 - P_a).  The
     candidate APs of a whole block are drawn at once, and the chain runs
     once per block on all their AP rows together (:func:`_max_sir_block`);
-    a trial without a candidate AP contributes 0.  With independent fields
-    P_a also averages over AP a's field, exactly: the whole field for
-    ``n_max = 0`` (:func:`_max_sir_far_exponent`), else all but its nearest
-    users, drawn after the candidate APs (:func:`_nearest_chain_success`)."""
-    tiers, alpha = _interferer_tiers(cfg), cfg.alpha
+    a trial without a candidate AP contributes 0.  Every chain cancels in
+    order of mean received power.  With independent fields P_a also
+    averages over AP a's field, exactly: the user tiers map to one
+    unit-power field of density mu_eq = sum_k mu_k Q_k^(2/alpha)
+    (:func:`_nearest_users`), whole for ``n_max = 0``
+    (:func:`_max_sir_far_exponent`), else all but its nearest users, drawn
+    after the candidate APs (:func:`_nearest_chain_success`)."""
+    alpha = cfg.alpha
+    mu_eq = sum(mu_k * q ** (2.0 / alpha) for mu_k, q in _interferer_tiers(cfg))
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         sums = np.zeros((2, len(etas), n_max + 1))
@@ -1044,14 +1036,14 @@ def _max_sir_sums(
         if total is not None:
             cum = np.cumsum(top, axis=1)
         elif n_max:
-            near = _nearest_users(rng, len(signal), tiers, n_max, alpha)
+            near = _nearest_users(rng, len(signal), mu_eq, n_max, alpha)
         for e_idx, eta in enumerate(etas):
             if total is not None:
                 miss = -np.expm1(-_chain_exponent(signal, total, top, cum, eta, n_max))
             elif n_max:
-                miss = 1.0 - _nearest_chain_success(*near, tiers, signal, eta, n_max, alpha)
+                miss = 1.0 - _nearest_chain_success(*near, mu_eq, signal, eta, n_max, alpha)
             else:
-                miss = -np.expm1(-_max_sir_far_exponent(tiers, signal[:, None], eta, alpha))
+                miss = -np.expm1(-_max_sir_far_exponent(mu_eq, signal[:, None], eta, alpha))
             # trials along the last axis, as the per-budget sums read them
             p = np.ascontiguousarray(1.0 - np.multiply.reduceat(miss, first_row).T)
             sums[:, e_idx] = _moments(p, 1)
@@ -1101,13 +1093,15 @@ def simulate_max_inst_sir(
     """Max-instantaneous-SIR policy with SIC: the uplink succeeds if any
     candidate AP decodes the user after at most N cancellations, running
     the full event chain independently at each AP (:func:`_max_sir_sums`).
-    Each AP cancels its nearest interferers first, the users of all tiers
-    ranked together by raw distance, not by mean received power.
+    Each AP cancels its interferers in order of mean received power, the
+    users of all tiers ranked together, as the paper's chain does.
     ``independent_fields`` gives every AP its own interferer field (the
     closed form's decoupling) and truncates it at no window: for N >= 1 it
-    draws the nearest users of every AP of a block at once and averages
-    their fadings and the field beyond them exactly.  The default shares the physical field across APs, drawn in a window trial
-    by trial after the block's candidate APs (:func:`_max_sir_block`)."""
+    draws the nearest users of every AP's equivalent unit-power field, a
+    block's at once, and averages their fadings and the field beyond them
+    exactly.  The default shares the physical field across APs, drawn in a
+    window trial by trial after the block's candidate APs
+    (:func:`_max_sir_block`)."""
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields
     )

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, unit discipline, outputs."""
 
+import csv
 import json
 import os
 import subprocess
@@ -109,8 +110,10 @@ class TestSweep:
             {"formula": "load_pmf", "m": 2.5, "mu_j": 1e-4, "lam": 1e-4},
             {"formula": "ps_sic", "eta": 1.0, "n_max": 1.5, "lambda_eq": 1e-4,
              "mu_j": 1e-4, "alpha": 4.0},
+            {"formula": "ps_ic_rea", "eta": 1.0, "k": 2.5, "cancelled": 1, "config": CFG},
+            {"formula": "ps_ic_rea", "eta": 1.0, "k": 2, "cancelled": 0.5, "config": CFG},
         ],
-        ids=["n", "m", "n_max"],
+        ids=["n", "m", "n_max", "k", "cancelled"],
     )
     def test_custom_sweep_rejects_fractional_orders(self, tmp_path, capsys, row):
         # a grid's order, load or budget reaches the formula as written, so
@@ -123,6 +126,41 @@ class TestSweep:
         )
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    def test_custom_sweep_reads_config(self, tmp_path, capsys, config_path):
+        # a row's config, inline or as a path, gives what eval gives
+        assert main(
+            ["eval", "ps_ic_rea", "--eta", "1", "--k", "2", "--cancelled", "1",
+             "--config", config_path]
+        ) == 0
+        want = capsys.readouterr().out.split(" = ")[-1].strip()
+        row = {"formula": "ps_ic_rea", "eta": 1.0, "k": 2, "cancelled": 1}
+        grid = [{**row, "config": CFG}, {**row, "config": config_path}]
+        rc = main(
+            [
+                "sweep", "--preset", "custom", "--grid-json", json.dumps(grid),
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        (run_dir,) = (tmp_path / "custom").iterdir()
+        with open(run_dir / "result.csv", encoding="utf-8") as fh:
+            values = [float(r["analytic_value"]) for r in csv.DictReader(fh)]
+        assert [f"{v:.6f}" for v in values] == [want, want]
+
+    @pytest.mark.parametrize(
+        "config", [{"alpha": 4.0}, 5, ["net.json"]], ids=["missing-keys", "number", "list"]
+    )
+    def test_custom_sweep_rejects_malformed_config(self, tmp_path, capsys, config):
+        row = {"formula": "ps_ic_rea", "eta": 1.0, "k": 2, "cancelled": 1, "config": config}
+        rc = main(
+            [
+                "sweep", "--preset", "custom", "--grid-json", json.dumps([row]),
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "config" in capsys.readouterr().err
 
     def test_env_var_sets_default_output_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SICNET_OUTPUT_DIR", str(tmp_path / "from_env"))

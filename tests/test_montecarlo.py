@@ -91,7 +91,7 @@ def _field_block(rng, size, mu_j, radius, m, alpha):
     each row's power sum, top[:, i] the (i+1)-th nearest power
     (:func:`_top_m`; zero past the row's count) and cum its running sum."""
     powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
-    top = _top_m(powers, r2, m, "distance_only")
+    top = _top_m(powers, r2, m)
     return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
 
 
@@ -630,7 +630,7 @@ class TestExactLawStage:
         powers, r2, _ = _radial_field(
             _stream(60, 0), size, MU, 0.0, window_radius(MU), n_max, 4.0
         )
-        nearest = _top_m(powers, r2, n_max, "distance_only")
+        nearest = _top_m(powers, r2, n_max)
         beyond = powers.sum(axis=1)[:, None] - np.cumsum(nearest, axis=1)
         window = (nearest >= eta * beyond).mean(axis=0)
         se = np.sqrt((cancel.var(axis=0) + window * (1 - window)) / size)
@@ -723,21 +723,22 @@ class TestFarField:
         assert abs(x.mean() - want) <= 4.0 * x.std() / math.sqrt(size), (x.mean(), want)
 
     def test_max_sir_factor_matches_independent_fields(self):
-        # the exponent of the fieldless no-SIC max-SIR path against sampled
-        # per-AP fields: E[exp(-s I)] over the fields of _sampled_fields, I
+        # the exponent of the fieldless no-SIC max-SIR path, on the tiers'
+        # equivalent unit-power field, against sampled per-AP fields of the
+        # physical tiers: E[exp(-s I)] over the fields of _sampled_fields, I
         # the Q_k-weighted sum over the tiers; the window (400 expected
         # points per tier) leaves out under 0.1% of the exponent, well under
         # the tolerance
         cfg = two_tier()
         tiers = _interferer_tiers(cfg)
-        unit = _max_sir_far_exponent(tiers, np.ones(1), 1.0, 4.0)[0]
+        unit = _max_sir_far_exponent(_mu_eq(tiers, 4.0), np.ones(1), 1.0, 4.0)[0]
         # s at which the exact factor is about 0.8, 0.5 and 0.2 (alpha = 4)
         s = np.array([0.2, 0.7, 1.6]) ** 2 / unit**2
         total = np.concatenate(
             [_sampled_fields(_stream(89, b), 2000, tiers, 4.0)[0] for b in range(5)]
         )
         x = np.exp(-np.multiply.outer(total, s))
-        want = np.exp(-_max_sir_far_exponent(tiers, 1.0 / s, 1.0, 4.0))
+        want = np.exp(-_max_sir_far_exponent(_mu_eq(tiers, 4.0), 1.0 / s, 1.0, 4.0))
         assert np.allclose(want, np.exp(-np.array([0.2, 0.7, 1.6])), rtol=1e-12)
         se = x.std(axis=0) / math.sqrt(len(x))
         assert np.all(np.abs(x.mean(axis=0) - want) <= 4.0 * se), (x.mean(axis=0), want)
@@ -878,20 +879,26 @@ class TestVoronoiLoads:
         assert 0.5 * float(np.abs(e - r).sum()) <= 0.05
 
 
+def _mu_eq(tiers, alpha):
+    """Density of the unit-power PPP that the user ``tiers`` ``(density, UL
+    power)`` map to, ranked by mean received power: sum_k mu_k Q_k^(2/alpha)."""
+    return sum(mu_k * q ** (2.0 / alpha) for mu_k, q in tiers)
+
+
 def _sampled_fields(rng, n_aps, tiers, alpha):
     """Give each of ``n_aps`` receivers its own multi-tier user field, one
     disk field of :func:`_radial_field` out to ``window_radius`` (400
     expected points) per interferer tier ``(density, UL power)``.  Return
-    the aggregate interference per receiver and the powers and squared
-    radii of all users side by side."""
+    the aggregate interference per receiver and the powers and mean-power
+    keys d^2 Q_k^(-2/alpha) of all users side by side."""
     total = np.zeros(n_aps)
-    parts_p, parts_r2 = [], []
+    parts_p, parts_key = [], []
     for mu_k, q in tiers:
         base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, window_radius(mu_k), 1, alpha)
         total += q * base.sum(axis=1)
         parts_p.append(q * base)
-        parts_r2.append(r2)
-    return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_r2, axis=1)
+        parts_key.append(r2 * q ** (-2.0 / alpha))
+    return total, np.concatenate(parts_p, axis=1), np.concatenate(parts_key, axis=1)
 
 
 def _sampled_field_max_sir(cfg, etas, n_max, trials, seed):
@@ -906,8 +913,8 @@ def _sampled_field_max_sir(cfg, etas, n_max, trials, seed):
         signal, _, _, first_row = _max_sir_block(cfg, rng, size, True, n_max)
         rows = []
         for trial_signal in np.split(signal, first_row[1:]):
-            total, p, d2 = _sampled_fields(rng, len(trial_signal), tiers, cfg.alpha)
-            top = _top_m(p, d2, n_max, "distance_only")
+            total, p, key = _sampled_fields(rng, len(trial_signal), tiers, cfg.alpha)
+            top = _top_m(p, key, n_max)
             rows.append((total, np.pad(top, ((0, 0), (0, n_max - top.shape[1])))))
         total, top = (np.concatenate(col) for col in zip(*rows))
         sums = np.zeros((2, len(etas), n_max + 1))
@@ -921,11 +928,17 @@ def _sampled_field_max_sir(cfg, etas, n_max, trials, seed):
 
 def _scalar_nearest_chain(x, r2_far, tiers, s, eta, n_max, alpha):
     """One AP's chain success for budgets 0..n_max given the mean powers
-    ``x`` of its nearest users, in scalar arithmetic: the reference for the
-    array recursion of :func:`_nearest_chain_success`."""
+    ``x`` of its nearest users in mean-power order, in scalar arithmetic:
+    the reference for the array recursion of :func:`_nearest_chain_success`.
+    The field beyond them is each tier ``(density, UL power)`` beyond r_far
+    Q_t^(1/alpha) (``r2_far`` = r_far^2), where a user's mean power falls
+    below r_far^-alpha."""
 
     def phi(k, c):
-        prod = math.exp(-sum(_far_field(mu_t, r2_far, c * q_t, alpha) for mu_t, q_t in tiers))
+        prod = math.exp(-sum(
+            _far_field(mu_t, r2_far * q_t ** (2.0 / alpha), c * q_t, alpha)
+            for mu_t, q_t in tiers
+        ))
         for x_j in x[k:]:
             prod /= 1.0 + c * x_j
         return prod
@@ -943,18 +956,16 @@ def _scalar_nearest_chain(x, r2_far, tiers, s, eta, n_max, alpha):
 
 def _nearest_max_sir(cfg, eta, n_max, size, seed):
     """Each trial's max-SIR success with independent fields for budget
-    ``n_max``, AP by AP: after one block's candidate APs, the nearest users
-    of every AP, pi mu r_k^2 a running sum of Exp(1) and of the second tier
-    where a uniform draw reaches mu_0 / mu (two tiers), then the scalar
-    recursion (:func:`_scalar_nearest_chain`)."""
+    ``n_max``, AP by AP: after one block's candidate APs, the users of every
+    AP of largest mean power, x_k = r_k^-alpha with pi mu_eq r_k^2 a running
+    sum of Exp(1) (:func:`_mu_eq`), then the scalar recursion on the
+    physical tiers (:func:`_scalar_nearest_chain`)."""
     tiers = _interferer_tiers(cfg)
-    (mu_0, q_0), (mu_1, q_1) = tiers
     rng = _stream(seed, 0)
     signal, _, _, first_row = _max_sir_block(cfg, rng, size, True, n_max)
     shape = (len(signal), max(n_max, _NEAREST_USERS))
-    r2 = np.cumsum(rng.standard_exponential(shape), axis=1) / (math.pi * (mu_0 + mu_1))
-    q = np.where(rng.random(shape) >= mu_0 / (mu_0 + mu_1), q_1, q_0)
-    x = q * r2 ** (-0.5 * cfg.alpha)
+    r2 = np.cumsum(rng.standard_exponential(shape), axis=1) / (math.pi * _mu_eq(tiers, cfg.alpha))
+    x = r2 ** (-0.5 * cfg.alpha)
     probs, row = [], 0
     for trial_signal in np.split(signal, first_row[1:]):
         miss = 1.0
@@ -967,16 +978,17 @@ def _nearest_max_sir(cfg, eta, n_max, size, seed):
 
 
 def _sampled_residual(rng, r2_far, tiers, share, alpha):
-    """The faded interference beyond r_far (``r2_far``, one squared radius
-    per row) of the tiers ``(density, UL power)``, sampled by
-    :func:`_radial_field` in chunks of rows out to r_far share^(-1/(alpha -
-    2)), beyond which the field left out carries ``share`` of the mean
-    interference beyond r_far."""
+    """The faded interference of the tiers ``(density, UL power)`` whose
+    mean power is below r_far^-alpha (``r2_far``, one squared radius per
+    row): tier t beyond r_in = r_far Q_t^(1/alpha), sampled by
+    :func:`_radial_field` in chunks of rows out to r_in share^(-1/(alpha -
+    2)), beyond which the field left out carries ``share`` of the tier's
+    mean interference beyond r_in."""
     out = np.zeros(len(r2_far))
     for lo in range(0, len(r2_far), 1000):
-        r_in = np.sqrt(r2_far[lo:lo + 1000])
-        r_out = r_in * share ** (-1.0 / (alpha - 2.0))
         for mu_t, q_t in tiers:
+            r_in = np.sqrt(r2_far[lo:lo + 1000]) * q_t ** (1.0 / alpha)
+            r_out = r_in * share ** (-1.0 / (alpha - 2.0))
             powers, _, _ = _radial_field(rng, len(r_in), mu_t, r_in, r_out, 1, alpha)
             out[lo:lo + 1000] += q_t * powers.sum(axis=1)
     return out
@@ -1039,10 +1051,12 @@ class TestMaxSir:
         d2[2, 4:] = np.inf  # rows padded past their count, as sampled fields are
         d2[3, 1:] = np.inf
         p = rng.exponential(size=d2.shape) * d2**-2.0
-        for ordering, key in (("distance_only", d2), ("power_with_fading", -p)):
+        # nearest, strongest and largest mean power (UL powers 10 and 1)
+        q = np.where(np.arange(9) % 3, 1.0, 10.0)
+        for key in (d2, -p, d2 * q**-0.5):
             ref = np.take_along_axis(p, np.argsort(key, axis=1, kind="stable"), axis=1)
             for m in (0, 1, 2, 3, 5, 8, 9, 12):
-                assert np.array_equal(_top_m(p, d2, m, ordering), ref[:, :m])
+                assert np.array_equal(_top_m(p, key, m), ref[:, :m])
 
     def test_top_m_ties_match_stable_argsort(self):
         # every distance key occurs four times, so the m-th place is tied in
@@ -1057,10 +1071,11 @@ class TestMaxSir:
         p = rng.exponential(size=d2.shape) * np.where(np.isinf(d2), 0.0, 1.0)
         ref = np.take_along_axis(p, np.argsort(d2, axis=1, kind="stable"), axis=1)
         for m in range(21):
-            assert np.array_equal(_top_m(p, d2, m, "distance_only"), ref[:, :m]), m
+            assert np.array_equal(_top_m(p, d2, m), ref[:, :m]), m
 
     @pytest.mark.parametrize("independent", [False, True])
-    # the ids name the chain's ordering: nearest interferer first
+    # "distance_only" in the ids dates from raw-distance order; the chain
+    # now cancels in order of mean received power
     @pytest.mark.parametrize("n_max", [0, 1, 3], ids=lambda n: f"{n}-distance_only")
     def test_block_chain_matches_trial_loop(self, independent, n_max):
         # the chain run once over the block's rows against a loop over each
@@ -1068,7 +1083,7 @@ class TestMaxSir:
         # exp(-eta R_{a,L_a} / S_a), stage by stage; with independent fields
         # and N = 0 no field is drawn, and each AP's own field is averaged
         # out exactly; for N >= 1 P_a is the scalar recursion on the AP's
-        # nearest users, drawn after the block's candidate APs
+        # users of largest mean power, drawn after the block's candidate APs
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
         if independent and n_max == 0:
             probs = _fieldless_max_sir(cfg, eta, trials, seed)
@@ -1142,10 +1157,10 @@ class TestMaxSir:
         rng = _stream(seed, 0)
         signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
         assert np.array_equal(first_row, (np.cumsum(counts) - counts)[counts > 0])
-        tiers = _interferer_tiers(cfg)
+        mu_eq = _mu_eq(_interferer_tiers(cfg), cfg.alpha)
         if independent:
-            near = _nearest_users(rng, len(signal), tiers, n_max, cfg.alpha)
-            p_a = _nearest_chain_success(*near, tiers, signal, eta, n_max, cfg.alpha)[:, n_max]
+            near = _nearest_users(rng, len(signal), mu_eq, n_max, cfg.alpha)
+            p_a = _nearest_chain_success(*near, mu_eq, signal, eta, n_max, cfg.alpha)[:, n_max]
         else:
             x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
             p_a = np.exp(-x[:, n_max])
@@ -1167,28 +1182,29 @@ class TestMaxSir:
         assert (est.mean, est.stderr) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "tiers, marks, q_signal",
-        [(_interferer_tiers(two_tier()), (1, 0, 1), 10.0), ([(MU, 1.0)], (0, 0, 0), 1.0)],
+        "tiers, q_signal",
+        [(_interferer_tiers(two_tier()), 10.0), ([(MU, 1.0)], 1.0)],
         ids=["two-tier", "one-tier"],
     )
-    def test_nearest_chain_matches_sampled_chain(self, tiers, marks, q_signal):
-        # one receiver with fixed nearest users, the recursion against the
-        # 0/1 chain on drawn fadings, a drawn serving fading and the field
-        # beyond the nearest users, sampled until 0.2% of its mean
-        # interference is left out, which moves no probability by 0.001.
-        # Two tiers: a max-SIR AP, the nearest of the weak tier in front of
-        # one of the strong tier (Q = 10, 1).  One tier: ps_sic_curve_mc's
-        # chain, serving power u^-alpha
+    def test_nearest_chain_matches_sampled_chain(self, tiers, q_signal):
+        # one receiver with fixed users of largest mean power, the recursion
+        # on the tiers' equivalent unit-power field against the 0/1 chain on
+        # drawn fadings, a drawn serving fading and the physical tiers'
+        # field of lower mean power, tier t beyond r_far Q_t^(1/alpha),
+        # sampled until 0.2% of its mean interference is left out, which
+        # moves no probability by 0.001.  Two tiers: a max-SIR AP (Q = 10,
+        # 1).  One tier: ps_sic_curve_mc's chain, serving power u^-alpha
         depth, reps = _NEAREST_USERS, 20_000
-        r2 = np.array([0.5, 1.5, 3.0]) / (math.pi * sum(mu_t for mu_t, _ in tiers))
-        x = np.array([tiers[t][1] for t in marks]) * r2**-2.0
+        mu_eq = _mu_eq(tiers, 4.0)
+        r2 = np.array([0.5, 1.5, 3.0]) / (math.pi * mu_eq)
+        x = r2**-2.0
         signal = np.array([q_signal * (1.6**2 * r2[0]) ** -2.0])
         rng = _stream(5, 0)
         far = _sampled_residual(rng, np.full(reps, r2[-1]), tiers, 2e-3, 4.0)
         top = rng.standard_exponential((reps, depth)) * x
         soi = rng.standard_exponential(reps) * signal
         for eta in (0.5, 1.0, 2.0):
-            want = _nearest_chain_success(x[None], r2[-1:], tiers, signal, eta, depth, 4.0)[0]
+            want = _nearest_chain_success(x[None], r2[-1:], mu_eq, signal, eta, depth, 4.0)[0]
             assert want[-1] - want[0] > 0.1  # the chain cancels often
             total = top.sum(axis=1) + far
             level = _chain_levels(soi, total, top, np.cumsum(top, axis=1), eta, depth)
@@ -1206,6 +1222,50 @@ class TestMaxSir:
         want = _sampled_field_max_sir(cfg, etas, 3, trials, 43)
         for a, b in zip(got[:, 1:].ravel(), want[:, 1:].ravel()):
             assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.stderr, b.stderr), (a, b)
+
+    def test_independent_grid_zero_budget_matches_exact_law(self):
+        # the N = 0 column of the independent-field SIC grid, which runs the
+        # nearest-user kernel on the tiers' equivalent field, against the
+        # exact no-SIC law at every fig5 threshold: an equivalent density
+        # of sum mu_k in place of sum mu_k Q_k^(2/alpha) fails it
+        from sicnet.experiments import FIG5_ETA_DB
+
+        cfg, trials, seed = two_tier(), 20_000, 61
+        etas = [10.0 ** (d / 10.0) for d in FIG5_ETA_DB]
+        grid = _estimates(_max_sir_sums(cfg, etas, 3, trials, seed, 1, True), trials, seed)
+        for eta, est in zip(etas, grid[:, 0]):
+            want = 1.0 - outage_max_inst_sir(eta, cfg)
+            assert abs(est.mean - want) <= 3.0 * est.stderr, (eta, est, want)
+
+    def test_shared_fields_cancel_in_mean_power_order(self, monkeypatch):
+        # every trial's users fixed on one ray: a Q = 1 user at 1000 m and
+        # a Q = 10 user at 1100 m, so from every candidate AP the Q = 1 user
+        # is nearer, by at most 100 m, and has less mean power.  With unit
+        # fading each power is its mean, so the first of the two powers
+        # must be the farther Q = 10 user's
+        from sicnet import montecarlo
+
+        class UnitFading:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def exponential(self, size=None):
+                return np.ones(size)
+
+        cfg = two_tier()
+        (mu_0, q_0), (mu_1, q_1) = _interferer_tiers(cfg)
+        assert (q_0, q_1) == (10.0, 1.0)
+        users = {mu_0: [[1100.0, 0.0]], mu_1: [[1000.0, 0.0]]}
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda mu, radius, rng: np.array(users[mu]))
+        _, total, top, _ = _max_sir_block(cfg, UnitFading(_stream(7, 0)), 200, False, 2)
+        assert len(top) > 1000
+        assert np.all(top[:, 0] > top[:, 1])
+        gap = (10.0 / top[:, 0]) ** 0.25 - top[:, 1] ** -0.25  # first minus second distance
+        assert np.all((gap > 0.0) & (gap <= 100.0 + 1e-9)), (gap.min(), gap.max())
+        assert np.allclose(top.sum(axis=1), total, rtol=1e-12, atol=0.0)
 
     def test_budget_order_on_bench_draws(self):
         # as the benchmark calls it: one seed, 64 trials and one threshold
@@ -1394,7 +1454,7 @@ class TestConditionalEstimators:
         tiers = [(MU, 1.0)]
         rng = _stream(seed, 0)
         s0 = _serving_block(rng, size, LAM, 4.0)
-        x, r2_far = _nearest_users(rng, size, tiers, n_max, 4.0)
+        x, r2_far = _nearest_users(rng, size, MU, n_max, 4.0)
         other = np.random.default_rng(12)
         top = other.standard_exponential(x.shape) * x
         total = top.sum(axis=1) + _sampled_residual(other, r2_far, tiers, 1e-2, 4.0)
@@ -1402,7 +1462,7 @@ class TestConditionalEstimators:
         h = other.exponential(size=size)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed)
         for e_idx, eta in enumerate(etas):
-            cond = _nearest_chain_success(x, r2_far, tiers, s0, eta, n_max, 4.0)
+            cond = _nearest_chain_success(x, r2_far, MU, s0, eta, n_max, 4.0)
             assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
             level = _chain_levels(h * s0, total, top, cum, eta, n_max)
             _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
@@ -1428,17 +1488,19 @@ class TestConditionalEstimators:
 
     @pytest.mark.parametrize("independent", [False, True])
     def test_max_sir(self, independent):
-        # with independent fields the block draws each AP's nearest users
-        # after its candidate APs; the 0/1 chain adds their fadings and the
-        # field beyond them, sampled until 1% of its mean interference is
-        # left out, all drawn separately
+        # with independent fields the block draws each AP's users of
+        # largest mean power after its candidate APs; the 0/1 chain adds
+        # their fadings and the physical tiers' field of lower mean power,
+        # sampled until 1% of its mean interference is left out, all drawn
+        # separately
         cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 3, 400, 15
         rng = _stream(seed, 0)
         signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
         if independent:
             tiers = _interferer_tiers(cfg)
-            x, r2_far = _nearest_users(rng, len(signal), tiers, n_max, 4.0)
-            miss = 1.0 - _nearest_chain_success(x, r2_far, tiers, signal, eta, n_max, 4.0)
+            mu_eq = _mu_eq(tiers, 4.0)
+            x, r2_far = _nearest_users(rng, len(signal), mu_eq, n_max, 4.0)
+            miss = 1.0 - _nearest_chain_success(x, r2_far, mu_eq, signal, eta, n_max, 4.0)
             other = np.random.default_rng(21)
             top = other.standard_exponential(x.shape) * x
             total = top.sum(axis=1) + _sampled_residual(other, r2_far, tiers, 1e-2, 4.0)
@@ -1529,6 +1591,9 @@ class TestConditionalEstimators:
                 max_sir_success_curve_mc(cfg, [1.0, 3.0], trials, 23, threads=t),
                 simulate_max_inst_sir(
                     cfg, SicConfig(1.0, 2), trials, 24, threads=t, independent_fields=True
+                ),
+                simulate_max_inst_sir(
+                    cfg, SicConfig(1.0, 2), trials, 25, threads=t, independent_fields=False
                 ),
             )
             for t in (1, 4)
