@@ -407,12 +407,15 @@ def _format_cell(value) -> str:
         if math.isnan(value):
             return "nan"
         return format(value, ".9g")
+    if isinstance(value, (dict, list)):  # a custom row's inline config reads back
+        return json.dumps(value, sort_keys=True)
     return str(value)
 
 
 def emit_csv(result: SweepResult, path) -> Path:
     """RFC-4180-style CSV: header row naming every column, floats printed
-    with 9 significant digits."""
+    with 9 significant digits, dicts and lists (a custom row's inline
+    config) as JSON."""
     path = Path(path)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:

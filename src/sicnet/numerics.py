@@ -11,11 +11,16 @@ It shows up in every probability-generating-functional bound on the
 aggregate interference seen from a Poisson field with path-loss exponent
 ``alpha``.  Special value used throughout: C(b, 4) = arctan(1/b).
 
-Two independent evaluation routes are provided: the incomplete-beta closed
-form (:func:`c_integral`, scalar or array ``b``) and an adaptive
+Two independent evaluation routes are provided: the closed form
+(:func:`c_integral`, scalar or array ``b``) and an adaptive
 nested-Gauss panel integration with an analytic alternating-series tail
 (:func:`c_integral_quadrature`).  The two must agree; the validation suite
 checks them against each other.
+
+The closed form itself has two routes: ``np.arctan2(1, b)`` at alpha = 4,
+which every figure uses, and the incomplete beta (:func:`_c_betainc`) at
+every other alpha.  :func:`_c_betainc` stays the oracle of the arctan
+identity in the validation suite.
 
 All functions are pure and thread-safe.
 """
@@ -67,6 +72,8 @@ DEFAULT_QUADRATURE = QuadratureSettings()
 # machine-exact nodes from numpy instead of tabulated Kronrod abscissae).
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+# both node sets in one array, so a panel makes one integrand call
+_G7_G15_X = np.concatenate((_G7_X, _G15_X))
 
 
 def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
@@ -74,6 +81,8 @@ def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT
 
     Bisects the panel with the largest |G15 - G7| discrepancy until the
     summed error estimate drops below max(abs_tol, rel_tol * |integral|).
+    Each panel calls ``f`` once, on its 22 concatenated G7 and G15 nodes,
+    so ``f`` must map an array of nodes to an array of values elementwise.
     Raises :class:`NumericsError` when the subdivision budget is exhausted.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -84,8 +93,9 @@ def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT
     def panel(lo: float, hi: float) -> tuple[float, float]:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        coarse = half * float(np.dot(_G7_W, f(mid + half * _G7_X)))
-        fine = half * float(np.dot(_G15_W, f(mid + half * _G15_X)))
+        y = f(mid + half * _G7_G15_X)
+        coarse = half * float(np.dot(_G7_W, y[:7]))
+        fine = half * float(np.dot(_G15_W, y[7:]))
         return fine, abs(fine - coarse)
 
     val, err = panel(a, b)
@@ -156,20 +166,15 @@ def _c_tail_series(lo: float, alpha: float) -> float:
     return total
 
 
-def c_integral(b, alpha: float):
-    """Closed form of C(b, alpha) via the regularized incomplete beta.
+def _c_betainc(b_arr: np.ndarray, alpha: float) -> np.ndarray:
+    """C(b, alpha) via the regularized incomplete beta, for a validated
+    float array ``b_arr``; returns an array of the same shape.
 
     With t = b^(alpha/2), b >= 1 evaluates I_x at x = 1/(1+t) and b < 1
     evaluates the complement at 1 - x = t/(1+t) through ``betaincc``, so x
     never rounds to 1.  Where t overflows, the alternating tail series takes
-    over.  Accepts scalar or array ``b``; a scalar gives a float.  Strictly
-    positive, strictly decreasing in b, and equal to arctan(1/b) at alpha = 4.
-    A valid scalar b = 0 returns C(0, alpha) without touching numpy.
+    over.  Serves every alpha but 4, and checks the arctan route at alpha = 4.
     """
-    if isinstance(b, (int, float)) and b == 0 and math.isfinite(alpha) and alpha > 2.0:
-        return _c_zero(float(alpha))
-    _validate_c_args(b, alpha)
-    b_arr = np.asarray(b, dtype=float)
     e = 2.0 / alpha
     with np.errstate(over="ignore"):
         t = b_arr ** (0.5 * alpha)
@@ -183,6 +188,28 @@ def c_integral(b, alpha: float):
     over = np.isinf(t)
     if over.any():
         out[over] = [_c_tail_series(lo, alpha) for lo in b_arr[over]]
+    return out
+
+
+def c_integral(b, alpha: float):
+    """Closed form of C(b, alpha).
+
+    At alpha = 4 it is arctan(1/b), evaluated as ``np.arctan2(1, b)``; every
+    other alpha goes through the incomplete beta (:func:`_c_betainc`).
+    Accepts scalar or array ``b``; a scalar gives a float.  Strictly
+    positive and strictly decreasing in b.  A valid scalar b = 0 returns
+    C(0, alpha) without touching numpy.
+    """
+    if isinstance(b, (int, float)) and b == 0 and math.isfinite(alpha) and alpha > 2.0:
+        return _c_zero(float(alpha))
+    b_arr = np.asarray(b, dtype=float)
+    # NaN fails every comparison, so one min/max pair screens the array
+    if not (
+        2.0 < alpha < math.inf
+        and (b_arr.size == 0 or (b_arr.min() >= 0.0 and b_arr.max() < math.inf))
+    ):
+        _validate_c_args(b_arr, alpha)
+    out = np.arctan2(1.0, b_arr) if alpha == 4.0 else _c_betainc(b_arr, alpha)
     return out if out.ndim else float(out)
 
 

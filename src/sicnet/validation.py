@@ -49,7 +49,7 @@ from scipy.stats import nbinom
 
 from .errors import DomainError
 from .model import db_to_linear
-from .numerics import QuadratureSettings, c_integral, c_integral_quadrature
+from .numerics import QuadratureSettings, _c_betainc, c_integral, c_integral_quadrature
 from .analytic import kurtosis_after_cancellation, load_pmf_table
 from .experiments import DENSITY_MACRO, default_spec, fig6_runs, run_preset
 from .montecarlo import (
@@ -125,8 +125,9 @@ def check_numerics(trials=None, seed=0, threads=1) -> list[CheckResult]:
             worst_rel, 1e-9, detail=f"worst at {worst_at}",
         )
     ]
+    # c_integral's alpha = 4 route is arctan(1/b); the incomplete beta checks it
     worst_abs = max(
-        abs(c_integral(b, 4.0) - (math.pi / 2 if b == 0 else math.atan(1.0 / b)))
+        abs(float(_c_betainc(np.asarray(b), 4.0)) - c_integral(b, 4.0))
         for b in _B_GRID
     )
     out.append(_result("numerics", "C(b,4) vs arctan(1/b)", worst_abs, 1e-10))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sicnet.errors import DomainError
+from sicnet.model import config_from_dict
 from sicnet.experiments import (
     FIG6_BIASES,
     PRESETS,
@@ -128,6 +129,33 @@ class TestPlotScript:
         result = run_preset(spec)
         path = emit_plot_script(result, tmp_path / "plot.gp")
         assert "custom sweep" in path.read_text()
+
+
+class TestCustomCsv:
+    def test_inline_config_reads_back(self, tmp_path):
+        # the cell is JSON, and config_from_dict of it is the config the row ran with
+        config = {
+            "alpha": 4.0,
+            "mu": 1e-4,
+            "mu_j": 1e-4,
+            "tiers": [
+                {"lambda": 1e-5, "p_dl": 10.0, "q_ul": 10.0},
+                {"lambda": 1e-4, "p_dl": 1.0, "q_ul": 1.0, "bias": 5.0},
+            ],
+        }
+        row = {"formula": "ps_ic_rea", "eta": 1.0, "k": 2, "cancelled": 1}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(config))
+        spec = default_spec(
+            "custom", grid=({**row, "config": config}, {**row, "config": str(path)})
+        )
+        result = run_preset(spec)
+        emit_csv(result, tmp_path / "result.csv")
+        with open(tmp_path / "result.csv", encoding="utf-8") as fh:
+            inline, by_path = csv.DictReader(fh)
+        assert config_from_dict(json.loads(inline["config"])) == config_from_dict(config)
+        assert by_path["config"] == str(path)
+        assert inline["analytic_value"] == by_path["analytic_value"]
 
 
 class TestRunDirectory:

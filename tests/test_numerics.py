@@ -1,10 +1,12 @@
 """Special-function kernel tests.
 
 Independent oracles: scipy.integrate.quad, mpmath quadrature and sicnet's own
-panel quadrature check the incomplete-beta closed form of C(b, alpha); a
-direct sampling experiment checks the received-power Pareto law.
+panel quadrature check the closed form of C(b, alpha), and the incomplete
+beta checks its arctan route at alpha = 4; a direct sampling experiment
+checks the received-power Pareto law.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -19,12 +21,22 @@ from sicnet.numerics import (
     adaptive_gauss,
     c_integral,
     c_integral_quadrature,
+    _c_betainc,
+    _c_tail_series,
+    _c_zero,
+    _validate_c_args,
     pareto_received_power_cdf,
 )
 
 B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8)
 ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0)
 TIGHT = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
+# b = 1 and its neighbours, the overflow tail of b^(alpha/2), and two spreads
+_B_WIDE = np.concatenate((
+    [0.0, 1.0 - 1e-16, 1.0, 1.0 + 1e-15, 1e150, 1e200, 1e300],
+    np.geomspace(1e-12, 1e12, 2000),
+    np.random.default_rng(3).uniform(0.0, 4.0, 1000),
+))
 
 
 class TestQuadratureSettings:
@@ -62,6 +74,67 @@ class TestAdaptiveGauss:
     def test_nonfinite_bounds(self):
         with pytest.raises(DomainError):
             adaptive_gauss(np.sin, 0.0, math.inf)
+
+    @staticmethod
+    def _two_call_gauss(f, a, b, settings):
+        """The panel loop with separate G7 and G15 integrand calls; returns
+        the integral and the number of panels evaluated."""
+        g7_x, g7_w = np.polynomial.legendre.leggauss(7)
+        g15_x, g15_w = np.polynomial.legendre.leggauss(15)
+
+        def panel(lo, hi):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            coarse = half * float(np.dot(g7_w, f(mid + half * g7_x)))
+            fine = half * float(np.dot(g15_w, f(mid + half * g15_x)))
+            return fine, abs(fine - coarse)
+
+        val, err = panel(a, b)
+        heap, count = [(-err, 0, a, b, val, err)], 1
+        total_val, total_err = val, err
+        while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
+            _, _, lo, hi, v, e = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            v1, e1 = panel(lo, mid)
+            v2, e2 = panel(mid, hi)
+            total_val += v1 + v2 - v
+            total_err += e1 + e2 - e
+            heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
+            heapq.heappush(heap, (-e2, count + 1, mid, hi, v2, e2))
+            count += 2
+        return total_val, count
+
+    def test_one_call_per_panel_matches_two_calls(self, monkeypatch):
+        # the integrands that ps_ic, _sic_gain_integral and
+        # c_integral_quadrature hand to adaptive_gauss, captured as passed
+        from sicnet import analytic, numerics
+
+        captured = []
+
+        def spy(f, a, b, settings=DEFAULT_QUADRATURE):
+            captured.append((f, a, b, settings))
+            return 0.0
+
+        monkeypatch.setattr(analytic, "adaptive_gauss", spy)
+        monkeypatch.setattr(numerics, "adaptive_gauss", spy)
+        for alpha in (3.0, 4.0):
+            for n in (0, 2):
+                analytic.ps_ic(2.0, n, 1e-4, 3e-4, alpha)
+            analytic._sic_gain_integral(2.0, 3, alpha)
+        c_integral_quadrature(0.5, 3.0, TIGHT)
+        monkeypatch.undo()
+        assert len(captured) == 7
+
+        for f, a, b, settings in captured:
+            calls = []
+
+            def counting(x, f=f):
+                calls.append(len(x))
+                return f(x)
+
+            got = adaptive_gauss(counting, a, b, settings)
+            want, panels = self._two_call_gauss(f, a, b, settings)
+            assert got == want
+            assert calls == [22] * panels
 
 
 class TestCIntegral:
@@ -108,8 +181,6 @@ class TestCIntegral:
         # each element evaluates only its own incomplete beta; the expression
         # that evaluates both on every element and keeps one is the reference,
         # bit for bit, across b = 1, its neighbours and the overflow tail
-        from sicnet.numerics import _c_tail_series, _c_zero
-
         def both_branches(b, alpha):
             b_arr = np.asarray(b, dtype=float)
             e = 2.0 / alpha
@@ -125,18 +196,35 @@ class TestCIntegral:
             out[over] = [_c_tail_series(lo, alpha) for lo in b_arr[over]]
             return out if out.ndim else float(out)
 
-        b = np.concatenate((
-            [0.0, 1.0 - 1e-16, 1.0, 1.0 + 1e-15, 1e150, 1e200, 1e300],
-            np.geomspace(1e-12, 1e12, 2000),
-            np.random.default_rng(3).uniform(0.0, 4.0, 1000),
-        ))
+        b = _B_WIDE
         for alpha in ALPHA_GRID:
-            assert np.array_equal(c_integral(b, alpha), both_branches(b, alpha)), alpha
+            assert np.array_equal(_c_betainc(b, alpha), both_branches(b, alpha)), alpha
             grid = b[:1000].reshape(20, 50)
-            assert np.array_equal(c_integral(grid, alpha), both_branches(grid, alpha))
+            assert np.array_equal(_c_betainc(grid, alpha), both_branches(grid, alpha))
             for v in (0.5, 1.0, 3.0, 1e200):
-                assert c_integral(v, alpha) == both_branches(v, alpha)
-                assert c_integral(np.array(v), alpha) == both_branches(np.array(v), alpha)
+                assert _c_betainc(np.array(v), alpha) == both_branches(v, alpha)
+                if alpha != 4.0:
+                    assert c_integral(v, alpha) == both_branches(v, alpha)
+
+    def test_alpha_four_route_is_arctan2(self):
+        # the alpha = 4 route is np.arctan2(1, b) bit for bit, and the
+        # incomplete beta, its oracle, agrees to rounding from b = 1e-4 up to
+        # b = 1e300; below 1e-4, betaincc(1/2, 1/2, x) itself drifts (next test)
+        got = c_integral(_B_WIDE, 4.0)
+        assert np.array_equal(got, np.arctan2(1.0, _B_WIDE))
+        far = _B_WIDE >= 1e-4
+        assert np.max(np.abs(got - _c_betainc(_B_WIDE, 4.0))[far]) <= 1e-15
+        for v in (0.0, 0.5, 1.0, 1e200, 1e300):
+            assert c_integral(v, 4.0) == np.arctan2(1.0, v)
+
+    def test_alpha_four_small_b_mpmath_oracle(self):
+        # near b = 0 the arctan route stays within an ulp of pi/2; the
+        # incomplete beta there is off by up to 1.6e-10 (b near 2e-10)
+        mpmath = pytest.importorskip("mpmath")
+        b = _B_WIDE[(_B_WIDE > 0.0) & (_B_WIDE < 1e-4)]
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.atan(1 / mpmath.mpf(v))) for v in b])
+        assert np.max(np.abs(c_integral(b, 4.0) - ref)) <= np.spacing(math.pi / 2)
 
     def test_scalar_returns_float(self):
         assert type(c_integral(2.0, 4.0)) is float
@@ -144,8 +232,6 @@ class TestCIntegral:
 
     def test_scalar_zero_is_c_zero(self):
         # the scalar b = 0 shortcut equals the incomplete-beta path bit for bit
-        from sicnet.numerics import _c_zero
-
         for alpha in np.linspace(2.1, 10.0, 11):
             got = c_integral(0.0, alpha)
             assert type(got) is float
@@ -194,6 +280,44 @@ class TestCIntegral:
             c_integral(*args)
         with pytest.raises(DomainError):
             c_integral_quadrature(*args)
+
+
+class TestCIntegralDomain:
+    """c_integral screens its arguments with one min/max pair and falls back
+    to _validate_c_args, so both routes reject exactly what the full
+    validation rejects."""
+
+    @staticmethod
+    def _hidden(bad):
+        b = np.linspace(0.0, 5.0, 50)
+        b[17] = bad
+        return b
+
+    @pytest.mark.parametrize("alpha", (3.0, 4.0))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -0.5))
+    def test_bad_b_raises(self, alpha, bad):
+        for b in (self._hidden(bad), self._hidden(bad).reshape(5, 10), np.array(bad), bad):
+            with pytest.raises(DomainError):
+                _validate_c_args(b, alpha)
+            with pytest.raises(DomainError):
+                c_integral(b, alpha)
+
+    @pytest.mark.parametrize("alpha", (2.0, 1.5, math.nan, math.inf, -math.inf))
+    def test_bad_alpha_raises(self, alpha):
+        for b in (np.linspace(0.0, 5.0, 50), np.array(1.0), 1.0, 0.0, np.array([])):
+            with pytest.raises(DomainError):
+                _validate_c_args(b, alpha)
+            with pytest.raises(DomainError):
+                c_integral(b, alpha)
+
+    @pytest.mark.parametrize("alpha", (3.0, 4.0))
+    def test_valid_edges_pass(self, alpha):
+        empty = c_integral(np.array([]), alpha)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        for b in (0.0, -0.0, 1, 2.5, np.float64(2.5), np.array(2.5), 1e300):
+            _validate_c_args(b, alpha)
+            assert type(c_integral(b, alpha)) is float
+        assert c_integral(np.array([0.0, -0.0, 1e300]), alpha).shape == (3,)
 
 
 class TestParetoReceivedPowerCdf:
