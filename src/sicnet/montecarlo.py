@@ -29,10 +29,13 @@ that transform.  The other simulators decide cancellations on the residual
 of a field that several decisions share, or decide loads inside their
 window, so the factor would not be exact there, and they still truncate at
 a fixed disk, which drops a small share of the interference and so reads
-success slightly high: ``ps_can_curve_mc`` and the shared-field max-SIR
-runs at R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400
-expected interferers), ``simulate_min_load`` at its connectivity range
-plus a margin.
+success slightly high: ``ps_can_curve_mc`` at R_sim = 20 / sqrt(pi mu_j)
+(:func:`window_radius`, about 400 expected interferers), the shared-field
+max-SIR runs at the same radius for the user density mu (about 400
+expected users), ``simulate_min_load`` at its connectivity range plus a
+margin.  The shared-field max-SIR runs draw a whole block's user counts at
+once, after its candidate APs, then each trial's users of every tier in
+one draw (:func:`_max_sir_block`).
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -433,7 +436,7 @@ def _far_field(density, r_lo2, s, alpha: float):
 
 def _top_m(p: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
     """The entries of each row of ``p`` at the ``m`` smallest values of
-    ``key`` (squared distance, negated power or the mean-power key), in
+    ``key`` (squared distance, negated power or negated mean power), in
     ascending key order: exactly the first ``m`` columns of ``p`` under a
     stable argsort of the key, ties included.  The columns are picked one
     at a time by ``argmin`` over a copy of the key, in which every picked
@@ -950,25 +953,29 @@ def _max_sir_block(
     top, first_row)``, or None if no trial has a candidate AP.  ``signal``
     is the user's mean received power at the AP (its link fading is never
     drawn), ``total`` the aggregate UL interference and ``top`` the powers
-    of the ``m`` interferers of largest mean received power at the AP, the
-    users of all tiers ranked together by d^2 Q_k^(-2/alpha)
-    (:func:`_top_m`), which the chain cancels in that order.  Where a field
-    holds fewer than ``m`` interferers, zero-power stages pad its row: they
-    leave the residual as it was, so they cannot change the chain's
-    outcome.  ``first_row`` indexes the first row of each trial that has a
-    candidate AP; the other trials have no row.
+    of the ``m`` interferers of largest mean received power x = Q_k
+    d^-alpha at the AP, the users of all tiers ranked together
+    (:func:`_top_m` on -x), which the chain cancels in that order.  Where
+    a field holds fewer than ``m`` interferers, zero-power stages pad its
+    row: they leave the residual as it was, so they cannot change the
+    chain's outcome.  ``first_row`` indexes the first row of each trial
+    that has a candidate AP; the other trials have no row.
 
     The candidate APs of every tier are drawn for the whole block at once
     in the disk of radius ``_CAND_RADIUS``: a Poisson count per trial and
     tier, and squared radii uniform on (0, R^2] (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, 2012, ch. 2).  By default the
-    interfering users of every tier (density p_a,k mu, UL power Q_k) are
-    then drawn trial by trial in a disk too, and all APs of a trial observe
-    that one user field through independent per-link fading; the draws do
-    not depend on ``m``.  ``independent_fields=True`` instead gives every
-    AP a field of its own, which is exactly the decoupling the closed forms
-    assume, and draws neither AP angles nor users here: ``total`` and
-    ``top`` are None."""
+    Geometry for Wireless Networks*, 2012, ch. 2).  By default all APs of a
+    trial then observe one physical user field through independent
+    per-link fading, the users of every tier (density p_a,k mu, UL power
+    Q_k) in the disk of :func:`window_radius` for mu.  After the APs'
+    angles, one Poisson draw gives every tier's user count in each trial
+    with a candidate AP; then each such trial draws its users at once
+    (:func:`_shared_users`) and the fadings of its AP x user links, into
+    arrays built in place, one trial's at a time.  The draws do not depend
+    on ``m``.  ``independent_fields=True`` instead gives every AP a field
+    of its own, which is exactly the decoupling the closed forms assume,
+    and draws neither AP angles nor users here: ``total`` and ``top`` are
+    None."""
     alpha, r2_cand = cfg.alpha, _CAND_RADIUS * _CAND_RADIUS
     tiers = _interferer_tiers(cfg)
     q_ul = np.array([q for _, q in tiers])
@@ -984,24 +991,49 @@ def _max_sir_block(
         return signal, None, None, first_row
     theta = 2.0 * math.pi * rng.random(len(r2))
     r = np.sqrt(r2)
-    aps = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    ap_x, ap_y = r * np.cos(theta), r * np.sin(theta)
     user_radius = window_radius(cfg.mu)
-    total, top = [], []
-    for trial_aps in np.split(aps, first_row[1:]):
-        users = [sample_ppp(mu_k, user_radius, rng) for mu_k, _ in tiers]
-        u_pow = np.repeat(q_ul, [len(u) for u in users])
-        users = np.concatenate(users)
-        d2 = (
-            (trial_aps[:, 0, None] - users[None, :, 0]) ** 2
-            + (trial_aps[:, 1, None] - users[None, :, 1]) ** 2
-        )
-        p = u_pow[None, :] * rng.exponential(size=d2.shape) * d2 ** (-0.5 * alpha)
-        strongest = _top_m(p, d2 * u_pow ** (-2.0 / alpha), m)
-        if strongest.shape[1] < m:
-            strongest = np.pad(strongest, ((0, 0), (0, m - strongest.shape[1])))
-        top.append(strongest)
-        total.append(p.sum(axis=1))
-    return signal, np.concatenate(total), np.concatenate(top), first_row
+    user_mean = [mu_k * math.pi * user_radius**2 for mu_k, _ in tiers]
+    user_counts = rng.poisson(user_mean, (len(first_row), cfg.n_tiers))
+    total, top = np.empty(len(signal)), np.zeros((len(signal), m))
+    bounds = np.append(first_row, len(signal)).tolist()
+    for lo, hi, counts in zip(bounds, bounds[1:], user_counts.tolist()):
+        q, (user_x, user_y) = _shared_users(rng, counts, q_ul, user_radius)
+        # two AP x user buffers: x holds d^2, then the mean power Q d^-alpha,
+        # then its negation as the cancellation key; p the y offsets, then
+        # the fadings, then the faded powers
+        x = np.subtract.outer(ap_x[lo:hi], user_x)
+        x *= x
+        p = np.subtract.outer(ap_y[lo:hi], user_y)
+        p *= p
+        x += p
+        if alpha == 4.0:  # Q / d^4: one multiply and one divide, no pow
+            x *= x
+            np.divide(q, x, out=x)
+        else:
+            np.power(x, -0.5 * alpha, out=x)
+            x *= q
+        rng.standard_exponential(out=p)
+        p *= x
+        total[lo:hi] = p.sum(axis=1)
+        if m:
+            strongest = _top_m(p, np.negative(x, out=x), m)
+            top[lo:hi, : strongest.shape[1]] = strongest
+    return signal, total, top, first_row
+
+
+def _shared_users(rng: np.random.Generator, counts, q_ul, radius: float):
+    """One trial's interfering users, uniform in the disk of ``radius``:
+    ``counts[k]`` users of UL power ``q_ul[k]`` for every tier k, tier by
+    tier.  One ``rng.random((2, n))`` call draws all n of them, the squared
+    radii as fractions of radius^2 and the angles as fractions of a turn.
+    Return their UL powers and their (2, n) coordinates."""
+    xy = rng.random((2, sum(counts)))
+    r = radius * np.sqrt(xy[0])
+    theta = 2.0 * math.pi * xy[1]
+    np.multiply(r, np.cos(theta), out=xy[0])
+    np.multiply(r, np.sin(theta), out=xy[1])
+    return np.repeat(q_ul, counts), xy
 
 
 def _max_sir_sums(
@@ -1100,7 +1132,8 @@ def simulate_max_inst_sir(
     draws the nearest users of every AP's equivalent unit-power field, a
     block's at once, and averages their fadings and the field beyond them
     exactly.  The default shares the physical field across APs, drawn in a
-    window trial by trial after the block's candidate APs
+    window after the block's candidate APs: the user counts of the whole
+    block at once, then each trial's users and link fadings
     (:func:`_max_sir_block`)."""
     sums = _max_sir_sums(
         cfg, [sic.eta_t], sic.n_max, trials, seed, threads, independent_fields

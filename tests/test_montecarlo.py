@@ -1,5 +1,6 @@
 """Simulation engine: sampling laws, event-chain semantics, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -1019,6 +1020,49 @@ def _fieldless_max_sir(cfg, eta, size, seed):
     return np.array(probs)
 
 
+def _shared_field_reference(cfg, tiers, rng, size, m):
+    """The shared-field rows of :func:`_max_sir_block` from a plain loop over
+    each trial's APs, replaying the block's stream draw for draw: the
+    candidate APs, then one Poisson count per trial with a candidate AP and
+    user tier ``(density, UL power)``, then per such trial its users'
+    squared radii and angles and the fadings of its AP x user links.  Each
+    AP's distances come from ``np.hypot``, its mean powers from
+    ``**(-alpha/2)`` and its cancellation order from a stable argsort of the
+    key d^2 Q^(-2/alpha); ``top`` is zero-padded to ``m`` columns.  Also
+    return each trial's user count."""
+    from sicnet import montecarlo
+
+    alpha, r2_cand = cfg.alpha, montecarlo._CAND_RADIUS**2
+    q_ul = np.array([q for _, q in tiers])
+    lam = np.array([t.lam for t in cfg.tiers])
+    counts = rng.poisson(lam * math.pi * r2_cand, (size, len(lam)))
+    r2 = r2_cand * (1.0 - rng.random(counts.sum()))
+    signal = np.repeat(np.tile(q_ul, size), counts.ravel()) * r2 ** (-0.5 * alpha)
+    theta = 2.0 * math.pi * rng.random(len(r2))
+    ap_x, ap_y = np.sqrt(r2) * np.cos(theta), np.sqrt(r2) * np.sin(theta)
+    n_aps = counts.sum(axis=1)[counts.sum(axis=1) > 0]
+    radius = window_radius(cfg.mu)
+    user_counts = rng.poisson(
+        [mu_k * math.pi * radius**2 for mu_k, _ in tiers], (len(n_aps), len(tiers))
+    )
+    total, top, row = [], [], 0
+    for n_a, n_u in zip(n_aps, user_counts):
+        u = rng.random((2, n_u.sum()))
+        user_r, user_theta = radius * np.sqrt(u[0]), 2.0 * math.pi * u[1]
+        user_x, user_y = user_r * np.cos(user_theta), user_r * np.sin(user_theta)
+        q = np.repeat(q_ul, n_u)
+        fading = rng.standard_exponential((n_a, len(q)))
+        for a in range(n_a):
+            d2 = np.hypot(ap_x[row + a] - user_x, ap_y[row + a] - user_y) ** 2
+            p = q * d2 ** (-0.5 * alpha) * fading[a]
+            order = np.argsort(d2 * q ** (-2.0 / alpha), kind="stable")[:m]
+            total.append(p.sum())
+            top.append(np.pad(p[order], (0, m - len(order))))
+        row += n_a
+    first_row = np.cumsum(n_aps) - n_aps
+    return signal, np.array(total), np.array(top), first_row, user_counts.sum(axis=1)
+
+
 class TestMaxSir:
     def test_single_tier_matches_formula(self):
         cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
@@ -1252,14 +1296,16 @@ class TestMaxSir:
             def __getattr__(self, name):
                 return getattr(self.rng, name)
 
-            def exponential(self, size=None):
-                return np.ones(size)
+            def standard_exponential(self, out):
+                out[...] = 1.0
+                return out
 
         cfg = two_tier()
-        (mu_0, q_0), (mu_1, q_1) = _interferer_tiers(cfg)
+        (_, q_0), (_, q_1) = _interferer_tiers(cfg)
         assert (q_0, q_1) == (10.0, 1.0)
-        users = {mu_0: [[1100.0, 0.0]], mu_1: [[1000.0, 0.0]]}
-        monkeypatch.setattr(montecarlo, "sample_ppp", lambda mu, radius, rng: np.array(users[mu]))
+        # tier 0 (Q = 10) first, as every trial's users come
+        users = np.array([10.0, 1.0]), np.array([[1100.0, 1000.0], [0.0, 0.0]])
+        monkeypatch.setattr(montecarlo, "_shared_users", lambda rng, counts, q_ul, radius: users)
         _, total, top, _ = _max_sir_block(cfg, UnitFading(_stream(7, 0)), 200, False, 2)
         assert len(top) > 1000
         assert np.all(top[:, 0] > top[:, 1])
@@ -1288,6 +1334,102 @@ class TestMaxSir:
                 assert ests == grid[e_idx, 1:].tolist(), (seed, eta)
                 means = [e.mean for e in ests]
                 assert means == sorted(means), (seed, eta, means)
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.0])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["400-users", "sparse-users"])
+    def test_shared_block_matches_per_trial_reference(self, monkeypatch, alpha, sparse):
+        # the block's in-place AP x user arithmetic against a plain per-AP
+        # loop on the same draws, at alpha = 4 (Q / (d^2 d^2)) and 3 (pow).
+        # Sparse users (0.8 expected per tier) give trials without users and
+        # trials with fewer than m, whose top rows are zero-padded
+        from sicnet import montecarlo
+
+        cfg, m, seed = dataclasses.replace(two_tier(), alpha=alpha), 3, 47
+        tiers = montecarlo._interferer_tiers(cfg)
+        if sparse:
+            tiers = [(2e-7, 10.0), (2e-7, 1.0)]
+            monkeypatch.setattr(montecarlo, "_interferer_tiers", lambda cfg: tiers)
+        size = 300 if sparse else 40
+        got = _max_sir_block(cfg, _stream(seed, 0), size, False, m)
+        *want, n_users = _shared_field_reference(cfg, tiers, _stream(seed, 0), size, m)
+        if sparse:
+            assert np.any(n_users == 0) and np.any((n_users > 0) & (n_users < m))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[3], want[3])
+        assert got[2].shape == want[2].shape == (len(want[0]), m)
+        for g, w in zip(got[1:3], want[1:3]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def test_shared_budget_order_on_bench_draws(self):
+        # test_budget_order_on_bench_draws with the physical field shared by
+        # all APs: its draws do not depend on N, so each call is column N of
+        # one grid, bit for bit, and success never falls with N
+        from sicnet.experiments import FIG5_ETA_DB
+
+        cfg, trials = two_tier(), 64
+        etas = [10.0 ** (d / 10.0) for d in FIG5_ETA_DB]
+        for seed in range(3):
+            grid = _estimates(_max_sir_sums(cfg, etas, 3, trials, seed, 1, False), trials, seed)
+            for e_idx, eta in enumerate(etas):
+                ests = [
+                    simulate_max_inst_sir(
+                        cfg, SicConfig(eta, n), trials, seed, independent_fields=False
+                    )
+                    for n in (1, 2, 3)
+                ]
+                assert ests == grid[e_idx, 1:].tolist(), (seed, eta)
+                means = [e.mean for e in ests]
+                assert means == sorted(means), (seed, eta, means)
+
+    def test_shared_user_law(self, monkeypatch):
+        # one block's shared user fields: per trial with a candidate AP and
+        # per tier a Poisson count of mean mu_k pi R^2, R = window_radius(mu),
+        # r^2 / R^2 and the angle uniform, and tier 0's users first
+        from scipy import stats
+
+        from sicnet import montecarlo
+
+        cfg, size, seen = two_tier(), BLOCK_TRIALS, []
+        draw = montecarlo._shared_users
+
+        def spy(rng, counts, q_ul, radius):
+            q, xy = draw(rng, counts, q_ul, radius)
+            seen.append((counts, q, xy))
+            return q, xy
+
+        monkeypatch.setattr(montecarlo, "_shared_users", spy)
+        _, _, _, first_row = _max_sir_block(cfg, _stream(5, 0), size, False, 0)
+        assert len(seen) == len(first_row)
+        counts = np.array([c for c, _, _ in seen])
+        radius = window_radius(cfg.mu)
+        tiers = _interferer_tiers(cfg)
+        q_ul = [q for _, q in tiers]
+        assert all(np.array_equal(q, np.repeat(q_ul, c)) for c, q, _ in seen)
+        assert all(xy.shape == (2, sum(c)) for c, _, xy in seen)
+        xy = np.concatenate([xy for _, _, xy in seen], axis=1)
+        tier = np.concatenate([np.repeat([0, 1], c) for c, _, _ in seen])
+        u = (xy * xy).sum(axis=0) / radius**2
+        angle = np.arctan2(xy[1], xy[0])
+        for k, (mu_k, _) in enumerate(tiers):
+            mean = mu_k * math.pi * radius**2
+            assert abs(counts[:, k].mean() - mean) <= 3.0 * math.sqrt(mean / len(counts)), k
+            assert counts[:, k].var() == pytest.approx(mean, rel=0.1)  # about 4 stderr
+            assert stats.kstest(u[tier == k], "uniform").pvalue >= 1e-3, k
+            assert stats.kstest(angle[tier == k], "uniform", (-math.pi, 2.0 * math.pi)).pvalue >= 1e-3, k
+
+    def test_shared_block_peak_memory(self):
+        # a full block of shared-field trials, about 88k AP rows, holds its
+        # row arrays and one trial's AP x user arrays at a time: within
+        # 11.2 MB of traced allocations.  Block-sized user arrays (about
+        # 16 MB) would not fit
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _max_sir_block(two_tier(), _stream(1, 0), BLOCK_TRIALS, False, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.2e6, peak / 1e6
 
     def test_zero_power_padding_keeps_chain_outcome(self):
         # rows of k < N interferers: padding them with zero-power stages up
