@@ -24,7 +24,6 @@ from .model import (
     config_from_dict,
     db_to_linear,
     equivalent_density,
-    linear_to_db,
     load_config,
     rea_association_prob,
 )
@@ -51,9 +50,6 @@ from .analytic import (
 )
 from .montecarlo import (
     Estimate,
-    SampledScene,
-    TrialOutcome,
-    run_sic_trial,
     sample_ppp,
     simulate_max_inst_sir,
     simulate_min_load,

@@ -1,4 +1,4 @@
-"""Network configuration, stochastic equivalence, and distance laws.
+"""Network configuration, stochastic equivalence, and association laws.
 
 A K-tier deployment is a list of :class:`TierParams` plus a shared path-loss
 exponent and user densities.  Everything downstream (closed forms and the
@@ -17,11 +17,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-
-import numpy as np
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DegenerateReaError, DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "TierParams",
@@ -29,15 +27,12 @@ __all__ = [
     "SicConfig",
     "EquivalentNetwork",
     "db_to_linear",
-    "linear_to_db",
     "equivalent_density",
     "power_weighted_user_density",
     "association_prob_max_power",
     "biased_association_prob",
     "rea_association_prob",
-    "nth_interferer_distance_pdf",
     "cancellation_radius",
-    "rea_distance_pdf",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -46,12 +41,6 @@ __all__ = [
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"cannot express non-positive value {x} in dB")
-    return 10.0 * math.log10(x)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -249,28 +238,8 @@ def power_weighted_user_density(
 
 
 # ---------------------------------------------------------------------------
-# Distance laws
+# Cancellation radius
 # ---------------------------------------------------------------------------
-
-
-def nth_interferer_distance_pdf(mu_j: float, n: int, r) -> float:
-    """PDF of the distance to the n-th nearest point of a PPP(mu_j):
-
-        f(r) = exp(-mu_j pi r^2) * 2 (mu_j pi r^2)^n / (r Gamma(n)).
-
-    (Generalized-gamma form; the exponent is negative, as required for the
-    density to integrate to one.)
-    At n = 1 it is the nearest-point (Rayleigh) law
-    2 pi mu_j r exp(-mu_j pi r^2).
-    """
-    _require_positive("mu_j", mu_j)
-    _require_count("order n", n, 1)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise DomainError("distances must be > 0")
-    x = mu_j * math.pi * r_arr**2
-    pdf = np.exp(-x) * 2.0 * x**n / (r_arr * math.gamma(n))
-    return float(pdf) if np.ndim(r) == 0 else pdf
 
 
 def cancellation_radius(mu_j: float, n: int) -> float:
@@ -279,45 +248,6 @@ def cancellation_radius(mu_j: float, n: int) -> float:
     _require_positive("mu_j", mu_j)
     _require_count("order n", n)
     return math.sqrt(n / (mu_j * math.pi))
-
-
-def _rea_exponent_sums(cfg: NetworkConfig, k: int) -> tuple[float, float]:
-    """Area coefficients of the biased and unbiased exclusion disks for a
-    user served by tier k: S_B = sum_i lam_i (P_i b_i / P_k b_k)^(2/alpha)
-    and S_U = sum_i lam_i (P_i / P_k)^(2/alpha)."""
-    e = 2.0 / cfg.alpha
-    ref = cfg.tiers[k]
-    s_biased = sum(
-        t.lam * ((t.p_dl * t.bias) / (ref.p_dl * ref.bias)) ** e for t in cfg.tiers
-    )
-    s_unbiased = sum(t.lam * (t.p_dl / ref.p_dl) ** e for t in cfg.tiers)
-    return s_biased, s_unbiased
-
-
-def rea_distance_pdf(cfg: NetworkConfig, k: int, x) -> float:
-    """Serving-distance density for users in tier k's range-expanded area:
-    a difference of two Rayleigh-type exponentials normalized by the REA
-    association probability."""
-    cfg.check_tier(k)
-    p_re = rea_association_prob(cfg, k)
-    if p_re <= 1e-15:
-        raise DegenerateReaError(
-            f"tier {k} has an empty range-expanded area (all biases equal?)"
-        )
-    s_biased, s_unbiased = _rea_exponent_sums(cfg, k)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise DomainError("distances must be >= 0")
-    lam_k = cfg.tiers[k].lam
-    pdf = (
-        2.0 * math.pi * lam_k / p_re
-        * x_arr
-        * (
-            np.exp(-math.pi * s_biased * x_arr**2)
-            - np.exp(-math.pi * s_unbiased * x_arr**2)
-        )
-    )
-    return float(pdf) if np.ndim(x) == 0 else pdf
 
 
 # ---------------------------------------------------------------------------

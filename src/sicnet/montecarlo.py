@@ -11,8 +11,7 @@ the signal of interest is not counted as interference, mirroring the
 trimmed-sum definition of the residual field.
 
 Ordering: every SIC chain cancels in order of mean received power, as the
-paper's chain does, and only ``ps_can_curve_mc`` and the scene oracles
-(``trimmed_sum_oracle``, ``run_sic_trial``) also order by faded power.
+paper's chain does, and only ``ps_can_curve_mc`` also orders by faded power.
 
 Windows: where no decision in a trial reads the far field, the field is
 sampled only out to a near window that holds 25 expected points beyond its
@@ -56,8 +55,8 @@ and the sum of squares of these values per grid point (:func:`_moments`),
 and :func:`_run_blocks` adds the blocks' outputs in block order, so the
 sums do not depend on scheduling.  The window-free chains and the
 independent-stage oracle average each cancellation over the cancelled
-node's fading in the same way.
-``ps_can_curve_mc`` and ``run_sic_trial`` still count 0/1 outcomes.
+node's fading in the same way.  ``ps_can_curve_mc`` still counts 0/1
+outcomes.
 """
 
 from __future__ import annotations
@@ -83,15 +82,10 @@ from .numerics import c_integral
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
-    "SampledScene",
-    "TrialOutcome",
     "MinLoadResult",
     "ReaResult",
     "window_radius",
     "sample_ppp",
-    "sample_scene",
-    "trimmed_sum_oracle",
-    "run_sic_trial",
     "ps_sic_curve_mc",
     "ps_can_curve_mc",
     "simulate_min_load",
@@ -104,12 +98,6 @@ __all__ = [
 BLOCK_TRIALS = 4096
 
 ORDERINGS = ("distance_only", "power_with_fading")
-
-
-def _check_ordering(ordering: str) -> str:
-    if ordering not in ORDERINGS:
-        raise DomainError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    return ordering
 
 
 def _check_etas(etas) -> list[float]:
@@ -206,38 +194,6 @@ def _estimates(sums, trials: int, seed: int):
 
 
 @dataclass(frozen=True)
-class SampledScene:
-    """One realization of the interferer field around the origin."""
-
-    positions: np.ndarray        # (n, 2) interferer coordinates, m
-    fading: np.ndarray           # (n,) unit-mean exponential power marks
-    serving_distance: float      # m
-    window_radius: float         # m
-    rng_seed: int
-
-    def __post_init__(self) -> None:
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise DomainError("positions must be an (n, 2) array")
-        if len(self.fading) != len(self.positions):
-            raise DomainError("fading marks must match positions")
-        if np.any(self.fading <= 0.0):
-            raise DomainError("fading marks must be > 0")
-        radii = np.hypot(self.positions[:, 0], self.positions[:, 1])
-        if np.any(radii > self.window_radius * (1.0 + 1e-9)):
-            raise DomainError("scene contains points outside the window")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Outcome of one run of the cancellation event chain."""
-
-    succeeded: bool
-    cancellations_used: int
-    failure_stage: str | None = None  # decode_initial | cancel_stage(n) |
-    #                                    decode_after(n) | exhausted
-
-
-@dataclass(frozen=True)
 class MinLoadResult:
     """Estimates from the minimum-load association simulator, one per rate
     threshold, and the number of trials with no AP within range."""
@@ -276,93 +232,6 @@ def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.nd
     np.multiply(r, np.cos(theta), out=xy[:, 0])
     np.multiply(r, np.sin(theta), out=xy[:, 1])
     return xy
-
-
-def sample_scene(
-    lambda_eq: float,
-    mu_j: float,
-    rng_seed: int,
-    radius: float | None = None,
-) -> SampledScene:
-    """Draw one scene: serving distance from the nearest-AP law plus an
-    independent interferer PPP with fading marks."""
-    if radius is None:
-        radius = window_radius(mu_j)
-    rng = _stream(rng_seed, 0)
-    serving = math.sqrt(rng.exponential(1.0 / (math.pi * lambda_eq)))
-    positions = sample_ppp(mu_j, radius, rng)
-    fading = rng.exponential(size=len(positions))
-    return SampledScene(
-        positions=positions,
-        fading=fading,
-        serving_distance=serving,
-        window_radius=radius,
-        rng_seed=rng_seed,
-    )
-
-
-def _ordered_powers(scene: SampledScene, alpha: float, ordering: str) -> np.ndarray:
-    radii = np.hypot(scene.positions[:, 0], scene.positions[:, 1])
-    powers = scene.fading * radii**-alpha
-    if ordering == "distance_only":
-        return powers[np.argsort(radii, kind="stable")]
-    return np.sort(powers, kind="stable")[::-1]
-
-
-def trimmed_sum_oracle(
-    scene: SampledScene,
-    n_trim: int,
-    ordering: str = "distance_only",
-    alpha: float = 4.0,
-) -> float:
-    """Residual interference after removing the n strongest interferers,
-    summed exactly over the scene.  Under distance ordering the n nearest
-    are removed; under fading ordering the n largest received powers."""
-    _check_ordering(ordering)
-    if not 0 <= n_trim <= len(scene.positions):
-        raise DomainError(
-            f"n_trim={n_trim} outside 0..{len(scene.positions)} interferers"
-        )
-    ordered = _ordered_powers(scene, alpha, ordering)
-    return float(ordered[n_trim:].sum())
-
-
-_SERVING_STREAM = 1 << 32  # reserved stream index for per-scene serving fading
-
-
-def run_sic_trial(
-    scene: SampledScene,
-    sic: SicConfig,
-    ordering: str = "distance_only",
-    alpha: float = 4.0,
-) -> TrialOutcome:
-    """Execute the cancellation event chain on one scene.
-
-    Stage 0 tests the signal of interest against the full interference; each
-    later stage n first decodes the n-th strongest interferer against the
-    residual and then retries the signal of interest.  A failed interferer
-    decode terminates the chain.  The serving fading is drawn from the
-    scene's reserved stream so the outcome is a pure function of the scene.
-    """
-    _check_ordering(ordering)
-    eta = sic.eta_t
-    h_u = _stream(scene.rng_seed, _SERVING_STREAM).exponential()
-    soi = h_u * scene.serving_distance**-alpha
-    ordered = _ordered_powers(scene, alpha, ordering)
-    total = float(ordered.sum())
-    if soi >= eta * total:
-        return TrialOutcome(succeeded=True, cancellations_used=0)
-    if sic.n_max == 0:
-        return TrialOutcome(False, 0, "decode_initial")
-    residual = total
-    for n in range(1, sic.n_max + 1):
-        x_n = float(ordered[n - 1]) if n <= len(ordered) else 0.0
-        residual = residual - x_n
-        if x_n < eta * residual:
-            return TrialOutcome(False, n - 1, f"cancel_stage({n})")
-        if soi >= eta * residual:
-            return TrialOutcome(succeeded=True, cancellations_used=n)
-    return TrialOutcome(False, sic.n_max, "exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +308,18 @@ def _top_m(p: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
     ``key`` (squared distance, negated power or negated mean power), in
     ascending key order: exactly the first ``m`` columns of ``p`` under a
     stable argsort of the key, ties included.  The columns are picked one
-    at a time by ``argmin`` over a copy of the key, in which every picked
-    entry is then retired (set to inf), so whole rows are never sorted.  The
-    first occurrence wins, as in a stable sort; inf padding in the key is
-    mapped to the largest finite float so that it still ranks below the
-    retired entries.  Rows shorter than ``m`` come back whole and fully
-    ordered."""
+    at a time by ``argmin`` over the key, in which every picked entry is
+    then retired (set to inf), so whole rows are never sorted.  The first
+    occurrence wins, as in a stable sort; inf padding in the key is mapped
+    to the largest finite float so that it still ranks below the retired
+    entries.  Rows shorter than ``m`` come back whole and fully ordered.
+
+    ``key``, a C-contiguous float array, is overwritten in place: callers
+    pass a key that they read no more, so that no copy of it is made."""
     m = min(m, p.shape[1])
     if m == 0:
         return np.empty((len(p), 0))  # not a view: it must not keep p alive
-    key = np.minimum(key, np.finfo(float).max)
+    np.minimum(key, np.finfo(float).max, out=key)
     flat = key.reshape(-1)
     row_start = np.arange(0, key.size, key.shape[1])
     picked = np.empty((len(p), m), dtype=np.intp)
@@ -465,30 +336,6 @@ def _serving_block(
     distance u drawn from the nearest-AP law; its fading is never drawn."""
     u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
     return u2 ** (-0.5 * alpha)
-
-
-def _first_level(decoded: np.ndarray, cancelled: np.ndarray) -> np.ndarray:
-    """First chain stage n at which the signal of interest decodes
-    (``decoded[:, n]``) while the cancellations of stages 1..n all succeeded
-    (``cancelled[:, :n]``); -1 if the chain dies or the budget is exhausted
-    first."""
-    level = np.where(decoded[:, 0], 0, -1)
-    alive = np.ones(len(level), dtype=bool)
-    for n in range(1, decoded.shape[1]):
-        alive &= cancelled[:, n - 1]
-        level[(level < 0) & alive & decoded[:, n]] = n
-    return level
-
-
-def _chain_levels(soi, total, top, cum, eta: float, n_max: int) -> np.ndarray:
-    """:func:`_first_level` of the event chain on one field per trial, given
-    the faded signal of interest ``soi``: stage n cancels the n-th strongest
-    interferer and decodes against the rest.  This is the 0/1 indicator
-    that :func:`_chain_exponent` integrates over the serving fading; it
-    serves as that function's same-draw oracle."""
-    residual = total[:, None] - cum[:, :n_max]
-    decoded = np.column_stack((soi >= eta * total, soi[:, None] >= eta * residual))
-    return _first_level(decoded, top[:, :n_max] >= eta * residual)
 
 
 def _reached(cancelled: np.ndarray) -> np.ndarray:
@@ -755,8 +602,8 @@ def ps_can_curve_mc(
         # (direct per ordering, distance-ordered chain survivors) x eta x n
         wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
         for o_idx, ordering in enumerate(ORDERINGS):
-            # the fading order's key, -powers, overwrites r2, which is read no
-            # more, so that no third field-sized array is held
+            # _top_m retires its picks in r2, and then the fading order's key,
+            # -powers, overwrites it, so that no third field-sized array is held
             key = r2 if ordering == "distance_only" else np.negative(powers, out=r2)
             top = _top_m(powers, key, n_orders)
             residual = total[:, None] - np.cumsum(top, axis=1)

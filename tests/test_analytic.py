@@ -16,12 +16,7 @@ import pytest
 import scipy.integrate
 
 from sicnet.errors import DegenerateReaError, DomainError
-from sicnet.model import (
-    NetworkConfig,
-    TierParams,
-    cancellation_radius,
-    nth_interferer_distance_pdf,
-)
+from sicnet.model import NetworkConfig, TierParams, cancellation_radius
 from sicnet.numerics import c_integral
 from sicnet.analytic import (
     SicGainBreakdown,
@@ -42,6 +37,8 @@ from sicnet.analytic import (
     tsd_conditional_cancel_prob,
     tsd_cumulant,
 )
+
+from oracles import nth_interferer_distance_pdf
 
 LAM = MU = 1e-4
 

@@ -19,14 +19,17 @@ from sicnet.model import (
     config_to_dict,
     db_to_linear,
     equivalent_density,
-    linear_to_db,
     load_config,
-    nth_interferer_distance_pdf,
     power_weighted_user_density,
     rea_association_prob,
+)
+
+from oracles import (
+    _rea_exponent_sums,
+    linear_to_db,
+    nth_interferer_distance_pdf,
     rea_distance_pdf,
 )
-from sicnet.model import _rea_exponent_sums
 
 
 def two_tier(bias2=1.0, alpha=4.0):

@@ -13,19 +13,15 @@ from sicnet.model import (
     SicConfig,
     TierParams,
     association_prob_max_power,
-    rea_distance_pdf,
 )
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
 from sicnet.numerics import c_integral
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
     _NEAREST_USERS,
-    _SERVING_STREAM,
     _chain_exponent,
-    _chain_levels,
     _estimates,
     _far_field,
-    _first_level,
     _independent_stage_block,
     _independent_stage_probs,
     _interferer_tiers,
@@ -37,7 +33,6 @@ from sicnet.montecarlo import (
     _moments,
     _nearest_chain_success,
     _nearest_users,
-    _ordered_powers,
     _radial_field,
     _rea_block,
     _reached,
@@ -47,20 +42,28 @@ from sicnet.montecarlo import (
     _stream,
     _top_m,
     Estimate,
-    SampledScene,
-    TrialOutcome,
     max_sir_success_curve_mc,
     ps_can_curve_mc,
     ps_sic_curve_mc,
-    run_sic_trial,
     sample_ppp,
-    sample_scene,
     simulate_max_inst_sir,
     simulate_min_load,
     simulate_rea,
-    trimmed_sum_oracle,
     voronoi_load_histogram,
     window_radius,
+)
+
+from oracles import (
+    _SERVING_STREAM,
+    SampledScene,
+    TrialOutcome,
+    _chain_levels,
+    _first_level,
+    _ordered_powers,
+    rea_distance_pdf,
+    run_sic_trial,
+    sample_scene,
+    trimmed_sum_oracle,
 )
 
 LAM = MU = 1e-4
@@ -117,8 +120,6 @@ def _sampled_chain(etas, n_max, trials, seed):
 
 class TestStreams:
     def test_stream_is_sfc64_of_spawned_seed_sequence(self):
-        from sicnet.montecarlo import _SERVING_STREAM, _stream
-
         for seed in (0, 909, 2**63):
             for index in (0, 1, 7, _SERVING_STREAM):
                 ref = np.random.Generator(
@@ -130,8 +131,6 @@ class TestStreams:
                 assert np.array_equal(got.exponential(size=32), ref.exponential(size=32))
 
     def test_streams_differ(self):
-        from sicnet.montecarlo import _SERVING_STREAM, _stream
-
         reserved = [_SERVING_STREAM]
         assert min(reserved) >= 1 << 32  # beyond any block index in reach
         draws = [
@@ -394,8 +393,6 @@ class TestRunSicTrial:
         # and fail against the (n-1)-trimmed field
         import numpy as np
 
-        from sicnet.montecarlo import _SERVING_STREAM, _stream
-
         eta = 1.0
         checked = 0
         for seed in range(300):
@@ -495,8 +492,6 @@ class TestChainEstimators:
         assert runs[0] == runs[1] == runs[2]
 
     def test_chain_levels_match_loop_reference(self):
-        from sicnet.montecarlo import _chain_levels
-
         def loop_levels(soi, total, top, cum, eta, n_max):
             level = np.full(len(soi), -1, dtype=np.int64)
             done = soi >= eta * total
@@ -1100,7 +1095,7 @@ class TestMaxSir:
         for key in (d2, -p, d2 * q**-0.5):
             ref = np.take_along_axis(p, np.argsort(key, axis=1, kind="stable"), axis=1)
             for m in (0, 1, 2, 3, 5, 8, 9, 12):
-                assert np.array_equal(_top_m(p, key, m), ref[:, :m])
+                assert np.array_equal(_top_m(p, key.copy(), m), ref[:, :m])
 
     def test_top_m_ties_match_stable_argsort(self):
         # every distance key occurs four times, so the m-th place is tied in
@@ -1115,7 +1110,7 @@ class TestMaxSir:
         p = rng.exponential(size=d2.shape) * np.where(np.isinf(d2), 0.0, 1.0)
         ref = np.take_along_axis(p, np.argsort(d2, axis=1, kind="stable"), axis=1)
         for m in range(21):
-            assert np.array_equal(_top_m(p, d2, m), ref[:, :m]), m
+            assert np.array_equal(_top_m(p, d2.copy(), m), ref[:, :m]), m
 
     @pytest.mark.parametrize("independent", [False, True])
     # "distance_only" in the ids dates from raw-distance order; the chain
@@ -1434,8 +1429,6 @@ class TestMaxSir:
     def test_zero_power_padding_keeps_chain_outcome(self):
         # rows of k < N interferers: padding them with zero-power stages up
         # to N must not change the level at which the chain succeeds
-        from sicnet.montecarlo import _chain_levels
-
         rng = np.random.default_rng(41)
         n_max = 4
         for k in range(n_max):

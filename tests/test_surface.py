@@ -1,0 +1,81 @@
+"""The library's surface: what ``src/sicnet`` defines, the library or the
+benchmark uses, and the oracles that only the tests call live in
+``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Reached by the tests alone: they leave the library only once ROADMAP
+# item 8 settles that no acceptance gate will call them.
+TEST_ONLY = {"tsd_cumulant", "tsd_conditional_cancel_prob"}
+
+
+def _referenced(node) -> set[str]:
+    """Every name that ``node`` reads: a plain name, an attribute, or an
+    imported name (under its own name, whatever its alias)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def _defined(stmt) -> list[str]:
+    """The names that a module-level statement defines: a function, a class
+    or the targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_library_defines_only_what_library_or_bench_uses():
+    modules = sorted((ROOT / "src" / "sicnet").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in modules + sorted((ROOT / "bench").glob("*.py"))
+    }
+    # a name that __init__.py re-exports is not thereby used
+    uses = [
+        (stmt, _referenced(stmt))
+        for path, tree in trees.items()
+        if path.name != "__init__.py"
+        for stmt in tree.body
+    ]
+    assert modules and any(path.parent.name == "bench" for path in trees)
+    unused = sorted(
+        f"{path.name}:{name}"
+        for path in modules
+        for stmt in trees[path].body
+        for name in _defined(stmt)
+        if name not in TEST_ONLY
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in names for other, names in uses if other is not stmt)
+    )
+    assert not unused, unused
+
+    # the scalar oracles share no code with the closed forms or with the
+    # vectorized chain they check
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(oracles):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not {m for m in imported if "analytic" in m.split(".")}
+    assert not {"_reached", "_chain_exponent"} & _referenced(oracles)
