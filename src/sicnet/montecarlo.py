@@ -775,15 +775,6 @@ def _interferer_tiers(cfg: NetworkConfig):
     ]
 
 
-def _max_sir_far_exponent(mu_eq: float, signal: np.ndarray, eta: float, alpha: float):
-    """-log E[exp(-eta I_a / S_a)] for APs a that each see a whole user
-    field I_a of their own, the unit-power field of density ``mu_eq``
-    (:func:`_nearest_users`): :func:`_far_field` from radius 0 at s = eta /
-    S_a, one value per entry of ``signal``.  From radius 0 the factor's
-    C(0, alpha) is one constant, evaluated once."""
-    return math.pi * mu_eq * (eta / signal) ** (2.0 / alpha) * c_integral(0.0, alpha)
-
-
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
 _CAND_RADIUS = 250.0
 
@@ -900,8 +891,8 @@ def _max_sir_sums(
     order of mean received power.  With independent fields P_a also
     averages over AP a's field, exactly: the user tiers map to one
     unit-power field of density mu_eq = sum_k mu_k Q_k^(2/alpha)
-    (:func:`_nearest_users`), whole for ``n_max = 0``
-    (:func:`_max_sir_far_exponent`), else all but its nearest users, drawn
+    (:func:`_nearest_users`), whole for ``n_max = 0`` (:func:`_far_field`
+    from radius 0 at s = eta / S_a), else all but its nearest users, drawn
     after the candidate APs (:func:`_nearest_chain_success`)."""
     alpha = cfg.alpha
     mu_eq = sum(mu_k * q ** (2.0 / alpha) for mu_k, q in _interferer_tiers(cfg))
@@ -922,7 +913,7 @@ def _max_sir_sums(
             elif n_max:
                 miss = 1.0 - _nearest_chain_success(*near, mu_eq, signal, eta, n_max, alpha)
             else:
-                miss = -np.expm1(-_max_sir_far_exponent(mu_eq, signal[:, None], eta, alpha))
+                miss = -np.expm1(-_far_field(mu_eq, 0.0, eta / signal[:, None], alpha))
             # trials along the last axis, as the per-budget sums read them
             p = np.ascontiguousarray(1.0 - np.multiply.reduceat(miss, first_row).T)
             sums[:, e_idx] = _moments(p, 1)
@@ -951,7 +942,7 @@ def max_sir_success_curve_mc(
     form assumes, so it isolates implementation errors from model error.
     No decision reads those fields, so they are not drawn: each AP's
     exp(-eta I_a / S_a) is averaged over its field exactly, by the PPP's
-    Laplace transform (:func:`_max_sir_far_exponent`), and only the
+    Laplace transform (:func:`_far_field` from radius 0), and only the
     candidate APs are sampled, a whole block's in one set of array draws
     (:func:`_max_sir_block`).  The trials are those of
     :func:`simulate_max_inst_sir` with N = 0.

@@ -12,6 +12,14 @@ checks the rows' closed-form and Monte Carlo columns.  Every scenario
 preset runs (the independent-stage chain of fig3 and the annulus-clearing
 REA of fig6).  Budgets below the presets' floor of 1000 trials are refused.
 
+A gate over a grid of points reads its columns once as arrays
+(:func:`_columns`) and is reduced by one evaluator, :func:`_worst`: it takes
+the largest margin with ``np.argmax``, compares it with the gate's
+tolerance and names the first point that reaches it ("worst at ...").  The
+one-sided and property checks reduce their arrays with numpy ``max`` and
+``min``.  Every reduction propagates NaN, so a NaN anywhere in a gated
+column fails its gate instead of being skipped.
+
 Where a gate compares a closed form against Monte Carlo, the tolerance is
 3 standard errors plus any documented model tolerance.  Checks are
 deterministic given their seed.
@@ -87,6 +95,19 @@ def _result(suite, name, measured, tolerance, passed=None, detail="") -> CheckRe
     return CheckResult(suite, name, bool(passed), float(measured), float(tolerance), detail)
 
 
+def _worst(suite, name, margins, where, tolerance, detail="worst at {at}") -> CheckResult:
+    """One gate over a grid of points.  The worst point is the one whose
+    margin exceeds its tolerance (one bound, or one per point) the most: its
+    margin is the measured value, checked against its tolerance, and
+    ``detail`` names it through ``{at}``, its label in ``where``.  Margins,
+    tolerances and labels are read flat, in row-major order.  Of equal
+    excesses the first point wins, and a NaN anywhere is the worst, so it
+    fails the gate."""
+    margins, tolerance, where = np.broadcast_arrays(*map(np.ravel, (margins, tolerance, where)))
+    i = np.argmax(margins - tolerance)
+    return _result(suite, name, margins[i], tolerance[i], detail=detail.format(at=where[i]))
+
+
 def _preset(name: str, trials, seed: int, threads: int):
     """The rows of one preset run at the gate's seed, and its trial budget
     (the preset's default when ``trials`` is None)."""
@@ -94,9 +115,23 @@ def _preset(name: str, trials, seed: int, threads: int):
     return result.rows, result.metadata["trials"]
 
 
-def _grid(rows, column: str, n_outer: int) -> np.ndarray:
-    """One preset column as an (n_outer, rows // n_outer) array, in row order."""
-    return np.array([r[column] for r in rows]).reshape(n_outer, -1)
+def _columns(rows, *names, n_outer=None) -> list[np.ndarray]:
+    """Preset columns as float arrays in row order: flat, or as
+    (n_outer, rows // n_outer) grids."""
+    shape = -1 if n_outer is None else (n_outer, -1)
+    return [np.array([r[c] for r in rows], dtype=float).reshape(shape) for c in names]
+
+
+def _labels(rows, fmt: str) -> np.ndarray:
+    """One label per preset row, ``fmt`` filled in from the row's columns."""
+    return np.array([fmt.format(**r) for r in rows])
+
+
+def _mean_stderr(estimates) -> list[np.ndarray]:
+    """Means and standard errors of a (nested) list of Estimates, as float
+    arrays of its shape."""
+    pairs = np.frompyfunc(lambda e: (e.mean, e.stderr), 1, 2)(np.array(estimates, dtype=object))
+    return [p.astype(float) for p in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -110,31 +145,22 @@ _ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0)
 def check_numerics(trials=None, seed=0, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
-    worst_rel = 0.0
-    worst_at = ""
-    for b in _B_GRID:
-        for a in _ALPHA_GRID:
-            cf = c_integral(b, a)
-            qd = c_integral_quadrature(b, a, tight)
-            rel = abs(cf - qd) / abs(qd)
-            if rel > worst_rel:
-                worst_rel, worst_at = rel, f"b={b}, alpha={a}"
-    out = [
-        _result(
-            "numerics", "closed form vs quadrature (relative, full grid)",
-            worst_rel, 1e-9, detail=f"worst at {worst_at}",
-        )
-    ]
+    grid = [(b, a) for b in _B_GRID for a in _ALPHA_GRID]
+    cf = np.array([c_integral(b, a) for b, a in grid])
+    qd = np.array([c_integral_quadrature(b, a, tight) for b, a in grid])
     # c_integral's alpha = 4 route is arctan(1/b); the incomplete beta checks it
-    worst_abs = max(
-        abs(float(_c_betainc(np.asarray(b), 4.0)) - c_integral(b, 4.0))
-        for b in _B_GRID
-    )
-    out.append(_result("numerics", "C(b,4) vs arctan(1/b)", worst_abs, 1e-10))
-    out.append(
-        _result("numerics", "runtime [s]", time.perf_counter() - t0, 1.0)
-    )
-    return out
+    bs = np.array(_B_GRID)
+    return [
+        _worst(
+            "numerics", "closed form vs quadrature (relative, full grid)",
+            np.abs(cf - qd) / np.abs(qd), [f"b={b}, alpha={a}" for b, a in grid], 1e-9,
+        ),
+        _worst(
+            "numerics", "C(b,4) vs arctan(1/b)", np.abs(_c_betainc(bs, 4.0) - c_integral(bs, 4.0)),
+            [f"b={x}" for x in _B_GRID], 1e-10,
+        ),
+        _result("numerics", "runtime [s]", time.perf_counter() - t0, 1.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +168,18 @@ def check_numerics(trials=None, seed=0, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _ps_strongest_exact(eta: float, alpha: float) -> float:
+def _ps_strongest_exact(eta, alpha: float):
     """Exact probability that the strongest node of a Rayleigh-faded PPP
-    decodes against all the others, for eta >= 1.
+    decodes against all the others, for thresholds eta >= 1 (a scalar or
+    an array).
 
     At eta >= 1 at most one node can have SIR > eta, so the probability
     equals the mean number of such nodes, which Campbell's theorem and the
     PGFL give as eta^(-delta) sin(pi delta) / (pi delta), delta = 2/alpha
     (X. Zhang and M. Haenggi, IEEE Trans. Wireless Commun., 2014).
     """
-    if eta < 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(eta >= 1.0):
         raise DomainError(f"the strongest-node law needs eta >= 1, got {eta}")
     delta = 2.0 / alpha
     return eta**-delta * math.sin(math.pi * delta) / (math.pi * delta)
@@ -160,67 +188,55 @@ def _ps_strongest_exact(eta: float, alpha: float) -> float:
 def check_fig2(trials=None, seed=202, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows, trials = _preset("fig2", trials, seed, threads)
-    out = []
+    n, eta_db, eta, dist, fade, pgfl, tsd = _columns(
+        rows, "n", "eta_db", "eta_lin", "mc_dist_mean", "mc_fade_mean", "ps_can_pgfl", "ps_can_tsd"
+    )
+    where = _labels(rows, "{eta_db:g} dB, n={n}")
 
-    def z(mean: float, p: float) -> float:
+    def z(mean, p):
         # stderr of the comparison under the closed-form null; stays
         # meaningful when the expected success count is O(1)
-        return abs(mean - p) / math.sqrt(p * (1.0 - p) / trials)
+        return np.abs(mean - p) / np.sqrt(p * (1.0 - p) / trials)
 
-    worst_z = max(z(r["mc_dist_mean"], r["ps_can_pgfl"]) for r in rows)
-    out.append(
-        _result("fig2", "distance-ordered MC vs closed form (|z|, n=1..8)", worst_z, 3.0)
-    )
     # n = 1 under fading ordering is the strongest node, whose exact law
     # holds at every threshold of the grid (all >= 0 dB)
-    first = [r for r in rows if r["n"] == 1]
-    worst_z1 = max(z(r["mc_fade_mean"], _ps_strongest_exact(r["eta_lin"], 4.0)) for r in first)
-    out.append(
-        _result(
-            "fig2", "fading-ordered MC at n=1 vs exact strongest-node law (|z|)",
-            worst_z1, 3.0, detail="eta^(-1/2) 2/pi at alpha=4",
-        )
-    )
-    at_0db = next(r for r in first if r["eta_db"] == 0.0)
-    model_error = _ps_strongest_exact(at_0db["eta_lin"], 4.0) - at_0db["ps_can_pgfl"]
-    out.append(
-        _result(
-            "fig2", "exact n=1 law minus closed form at 0 dB (diagnostic, ungated)",
-            model_error, math.inf, passed=True,
-            detail="model error of the distance-ordering approximation",
-        )
-    )
-    for eta_db, tol, n_lo in ((0.0, 0.05, 2), (10.0, 0.01, 1)):
-        worst = max(
-            abs(r["mc_fade_mean"] - r["ps_can_pgfl"])
-            for r in rows
-            if r["eta_db"] == eta_db and r["n"] >= n_lo
-        )
-        out.append(
-            _result(
-                "fig2", f"fading-ordered MC vs closed form at {eta_db:g} dB, n={n_lo}..8",
-                worst, tol,
-            )
-        )
+    first = n == 1
+    exact = _ps_strongest_exact(eta[first], 4.0)
+    fade_gap = np.abs(fade - pgfl)
+    at_0db, at_10db = (eta_db == 0.0) & (n >= 2), eta_db == 10.0
     # closed-form agreement between the PGFL and truncated-stable routes;
     # absolute floor 0.01 anchored at n=1, 10% relative envelope for n <= 5
-    worst1 = max(abs(r["ps_can_pgfl"] - r["ps_can_tsd"]) for r in first)
-    out.append(_result("fig2", "PGFL vs TSD at n=1 (absolute)", worst1, 0.01))
-    worst_pair = (0.0, 1.0)
-    for r in rows:
-        if 2 <= r["n"] <= 5:
-            p = r["ps_can_pgfl"]
-            gap, tol = abs(p - r["ps_can_tsd"]), 0.01 + 0.10 * p
-            if gap - tol > worst_pair[0] - worst_pair[1]:
-                worst_pair = (gap, tol)
-    out.append(
+    gap = np.abs(pgfl - tsd)
+    mid = (n >= 2) & (n <= 5)
+    return [
+        _worst(
+            "fig2", "distance-ordered MC vs closed form (|z|, n=1..8)", z(dist, pgfl), where, 3.0
+        ),
+        _worst(
+            "fig2", "fading-ordered MC at n=1 vs exact strongest-node law (|z|)",
+            z(fade[first], exact), where[first], 3.0,
+            detail="eta^(-1/2) 2/pi at alpha=4, worst at {at}",
+        ),
         _result(
+            "fig2", "exact n=1 law minus closed form at 0 dB (diagnostic, ungated)",
+            (exact - pgfl[first])[eta_db[first] == 0.0].item(), math.inf, passed=True,
+            detail="model error of the distance-ordering approximation",
+        ),
+        _worst(
+            "fig2", "fading-ordered MC vs closed form at 0 dB, n=2..8",
+            fade_gap[at_0db], where[at_0db], 0.05,
+        ),
+        _worst(
+            "fig2", "fading-ordered MC vs closed form at 10 dB, n=1..8",
+            fade_gap[at_10db], where[at_10db], 0.01,
+        ),
+        _worst("fig2", "PGFL vs TSD at n=1 (absolute)", gap[first], where[first], 0.01),
+        _worst(
             "fig2", "PGFL vs TSD for n<=5 (0.01 abs + 10% rel envelope)",
-            worst_pair[0], worst_pair[1],
-        )
-    )
-    out.append(_result("fig2", "runtime [s]", time.perf_counter() - t0, 120.0))
-    return out
+            gap[mid], where[mid], (0.01 + 0.10 * pgfl)[mid],
+        ),
+        _result("fig2", "runtime [s]", time.perf_counter() - t0, 120.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -231,89 +247,57 @@ def check_fig2(trials=None, seed=202, threads=1) -> list[CheckResult]:
 def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows, trials = _preset("fig3", trials, seed, threads)
-    out = []
-    no_sic = [r for r in rows if r["n_max"] == 0]
-    etas_db = [r["eta_db"] for r in no_sic]
-    analytic, mc, mc_se = (
-        _grid(rows, c, len(no_sic)) for c in ("ps_sic_analytic", "mc_mean", "mc_stderr")
+    eta_db, eta, analytic, mc, mc_se = _columns(
+        rows, "eta_db", "eta_lin", "ps_sic_analytic", "mc_mean", "mc_stderr",
+        n_outer=sum(r["n_max"] == 0 for r in rows),
     )
-    n_max = analytic.shape[1] - 1
-    stages = ps_sic_curve_mc(
-        DENSITY_MACRO, DENSITY_MACRO, 4.0, [r["eta_lin"] for r in no_sic], n_max,
-        trials, seed + 1, threads=threads, independent_stages=True,
-    )
-    worst_z = 0.0
-    z_at = ""
-    for e_idx, eta_db in enumerate(etas_db):
-        for n in range(n_max + 1):
-            est = stages[e_idx][n]
-            z = abs(analytic[e_idx, n] - est.mean) / max(est.stderr, 1e-12)
-            if z > worst_z:
-                worst_z, z_at = z, f"eta={eta_db:g} dB, N={n}"
-    out.append(
-        _result(
-            "fig3", "analytic vs independent-stage chain MC (|z|, full grid)",
-            worst_z, 3.0, detail=f"worst at {z_at}",
+    eta_db = eta_db[:, 0]
+    where = _labels(rows, "eta={eta_db:g} dB, N={n_max}").reshape(analytic.shape)
+    stages, stages_se = _mean_stderr(
+        ps_sic_curve_mc(
+            DENSITY_MACRO, DENSITY_MACRO, 4.0, eta[:, 0], analytic.shape[1] - 1,
+            trials, seed + 1, threads=threads, independent_stages=True,
         )
     )
-    worst_excess = -math.inf
-    worst_at = ""
-    for e_idx, eta_db in enumerate(etas_db):
-        gap = abs(analytic[e_idx, 0] - mc[e_idx, 0])
-        tol = 3.0 * mc_se[e_idx, 0] + 0.02
-        if gap - tol > worst_excess:
-            worst_excess = gap - tol
-            worst_at = f"eta={eta_db:g} dB: gap {gap:.4f} vs tol {tol:.4f}"
-    out.append(
-        _result(
-            "fig3", "analytic vs event-chain MC at N=0 (3 stderr + 0.02)",
-            worst_excess, 0.0, passed=worst_excess <= 0.0, detail=worst_at,
-        )
-    )
+    gap = np.abs(analytic[:, 0] - mc[:, 0])
+    tol = 3.0 * mc_se[:, 0] + 0.02
     # for N >= 1 the closed form's independence and deterministic radius
     # only lose successes the faithful chain keeps
-    worst_excess = -math.inf
-    worst_gap = (-math.inf, "")
-    for e_idx, eta_db in enumerate(etas_db):
-        for n in range(1, n_max + 1):
-            worst_excess = max(
-                worst_excess, analytic[e_idx, n] - mc[e_idx, n] - 3.0 * mc_se[e_idx, n]
-            )
-            worst_gap = max(
-                worst_gap, (mc[e_idx, n] - analytic[e_idx, n], f"eta={eta_db:g} dB, N={n}")
-            )
-    out.append(
-        _result(
-            "fig3", "analytic at or below event-chain MC for N>=1 (+3 stderr)",
-            worst_excess, 0.0, passed=worst_excess <= 0.0,
-            detail=f"largest model error {worst_gap[0]:.4f} at {worst_gap[1]}",
-        )
-    )
+    model_error = mc[:, 1:] - analytic[:, 1:]
+    i = np.argmax(model_error)
     inc = np.diff(analytic, axis=1)
     mc_inc = np.diff(mc, axis=1)
-    out.append(
+    nonneg = eta_db >= 0.0
+    return [
+        _worst(
+            "fig3", "analytic vs independent-stage chain MC (|z|, full grid)",
+            np.abs(analytic - stages) / np.maximum(stages_se, 1e-12), where, 3.0,
+        ),
+        _worst(
+            "fig3", "analytic vs event-chain MC at N=0 (3 stderr + 0.02)", gap - tol,
+            [f"eta={d:g} dB: gap {g:.4f} vs tol {t:.4f}" for d, g, t in zip(eta_db, gap, tol)],
+            0.0, detail="{at}",
+        ),
+        _result(
+            "fig3", "analytic at or below event-chain MC for N>=1 (+3 stderr)",
+            (analytic[:, 1:] - mc[:, 1:] - 3.0 * mc_se[:, 1:]).max(), 0.0,
+            detail=f"largest model error {model_error.flat[i]:.4f} at {where[:, 1:].flat[i]}",
+        ),
         _result(
             "fig3", "monotone nondecreasing in N (analytic and MC)",
-            float(min(inc.min(), mc_inc.min())), 0.0,
-            passed=bool(inc.min() >= -1e-12 and mc_inc.min() >= 0.0),
-            detail="smallest increment",
-        )
-    )
-    nonneg_db = [i for i, d in enumerate(etas_db) if d >= 0.0]
-    dim = float(max(inc[i, 1] - inc[i, 0] for i in nonneg_db))
-    out.append(
+            np.minimum(inc.min(), mc_inc.min()), 0.0,
+            passed=inc.min() >= -1e-12 and mc_inc.min() >= 0.0, detail="smallest increment",
+        ),
         _result(
             "fig3", "diminishing first increment at eta >= 0 dB (analytic)",
-            dim, 0.0, passed=dim <= 0.0, detail="max of inc(1->2)-inc(0->1)",
-        )
-    )
-    high_db = [i for i, d in enumerate(etas_db) if d >= 2.0]
-    worst_inc = float(max(inc[i].max() for i in high_db))
-    out.append(
-        _result("fig3", "all increments < 0.02 at eta >= 2 dB (analytic)", worst_inc, 0.02)
-    )
-    out.append(_result("fig3", "runtime [s]", time.perf_counter() - t0, 600.0))
-    return out
+            (inc[nonneg, 1] - inc[nonneg, 0]).max(), 0.0, detail="max of inc(1->2)-inc(0->1)",
+        ),
+        _result(
+            "fig3", "all increments < 0.02 at eta >= 2 dB (analytic)",
+            inc[eta_db >= 2.0].max(), 0.02,
+        ),
+        _result("fig3", "runtime [s]", time.perf_counter() - t0, 600.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,40 +352,31 @@ def check_load_model(trials=100_000, seed=404, threads=1) -> list[CheckResult]:
 def check_fig4(trials=None, seed=505, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows, _ = _preset("fig4", trials, seed, threads)
-    out = []
-    ordering_margin = min(r["p_cov_max_sir"] - r["p_cov_min_load"] for r in rows)
-    out.append(
+    rho, max_sir, min_load, mc, mc_se = _columns(
+        rows, "rho", "p_cov_max_sir", "p_cov_min_load", "mc_min_load_mean", "mc_min_load_stderr"
+    )
+    ordering_margin = (max_sir - min_load).min()
+    med = rows[(len(rows) - 1) // 2]
+    uplift = med["mc_min_load_sic_mean"] - med["mc_min_load_mean"]
+    gap = np.abs(mc - min_load)
+    tol = 3.0 * mc_se + 0.03
+    return [
         _result(
             "fig4", "min-load (no SIC) below max-SIR at every rho",
             -ordering_margin, 0.0, passed=ordering_margin > 0.0,
             detail="negative of the smallest max-SIR minus min-load margin",
-        )
-    )
-    med = rows[(len(rows) - 1) // 2]
-    uplift = med["mc_min_load_sic_mean"] - med["mc_min_load_mean"]
-    out.append(
+        ),
         _result(
             "fig4", f"SIC uplift at median rho={med['rho']:.2f}",
-            uplift, 0.05, passed=uplift >= 0.05,
-            detail="must be at least 0.05",
-        )
-    )
-    worst_excess = -math.inf
-    worst_at = ""
-    for r in rows:
-        gap = abs(r["mc_min_load_mean"] - r["p_cov_min_load"])
-        tol = 3.0 * r["mc_min_load_stderr"] + 0.03
-        if gap - tol > worst_excess:
-            worst_excess = gap - tol
-            worst_at = f"rho={r['rho']:.2f}: gap {gap:.4f} vs tol {tol:.4f}"
-    out.append(
-        _result(
-            "fig4", "analytic min-load vs MC (3 stderr + 0.03)",
-            worst_excess, 0.0, passed=worst_excess <= 0.0, detail=worst_at,
-        )
-    )
-    out.append(_result("fig4", "runtime [s]", time.perf_counter() - t0, 300.0))
-    return out
+            uplift, 0.05, passed=uplift >= 0.05, detail="must be at least 0.05",
+        ),
+        _worst(
+            "fig4", "analytic min-load vs MC (3 stderr + 0.03)", gap - tol,
+            [f"rho={r:.2f}: gap {g:.4f} vs tol {t:.4f}" for r, g, t in zip(rho, gap, tol)],
+            0.0, detail="{at}",
+        ),
+        _result("fig4", "runtime [s]", time.perf_counter() - t0, 300.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -412,45 +387,39 @@ def check_fig4(trials=None, seed=505, threads=1) -> list[CheckResult]:
 def check_fig5(trials=None, seed=606, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows, _ = _preset("fig5", trials, seed, threads)
-    out = []
+    n_max, analytic, mc, mc_se, shared, uplift = _columns(
+        rows, "n_max", "ps_analytic", "mc_model_mean", "mc_model_stderr", "mc_shared_mean",
+        "sic_uplift",
+    )
     # the Monte Carlo columns are filled at N = 0, where ps_analytic is the
     # no-SIC success law
-    no_sic = [r for r in rows if r["n_max"] == 0]
-    worst_z = max(
-        abs(r["mc_model_mean"] - r["ps_analytic"]) / max(r["mc_model_stderr"], 1e-12)
-        for r in no_sic
-    )
-    worst_shared = max(abs(r["mc_shared_mean"] - r["ps_analytic"]) for r in no_sic)
-    out.append(
-        _result(
-            "fig5", "no-SIC success law vs MC (|z|, eta >= 0 dB)", worst_z, 3.0,
+    no_sic = n_max == 0
+    analytic, mc, mc_se, shared = analytic[no_sic], mc[no_sic], mc_se[no_sic], shared[no_sic]
+    uplifts = uplift[n_max >= 1]
+    smallest, peak = uplifts.min(), uplifts.max()
+    return [
+        _worst(
+            "fig5", "no-SIC success law vs MC (|z|, eta >= 0 dB)",
+            np.abs(mc - analytic) / np.maximum(mc_se, 1e-12),
+            _labels(rows, "{eta_db:g} dB")[no_sic], 3.0,
             detail="MC averages exactly over the per-AP independent fields the "
-            "closed form assumes",
-        )
-    )
-    out.append(
+            "closed form assumes, worst at {at}",
+        ),
         _result(
             "fig5", "shared-field MC deviation (diagnostic, ungated)",
-            worst_shared, math.inf, passed=True,
+            np.abs(shared - analytic).max(), math.inf, passed=True,
             detail="model error of the per-AP independence assumption",
-        )
-    )
-    uplifts = [r["sic_uplift"] for r in rows if r["n_max"] >= 1]
-    smallest, peak = min(uplifts), max(uplifts)
-    out.append(
+        ),
         _result(
             "fig5", "SIC uplift positive for N=1..3 at every eta in [0,10] dB",
             smallest, 0.0, passed=smallest > 0.0, detail="smallest uplift",
-        )
-    )
-    out.append(
+        ),
         _result(
             "fig5", "peak SIC uplift within [0.05, 0.25]", peak, 0.25,
             passed=0.05 <= peak <= 0.25,
-        )
-    )
-    out.append(_result("fig5", "runtime [s]", time.perf_counter() - t0, 600.0))
-    return out
+        ),
+        _result("fig5", "runtime [s]", time.perf_counter() - t0, 600.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -461,81 +430,59 @@ def check_fig5(trials=None, seed=606, threads=1) -> list[CheckResult]:
 def check_fig6(trials=None, seed=707, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows, trials = _preset("fig6", trials, seed, threads)
-    out = []
     runs = fig6_runs(seed)
-    etas = [r["eta_lin"] for r in rows[: len(rows) // len(runs)]]
+    # bias by eta grids; each bias is compared with the next larger one
+    eta, unc, unc_se, can, can_se, closed_unc, closed_can = _columns(
+        rows, "eta_lin", "mc_rea_mean", "mc_rea_stderr", "mc_rea_sic_mean", "mc_rea_sic_stderr",
+        "ps_rea_analytic", "ps_rea_sic_analytic", n_outer=len(runs),
+    )
+    where = _labels(rows, "b={bias:g}, eta={eta_db:g} dB")
     # the annulus-clearing oracle on the preset's own draws, bias by bias
-    annulus = [
-        est
-        for _, cfg, b_seed in runs
-        for est in simulate_rea(
-            cfg, 1, etas, trials, b_seed, threads=threads, cancel_mode="annulus"
-        ).cancelled
-    ]
-    worst_unc = worst_ann = worst_one = -math.inf
-    worst_gap = (-math.inf, "")
-    at_unc = at_ann = ""
-    for r, ann in zip(rows, annulus):
-        where = f"b={r['bias']:g}, eta={r['eta_db']:g} dB"
-        closed = r["ps_rea_sic_analytic"]
-        gap_u = abs(r["mc_rea_mean"] - r["ps_rea_analytic"])
-        gap_a = abs(ann.mean - closed)
-        if gap_u - 3.0 * r["mc_rea_stderr"] > worst_unc:
-            worst_unc = gap_u - 3.0 * r["mc_rea_stderr"]
-            at_unc = f"{where}: gap {gap_u:.4f}"
-        if gap_a - 3.0 * ann.stderr > worst_ann:
-            worst_ann = gap_a - 3.0 * ann.stderr
-            at_ann = f"{where}: gap {gap_a:.4f}"
-        worst_one = max(worst_one, r["mc_rea_sic_mean"] - closed - 3.0 * r["mc_rea_sic_stderr"])
-        worst_gap = max(worst_gap, (closed - r["mc_rea_sic_mean"], where))
-    out.append(
-        _result(
-            "fig6", "uncancelled closed form vs REA MC (3 stderr)",
-            worst_unc, 0.0, passed=worst_unc <= 0.0, detail=at_unc,
-        )
+    annulus, annulus_se = _mean_stderr(
+        [
+            simulate_rea(
+                cfg, 1, eta[0], trials, b_seed, threads=threads, cancel_mode="annulus"
+            ).cancelled
+            for _, cfg, b_seed in runs
+        ]
     )
-    out.append(
-        _result(
-            "fig6", "cancelled closed form vs annulus-cancel MC (3 stderr)",
-            worst_ann, 0.0, passed=worst_ann <= 0.0, detail=at_ann,
-        )
-    )
-    out.append(
+
+    def three_stderr(name, gap, se):
+        labels = [f"{w}: gap {g:.4f}" for w, g in zip(where, gap.flat)]
+        return _worst("fig6", name, gap - 3.0 * se, labels, 0.0, detail="{at}")
+
+    model_error = closed_can - can
+    i = np.argmax(model_error)
+    rise = np.diff([unc, can], axis=1).max()
+    # the same ordering on the closed forms, free of sampling noise
+    closed_rise = np.diff([closed_unc, closed_can], axis=1).max()
+    order_margin = (can - unc).min()
+    return [
+        three_stderr(
+            "uncancelled closed form vs REA MC (3 stderr)", np.abs(unc - closed_unc), unc_se
+        ),
+        three_stderr(
+            "cancelled closed form vs annulus-cancel MC (3 stderr)",
+            np.abs(annulus - closed_can), annulus_se,
+        ),
         _result(
             "fig6", "one-cancellation MC at or below cancelled closed form (+3 stderr)",
-            worst_one, 0.0, passed=worst_one <= 0.0,
-            detail=f"largest model error {worst_gap[0]:.4f} at {worst_gap[1]}",
-        )
-    )
-    # bias by eta grids; each bias is compared with the next larger one
-    unc, can, closed_unc, closed_can = (
-        _grid(rows, c, len(runs))
-        for c in ("mc_rea_mean", "mc_rea_sic_mean", "ps_rea_analytic", "ps_rea_sic_analytic")
-    )
-    mono_margin = min((g[:-1] - g[1:]).min() for g in (unc, can))
-    out.append(
+            (can - closed_can - 3.0 * can_se).max(), 0.0,
+            detail=f"largest model error {model_error.flat[i]:.4f} at {where[i]}",
+        ),
         _result(
-            "fig6", "success decreases with bias (both curves)",
-            -mono_margin, 0.0, passed=mono_margin > 0.0,
-        )
-    )
-    # the same ordering on the closed forms, free of sampling noise
-    closed_margin = min((g[:-1] - g[1:]).min() for g in (closed_unc, closed_can))
-    out.append(
+            "fig6", "success decreases with bias (both curves)", rise, 0.0, passed=rise < 0.0
+        ),
         _result(
             "fig6", "closed form decreases with bias (both curves)",
-            -closed_margin, 0.0, passed=closed_margin > 0.0,
-        )
-    )
-    order_margin = (can - unc).min()
-    out.append(
+            closed_rise, 0.0, passed=closed_rise < 0.0,
+        ),
         _result(
             "fig6", "cancelled curve above uncancelled everywhere",
             -order_margin, 0.0, passed=order_margin > 0.0,
-        )
-    )
-    out.append(_result("fig6", "runtime [s]", time.perf_counter() - t0, 600.0))
-    return out
+        ),
+        _result("fig6", "runtime [s]", time.perf_counter() - t0, 600.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +495,12 @@ def check_scale_invariance(trials=100_000, seed=808, threads=1) -> list[CheckRes
     eta = db_to_linear(5.0)
     lo = ps_can_curve_mc(1e-4, 4.0, [eta], 3, trials, seed, threads=threads)
     hi = ps_can_curve_mc(1e-3, 4.0, [eta], 3, trials, seed + 1, threads=threads)
-    lo, hi = lo["distance_only"]["direct"], hi["distance_only"]["direct"]
-    worst = 0.0
-    for n in range(1, 4):
-        a, b = lo[0][n - 1], hi[0][n - 1]
-        joint = math.hypot(a.stderr, b.stderr)
-        worst = max(worst, abs(a.mean - b.mean) / max(joint, 1e-12))
+    (lo, lo_se), (hi, hi_se) = (_mean_stderr(c["distance_only"]["direct"][0]) for c in (lo, hi))
     return [
-        _result(
+        _worst(
             "scale", "P_s,can at mu_j=1e-4 vs 1e-3 (|z| joint, n=1..3, 5 dB)",
-            worst, 3.0,
+            np.abs(lo - hi) / np.maximum(np.hypot(lo_se, hi_se), 1e-12),
+            ["n=1", "n=2", "n=3"], 3.0,
         )
     ]
 
@@ -596,17 +539,12 @@ def check_determinism(trials=2000, seed=909, threads=4) -> list[CheckResult]:
 
 
 def check_kurtosis(trials=None, seed=0, threads=1) -> list[CheckResult]:
-    out = []
     gap = abs(kurtosis_after_cancellation(4.0, 2) - 54.0 / 7.0)
-    out.append(_result("kurtosis", "gamma2(4,2) = 54/7", gap, 1e-12))
-    products = [
-        kurtosis_after_cancellation(4.0, n) * (n - 1) for n in range(2, 51)
+    products = [kurtosis_after_cancellation(4.0, n) * (n - 1) for n in range(2, 51)]
+    return [
+        _result("kurtosis", "gamma2(4,2) = 54/7", gap, 1e-12),
+        _result("kurtosis", "gamma2(alpha,n)*(n-1) constant for n=2..50", np.ptp(products), 1e-12),
     ]
-    spread = max(products) - min(products)
-    out.append(
-        _result("kurtosis", "gamma2(alpha,n)*(n-1) constant for n=2..50", spread, 1e-12)
-    )
-    return out
 
 
 SUITES = {

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, unit discipline, outputs."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sicnet import validation
 from sicnet.cli import build_parser, main
 
 CFG = {
@@ -189,6 +191,13 @@ class TestValidate:
 
     def test_kurtosis_suite_passes(self, capsys):
         assert main(["validate", "kurtosis"]) == 0
+
+    def test_suite_choices_are_the_validation_suites(self):
+        # the choices are typed out in build_parser: a suite added only to
+        # validation.SUITES would be unreachable from the command line
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["validate"]._actions if a.dest == "suite")
+        assert set(suite.choices) == set(validation.SUITES) | {"all"}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -26,7 +26,6 @@ from sicnet.montecarlo import (
     _independent_stage_probs,
     _interferer_tiers,
     _max_sir_block,
-    _max_sir_far_exponent,
     _max_sir_sums,
     _min_load_success,
     _min_load_trials,
@@ -727,14 +726,14 @@ class TestFarField:
         # the tolerance
         cfg = two_tier()
         tiers = _interferer_tiers(cfg)
-        unit = _max_sir_far_exponent(_mu_eq(tiers, 4.0), np.ones(1), 1.0, 4.0)[0]
+        unit = _far_field(_mu_eq(tiers, 4.0), 0.0, np.ones(1), 4.0)[0]
         # s at which the exact factor is about 0.8, 0.5 and 0.2 (alpha = 4)
         s = np.array([0.2, 0.7, 1.6]) ** 2 / unit**2
         total = np.concatenate(
             [_sampled_fields(_stream(89, b), 2000, tiers, 4.0)[0] for b in range(5)]
         )
         x = np.exp(-np.multiply.outer(total, s))
-        want = np.exp(-_max_sir_far_exponent(_mu_eq(tiers, 4.0), 1.0 / s, 1.0, 4.0))
+        want = np.exp(-_far_field(_mu_eq(tiers, 4.0), 0.0, s, 4.0))
         assert np.allclose(want, np.exp(-np.array([0.2, 0.7, 1.6])), rtol=1e-12)
         se = x.std(axis=0) / math.sqrt(len(x))
         assert np.all(np.abs(x.mean(axis=0) - want) <= 4.0 * se), (x.mean(axis=0), want)

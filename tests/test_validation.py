@@ -78,3 +78,51 @@ def test_determinism_gate_dispatches_several_blocks(monkeypatch):
     assert max(n for n, _ in dispatched) > 1
     assert any(n > 1 and t > 1 for n, t in dispatched)
     assert "3 blocks" in results[0].name
+
+
+# one preset cell per figure that a gate reads, the gate that reads it, and
+# the label that gate must report for that point
+NAN_CELLS = [
+    ("check_fig2", 3, "mc_dist_mean",
+     "distance-ordered MC vs closed form (|z|, n=1..8)", "worst at 0 dB, n=4"),
+    ("check_fig4", 1, "mc_min_load_mean",
+     "analytic min-load vs MC (3 stderr + 0.03)", "rho=0.20: gap nan"),
+    ("check_fig5", 4, "mc_model_mean",
+     "no-SIC success law vs MC (|z|, eta >= 0 dB)", "worst at 1 dB"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, row, column, gate, where", NAN_CELLS, ids=["fig2", "fig4", "fig5"]
+)
+def test_nan_in_a_gated_column_fails_its_gate(monkeypatch, check, row, column, gate, where):
+    # a NaN must not be skipped by the worst-case reduction: the gate that
+    # reads the cell fails, reports NaN and names the point
+    run_preset = validation.run_preset
+
+    def with_nan(spec):
+        result = run_preset(spec)
+        result.rows[row][column] = math.nan
+        return result
+
+    monkeypatch.setattr(validation, "run_preset", with_nan)
+    results = {r.name: r for r in getattr(validation, check)(trials=1000, threads=2)}
+    assert not results[gate].passed
+    assert math.isnan(results[gate].measured)
+    assert where in results[gate].detail
+
+
+def test_worst_reports_the_first_point_of_the_largest_margin():
+    r = validation._worst("s", "g", [[1.0, 3.0], [3.0, 2.0]], ["a", "b", "c", "d"], 3.0)
+    assert (r.passed, r.measured, r.tolerance, r.detail) == (True, 3.0, 3.0, "worst at b")
+
+
+@pytest.mark.parametrize("margins, at", [([math.nan, 9.0, 0.5], "a"), ([0.5, 9.0, math.nan], "c")])
+def test_worst_fails_on_a_nan_anywhere(margins, at):
+    r = validation._worst("s", "g", margins, ["a", "b", "c"], 10.0, detail="{at}")
+    assert not r.passed and math.isnan(r.measured) and r.detail == at
+
+
+def test_worst_ranks_points_by_excess_over_their_own_tolerance():
+    r = validation._worst("s", "g", [0.1, 0.3], ["a", "b"], [0.05, 0.5])
+    assert (r.passed, r.measured, r.tolerance, r.detail) == (False, 0.1, 0.05, "worst at a")
