@@ -10,8 +10,9 @@ Five presets reproduce the reference scenarios at desk scale:
         without one cancellation), lambda = 1e-5, mu_j = 5e-5.
   fig5  max-instantaneous-SIR success with SIC, two tiers with
         P1/P2 = Q1/Q2 = 10.
-  fig6  range-expansion success with/without canceling the dominant AP,
-        biases b in {2, 5, 10}.
+  fig6  range-expansion success without cancellation, canceling the
+        dominant AP, and clearing the exclusion annulus (all three MC
+        columns on the same draws), biases b in {2, 5, 10}.
 
 Every run writes ``<output_dir>/<preset>/<timestamp>-<seed>/`` holding
 ``result.csv``, ``plot.gp`` (gnuplot, never executed here) and
@@ -98,14 +99,6 @@ def two_tier_config(bias2: float = 1.0) -> NetworkConfig:
         mu=1e-4,
         mu_j=1e-4,
     )
-
-
-def fig6_runs(seed: int) -> list[tuple[float, NetworkConfig, int]]:
-    """(bias, config, seed) of each fig6 bias: bias number i draws its REA
-    trials from ``seed + i``."""
-    return [
-        (b, two_tier_config(bias2=b), seed + b_idx) for b_idx, b in enumerate(FIG6_BIASES)
-    ]
 
 
 @dataclass(frozen=True)
@@ -308,9 +301,10 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
     rea_fraction = diagnostics["rea_fraction"] = {}
     etas = [db_to_linear(d) for d in FIG6_ETA_DB]
-    for b, cfg, seed in fig6_runs(spec.seed):
+    for b_idx, b in enumerate(FIG6_BIASES):
+        cfg = two_tier_config(bias2=b)
         t0 = time.perf_counter()
-        res = simulate_rea(cfg, 1, etas, spec.trials, seed, threads=spec.threads)
+        res = simulate_rea(cfg, 1, etas, spec.trials, spec.seed + b_idx, threads=spec.threads)
         ms = _ms(t0) / len(etas)
         rea_fraction[f"{b:g}"] = res.rea_fraction
         for e_idx, eta_db in enumerate(FIG6_ETA_DB):
@@ -326,6 +320,8 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
                     "mc_rea_stderr": res.uncancelled[e_idx].stderr,
                     "mc_rea_sic_mean": res.cancelled[e_idx].mean,
                     "mc_rea_sic_stderr": res.cancelled[e_idx].stderr,
+                    "mc_rea_annulus_mean": res.annulus[e_idx].mean,
+                    "mc_rea_annulus_stderr": res.annulus[e_idx].stderr,
                     "runtime_ms": ms,
                 }
             )

@@ -17,8 +17,9 @@ Windows: where no decision in a trial reads the far field, the field is
 sampled only out to a near window that holds 25 expected points beyond its
 inner radius, and each trial multiplies in the exact Laplace transform of
 the field beyond (:func:`_far_field`), so the estimate has no truncation
-bias: ``simulate_rea`` (both modes) and the independent-stage oracle of
-``ps_sic_curve_mc``.  The SIC chains on fields of their own are
+bias: ``simulate_rea``, whose uncancelled, one-cancellation and
+annulus-cleared estimates share one set of draws, and the independent-stage
+oracle of ``ps_sic_curve_mc``.  The SIC chains on fields of their own are
 window-free too: the faithful chain of ``ps_sic_curve_mc`` and the
 max-SIR runs with independent fields draw only each receiver's nearest
 interferers and integrate out their fadings and the field beyond exactly
@@ -64,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,13 +206,14 @@ class MinLoadResult:
 
 @dataclass(frozen=True)
 class ReaResult:
-    """Paired success estimates for range-expanded users, one per
-    threshold."""
+    """Success estimates for range-expanded users on the same trials, one
+    per threshold: without cancellation, with the one cancellation that
+    ``cancel_mode`` names, and with the whole exclusion annulus cleared."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
+    annulus: tuple[Estimate, ...]
     rea_fraction: float                   # empirical REA association share
-    serving_distances: np.ndarray = field(repr=False, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +741,10 @@ def voronoi_load_histogram(
     Samples one large window, assigns users to nearest APs with a KD-tree,
     and records, for ``n_cells`` users far from the boundary, the load of
     their serving cell minus themselves.  This user-anchored (size-biased)
-    law is what the 3.5-parameter load PMF models.
+    law is what the 3.5-parameter load PMF models.  When the core disk
+    holds fewer than ``n_cells`` users, its area is doubled and the window
+    drawn again from the same stream, so the histogram always sums to
+    ``n_cells``.
     """
     from scipy.spatial import cKDTree
 
@@ -749,13 +754,17 @@ def voronoi_load_histogram(
     rng = _stream(seed, 0)
     margin = 4.0 / math.sqrt(math.pi * lam)
     r_core = math.sqrt(n_cells / (mu_j * math.pi)) * 1.05
-    radius = r_core + margin
-    aps = sample_ppp(lam, radius, rng)
-    users = sample_ppp(mu_j, radius, rng)
+    while True:
+        radius = r_core + margin
+        aps = sample_ppp(lam, radius, rng)
+        users = sample_ppp(mu_j, radius, rng)
+        interior = np.hypot(users[:, 0], users[:, 1]) <= r_core
+        if interior.sum() >= n_cells:
+            break
+        r_core *= math.sqrt(2.0)
     tree = cKDTree(aps)
     _, owner = tree.query(users, k=1)
     loads = np.bincount(owner, minlength=len(aps))
-    interior = np.hypot(users[:, 0], users[:, 1]) <= r_core
     m_values = loads[owner[interior]] - 1
     m_values = m_values[:n_cells]
     return np.bincount(m_values)
@@ -984,23 +993,21 @@ def simulate_max_inst_sir(
 # ---------------------------------------------------------------------------
 
 
-def _rea_block(
-    cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int, cancel_mode: str
-):
+def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
     """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
-    return (signal, i_total, i_res, lo2, serving, draws, kept): the serving
-    AP's mean received power (its fading is never drawn), the faded
-    near-field interference before and after the cancellation, the squared
-    radii beyond which each tier's far field is left out, the serving
-    distances, and the rejection sampler's draws and REA hits.
+    return (serving, interference, lo2, draws, kept): the serving
+    distances; the faded near-field interference, (3, trials), without
+    cancellation, less the AP of highest unbiased mean power and less every
+    AP whose unbiased mean power exceeds the serving AP's; the squared radii
+    beyond which each tier's far field is left out, (2, trials, tiers); and
+    the rejection sampler's draws and REA hits.
 
     Tier i's field beyond its nearest AP x_i is sampled out to the near
-    window of x_i (:func:`_near_window2`).  ``lo2`` is (modes, trials,
-    tiers): row 0 holds those windows, which bound the uncancelled far
-    field; in annulus mode row 1 holds the larger of the window and the
-    exclusion radius c_i, beyond which the cancelled far field starts.
-    The strongest mode cancels a nearest AP, never a far one, so it returns
-    row 0 alone."""
+    window of x_i (:func:`_near_window2`).  Row 0 of ``lo2`` holds those
+    windows, which bound the far field of the first two interference rows:
+    the strongest AP is a nearest AP, never a far one.  Row 1 holds the
+    larger of the window and the exclusion radius c_i, beyond which the far
+    field of the annulus-cleared row starts."""
     e2 = 2.0 / cfg.alpha
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
@@ -1030,13 +1037,12 @@ def _rea_block(
 
     # interference per tier: the nearest AP (interferer for i != k) plus
     # the conditional PPP beyond the nearest, out to the near window
-    annulus = cancel_mode == "annulus"
     x2 = dist**2
     # unbiased exclusion radii, P_i r^-a > P_k x_k^-a inside c_i (c_k = x_k)
     c2 = (p_dl / p_dl[k]) ** e2 * x2[:, k:k + 1]
     lo2 = _near_window2(lam, x2)
     i_total = np.zeros(size)
-    removed = np.zeros(size)          # annulus mode: all unbiased-stronger APs
+    removed = np.zeros(size)          # every unbiased-stronger AP
     strongest_unbiased = np.full(size, -math.inf)
     x_strong = np.zeros(size)
     for i in range(n_tiers):
@@ -1046,24 +1052,20 @@ def _rea_block(
         )
         powers *= p_dl[i]
         i_total += powers.sum(axis=1)
-        if annulus and i != k:
-            removed += np.where(r2 < c2[:, i, None], powers, 0.0).sum(axis=1)
         if i != k:
+            removed += np.where(r2 < c2[:, i, None], powers, 0.0).sum(axis=1)
             h_near = rng.exponential(size=size)
             contrib = p_dl[i] * h_near * x_i**-cfg.alpha
             i_total += contrib
-            if annulus:
-                removed += np.where(x2[:, i] < c2[:, i], contrib, 0.0)
+            removed += np.where(x2[:, i] < c2[:, i], contrib, 0.0)
             mean_power = p_dl[i] * x_i**-cfg.alpha
             better = mean_power > strongest_unbiased
             strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
             x_strong = np.where(better, contrib, x_strong)
-    signal = p_dl[k] * dist[:, k] ** -cfg.alpha
-    if annulus:
-        i_res, lo2 = i_total - removed, np.stack((lo2, np.maximum(lo2, c2)))
-    else:
-        i_res, lo2 = i_total - x_strong, lo2[None]
-    return signal, i_total, i_res, lo2, dist[:, k], total_draws, n_kept
+    # residuals clipped at 0 against rounding
+    interference = np.maximum(np.stack((i_total, i_total - x_strong, i_total - removed)), 0.0)
+    lo2 = np.stack((lo2, np.maximum(lo2, c2)))
+    return dist[:, k], interference, lo2, total_draws, n_kept
 
 
 def simulate_rea(
@@ -1075,27 +1077,28 @@ def simulate_rea(
     threads: int = 1,
     cancel_mode: str = "strongest",
 ) -> ReaResult:
-    """DL success for users in tier k's range-expanded area, with and
-    without interference cancellation (paired on the same trials).
+    """DL success for users in tier k's range-expanded area, without
+    cancellation and with each of two cancellations, all three on the same
+    trials.
 
     Trials are rejection-sampled on the per-tier nearest distances until
     the user lands in the REA: the biased winner is tier k while the
     unbiased winner is some other tier.  ``trials`` counts kept REA trials.
-    Each trial contributes its success probabilities over the serving
-    fading, exp(-eta I / S - far) and exp(-eta I_res / S - far_res), where
-    I and I_res are the near-field interference of :func:`_rea_block` and
-    far, far_res the exact factors (:func:`_far_field`) of every tier's
-    field beyond the near window, at s = eta P_i / S.  No decision reads
-    the far field, so the estimates carry no window-truncation bias.
-
-    ``cancel_mode`` selects what the single cancellation removes:
+    Each trial contributes its success probability over the serving fading,
+    exp(-eta I / S - far), for each interference row I of
+    :func:`_rea_block`, far the exact factor (:func:`_far_field`) of every
+    tier's field beyond that row's lower radius, at s = eta P_i / S.  No
+    decision reads the far field, so the estimates carry no
+    window-truncation bias.  The two cancellations are:
       strongest -- the one AP with the highest unbiased mean power (the
                    physical one-cancellation receiver); it is a nearest AP,
-                   so far_res = far;
+                   so the far field is the uncancelled one;
       annulus   -- every AP whose unbiased mean power exceeds the serving
                    AP's (the event the closed form models; it clears the
                    whole exclusion annulus, not just its strongest member),
-                   so far_res starts beyond the exclusion radius too.
+                   so the far field starts beyond the exclusion radius too.
+    ``annulus`` always holds the second; ``cancel_mode`` names the one
+    that ``cancelled`` reports.
     """
     cfg.check_tier(k)
     if cancel_mode not in ("strongest", "annulus"):
@@ -1107,21 +1110,19 @@ def simulate_rea(
     p_dl = np.array([t.p_dl for t in cfg.tiers])
 
     def block(rng: np.random.Generator, size: int):
-        signal, i_total, i_res, lo2, serving, draws, kept = _rea_block(
-            cfg, k, rng, size, cancel_mode
-        )
-        ratio = np.stack((i_total, np.maximum(i_res, 0.0))) / signal
+        serving, interference, lo2, draws, kept = _rea_block(cfg, k, rng, size)
+        signal = p_dl[k] * serving**-cfg.alpha
         s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
-        # eta x (uncancelled, cancelled) x trial; one far row serves both
-        # in strongest mode
-        x = np.multiply.outer(etas, ratio) + _far_field(lam, lo2, s, cfg.alpha).sum(axis=-1)
-        return _moments(np.exp(-x), 2), [serving], draws, kept
+        far = _far_field(lam, lo2, s, cfg.alpha).sum(axis=-1)
+        # eta x (uncancelled, strongest, annulus) x trial
+        x = np.multiply.outer(etas, interference / signal) + far[:, [0, 0, 1]]
+        return _moments(np.exp(-x), 2), draws, kept
 
-    sums, serving, draws, kept = _run_blocks(trials, seed, block, threads)
-    unc, can = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(2))
+    sums, draws, kept = _run_blocks(trials, seed, block, threads)
+    unc, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(3))
     return ReaResult(
         uncancelled=unc,
-        cancelled=can,
+        cancelled=annulus if cancel_mode == "annulus" else strongest,
+        annulus=annulus,
         rea_fraction=kept / max(draws, 1),
-        serving_distances=np.concatenate(serving),
     )

@@ -8,9 +8,9 @@ The figure gates (fig2..fig6) read what the presets publish: each runs
 :func:`~sicnet.experiments.run_preset` at the gate's seed and budget and
 checks the rows' closed-form and Monte Carlo columns.  Every scenario
 (grid, window, seeds, default budget) is therefore defined once, in
-``experiments``; a gate runs a simulator itself only for an oracle that no
-preset runs (the independent-stage chain of fig3 and the annulus-clearing
-REA of fig6).  Budgets below the presets' floor of 1000 trials are refused.
+``experiments``.  Only the fig3 gate runs a simulator itself, for the one
+oracle that no preset runs: the independent-stage chain.  Budgets below
+the presets' floor of 1000 trials are refused.
 
 A gate over a grid of points reads its columns once as arrays
 (:func:`_columns`) and is reduced by one evaluator, :func:`_worst`: it takes
@@ -41,9 +41,9 @@ tolerance:
   * load: ``load_pmf`` is the user-anchored NB(4.5, 3.5/(3.5 + mu_j/lam))
     law with mean (9/7) mu_j/lam;
   * fig6: the cancelled ``ps_ic_rea`` clears the whole unbiased-exclusion
-    annulus; it is gated two-sided against an annulus-clearing simulation
-    on the preset's draws and one-sided against the preset's one-
-    cancellation simulation, which sits up to 0.03 below it.
+    annulus; it is gated two-sided against the preset's annulus-clearing
+    column and one-sided against its one-cancellation column, which sits
+    up to 0.03 below it, both on the same draws.
 """
 
 from __future__ import annotations
@@ -59,14 +59,8 @@ from .errors import DomainError
 from .model import db_to_linear
 from .numerics import QuadratureSettings, _c_betainc, c_integral, c_integral_quadrature
 from .analytic import kurtosis_after_cancellation, load_pmf_table
-from .experiments import DENSITY_MACRO, default_spec, fig6_runs, run_preset
-from .montecarlo import (
-    BLOCK_TRIALS,
-    ps_can_curve_mc,
-    ps_sic_curve_mc,
-    simulate_rea,
-    voronoi_load_histogram,
-)
+from .experiments import DENSITY_MACRO, FIG6_BIASES, default_spec, run_preset
+from .montecarlo import BLOCK_TRIALS, ps_can_curve_mc, ps_sic_curve_mc, voronoi_load_histogram
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "format_report"]
 
@@ -429,23 +423,14 @@ def check_fig5(trials=None, seed=606, threads=1) -> list[CheckResult]:
 
 def check_fig6(trials=None, seed=707, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
-    rows, trials = _preset("fig6", trials, seed, threads)
-    runs = fig6_runs(seed)
+    rows, _ = _preset("fig6", trials, seed, threads)
     # bias by eta grids; each bias is compared with the next larger one
-    eta, unc, unc_se, can, can_se, closed_unc, closed_can = _columns(
-        rows, "eta_lin", "mc_rea_mean", "mc_rea_stderr", "mc_rea_sic_mean", "mc_rea_sic_stderr",
-        "ps_rea_analytic", "ps_rea_sic_analytic", n_outer=len(runs),
+    unc, unc_se, can, can_se, annulus, annulus_se, closed_unc, closed_can = _columns(
+        rows, "mc_rea_mean", "mc_rea_stderr", "mc_rea_sic_mean", "mc_rea_sic_stderr",
+        "mc_rea_annulus_mean", "mc_rea_annulus_stderr", "ps_rea_analytic", "ps_rea_sic_analytic",
+        n_outer=len(FIG6_BIASES),
     )
     where = _labels(rows, "b={bias:g}, eta={eta_db:g} dB")
-    # the annulus-clearing oracle on the preset's own draws, bias by bias
-    annulus, annulus_se = _mean_stderr(
-        [
-            simulate_rea(
-                cfg, 1, eta[0], trials, b_seed, threads=threads, cancel_mode="annulus"
-            ).cancelled
-            for _, cfg, b_seed in runs
-        ]
-    )
 
     def three_stderr(name, gap, se):
         labels = [f"{w}: gap {g:.4f}" for w, g in zip(where, gap.flat)]

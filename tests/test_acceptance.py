@@ -4,8 +4,8 @@ Each test prints one line per sub-check (PASS/FAIL with the measured value
 against its tolerance) and asserts that every sub-check holds.  Criteria
 2, 3, 5, 6 and 7 read the rows of the fig2..fig6 presets, run at the
 criterion's seed and budget, so they check exactly what the presets
-publish; criterion 3's independent-stage chain and criterion 7's
-annulus-clearing simulation are oracles that no preset runs.  Every
+publish; criterion 3's independent-stage chain is the one oracle that no
+preset runs, so its gate simulates it.  Every
 closed form is checked against an oracle of the event it documents; where
 that event approximates the physical one, the model error is gated in its
 documented direction and printed:
@@ -24,10 +24,10 @@ documented direction and printed:
   * criterion 4: the load PMF is the size-biased (user-anchored) cell law
     NB(4.5, 3.5/(3.5 + mu_j/lambda)), whose mean is (9/7) mu_j/lambda;
   * criterion 7: the cancelled REA closed form clears every AP in the
-    unbiased-exclusion annulus; it is gated at 3 stderr against an
-    annulus-clearing simulation on the full grid, while a one-cancellation
-    simulation on the same draws must lie at or below it (+3 stderr), up
-    to ~0.03 below at b = 10 and low thresholds.
+    unbiased-exclusion annulus; it is gated at 3 stderr against the fig6
+    preset's annulus-clearing column on the full grid, while its
+    one-cancellation column, on the same draws, must lie at or below it
+    (+3 stderr), up to ~0.03 below at b = 10 and low thresholds.
 """
 
 import pytest

@@ -6,9 +6,11 @@ import json
 import pytest
 
 from sicnet.errors import DomainError
-from sicnet.model import config_from_dict
+from sicnet.model import config_from_dict, db_to_linear
+from sicnet.montecarlo import simulate_rea
 from sicnet.experiments import (
     FIG6_BIASES,
+    FIG6_ETA_DB,
     PRESETS,
     SweepResult,
     SweepSpec,
@@ -16,6 +18,7 @@ from sicnet.experiments import (
     emit_csv,
     emit_plot_script,
     run_preset,
+    two_tier_config,
     write_run_directory,
 )
 
@@ -54,6 +57,25 @@ class TestCustomPreset:
         spec = default_spec("custom", grid=({"formula": "nonsense"},))
         with pytest.raises(DomainError):
             run_preset(spec)
+
+
+class TestFig6Preset:
+    def test_annulus_columns_are_the_annulus_runs(self):
+        # bias number i draws from seed + i; the annulus columns are what an
+        # annulus-mode run reports as cancelled, on the preset's own draws
+        trials, seed = 1000, 7
+        result = run_preset(default_spec("fig6", trials=trials, seed=seed))
+        columns = result.columns
+        assert columns.index("mc_rea_annulus_stderr") == columns.index("runtime_ms") - 1
+        etas = [db_to_linear(d) for d in FIG6_ETA_DB]
+        for i, b in enumerate(FIG6_BIASES):
+            res = simulate_rea(
+                two_tier_config(bias2=b), 1, etas, trials, seed + i, cancel_mode="annulus"
+            )
+            rows = [r for r in result.rows if r["bias"] == b]
+            assert [(r["mc_rea_annulus_mean"], r["mc_rea_annulus_stderr"]) for r in rows] == [
+                (e.mean, e.stderr) for e in res.cancelled
+            ]
 
 
 class TestCsv:

@@ -758,21 +758,20 @@ class TestFarField:
         # a larger budget never loses a success, not even to rounding
         assert np.all(np.diff(success, axis=1) >= 0.0)
 
-    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
     @pytest.mark.parametrize("near_points", [0.25, 50.0])
-    def test_rea_window_invariance(self, monkeypatch, cancel_mode, near_points):
+    def test_rea_window_invariance(self, monkeypatch, near_points):
         # a near window of 1/4 expected point leaves almost all of the
-        # interference, and in annulus mode the exclusion radius, to the
-        # factor; twice the window (in expected points) leaves less
+        # interference, and for the annulus estimate the exclusion radius,
+        # to the factor; twice the window (in expected points) leaves less
         from sicnet import montecarlo
 
         etas, size, seed = [0.1, 1.0, 4.0], 20_000, 37
         for cfg in (two_tier(bias2=5.0), _dense_macro()):
-            base = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            base = simulate_rea(cfg, 1, etas, size, seed)
             monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
-            other = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            other = simulate_rea(cfg, 1, etas, size, seed)
             monkeypatch.undo()
-            for est in ("uncancelled", "cancelled"):
+            for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
 
     @pytest.mark.parametrize("near_points", [0.25, 50.0])
@@ -810,8 +809,7 @@ class TestFarField:
             stats = _independent_stage_block(_stream(73, 0), 2000, LAM, MU, 3, 4.0)
             miss, cancel = _independent_stage_probs(*stats, 1.0, MU, 4.0)
             ps_sic_curve_mc(LAM, MU, 4.0, [0.1, 10.0], 3, 2000, 73, independent_stages=True)
-            for mode in ("strongest", "annulus"):
-                simulate_rea(two_tier(bias2=5.0), 1, [0.1, 10.0], 2000, 73, cancel_mode=mode)
+            simulate_rea(two_tier(bias2=5.0), 1, [0.1, 10.0], 2000, 73)
         s = stats[0]
         assert (s[:, 1:] == 0.0).any()
         assert np.all(miss[s == 0.0] == 1.0)
@@ -872,6 +870,14 @@ class TestVoronoiLoads:
         r = np.zeros(width)
         r[: len(ref)] = ref
         assert 0.5 * float(np.abs(e - r).sum()) <= 0.05
+
+    def test_histogram_holds_every_cell(self):
+        # a core disk with too few users is enlarged and drawn again from the
+        # same stream; a draw that already held n_cells users is unchanged
+        assert all(voronoi_load_histogram(1e-4, 5e-4, 5, s).sum() == 5 for s in range(200))
+        assert voronoi_load_histogram(1e-4, 5e-4, 200, seed=14).sum() == 200
+        hist = voronoi_load_histogram(1e-4, 5e-4, 200, seed=0)
+        assert hist.tolist() == [3, 15, 6, 27, 15, 4, 22, 7, 14, 33, 19, 10, 8, 17]
 
 
 def _mu_eq(tiers, alpha):
@@ -1498,8 +1504,9 @@ class TestRea:
     def test_serving_distance_law(self):
         # empirical REA serving distances against the closed-form density
         cfg = two_tier(bias2=5.0)
-        res = simulate_rea(cfg, 1, [1.0], 100_000, seed=97)
-        samples = np.sort(res.serving_distances)
+        # the serving distances of simulate_rea(cfg, 1, ..., 100_000, seed=97)
+        serving = _run_blocks(100_000, 97, lambda rng, size: [_rea_block(cfg, 1, rng, size)[0]])
+        samples = np.sort(np.concatenate(serving))
         grid = np.linspace(5.0, 160.0, 60)
         emp = np.searchsorted(samples, grid) / len(samples)
         cdf = np.array(
@@ -1511,14 +1518,16 @@ class TestRea:
         assert float(np.max(np.abs(emp - cdf))) <= 0.02
 
     def test_modes_share_their_draws(self):
-        # the modes differ only in the residual subtracted at the end
+        # one pass computes every estimate; the mode only picks the one
+        # that ``cancelled`` reports
         cfg, etas = two_tier(bias2=5.0), [0.3, 1.0, 3.0]
         strongest, annulus = (
             simulate_rea(cfg, 1, etas, 5000, seed=91, cancel_mode=mode)
             for mode in ("strongest", "annulus")
         )
+        assert annulus.cancelled == strongest.annulus == annulus.annulus
+        assert strongest.cancelled != strongest.annulus
         assert strongest.uncancelled == annulus.uncancelled
-        assert np.array_equal(strongest.serving_distances, annulus.serving_distances)
         assert strongest.rea_fraction == annulus.rea_fraction
 
     def test_invalid_cancel_mode(self):
@@ -1660,33 +1669,30 @@ class TestConditionalEstimators:
             assert est.mean == pytest.approx(want, rel=1e-12)
         _same_draws(cond, ind, f"max-SIR independent={independent}")
 
-    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
-    def test_rea(self, cancel_mode):
+    def test_rea(self):
         # the near fields, 0/1 with the serving fading drawn, against their
         # conditional probabilities; simulate_rea multiplies each by the
         # tiers' far-field factors
         cfg, etas, size, seed = two_tier(bias2=5.0), np.array([0.5, 1.0, 2.0]), 4000, 17
-        signal, i_total, i_res, lo2, *_ = _rea_block(
-            cfg, 1, _stream(seed, 0), size, cancel_mode
-        )
-        interference = np.stack((i_total, np.maximum(i_res, 0.0)))
+        serving, interference, lo2, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
+        signal = cfg.tiers[1].p_dl * serving**-4.0
         cond = np.exp(-np.multiply.outer(etas, interference / signal))
         far = np.ones_like(cond)
         for i, tier in enumerate(cfg.tiers):
             s = np.multiply.outer(etas, tier.p_dl / signal)
-            for c in range(2):  # strongest mode: one lower limit for both
-                lo2_c = lo2[min(c, len(lo2) - 1), :, i]
+            # the uncancelled and strongest rows share the windows' far field
+            for c, lo2_c in enumerate(lo2[[0, 0, 1], :, i]):
                 far[:, c] *= np.exp(-_far_field(tier.lam, lo2_c, s, 4.0))
-        res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+        res = simulate_rea(cfg, 1, etas, size, seed)
         for e_idx in range(len(etas)):
-            for c, est in enumerate((res.uncancelled[e_idx], res.cancelled[e_idx])):
+            ests = (res.uncancelled[e_idx], res.cancelled[e_idx], res.annulus[e_idx])
+            for c, est in enumerate(ests):
                 got = (cond[e_idx, c] * far[e_idx, c]).sum() / size
                 assert est.mean == pytest.approx(got, rel=1e-12)
         h = np.random.default_rng(18).exponential(size=size)
         ind = h * signal >= np.multiply.outer(etas, interference)
         _same_draws(
-            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float),
-            f"REA {cancel_mode}",
+            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float), "REA"
         )
 
     def test_min_load(self):

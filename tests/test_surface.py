@@ -1,9 +1,14 @@
 """The library's surface: what ``src/sicnet`` defines, the library or the
-benchmark uses, and the oracles that only the tests call live in
-``tests/oracles.py``."""
+benchmark uses, the oracles that only the tests call live in
+``tests/oracles.py``, and the simulator signatures that the benchmark's
+tracer binds."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
+
+from sicnet import montecarlo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +84,21 @@ def test_library_defines_only_what_library_or_bench_uses():
     assert imported
     assert not {m for m in imported if "analytic" in m.split(".")}
     assert not {"_reached", "_chain_exponent"} & _referenced(oracles)
+
+
+def test_traced_simulators_bind_their_library_signature():
+    # the tracer binds each simulator's arguments by signature, counts its
+    # trials and names its variant from them; a dropped or renamed parameter
+    # would otherwise show only in a traced bench run
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SIMULATORS
+    for name, variant_of in tracing.SIMULATORS.items():
+        sig = inspect.signature(getattr(montecarlo, name))
+        bound = sig.bind(
+            **{p.name: None for p in sig.parameters.values() if p.default is p.empty}
+        )
+        bound.apply_defaults()
+        assert "trials" in bound.arguments, name
+        assert name + variant_of(bound.arguments) in tracing.SIM_VARIANTS, name
