@@ -758,8 +758,9 @@ class TestFarField:
         # a larger budget never loses a success, not even to rounding
         assert np.all(np.diff(success, axis=1) >= 0.0)
 
+    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
     @pytest.mark.parametrize("near_points", [0.25, 50.0])
-    def test_rea_window_invariance(self, monkeypatch, near_points):
+    def test_rea_window_invariance(self, monkeypatch, cancel_mode, near_points):
         # a near window of 1/4 expected point leaves almost all of the
         # interference, and for the annulus estimate the exclusion radius,
         # to the factor; twice the window (in expected points) leaves less
@@ -767,9 +768,9 @@ class TestFarField:
 
         etas, size, seed = [0.1, 1.0, 4.0], 20_000, 37
         for cfg in (two_tier(bias2=5.0), _dense_macro()):
-            base = simulate_rea(cfg, 1, etas, size, seed)
+            base = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
             monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
-            other = simulate_rea(cfg, 1, etas, size, seed)
+            other = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
             monkeypatch.undo()
             for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
@@ -1669,10 +1670,12 @@ class TestConditionalEstimators:
             assert est.mean == pytest.approx(want, rel=1e-12)
         _same_draws(cond, ind, f"max-SIR independent={independent}")
 
-    def test_rea(self):
+    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
+    def test_rea(self, cancel_mode):
         # the near fields, 0/1 with the serving fading drawn, against their
         # conditional probabilities; simulate_rea multiplies each by the
-        # tiers' far-field factors
+        # tiers' far-field factors, and ``cancelled`` reports the row of
+        # the cancellation that cancel_mode names
         cfg, etas, size, seed = two_tier(bias2=5.0), np.array([0.5, 1.0, 2.0]), 4000, 17
         serving, interference, lo2, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
         signal = cfg.tiers[1].p_dl * serving**-4.0
@@ -1683,16 +1686,18 @@ class TestConditionalEstimators:
             # the uncancelled and strongest rows share the windows' far field
             for c, lo2_c in enumerate(lo2[[0, 0, 1], :, i]):
                 far[:, c] *= np.exp(-_far_field(tier.lam, lo2_c, s, 4.0))
-        res = simulate_rea(cfg, 1, etas, size, seed)
+        res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+        rows = {"uncancelled": 0, "cancelled": 1 if cancel_mode == "strongest" else 2, "annulus": 2}
         for e_idx in range(len(etas)):
-            ests = (res.uncancelled[e_idx], res.cancelled[e_idx], res.annulus[e_idx])
-            for c, est in enumerate(ests):
+            for name, c in rows.items():
+                est = getattr(res, name)[e_idx]
                 got = (cond[e_idx, c] * far[e_idx, c]).sum() / size
                 assert est.mean == pytest.approx(got, rel=1e-12)
         h = np.random.default_rng(18).exponential(size=size)
         ind = h * signal >= np.multiply.outer(etas, interference)
         _same_draws(
-            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float), "REA"
+            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float),
+            f"REA {cancel_mode}",
         )
 
     def test_min_load(self):
