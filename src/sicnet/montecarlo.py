@@ -35,7 +35,13 @@ max-SIR runs at the same radius for the user density mu (about 400
 expected users), ``simulate_min_load`` at its connectivity range plus a
 margin.  The shared-field max-SIR runs draw a whole block's user counts at
 once, after its candidate APs, then each trial's users of every tier in
-one draw (:func:`_max_sir_block`).
+one draw (:func:`_max_sir_block`).  The sampled annulus and disk fields
+(:func:`_radial_chunks`) come in row chunks of a fixed point budget, and
+``ps_can_curve_mc`` reduces each chunk before the next is drawn, so its
+doubled window never holds a block-sized field.  The chunks' values are
+those of one block-sized draw: a copy of the generator serves the
+uniforms while the generator itself skips past them to the fading marks,
+two cursors on one stream.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -62,6 +68,7 @@ outcomes.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -120,8 +127,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 def window_radius(mu_j: float) -> float:
     """Default simulation window: 20 / sqrt(pi mu_j)."""
-    if mu_j <= 0.0:
-        raise DomainError(f"mu_j must be > 0, got {mu_j}")
+    _require_positive("mu_j", mu_j)
     return 20.0 / math.sqrt(math.pi * mu_j)
 
 
@@ -223,10 +229,9 @@ class ReaResult:
 
 def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous PPP in a disk: Poisson count, uniform positions."""
-    if density < 0.0:
-        raise DomainError(f"density must be >= 0, got {density}")
-    if radius <= 0.0:
-        raise DomainError(f"radius must be > 0, got {radius}")
+    if not (math.isfinite(density) and density >= 0.0):
+        raise DomainError(f"density must be finite and >= 0, got {density}")
+    _require_positive("radius", radius)
     n = rng.poisson(density * math.pi * radius * radius)
     r = radius * np.sqrt(1.0 - rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
@@ -241,7 +246,21 @@ def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _radial_field(
+# A field block is drawn in row chunks of at most this many points (one row
+# where a row is longer), so that no caller holds a block-sized field.
+_CHUNK_POINTS = 1 << 18
+
+# The memory cap: a field row of more points than this, 32 MiB for each of a
+# chunk's float arrays, raises DomainError before any row is drawn.
+_MAX_ROW_POINTS = 1 << 22
+
+
+def _rows(x, part: slice):
+    """Rows ``part`` of a per-row term as a column, or a scalar as it is."""
+    return x[part, None] if np.ndim(x) else x
+
+
+def _radial_chunks(
     rng: np.random.Generator,
     size: int,
     density: float,
@@ -254,27 +273,59 @@ def _radial_field(
     r_in < r <= r_out: a Poisson count per row, squared radii uniform on
     (r_in^2, r_out^2] and a unit-mean exponential fading mark per point.
     ``r_in`` and ``r_out`` are scalars or one radius per row; a row whose
-    r_in exceeds r_out is empty.  Return (powers, r2, counts) in draw order,
-    not sorted: each row is padded past its count, to at least ``min_cols``
-    columns, with r2 = inf and zero power.  Callers that need the nearest
-    or strongest points pick them with :func:`_top_m`."""
+    r_in exceeds r_out is empty.  Yield (powers, r2, counts) for
+    consecutive row chunks of at most ``_CHUNK_POINTS`` points, in draw
+    order, not sorted: every row is padded past its count, to the block's
+    longest row and at least ``min_cols`` columns, with r2 = inf and zero
+    power.  Callers that need the nearest or strongest points pick them
+    with :func:`_top_m`.  A row longer than ``_MAX_ROW_POINTS`` raises
+    :class:`DomainError` once the counts are drawn, before any row is.
+
+    The chunks hold exactly the values of one block-sized draw: the block's
+    counts first, then all of its uniforms, then all of its fading marks.
+    Two cursors on the one stream make that so.  When the block spans
+    several chunks, a copy of ``rng`` serves the uniforms chunk by chunk,
+    while ``rng`` skips past them (SFC64 spends one raw output per double)
+    and draws the marks, so it ends where the block-sized draw would.  Use
+    every chunk before ``rng`` draws again."""
     # two products, so that r_in = 0 reproduces the disk mean bit for bit
     mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
-    span = r_out * r_out - r_in * r_in
+    r_in2 = r_in * r_in
+    span = r_out * r_out - r_in2
     if isinstance(span, np.ndarray):
-        mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None]
-        r_in = np.reshape(r_in, (-1, 1))
+        mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
-    # in place, the same operations as r_in^2 + span * (1 - u)
-    r2 = rng.random((size, pmax))
-    np.subtract(1.0, r2, out=r2)
-    r2 *= span
-    r2 += r_in * r_in
-    np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= counts[:, None])
-    powers = rng.standard_exponential((size, pmax))
-    powers *= r2 ** (-0.5 * alpha)
-    return powers, r2, counts
+    if pmax > _MAX_ROW_POINTS:
+        raise DomainError(
+            f"a field row of {pmax} points exceeds the cap of {_MAX_ROW_POINTS}"
+        )
+    rows = max(_CHUNK_POINTS // pmax, 1)
+    uniforms = rng
+    if rows < size:
+        uniforms = copy.deepcopy(rng)
+        rng.bit_generator.random_raw(size * pmax, output=False)
+    for lo in range(0, size, rows):
+        part = slice(lo, lo + rows)
+        n = counts[part]
+        # in place, the same operations as r_in^2 + span * (1 - u)
+        r2 = uniforms.random((len(n), pmax))
+        np.subtract(1.0, r2, out=r2)
+        r2 *= _rows(span, part)
+        r2 += _rows(r_in2, part)
+        np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= n[:, None])
+        powers = rng.standard_exponential((len(n), pmax))
+        powers *= r2 ** (-0.5 * alpha)
+        yield powers, r2, n
+
+
+def _radial_field(*args):
+    """The whole block of :func:`_radial_chunks`, called with the same
+    arguments, as one (powers, r2, counts): its one chunk where the block
+    fits in one, else its chunks joined, the values of one block-sized
+    draw either way."""
+    chunks = list(_radial_chunks(*args))
+    return chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
 
 
 # Expected points of a near field beyond its inner radius, where the far
@@ -598,22 +649,22 @@ def ps_can_curve_mc(
     _require_positive("radius", radius)
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, n_orders, alpha)
-        total = powers.sum(axis=1)
-        enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
         # (direct per ordering, distance-ordered chain survivors) x eta x n
         wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
-        for o_idx, ordering in enumerate(ORDERINGS):
-            # _top_m retires its picks in r2, and then the fading order's key,
-            # -powers, overwrites it, so that no third field-sized array is held
-            key = r2 if ordering == "distance_only" else np.negative(powers, out=r2)
-            top = _top_m(powers, key, n_orders)
-            residual = total[:, None] - np.cumsum(top, axis=1)
-            for e_idx, eta in enumerate(etas):
-                ok = (top >= eta * residual) & enough
-                wins[o_idx, e_idx] = ok.sum(axis=0)
-                if ordering == "distance_only":
-                    wins[-1, e_idx] = np.logical_and.accumulate(ok, axis=1).sum(axis=0)
+        for powers, r2, counts in _radial_chunks(rng, size, mu_j, 0.0, radius, n_orders, alpha):
+            total = powers.sum(axis=1)
+            enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
+            for o_idx, ordering in enumerate(ORDERINGS):
+                # _top_m retires its picks in r2, and then the fading order's
+                # key, -powers, overwrites it, so no third chunk-sized array
+                key = r2 if ordering == "distance_only" else np.negative(powers, out=r2)
+                top = _top_m(powers, key, n_orders)
+                residual = total[:, None] - np.cumsum(top, axis=1)
+                for e_idx, eta in enumerate(etas):
+                    ok = (top >= eta * residual) & enough
+                    wins[o_idx, e_idx] += ok.sum(axis=0)
+                    if ordering == "distance_only":
+                        wins[-1, e_idx] += np.logical_and.accumulate(ok, axis=1).sum(axis=0)
         return wins
 
     dist, fade, survivors = (

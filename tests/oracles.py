@@ -12,6 +12,9 @@ kernel with them:
   faded power.
 - ``_chain_levels`` is the same-draw 0/1 oracle of
   ``sicnet.montecarlo._chain_exponent``, with its own ``_first_level``.
+- ``radial_field_oracle`` draws a block of faded annulus fields in one
+  block-sized draw of each kind, the values that the library's row-chunked
+  ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw.
 - ``nth_interferer_distance_pdf`` and ``rea_distance_pdf`` are the
   distance laws behind the closed forms, checked by quadrature.
 
@@ -189,6 +192,31 @@ def _chain_levels(soi, total, top, cum, eta: float, n_max: int) -> np.ndarray:
     residual = total[:, None] - cum[:, :n_max]
     decoded = np.column_stack((soi >= eta * total, soi[:, None] >= eta * residual))
     return _first_level(decoded, top[:, :n_max] >= eta * residual)
+
+
+def radial_field_oracle(rng, size, density, r_in, r_out, min_cols, alpha):
+    """``size`` faded PPP fields on the annulus r_in < r <= r_out, as
+    (powers, r2, counts) in draw order, each row padded past its count to
+    at least ``min_cols`` columns with r2 = inf and zero power.  One
+    block-sized draw of each kind, in this order: the Poisson counts, the
+    uniforms behind r2, the fading marks."""
+    # two products, so that r_in = 0 reproduces the disk mean bit for bit
+    mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
+    span = r_out * r_out - r_in * r_in
+    if isinstance(span, np.ndarray):
+        mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None]
+        r_in = np.reshape(r_in, (-1, 1))
+    counts = rng.poisson(mean, size)
+    pmax = max(int(counts.max(initial=0)), min_cols, 1)
+    # in place, the same operations as r_in^2 + span * (1 - u)
+    r2 = rng.random((size, pmax))
+    np.subtract(1.0, r2, out=r2)
+    r2 *= span
+    r2 += r_in * r_in
+    np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= counts[:, None])
+    powers = rng.standard_exponential((size, pmax))
+    powers *= r2 ** (-0.5 * alpha)
+    return powers, r2, counts
 
 
 # ---------------------------------------------------------------------------

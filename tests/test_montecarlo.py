@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from sicnet.model import (
     SicConfig,
     TierParams,
     association_prob_max_power,
+    db_to_linear,
 )
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
 from sicnet.numerics import c_integral
+from sicnet.experiments import DENSITY_MACRO, FIG2_ETA_DB, FIG2_ORDERS
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
+    _CHUNK_POINTS,
+    _MAX_ROW_POINTS,
     _NEAREST_USERS,
     _chain_exponent,
     _estimates,
@@ -32,6 +37,7 @@ from sicnet.montecarlo import (
     _moments,
     _nearest_chain_success,
     _nearest_users,
+    _radial_chunks,
     _radial_field,
     _rea_block,
     _reached,
@@ -59,6 +65,7 @@ from oracles import (
     _chain_levels,
     _first_level,
     _ordered_powers,
+    radial_field_oracle,
     rea_distance_pdf,
     run_sic_trial,
     sample_scene,
@@ -117,6 +124,13 @@ def _sampled_chain(etas, n_max, trials, seed):
     return _estimates(_run_blocks(trials, seed, block), trials, seed)
 
 
+def _same_state(a, b):
+    """Generators ``a`` and ``b`` (SFC64) stand at the same stream position."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return np.array_equal(sa["state"]["state"], sb["state"]["state"]) and (
+        sa["has_uint32"], sa["uinteger"]) == (sb["has_uint32"], sb["uinteger"])
+
+
 class TestStreams:
     def test_stream_is_sfc64_of_spawned_seed_sequence(self):
         for seed in (0, 909, 2**63):
@@ -128,6 +142,15 @@ class TestStreams:
                 assert isinstance(got.bit_generator, np.random.SFC64)
                 assert np.array_equal(got.random(32), ref.random(32))
                 assert np.array_equal(got.exponential(size=32), ref.exponential(size=32))
+
+    def test_sfc64_double_spends_one_raw_output(self):
+        # _radial_chunks skips a block's uniforms with random_raw: SFC64's
+        # random() takes the top 53 bits of exactly one 64-bit output
+        a, b = _stream(89, 0), _stream(89, 0)
+        raw = b.bit_generator.random_raw(1000)
+        assert np.array_equal(a.random(1000), (raw >> np.uint64(11)) * 2.0**-53)
+        assert _same_state(a, b)
+        assert a.standard_exponential() == b.standard_exponential()
 
     def test_streams_differ(self):
         reserved = [_SERVING_STREAM]
@@ -207,6 +230,8 @@ class TestBlockDriver:
         [
             lambda: ps_can_curve_mc(MU, 1.0, [1.0], 2, 10, 1),
             lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=-1.0),
+            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=math.inf),
+            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=math.nan),
             lambda: ps_can_curve_mc(0.0, 4.0, [1.0], 2, 10, 1, radius=100.0),
             lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2.5, 10, 1),
             lambda: simulate_min_load(1e-4, 5e-4, 0.0, [0.5], 10, 1),
@@ -223,7 +248,8 @@ class TestBlockDriver:
             lambda: voronoi_load_histogram(1e-4, 0.0, 100, 1),
         ],
         ids=[
-            "can-alpha-1", "can-radius-neg", "can-mu_j-0", "can-n_orders-2.5",
+            "can-alpha-1", "can-radius-neg", "can-radius-inf", "can-radius-nan", "can-mu_j-0",
+            "can-n_orders-2.5",
             "minload-r_con-0", "minload-r_con-neg", "minload-lam-0", "minload-alpha-2",
             "sic-lambda_eq-0", "sic-mu_j-0", "sic-mu_j-neg", "stages-lambda_eq-neg",
             "sic-alpha-1.5", "sic-n_max-1.5", "voronoi-lam-0", "voronoi-mu_j-0",
@@ -289,6 +315,13 @@ class TestSamplePpp:
             sample_ppp(-1.0, 100.0, rng)
         with pytest.raises(DomainError):
             sample_ppp(1e-4, 0.0, rng)
+        for density, radius in ((math.nan, 10.0), (math.inf, 10.0), (1e-4, math.inf),
+                                (1e-4, math.nan)):
+            with pytest.raises(DomainError):
+                sample_ppp(density, radius, rng)
+        for mu_j in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                window_radius(mu_j)
 
 
 class TestSceneAndTrimmedSum:
@@ -690,6 +723,115 @@ class TestRadialField:
         for shape in ((1000,), (37, 29), (0, 5)):
             assert np.array_equal(a.standard_exponential(shape), b.exponential(size=shape))
         assert a.random() == b.random()
+
+    # (size, density, r_in, r_out, min_cols, fewest chunks), built on the
+    # chunk budget so that each case spans the chunks it names
+    _FAR = 400.0 / (math.pi * MU)  # squared span of 400 expected points
+    _RNG = np.random.default_rng(97)
+    _R_IN = _RNG.uniform(0.0, 300.0, 2000)
+    _R_OUT = np.sqrt(_R_IN**2 + _FAR)
+    _R_OUT[::7] = _R_IN[::7] / 2.0  # every seventh row clipped empty
+    CHUNK_CASES = {
+        # about 470 columns: 4 chunks, the last one partial
+        "disk": (2000, MU, 0.0, math.sqrt(_FAR), 1, 3),
+        "annulus": (1500, MU, 100.0, math.sqrt(1e4 + _FAR), 1, 3),
+        "per-row": (2000, MU, _R_IN, _R_OUT, 1, 3),
+        # nearly every row empty, the width set by min_cols alone
+        "min-cols": (2 * _CHUNK_POINTS // 100 + 11, 1e-8, 0.0, 100.0, 100, 3),
+        # one row per chunk
+        "row-over-budget": (3, 1e-8, 0.0, 100.0, _CHUNK_POINTS + 1, 3),
+        "one-chunk": (100, MU, 0.0, math.sqrt(_FAR), 1, 1),
+    }
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunks_are_the_block_sized_draw(self, case, alpha):
+        # the row chunks concatenate to the one-shot block draw bit for bit,
+        # and leave the generator where that draw leaves it
+        size, density, r_in, r_out, min_cols, fewest = self.CHUNK_CASES[case]
+        args = (size, density, r_in, r_out, min_cols, alpha)
+        rng, ref = _stream(101, 0), _stream(101, 0)
+        chunks = list(_radial_chunks(rng, *args))
+        want = radial_field_oracle(ref, *args)
+        rows, cols = chunks[0][0].shape
+        assert len(chunks) >= fewest and (rows * cols <= _CHUNK_POINTS or rows == 1)
+        assert [len(c) for _, _, c in chunks] == [rows] * (len(chunks) - 1) + [
+            size - rows * (len(chunks) - 1)]
+        if case == "disk":
+            assert size % rows  # the last chunk is partial
+        for got, w in zip(zip(*chunks), want):
+            got = np.concatenate(got)
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        assert rng.random(8).tolist() == ref.random(8).tolist()
+        assert _same_state(rng, ref)
+        whole = _radial_field(_stream(101, 0), *args)
+        assert all(np.array_equal(g, w) for g, w in zip(whole, want))
+        if case == "per-row":
+            assert np.all(want[2][::7] == 0) and np.all(np.isinf(want[1][::7]))
+        if case == "min-cols":
+            assert want[2].max() < min_cols
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: _independent_stage_block(rng, 3000, LAM, MU, 4, 4.0),
+            lambda rng: _rea_block(two_tier(bias2=10.0), 1, rng, 3000),
+        ],
+        ids=["independent-stages", "rea"],
+    )
+    def test_whole_block_callers_draw_the_one_shot_fields(self, monkeypatch, draw):
+        # both callers keep drawing after each field: with the block cut
+        # into many chunks, their outputs are those of the one-shot fields
+        from sicnet import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 1 << 12)
+        got = draw(_stream(103, 0))
+        monkeypatch.setattr(montecarlo, "_radial_field", radial_field_oracle)
+        want = draw(_stream(103, 0))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+class TestFieldMemory:
+    """``ps_can_curve_mc`` at the fig2 preset's doubled window (about 1700
+    points per trial) holds one row chunk of its field at a time.  Drawn
+    whole, one 4096-trial block peaked at 171.5 MB of numpy arrays."""
+
+    BOUND_MB = 16.0
+
+    @staticmethod
+    def _peak_mb(trials, threads):
+        etas = [db_to_linear(d) for d in FIG2_ETA_DB]
+        radius = 2.0 * window_radius(DENSITY_MACRO)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ps_can_curve_mc(DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, trials, 3,
+                            threads=threads, radius=radius)
+            return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_one_block_peak(self):
+        assert self._peak_mb(BLOCK_TRIALS, 1) < self.BOUND_MB
+
+    def test_two_blocks_on_two_threads_peak(self):
+        assert self._peak_mb(2 * BLOCK_TRIALS, 2) < 2.0 * self.BOUND_MB
+
+    def test_row_over_the_cap_raises_before_any_row_is_drawn(self):
+        with pytest.raises(DomainError, match=r"a field row of \d+ points exceeds the cap"):
+            ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e9)
+        # only the counts were drawn
+        rng, ref = _stream(107, 0), _stream(107, 0)
+        chunks = _radial_chunks(rng, 4, MU, 0.0, 100.0, _MAX_ROW_POINTS + 1, 4.0)
+        with pytest.raises(DomainError, match=f"row of {_MAX_ROW_POINTS + 1} points"):
+            next(chunks)
+        ref.poisson(MU * math.pi * 100.0 * 100.0 - MU * math.pi * 0.0 * 0.0, 4)
+        assert _same_state(rng, ref)
 
 
 def _agree(a, b, what):
