@@ -95,8 +95,17 @@ def ps_ic(
     variable tau = pi lambda_eq u^2.  The serving-distance truncation at
     R_{I,n} is kept un-renormalized (see module docstring).
     """
-    _require_positive("eta", eta)
     _require_count("cancellation order n", n)
+    integrand, tau0, tau_max = _decode_integral(eta, n, lambda_eq, mu_j, alpha)
+    return adaptive_gauss(integrand, tau0, float(tau_max))
+
+
+def _decode_integral(eta, n, lambda_eq: float, mu_j: float, alpha: float):
+    """The integrand of :func:`ps_ic` in tau = pi lambda_eq u^2 and its
+    bounds [tau0, tau_max].  ``n`` is one order, or a column of orders: the
+    integrand then broadcasts a (K, nodes) array against them, row k at
+    order n[k], and the bounds are columns too."""
+    _require_positive("eta", eta)
     _require_positive("lambda_eq", lambda_eq)
     _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
@@ -104,17 +113,16 @@ def ps_ic(
     e = 2.0 / alpha
     eta_e = eta**e
     ratio = mu_j / lambda_eq
-    # tau = pi lambda_eq u^2; the cancellation disk maps to tau0
-    tau0 = lambda_eq * n / mu_j  # pi lambda_eq R_{I,n}^2
-    rho0 = float(n)              # pi mu_j R_{I,n}^2
+    # the cancellation disk maps to tau0 = pi lambda_eq R_{I,n}^2 and to
+    # rho0 = pi mu_j R_{I,n}^2 = n
+    tau0 = lambda_eq * n / mu_j
 
     def integrand(tau: np.ndarray) -> np.ndarray:
         # Gauss nodes are interior, so tau > tau0 >= 0
-        c_val = c_integral(rho0 / (eta_e * ratio * tau), alpha)
+        c_val = c_integral(n / (eta_e * ratio * tau), alpha)
         return np.exp(-ratio * eta_e * c_val * tau - tau)
 
-    tau_max = tau0 + 60.0 + 10.0 * math.sqrt(tau0 + 1.0)
-    return adaptive_gauss(integrand, tau0, tau_max)
+    return integrand, tau0, tau0 + 60.0 + 10.0 * np.sqrt(tau0 + 1.0)
 
 
 def ps_can(eta: float, n: int, alpha: float) -> float:
@@ -238,10 +246,15 @@ def ps_sic(
                                       P_s,IC(eta, i).
 
     Each added level is non-negative, so the total is nondecreasing in N.
-    Every P_s,IC term is a :func:`ps_ic` quadrature at default tolerances.
+    The N + 1 terms P_s,IC(eta, n) are :func:`ps_ic`'s integrals at default
+    tolerances, integrated in one lockstep :func:`adaptive_gauss` call: each
+    keeps its own bisection sequence, so each matches its :func:`ps_ic` to
+    the rounding of the batched panel sums.
     """
     _require_count("n_max", n_max)
-    decode = np.array([ps_ic(eta, n, lambda_eq, mu_j, alpha) for n in range(n_max + 1)])
+    orders = np.arange(n_max + 1, dtype=float)[:, None]
+    integrand, tau0, tau_max = _decode_integral(eta, orders, lambda_eq, mu_j, alpha)
+    decode = adaptive_gauss(integrand, tau0[:, 0], tau_max[:, 0])
     q_single = ps_can(eta, 1, alpha) if n_max >= 1 else 1.0
     outage, cancel, contribution = _sic_levels(decode, q_single)
     levels = map(SicLevel, range(1, n_max + 1), outage, cancel, decode[1:], contribution)

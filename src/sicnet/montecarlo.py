@@ -37,11 +37,11 @@ margin.  The shared-field max-SIR runs draw a whole block's user counts at
 once, after its candidate APs, then each trial's users of every tier in
 one draw (:func:`_max_sir_block`).  The sampled annulus and disk fields
 (:func:`_radial_chunks`) come in row chunks of a fixed point budget, and
-``ps_can_curve_mc`` reduces each chunk before the next is drawn, so its
-doubled window never holds a block-sized field.  The chunks' values are
-those of one block-sized draw: a copy of the generator serves the
-uniforms while the generator itself skips past them to the fading marks,
-two cursors on one stream.
+``ps_can_curve_mc`` reduces and drops each chunk before the next is
+drawn, so its doubled window holds at most three chunk-sized arrays.  The
+chunks' values are those of one block-sized draw: a copy of the generator
+serves the uniforms while the generator itself skips past them to the
+fading marks, two cursors on one stream.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -278,8 +278,9 @@ def _radial_chunks(
     order, not sorted: every row is padded past its count, to the block's
     longest row and at least ``min_cols`` columns, with r2 = inf and zero
     power.  Callers that need the nearest or strongest points pick them
-    with :func:`_top_m`.  A row longer than ``_MAX_ROW_POINTS`` raises
-    :class:`DomainError` once the counts are drawn, before any row is.
+    with :func:`_top_m`.  A row whose Poisson mean passes
+    ``_MAX_ROW_POINTS`` raises :class:`DomainError` before anything is
+    drawn, and a longer row once the counts are drawn, before any row is.
 
     The chunks hold exactly the values of one block-sized draw: the block's
     counts first, then all of its uniforms, then all of its fading marks.
@@ -287,13 +288,21 @@ def _radial_chunks(
     several chunks, a copy of ``rng`` serves the uniforms chunk by chunk,
     while ``rng`` skips past them (SFC64 spends one raw output per double)
     and draws the marks, so it ends where the block-sized draw would.  Use
-    every chunk before ``rng`` draws again."""
+    every chunk before ``rng`` draws again.  A caller that drops its
+    references to a chunk before asking for the next holds at most three
+    chunk-sized arrays: the sampler's last chunk until its next uniforms
+    and marks replace it, and the path-loss temporary."""
     # two products, so that r_in = 0 reproduces the disk mean bit for bit
     mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
     r_in2 = r_in * r_in
     span = r_out * r_out - r_in2
     if isinstance(span, np.ndarray):
         mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)
+    if np.max(mean, initial=0.0) > _MAX_ROW_POINTS:
+        raise DomainError(
+            f"a field row of {np.max(mean):.0f} points exceeds the cap of "
+            f"{_MAX_ROW_POINTS} on average"
+        )
     counts = rng.poisson(mean, size)
     pmax = max(int(counts.max(initial=0)), min_cols, 1)
     if pmax > _MAX_ROW_POINTS:
@@ -665,6 +674,8 @@ def ps_can_curve_mc(
                     wins[o_idx, e_idx] += ok.sum(axis=0)
                     if ordering == "distance_only":
                         wins[-1, e_idx] += np.logical_and.accumulate(ok, axis=1).sum(axis=0)
+            # the sampler frees this chunk as it draws the next one
+            del powers, r2, key
         return wins
 
     dist, fade, survivors = (

@@ -76,7 +76,7 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _G7_G15_X = np.concatenate((_G7_X, _G15_X))
 
 
-def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def adaptive_gauss(f, a, b, settings: QuadratureSettings = DEFAULT_QUADRATURE):
     """Integrate a vectorized callable ``f`` over the finite interval [a, b].
 
     Bisects the panel with the largest |G15 - G7| discrepancy until the
@@ -84,7 +84,22 @@ def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT
     Each panel calls ``f`` once, on its 22 concatenated G7 and G15 nodes,
     so ``f`` must map an array of nodes to an array of values elementwise.
     Raises :class:`NumericsError` when the subdivision budget is exhausted.
+
+    Array bounds (1-D, broadcast against each other) integrate K integrals
+    in lockstep and return an array of K values.  Row k keeps its own
+    heap, tolerance, subdivision budget and bisection order, as a scalar
+    call on [a[k], b[k]] would.  Each round bisects the worst panel of
+    every unconverged row, with one call of ``f`` for all the left halves
+    and one for all the right halves, each on a (K, 22) node array whose
+    row k belongs to integral k; ``f`` must broadcast its per-integral
+    parameters along axis 0.  A converged row is evaluated again at its
+    last panel and the values are discarded.  The batched panel sums may
+    round differently from the scalar path's ``np.dot`` in the last bit.
+    An empty row (b <= a) integrates to 0, though ``f`` still sees its
+    nodes, which lie in [b, a]; a budget or bounds error names its row.
     """
+    if np.ndim(a) or np.ndim(b):
+        return _lockstep_gauss(f, a, b, settings)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
     if b <= a:
@@ -120,6 +135,69 @@ def adaptive_gauss(f, a: float, b: float, settings: QuadratureSettings = DEFAULT
         heapq.heappush(heap, (-e2, count + 1, mid, hi, v2, e2))
         count += 2
     return total_val
+
+
+def _row_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
+    """The G15 values and |G15 - G7| errors of the panels [lo[k], hi[k]],
+    from one call of ``f`` on the (K, 22) node array whose row k holds
+    panel k."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    y = f(mid[:, None] + half[:, None] * _G7_G15_X)
+    coarse = half * (y[:, :7] @ _G7_W)
+    fine = half * (y[:, 7:] @ _G15_W)
+    return fine.tolist(), np.abs(fine - coarse).tolist()
+
+
+def _lockstep_gauss(f, a, b, settings: QuadratureSettings) -> np.ndarray:
+    """:func:`adaptive_gauss` over the rows of 1-D bounds ``a`` and ``b``."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim != 1:
+        raise DomainError(f"integration bounds must be scalars or 1-D, got shape {a.shape}")
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        k = int(bad.argmax())
+        raise DomainError(f"integration bounds of row {k} must be finite, got [{a[k]}, {b[k]}]")
+    if (b <= a).all():
+        return np.zeros(len(a))
+
+    def unconverged(k: int) -> bool:
+        total_val, total_err = totals[k]
+        return total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val))
+
+    vals, errs = _row_panels(f, a, b)
+    totals = [[v, e] for v, e in zip(vals, errs)]
+    heaps = [[(-e, 0, lo, hi, v, e)] for lo, hi, v, e in zip(a.tolist(), b.tolist(), vals, errs)]
+    counts = [1] * len(a)
+    # each row's (lo, mid, mid, hi): its left and right panels in a round; a
+    # converged row keeps its last ones, its whole interval to start with
+    halves = np.column_stack((a, b, a, b)).tolist()
+    rows = [k for k in np.flatnonzero(b > a).tolist() if unconverged(k)]
+    while rows:
+        popped = []
+        for k in rows:
+            if counts[k] >= settings.max_subdivisions:
+                raise NumericsError(
+                    f"adaptive_gauss: row {k}: error {totals[k][1]:.3e} above tolerance "
+                    f"after {counts[k]} subdivisions on [{a[k]}, {b[k]}]"
+                )
+            _, _, lo, hi, v, e = heapq.heappop(heaps[k])
+            mid = 0.5 * (lo + hi)
+            halves[k] = lo, mid, mid, hi
+            popped.append((k, v, e))
+        x = np.array(halves)
+        left, right = _row_panels(f, x[:, 0], x[:, 1]), _row_panels(f, x[:, 2], x[:, 3])
+        for k, v, e in popped:
+            lo, mid, _, hi = halves[k]
+            v1, e1, v2, e2 = left[0][k], left[1][k], right[0][k], right[1][k]
+            total, count = totals[k], counts[k]
+            total[0] += v1 + v2 - v
+            total[1] += e1 + e2 - e
+            heapq.heappush(heaps[k], (-e1, count, lo, mid, v1, e1))
+            heapq.heappush(heaps[k], (-e2, count + 1, mid, hi, v2, e2))
+            counts[k] = count + 2
+        rows = [k for k in rows if unconverged(k)]
+    return np.where(b > a, [v for v, _ in totals], 0.0)
 
 
 # ---------------------------------------------------------------------------

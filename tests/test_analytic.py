@@ -16,6 +16,7 @@ import pytest
 import scipy.integrate
 
 from sicnet.errors import DegenerateReaError, DomainError
+from sicnet.experiments import DENSITY_MACRO, FIG3_ETA_DB, FIG3_N_MAX
 from sicnet.model import NetworkConfig, TierParams, cancellation_radius
 from sicnet.numerics import c_integral
 from sicnet.analytic import (
@@ -295,6 +296,19 @@ class TestPsSic:
                 assert lv.level_contribution == pytest.approx(contribution, rel=1e-12)
             assert len(bd.per_level) == 5
             assert bd.ps_sic_total == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_lockstep_levels_match_ps_ic(self, alpha):
+        # ps_sic integrates its N + 1 decode levels in one lockstep call;
+        # each level is still its own ps_ic quadrature, to the rounding of
+        # the batched panel sums, over fig3's thresholds and densities
+        for eta_db in FIG3_ETA_DB:
+            eta = 10.0 ** (eta_db / 10.0)
+            bd = ps_sic(eta, FIG3_N_MAX, DENSITY_MACRO, DENSITY_MACRO, alpha)
+            got = [bd.ps_no_ic] + [lv.decode_after for lv in bd.per_level]
+            for n, g in enumerate(got):
+                want = ps_ic(eta, n, DENSITY_MACRO, DENSITY_MACRO, alpha)
+                assert abs(g - want) <= 1e-15 * want, (eta_db, n, g, want)
 
 
 class TestLoadModel:

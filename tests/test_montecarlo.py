@@ -833,6 +833,18 @@ class TestFieldMemory:
         ref.poisson(MU * math.pi * 100.0 * 100.0 - MU * math.pi * 0.0 * 0.0, 4)
         assert _same_state(rng, ref)
 
+    def test_row_mean_over_the_cap_raises_before_the_counts(self):
+        # the mean, 3.1e20 points, is also past what numpy's Poisson sampler takes
+        with pytest.raises(DomainError, match=r"a field row of \d+ points exceeds the cap"):
+            ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e12)
+        rng, ref = _stream(109, 0), _stream(109, 0)
+        with pytest.raises(DomainError, match="on average"):
+            next(_radial_chunks(rng, 4, MU, 0.0, 1e12, 1, 4.0))
+        # one row of per-row radii over the cap is enough
+        with pytest.raises(DomainError, match="on average"):
+            next(_radial_chunks(rng, 3, MU, 0.0, np.array([10.0, 1e6, 10.0]), 1, 4.0))
+        assert _same_state(rng, ref)
+
 
 def _agree(a, b, what):
     """Estimates ``a`` and ``b`` of the same quantities, from runs that share

@@ -137,6 +137,113 @@ class TestAdaptiveGauss:
             assert calls == [22] * panels
 
 
+class TestLockstepGauss:
+    """Array bounds run K integrals in lockstep; each row must be the scalar
+    run of its integral: its value (to the rounding of the batched panel
+    sums), its panel count and its own convergence."""
+
+    @staticmethod
+    def _compare(make, params, a, b, settings=DEFAULT_QUADRATURE):
+        """Integrate ``make(p)`` over [a[k], b[k]] for every p = params[k],
+        in lockstep and as scalar calls.  Returns the lockstep values and,
+        per row, its panel count in both runs.  A converged row is evaluated
+        again at its last panels, so the lockstep count of a row is the
+        number of distinct node rows it saw."""
+        f = make(np.asarray(params, dtype=float)[:, None])
+        seen = [set() for _ in params]
+
+        def spy(x):
+            assert x.shape == (len(params), 22)
+            for k, row in enumerate(x):
+                seen[k].add(row.tobytes())
+            return f(x)
+
+        got = adaptive_gauss(spy, a, b, settings)
+        assert got.shape == (len(params),)
+        counts = []
+        for k, p in enumerate(params):
+            calls = []
+
+            def one(x, g=make(p)):
+                calls.append(len(x))
+                return g(x)
+
+            want = adaptive_gauss(one, a[k], b[k], settings)
+            assert abs(got[k] - want) <= 1e-15 * abs(want), (k, got[k], want)
+            counts.append((len(seen[k]), len(calls)))
+        return got, counts
+
+    def test_rows_are_their_scalar_runs(self):
+        # damped oscillations of growing frequency need ever more panels
+        def make(w):
+            return lambda x: np.exp(-0.3 * x) * np.cos(w * x) + 1.0
+
+        params = [0.5, 2.0, 8.0, 20.0, 45.0]
+        a, b = np.zeros(5), np.array([1.0, 3.0, 6.0, 10.0, 10.0])
+        _, counts = self._compare(make, params, a, b)
+        assert all(lock == scalar for lock, scalar in counts)
+        assert len({scalar for _, scalar in counts}) >= 4
+
+    def test_ps_ic_integrands_in_lockstep(self):
+        # the decode levels that ps_sic integrates, at alpha = 3 and 4
+        from sicnet.analytic import _decode_integral
+
+        for alpha in (3.0, 4.0):
+            for eta in (0.1, 1.0, 10.0):
+                orders = np.arange(6, dtype=float)
+                _, t0, t1 = _decode_integral(eta, orders, 1e-4, 1e-4, alpha)
+
+                def make(n, eta=eta, alpha=alpha):
+                    return _decode_integral(eta, n, 1e-4, 1e-4, alpha)[0]
+
+                _, counts = self._compare(make, orders, t0, t1)
+                assert all(lock == scalar for lock, scalar in counts)
+
+    def test_rows_converge_in_different_rounds(self):
+        # scale / (eps + x^2) on [-1, 2]: the sharp peak needs many rounds
+        # and the smooth row few; the scaled-down row is held by abs_tol, so
+        # it stops on its first panel, where rel_tol alone would bisect it
+        eps = np.array([1.0, 1e-5, 1e-2])
+        scale = np.array([1.0, 1.0, 1e-16])
+
+        def make(k):
+            k = np.asarray(k, dtype=int)
+            return lambda x: scale[k] / (eps[k] + x * x)
+
+        a, b = np.full(3, -1.0), np.full(3, 2.0)
+        got, counts = self._compare(make, [0, 1, 2], a, b)
+        assert all(lock == scalar for lock, scalar in counts)
+        (smooth, _), (sharp, _), (held, _) = counts
+        assert held == 1 and 1 < smooth and 5 * smooth < sharp
+        assert 0.0 < got[2] < DEFAULT_QUADRATURE.abs_tol
+        calls = []
+        rel_only = QuadratureSettings(abs_tol=1e-300)
+        adaptive_gauss(lambda x: calls.append(1) or make(2)(x), -1.0, 2.0, rel_only)
+        assert len(calls) > 1
+
+    def test_zero_width_rows_return_zero(self):
+        got = adaptive_gauss(np.cos, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.5]))
+        assert got[0] == pytest.approx(math.sin(1.0), rel=1e-14)
+        assert got[1:].tolist() == [0.0, 0.0]
+
+        def never(x):
+            raise AssertionError("no row to integrate")
+
+        assert adaptive_gauss(never, np.ones(2), np.array([1.0, 0.5])).tolist() == [0.0, 0.0]
+
+    def test_exhausted_budget_names_the_row(self):
+        starved = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
+        eps = np.array([1e6, 1e-6])[:, None]  # row 0 converges on its first panel
+        with pytest.raises(NumericsError, match=r"row 1: error .* after 3 subdivisions"):
+            adaptive_gauss(lambda x: 1.0 / (eps + x**2), np.zeros(2), np.full(2, 100.0), starved)
+
+    def test_bad_bounds_name_the_row(self):
+        with pytest.raises(DomainError, match=r"row 2 must be finite"):
+            adaptive_gauss(np.sin, np.zeros(3), np.array([1.0, 2.0, math.nan]))
+        with pytest.raises(DomainError, match="1-D"):
+            adaptive_gauss(np.sin, np.zeros((2, 2)), 1.0)
+
+
 class TestCIntegral:
     def test_b_zero_closed_form(self):
         for alpha in ALPHA_GRID:
