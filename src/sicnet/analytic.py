@@ -248,8 +248,8 @@ def ps_sic(
     Each added level is non-negative, so the total is nondecreasing in N.
     The N + 1 terms P_s,IC(eta, n) are :func:`ps_ic`'s integrals at default
     tolerances, integrated in one lockstep :func:`adaptive_gauss` call: each
-    keeps its own bisection sequence, so each matches its :func:`ps_ic` to
-    the rounding of the batched panel sums.
+    keeps its own bisection sequence and panel sums, the ones its
+    :func:`ps_ic` call runs as a one-row integral.
     """
     _require_count("n_max", n_max)
     orders = np.arange(n_max + 1, dtype=float)[:, None]

@@ -22,6 +22,11 @@ which every figure uses, and the incomplete beta (:func:`_c_betainc`) at
 every other alpha.  :func:`_c_betainc` stays the oracle of the arctan
 identity in the validation suite.
 
+Every integral of the library runs on one engine, :func:`adaptive_gauss`:
+K integrals in lockstep, each with its own greedy G7/G15 bisection, and
+one integrand call per round for both halves of every row's worst panel.
+Scalar bounds are the one-row case.
+
 All functions are pure and thread-safe.
 """
 
@@ -81,77 +86,27 @@ def adaptive_gauss(f, a, b, settings: QuadratureSettings = DEFAULT_QUADRATURE):
 
     Bisects the panel with the largest |G15 - G7| discrepancy until the
     summed error estimate drops below max(abs_tol, rel_tol * |integral|).
-    Each panel calls ``f`` once, on its 22 concatenated G7 and G15 nodes,
-    so ``f`` must map an array of nodes to an array of values elementwise.
     Raises :class:`NumericsError` when the subdivision budget is exhausted.
 
     Array bounds (1-D, broadcast against each other) integrate K integrals
-    in lockstep and return an array of K values.  Row k keeps its own
-    heap, tolerance, subdivision budget and bisection order, as a scalar
-    call on [a[k], b[k]] would.  Each round bisects the worst panel of
-    every unconverged row, with one call of ``f`` for all the left halves
-    and one for all the right halves, each on a (K, 22) node array whose
-    row k belongs to integral k; ``f`` must broadcast its per-integral
-    parameters along axis 0.  A converged row is evaluated again at its
-    last panel and the values are discarded.  The batched panel sums may
-    round differently from the scalar path's ``np.dot`` in the last bit.
+    in lockstep and return an array of K values; scalar bounds are one such
+    row and return a float.  Row k keeps its own heap, tolerance,
+    subdivision budget and bisection order.  The first call of ``f`` is on
+    a (K, 22) node array, the concatenated G7 and G15 nodes of every whole
+    interval; then each round bisects the worst panel of every unconverged
+    row, with one call of ``f`` on a (K, 44) node array, the left half's
+    22 nodes and then the right half's.  Row k belongs to integral k, so
+    ``f`` must broadcast its per-integral parameters along axis 0.  Scalar
+    bounds hand ``f`` the one row as a 1-D array instead.  A converged row
+    is evaluated again at its last panels and the values are discarded.
     An empty row (b <= a) integrates to 0, though ``f`` still sees its
     nodes, which lie in [b, a]; a budget or bounds error names its row.
     """
-    if np.ndim(a) or np.ndim(b):
-        return _lockstep_gauss(f, a, b, settings)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
-    if b <= a:
-        return 0.0
-
-    def panel(lo: float, hi: float) -> tuple[float, float]:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        y = f(mid + half * _G7_G15_X)
-        coarse = half * float(np.dot(_G7_W, y[:7]))
-        fine = half * float(np.dot(_G15_W, y[7:]))
-        return fine, abs(fine - coarse)
-
-    val, err = panel(a, b)
-    # heap keyed on -error; the counter breaks ties deterministically
-    heap = [(-err, 0, a, b, val, err)]
-    count = 1
-    total_val, total_err = val, err
-    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
-        if count >= settings.max_subdivisions:
-            raise NumericsError(
-                "adaptive_gauss: error "
-                f"{total_err:.3e} above tolerance after {count} subdivisions "
-                f"on [{a}, {b}]"
-            )
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = panel(lo, mid)
-        v2, e2 = panel(mid, hi)
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, count + 1, mid, hi, v2, e2))
-        count += 2
-    return total_val
-
-
-def _row_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
-    """The G15 values and |G15 - G7| errors of the panels [lo[k], hi[k]],
-    from one call of ``f`` on the (K, 22) node array whose row k holds
-    panel k."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y = f(mid[:, None] + half[:, None] * _G7_G15_X)
-    coarse = half * (y[:, :7] @ _G7_W)
-    fine = half * (y[:, 7:] @ _G15_W)
-    return fine.tolist(), np.abs(fine - coarse).tolist()
-
-
-def _lockstep_gauss(f, a, b, settings: QuadratureSettings) -> np.ndarray:
-    """:func:`adaptive_gauss` over the rows of 1-D bounds ``a`` and ``b``."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    scalar = np.ndim(a) == np.ndim(b) == 0
+    if scalar:
+        scalar_f = f
+        f = lambda x: scalar_f(x[0])[None]
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(b, dtype=float))
     if a.ndim != 1:
         raise DomainError(f"integration bounds must be scalars or 1-D, got shape {a.shape}")
     bad = ~(np.isfinite(a) & np.isfinite(b))
@@ -159,18 +114,19 @@ def _lockstep_gauss(f, a, b, settings: QuadratureSettings) -> np.ndarray:
         k = int(bad.argmax())
         raise DomainError(f"integration bounds of row {k} must be finite, got [{a[k]}, {b[k]}]")
     if (b <= a).all():
-        return np.zeros(len(a))
+        return 0.0 if scalar else np.zeros(len(a))
 
     def unconverged(k: int) -> bool:
         total_val, total_err = totals[k]
         return total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val))
 
-    vals, errs = _row_panels(f, a, b)
-    totals = [[v, e] for v, e in zip(vals, errs)]
-    heaps = [[(-e, 0, lo, hi, v, e)] for lo, hi, v, e in zip(a.tolist(), b.tolist(), vals, errs)]
+    vals, errs = _row_panels(f, a[:, None], b[:, None])
+    totals = [[v, e] for (v,), (e,) in zip(vals, errs)]
+    # heaps keyed on -error; the counter breaks ties deterministically
+    heaps = [[(-e, 0, lo, hi, v, e)] for lo, hi, (v, e) in zip(a.tolist(), b.tolist(), totals)]
     counts = [1] * len(a)
     # each row's (lo, mid, mid, hi): its left and right panels in a round; a
-    # converged row keeps its last ones, its whole interval to start with
+    # converged row keeps its last ones, its whole interval twice to start with
     halves = np.column_stack((a, b, a, b)).tolist()
     rows = [k for k in np.flatnonzero(b > a).tolist() if unconverged(k)]
     while rows:
@@ -186,10 +142,10 @@ def _lockstep_gauss(f, a, b, settings: QuadratureSettings) -> np.ndarray:
             halves[k] = lo, mid, mid, hi
             popped.append((k, v, e))
         x = np.array(halves)
-        left, right = _row_panels(f, x[:, 0], x[:, 1]), _row_panels(f, x[:, 2], x[:, 3])
+        vals, errs = _row_panels(f, x[:, 0::2], x[:, 1::2])
         for k, v, e in popped:
             lo, mid, _, hi = halves[k]
-            v1, e1, v2, e2 = left[0][k], left[1][k], right[0][k], right[1][k]
+            (v1, v2), (e1, e2) = vals[k], errs[k]
             total, count = totals[k], counts[k]
             total[0] += v1 + v2 - v
             total[1] += e1 + e2 - e
@@ -197,7 +153,23 @@ def _lockstep_gauss(f, a, b, settings: QuadratureSettings) -> np.ndarray:
             heapq.heappush(heaps[k], (-e2, count + 1, mid, hi, v2, e2))
             counts[k] = count + 2
         rows = [k for k in rows if unconverged(k)]
-    return np.where(b > a, [v for v, _ in totals], 0.0)
+    out = np.where(b > a, [v for v, _ in totals], 0.0)
+    return float(out[0]) if scalar else out
+
+
+def _row_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
+    """The G15 values and |G15 - G7| errors of the (K, P) panels
+    [lo[k, p], hi[k, p]], from one call of ``f`` on the (K, 22 P) node array
+    whose row k holds the P panels of row k side by side."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    y = f((mid[..., None] + half[..., None] * _G7_G15_X).reshape(len(lo), -1))
+    # a (1, n) @ (n,) product per panel: numpy's matmul takes it as a vector
+    # dot, the one np.dot runs, so every panel sums as a lone panel would
+    y = y.reshape(*lo.shape, 1, 22)
+    coarse = half * (y[..., :7] @ _G7_W)[..., 0]
+    fine = half * (y[..., 7:] @ _G15_W)[..., 0]
+    return fine.tolist(), np.abs(fine - coarse).tolist()
 
 
 # ---------------------------------------------------------------------------

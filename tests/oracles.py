@@ -1,9 +1,9 @@
-"""Scalar scene oracles and distance laws that only the tests call.
+"""Scalar oracles that only the tests call: scenes, quadrature, distance laws.
 
-The library's simulators are vectorized over trials; these reference
-implementations work one scene, or one closed-form density, at a time, so
-that the tests can check the vectorized paths against code that shares no
-kernel with them:
+The library's simulators are vectorized over trials and its quadrature over
+integrals; these reference implementations work one scene, one panel or one
+closed-form density at a time, so that the tests can check the vectorized
+paths against code that shares no kernel with them:
 
 - ``sample_scene`` draws one interferer field around the origin with its
   fading marks; ``trimmed_sum_oracle`` sums its residual interference after
@@ -15,6 +15,9 @@ kernel with them:
 - ``radial_field_oracle`` draws a block of faded annulus fields in one
   block-sized draw of each kind, the values that the library's row-chunked
   ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw.
+- ``two_call_gauss`` is the panel-at-a-time adaptive quadrature that
+  every row of ``sicnet.numerics.adaptive_gauss`` must reproduce, panel
+  for panel.
 - ``nth_interferer_distance_pdf`` and ``rea_distance_pdf`` are the
   distance laws behind the closed forms, checked by quadrature.
 
@@ -24,6 +27,7 @@ oracles too.  pytest does not collect this module; the tests import it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -217,6 +221,43 @@ def radial_field_oracle(rng, size, density, r_in, r_out, min_cols, alpha):
     powers = rng.standard_exponential((size, pmax))
     powers *= r2 ** (-0.5 * alpha)
     return powers, r2, counts
+
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature, one panel at a time
+# ---------------------------------------------------------------------------
+
+
+def two_call_gauss(f, a: float, b: float, settings) -> tuple[float, int]:
+    """Globally adaptive G7/G15 quadrature of ``f`` over [a, b], one panel at
+    a time, with separate G7 and G15 integrand calls and ``np.dot`` sums:
+    the reference of every row of ``sicnet.numerics.adaptive_gauss``.
+    Bisects the panel of largest |G15 - G7| until the summed error drops
+    below max(abs_tol, rel_tol * |integral|); no subdivision budget.
+    Returns the integral and the number of panels evaluated."""
+    g7_x, g7_w = np.polynomial.legendre.leggauss(7)
+    g15_x, g15_w = np.polynomial.legendre.leggauss(15)
+
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coarse = half * float(np.dot(g7_w, f(mid + half * g7_x)))
+        fine = half * float(np.dot(g15_w, f(mid + half * g15_x)))
+        return fine, abs(fine - coarse)
+
+    val, err = panel(a, b)
+    heap, count = [(-err, 0, a, b, val, err)], 1
+    total_val, total_err = val, err
+    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
+        _, _, lo, hi, v, e = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
+        total_val += v1 + v2 - v
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, count + 1, mid, hi, v2, e2))
+        count += 2
+    return total_val, count
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ beta checks its arctan route at alpha = 4; a direct sampling experiment
 checks the received-power Pareto law.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from sicnet.numerics import (
     _validate_c_args,
     pareto_received_power_cdf,
 )
+from oracles import two_call_gauss
 
 B_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6, 1e8)
 ALPHA_GRID = (2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -60,48 +60,36 @@ class TestQuadratureSettings:
 
 
 class TestAdaptiveGauss:
+    """Scalar bounds are a one-row lockstep integral: a scalar call returns
+    a float equal, bit for bit, to the one-row array call of its integrand
+    (``lambda x: f(x[0])[None]``), and to the panel-at-a-time reference."""
+
+    @staticmethod
+    def _scalar_and_row(f, a, b, settings=DEFAULT_QUADRATURE):
+        got = adaptive_gauss(f, a, b, settings)
+        row = adaptive_gauss(lambda x: f(x[0])[None], np.array([a]), np.array([b]), settings)
+        assert type(got) is float and row.shape == (1,)
+        assert got == row[0]
+        return got
+
     def test_sine(self):
-        assert adaptive_gauss(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
+        assert self._scalar_and_row(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_interval(self):
-        assert adaptive_gauss(np.sin, 1.0, 1.0) == 0.0
+        assert self._scalar_and_row(np.sin, 1.0, 1.0) == 0.0
+        assert self._scalar_and_row(np.sin, 2.0, 1.0) == 0.0
 
     def test_budget_exhaustion(self):
         starved = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
-        with pytest.raises(NumericsError):
+        interval = r"after 3 subdivisions on \[0\.0, 100\.0\]$"
+        with pytest.raises(NumericsError, match=interval):
             adaptive_gauss(lambda x: 1.0 / (1e-6 + x**2), 0.0, 100.0, starved)
 
     def test_nonfinite_bounds(self):
         with pytest.raises(DomainError):
             adaptive_gauss(np.sin, 0.0, math.inf)
-
-    @staticmethod
-    def _two_call_gauss(f, a, b, settings):
-        """The panel loop with separate G7 and G15 integrand calls; returns
-        the integral and the number of panels evaluated."""
-        g7_x, g7_w = np.polynomial.legendre.leggauss(7)
-        g15_x, g15_w = np.polynomial.legendre.leggauss(15)
-
-        def panel(lo, hi):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            coarse = half * float(np.dot(g7_w, f(mid + half * g7_x)))
-            fine = half * float(np.dot(g15_w, f(mid + half * g15_x)))
-            return fine, abs(fine - coarse)
-
-        val, err = panel(a, b)
-        heap, count = [(-err, 0, a, b, val, err)], 1
-        total_val, total_err = val, err
-        while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
-            _, _, lo, hi, v, e = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            v1, e1 = panel(lo, mid)
-            v2, e2 = panel(mid, hi)
-            total_val += v1 + v2 - v
-            total_err += e1 + e2 - e
-            heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
-            heapq.heappush(heap, (-e2, count + 1, mid, hi, v2, e2))
-            count += 2
-        return total_val, count
+        with pytest.raises(DomainError, match=r"got \[nan, 1\.0\]"):
+            adaptive_gauss(np.sin, math.nan, 1.0)
 
     def test_one_call_per_panel_matches_two_calls(self, monkeypatch):
         # the integrands that ps_ic, _sic_gain_integral and
@@ -131,46 +119,50 @@ class TestAdaptiveGauss:
                 calls.append(len(x))
                 return f(x)
 
-            got = adaptive_gauss(counting, a, b, settings)
-            want, panels = self._two_call_gauss(f, a, b, settings)
+            got = self._scalar_and_row(counting, a, b, settings)
+            want, panels = two_call_gauss(f, a, b, settings)
             assert got == want
-            assert calls == [22] * panels
+            # one call on the whole interval's 22 nodes, then one call per
+            # round on both halves' 44, in each of the two runs above
+            rounds = (panels - 1) // 2
+            assert panels == 1 + 2 * rounds
+            assert calls == ([22] + [44] * rounds) * 2
 
 
 class TestLockstepGauss:
-    """Array bounds run K integrals in lockstep; each row must be the scalar
-    run of its integral: its value (to the rounding of the batched panel
-    sums), its panel count and its own convergence."""
+    """Array bounds run K integrals in lockstep; each row must be the
+    panel-at-a-time run of its integral (``two_call_gauss``): its value (to
+    the rounding of the batched panel sums), its panel count and its own
+    convergence."""
 
     @staticmethod
     def _compare(make, params, a, b, settings=DEFAULT_QUADRATURE):
         """Integrate ``make(p)`` over [a[k], b[k]] for every p = params[k],
-        in lockstep and as scalar calls.  Returns the lockstep values and,
+        in lockstep and with the reference.  Returns the lockstep values and,
         per row, its panel count in both runs.  A converged row is evaluated
         again at its last panels, so the lockstep count of a row is the
-        number of distinct node rows it saw."""
+        number of distinct 22-node panels it saw."""
         f = make(np.asarray(params, dtype=float)[:, None])
         seen = [set() for _ in params]
+        shapes = []
 
         def spy(x):
-            assert x.shape == (len(params), 22)
+            shapes.append(x.shape)
             for k, row in enumerate(x):
-                seen[k].add(row.tobytes())
+                seen[k].update(panel.tobytes() for panel in row.reshape(-1, 22))
             return f(x)
 
         got = adaptive_gauss(spy, a, b, settings)
         assert got.shape == (len(params),)
         counts = []
         for k, p in enumerate(params):
-            calls = []
-
-            def one(x, g=make(p)):
-                calls.append(len(x))
-                return g(x)
-
-            want = adaptive_gauss(one, a[k], b[k], settings)
+            want, panels = two_call_gauss(make(p), a[k], b[k], settings)
             assert abs(got[k] - want) <= 1e-15 * abs(want), (k, got[k], want)
-            counts.append((len(seen[k]), len(calls)))
+            counts.append((len(seen[k]), panels))
+        # one (K, 22) call on the whole intervals, then one (K, 44) call per
+        # round, as many rounds as the row with the most panels needs
+        rounds = max(panels - 1 for _, panels in counts) // 2
+        assert shapes == [(len(params), 22)] + [(len(params), 44)] * rounds
         return got, counts
 
     def test_rows_are_their_scalar_runs(self):
@@ -181,8 +173,8 @@ class TestLockstepGauss:
         params = [0.5, 2.0, 8.0, 20.0, 45.0]
         a, b = np.zeros(5), np.array([1.0, 3.0, 6.0, 10.0, 10.0])
         _, counts = self._compare(make, params, a, b)
-        assert all(lock == scalar for lock, scalar in counts)
-        assert len({scalar for _, scalar in counts}) >= 4
+        assert all(lock == ref for lock, ref in counts)
+        assert len({ref for _, ref in counts}) >= 4
 
     def test_ps_ic_integrands_in_lockstep(self):
         # the decode levels that ps_sic integrates, at alpha = 3 and 4
@@ -197,7 +189,7 @@ class TestLockstepGauss:
                     return _decode_integral(eta, n, 1e-4, 1e-4, alpha)[0]
 
                 _, counts = self._compare(make, orders, t0, t1)
-                assert all(lock == scalar for lock, scalar in counts)
+                assert all(lock == ref for lock, ref in counts)
 
     def test_rows_converge_in_different_rounds(self):
         # scale / (eps + x^2) on [-1, 2]: the sharp peak needs many rounds
@@ -212,7 +204,7 @@ class TestLockstepGauss:
 
         a, b = np.full(3, -1.0), np.full(3, 2.0)
         got, counts = self._compare(make, [0, 1, 2], a, b)
-        assert all(lock == scalar for lock, scalar in counts)
+        assert all(lock == ref for lock, ref in counts)
         (smooth, _), (sharp, _), (held, _) = counts
         assert held == 1 and 1 < smooth and 5 * smooth < sharp
         assert 0.0 < got[2] < DEFAULT_QUADRATURE.abs_tol
