@@ -208,6 +208,13 @@ def _run_fig3(spec: SweepSpec, diagnostics: dict) -> list[dict]:
         spec.seed, threads=spec.threads,
     )
     ms = _ms(t0) / (len(etas) * (FIG3_N_MAX + 1))
+    dof = grid[0][0].dof
+    diagnostics["rqmc_layout"] = {
+        "replicates": dof + 1,
+        "replicate_trials_min": spec.trials // (dof + 1),
+        "replicate_trials_max": -(-spec.trials // (dof + 1)),
+        "dof": dof,
+    }
     for e_idx, eta_db in enumerate(FIG3_ETA_DB):
         eta = etas[e_idx]
         breakdown = ps_sic(eta, FIG3_N_MAX, DENSITY_MACRO, DENSITY_MACRO, 4.0)
@@ -376,7 +383,9 @@ def run_preset(spec: SweepSpec) -> SweepResult:
     """Evaluate one preset; one row per grid point, analytic and MC columns
     filled per the preset definition, deterministic given the seed.  The
     metadata also carries the simulators' diagnostics that no row holds:
-    fig4's ``no_candidate_trials`` and fig6's ``rea_fraction`` per bias."""
+    fig3's ``rqmc_layout`` (the faithful chain's replicate count, smallest
+    and largest replicate size and degrees of freedom), fig4's
+    ``no_candidate_trials`` and fig6's ``rea_fraction`` per bias."""
     t0 = time.perf_counter()
     diagnostics = {}
     rows = _RUNNERS[spec.preset](spec, diagnostics)

@@ -103,10 +103,11 @@ def _worst(suite, name, margins, where, tolerance, detail="worst at {at}") -> Ch
 
 
 def _preset(name: str, trials, seed: int, threads: int):
-    """The rows of one preset run at the gate's seed, and its trial budget
-    (the preset's default when ``trials`` is None)."""
+    """The rows of one preset run at the gate's seed, and its metadata: the
+    trial budget (the preset's default when ``trials`` is None) and the
+    simulators' diagnostics."""
     result = run_preset(default_spec(name, trials, seed, threads=threads))
-    return result.rows, result.metadata["trials"]
+    return result.rows, result.metadata
 
 
 def _columns(rows, *names, n_outer=None) -> list[np.ndarray]:
@@ -181,7 +182,8 @@ def _ps_strongest_exact(eta, alpha: float):
 
 def check_fig2(trials=None, seed=202, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
-    rows, trials = _preset("fig2", trials, seed, threads)
+    rows, meta = _preset("fig2", trials, seed, threads)
+    trials = meta["trials"]
     n, eta_db, eta, dist, fade, pgfl, tsd = _columns(
         rows, "n", "eta_db", "eta_lin", "mc_dist_mean", "mc_fade_mean", "ps_can_pgfl", "ps_can_tsd"
     )
@@ -240,7 +242,9 @@ def check_fig2(trials=None, seed=202, threads=1) -> list[CheckResult]:
 
 def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
     t0 = time.perf_counter()
-    rows, trials = _preset("fig3", trials, seed, threads)
+    rows, meta = _preset("fig3", trials, seed, threads)
+    trials, layout = meta["trials"], meta["rqmc_layout"]
+    rqmc = f"stderr from {layout['replicates']} RQMC replicates, {layout['dof']} dof"
     eta_db, eta, analytic, mc, mc_se = _columns(
         rows, "eta_db", "eta_lin", "ps_sic_analytic", "mc_mean", "mc_stderr",
         n_outer=sum(r["n_max"] == 0 for r in rows),
@@ -270,12 +274,12 @@ def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
         _worst(
             "fig3", "analytic vs event-chain MC at N=0 (3 stderr + 0.02)", gap - tol,
             [f"eta={d:g} dB: gap {g:.4f} vs tol {t:.4f}" for d, g, t in zip(eta_db, gap, tol)],
-            0.0, detail="{at}",
+            0.0, detail="{at}; " + rqmc,
         ),
         _result(
             "fig3", "analytic at or below event-chain MC for N>=1 (+3 stderr)",
             (analytic[:, 1:] - mc[:, 1:] - 3.0 * mc_se[:, 1:]).max(), 0.0,
-            detail=f"largest model error {model_error.flat[i]:.4f} at {where[:, 1:].flat[i]}",
+            detail=f"largest model error {model_error.flat[i]:.4f} at {where[:, 1:].flat[i]}; {rqmc}",
         ),
         _result(
             "fig3", "monotone nondecreasing in N (analytic and MC)",

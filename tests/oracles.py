@@ -15,6 +15,10 @@ paths against code that shares no kernel with them:
 - ``radial_field_oracle`` draws a block of faded annulus fields in one
   block-sized draw of each kind, the values that the library's row-chunked
   ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw.
+- ``rqmc_replicates`` lays out the unit exponentials of the faithful
+  chain's randomized quasi-Monte Carlo replicates point by point, from a
+  scalar Halton sequence (``halton_point``), the values that the library's
+  chunked ``sicnet.montecarlo._rqmc_chain`` must reproduce bit for bit.
 - ``two_call_gauss`` is the panel-at-a-time adaptive quadrature that
   every row of ``sicnet.numerics.adaptive_gauss`` must reproduce, panel
   for panel.
@@ -226,6 +230,40 @@ def radial_field_oracle(rng, size, density, r_in, r_out, min_cols, alpha):
 # ---------------------------------------------------------------------------
 # Adaptive quadrature, one panel at a time
 # ---------------------------------------------------------------------------
+
+
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def halton_point(i: int, dim: int) -> list[float]:
+    """Point ``i`` of the ``dim``-dimensional Halton sequence, one radical
+    inverse at a time: the base-b digits of i, least significant first,
+    weighted b^-1, b^-2, ..."""
+    point = []
+    for base in _HALTON_BASES[:dim]:
+        rest, scale, x = i, 1.0, 0.0
+        while rest:
+            rest, digit = divmod(rest, base)
+            scale /= base
+            x += digit * scale
+        point.append(x)
+    return point
+
+
+def rqmc_replicates(trials: int, seed: int, dim: int, replicates: int = 32) -> list[np.ndarray]:
+    """The unit exponentials of the faithful chain's min(``replicates``,
+    ``trials``) replicates, one (n_r, dim) array each: sizes differing by
+    at most one, the larger first; replicate r shifts the first n_r Halton
+    points by ``_stream(seed, r).random(dim)`` modulo 1, keeps each
+    uniform u in [2^-53, 1 - 2^-53] and takes -log(u)."""
+    replicates = min(replicates, trials)
+    out = []
+    for r in range(replicates):
+        n = trials // replicates + (r < trials % replicates)
+        shift = _stream(seed, r).random(dim)
+        u = (np.array([halton_point(i, dim) for i in range(n)]).reshape(n, dim) + shift) % 1.0
+        out.append(-np.log(np.clip(u, 2.0**-53, 1.0 - 2.0**-53)))
+    return out
 
 
 def two_call_gauss(f, a: float, b: float, settings) -> tuple[float, int]:

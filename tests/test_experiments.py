@@ -208,3 +208,12 @@ class TestRunDirectory:
         fractions = meta["fig6"]["rea_fraction"]
         assert sorted(fractions) == sorted(f"{b:g}" for b in FIG6_BIASES)
         assert all(0.0 < f < 1.0 for f in fractions.values())
+
+    def test_fig3_rqmc_layout_in_metadata(self, tmp_path):
+        # 1000 trials: 8 replicates of 32 trials and 24 of 31
+        result = run_preset(default_spec("fig3", trials=1000, seed=7))
+        meta = json.loads((write_run_directory(result, tmp_path) / "meta.json").read_text())
+        assert meta["rqmc_layout"] == {
+            "replicates": 32, "replicate_trials_min": 31, "replicate_trials_max": 32, "dof": 31,
+        }
+        assert "rqmc_layout" not in result.columns

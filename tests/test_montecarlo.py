@@ -1,6 +1,7 @@
 """Simulation engine: sampling laws, event-chain semantics, determinism."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -18,15 +19,17 @@ from sicnet.model import (
 )
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
 from sicnet.numerics import c_integral
-from sicnet.experiments import DENSITY_MACRO, FIG2_ETA_DB, FIG2_ORDERS
+from sicnet.experiments import DENSITY_MACRO, FIG2_ETA_DB, FIG2_ORDERS, FIG3_ETA_DB, FIG3_N_MAX
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
     _CHUNK_POINTS,
     _MAX_ROW_POINTS,
     _NEAREST_USERS,
+    _REPLICATES,
     _chain_exponent,
     _estimates,
     _far_field,
+    _halton,
     _independent_stage_block,
     _independent_stage_probs,
     _interferer_tiers,
@@ -41,6 +44,7 @@ from sicnet.montecarlo import (
     _radial_field,
     _rea_block,
     _reached,
+    _replicate_estimates,
     _run_blocks,
     _serving_block,
     _stage_chain_success,
@@ -65,8 +69,10 @@ from oracles import (
     _chain_levels,
     _first_level,
     _ordered_powers,
+    halton_point,
     radial_field_oracle,
     rea_distance_pdf,
+    rqmc_replicates,
     run_sic_trial,
     sample_scene,
     trimmed_sum_oracle,
@@ -113,7 +119,7 @@ def _sampled_chain(etas, n_max, trials, seed):
     the window-free kernel replaced in ``ps_sic_curve_mc``, draw for draw."""
 
     def block(rng, size):
-        s0 = _serving_block(rng, size, LAM, 4.0)
+        s0 = _serving_block(rng.standard_exponential(size), LAM, 4.0)
         total, top, cum, _ = _field_block(rng, size, MU, window_radius(MU), n_max, 4.0)
         sums = np.zeros((2, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
@@ -200,6 +206,16 @@ class TestBlockDriver:
         single, multi = (_run_blocks(self.TRIALS, 41, block, t) for t in (1, 4))
         assert np.array_equal(single[0], multi[0])
         assert single[1] == multi[1] == self.TRIALS
+
+    def test_caller_parts(self):
+        # block b gets stream b and parts[b]; outputs add in block order
+        def block(rng, part):
+            return [(part, int(rng.integers(0, 2**62)))]
+
+        parts = ["a", "b", "c"]
+        for threads in (1, 4):
+            got = _run_blocks(5, 39, block, threads, parts=parts)
+            assert got == [(p, int(_stream(39, b).integers(0, 2**62))) for b, p in enumerate(parts)]
 
     def test_numpy_integer_budget(self):
         assert _run_blocks(np.int64(5000), 43, lambda rng, size: size) == 5000
@@ -549,6 +565,143 @@ class TestChainEstimators:
                     _chain_levels(soi, total, top, cum, eta, n_max),
                     loop_levels(soi, total, top, cum, eta, n_max),
                 )
+
+
+class TestRqmcChain:
+    """The faithful chain's randomized quasi-Monte Carlo layout: R =
+    min(32, trials) shifted Halton replicates through the block driver."""
+
+    FIG3_ETAS = [db_to_linear(d) for d in FIG3_ETA_DB]
+
+    def _grid(self, trials, seed, threads=1):
+        return ps_sic_curve_mc(LAM, MU, 4.0, self.FIG3_ETAS, FIG3_N_MAX, trials, seed, threads)
+
+    def test_halton_points(self):
+        want = [halton_point(i, 6) for i in range(300)]
+        assert _halton(0, 300, 6).tolist() == want
+        # any index range, so chunks read the points of one whole draw
+        assert _halton(130, 300, 6).tolist() == want[130:]
+        assert _halton(0, 4, 2).tolist() == [[0.0, 0.0], [0.5, 1 / 3], [0.25, 2 / 3], [0.75, 1 / 9]]
+        # beyond the oracle's 15 bases
+        assert _halton(0, 2, 17)[1, -1] == 1.0 / 59.0
+
+    def test_replicate_estimates(self):
+        # equal sizes: the replicate means' sample standard deviation over
+        # sqrt(R); unequal: the size-weighted form, and the mean over trials
+        sums = np.random.default_rng(5).random((8, 3)) * 10.0
+        est = _replicate_estimates(sums, np.full(8, 10), 7)
+        means = sums / 10.0
+        assert [e.mean for e in est] == pytest.approx(means.mean(axis=0), rel=1e-14)
+        assert [e.stderr for e in est] == pytest.approx(
+            means.std(axis=0, ddof=1) / math.sqrt(8), rel=1e-12
+        )
+        assert {(e.trials, e.seed, e.dof) for e in est} == {(80, 7, 7)}
+        sizes = np.array([11, 11, 10, 10])
+        est = _replicate_estimates(sums[:4], sizes, 7)
+        m = sums[:4].sum(axis=0) / 42
+        var = (sizes[:, None] * (sums[:4] / sizes[:, None] - m) ** 2).sum(axis=0) / (3 * 42)
+        assert [e.mean for e in est] == pytest.approx(m, rel=1e-14)
+        assert [e.stderr for e in est] == pytest.approx(np.sqrt(var), rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [6000, 3 * BLOCK_TRIALS + 17])
+    def test_chunks_replay_the_replicates(self, trials):
+        # budgets not divisible by 32, in several chunks of 128 Halton
+        # indices per replicate: bit for bit across reruns and threads, and
+        # each mean and stderr that of the oracle's replicates taken whole
+        assert trials % _REPLICATES and trials // _REPLICATES > BLOCK_TRIALS // _REPLICATES
+        runs = [self._grid(trials, 17, threads).tolist() for threads in (1, 1, 4)]
+        assert runs[0] == runs[1] == runs[2]
+        assert {e.dof for row in runs[0] for e in row} == {_REPLICATES - 1}
+        assert {e.trials for row in runs[0] for e in row} == {trials}
+        reps = rqmc_replicates(trials, 17, 1 + max(FIG3_N_MAX, _NEAREST_USERS))
+        sizes = np.array([len(r) for r in reps])
+        e = np.concatenate(reps)
+        s0, near = _serving_block(e[:, 0], LAM, 4.0), _nearest_users(e[:, 1:], MU, 4.0)
+        for row, eta in zip(runs[0], self.FIG3_ETAS):
+            p = _nearest_chain_success(*near, MU, s0, eta, FIG3_N_MAX, 4.0)
+            means = np.array([c.mean(axis=0) for c in np.split(p, np.cumsum(sizes)[:-1])])
+            mean = p.mean(axis=0)
+            se = np.sqrt(sizes @ (means - mean) ** 2 / ((len(sizes) - 1) * trials))
+            assert [x.mean for x in row] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+            assert [x.stderr for x in row] == pytest.approx(se, rel=1e-9)
+
+    def test_small_budgets(self):
+        # the bench's set-up probe calls at 16 trials: 16 replicates of one
+        # point each; one trial leaves no spread to measure
+        est = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, 16, 0)
+        assert {e.dof for e in est.ravel()} == {15}
+        assert all(0.0 < e.stderr < 1.0 for e in est.ravel())
+        for trials in (1, np.int64(1)):
+            with pytest.raises(DomainError, match="trials must be >= 2"):
+                ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, trials, 0)
+        # the iid independent-stage chain still runs one trial
+        assert ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, 1, 0, independent_stages=True)[0][0].dof is None
+
+    def test_zero_shift_stays_finite(self, monkeypatch):
+        # Halton point 0 is the origin: unshifted, it would map to an
+        # infinite exponential, and a uniform of 1 to a zero one
+        from sicnet import montecarlo
+
+        class Unshifted:
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(montecarlo, "_stream", lambda seed, index: Unshifted())
+        grid = self._grid(2 * _REPLICATES + 5, 3)
+        means = np.array([[e.mean for e in row] for row in grid])
+        stderrs = np.array([[e.stderr for e in row] for row in grid])
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(stderrs))
+        assert np.all((means >= 0.0) & (means <= 1.0))
+        assert np.all(np.diff(means, axis=1) >= 0.0)
+
+    def test_fig3_grid_peak_memory(self):
+        # chunks of at most BLOCK_TRIALS points: 100 000 trials hold no
+        # more than one chunk's arrays (1.29 MiB with iid blocks of 4096)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            self._grid(100_000, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    # Calibration of the RQMC standard error on the fig3 grid at the bench's
+    # 2048 trials (32 replicates of 64), over seeds fixed before the first
+    # run.  Each seed's 11 thresholds share their points, so the seeds are
+    # the independent units: at each threshold the count of |z| > 3 over
+    # the 64 seeds is Binomial(64, p) under the t law with 31 degrees of
+    # freedom, p = 2 P(T_31 > 3) = 0.00529, and a count above 4 has
+    # probability 2.4e-5 (2.7e-4 for any of the 11).  The spread of the 64
+    # means over the mean reported stderr has a relative sampling error of
+    # about 1 / sqrt(126) per point; over 60 other groups of 64 seeds the
+    # point ratios ranged 0.67-1.27 and the pooled ratio 0.89-1.15.
+    CALIBRATION_SEEDS = range(2900, 2964)
+
+    def test_calibration(self):
+        from scipy import stats
+
+        runs = [self._grid(2048, seed) for seed in self.CALIBRATION_SEEDS]
+        means = np.array([[[e.mean for e in row] for row in g] for g in runs])
+        stderrs = np.array([[[e.stderr for e in row] for row in g] for g in runs])
+        assert {e.dof for g in runs for e in g.ravel()} == {31}
+        plain = np.array([ps_plain(eta, LAM, MU, 4.0) for eta in self.FIG3_ETAS])
+        z = (means[:, :, 0] - plain) / stderrs[:, :, 0]
+        p = 2.0 * stats.t.sf(3.0, 31)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / len(plain), len(z), p)
+        print(f"|z| > 3 share {counts.sum() / z.size:.4f} vs t31 rate {p:.4f}, "
+              f"per-threshold counts {counts.tolist()} vs bound {bound:g}")
+        assert bound == 4 and counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
 
 
 class TestPsCanEstimators:
@@ -982,7 +1135,7 @@ class TestWindowSufficiency:
         p = []
         for b in range(blocks):
             rng = _stream(seed, b)
-            s0 = _serving_block(rng, size, LAM, 4.0)
+            s0 = _serving_block(rng.standard_exponential(size), LAM, 4.0)
             total, top, cum, _ = _field_block(rng, size, MU, r, n_max, 4.0)
             annulus, _, _ = _radial_field(rng, size, MU, r, 2.0 * r, 1, 4.0)
             p.append([
@@ -1358,7 +1511,8 @@ class TestMaxSir:
         assert np.array_equal(first_row, (np.cumsum(counts) - counts)[counts > 0])
         mu_eq = _mu_eq(_interferer_tiers(cfg), cfg.alpha)
         if independent:
-            near = _nearest_users(rng, len(signal), mu_eq, n_max, cfg.alpha)
+            shape = (len(signal), max(n_max, _NEAREST_USERS))
+            near = _nearest_users(rng.standard_exponential(shape), mu_eq, cfg.alpha)
             p_a = _nearest_chain_success(*near, mu_eq, signal, eta, n_max, cfg.alpha)[:, n_max]
         else:
             x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
@@ -1744,24 +1898,33 @@ class TestConditionalEstimators:
                 assert tail >= stats.norm.sf(4.0), (scene_seed, n, k, p)
 
     def test_chain(self):
-        # the block draws the serving distance and the nearest interferers;
-        # the 0/1 chain adds their fadings, the serving fading and the field
-        # beyond them, sampled until 1% of its mean interference is left
-        # out, all drawn separately
+        # the replicates' points give the serving distance and the nearest
+        # interferers (rqmc_replicates); the 0/1 chain adds their fadings,
+        # the serving fading and the field beyond them, sampled until 1% of
+        # its mean interference is left out, all drawn separately
         etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 11
         tiers = [(MU, 1.0)]
-        rng = _stream(seed, 0)
-        s0 = _serving_block(rng, size, LAM, 4.0)
-        x, r2_far = _nearest_users(rng, size, MU, n_max, 4.0)
+        reps = rqmc_replicates(size, seed, 1 + max(n_max, _NEAREST_USERS))
+        e = np.concatenate(reps)
+        s0 = _serving_block(e[:, 0], LAM, 4.0)
+        x, r2_far = _nearest_users(e[:, 1:], MU, 4.0)
         other = np.random.default_rng(12)
         top = other.standard_exponential(x.shape) * x
         total = top.sum(axis=1) + _sampled_residual(other, r2_far, tiers, 1e-2, 4.0)
         cum = np.cumsum(top, axis=1)
         h = other.exponential(size=size)
         grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed)
+        sizes = np.array([len(r) for r in reps])
         for e_idx, eta in enumerate(etas):
             cond = _nearest_chain_success(x, r2_far, MU, s0, eta, n_max, 4.0)
-            assert [e.mean for e in grid[e_idx]] == (cond.sum(axis=0) / size).tolist()
+            # each replicate's sum, the replicates added in order
+            sums = [c.sum(axis=0) for c in np.split(cond, np.cumsum(sizes)[:-1])]
+            assert [e.mean for e in grid[e_idx]] == (functools.reduce(np.add, sums) / size).tolist()
+            means = np.array(sums) / sizes[:, None]
+            assert [e.stderr for e in grid[e_idx]] == pytest.approx(
+                means.std(axis=0, ddof=1) / math.sqrt(len(sizes)), rel=1e-9
+            )
+            assert {e.dof for e in grid[e_idx]} == {len(sizes) - 1}
             level = _chain_levels(h * s0, total, top, cum, eta, n_max)
             _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
 
@@ -1797,7 +1960,8 @@ class TestConditionalEstimators:
         if independent:
             tiers = _interferer_tiers(cfg)
             mu_eq = _mu_eq(tiers, 4.0)
-            x, r2_far = _nearest_users(rng, len(signal), mu_eq, n_max, 4.0)
+            shape = (len(signal), max(n_max, _NEAREST_USERS))
+            x, r2_far = _nearest_users(rng.standard_exponential(shape), mu_eq, 4.0)
             miss = 1.0 - _nearest_chain_success(x, r2_far, mu_eq, signal, eta, n_max, 4.0)
             other = np.random.default_rng(21)
             top = other.standard_exponential(x.shape) * x

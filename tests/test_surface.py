@@ -1,11 +1,14 @@
 """The library's surface: what ``src/sicnet`` defines, the library or the
 benchmark uses, the oracles that only the tests call live in
-``tests/oracles.py``, and the simulator signatures that the benchmark's
-tracer binds."""
+``tests/oracles.py``, the simulator signatures that the benchmark's
+tracer binds, and what the simulators import."""
 
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from sicnet import montecarlo
@@ -102,3 +105,24 @@ def test_traced_simulators_bind_their_library_signature():
         bound.apply_defaults()
         assert "trials" in bound.arguments, name
         assert name + variant_of(bound.arguments) in tracing.SIM_VARIANTS, name
+
+
+def test_chain_simulator_imports_no_scipy_stats():
+    # the bench's chain_mc set-up probe makes these two calls in a fresh
+    # interpreter; importing scipy.stats there would add about 0.5 s to its
+    # setup_s
+    code = "\n".join((
+        "import sys",
+        "from sicnet import montecarlo as mc",
+        "mc.ps_sic_curve_mc(1e-4, 1e-4, 4.0, [1.0], 1, 16, 0)",
+        "mc.ps_sic_curve_mc(1e-4, 1e-4, 4.0, [1.0], 1, 16, 0, independent_stages=True)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

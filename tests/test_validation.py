@@ -61,6 +61,15 @@ def test_figure_gate_reads_its_preset(check):
     assert all(math.isfinite(r.measured) for r in results)
 
 
+def test_faithful_chain_lines_name_their_degrees_of_freedom():
+    results = {r.name: r for r in validation.check_fig3(trials=1000, threads=2)}
+    for name in (
+        "analytic vs event-chain MC at N=0 (3 stderr + 0.02)",
+        "analytic at or below event-chain MC for N>=1 (+3 stderr)",
+    ):
+        assert "stderr from 32 RQMC replicates, 31 dof" in results[name].detail
+
+
 def test_determinism_gate_dispatches_several_blocks(monkeypatch):
     # thread invariance is only tested when trials span several blocks and
     # some of those runs use more than one thread
