@@ -122,7 +122,11 @@ def _decode_integral(eta, n, lambda_eq: float, mu_j: float, alpha: float):
         c_val = c_integral(n / (eta_e * ratio * tau), alpha)
         return np.exp(-ratio * eta_e * c_val * tau - tau)
 
-    return integrand, tau0, tau0 + 60.0 + 10.0 * np.sqrt(tau0 + 1.0)
+    # the exponent's slope 1 + ratio eta_e (C(b) + b / (1 + b^(alpha/2))) grows
+    # with tau: at tau0 (b0) it bounds the decay rate, whose e-folds set the span
+    b0 = np.where(n > 0, 1.0 / eta_e, 0.0)
+    rate = 1.0 + ratio * eta_e * (c_integral(b0, alpha) + b0 / (1.0 + b0 ** (0.5 * alpha)))
+    return integrand, tau0, tau0 + (60.0 + 10.0 * np.sqrt(tau0 + 1.0)) / rate
 
 
 def ps_can(eta: float, n: int, alpha: float) -> float:

@@ -13,31 +13,29 @@ trimmed-sum definition of the residual field.
 Ordering: every SIC chain cancels in order of mean received power, as the
 paper's chain does, and only ``ps_can_curve_mc`` also orders by faded power.
 
-Windows: where no decision in a trial reads the far field, the field is
-sampled only out to a near window that holds 25 expected points beyond its
-inner radius, and each trial multiplies in the exact Laplace transform of
-the field beyond (:func:`_far_field`), so the estimate has no truncation
-bias: ``simulate_rea``, whose uncancelled, one-cancellation and
-annulus-cleared estimates share one set of draws, and the independent-stage
-oracle of ``ps_sic_curve_mc``.  The SIC chains on fields of their own are
-window-free too: the faithful chain of ``ps_sic_curve_mc`` and the
-max-SIR runs with independent fields draw only each receiver's nearest
+Windows: the SIC chains on fields of their own are window-free.  The
+faithful chain and the independent-stage oracle of ``ps_sic_curve_mc`` and
+the max-SIR runs with independent fields draw only each receiver's nearest
 interferers and integrate out their fadings and the field beyond exactly
-(:func:`_nearest_chain_success`); without SIC (``max_sir_success_curve_mc``,
-N = 0) the max-SIR runs draw no field and take each AP's whole field from
-that transform.  The other simulators decide cancellations on the residual
-of a field that several decisions share, or decide loads inside their
-window, so the factor would not be exact there, and they still truncate at
-a fixed disk, which drops a small share of the interference and so reads
-success slightly high: ``ps_can_curve_mc`` at R_sim = 20 / sqrt(pi mu_j)
-(:func:`window_radius`, about 400 expected interferers), the shared-field
-max-SIR runs at the same radius for the user density mu (about 400
-expected users), ``simulate_min_load`` at its connectivity range plus a
-margin.  The shared-field max-SIR runs draw a whole block's user counts at
-once, after its candidate APs, then each trial's users of every tier in
-one draw (:func:`_max_sir_block`).  The sampled annulus and disk fields
-(:func:`_radial_chunks`) come in row chunks of a fixed point budget, and
-``ps_can_curve_mc`` reduces and drops each chunk before the next is
+(:func:`_field_factor`); without SIC (``max_sir_success_curve_mc``, N = 0)
+the max-SIR runs draw no field and take each AP's whole field from the
+PPP's Laplace transform (:func:`_far_field`).  ``simulate_rea``, whose
+uncancelled, one-cancellation and annulus-cleared estimates share one set
+of draws, samples its fields out to a near window that holds 25 expected
+points beyond its inner radius and multiplies in that transform beyond,
+so it has no truncation bias either.  The other simulators decide
+cancellations on the residual of a field that several decisions share, or
+decide loads inside their window, so the factor would not be exact there,
+and they truncate at a fixed disk, which drops a small share of the
+interference and so reads success slightly high: ``ps_can_curve_mc`` at
+R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400 expected
+interferers), the shared-field max-SIR runs at the same radius for the
+user density mu, ``simulate_min_load`` at its connectivity range plus a
+margin.  The shared-field max-SIR runs draw a whole block's user counts
+at once, after its candidate APs, then each trial's users of every tier
+in one draw (:func:`_max_sir_block`).  The sampled annulus and disk
+fields (:func:`_radial_chunks`) come in row chunks of a fixed point
+budget, and ``ps_can_curve_mc`` drops each chunk before the next is
 drawn, so its doubled window holds at most three chunk-sized arrays.  The
 chunks' values are those of one block-sized draw: a copy of the generator
 serves the uniforms while the generator itself skips past them to the
@@ -51,8 +49,8 @@ only changes how blocks are dispatched, never what they draw, so results
 are bit-identical for any ``threads`` value.  :func:`_run_blocks` is the one
 place that checks the trial budget, hands each block its stream and
 dispatches the blocks; every simulator passes it a ``block(rng, size)``,
-except the faithful chain of ``ps_sic_curve_mc``, which lays out its own
-blocks (:func:`_rqmc_chain`).
+except the two chains of ``ps_sic_curve_mc``, which lay out their own
+blocks (:func:`_rqmc_sums`).
 
 Estimators: the chain and policy simulators never draw the serving link's
 Rayleigh fading h.  Given everything else in a trial, success is the event
@@ -62,24 +60,20 @@ contributes that conditional probability instead of a 0/1 outcome
 2007, ch. V), whose variance is never larger.  Each block returns the sum
 and the sum of squares of these values per grid point (:func:`_moments`),
 and :func:`_run_blocks` adds the blocks' outputs in block order, so the
-sums do not depend on scheduling.  The window-free chains and the
-independent-stage oracle average each cancellation over the cancelled
-node's fading in the same way.  ``ps_can_curve_mc`` still counts 0/1
-outcomes.
+sums do not depend on scheduling.  The window-free chains average each
+cancellation over the cancelled node's fading in the same way.
+``ps_can_curve_mc`` still counts 0/1 outcomes.
 
-The faithful chain of ``ps_sic_curve_mc`` is a smooth function of a fixed
-number of unit exponentials, 1 + max(n_max, 3), so its trials are
-randomized quasi-Monte Carlo points (Owen, *J. Complexity*, 1998; L'Ecuyer
-and Lemieux, 2002) rather than iid draws: R = min(32, trials) replicates,
-each the start of one Halton point set shifted modulo 1 by a uniform
-vector from stream r (:func:`_rqmc_chain`).  Its standard error comes from
-the spread of the R replicate means and carries R - 1 degrees of freedom
-(``Estimate.dof``); at the bench's 2048 trials its variance on the fig3
-grid is a median 19 times below that of iid draws, at the same cost.  A scrambled Sobol' set would cut it
-further, but ``scipy.stats.qmc`` costs about 0.5 s to import in a fresh
-interpreter, so the points are built with numpy alone.  Every other
-estimator's dimension depends on its draws (field counts, candidate APs,
-REA rejections), so it stays iid, with ``dof`` None.
+Both chains of ``ps_sic_curve_mc`` are smooth functions of a fixed
+number of uniforms, so their trials are randomized quasi-Monte Carlo
+points rather than iid draws (:func:`_rqmc_sums`), with R - 1 degrees of
+freedom (``Estimate.dof``).  At the bench's 2048 trials on the fig3 grid
+their variance is a median 19 times (faithful chain) and about 27 times
+(independent stages) below that of iid draws.  A scrambled Sobol' set
+would cut it further, but ``scipy.stats.qmc`` costs about 0.5 s to import
+in a fresh interpreter, so the points are built with numpy alone.  Every
+other estimator's dimension depends on its draws (field counts, candidate
+APs, REA rejections), so it stays iid, with ``dof`` None.
 """
 
 from __future__ import annotations
@@ -91,6 +85,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .errors import DegenerateReaError, DomainError
 from .model import (
@@ -487,6 +482,14 @@ def _nearest_users(e: np.ndarray, density: float, alpha: float):
     return r2 ** (-0.5 * alpha), r2[:, -1]
 
 
+def _field_factor(x, r2_far, density, c, alpha: float) -> np.ndarray:
+    """E[exp(-c R)] for each row's field R: the users of mean powers ``x``
+    with unit-mean exponential fadings, prod_j (1 + c x_j)^-1, times the
+    field of ``density`` beyond r_far (:func:`_far_field`)."""
+    far = _far_field(density, r2_far, c, alpha)
+    return np.exp(-(np.log1p(c[:, None] * x).sum(axis=1) + far))
+
+
 def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, alpha: float):
     """Each receiver's chain success for budgets N = 0..n_max, in order of
     mean received power, given the mean power ``signal`` S of its signal of
@@ -497,7 +500,7 @@ def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, a
     ``ps_sic_curve_mc`` on its one tier, max-SIR with independent fields on
     the tiers' equivalent field.  With R_k the residual after k
     cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k} (1 + c x_j)^-1
-    times :func:`_far_field` beyond r_far.  Stage k cancels
+    times :func:`_far_field` beyond r_far (:func:`_field_factor`).  Stage k cancels
     with probability exp(-a_k R_k), a_k = eta / x_k, and decodes with
     exp(-g R_k), g = eta / S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} /
     (1 + beta_{k-1} x_k) and beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).
@@ -507,8 +510,7 @@ def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, a
     <= N, as a running maximum."""
 
     def phi(k: int, c: np.ndarray) -> np.ndarray:
-        far = _far_field(density, r2_far, c, alpha)
-        return np.exp(-(np.log1p(c[:, None] * x[:, k:]).sum(axis=1) + far))
+        return _field_factor(x[:, k:], r2_far, density, c, alpha)
 
     g = eta / signal
     beta, w = np.zeros_like(g), np.ones_like(g)
@@ -521,7 +523,7 @@ def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, a
     return np.clip(np.maximum.accumulate(np.column_stack(p), axis=1), 0.0, 1.0)
 
 
-# The faithful chain's randomized quasi-Monte Carlo layout: at most this
+# The randomized quasi-Monte Carlo layout of both SIC chains: at most this
 # many replicates, each an independently shifted copy of one Halton point set.
 _REPLICATES = 32
 
@@ -556,102 +558,61 @@ def _halton(lo: int, hi: int, dim: int) -> np.ndarray:
     return points
 
 
+def _rqmc_sums(trials: int, seed: int, shape: tuple, threads: int, integrand):
+    """Replicate sums of ``integrand`` over randomized quasi-Monte Carlo
+    points, and the replicate sizes.  The ``trials`` >= 2 split into R =
+    min(``_REPLICATES``, trials) replicates of near-equal size, the larger
+    first.  Replicate r shifts the first n_r points of the Halton sequence
+    (:func:`_halton`) in dimension shape[-1] modulo 1 by an array of
+    ``shape`` uniforms from ``_stream(seed, r)``, each of its rows shifting
+    its own independent copy (Cranley and Patterson, *SIAM J. Numer.
+    Anal.*, 1976).  The replicates run through :func:`_run_blocks` side by
+    side, in chunks of the same BLOCK_TRIALS // R Halton indices of each,
+    so memory does not grow with the budget.  A chunk returns
+    ``integrand(u, kept)``, every replicate's sums over its uniforms u, an
+    (R, *shape[:-1], n, shape[-1]) array in [2^-53, 1 - 2^-53], where the
+    (R, n) mask ``kept`` drops the last chunk's padding of the smaller
+    replicates.  The chunks add in order, whatever ``threads``."""
+    replicates = min(_REPLICATES, trials)
+    sizes = np.full(replicates, trials // replicates)
+    sizes[: trials % replicates] += 1
+    shifts = np.stack([_stream(seed, r).random(shape) for r in range(replicates)])
+    step = BLOCK_TRIALS // replicates
+
+    def block(_, lo: int) -> np.ndarray:
+        hi = min(lo + step, sizes[0])
+        u = _halton(lo, hi, shape[-1]) + shifts[..., None, :]
+        u %= 1.0
+        np.clip(u, _UNIFORM_EDGE, 1.0 - _UNIFORM_EDGE, out=u)
+        return integrand(u, np.arange(lo, hi) < sizes[:, None])
+
+    return _run_blocks(trials, seed, block, threads, parts=range(0, sizes[0], step)), sizes
+
+
 def _rqmc_chain(
     lambda_eq: float, mu_j: float, alpha: float, etas, n_max: int, trials: int, seed: int,
     threads: int,
 ):
     """The faithful chain of :func:`ps_sic_curve_mc` on randomized
-    quasi-Monte Carlo points, an (n_eta, n_max + 1) array of
-    :class:`Estimate` with R - 1 degrees of freedom.
-
-    The ``trials`` >= 2 split into R = min(``_REPLICATES``, trials)
-    replicates of near-equal size, the larger first.  Replicate r takes the
-    first n_r points of the Halton sequence (:func:`_halton`) in dimension
-    d = 1 + max(n_max, ``_NEAREST_USERS``) and shifts them modulo 1 by one
-    uniform vector drawn from ``_stream(seed, r)`` (Cranley and Patterson,
-    *SIAM J. Numer. Anal.*, 1976), so each of its points is uniform on the
-    unit cube and the replicates are independent.  Each uniform u maps to
-    the unit exponential -log(u): column 0 gives the serving distance
-    (:func:`_serving_block`), the others the nearest interferers
-    (:func:`_nearest_users`).  The replicates run through
-    :func:`_run_blocks` side by side, in chunks of the same
-    BLOCK_TRIALS // R Halton indices of every replicate, so a chunk holds
-    at most ``BLOCK_TRIALS`` points and memory does not grow with the
-    budget.  Each chunk returns every replicate's sums, the chunks add in
-    order, and :func:`_replicate_estimates` adds the replicates in order,
-    so the sums do not depend on ``threads``."""
-    replicates = min(_REPLICATES, trials)
-    sizes = np.full(replicates, trials // replicates)
-    sizes[: trials % replicates] += 1
+    quasi-Monte Carlo points (:func:`_rqmc_sums`) in dimension 1 +
+    max(n_max, ``_NEAREST_USERS``).  Each uniform u maps to the unit
+    exponential -log(u): column 0 gives the serving distance
+    (:func:`_serving_block`), the others the nearest interferers."""
     dim = 1 + max(n_max, _NEAREST_USERS)
-    shifts = np.stack([_stream(seed, r).random(dim) for r in range(replicates)])
-    step = BLOCK_TRIALS // replicates
 
-    def block(_, lo: int) -> np.ndarray:
-        hi = min(lo + step, sizes[0])
-        u = _halton(lo, hi, dim) + shifts[:, None]
-        u %= 1.0
-        np.clip(u, _UNIFORM_EDGE, 1.0 - _UNIFORM_EDGE, out=u)
+    def integrand(u: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        replicates, points = kept.shape
         e = -np.log(u).reshape(-1, dim)
         s0 = _serving_block(e[:, 0], lambda_eq, alpha)
         near = _nearest_users(e[:, 1:], mu_j, alpha)
-        del u, e  # the chain reads s0 and near only
-        # the last chunk pads the smaller replicates by one point each
-        kept = (np.arange(lo, hi) < sizes[:, None])[:, :, None]
+        del e  # the chain reads s0 and near only
         sums = np.zeros((replicates, len(etas), n_max + 1))
         for e_idx, eta in enumerate(etas):
             p = _nearest_chain_success(*near, mu_j, s0, eta, n_max, alpha)
-            sums[:, e_idx] = np.where(kept, p.reshape(replicates, hi - lo, -1), 0.0).sum(axis=1)
+            sums[:, e_idx] = np.where(kept[:, :, None], p.reshape(replicates, points, -1), 0.0).sum(axis=1)
         return sums
 
-    sums = _run_blocks(trials, seed, block, threads, parts=range(0, sizes[0], step))
-    return _replicate_estimates(sums, sizes, seed)
-
-
-def _independent_stage_block(
-    rng: np.random.Generator,
-    size: int,
-    lambda_eq: float,
-    mu_j: float,
-    n_max: int,
-    alpha: float,
-):
-    """Draw every stage of the chain from its own independent scene.
-
-    Stage n decodes a fresh signal of interest against a fresh field beyond
-    the deterministic cancellation radius R_{I,n} = sqrt(n / (pi mu_j)) and
-    fails outright when the serving distance falls inside it (no
-    renormalization); stage n >= 1 first cancels the n-th nearest
-    interferer of another fresh field against everything beyond it.  That
-    scene needs no window: pi mu_j r_n^2 ~ Gamma(n) (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, 2012, ch. 2), and the field beyond r_n
-    is an independent PPP.  Each field is sampled out to the near window of
-    its inner radius (:func:`_near_window2`); :func:`_independent_stage_probs`
-    adds the field beyond it exactly.  Returns the threshold-free
-    statistics (s, interference, r2, weaker): s (trials x stages) is the
-    mean signal power u^-alpha, or 0 where the serving distance falls
-    inside R_{I,n}, and interference the near field of each decode stage;
-    r2 (trials x cancellation stages) is r_n^2 and weaker the near field
-    beyond it.  The cancelled node's fading is never drawn.
-    """
-    s = np.empty((size, n_max + 1))
-    interference = np.empty((size, n_max + 1))
-    r2 = np.empty((size, n_max))
-    weaker = np.empty((size, n_max))
-    for n in range(n_max + 1):
-        r_in = math.sqrt(n / (math.pi * mu_j))
-        u2 = rng.exponential(1.0 / (math.pi * lambda_eq), size)
-        s[:, n] = np.where(u2 >= r_in * r_in, u2 ** (-0.5 * alpha), 0.0)
-        r_out = math.sqrt(_near_window2(mu_j, r_in * r_in))
-        powers, _, _ = _radial_field(rng, size, mu_j, r_in, r_out, 1, alpha)
-        interference[:, n] = powers.sum(axis=1)
-        if n:
-            r2[:, n - 1] = r2_n = rng.standard_gamma(n, size) / (math.pi * mu_j)
-            weaker[:, n - 1] = _radial_field(
-                rng, size, mu_j, np.sqrt(r2_n), np.sqrt(_near_window2(mu_j, r2_n)), 1,
-                alpha,
-            )[0].sum(axis=1)
-    return s, interference, r2, weaker
+    return _replicate_estimates(*_rqmc_sums(trials, seed, (dim,), threads, integrand), seed)
 
 
 def _stage_chain_success(miss: np.ndarray, cancel: np.ndarray) -> np.ndarray:
@@ -675,27 +636,80 @@ def _stage_chain_success(miss: np.ndarray, cancel: np.ndarray) -> np.ndarray:
     return 1.0 - np.minimum.accumulate(fail, axis=1)
 
 
-def _independent_stage_probs(
-    s, interference, r2, weaker, eta: float, mu_j: float, alpha: float
+# The independent-stage oracle draws this many arrivals of each stage's
+# field beyond its inner radius; the field beyond them enters exactly.
+_STAGE_ARRIVALS = 1
+
+
+def _stage_scenes(u: np.ndarray, lambda_eq: float, mu_j: float, n_max: int, alpha: float):
+    """The scenes of the independent-stage chain from uniforms ``u`` of
+    shape (..., 2 n_max + 1, points, 1 + K), K = ``_STAGE_ARRIVALS``: the
+    decodes n = 0..n_max, then the cancellations n = 1..n_max.  The unit
+    exponentials -log(u_k) give the K nearest interferers beyond the
+    stage's inner radius, pi mu_j r_k^2 = L + the sum of the first k
+    (:func:`_nearest_users`; Haenggi, *Stochastic Geometry for Wireless
+    Networks*, 2012, ch. 2), and u_0 the stage's signal:
+
+    - decode n: L = n (the cancellation radius R_{I,n}), and the serving
+      distance from -log(u_0) (:func:`_serving_block`), which fails
+      outright inside R_{I,n} (no renormalization);
+    - cancel n: the cancelled node at L = pi mu_j r_n^2 ~ Gamma(n), by
+      inversion, ``gammaincinv(n, u_0)``.
+
+    Returns the interferers' mean powers and the squared radius of the
+    farthest, one row per point in the layout of ``u``, and each point's
+    signal and whether it lies inside R_{I,n}, flat."""
+    decodes = n_max + 1
+    lead = np.empty(u.shape[:-1])
+    lead[..., :decodes, :] = np.arange(decodes)[:, None]
+    lead[..., decodes:, :] = gammaincinv(np.arange(1, decodes)[:, None], u[..., decodes:, :, 0])
+    e = -np.log(u)
+    served = e[..., :decodes, :, 0]
+    inside = np.zeros(lead.shape, dtype=bool)
+    inside[..., :decodes, :] = served < lead[..., :decodes, :] * (lambda_eq / mu_j)
+    signal = np.empty(lead.shape)
+    signal[..., :decodes, :] = _serving_block(served, lambda_eq, alpha)
+    signal[..., decodes:, :] = _serving_block(lead[..., decodes:, :], mu_j, alpha)
+    e[..., 1] += lead
+    x, r2_far = _nearest_users(e[..., 1:].reshape(-1, u.shape[-1] - 1), mu_j, alpha)
+    return x, r2_far, signal.ravel(), inside.ravel()
+
+
+def _stage_success(scenes, eta: float, mu_j: float, alpha: float) -> np.ndarray:
+    """Each stage point's success probability at threshold ``eta`` given its
+    scene (:func:`_stage_scenes`), exact over every fading and the field:
+    :func:`_field_factor` at c = eta / signal, and 0 inside R_{I,n}."""
+    x, r2_far, signal, inside = scenes
+    return np.where(inside, 0.0, _field_factor(x, r2_far, mu_j, eta / signal, alpha))
+
+
+def _rqmc_stages(
+    lambda_eq: float, mu_j: float, alpha: float, etas, n_max: int, trials: int, seed: int,
+    threads: int,
 ):
-    """Per-stage probabilities of :func:`_independent_stage_block`'s chain,
-    (miss, cancel) as :func:`_stage_chain_success` takes them.  Stage n
-    decodes with probability exp(-eta I_n / S_n - far) over its serving
-    fading, 0 where S_n = 0; its cancellation succeeds with probability
-    exp(-eta r_n^alpha R_n - far) over the cancelled node's fading, which is
-    independent of r_n and of the residual R_n.  Each far term is the exact
-    factor of the field beyond the stage's near window (:func:`_far_field`),
-    so the estimate has no truncation bias."""
-    decode_lo2 = _near_window2(mu_j, np.arange(s.shape[1]) / (math.pi * mu_j))
-    ok = s > 0.0
-    x = np.full(s.shape, np.inf)
-    s_ok = s[ok]
-    x[ok] = eta * interference[ok] / s_ok + _far_field(
-        mu_j, np.broadcast_to(decode_lo2, s.shape)[ok], eta / s_ok, alpha
-    )
-    cancel_s = eta * r2 ** (0.5 * alpha)
-    far = _far_field(mu_j, _near_window2(mu_j, r2), cancel_s, alpha)
-    return -np.expm1(-x), np.exp(-(cancel_s * weaker + far))
+    """The independent-stage chain of :func:`ps_sic_curve_mc` on randomized
+    quasi-Monte Carlo points.  Each of its 2 n_max + 1 stages is its own
+    integral over 1 + ``_STAGE_ARRIVALS`` uniforms (:func:`_stage_scenes`),
+    with its own shift of the points in every replicate
+    (:func:`_rqmc_sums`).  The stage means of a replicate are then
+    independent, so the chain success of those means
+    (:func:`_stage_chain_success`), multilinear in them, is unbiased; the R
+    replicate values give the estimate and its standard error."""
+    stages = 2 * n_max + 1
+
+    def integrand(u: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        scenes = _stage_scenes(u, lambda_eq, mu_j, n_max, alpha)
+        sums = np.zeros((len(kept), len(etas), stages))
+        for e_idx, eta in enumerate(etas):
+            p = _stage_success(scenes, eta, mu_j, alpha).reshape(u.shape[:-1])
+            sums[:, e_idx] = np.where(kept[:, None], p, 0.0).sum(axis=2)
+        return sums
+
+    sums, sizes = _rqmc_sums(trials, seed, (stages, 1 + _STAGE_ARRIVALS), threads, integrand)
+    means = (sums / sizes[:, None, None]).reshape(-1, stages)
+    p = _stage_chain_success(1.0 - means[:, : n_max + 1], means[:, n_max + 1 :])
+    p = p.reshape(len(sizes), len(etas), -1)
+    return _replicate_estimates(p * sizes[:, None, None], sizes, seed)
 
 
 def ps_sic_curve_mc(
@@ -709,56 +723,37 @@ def ps_sic_curve_mc(
     threads: int = 1,
     independent_stages: bool = False,
 ):
-    """Event-chain success estimates for every (eta, N <= n_max) pair.
+    """Event-chain success estimates for every (eta, N <= n_max) pair, an
+    (n_eta, n_max+1) array of :class:`Estimate`.
 
     Stage n cancels the n-th nearest interferer, the one of n-th largest
     mean received power, as the paper's chain does, when it decodes against
     the residual.  Each trial draws the serving distance and the nearest
     interferers (:func:`_nearest_users`, one tier) and contributes its
     success probability over every fading and the field beyond them
-    (:func:`_nearest_chain_success`), so no window truncates the field.
-    One sampling pass serves the whole grid: each trial's draws are reused
-    for every threshold and every cancellation budget.  Returns an (n_eta,
-    n_max+1) array of :class:`Estimate`.
-
-    That success probability is a smooth function of 1 + max(n_max,
-    ``_NEAREST_USERS``) unit exponentials, so the trials are randomized
-    quasi-Monte Carlo points rather than iid draws (Owen, *J. Complexity*,
-    1998; L'Ecuyer and Lemieux, 2002): R = min(32, trials) replicates of
-    near-equal size, each a random shift of the start of one Halton point
-    set (:func:`_rqmc_chain`).  The estimate is the mean over all trials,
-    and its standard error comes from the spread of the R replicate means,
-    with R - 1 degrees of freedom (``Estimate.dof``).  ``trials`` must be
-    at least 2.
+    (:func:`_nearest_chain_success`) to every threshold and budget.
 
     ``independent_stages=True`` draws each decode and each cancellation of
     the chain from its own scene and cancels at the deterministic radius
-    R_{I,n} (see :func:`_independent_stage_block`).  That is exactly the
-    decoupling the closed-form chain assumes, so it isolates implementation
-    errors from model error, as ``independent_fields=True`` does in
-    :func:`max_sir_success_curve_mc`.  No decision of that chain reads the
-    far field, so it adds the field beyond each stage's near window exactly
-    (:func:`_independent_stage_probs`).  Its near fields have a
-    data-dependent number of points, so its trials stay iid.
+    R_{I,n} (:func:`_rqmc_stages`).  That is exactly the decoupling the
+    closed-form chain assumes, so it isolates implementation errors from
+    model error, as ``independent_fields=True`` does in
+    :func:`max_sir_success_curve_mc`.
+
+    Both chains run on randomized quasi-Monte Carlo points, R = min(32,
+    trials) shifted Halton replicates (:func:`_rqmc_sums`; Owen, *J.
+    Complexity*, 1998): the estimate is the mean over all trials, and its
+    standard error comes from the spread of the R replicate values, with R
+    - 1 degrees of freedom (``Estimate.dof``).  ``trials`` must be >= 2.
     """
     _require_positive("lambda_eq", lambda_eq)
     _require_positive("mu_j", mu_j)
     _check_alpha(alpha)
     n_max = _require_count("n_max", n_max)
     etas = _check_etas(etas)
-    if not independent_stages:
-        trials = _require_count("trials", trials, 2)
-        return _rqmc_chain(lambda_eq, mu_j, alpha, etas, n_max, trials, seed, threads)
-
-    def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        stats = _independent_stage_block(rng, size, lambda_eq, mu_j, n_max, alpha)
-        sums = np.zeros((2, len(etas), n_max + 1))
-        for e_idx, eta in enumerate(etas):
-            p = _stage_chain_success(*_independent_stage_probs(*stats, eta, mu_j, alpha))
-            sums[:, e_idx] = _moments(p, 0)
-        return sums
-
-    return _estimates(_run_blocks(trials, seed, block, threads), trials, seed)
+    trials = _require_count("trials", trials, 2)
+    chain = _rqmc_stages if independent_stages else _rqmc_chain
+    return chain(lambda_eq, mu_j, alpha, etas, n_max, trials, seed, threads)
 
 
 def ps_can_curve_mc(

@@ -19,6 +19,9 @@ paths against code that shares no kernel with them:
   chain's randomized quasi-Monte Carlo replicates point by point, from a
   scalar Halton sequence (``halton_point``), the values that the library's
   chunked ``sicnet.montecarlo._rqmc_chain`` must reproduce bit for bit.
+  ``rqmc_stage_chain`` replays the independent-stage chain the same way,
+  one stage of one point at a time, with the chain of the stage means
+  summed level by level.
 - ``two_call_gauss`` is the panel-at-a-time adaptive quadrature that
   every row of ``sicnet.numerics.adaptive_gauss`` must reproduce, panel
   for panel.
@@ -264,6 +267,71 @@ def rqmc_replicates(trials: int, seed: int, dim: int, replicates: int = 32) -> l
         u = (np.array([halton_point(i, dim) for i in range(n)]).reshape(n, dim) + shift) % 1.0
         out.append(-np.log(np.clip(u, 2.0**-53, 1.0 - 2.0**-53)))
     return out
+
+
+def rqmc_stage_chain(
+    lambda_eq: float, mu_j: float, alpha: float, etas, n_max: int, trials: int, seed: int,
+    arrivals: int = 1, replicates: int = 32,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The independent-stage chain's replicate sizes and values, point by
+    point and stage by stage: ``values[r, e, N]`` is replicate r's chain
+    success at ``etas[e]`` and budget N.
+
+    Stage s (the decodes n = 0..n_max, then the cancellations n =
+    1..n_max) of replicate r shifts the first n_r Halton points by row s of
+    ``_stream(seed, r).random((2 n_max + 1, 1 + arrivals))`` modulo 1 and
+    keeps each uniform in [2^-53, 1 - 2^-53].  Decode n reads the serving
+    distance from pi lambda_eq u^2 = -log(u_0) and fails inside pi mu_j
+    R^2 = n; cancel n puts the cancelled node at pi mu_j r_n^2 =
+    gammaincinv(n, u_0).  The arrivals lie at pi mu_j r_k^2 = L + the sum
+    of -log(u_j), j <= k, from L = n or pi mu_j r_n^2.  A point succeeds
+    with probability prod_k (1 + c r_k^-alpha)^-1 exp(-pi mu_j c^(2/alpha)
+    C(r_K^2 c^(-2/alpha), alpha)), c = eta / signal.  The chain of the
+    stage means is sum_{n<=N} P_dec(n) prod_{m<n} (1 - P_dec(m))
+    prod_{1<=m<=n} P_can(m)."""
+    from scipy.special import gammaincinv
+
+    from sicnet.numerics import c_integral
+
+    stages, dim = 2 * n_max + 1, 1 + arrivals
+    replicates = min(replicates, trials)
+    sizes = [trials // replicates + (r < trials % replicates) for r in range(replicates)]
+    points = [halton_point(i, dim) for i in range(sizes[0])]
+    edge = 2.0**-53
+    values = np.zeros((replicates, len(etas), n_max + 1))
+    for r, n_r in enumerate(sizes):
+        shifts = _stream(seed, r).random((stages, dim)).tolist()
+        for e_idx, eta in enumerate(etas):
+            means = []
+            for s in range(stages):
+                n = s if s <= n_max else s - n_max
+                total = 0.0
+                for point in points[:n_r]:
+                    u = [min(max((x + d) % 1.0, edge), 1.0 - edge) for x, d in zip(point, shifts[s])]
+                    if s <= n_max:
+                        served = -math.log(u[0])
+                        if served < n * (lambda_eq / mu_j):
+                            continue
+                        lead, signal = n, (served / (math.pi * lambda_eq)) ** (-0.5 * alpha)
+                    else:
+                        lead = float(gammaincinv(n, u[0]))
+                        signal = (lead / (math.pi * mu_j)) ** (-0.5 * alpha)
+                    c, p = eta / signal, 1.0
+                    for v in u[1:]:
+                        lead -= math.log(v)
+                        p /= 1.0 + c * (lead / (math.pi * mu_j)) ** (-0.5 * alpha)
+                    c_e = c ** (2.0 / alpha)
+                    c_arg = lead / (math.pi * mu_j) / c_e
+                    total += p * math.exp(-math.pi * mu_j * c_e * float(c_integral(c_arg, alpha)))
+                means.append(total / n_r)
+            success, outage, cancel = 0.0, 1.0, 1.0
+            for n in range(n_max + 1):
+                if n:
+                    cancel *= means[n_max + n]
+                success += means[n] * outage * cancel
+                outage *= 1.0 - means[n]
+                values[r, e_idx, n] = success
+    return np.array(sizes), values
 
 
 def two_call_gauss(f, a: float, b: float, settings) -> tuple[float, int]:

@@ -142,6 +142,25 @@ class TestPsIc:
             ps_plain(1.0, LAM, MU, 4.0), abs=1e-8
         )
 
+    # alpha x lambda_eq / mu_j x eta (dB): 364 points, past the figures'
+    # alpha = 4, lambda_eq = mu_j and eta <= 10 dB
+    PLAIN_MAP = (
+        (2.1, 2.2, 2.3, 2.35, 2.4, 2.5, 2.7, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0),
+        (0.1, 0.47, 1.0, 10.0),
+        (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
+    )
+
+    def test_reduces_to_plain_across_the_domain(self):
+        # n = 0 is ps_plain's closed form, however fast the decode
+        # integrand decays next to tau0
+        for alpha in self.PLAIN_MAP[0]:
+            for ratio in self.PLAIN_MAP[1]:
+                for eta_db in self.PLAIN_MAP[2]:
+                    eta = 10.0 ** (eta_db / 10.0)
+                    got = ps_ic(eta, 0, ratio * MU, MU, alpha)
+                    want = ps_plain(eta, ratio * MU, MU, alpha)
+                    assert got == pytest.approx(want, rel=1e-9), (alpha, ratio, eta_db)
+
     def test_vanishing_threshold_keeps_truncation_mass(self):
         # the serving-distance integral starts at the cancellation radius and
         # is deliberately not renormalized, so eta -> 0 leaves exp(-1)

@@ -17,7 +17,7 @@ from sicnet.model import (
     association_prob_max_power,
     db_to_linear,
 )
-from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain
+from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain, ps_sic
 from sicnet.numerics import c_integral
 from sicnet.experiments import DENSITY_MACRO, FIG2_ETA_DB, FIG2_ORDERS, FIG3_ETA_DB, FIG3_N_MAX
 from sicnet.montecarlo import (
@@ -30,8 +30,6 @@ from sicnet.montecarlo import (
     _estimates,
     _far_field,
     _halton,
-    _independent_stage_block,
-    _independent_stage_probs,
     _interferer_tiers,
     _max_sir_block,
     _max_sir_sums,
@@ -48,6 +46,8 @@ from sicnet.montecarlo import (
     _run_blocks,
     _serving_block,
     _stage_chain_success,
+    _stage_scenes,
+    _stage_success,
     _stream,
     _top_m,
     Estimate,
@@ -73,6 +73,7 @@ from oracles import (
     radial_field_oracle,
     rea_distance_pdf,
     rqmc_replicates,
+    rqmc_stage_chain,
     run_sic_trial,
     sample_scene,
     trimmed_sum_oracle,
@@ -529,6 +530,7 @@ class TestChainEstimators:
         assert BLOCK_TRIALS >= 1024
 
     def test_independent_stages_determinism_and_threads(self):
+        # past BLOCK_TRIALS points, so the replicates run in several chunks
         trials = BLOCK_TRIALS + 500
         runs = [
             ps_sic_curve_mc(
@@ -538,6 +540,7 @@ class TestChainEstimators:
             for threads in (1, 1, 4)
         ]
         assert runs[0] == runs[1] == runs[2]
+        assert {(e.trials, e.dof) for row in runs[0] for e in row} == {(trials, _REPLICATES - 1)}
 
     def test_chain_levels_match_loop_reference(self):
         def loop_levels(soi, total, top, cum, eta, n_max):
@@ -626,16 +629,20 @@ class TestRqmcChain:
             assert [x.stderr for x in row] == pytest.approx(se, rel=1e-9)
 
     def test_small_budgets(self):
-        # the bench's set-up probe calls at 16 trials: 16 replicates of one
-        # point each; one trial leaves no spread to measure
-        est = ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, 16, 0)
-        assert {e.dof for e in est.ravel()} == {15}
-        assert all(0.0 < e.stderr < 1.0 for e in est.ravel())
-        for trials in (1, np.int64(1)):
-            with pytest.raises(DomainError, match="trials must be >= 2"):
-                ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, trials, 0)
-        # the iid independent-stage chain still runs one trial
-        assert ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 1, 1, 0, independent_stages=True)[0][0].dof is None
+        # the bench's set-up probe calls both chains at 16 trials: 16
+        # replicates of one point each; one trial leaves no spread to measure
+        for independent in (False, True):
+            for trials in (2, 16):
+                est = ps_sic_curve_mc(
+                    LAM, MU, 4.0, [1.0], 1, trials, 0, independent_stages=independent
+                )
+                assert {(e.trials, e.dof) for e in est.ravel()} == {(trials, trials - 1)}
+                assert all(0.0 < e.stderr < 1.0 for e in est.ravel())
+            for trials in (1, np.int64(1)):
+                with pytest.raises(DomainError, match="trials must be >= 2"):
+                    ps_sic_curve_mc(
+                        LAM, MU, 4.0, [1.0], 1, trials, 0, independent_stages=independent
+                    )
 
     def test_zero_shift_stays_finite(self, monkeypatch):
         # Halton point 0 is the origin: unshifted, it would map to an
@@ -702,6 +709,90 @@ class TestRqmcChain:
         print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
         assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
         assert 0.8 < pooled < 1.25
+
+
+class TestRqmcStages:
+    """The independent-stage chain on the faithful chain's replicate layout:
+    each of its 2 N + 1 stages shifts its own copy of the Halton points."""
+
+    FIG3_ETAS = [db_to_linear(d) for d in FIG3_ETA_DB]
+
+    def _grid(self, trials, seed, lambda_eq=LAM, mu_j=MU, alpha=4.0, etas=None, n_max=FIG3_N_MAX):
+        etas = self.FIG3_ETAS if etas is None else etas
+        return ps_sic_curve_mc(
+            lambda_eq, mu_j, alpha, etas, n_max, trials, seed, independent_stages=True
+        )
+
+    @pytest.mark.parametrize("trials", [100, BLOCK_TRIALS + 70])
+    def test_scalar_replay(self, trials):
+        # one chunk, and two chunks with replicates of unequal sizes: each
+        # mean and stderr that of the scalar oracle's replicate values
+        etas, n_max, seed = [0.3, 2.0], 2, 31
+        grid = self._grid(trials, seed, etas=etas, n_max=n_max)
+        sizes, values = rqmc_stage_chain(LAM, MU, 4.0, etas, n_max, trials, seed)
+        mean = sizes @ values.reshape(len(sizes), -1) / trials
+        se = np.sqrt(sizes @ (values.reshape(len(sizes), -1) - mean) ** 2
+                     / ((len(sizes) - 1) * trials))
+        assert [e.mean for e in grid.ravel()] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert [e.stderr for e in grid.ravel()] == pytest.approx(se, rel=1e-9)
+        assert {(e.trials, e.dof) for e in grid.ravel()} == {(trials, len(sizes) - 1)}
+
+    def test_arrival_count_invariance(self, monkeypatch):
+        # every stage is exact over the field beyond its last arrival, so
+        # one arrival and six estimate the same chain
+        from sicnet import montecarlo
+
+        base = self._grid(4096, 3101)
+        monkeypatch.setattr(montecarlo, "_STAGE_ARRIVALS", 6)
+        other = self._grid(4096, 3102)
+        _agree(base.ravel(), other.ravel(), "stage arrivals")
+
+    def test_off_grid_ps_sic(self):
+        # where the decode integrand decays fast (rate about 92 at N = 0),
+        # ps_sic against the oracle of its own event, two-sided at 3 stderr
+        lambda_eq, alpha, eta = 0.468 * MU, 2.3445, db_to_linear(9.99)
+        grid = self._grid(20_000, 2303, lambda_eq, MU, alpha, [eta], 2)[0]
+        for n, est in enumerate(grid):
+            want = ps_sic(eta, n, lambda_eq, MU, alpha).ps_sic_total
+            assert abs(est.mean - want) <= 3.0 * est.stderr, (n, est, want)
+
+    # Calibration of the replicate standard error on the fig3 grid at the
+    # bench's 2048 trials, against ps_sic, over seeds fixed before the
+    # first run; the seeds are the independent units, as in
+    # TestRqmcChain.test_calibration.  Each point's count of |z| > 3 is
+    # Binomial(64, 2 P(T_31 > 3)); the bound holds all 66 points at a
+    # family rate of 1e-3.  The mean error over the 64 seeds, in units of
+    # its own standard error, would show a bias.
+    CALIBRATION_SEEDS = range(3200, 3264)
+
+    def test_calibration(self):
+        from scipy import stats
+
+        runs = [self._grid(2048, seed) for seed in self.CALIBRATION_SEEDS]
+        means = np.array([[[e.mean for e in row] for row in g] for g in runs])
+        stderrs = np.array([[[e.stderr for e in row] for row in g] for g in runs])
+        assert {e.dof for g in runs for e in g.ravel()} == {31}
+        want = np.array([
+            [ps_sic(eta, n, LAM, MU, 4.0).ps_sic_total for n in range(FIG3_N_MAX + 1)]
+            for eta in self.FIG3_ETAS
+        ])
+        z = (means - want) / stderrs
+        p = 2.0 * stats.t.sf(3.0, 31)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / want.size, len(z), p)
+        print(f"|z| > 3 share {counts.sum() / z.size:.4f} vs t31 rate {p:.4f}, "
+              f"largest count {counts.max()} vs bound {bound:g}; "
+              f"z mean {z.mean():+.3f}, sd {z.std():.3f}")
+        assert counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
+        bias = (means.mean(axis=0) - want) / (means.std(axis=0, ddof=1) / math.sqrt(len(z)))
+        limit = stats.t.isf(0.5e-3 / want.size, len(z) - 1)
+        print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
+        assert np.all(np.abs(bias) <= limit), bias
 
 
 class TestPsCanEstimators:
@@ -786,18 +877,33 @@ class TestPsCanEstimators:
             ps_sic_curve_mc(LAM, MU, 4.0, [1.0], -1, 1000, seed=1)
 
 
+def _stage_draws(rng, n_max, size, arrivals=1):
+    """Scenes of the independent-stage chain (:func:`_stage_scenes`) from
+    iid uniforms, ``size`` points for each of its 2 n_max + 1 stages."""
+    return _stage_scenes(rng.random((2 * n_max + 1, size, 1 + arrivals)), LAM, MU, n_max, 4.0)
+
+
 class TestExactLawStage:
     """The cancellation stage of the independent-stage chain draws the n-th
     nearest radius from its law instead of from a window."""
 
     def test_nth_nearest_radius_is_gamma(self):
+        # the gammaincinv radii, and the arrivals beyond each stage's inner
+        # radius, whose gaps in pi mu_j r^2 are unit exponentials
         from scipy import stats
 
         n_max, size = 5, 4000
-        _, _, r2, _ = _independent_stage_block(_stream(53, 0), size, LAM, MU, n_max, 4.0)
+        x, r2_far, signal, _ = _stage_draws(np.random.default_rng(53), n_max, size, 2)
+        rho = (signal.reshape(-1, size) ** -0.5)[n_max + 1 :] * math.pi * MU
+        arrivals = (x.reshape(-1, size, 2) ** -0.5) * math.pi * MU
+        lead = np.vstack((np.repeat(np.arange(n_max + 1.0)[:, None], size, axis=1), rho))
         for n in range(1, n_max + 1):
-            ks = stats.kstest(math.pi * MU * r2[:, n - 1], stats.gamma(n).cdf)
+            ks = stats.kstest(rho[n - 1], stats.gamma(n).cdf)
             assert ks.pvalue > 1e-3, (n, ks)
+        assert np.allclose(arrivals[:, :, 1], r2_far.reshape(-1, size) * math.pi * MU)
+        for gaps in (arrivals[:, :, 0] - lead, arrivals[:, :, 1] - arrivals[:, :, 0]):
+            for stage in gaps:
+                assert stats.kstest(stage, stats.expon.cdf).pvalue > 1e-3
 
     def test_cancellation_rate_matches_full_window(self):
         # stage n cancels with probability exp(-eta r_n^alpha R_n) over the
@@ -805,8 +911,8 @@ class TestExactLawStage:
         # _radial_field, with the n-th nearest picked by _top_m, is the same
         # event counted 0/1
         eta, n_max, size = 1.0, 5, 20_000
-        stats = _independent_stage_block(_stream(59, 0), size, LAM, MU, n_max, 4.0)
-        _, cancel = _independent_stage_probs(*stats, eta, MU, 4.0)
+        scenes = _stage_draws(np.random.default_rng(59), n_max, size)
+        cancel = _stage_success(scenes, eta, MU, 4.0).reshape(-1, size)[n_max + 1 :].T
         exact = cancel.mean(axis=0)
         powers, r2, _ = _radial_field(
             _stream(60, 0), size, MU, 0.0, window_radius(MU), n_max, 4.0
@@ -925,16 +1031,11 @@ class TestRadialField:
             assert want[2].max() < min_cols
 
     @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda rng: _independent_stage_block(rng, 3000, LAM, MU, 4, 4.0),
-            lambda rng: _rea_block(two_tier(bias2=10.0), 1, rng, 3000),
-        ],
-        ids=["independent-stages", "rea"],
+        "draw", [lambda rng: _rea_block(two_tier(bias2=10.0), 1, rng, 3000)], ids=["rea"]
     )
     def test_whole_block_callers_draw_the_one_shot_fields(self, monkeypatch, draw):
-        # both callers keep drawing after each field: with the block cut
-        # into many chunks, their outputs are those of the one-shot fields
+        # the caller keeps drawing after each field: with the block cut
+        # into many chunks, its outputs are those of the one-shot fields
         from sicnet import montecarlo
 
         monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 1 << 12)
@@ -1007,9 +1108,8 @@ def _agree(a, b, what):
 
 
 class TestFarField:
-    """The exact far-field factor of the REA simulator and the
-    independent-stage oracle: those estimates do not depend on the near
-    window."""
+    """The exact far-field factor of the REA simulator: its estimates do
+    not depend on the near window."""
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_factor_composes_with_sampled_annulus(self, alpha):
@@ -1082,16 +1182,6 @@ class TestFarField:
             for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
 
-    @pytest.mark.parametrize("near_points", [0.25, 50.0])
-    def test_independent_stage_window_invariance(self, monkeypatch, near_points):
-        from sicnet import montecarlo
-
-        etas, n_max, size, seed = [0.1, 0.3, 1.0], 3, 20_000, 41
-        base = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
-        monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
-        other = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
-        _agree(base.ravel(), other.ravel(), "independent stages")
-
     def test_edges_fail_loudly(self):
         cfg = two_tier(bias2=5.0)
         with np.errstate(all="raise"):
@@ -1112,17 +1202,25 @@ class TestFarField:
                     simulate_min_load(1e-4, 5e-4, 100.0, [0.5, eta], 100, 1)
 
     def test_serving_inside_cancellation_radius_never_decodes(self):
-        # rows with S_n = 0 miss for certain, with no floating-point warning
+        # decode points whose serving distance falls inside R_{I,n} miss for
+        # certain, with no floating-point warning; at lambda_eq = 1000 mu_j
+        # every one does for n >= 1 (-log(u) <= 36.8 < 1000 n), so no budget
+        # adds to N = 0
+        etas, n_max, size = [0.1, 10.0], 3, 2000
         with np.errstate(all="raise"):
-            stats = _independent_stage_block(_stream(73, 0), 2000, LAM, MU, 3, 4.0)
-            miss, cancel = _independent_stage_probs(*stats, 1.0, MU, 4.0)
-            ps_sic_curve_mc(LAM, MU, 4.0, [0.1, 10.0], 3, 2000, 73, independent_stages=True)
-            simulate_rea(two_tier(bias2=5.0), 1, [0.1, 10.0], 2000, 73)
-        s = stats[0]
-        assert (s[:, 1:] == 0.0).any()
-        assert np.all(miss[s == 0.0] == 1.0)
-        assert np.all((miss >= 0.0) & (miss <= 1.0) & np.isfinite(miss))
-        assert np.all((cancel >= 0.0) & (cancel <= 1.0))
+            scenes = _stage_draws(np.random.default_rng(73), n_max, size)
+            p = np.array([_stage_success(scenes, eta, MU, 4.0) for eta in etas])
+            ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, 73, independent_stages=True)
+            dense = ps_sic_curve_mc(
+                1000.0 * MU, MU, 4.0, etas, n_max, size, 73, independent_stages=True
+            )
+            simulate_rea(two_tier(bias2=5.0), 1, etas, 2000, 73)
+        inside = scenes[3]
+        assert inside[size:].any() and not inside[: size].any()
+        assert np.all(p[:, inside] == 0.0)
+        assert np.all((p[:, ~inside] > 0.0) & (p[:, ~inside] <= 1.0))
+        for row in dense:
+            assert [e.mean for e in row] == pytest.approx([row[0].mean] * len(row), abs=1e-15)
 
 
 class TestWindowSufficiency:
@@ -1929,22 +2027,26 @@ class TestConditionalEstimators:
             _same_draws(cond, _within_budget(level, n_max), f"chain {eta:g}")
 
     def test_independent_stages(self):
-        # the near fields' chain, 0/1 with every fading drawn, against the
-        # recursion over the stages' conditional probabilities
-        etas, n_max, size, seed = [0.5, 2.0], 3, 4000, 13
-        s, interference, r2, weaker = stats = _independent_stage_block(
-            _stream(seed, 0), size, LAM, MU, n_max, 4.0
+        # each stage's points give its signal and its nearest arrivals
+        # (_stage_scenes); the 0/1 stage adds the arrivals' fadings, the
+        # signal's fading and the field beyond the arrivals, sampled until
+        # 1% of its mean interference is left out, all drawn separately,
+        # and fails inside the cancellation radius.  Point i of every stage
+        # makes one trial of the chain, whose 0/1 outcome the recursion over
+        # the stages' conditional probabilities averages.
+        etas, n_max, size = [0.5, 2.0], 3, 4000
+        x, r2_far, signal, inside = scenes = _stage_draws(
+            np.random.default_rng(13), n_max, size, 2
         )
-        h = np.random.default_rng(14).exponential(size=s.shape)
-        h_cancel = np.random.default_rng(15).exponential(size=r2.shape)
-        grid = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
-        for e_idx, eta in enumerate(etas):
-            p = _stage_chain_success(*_independent_stage_probs(*stats, eta, MU, 4.0))
-            assert [e.mean for e in grid[e_idx]] == (p.sum(axis=0) / size).tolist()
-            with np.errstate(divide="ignore"):
-                miss = np.where(s > 0.0, -np.expm1(-eta * interference / s), 1.0)
-            cond = _stage_chain_success(miss, np.exp(-eta * r2**2 * weaker))
-            level = _first_level(h * s >= eta * interference, h_cancel >= eta * r2**2 * weaker)
+        other = np.random.default_rng(14)
+        faded = other.standard_exponential(x.shape) * x
+        total = faded.sum(axis=1) + _sampled_residual(other, r2_far, [(MU, 1.0)], 1e-2, 4.0)
+        h = other.exponential(size=len(signal))
+        for eta in etas:
+            p = _stage_success(scenes, eta, MU, 4.0).reshape(-1, size).T
+            cond = _stage_chain_success(1.0 - p[:, : n_max + 1], p[:, n_max + 1 :])
+            won = ((h * signal >= eta * total) & ~inside).reshape(-1, size).T
+            level = _first_level(won[:, : n_max + 1], won[:, n_max + 1 :])
             _same_draws(cond, _within_budget(level, n_max), f"independent stages {eta:g}")
 
     @pytest.mark.parametrize("independent", [False, True])
