@@ -1182,6 +1182,21 @@ class TestFarField:
             for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
 
+    @pytest.mark.parametrize("near_points", [0.25, 50.0])
+    def test_independent_stage_window_invariance(self, monkeypatch, near_points):
+        # the independent-stage chain draws its arrivals from Gamma laws and
+        # integrates the field beyond them exactly: it reads no near window,
+        # so the same seed gives the same estimates at any window
+        from sicnet import montecarlo
+
+        etas, n_max, size, seed = [0.1, 0.3, 1.0], 3, 20_000, 41
+        base = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
+        monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
+        other = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
+        assert [(e.mean, e.stderr) for e in other.ravel()] == [
+            (e.mean, e.stderr) for e in base.ravel()
+        ]
+
     def test_edges_fail_loudly(self):
         cfg = two_tier(bias2=5.0)
         with np.errstate(all="raise"):
