@@ -1441,6 +1441,67 @@ def _fieldless_max_sir(cfg, eta, size, seed):
     return np.array(probs)
 
 
+def _disk_law(cfg, eta, radius):
+    """The mean of the no-SIC control x = 1 - prod_a (1 - exp(-a_k r_a^2))
+    of the max-SIR simulator over the candidate disk of ``radius``, by
+    quadrature: a_k r^2 is the exponent of :func:`_fieldless_max_sir` for
+    an AP of tier k at distance r (S = Q_k r^-alpha), and by the PGFL of
+    each tier's AP process 1 - E[x] = exp(-sum_k lam_k int_0^R 2 pi r
+    exp(-a_k r^2) dr).  Each integral stops where exp(-a_k r^2) < e^-60."""
+    c0 = c_integral(0.0, cfg.alpha)
+    mass = 0.0
+    for t in cfg.tiers:
+        a = sum(
+            math.pi * mu_k * (eta * q / t.q_ul) ** (2.0 / cfg.alpha) * c0
+            for mu_k, q in _interferer_tiers(cfg)
+        )
+        upper = min(radius, math.sqrt(60.0 / a))
+        part, _ = scipy.integrate.quad(
+            lambda r: 2.0 * math.pi * r * math.exp(-a * r * r), 0.0, upper,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        mass += t.lam * part
+    return -math.expm1(-mass)
+
+
+def _controlled(probs, x, mu, trials, seed):
+    """The Estimate of a max-SIR budget N >= 1 from each trial's success
+    ``probs`` and its no-SIC control ``x``: every trial reports probs - x +
+    mu, and the ``trials - len(probs)`` trials past them, which hold no
+    candidate AP, report ``mu``."""
+    d = np.full(trials, mu)
+    d[: len(probs)] += probs - x
+    return Estimate.from_sums(d.sum(), (d * d).sum(), trials, seed)
+
+
+def _raw_max_sir(cfg, etas, n_max, trials, seed, independent):
+    """Max-SIR success for every (eta, N <= n_max) without the no-SIC
+    control: each trial's 1 - prod_a (1 - P_a) on the block's AP rows,
+    P_a from :func:`_chain_exponent` on shared fields or from
+    :func:`_nearest_chain_success` on each AP's nearest users."""
+    mu_eq = _mu_eq(_interferer_tiers(cfg), cfg.alpha)
+
+    def block(rng, size):
+        sums = np.zeros((2, len(etas), n_max + 1))
+        rows = _max_sir_block(cfg, rng, size, independent, n_max)
+        if rows is None:
+            return sums
+        signal, total, top, first_row = rows
+        if independent:
+            shape = (len(signal), max(n_max, _NEAREST_USERS))
+            near = _nearest_users(rng.standard_exponential(shape), mu_eq, cfg.alpha)
+        for e_idx, eta in enumerate(etas):
+            if independent:
+                p_a = _nearest_chain_success(*near, mu_eq, signal, eta, n_max, cfg.alpha)
+            else:
+                x = _chain_exponent(signal, total, top, np.cumsum(top, axis=1), eta, n_max)
+                p_a = np.exp(-x)
+            sums[:, e_idx] = _moments(1.0 - np.multiply.reduceat(1.0 - p_a, first_row), 0)
+        return sums
+
+    return _estimates(_run_blocks(trials, seed, block), trials, seed)
+
+
 def _shared_field_reference(cfg, tiers, rng, size, m):
     """The shared-field rows of :func:`_max_sir_block` from a plain loop over
     each trial's APs, replaying the block's stream draw for draw: the
@@ -1504,9 +1565,16 @@ class TestMaxSir:
         assert abs(est.mean - ana) <= 3.5 * est.stderr
 
     def test_hopeless_threshold(self):
+        # at 90 dB no AP decodes, with SIC or without, so every trial
+        # reports the no-SIC control's mean: the chance that a candidate AP
+        # lies close enough to decode, about 1.74e-5, with no spread.  The
+        # raw estimate read 0 at these 500 trials, undercounting it
         cfg = two_tier()
         est = simulate_max_inst_sir(cfg, SicConfig(1e9, 1), 500, seed=73)
-        assert est.mean == 0.0
+        mu = _disk_law(cfg, 1e9, 250.0)
+        assert mu == pytest.approx(1.744e-5, rel=1e-3)
+        assert est.mean == pytest.approx(mu, rel=1e-12)
+        assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_top_m_matches_stable_argsort(self):
         from sicnet.montecarlo import _top_m
@@ -1548,7 +1616,11 @@ class TestMaxSir:
         # exp(-eta R_{a,L_a} / S_a), stage by stage; with independent fields
         # and N = 0 no field is drawn, and each AP's own field is averaged
         # out exactly; for N >= 1 P_a is the scalar recursion on the AP's
-        # users of largest mean power, drawn after the block's candidate APs
+        # users of largest mean power, drawn after the block's candidate APs,
+        # and each trial reports its excess over its no-SIC control plus the
+        # control's mean (quadrature)
+        from sicnet import montecarlo
+
         cfg, eta, trials, seed = two_tier(), 10.0**0.3, 150, 37
         if independent and n_max == 0:
             probs = _fieldless_max_sir(cfg, eta, trials, seed)
@@ -1570,7 +1642,12 @@ class TestMaxSir:
         est = simulate_max_inst_sir(
             cfg, SicConfig(eta, n_max), trials, seed, independent_fields=independent
         )
-        ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
+        if n_max:
+            x = _fieldless_max_sir(cfg, eta, trials, seed)
+            mu = _disk_law(cfg, eta, montecarlo._CAND_RADIUS)
+            ref = _controlled(probs, x, mu, trials, seed)
+        else:
+            ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), trials, seed)
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
 
@@ -1610,8 +1687,10 @@ class TestMaxSir:
         # a candidate disk so small that about 70% of the trials hold no AP:
         # the estimate equals a per-trial reference that splits the block's
         # rows by the per-trial counts, drawn again from the block's stream,
-        # and gives each trial without a row 0.  A disk that holds no AP in
-        # any trial gives a block without rows and an estimate of exactly 0
+        # and gives each trial without a row success 0 and no-SIC control 0,
+        # so that it reports the control's mean.  A disk that holds no AP in
+        # any trial gives a block without rows, in which every trial reports
+        # the control's mean, with no spread
         from sicnet import montecarlo
 
         cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 2, 600, 45
@@ -1634,10 +1713,12 @@ class TestMaxSir:
             [1.0 - np.prod(1.0 - p) for p in np.split(p_a, np.cumsum(counts)[:-1])]
         )
         assert len(probs) == size and np.all(probs[counts == 0] == 0.0)
+        x = np.zeros(size)
+        x[counts > 0] = _fieldless_max_sir(cfg, eta, size, seed)
         est = simulate_max_inst_sir(
             cfg, SicConfig(eta, n_max), size, seed, independent_fields=independent
         )
-        ref = Estimate.from_sums(probs.sum(), (probs * probs).sum(), size, seed)
+        ref = _controlled(probs, x, _disk_law(cfg, eta, 30.0), size, seed)
         assert est.mean == pytest.approx(ref.mean, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
         monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 0.01)
@@ -1645,7 +1726,8 @@ class TestMaxSir:
         est = simulate_max_inst_sir(
             cfg, SicConfig(eta, n_max), 50, seed, independent_fields=independent
         )
-        assert (est.mean, est.stderr) == (0.0, 0.0)
+        assert est.mean == pytest.approx(_disk_law(cfg, eta, 0.01), rel=1e-12)
+        assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "tiers, q_signal",
@@ -1889,11 +1971,12 @@ class TestMaxSir:
         "independent", [False, True], ids=lambda i: f"distance_only-{i}"
     )
     def test_success_nondecreasing_in_budget(self, independent):
-        # the draws do not depend on N >= 1, and a chain that succeeds within
-        # N cancellations succeeds within N + 1.  N = 0 draws the same
-        # fields with shared fields; with independent fields it draws none
-        # and averages each AP's field out exactly, so there N = 1 lies
-        # above it by the SIC uplift (0.19, about 7 stderr), not draw by draw
+        # the draws do not depend on N >= 1, a chain that succeeds within
+        # N cancellations succeeds within N + 1, and every N >= 1 subtracts
+        # the same no-SIC control, so N = 1..3 are ordered draw by draw.
+        # N = 0 is the raw estimate, with no control, so N = 0 to 1 is not
+        # ordered draw by draw in either mode: N = 1 lies above N = 0 by
+        # the SIC uplift (0.20 and 0.16, about 7 stderr of N = 0)
         means = [
             simulate_max_inst_sir(
                 two_tier(), SicConfig(1.0, n), 200, seed=31,
@@ -1903,6 +1986,124 @@ class TestMaxSir:
         ]
         assert means == sorted(means)
         assert means[-1] > means[0]
+
+
+class TestNoSicControl:
+    """The max-SIR simulator's estimates for N >= 1: each trial reports its
+    success minus the no-SIC success x of its own candidate APs with
+    independent fields, plus x's exact mean over the candidate disk
+    (``_no_sic_disk_law``)."""
+
+    @staticmethod
+    def _law(cfg, eta):
+        from sicnet import montecarlo
+
+        mu_eq = _mu_eq(_interferer_tiers(cfg), cfg.alpha)
+        return montecarlo._no_sic_disk_law(cfg, mu_eq, eta)
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.0])
+    def test_disk_law(self, monkeypatch, alpha):
+        # against quadrature on the 250 m and 30 m disks; against the plane
+        # law 1 - outage_max_inst_sir on a disk so large that exp(-a_k R^2)
+        # underflows, and on the 250 m disk within the tail that the disk
+        # leaves out: its no-SIC outage is the plane's times exp(pi sum_k
+        # lam_k exp(-a_k R^2) / a_k), which moves the law by at most 2.8e-8
+        # (alpha 4, 0 dB) on the fig5 grid
+        from sicnet import montecarlo
+        from sicnet.experiments import FIG5_ETA_DB
+
+        cfg = dataclasses.replace(two_tier(), alpha=alpha)
+        c0, e = c_integral(0.0, alpha), 2.0 / alpha
+        mu_eq = _mu_eq(_interferer_tiers(cfg), alpha)
+        etas = [db_to_linear(d) for d in FIG5_ETA_DB]
+        for eta in etas + [1e-2, 1e9]:
+            assert self._law(cfg, eta) == pytest.approx(_disk_law(cfg, eta, 250.0), rel=1e-12)
+        gaps = []
+        for eta in etas:
+            outage = outage_max_inst_sir(eta, cfg)
+            tail = sum(
+                t.lam / a * math.exp(-a * 250.0**2)
+                for t in cfg.tiers
+                for a in [math.pi * mu_eq * c0 * (eta / t.q_ul) ** e]
+            )
+            gaps.append((1.0 - self._law(cfg, eta)) - outage)
+            assert gaps[-1] == pytest.approx(outage * math.expm1(math.pi * tail), rel=1e-6, abs=1e-15)
+        assert 0.0 <= min(gaps) and max(gaps) < 2.9e-8, gaps
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 30.0)
+        for eta in etas + [1e9]:
+            assert self._law(cfg, eta) == pytest.approx(_disk_law(cfg, eta, 30.0), rel=1e-12)
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 1e6)
+        for eta in etas:
+            want = 1.0 - outage_max_inst_sir(eta, cfg)
+            assert self._law(cfg, eta) == pytest.approx(want, rel=1e-12)
+
+    def test_disk_law_matches_fieldless_mc(self, monkeypatch):
+        # on a 30 m disk, where about 70% of the trials hold no candidate
+        # AP, the raw fieldless simulator averages x itself and never reads
+        # the law: two-sided at 3 stderr.  The plane law lies 276, 138 and
+        # 54 stderr above these estimates
+        from sicnet import montecarlo
+
+        cfg, trials = two_tier(), 200_000
+        etas = [db_to_linear(d) for d in (0.0, 5.0, 10.0)]
+        monkeypatch.setattr(montecarlo, "_CAND_RADIUS", 30.0)
+        ests = max_sir_success_curve_mc(cfg, etas, trials, seed=3380, independent_fields=True)
+        for eta, est in zip(etas, ests):
+            z = (est.mean - self._law(cfg, eta)) / est.stderr
+            plane = (1.0 - outage_max_inst_sir(eta, cfg) - est.mean) / est.stderr
+            print(f"{10.0 * math.log10(eta):g} dB: z {z:+.2f}, plane law {plane:.0f} stderr above")
+            assert abs(z) <= 3.0, (eta, est, z)
+            assert plane > 50.0, (eta, plane)
+
+    CALIBRATION_ETAS = [db_to_linear(d) for d in (0.0, 5.0, 10.0)]
+    CALIBRATION_SEEDS = range(3400, 3464)
+    # the raw (unadjusted) reference of each field mode: trials, seed
+    RAW_REFERENCE = {False: (16_384, 3390), True: (65_536, 3391)}
+
+    @pytest.mark.parametrize("independent", [False, True], ids=["shared", "independent"])
+    def test_calibration(self, independent):
+        # bench-sized calls (64 trials) at 0, 5 and 10 dB, N = 1..3, over 64
+        # seeds fixed before the first run, read against a raw estimate at
+        # a large budget, which never reads the control's law, so an error
+        # in the law shows as a bias.  (a) Each point's count of |z| > 3
+        # over the seeds is bounded as for t_63 at a family rate of 1e-3
+        # over both modes' 18 points; (b) the spread of the 64 means over
+        # the mean reported stderr lies in (0.6, 1.5) at every point and in
+        # (0.8, 1.25) pooled; (c) each point's mean over the seeds lies
+        # within the t_63 bound at 0.5e-3 / 18 of the reference
+        from scipy import stats
+
+        cfg, etas, trials = two_tier(), self.CALIBRATION_ETAS, 64
+        runs = np.array([
+            _estimates(_max_sir_sums(cfg, etas, 3, trials, seed, 1, independent), trials, seed)
+            [:, 1:].ravel()
+            for seed in self.CALIBRATION_SEEDS
+        ])
+        means = np.vectorize(lambda e: e.mean)(runs)
+        stderrs = np.vectorize(lambda e: e.stderr)(runs)
+        ref_trials, ref_seed = self.RAW_REFERENCE[independent]
+        raw = _raw_max_sir(cfg, etas, 3, ref_trials, ref_seed, independent)[:, 1:].ravel()
+        raw_mean = np.array([e.mean for e in raw])
+        raw_se = np.array([e.stderr for e in raw])
+        z = (means - raw_mean) / np.hypot(stderrs, raw_se)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / 18, len(z), 2.0 * stats.t.sf(3.0, trials - 1))
+        variance_cut = raw_se**2 * ref_trials / ((stderrs**2).mean(axis=0) * trials)
+        print(f"raw {np.round(raw_mean, 4).tolist()}, adjusted {np.round(means.mean(axis=0), 4).tolist()}; "
+              f"variance {variance_cut.min():.2f}-{variance_cut.max():.2f} times lower; "
+              f"|z| > 3 counts {counts.tolist()} vs bound {bound:g}; z mean {z.mean():+.3f}, sd {z.std():.3f}")
+        assert counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
+        bias = (means.mean(axis=0) - raw_mean) / np.sqrt(
+            means.var(axis=0, ddof=1) / len(z) + raw_se**2
+        )
+        limit = stats.t.isf(0.5e-3 / 18, len(z) - 1)
+        print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
+        assert np.all(np.abs(bias) <= limit), bias
 
 
 class TestRea:
@@ -2070,7 +2271,10 @@ class TestConditionalEstimators:
         # largest mean power after its candidate APs; the 0/1 chain adds
         # their fadings and the physical tiers' field of lower mean power,
         # sampled until 1% of its mean interference is left out, all drawn
-        # separately
+        # separately.  For N >= 1 each trial reports its excess over its
+        # no-SIC control plus the control's mean (quadrature)
+        from sicnet import montecarlo
+
         cfg, eta, n_max, size, seed = two_tier(), 10.0**0.3, 3, 400, 15
         rng = _stream(seed, 0)
         signal, total, top, first_row = _max_sir_block(cfg, rng, size, independent, n_max)
@@ -2094,12 +2298,16 @@ class TestConditionalEstimators:
         )
         ind = np.zeros((size, n_max + 1))
         ind[: len(first_row)] = np.logical_or.reduceat(_within_budget(level, n_max), first_row)
+        x = _fieldless_max_sir(cfg, eta, size, seed)
+        mu = _disk_law(cfg, eta, montecarlo._CAND_RADIUS)
         for n in range(n_max + 1):
             est = simulate_max_inst_sir(
                 cfg, SicConfig(eta, n), size, seed, independent_fields=independent
             )
-            if independent and n == 0:  # no field drawn: averaged out exactly
-                want = _fieldless_max_sir(cfg, eta, size, seed).sum() / size
+            if n:
+                want = _controlled(cond[: len(first_row), n], x, mu, size, seed).mean
+            elif independent:  # no field drawn: averaged out exactly
+                want = x.sum() / size
             else:
                 want = cond[:, n].sum() / size
             assert est.mean == pytest.approx(want, rel=1e-12)
