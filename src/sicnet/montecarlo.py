@@ -13,33 +13,34 @@ trimmed-sum definition of the residual field.
 Ordering: every SIC chain cancels in order of mean received power, as the
 paper's chain does, and only ``ps_can_curve_mc`` also orders by faded power.
 
-Windows: the SIC chains on fields of their own are window-free.  The
-faithful chain and the independent-stage oracle of ``ps_sic_curve_mc`` and
-the max-SIR runs with independent fields draw only each receiver's nearest
-interferers and integrate out their fadings and the field beyond exactly
-(:func:`_field_factor`); without SIC (``max_sir_success_curve_mc``, N = 0)
-the max-SIR runs draw no field and take each AP's whole field from the
-PPP's Laplace transform (:func:`_far_field`).  ``simulate_rea``, whose
+Windows: the SIC chains on fields of their own and ``simulate_rea`` are
+window-free.  The faithful chain and the independent-stage oracle of
+``ps_sic_curve_mc`` and the max-SIR runs with independent fields draw only
+each receiver's nearest interferers and integrate out their fadings and
+the field beyond exactly (:func:`_field_factor`).  ``simulate_rea``, whose
 uncancelled, one-cancellation and annulus-cleared estimates share one set
-of draws, samples its fields out to a near window that holds 25 expected
-points beyond its inner radius and multiplies in that transform beyond,
-so it has no truncation bias either.  The other simulators decide
-cancellations on the residual of a field that several decisions share, or
-decide loads inside their window, so the factor would not be exact there,
-and they truncate at a fixed disk, which drops a small share of the
-interference and so reads success slightly high: ``ps_can_curve_mc`` at
-R_sim = 20 / sqrt(pi mu_j) (:func:`window_radius`, about 400 expected
-interferers), the shared-field max-SIR runs at the same radius for the
-user density mu, ``simulate_min_load`` at its connectivity range plus a
-margin.  The shared-field max-SIR runs draw a whole block's user counts
-at once, after its candidate APs, then each trial's users of every tier
-in one draw (:func:`_max_sir_block`).  The sampled annulus and disk
-fields (:func:`_radial_chunks`) come in row chunks of a fixed point
-budget, and ``ps_can_curve_mc`` drops each chunk before the next is
-drawn, so its doubled window holds at most three chunk-sized arrays.  The
-chunks' values are those of one block-sized draw: a copy of the generator
-serves the uniforms while the generator itself skips past them to the
-fading marks, two cursors on one stream.
+of draws, draws the next ``_ARRIVALS`` APs of every tier beyond its
+nearest one as Gamma arrivals and integrates out every fading and the
+field beyond them in the same way.  Without SIC
+(``max_sir_success_curve_mc``, N = 0) the max-SIR runs draw no field and
+take each AP's whole field from the PPP's Laplace transform
+(:func:`_far_field`).  The other simulators decide cancellations on the
+residual of a field that several decisions share, or decide loads inside
+their window, so the factor would not be exact there, and they truncate
+at a fixed disk, which drops a small share of the interference and so
+reads success slightly high: ``ps_can_curve_mc`` at R_sim = 20 /
+sqrt(pi mu_j) (:func:`window_radius`, about 400 expected interferers), the
+shared-field max-SIR runs at the same radius for the user density mu,
+``simulate_min_load`` at its connectivity range plus a margin.  The
+shared-field max-SIR runs draw a whole block's user counts at once, after
+its candidate APs, then each trial's users of every tier in one draw
+(:func:`_max_sir_block`).  The sampled disk fields of ``ps_can_curve_mc``
+(:func:`_radial_chunks`) come in row chunks of a fixed point budget, and
+it drops each chunk before the next is drawn, so its doubled window holds
+at most three chunk-sized arrays.  The chunks' values are those of one
+block-sized draw: a copy of the generator serves the uniforms while the
+generator itself skips past them to the fading marks, two cursors on one
+stream.
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -110,6 +111,7 @@ from .model import (
     _require_count,
     _require_positive,
     association_prob_max_power,
+    rea_association_prob,
 )
 from .numerics import c_integral
 
@@ -269,7 +271,9 @@ class MinLoadResult:
 class ReaResult:
     """Success estimates for range-expanded users on the same trials, one
     per threshold: without cancellation, with the one cancellation that
-    ``cancel_mode`` names, and with the whole exclusion annulus cleared."""
+    ``cancel_mode`` names, and with the whole exclusion annulus cleared.
+    Each trial contributes its success probability over every fading and
+    the field beyond its drawn APs (:func:`simulate_rea`)."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
@@ -310,30 +314,22 @@ _CHUNK_POINTS = 1 << 18
 _MAX_ROW_POINTS = 1 << 22
 
 
-def _rows(x, part: slice):
-    """Rows ``part`` of a per-row term as a column, or a scalar as it is."""
-    return x[part, None] if np.ndim(x) else x
-
-
 def _radial_chunks(
     rng: np.random.Generator,
     size: int,
     density: float,
-    r_in: float,
-    r_out: float,
+    radius: float,
     min_cols: int,
     alpha: float,
 ):
-    """Sample ``size`` independent faded PPP fields on the annulus
-    r_in < r <= r_out: a Poisson count per row, squared radii uniform on
-    (r_in^2, r_out^2] and a unit-mean exponential fading mark per point.
-    ``r_in`` and ``r_out`` are scalars or one radius per row; a row whose
-    r_in exceeds r_out is empty.  Yield (powers, r2, counts) for
-    consecutive row chunks of at most ``_CHUNK_POINTS`` points, in draw
-    order, not sorted: every row is padded past its count, to the block's
-    longest row and at least ``min_cols`` columns, with r2 = inf and zero
-    power.  Callers that need the nearest or strongest points pick them
-    with :func:`_top_m`.  A row whose Poisson mean passes
+    """Sample ``size`` independent faded PPP fields in the disk of
+    ``radius``: a Poisson count per row, squared radii uniform on (0,
+    radius^2] and a unit-mean exponential fading mark per point.  Yield
+    (powers, r2, counts) for consecutive row chunks of at most
+    ``_CHUNK_POINTS`` points, in draw order, not sorted: every row is padded
+    past its count, to the block's longest row and at least ``min_cols``
+    columns, with r2 = inf and zero power.  Callers that need the nearest
+    or strongest points pick them with :func:`_top_m`.  A Poisson mean past
     ``_MAX_ROW_POINTS`` raises :class:`DomainError` before anything is
     drawn, and a longer row once the counts are drawn, before any row is.
 
@@ -347,15 +343,10 @@ def _radial_chunks(
     references to a chunk before asking for the next holds at most three
     chunk-sized arrays: the sampler's last chunk until its next uniforms
     and marks replace it, and the path-loss temporary."""
-    # two products, so that r_in = 0 reproduces the disk mean bit for bit
-    mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
-    r_in2 = r_in * r_in
-    span = r_out * r_out - r_in2
-    if isinstance(span, np.ndarray):
-        mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)
-    if np.max(mean, initial=0.0) > _MAX_ROW_POINTS:
+    mean = density * math.pi * radius * radius
+    if mean > _MAX_ROW_POINTS:
         raise DomainError(
-            f"a field row of {np.max(mean):.0f} points exceeds the cap of "
+            f"a field row of {mean:.0f} points exceeds the cap of "
             f"{_MAX_ROW_POINTS} on average"
         )
     counts = rng.poisson(mean, size)
@@ -370,38 +361,15 @@ def _radial_chunks(
         uniforms = copy.deepcopy(rng)
         rng.bit_generator.random_raw(size * pmax, output=False)
     for lo in range(0, size, rows):
-        part = slice(lo, lo + rows)
-        n = counts[part]
-        # in place, the same operations as r_in^2 + span * (1 - u)
+        n = counts[lo:lo + rows]
+        # in place, the same operations as radius^2 (1 - u)
         r2 = uniforms.random((len(n), pmax))
         np.subtract(1.0, r2, out=r2)
-        r2 *= _rows(span, part)
-        r2 += _rows(r_in2, part)
+        r2 *= radius * radius
         np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= n[:, None])
         powers = rng.standard_exponential((len(n), pmax))
         powers *= r2 ** (-0.5 * alpha)
         yield powers, r2, n
-
-
-def _radial_field(*args):
-    """The whole block of :func:`_radial_chunks`, called with the same
-    arguments, as one (powers, r2, counts): its one chunk where the block
-    fits in one, else its chunks joined, the values of one block-sized
-    draw either way."""
-    chunks = list(_radial_chunks(*args))
-    return chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
-
-
-# Expected points of a near field beyond its inner radius, where the far
-# field beyond it enters exactly through _far_field.
-_NEAR_POINTS = 25.0
-
-
-def _near_window2(density: float, r_in2):
-    """Squared outer radius of the near field that holds ``_NEAR_POINTS``
-    expected points of a PPP of ``density`` beyond the squared inner radius
-    ``r_in2`` (a scalar or one per row)."""
-    return r_in2 + _NEAR_POINTS / (math.pi * density)
 
 
 def _far_field(density, r_lo2, s, alpha: float):
@@ -488,7 +456,8 @@ _NEAREST_USERS = 3
 def _nearest_users(e: np.ndarray, density: float, alpha: float):
     """The nearest users of independent unit-power PPP fields of
     ``density``, one field per row of the unit exponentials ``e``,
-    max(n_max, ``_NEAREST_USERS``) columns for budgets up to n_max: pi
+    max(n_max, ``_NEAREST_USERS``) columns for budgets up to n_max (a first
+    column offset by pi density r_in^2 gives the users beyond r_in): pi
     density r_k^2 is the sum of the row's first k (Haenggi, *Stochastic
     Geometry for Wireless Networks*, 2012, ch. 2).  Return their mean
     powers x[:, k-1] = r_k^-alpha and the squared radius r_far^2 of the
@@ -654,14 +623,14 @@ def _stage_chain_success(miss: np.ndarray, cancel: np.ndarray) -> np.ndarray:
     return 1.0 - np.minimum.accumulate(fail, axis=1)
 
 
-# The independent-stage oracle draws this many arrivals of each stage's
-# field beyond its inner radius; the field beyond them enters exactly.
-_STAGE_ARRIVALS = 1
+# The independent-stage oracle and the REA simulator draw this many arrivals
+# of each field beyond its inner radius; the field beyond them enters exactly.
+_ARRIVALS = 1
 
 
 def _stage_scenes(u: np.ndarray, lambda_eq: float, mu_j: float, n_max: int, alpha: float):
     """The scenes of the independent-stage chain from uniforms ``u`` of
-    shape (..., 2 n_max + 1, points, 1 + K), K = ``_STAGE_ARRIVALS``: the
+    shape (..., 2 n_max + 1, points, 1 + K), K = ``_ARRIVALS``: the
     decodes n = 0..n_max, then the cancellations n = 1..n_max.  The unit
     exponentials -log(u_k) give the K nearest interferers beyond the
     stage's inner radius, pi mu_j r_k^2 = L + the sum of the first k
@@ -707,7 +676,7 @@ def _rqmc_stages(
 ):
     """The independent-stage chain of :func:`ps_sic_curve_mc` on randomized
     quasi-Monte Carlo points.  Each of its 2 n_max + 1 stages is its own
-    integral over 1 + ``_STAGE_ARRIVALS`` uniforms (:func:`_stage_scenes`),
+    integral over 1 + ``_ARRIVALS`` uniforms (:func:`_stage_scenes`),
     with its own shift of the points in every replicate
     (:func:`_rqmc_sums`).  The stage means of a replicate are then
     independent, so the chain success of those means
@@ -723,7 +692,7 @@ def _rqmc_stages(
             sums[:, e_idx] = np.where(kept[:, None], p, 0.0).sum(axis=2)
         return sums
 
-    sums, sizes = _rqmc_sums(trials, seed, (stages, 1 + _STAGE_ARRIVALS), threads, integrand)
+    sums, sizes = _rqmc_sums(trials, seed, (stages, 1 + _ARRIVALS), threads, integrand)
     means = (sums / sizes[:, None, None]).reshape(-1, stages)
     p = _stage_chain_success(1.0 - means[:, : n_max + 1], means[:, n_max + 1 :])
     p = p.reshape(len(sizes), len(etas), -1)
@@ -809,7 +778,7 @@ def ps_can_curve_mc(
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         # (direct per ordering, distance-ordered chain survivors) x eta x n
         wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
-        for powers, r2, counts in _radial_chunks(rng, size, mu_j, 0.0, radius, n_orders, alpha):
+        for powers, r2, counts in _radial_chunks(rng, size, mu_j, radius, n_orders, alpha):
             total = powers.sum(axis=1)
             enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
             for o_idx, ordering in enumerate(ORDERINGS):
@@ -1250,20 +1219,17 @@ def simulate_max_inst_sir(
 
 def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
     """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
-    return (serving, interference, lo2, draws, kept): the serving
-    distances; the faded near-field interference, (3, trials), without
-    cancellation, less the AP of highest unbiased mean power and less every
-    AP whose unbiased mean power exceeds the serving AP's; the squared radii
-    beyond which each tier's far field is left out, (2, trials, tiers); and
+    return (dist, x, r2_far, draws, kept): each tier's nearest-AP distance,
+    (trials, tiers); the unit mean powers r^-alpha of the K =
+    ``_ARRIVALS`` APs of each tier next beyond its nearest, (trials, tiers,
+    K), and the squared radius of the last of them, (trials, tiers); and
     the rejection sampler's draws and REA hits.
 
-    Tier i's field beyond its nearest AP x_i is sampled out to the near
-    window of x_i (:func:`_near_window2`).  Row 0 of ``lo2`` holds those
-    windows, which bound the far field of the first two interference rows:
-    the strongest AP is a nearest AP, never a far one.  Row 1 holds the
-    larger of the window and the exclusion radius c_i, beyond which the far
-    field of the annulus-cleared row starts."""
-    e2 = 2.0 / cfg.alpha
+    Given its nearest distance x_i, tier i beyond x_i is again a PPP, so its
+    next APs are Gamma arrivals, pi lam_i r_j^2 = pi lam_i x_i^2 plus the
+    sum of j unit exponentials (:func:`_nearest_users`; Haenggi,
+    *Stochastic Geometry for Wireless Networks*, 2012, ch. 2), and the
+    tier beyond the last of them is a PPP independent of them."""
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
     bias = np.array([t.bias for t in cfg.tiers])
@@ -1290,37 +1256,13 @@ def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
             "REA rejection sampling starved; is the bias configuration sane?"
         )
 
-    # interference per tier: the nearest AP (interferer for i != k) plus
-    # the conditional PPP beyond the nearest, out to the near window
-    x2 = dist**2
-    # unbiased exclusion radii, P_i r^-a > P_k x_k^-a inside c_i (c_k = x_k)
-    c2 = (p_dl / p_dl[k]) ** e2 * x2[:, k:k + 1]
-    lo2 = _near_window2(lam, x2)
-    i_total = np.zeros(size)
-    removed = np.zeros(size)          # every unbiased-stronger AP
-    strongest_unbiased = np.full(size, -math.inf)
-    x_strong = np.zeros(size)
+    x = np.empty((size, n_tiers, _ARRIVALS))
+    r2_far = np.empty((size, n_tiers))
     for i in range(n_tiers):
-        x_i = dist[:, i]
-        powers, r2, _ = _radial_field(
-            rng, size, lam[i], x_i, np.sqrt(lo2[:, i]), 1, cfg.alpha
-        )
-        powers *= p_dl[i]
-        i_total += powers.sum(axis=1)
-        if i != k:
-            removed += np.where(r2 < c2[:, i, None], powers, 0.0).sum(axis=1)
-            h_near = rng.exponential(size=size)
-            contrib = p_dl[i] * h_near * x_i**-cfg.alpha
-            i_total += contrib
-            removed += np.where(x2[:, i] < c2[:, i], contrib, 0.0)
-            mean_power = p_dl[i] * x_i**-cfg.alpha
-            better = mean_power > strongest_unbiased
-            strongest_unbiased = np.where(better, mean_power, strongest_unbiased)
-            x_strong = np.where(better, contrib, x_strong)
-    # residuals clipped at 0 against rounding
-    interference = np.maximum(np.stack((i_total, i_total - x_strong, i_total - removed)), 0.0)
-    lo2 = np.stack((lo2, np.maximum(lo2, c2)))
-    return dist[:, k], interference, lo2, total_draws, n_kept
+        e = rng.standard_exponential((size, _ARRIVALS))
+        e[:, 0] += math.pi * lam[i] * dist[:, i] ** 2
+        x[:, i], r2_far[:, i] = _nearest_users(e, lam[i], cfg.alpha)
+    return dist, x, r2_far, total_draws, n_kept
 
 
 def simulate_rea(
@@ -1339,39 +1281,64 @@ def simulate_rea(
     Trials are rejection-sampled on the per-tier nearest distances until
     the user lands in the REA: the biased winner is tier k while the
     unbiased winner is some other tier.  ``trials`` counts kept REA trials.
-    Each trial contributes its success probability over the serving fading,
-    exp(-eta I / S - far), for each interference row I of
-    :func:`_rea_block`, far the exact factor (:func:`_far_field`) of every
-    tier's field beyond that row's lower radius, at s = eta P_i / S.  No
-    decision reads the far field, so the estimates carry no
-    window-truncation bias.  The two cancellations are:
+    Each trial then draws the next APs of every tier as Gamma arrivals
+    (:func:`_rea_block`) and contributes, for each row below, its success
+    probability over every fading and the field beyond the arrivals,
+    exactly: with S the serving AP's mean power, each AP of mean power P
+    that the row keeps gives (1 + eta P / S)^-1, and tier i's field beyond
+    radius r_lo gives exp(-:func:`_far_field`) at s = eta P_i / S.  No
+    decision reads a fading or the far field, so the estimates carry no
+    window-truncation bias.  The uncancelled row keeps every AP but the
+    serving one, each tier's far field starting at its last arrival.  The
+    two cancellations are:
       strongest -- the one AP with the highest unbiased mean power (the
                    physical one-cancellation receiver); it is a nearest AP,
                    so the far field is the uncancelled one;
       annulus   -- every AP whose unbiased mean power exceeds the serving
                    AP's (the event the closed form models; it clears the
                    whole exclusion annulus, not just its strongest member),
-                   so the far field starts beyond the exclusion radius too.
+                   so tier i's far field starts at the larger of its last
+                   arrival and its exclusion radius c_i, which is exact
+                   because the field beyond the last arrival is independent
+                   of the arrivals.
     ``annulus`` always holds the second; ``cancel_mode`` names the one
-    that ``cancelled`` reports.
+    that ``cancelled`` reports.  A tier whose REA is empty by the closed
+    form's association probability raises :class:`DegenerateReaError`
+    before any draw.
     """
     cfg.check_tier(k)
     if cancel_mode not in ("strongest", "annulus"):
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
-    if all(t.bias == 1.0 for t in cfg.tiers):
-        raise DegenerateReaError("no tier carries a bias > 1; REA is empty")
+    if rea_association_prob(cfg, k) <= 1e-15:
+        raise DegenerateReaError(f"tier {k} has an empty range-expanded area")
     etas = np.array(_check_etas(etas))
+    alpha = cfg.alpha
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
+    # squared exclusion radii over the squared serving distance: P_i r^-alpha
+    # exceeds the serving AP's mean power inside c_i
+    exclusion = (p_dl / p_dl[k]) ** (2.0 / alpha)
 
     def block(rng: np.random.Generator, size: int):
-        serving, interference, lo2, draws, kept = _rea_block(cfg, k, rng, size)
-        signal = p_dl[k] * serving**-cfg.alpha
+        dist, x, r2_far, draws, kept = _rea_block(cfg, k, rng, size)
+        signal = p_dl[k] * dist[:, k] ** -alpha
+        # the unbiased mean powers of every drawn AP, the serving one at 0:
+        # each tier's nearest, then its arrivals
+        near = p_dl * dist**-alpha
+        near[:, k] = 0.0
+        powers = np.hstack((near, (p_dl[:, None] * x).reshape(size, -1)))
+        dropped = np.zeros((2,) + powers.shape, dtype=bool)
+        dropped[0, np.arange(size), np.argmax(near, axis=1)] = True
+        dropped[1] = powers > signal[:, None]
+        # eta x trial x AP
+        terms = np.log1p(np.divide.outer(etas, signal)[:, :, None] * powers)
+        rows = [terms.sum(axis=-1)] + [np.where(d, 0.0, terms).sum(axis=-1) for d in dropped]
+        lo2 = np.stack((r2_far, np.maximum(r2_far, exclusion * dist[:, k:k + 1] ** 2)))
         s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
-        far = _far_field(lam, lo2, s, cfg.alpha).sum(axis=-1)
+        far = _far_field(lam, lo2, s, alpha).sum(axis=-1)
         # eta x (uncancelled, strongest, annulus) x trial
-        x = np.multiply.outer(etas, interference / signal) + far[:, [0, 0, 1]]
-        return _moments(np.exp(-x), 2), draws, kept
+        exponent = np.stack(rows, axis=1) + far[:, [0, 0, 1]]
+        return _moments(np.exp(-exponent), 2), draws, kept
 
     sums, draws, kept = _run_blocks(trials, seed, block, threads)
     unc, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(3))

@@ -13,8 +13,12 @@ paths against code that shares no kernel with them:
 - ``_chain_levels`` is the same-draw 0/1 oracle of
   ``sicnet.montecarlo._chain_exponent``, with its own ``_first_level``.
 - ``radial_field_oracle`` draws a block of faded annulus fields in one
-  block-sized draw of each kind, the values that the library's row-chunked
-  ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw.
+  block-sized draw of each kind.  At inner radius 0 these are the values
+  that the library's row-chunked disk sampler
+  ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw; with
+  an inner radius, scalar or per row, it samples the fields beyond the
+  nearest points that the same-draw 0/1 oracles of the window-free
+  estimators need.
 - ``rqmc_replicates`` lays out the unit exponentials of the faithful
   chain's randomized quasi-Monte Carlo replicates point by point, from a
   scalar Halton sequence (``halton_point``), the values that the library's

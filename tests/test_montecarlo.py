@@ -39,7 +39,6 @@ from sicnet.montecarlo import (
     _nearest_chain_success,
     _nearest_users,
     _radial_chunks,
-    _radial_field,
     _rea_block,
     _reached,
     _replicate_estimates,
@@ -93,7 +92,7 @@ def two_tier(bias2=1.0):
 
 def _dense_macro():
     """Dense strong tier 0 around a sparse biased tier 1: the exclusion
-    radius of tier 0 often lies beyond its near window."""
+    radius of tier 0 often lies beyond its last arrival."""
     return NetworkConfig(
         tiers=(TierParams(1e-4, 100.0, 1.0), TierParams(1e-5, 1.0, 1.0, bias=100.0)),
         alpha=4.0,
@@ -104,10 +103,10 @@ def _dense_macro():
 
 def _field_block(rng, size, mu_j, radius, m, alpha):
     """Sample ``size`` interferer fields in the disk of radius ``radius``
-    (:func:`_radial_field`); return (total, top, cum, counts) where total is
+    (:func:`radial_field_oracle`); return (total, top, cum, counts) where total is
     each row's power sum, top[:, i] the (i+1)-th nearest power
     (:func:`_top_m`; zero past the row's count) and cum its running sum."""
-    powers, r2, counts = _radial_field(rng, size, mu_j, 0.0, radius, m, alpha)
+    powers, r2, counts = radial_field_oracle(rng, size, mu_j, 0.0, radius, m, alpha)
     top = _top_m(powers, r2, m)
     return powers.sum(axis=1), top, np.cumsum(top, axis=1), counts
 
@@ -743,7 +742,7 @@ class TestRqmcStages:
         from sicnet import montecarlo
 
         base = self._grid(4096, 3101)
-        monkeypatch.setattr(montecarlo, "_STAGE_ARRIVALS", 6)
+        monkeypatch.setattr(montecarlo, "_ARRIVALS", 6)
         other = self._grid(4096, 3102)
         _agree(base.ravel(), other.ravel(), "stage arrivals")
 
@@ -908,13 +907,13 @@ class TestExactLawStage:
     def test_cancellation_rate_matches_full_window(self):
         # stage n cancels with probability exp(-eta r_n^alpha R_n) over the
         # node's fading, R_n everything beyond it; a full window drawn by
-        # _radial_field, with the n-th nearest picked by _top_m, is the same
-        # event counted 0/1
+        # radial_field_oracle, with the n-th nearest picked by _top_m, is the
+        # same event counted 0/1
         eta, n_max, size = 1.0, 5, 20_000
         scenes = _stage_draws(np.random.default_rng(59), n_max, size)
         cancel = _stage_success(scenes, eta, MU, 4.0).reshape(-1, size)[n_max + 1 :].T
         exact = cancel.mean(axis=0)
-        powers, r2, _ = _radial_field(
+        powers, r2, _ = radial_field_oracle(
             _stream(60, 0), size, MU, 0.0, window_radius(MU), n_max, 4.0
         )
         nearest = _top_m(powers, r2, n_max)
@@ -926,9 +925,10 @@ class TestExactLawStage:
 
 class TestRadialField:
     def test_annulus_campbell(self):
-        # Campbell: E[sum of h r^-alpha] = 2 pi lam (r_in^(2-a) - r_out^(2-a)) / (a - 2)
+        # the annulus sampler of the tests' oracles, by Campbell: E[sum of
+        # h r^-alpha] = 2 pi lam (r_in^(2-a) - r_out^(2-a)) / (a - 2)
         lam, r_in, r_out, alpha, size = 1e-4, 50.0, 400.0, 4.0, 20_000
-        powers, r2, counts = _radial_field(_stream(61, 0), size, lam, r_in, r_out, 3, alpha)
+        powers, r2, counts = radial_field_oracle(_stream(61, 0), size, lam, r_in, r_out, 3, alpha)
         drawn = np.arange(r2.shape[1])[None, :] < counts[:, None]
         assert np.all((r2[drawn] > r_in**2) & (r2[drawn] <= r_out**2))
         assert np.all(np.isinf(r2[~drawn])) and np.all(powers[~drawn] == 0.0)
@@ -938,41 +938,25 @@ class TestRadialField:
         campbell = 2.0 * math.pi * lam * (r_in ** (2 - alpha) - r_out ** (2 - alpha)) / (alpha - 2)
         assert abs(sums.mean() - campbell) <= 4.0 * sums.std() / math.sqrt(size)
 
-    @pytest.mark.parametrize(
-        "r_in, r_out",
-        [
-            (0.0, 300.0),
-            (50.0, 300.0),
-            # per row, the third row clipped empty (r_in > r_out)
-            (np.array([0.0, 40.0, 500.0, 120.0]), np.array([200.0, 90.0, 400.0, 130.0])),
-        ],
-        ids=["disk", "annulus", "per-row"],
-    )
-    def test_in_place_matches_expression(self, r_in, r_out):
+    @pytest.mark.parametrize("radius", [300.0], ids=["disk"])
+    def test_in_place_matches_expression(self, radius):
         # the in-place arithmetic against the expression it replaced, on
         # the same stream: every field is bit for bit what it was
-        def reference(rng, size, density, r_in, r_out, min_cols, alpha):
-            mean = density * math.pi * r_out * r_out - density * math.pi * r_in * r_in
-            span = r_out * r_out - r_in * r_in
-            if isinstance(span, np.ndarray):
-                mean, span = np.maximum(mean, 0.0), np.maximum(span, 0.0)[:, None]
-                r_in = np.reshape(r_in, (-1, 1))
-            counts = rng.poisson(mean, size)
+        def reference(rng, size, density, radius, min_cols, alpha):
+            counts = rng.poisson(density * math.pi * radius * radius, size)
             pmax = max(int(counts.max(initial=0)), min_cols, 1)
-            r2 = r_in * r_in + span * (1.0 - rng.random((size, pmax)))
+            r2 = radius * radius * (1.0 - rng.random((size, pmax)))
             r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
             powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
             return powers, r2, counts
 
-        size = np.size(r_in) if np.ndim(r_in) else 50
         for alpha in (3.0, 4.0):
             for min_cols in (1, 40):
-                got = _radial_field(_stream(79, 0), size, 1e-4, r_in, r_out, min_cols, alpha)
-                want = reference(_stream(79, 0), size, 1e-4, r_in, r_out, min_cols, alpha)
+                chunks = _radial_chunks(_stream(79, 0), 50, 1e-4, radius, min_cols, alpha)
+                got = tuple(map(np.concatenate, zip(*chunks)))
+                want = reference(_stream(79, 0), 50, 1e-4, radius, min_cols, alpha)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and np.array_equal(g, w)
-        if np.ndim(r_in):
-            assert got[2][2] == 0 and np.all(np.isinf(got[1][2]))
 
     def test_standard_exponential_is_exponential(self):
         # the sampler draws fading marks with standard_exponential: the
@@ -983,23 +967,17 @@ class TestRadialField:
             assert np.array_equal(a.standard_exponential(shape), b.exponential(size=shape))
         assert a.random() == b.random()
 
-    # (size, density, r_in, r_out, min_cols, fewest chunks), built on the
-    # chunk budget so that each case spans the chunks it names
-    _FAR = 400.0 / (math.pi * MU)  # squared span of 400 expected points
-    _RNG = np.random.default_rng(97)
-    _R_IN = _RNG.uniform(0.0, 300.0, 2000)
-    _R_OUT = np.sqrt(_R_IN**2 + _FAR)
-    _R_OUT[::7] = _R_IN[::7] / 2.0  # every seventh row clipped empty
+    # (size, density, radius, min_cols, fewest chunks), built on the chunk
+    # budget so that each case spans the chunks it names
+    _FAR = 400.0 / (math.pi * MU)  # squared radius of 400 expected points
     CHUNK_CASES = {
         # about 470 columns: 4 chunks, the last one partial
-        "disk": (2000, MU, 0.0, math.sqrt(_FAR), 1, 3),
-        "annulus": (1500, MU, 100.0, math.sqrt(1e4 + _FAR), 1, 3),
-        "per-row": (2000, MU, _R_IN, _R_OUT, 1, 3),
+        "disk": (2000, MU, math.sqrt(_FAR), 1, 3),
         # nearly every row empty, the width set by min_cols alone
-        "min-cols": (2 * _CHUNK_POINTS // 100 + 11, 1e-8, 0.0, 100.0, 100, 3),
+        "min-cols": (2 * _CHUNK_POINTS // 100 + 11, 1e-8, 100.0, 100, 3),
         # one row per chunk
-        "row-over-budget": (3, 1e-8, 0.0, 100.0, _CHUNK_POINTS + 1, 3),
-        "one-chunk": (100, MU, 0.0, math.sqrt(_FAR), 1, 1),
+        "row-over-budget": (3, 1e-8, 100.0, _CHUNK_POINTS + 1, 3),
+        "one-chunk": (100, MU, math.sqrt(_FAR), 1, 1),
     }
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
@@ -1007,11 +985,10 @@ class TestRadialField:
     def test_chunks_are_the_block_sized_draw(self, case, alpha):
         # the row chunks concatenate to the one-shot block draw bit for bit,
         # and leave the generator where that draw leaves it
-        size, density, r_in, r_out, min_cols, fewest = self.CHUNK_CASES[case]
-        args = (size, density, r_in, r_out, min_cols, alpha)
+        size, density, radius, min_cols, fewest = self.CHUNK_CASES[case]
         rng, ref = _stream(101, 0), _stream(101, 0)
-        chunks = list(_radial_chunks(rng, *args))
-        want = radial_field_oracle(ref, *args)
+        chunks = list(_radial_chunks(rng, size, density, radius, min_cols, alpha))
+        want = radial_field_oracle(ref, size, density, 0.0, radius, min_cols, alpha)
         rows, cols = chunks[0][0].shape
         assert len(chunks) >= fewest and (rows * cols <= _CHUNK_POINTS or rows == 1)
         assert [len(c) for _, _, c in chunks] == [rows] * (len(chunks) - 1) + [
@@ -1023,27 +1000,8 @@ class TestRadialField:
             assert got.dtype == w.dtype and np.array_equal(got, w)
         assert rng.random(8).tolist() == ref.random(8).tolist()
         assert _same_state(rng, ref)
-        whole = _radial_field(_stream(101, 0), *args)
-        assert all(np.array_equal(g, w) for g, w in zip(whole, want))
-        if case == "per-row":
-            assert np.all(want[2][::7] == 0) and np.all(np.isinf(want[1][::7]))
         if case == "min-cols":
             assert want[2].max() < min_cols
-
-    @pytest.mark.parametrize(
-        "draw", [lambda rng: _rea_block(two_tier(bias2=10.0), 1, rng, 3000)], ids=["rea"]
-    )
-    def test_whole_block_callers_draw_the_one_shot_fields(self, monkeypatch, draw):
-        # the caller keeps drawing after each field: with the block cut
-        # into many chunks, its outputs are those of the one-shot fields
-        from sicnet import montecarlo
-
-        monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 1 << 12)
-        got = draw(_stream(103, 0))
-        monkeypatch.setattr(montecarlo, "_radial_field", radial_field_oracle)
-        want = draw(_stream(103, 0))
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
 
 
 class TestFieldMemory:
@@ -1081,10 +1039,10 @@ class TestFieldMemory:
             ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e9)
         # only the counts were drawn
         rng, ref = _stream(107, 0), _stream(107, 0)
-        chunks = _radial_chunks(rng, 4, MU, 0.0, 100.0, _MAX_ROW_POINTS + 1, 4.0)
+        chunks = _radial_chunks(rng, 4, MU, 100.0, _MAX_ROW_POINTS + 1, 4.0)
         with pytest.raises(DomainError, match=f"row of {_MAX_ROW_POINTS + 1} points"):
             next(chunks)
-        ref.poisson(MU * math.pi * 100.0 * 100.0 - MU * math.pi * 0.0 * 0.0, 4)
+        ref.poisson(MU * math.pi * 100.0 * 100.0, 4)
         assert _same_state(rng, ref)
 
     def test_row_mean_over_the_cap_raises_before_the_counts(self):
@@ -1093,10 +1051,7 @@ class TestFieldMemory:
             ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e12)
         rng, ref = _stream(109, 0), _stream(109, 0)
         with pytest.raises(DomainError, match="on average"):
-            next(_radial_chunks(rng, 4, MU, 0.0, 1e12, 1, 4.0))
-        # one row of per-row radii over the cap is enough
-        with pytest.raises(DomainError, match="on average"):
-            next(_radial_chunks(rng, 3, MU, 0.0, np.array([10.0, 1e6, 10.0]), 1, 4.0))
+            next(_radial_chunks(rng, 4, MU, 1e12, 1, 4.0))
         assert _same_state(rng, ref)
 
 
@@ -1108,8 +1063,8 @@ def _agree(a, b, what):
 
 
 class TestFarField:
-    """The exact far-field factor of the REA simulator: its estimates do
-    not depend on the near window."""
+    """The exact far-field factor: the estimates that use it do not depend
+    on how many arrivals are drawn before it."""
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_factor_composes_with_sampled_annulus(self, alpha):
@@ -1118,7 +1073,7 @@ class TestFarField:
         # averages to the factor at R
         lam, r, r_out, size = 1e-4, 50.0, 200.0, 20_000
         s = r**alpha  # C's argument is 1 at R: neither term is negligible
-        powers, _, _ = _radial_field(_stream(67, 0), size, lam, r, r_out, 1, alpha)
+        powers, _, _ = radial_field_oracle(_stream(67, 0), size, lam, r, r_out, 1, alpha)
         x = np.exp(-s * powers.sum(axis=1) - _far_field(lam, r_out**2, s, alpha))
         want = math.exp(-_far_field(lam, r**2, s, alpha))
         assert 0.2 < want < 0.6
@@ -1165,37 +1120,21 @@ class TestFarField:
         # a larger budget never loses a success, not even to rounding
         assert np.all(np.diff(success, axis=1) >= 0.0)
 
-    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
-    @pytest.mark.parametrize("near_points", [0.25, 50.0])
-    def test_rea_window_invariance(self, monkeypatch, cancel_mode, near_points):
-        # a near window of 1/4 expected point leaves almost all of the
-        # interference, and for the annulus estimate the exclusion radius,
-        # to the factor; twice the window (in expected points) leaves less
+    def test_rea_arrival_count_invariance(self, monkeypatch):
+        # every row is exact over the field beyond the last arrival, and
+        # the annulus row over the exclusion radius wherever it lies, so
+        # one arrival per tier and six estimate the same success; at the
+        # dense macro tier 0's exclusion radius often lies beyond both
         from sicnet import montecarlo
 
         etas, size, seed = [0.1, 1.0, 4.0], 20_000, 37
         for cfg in (two_tier(bias2=5.0), _dense_macro()):
-            base = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
-            monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
-            other = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            base = simulate_rea(cfg, 1, etas, size, seed)
+            monkeypatch.setattr(montecarlo, "_ARRIVALS", 6)
+            other = simulate_rea(cfg, 1, etas, size, seed)
             monkeypatch.undo()
             for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
-
-    @pytest.mark.parametrize("near_points", [0.25, 50.0])
-    def test_independent_stage_window_invariance(self, monkeypatch, near_points):
-        # the independent-stage chain draws its arrivals from Gamma laws and
-        # integrates the field beyond them exactly: it reads no near window,
-        # so the same seed gives the same estimates at any window
-        from sicnet import montecarlo
-
-        etas, n_max, size, seed = [0.1, 0.3, 1.0], 3, 20_000, 41
-        base = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
-        monkeypatch.setattr(montecarlo, "_NEAR_POINTS", near_points)
-        other = ps_sic_curve_mc(LAM, MU, 4.0, etas, n_max, size, seed, independent_stages=True)
-        assert [(e.mean, e.stderr) for e in other.ravel()] == [
-            (e.mean, e.stderr) for e in base.ravel()
-        ]
 
     def test_edges_fail_loudly(self):
         cfg = two_tier(bias2=5.0)
@@ -1250,7 +1189,7 @@ class TestWindowSufficiency:
             rng = _stream(seed, b)
             s0 = _serving_block(rng.standard_exponential(size), LAM, 4.0)
             total, top, cum, _ = _field_block(rng, size, MU, r, n_max, 4.0)
-            annulus, _, _ = _radial_field(rng, size, MU, r, 2.0 * r, 1, 4.0)
+            annulus, _, _ = radial_field_oracle(rng, size, MU, r, 2.0 * r, 1, 4.0)
             p.append([
                 np.exp(-_chain_exponent(s0, t, top, cum, eta, n_max)[:, n_max])
                 for t in (total, total + annulus.sum(axis=1))
@@ -1309,14 +1248,14 @@ def _mu_eq(tiers, alpha):
 
 def _sampled_fields(rng, n_aps, tiers, alpha):
     """Give each of ``n_aps`` receivers its own multi-tier user field, one
-    disk field of :func:`_radial_field` out to ``window_radius`` (400
+    disk field of :func:`radial_field_oracle` out to ``window_radius`` (400
     expected points) per interferer tier ``(density, UL power)``.  Return
     the aggregate interference per receiver and the powers and mean-power
     keys d^2 Q_k^(-2/alpha) of all users side by side."""
     total = np.zeros(n_aps)
     parts_p, parts_key = [], []
     for mu_k, q in tiers:
-        base, r2, _ = _radial_field(rng, n_aps, mu_k, 0.0, window_radius(mu_k), 1, alpha)
+        base, r2, _ = radial_field_oracle(rng, n_aps, mu_k, 0.0, window_radius(mu_k), 1, alpha)
         total += q * base.sum(axis=1)
         parts_p.append(q * base)
         parts_key.append(r2 * q ** (-2.0 / alpha))
@@ -1403,7 +1342,7 @@ def _sampled_residual(rng, r2_far, tiers, share, alpha):
     """The faded interference of the tiers ``(density, UL power)`` whose
     mean power is below r_far^-alpha (``r2_far``, one squared radius per
     row): tier t beyond r_in = r_far Q_t^(1/alpha), sampled by
-    :func:`_radial_field` in chunks of rows out to r_in share^(-1/(alpha -
+    :func:`radial_field_oracle` in chunks of rows out to r_in share^(-1/(alpha -
     2)), beyond which the field left out carries ``share`` of the tier's
     mean interference beyond r_in."""
     out = np.zeros(len(r2_far))
@@ -1411,7 +1350,7 @@ def _sampled_residual(rng, r2_far, tiers, share, alpha):
         for mu_t, q_t in tiers:
             r_in = np.sqrt(r2_far[lo:lo + 1000]) * q_t ** (1.0 / alpha)
             r_out = r_in * share ** (-1.0 / (alpha - 2.0))
-            powers, _, _ = _radial_field(rng, len(r_in), mu_t, r_in, r_out, 1, alpha)
+            powers, _, _ = radial_field_oracle(rng, len(r_in), mu_t, r_in, r_out, 1, alpha)
             out[lo:lo + 1000] += q_t * powers.sum(axis=1)
     return out
 
@@ -2107,9 +2046,19 @@ class TestNoSicControl:
 
 
 class TestRea:
-    def test_degenerate_guard(self):
-        with pytest.raises(DegenerateReaError):
-            simulate_rea(two_tier(bias2=1.0), 1, [1.0], 1000, seed=79)
+    def test_degenerate_guard(self, monkeypatch):
+        # no bias at all, and tier 0 beside a biased tier 1, whose REA is
+        # empty (association probability -2.8e-17): both raise before any
+        # draw, where the rejection sampler would starve
+        from sicnet import montecarlo
+
+        def no_draws(seed, index):
+            raise AssertionError("a stream was opened for an empty REA")
+
+        monkeypatch.setattr(montecarlo, "_stream", no_draws)
+        for cfg, k in ((two_tier(bias2=1.0), 1), (two_tier(bias2=5.0), 0)):
+            with pytest.raises(DegenerateReaError):
+                simulate_rea(cfg, k, [1.0], 4096, seed=79)
 
     def test_cancellation_helps_pairwise(self):
         res = simulate_rea(two_tier(bias2=5.0), 1, [0.5, 1.0, 2.0], 20_000, seed=83)
@@ -2128,7 +2077,9 @@ class TestRea:
         # empirical REA serving distances against the closed-form density
         cfg = two_tier(bias2=5.0)
         # the serving distances of simulate_rea(cfg, 1, ..., 100_000, seed=97)
-        serving = _run_blocks(100_000, 97, lambda rng, size: [_rea_block(cfg, 1, rng, size)[0]])
+        serving = _run_blocks(
+            100_000, 97, lambda rng, size: [_rea_block(cfg, 1, rng, size)[0][:, 1]]
+        )
         samples = np.sort(np.concatenate(serving))
         grid = np.linspace(5.0, 160.0, 60)
         emp = np.searchsorted(samples, grid) / len(samples)
@@ -2157,6 +2108,57 @@ class TestRea:
         with pytest.raises(DomainError):
             simulate_rea(two_tier(bias2=5.0), 1, [1.0], 1000, seed=1, cancel_mode="x")
 
+    # Calibration of the plug-in standard error on the fig6 grid at the
+    # bench's 2048 trials, the uncancelled row against ps_ic_rea(..., 0) and
+    # the annulus row against ps_ic_rea(..., 1), over seeds fixed before the
+    # first run.  The bounds are those of TestRqmcStages.test_calibration
+    # with the normal law in place of t_31, the trials being iid: each
+    # point's count of |z| > 3 is Binomial(64, 2 P(Z > 3)), bounded for all
+    # 66 points at a family rate of 1e-3; a sample standard deviation over
+    # 64 seeds leaves (0.6, 1.5) of the true one with probability below
+    # 1e-7 (chi-square, 63 dof); the mean error over the seeds, in units of
+    # its own standard error, is read against t_63 at a family rate of 1e-3.
+    CALIBRATION_SEEDS = range(3500, 3564)
+
+    def test_calibration(self):
+        from scipy import stats
+
+        from sicnet.analytic import ps_ic_rea
+        from sicnet.experiments import FIG6_BIASES, FIG6_ETA_DB, two_tier_config
+
+        etas = [db_to_linear(d) for d in FIG6_ETA_DB]
+        cfgs = [two_tier_config(bias2=b) for b in FIG6_BIASES]
+        rows = ("uncancelled", "annulus")
+        want = np.array([[[ps_ic_rea(eta, cfg, 1, c) for eta in etas] for cfg in cfgs]
+                         for c in range(len(rows))])
+        runs = [
+            [simulate_rea(cfg, 1, etas, 2048, seed) for cfg in cfgs]
+            for seed in self.CALIBRATION_SEEDS
+        ]
+        means, stderrs = (
+            np.array([[[[getattr(e, field) for e in getattr(res, row)] for res in run]
+                       for row in rows] for run in runs])
+            for field in ("mean", "stderr")
+        )
+        z = (means - want) / stderrs
+        p = 2.0 * stats.norm.sf(3.0)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / want.size, len(z), p)
+        share = (np.abs(z) > 3.0).mean(axis=(0, 2, 3))
+        print(f"|z| > 3 share {share[0]:.4f} / {share[1]:.4f} vs normal rate {p:.4f}, "
+              f"largest count {counts.max()} vs bound {bound:g}; "
+              f"z sd {z[:, 0].std():.3f} / {z[:, 1].std():.3f}")
+        assert counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
+        bias = (means.mean(axis=0) - want) / (means.std(axis=0, ddof=1) / math.sqrt(len(z)))
+        limit = stats.t.isf(0.5e-3 / want.size, len(z) - 1)
+        print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
+        assert np.all(np.abs(bias) <= limit), bias
+
 
 def _same_draws(cond, ind, what):
     """Conditional estimator ``cond`` against the indicator ``ind`` on the
@@ -2177,6 +2179,35 @@ def _same_draws(cond, ind, what):
 def _within_budget(level, n_max):
     """Success within budget N = 0..n_max from the first successful stage."""
     return ((level[:, None] >= 0) & (level[:, None] <= np.arange(n_max + 1))).astype(float)
+
+
+def _scalar_rea(cfg, k, eta, dist, x, r2_far):
+    """One REA trial's success over every fading and the field beyond the
+    arrivals, in scalar arithmetic, for the uncancelled, strongest and
+    annulus rows of :func:`simulate_rea`, given the trial's nearest-AP
+    distances ``dist``, its arrivals' unit mean powers ``x`` and squared
+    last radii ``r2_far`` (:func:`_rea_block`).  Each AP of mean power P
+    that a row keeps gives (1 + eta P / S)^-1; tier i's field beyond r_lo
+    gives exp(-_far_field), r_lo its last arrival, or for the annulus row
+    the larger of that and its exclusion radius."""
+    alpha, tiers = cfg.alpha, cfg.tiers
+    signal = tiers[k].p_dl * dist[k] ** -alpha
+    strongest = max((i for i in range(len(tiers)) if i != k),
+                    key=lambda i: tiers[i].p_dl * dist[i] ** -alpha)
+    out = [1.0, 1.0, 1.0]
+    for i, tier in enumerate(tiers):
+        aps = [(tier.p_dl * x_j, False) for x_j in x[i]]
+        if i != k:
+            aps.append((tier.p_dl * dist[i] ** -alpha, i == strongest))
+        for power, is_strongest in aps:
+            factor = 1.0 / (1.0 + eta * power / signal)
+            out[0] *= factor
+            out[1] *= 1.0 if is_strongest else factor
+            out[2] *= 1.0 if power > signal else factor
+        c2 = (tier.p_dl / tiers[k].p_dl) ** (2.0 / alpha) * dist[k] ** 2
+        for c, lo2 in enumerate((r2_far[i], r2_far[i], max(r2_far[i], c2))):
+            out[c] *= math.exp(-_far_field(tier.lam, lo2, eta * tier.p_dl / signal, alpha))
+    return out
 
 
 class TestConditionalEstimators:
@@ -2315,31 +2346,51 @@ class TestConditionalEstimators:
 
     @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
     def test_rea(self, cancel_mode):
-        # the near fields, 0/1 with the serving fading drawn, against their
-        # conditional probabilities; simulate_rea multiplies each by the
-        # tiers' far-field factors, and ``cancelled`` reports the row of
-        # the cancellation that cancel_mode names
-        cfg, etas, size, seed = two_tier(bias2=5.0), np.array([0.5, 1.0, 2.0]), 4000, 17
-        serving, interference, lo2, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
-        signal = cfg.tiers[1].p_dl * serving**-4.0
-        cond = np.exp(-np.multiply.outer(etas, interference / signal))
-        far = np.ones_like(cond)
-        for i, tier in enumerate(cfg.tiers):
-            s = np.multiply.outer(etas, tier.p_dl / signal)
-            # the uncancelled and strongest rows share the windows' far field
-            for c, lo2_c in enumerate(lo2[[0, 0, 1], :, i]):
-                far[:, c] *= np.exp(-_far_field(tier.lam, lo2_c, s, 4.0))
+        # a block's scene (_rea_block): each tier's nearest AP and its next
+        # arrivals.  The scalar loop (_scalar_rea) gives each trial's success
+        # over every fading and the field beyond the arrivals, whose means
+        # simulate_rea reports, ``cancelled`` the row that cancel_mode
+        # names.  The 0/1 oracle draws those fadings, the serving fading and
+        # each tier's field beyond its last arrival, sampled until 1% of its
+        # mean interference is left out, all separately; the annulus row
+        # clears the sampled points inside the exclusion radius too
+        cfg, etas, size, seed = two_tier(bias2=5.0), [0.5, 1.0, 2.0], 2000, 17
+        dist, x, r2_far, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
+        cond = np.array([
+            [_scalar_rea(cfg, 1, eta, dist[t], x[t], r2_far[t]) for t in range(size)]
+            for eta in etas
+        ])
         res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
         rows = {"uncancelled": 0, "cancelled": 1 if cancel_mode == "strongest" else 2, "annulus": 2}
         for e_idx in range(len(etas)):
             for name, c in rows.items():
                 est = getattr(res, name)[e_idx]
-                got = (cond[e_idx, c] * far[e_idx, c]).sum() / size
-                assert est.mean == pytest.approx(got, rel=1e-12)
-        h = np.random.default_rng(18).exponential(size=size)
-        ind = h * signal >= np.multiply.outer(etas, interference)
+                assert est.mean == pytest.approx(cond[e_idx, :, c].sum() / size, rel=1e-12)
+
+        other = np.random.default_rng(18)
+        p_dl = np.array([t.p_dl for t in cfg.tiers])
+        signal = p_dl[1] * dist[:, 1] ** -4.0
+        mean_near = p_dl * dist**-4.0
+        mean_near[:, 1] = 0.0  # the serving AP
+        near = other.standard_exponential(dist.shape) * mean_near
+        faded = p_dl[:, None] * other.standard_exponential(x.shape) * x
+        inside = (mean_near > signal[:, None], p_dl[:, None] * x > signal[:, None, None])
+        total, annulus = near.sum(axis=1) + faded.sum(axis=(1, 2)), np.zeros(size)
+        annulus += np.where(inside[0], 0.0, near).sum(axis=1)
+        annulus += np.where(inside[1], 0.0, faded).sum(axis=(1, 2))
+        c2 = (p_dl / p_dl[1]) ** 0.5 * dist[:, 1:] ** 2
+        for i, tier in enumerate(cfg.tiers):
+            # out to 10 r_K, beyond which 1% of the mean interference
+            # beyond r_K is left out (alpha = 4)
+            r_in = np.sqrt(r2_far[:, i])
+            powers, r2, _ = radial_field_oracle(other, size, tier.lam, r_in, 10.0 * r_in, 1, 4.0)
+            total += tier.p_dl * powers.sum(axis=1)
+            annulus += tier.p_dl * np.where(r2 < c2[:, i, None], 0.0, powers).sum(axis=1)
+        strongest = total - near[np.arange(size), np.argmax(mean_near, axis=1)]
+        h = other.exponential(size=size)
+        ind = h * signal >= np.multiply.outer(etas, np.stack((total, strongest, annulus)))
         _same_draws(
-            cond.reshape(-1, size).T, ind.reshape(-1, size).T.astype(float),
+            cond.transpose(0, 2, 1).reshape(-1, size).T, ind.reshape(-1, size).T.astype(float),
             f"REA {cancel_mode}",
         )
 
