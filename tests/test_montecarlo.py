@@ -1120,18 +1120,24 @@ class TestFarField:
         # a larger budget never loses a success, not even to rounding
         assert np.all(np.diff(success, axis=1) >= 0.0)
 
-    def test_rea_arrival_count_invariance(self, monkeypatch):
-        # every row is exact over the field beyond the last arrival, and
-        # the annulus row over the exclusion radius wherever it lies, so
-        # one arrival per tier and six estimate the same success; at the
-        # dense macro tier 0's exclusion radius often lies beyond both
+    @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
+    @pytest.mark.parametrize("near_points", [0.25, 50.0])
+    def test_rea_window_invariance(self, monkeypatch, cancel_mode, near_points):
+        # the sampled window beyond each nearest AP is its Gamma arrivals, a
+        # window of K arrivals holding K expected points; a window of
+        # near_points expected points draws that many rounded, at least one.
+        # Every row is exact over the field beyond the last arrival, and the
+        # annulus row over the exclusion radius wherever it lies, so the
+        # estimates at 6 arrivals hold at 1 and at 50; at the dense macro
+        # tier 0's exclusion radius often lies beyond the arrivals
         from sicnet import montecarlo
 
         etas, size, seed = [0.1, 1.0, 4.0], 20_000, 37
         for cfg in (two_tier(bias2=5.0), _dense_macro()):
-            base = simulate_rea(cfg, 1, etas, size, seed)
             monkeypatch.setattr(montecarlo, "_ARRIVALS", 6)
-            other = simulate_rea(cfg, 1, etas, size, seed)
+            base = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
+            monkeypatch.setattr(montecarlo, "_ARRIVALS", max(1, round(near_points)))
+            other = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
             monkeypatch.undo()
             for est in ("uncancelled", "cancelled", "annulus"):
                 _agree(getattr(base, est), getattr(other, est), (cfg.tiers[0].lam, est))
