@@ -52,7 +52,6 @@ from .montecarlo import (
     ps_sic_curve_mc,
     simulate_min_load,
     simulate_rea,
-    window_radius,
 )
 
 __all__ = [
@@ -165,12 +164,10 @@ def _ms(t0: float) -> float:
 
 def _run_fig2(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
-    radius = 2.0 * window_radius(DENSITY_MACRO)  # deep-n tests need the far field
     etas = [db_to_linear(d) for d in FIG2_ETA_DB]
     t0 = time.perf_counter()
     curves = ps_can_curve_mc(
-        DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, spec.trials, spec.seed,
-        threads=spec.threads, radius=radius,
+        DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, spec.trials, spec.seed, threads=spec.threads
     )
     dist, fade = curves["distance_only"], curves["power_with_fading"]
     ms = _ms(t0) / (len(etas) * FIG2_ORDERS)

@@ -13,34 +13,31 @@ trimmed-sum definition of the residual field.
 Ordering: every SIC chain cancels in order of mean received power, as the
 paper's chain does, and only ``ps_can_curve_mc`` also orders by faded power.
 
-Windows: the SIC chains on fields of their own and ``simulate_rea`` are
-window-free.  The faithful chain and the independent-stage oracle of
-``ps_sic_curve_mc`` and the max-SIR runs with independent fields draw only
+Windows: the SIC chains on fields of their own, ``ps_can_curve_mc`` and
+``simulate_rea`` are window-free.  The faithful chain and the
+independent-stage oracle of ``ps_sic_curve_mc``, the max-SIR runs with
+independent fields and ``ps_can_curve_mc`` in distance order draw only
 each receiver's nearest interferers and integrate out their fadings and
 the field beyond exactly (:func:`_field_factor`).  ``simulate_rea``, whose
 uncancelled, one-cancellation and annulus-cleared estimates share one set
 of draws, draws the next ``_ARRIVALS`` APs of every tier beyond its
 nearest one as Gamma arrivals and integrates out every fading and the
-field beyond them in the same way.  Without SIC
+field beyond them in the same way.  ``ps_can_curve_mc`` in order of
+faded power draws the faded powers themselves as the Gamma arrivals of
+their power-domain PPP and adds the Campbell mean of those past the
+``_FADING_ARRIVALS`` strongest.  Without SIC
 (``max_sir_success_curve_mc``, N = 0) the max-SIR runs draw no field and
 take each AP's whole field from the PPP's Laplace transform
 (:func:`_far_field`).  The other simulators decide cancellations on the
 residual of a field that several decisions share, or decide loads inside
 their window, so the factor would not be exact there, and they truncate
 at a fixed disk, which drops a small share of the interference and so
-reads success slightly high: ``ps_can_curve_mc`` at R_sim = 20 /
-sqrt(pi mu_j) (:func:`window_radius`, about 400 expected interferers), the
-shared-field max-SIR runs at the same radius for the user density mu,
+reads success slightly high: the shared-field max-SIR runs at R_sim = 20
+/ sqrt(pi mu) (:func:`window_radius`, about 400 expected users),
 ``simulate_min_load`` at its connectivity range plus a margin.  The
 shared-field max-SIR runs draw a whole block's user counts at once, after
 its candidate APs, then each trial's users of every tier in one draw
-(:func:`_max_sir_block`).  The sampled disk fields of ``ps_can_curve_mc``
-(:func:`_radial_chunks`) come in row chunks of a fixed point budget, and
-it drops each chunk before the next is drawn, so its doubled window holds
-at most three chunk-sized arrays.  The chunks' values are those of one
-block-sized draw: a copy of the generator serves the uniforms while the
-generator itself skips past them to the fading marks, two cursors on one
-stream.
+(:func:`_max_sir_block`).
 
 Reproducibility contract: all sampling uses numpy's SFC64 generator.
 Trials are grouped into fixed blocks of ``BLOCK_TRIALS``; block ``b`` draws
@@ -62,8 +59,9 @@ contributes that conditional probability instead of a 0/1 outcome
 and the sum of squares of these values per grid point (:func:`_moments`),
 and :func:`_run_blocks` adds the blocks' outputs in block order, so the
 sums do not depend on scheduling.  The window-free chains average each
-cancellation over the cancelled node's fading in the same way.
-``ps_can_curve_mc`` still counts 0/1 outcomes.
+cancellation over the cancelled node's fading in the same way, and so
+does ``ps_can_curve_mc`` in distance order.  Only its order of faded
+power still counts 0/1 outcomes: the faded powers are what it draws.
 
 The max-SIR chain with SIC (``simulate_max_inst_sir``, budgets N >= 1)
 also subtracts a control whose mean is known exactly (Asmussen and
@@ -87,14 +85,14 @@ freedom (``Estimate.dof``).  At the bench's 2048 trials on the fig3 grid
 their variance is a median 19 times (faithful chain) and about 27 times
 (independent stages) below that of iid draws.  A scrambled Sobol' set
 would cut it further, but ``scipy.stats.qmc`` costs about 0.5 s to import
-in a fresh interpreter, so the points are built with numpy alone.  Every
-other estimator's dimension depends on its draws (field counts, candidate
-APs, REA rejections), so it stays iid, with ``dof`` None.
+in a fresh interpreter, so the points are built with numpy alone.  The
+other estimators stay iid, with ``dof`` None: the dimension of most
+depends on its draws (field counts, candidate APs, REA rejections), and
+``ps_can_curve_mc``'s fading order counts 0/1 outcomes.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -132,8 +130,6 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 4096
-
-ORDERINGS = ("distance_only", "power_with_fading")
 
 
 def _check_etas(etas) -> list[float]:
@@ -305,73 +301,6 @@ def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-# A field block is drawn in row chunks of at most this many points (one row
-# where a row is longer), so that no caller holds a block-sized field.
-_CHUNK_POINTS = 1 << 18
-
-# The memory cap: a field row of more points than this, 32 MiB for each of a
-# chunk's float arrays, raises DomainError before any row is drawn.
-_MAX_ROW_POINTS = 1 << 22
-
-
-def _radial_chunks(
-    rng: np.random.Generator,
-    size: int,
-    density: float,
-    radius: float,
-    min_cols: int,
-    alpha: float,
-):
-    """Sample ``size`` independent faded PPP fields in the disk of
-    ``radius``: a Poisson count per row, squared radii uniform on (0,
-    radius^2] and a unit-mean exponential fading mark per point.  Yield
-    (powers, r2, counts) for consecutive row chunks of at most
-    ``_CHUNK_POINTS`` points, in draw order, not sorted: every row is padded
-    past its count, to the block's longest row and at least ``min_cols``
-    columns, with r2 = inf and zero power.  Callers that need the nearest
-    or strongest points pick them with :func:`_top_m`.  A Poisson mean past
-    ``_MAX_ROW_POINTS`` raises :class:`DomainError` before anything is
-    drawn, and a longer row once the counts are drawn, before any row is.
-
-    The chunks hold exactly the values of one block-sized draw: the block's
-    counts first, then all of its uniforms, then all of its fading marks.
-    Two cursors on the one stream make that so.  When the block spans
-    several chunks, a copy of ``rng`` serves the uniforms chunk by chunk,
-    while ``rng`` skips past them (SFC64 spends one raw output per double)
-    and draws the marks, so it ends where the block-sized draw would.  Use
-    every chunk before ``rng`` draws again.  A caller that drops its
-    references to a chunk before asking for the next holds at most three
-    chunk-sized arrays: the sampler's last chunk until its next uniforms
-    and marks replace it, and the path-loss temporary."""
-    mean = density * math.pi * radius * radius
-    if mean > _MAX_ROW_POINTS:
-        raise DomainError(
-            f"a field row of {mean:.0f} points exceeds the cap of "
-            f"{_MAX_ROW_POINTS} on average"
-        )
-    counts = rng.poisson(mean, size)
-    pmax = max(int(counts.max(initial=0)), min_cols, 1)
-    if pmax > _MAX_ROW_POINTS:
-        raise DomainError(
-            f"a field row of {pmax} points exceeds the cap of {_MAX_ROW_POINTS}"
-        )
-    rows = max(_CHUNK_POINTS // pmax, 1)
-    uniforms = rng
-    if rows < size:
-        uniforms = copy.deepcopy(rng)
-        rng.bit_generator.random_raw(size * pmax, output=False)
-    for lo in range(0, size, rows):
-        n = counts[lo:lo + rows]
-        # in place, the same operations as radius^2 (1 - u)
-        r2 = uniforms.random((len(n), pmax))
-        np.subtract(1.0, r2, out=r2)
-        r2 *= radius * radius
-        np.copyto(r2, np.inf, where=np.arange(pmax)[None, :] >= n[:, None])
-        powers = rng.standard_exponential((len(n), pmax))
-        powers *= r2 ** (-0.5 * alpha)
-        yield powers, r2, n
-
-
 def _far_field(density, r_lo2, s, alpha: float):
     """-log E[exp(-s I)] for the faded PPP of ``density`` beyond radius
     r_lo (``r_lo2`` = r_lo^2), I the sum of h r^-alpha over its points with
@@ -489,25 +418,39 @@ def _nearest_chain_success(x, r2_far, density, signal, eta: float, n_max: int, a
     cancellations, Phi_k(c) = E[exp(-c R_k)] is prod_{j>k} (1 + c x_j)^-1
     times :func:`_far_field` beyond r_far (:func:`_field_factor`).  Stage k cancels
     with probability exp(-a_k R_k), a_k = eta / x_k, and decodes with
-    exp(-g R_k), g = eta / S.  From beta_0 = 0 and W_0 = 1, W_k = W_{k-1} /
-    (1 + beta_{k-1} x_k) and beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k).
-    Where stages 1..k all cancel, E[exp(-g R_k)] = W_k Phi_k(beta_k + g)
-    and E[exp(-g R_{k-1})] = W_{k-1} Phi_k((1 + b x_k) a_k + b) / (1 + b
-    x_k), b = beta_{k-1} + g.  P_N is Phi_0(g) plus their differences for k
-    <= N, as a running maximum."""
+    exp(-g R_k), g = eta / S.  With W_k and beta_k from
+    :func:`_cancel_weights`, where stages 1..k all cancel, E[exp(-g R_k)] =
+    W_k Phi_k(beta_k + g) and E[exp(-g R_{k-1})] = W_{k-1} Phi_k((1 + b
+    x_k) a_k + b) / (1 + b x_k), b = beta_{k-1} + g.  P_N is Phi_0(g) plus
+    their differences for k <= N, as a running maximum."""
 
     def phi(k: int, c: np.ndarray) -> np.ndarray:
         return _field_factor(x[:, k:], r2_far, density, c, alpha)
 
     g = eta / signal
-    beta, w = np.zeros_like(g), np.ones_like(g)
+    weights = list(_cancel_weights(x, eta, n_max))
     p = [phi(0, g)]
     for k in range(1, n_max + 1):
-        x_k, a_k, b = x[:, k - 1], eta / x[:, k - 1], beta + g
-        before = w / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
-        w, beta = w / (1.0 + beta * x_k), beta + a_k * (1.0 + beta * x_k)
+        (w_prev, beta_prev), (w, beta) = weights[k - 1], weights[k]
+        x_k, a_k, b = x[:, k - 1], eta / x[:, k - 1], beta_prev + g
+        before = w_prev / (1.0 + b * x_k) * phi(k, (1.0 + b * x_k) * a_k + b)
         p.append(p[-1] + w * phi(k, beta + g) - before)
     return np.clip(np.maximum.accumulate(np.column_stack(p), axis=1), 0.0, 1.0)
+
+
+def _cancel_weights(x, eta: float, n_max: int):
+    """Yield (W_k, beta_k) for k = 0..n_max, the cancellation recursion of
+    :func:`_nearest_chain_success` over the users of mean powers ``x``:
+    from W_0 = 1 and beta_0 = 0, W_k = W_{k-1} / (1 + beta_{k-1} x_k) and
+    beta_k = beta_{k-1} + a_k (1 + beta_{k-1} x_k), a_k = eta / x_k.
+    Stages 1..k all cancel with probability W_k Phi_k(beta_k), exact over
+    every fading."""
+    w, beta = np.ones(len(x)), np.zeros(len(x))
+    yield w, beta
+    for k in range(n_max):
+        x_k = x[:, k]
+        w, beta = w / (1.0 + beta * x_k), beta + eta / x_k * (1.0 + beta * x_k)
+        yield w, beta
 
 
 # The randomized quasi-Monte Carlo layout of both SIC chains: at most this
@@ -743,6 +686,16 @@ def ps_sic_curve_mc(
     return chain(lambda_eq, mu_j, alpha, etas, n_max, trials, seed, threads)
 
 
+# fig2's fading order draws this many power-domain arrivals past its
+# n_orders strongest and adds the mean of the rest.
+_FADING_ARRIVALS = 50
+
+# The memory cap: a block of fig2 draws BLOCK_TRIALS x (n_orders +
+# _FADING_ARRIVALS) exponentials, and more than this many, 32 MiB of
+# floats, raise DomainError before any stream is opened.
+_MAX_BLOCK_DRAWS = 1 << 22
+
+
 def ps_can_curve_mc(
     mu_j: float,
     alpha: float,
@@ -751,18 +704,35 @@ def ps_can_curve_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-    radius: float | None = None,
 ):
-    """Cancellation-success estimates for n = 1..n_orders and each eta, under
-    both ORDERINGS of one field per trial (picked by :func:`_top_m`).
+    """Cancellation-success estimates for n = 1..n_orders and each eta, in
+    order of distance and in order of faded power, each on fields of its
+    own.
 
     Two estimators per grid point:
-      direct         -- per scene, test the n-th strongest signal against
-                        the residual field (the deconditioned quantity the
-                        closed form integrates), under both orderings;
-      chain_survival -- fraction of scenes where all of stages 1..n decode
-                        (the event-chain population after n cancels), under
-                        distance ordering only.
+      direct         -- the n-th node in the order decodes against the
+                        residual field once nodes 1..n are removed (the
+                        deconditioned quantity the closed form integrates),
+                        in both orders;
+      chain_survival -- stages 1..n all decode (the event-chain population
+                        after n cancels), in distance order only.
+
+    Distance order draws each trial's n_orders nearest interferers
+    (:func:`_nearest_users`) and is exact over every fading and the field
+    beyond them: direct is :func:`_field_factor` of the users past the
+    n-th at c = eta / x_n, and chain_survival is W_n times that factor at
+    c = beta_n (:func:`_cancel_weights`).  Both are conditional
+    probabilities of the same draws, so chain_survival <= direct draw by
+    draw, with equality at n = 1.
+
+    Fading order draws the faded powers themselves: by the mapping
+    theorem, those of a PPP of density mu_j are the mean powers of a PPP of
+    density mu' = mu_j Gamma(1 + 2/alpha) (Haenggi, *Stochastic Geometry
+    for Wireless Networks*, 2012, ch. 2 and 5).  The n_orders +
+    ``_FADING_ARRIVALS`` strongest are drawn as Gamma arrivals, the rest
+    enter through their Campbell mean pi mu' r_last^(2-alpha) / (alpha/2 -
+    1), and each trial counts the 0/1 outcome p_n >= eta R_n, R_n the sum
+    of the powers past the n-th.
 
     Returns ``{ordering: {estimator: Estimates}}``, each an object array of
     shape (n_eta, n_orders).
@@ -771,34 +741,35 @@ def ps_can_curve_mc(
     _check_alpha(alpha)
     n_orders = _require_count("n_orders", n_orders, 1)
     etas = _check_etas(etas)
-    if radius is None:
-        radius = window_radius(mu_j)
-    _require_positive("radius", radius)
+    cols = n_orders + _FADING_ARRIVALS
+    if BLOCK_TRIALS * cols > _MAX_BLOCK_DRAWS:
+        raise DomainError(
+            f"a block of {BLOCK_TRIALS} x {cols} draws exceeds the cap of {_MAX_BLOCK_DRAWS}"
+        )
+    fade_density = mu_j * math.gamma(1.0 + 2.0 / alpha)
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
-        # (direct per ordering, distance-ordered chain survivors) x eta x n
-        wins = np.zeros((len(ORDERINGS) + 1, len(etas), n_orders), dtype=np.int64)
-        for powers, r2, counts in _radial_chunks(rng, size, mu_j, radius, n_orders, alpha):
-            total = powers.sum(axis=1)
-            enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
-            for o_idx, ordering in enumerate(ORDERINGS):
-                # _top_m retires its picks in r2, and then the fading order's
-                # key, -powers, overwrites it, so no third chunk-sized array
-                key = r2 if ordering == "distance_only" else np.negative(powers, out=r2)
-                top = _top_m(powers, key, n_orders)
-                residual = total[:, None] - np.cumsum(top, axis=1)
-                for e_idx, eta in enumerate(etas):
-                    ok = (top >= eta * residual) & enough
-                    wins[o_idx, e_idx] += ok.sum(axis=0)
-                    if ordering == "distance_only":
-                        wins[-1, e_idx] += np.logical_and.accumulate(ok, axis=1).sum(axis=0)
-            # the sampler frees this chunk as it draws the next one
-            del powers, r2, key
-        return wins
+        x, r2_far = _nearest_users(rng.standard_exponential((size, n_orders)), mu_j, alpha)
+        powers, r2_last = _nearest_users(rng.standard_exponential((size, cols)), fade_density, alpha)
+        tail = math.pi * fade_density * r2_last ** (1.0 - 0.5 * alpha) / (0.5 * alpha - 1.0)
+        # R_n summed from the weakest power up: the total minus a prefix
+        # sum would lose R_n's digits where p_1 dwarfs it
+        residual = np.cumsum(np.column_stack((tail, powers[:, :0:-1])), axis=1)[:, ::-1]
+        # (direct by distance, chain survival, direct by fading) x trial x n
+        p = np.empty((3, size, n_orders))
+        sums = np.empty((2, 3, len(etas), n_orders))
+        for e_idx, eta in enumerate(etas):
+            weights = _cancel_weights(x, eta, n_orders)
+            next(weights)  # k = 0: nothing cancelled
+            for n, (w, beta) in enumerate(weights, 1):
+                p[0, :, n - 1] = _field_factor(x[:, n:], r2_far, mu_j, eta / x[:, n - 1], alpha)
+                p[1, :, n - 1] = w * _field_factor(x[:, n:], r2_far, mu_j, beta, alpha)
+            p[2] = powers[:, :n_orders] >= eta * residual[:, :n_orders]
+            sums[:, :, e_idx] = _moments(p, 1)
+        return sums
 
-    dist, fade, survivors = (
-        _estimates((c, c), trials, seed) for c in _run_blocks(trials, seed, block, threads)
-    )
+    sums = _run_blocks(trials, seed, block, threads)
+    dist, survivors, fade = (_estimates(sums[:, i], trials, seed) for i in range(3))
     return {
         "distance_only": {"direct": dist, "chain_survival": survivors},
         "power_with_fading": {"direct": fade},

@@ -7,8 +7,8 @@ acceptance test module) can print one pass/fail line per criterion.
 The figure gates (fig2..fig6) read what the presets publish: each runs
 :func:`~sicnet.experiments.run_preset` at the gate's seed and budget and
 checks the rows' closed-form and Monte Carlo columns.  Every scenario
-(grid, window, seeds, default budget) is therefore defined once, in
-``experiments``.  Only the fig3 gate runs a simulator itself, for the one
+(grid, seeds, default budget, and the window of a simulator that still
+samples one) is therefore defined once, in ``experiments``.  Only the fig3 gate runs a simulator itself, for the one
 oracle that no preset runs: the independent-stage chain.  Budgets below
 the presets' floor of 1000 trials are refused.
 
@@ -30,9 +30,11 @@ is gated in its documented direction and printed, never hidden in a wider
 tolerance:
 
   * fig2: the distance-ordering law ``ps_can`` is exact for the n-th
-    nearest node; the fading-ordered n = 1 estimate is gated against the
-    exact strongest-node law eta^(-delta) sin(pi delta)/(pi delta)
-    (eta >= 1), which lies 0.0765 above ``ps_can`` at 0 dB;
+    nearest node, and the window-free distance-ordered estimate is exact
+    over every fading and the field; the fading-ordered n = 1 estimate is
+    gated against the exact strongest-node law eta^(-delta) sin(pi
+    delta)/(pi delta) (eta >= 1), which lies 0.0765 above ``ps_can`` at
+    0 dB;
   * fig3: ``ps_sic`` multiplies independent per-stage laws with a
     deterministic cancellation radius; it is gated two-sided against an
     event chain that draws every stage from its own scene, and one-sided

@@ -12,13 +12,15 @@ paths against code that shares no kernel with them:
   faded power.
 - ``_chain_levels`` is the same-draw 0/1 oracle of
   ``sicnet.montecarlo._chain_exponent``, with its own ``_first_level``.
-- ``radial_field_oracle`` draws a block of faded annulus fields in one
-  block-sized draw of each kind.  At inner radius 0 these are the values
-  that the library's row-chunked disk sampler
-  ``sicnet.montecarlo._radial_chunks`` must reproduce draw for draw; with
-  an inner radius, scalar or per row, it samples the fields beyond the
-  nearest points that the same-draw 0/1 oracles of the window-free
-  estimators need.
+- ``radial_field_oracle`` draws a block of faded disk or annulus fields
+  in one block-sized draw of each kind, the sampled fields against which
+  the tests check the library's window-free estimators; no library
+  sampler mirrors it.  With an inner radius, scalar or per row, it
+  samples the fields beyond the nearest points that the same-draw 0/1
+  oracles of those estimators need.
+- ``ORDERINGS`` names the two cancellation orders of the scalar scenes,
+  the keys of ``sicnet.montecarlo.ps_can_curve_mc``'s result;
+  ``fading_order_law`` is the exact law of fig2's fading-ordered event.
 - ``rqmc_replicates`` lays out the unit exponentials of the faithful
   chain's randomized quasi-Monte Carlo replicates point by point, from a
   scalar Halton sequence (``halton_point``), the values that the library's
@@ -52,12 +54,15 @@ from sicnet.model import (
     _require_positive,
     rea_association_prob,
 )
-from sicnet.montecarlo import ORDERINGS, _stream, sample_ppp, window_radius
+from sicnet.montecarlo import _stream, sample_ppp, window_radius
 
 
 # ---------------------------------------------------------------------------
 # Scalar scenes and the event chain
 # ---------------------------------------------------------------------------
+
+
+ORDERINGS = ("distance_only", "power_with_fading")
 
 
 def _check_ordering(ordering: str) -> str:
@@ -399,6 +404,24 @@ def nth_interferer_distance_pdf(mu_j: float, n: int, r) -> float:
     x = mu_j * math.pi * r_arr**2
     pdf = np.exp(-x) * 2.0 * x**n / (r_arr * math.gamma(n))
     return float(pdf) if np.ndim(r) == 0 else pdf
+
+
+def fading_order_law(eta: float, n: int, alpha: float) -> float:
+    """Probability that the n-th strongest faded power of a Rayleigh-faded
+    PPP is at least ``eta`` times the sum of all weaker ones, for eta >= 1:
+
+        eta^(-n delta) / (Gamma(1 + n delta) Gamma(1 - delta)^n),
+
+    delta = 2/alpha.  The faded powers form a PPP on (0, inf) with
+    intensity measure proportional to x^(-delta) (mapping theorem; Haenggi,
+    *Stochastic Geometry for Wireless Networks*, 2012, ch. 2 and 5), so the
+    law depends on neither the density nor the power scale.  At n = 1 it is
+    the strongest-node law eta^(-delta) sin(pi delta) / (pi delta)."""
+    if not eta >= 1.0:
+        raise DomainError(f"the fading-order law needs eta >= 1, got {eta}")
+    _require_count("order n", n, 1)
+    delta = 2.0 / alpha
+    return eta ** (-n * delta) / (math.gamma(1.0 + n * delta) * math.gamma(1.0 - delta) ** n)
 
 
 def _rea_exponent_sums(cfg: NetworkConfig, k: int) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -22,8 +23,8 @@ from sicnet.numerics import c_integral
 from sicnet.experiments import DENSITY_MACRO, FIG2_ETA_DB, FIG2_ORDERS, FIG3_ETA_DB, FIG3_N_MAX
 from sicnet.montecarlo import (
     BLOCK_TRIALS,
-    _CHUNK_POINTS,
-    _MAX_ROW_POINTS,
+    _FADING_ARRIVALS,
+    _MAX_BLOCK_DRAWS,
     _NEAREST_USERS,
     _REPLICATES,
     _chain_exponent,
@@ -38,7 +39,6 @@ from sicnet.montecarlo import (
     _moments,
     _nearest_chain_success,
     _nearest_users,
-    _radial_chunks,
     _rea_block,
     _reached,
     _replicate_estimates,
@@ -68,6 +68,7 @@ from oracles import (
     _chain_levels,
     _first_level,
     _ordered_powers,
+    fading_order_law,
     halton_point,
     radial_field_oracle,
     rea_distance_pdf,
@@ -130,11 +131,33 @@ def _sampled_chain(etas, n_max, trials, seed):
     return _estimates(_run_blocks(trials, seed, block), trials, seed)
 
 
-def _same_state(a, b):
-    """Generators ``a`` and ``b`` (SFC64) stand at the same stream position."""
-    sa, sb = a.bit_generator.state, b.bit_generator.state
-    return np.array_equal(sa["state"]["state"], sb["state"]["state"]) and (
-        sa["has_uint32"], sa["uinteger"]) == (sb["has_uint32"], sb["uinteger"])
+def _scalar_can_trial(e, eta, mu_j):
+    """One trial of ``ps_can_curve_mc``'s distance order at alpha = 4, one
+    scalar at a time, from the unit exponentials ``e`` of its nearest
+    interferers (pi mu_j r_k^2 is the sum of the first k): for n = 1..len(e),
+    the probability over every fading that the n-th nearest decodes against
+    the rest, and that stages 1..n all decode.  Stage k decodes when h_k x_k
+    >= eta R_k, R_k the users past the k-th plus the field beyond the last,
+    whose Laplace transform at alpha = 4 is exp(-pi mu_j sqrt(c)
+    arctan(sqrt(c) / r_last^2)).  Integrating h_1, then h_2, ... in turn
+    leaves a weight w and an exponent c on R_k."""
+    r2 = [total / (math.pi * mu_j) for total in itertools.accumulate(e)]
+    x = [1.0 / (v * v) for v in r2]
+
+    def laplace(k, c):  # E[exp(-c R_k)]
+        out = math.exp(-math.pi * mu_j * math.sqrt(c) * math.atan(math.sqrt(c) / r2[-1]))
+        for x_j in x[k:]:
+            out /= 1.0 + c * x_j
+        return out
+
+    direct, chain, w, c = [], [], 1.0, 0.0
+    for k, x_k in enumerate(x, 1):
+        a = eta / x_k
+        direct.append(laplace(k, a))
+        # exp(-c h_k x_k) over h_k >= a R_k
+        w, c = w / (1.0 + c * x_k), c + a * (1.0 + c * x_k)
+        chain.append(w * laplace(k, c))
+    return direct, chain
 
 
 class TestStreams:
@@ -148,15 +171,6 @@ class TestStreams:
                 assert isinstance(got.bit_generator, np.random.SFC64)
                 assert np.array_equal(got.random(32), ref.random(32))
                 assert np.array_equal(got.exponential(size=32), ref.exponential(size=32))
-
-    def test_sfc64_double_spends_one_raw_output(self):
-        # _radial_chunks skips a block's uniforms with random_raw: SFC64's
-        # random() takes the top 53 bits of exactly one 64-bit output
-        a, b = _stream(89, 0), _stream(89, 0)
-        raw = b.bit_generator.random_raw(1000)
-        assert np.array_equal(a.random(1000), (raw >> np.uint64(11)) * 2.0**-53)
-        assert _same_state(a, b)
-        assert a.standard_exponential() == b.standard_exponential()
 
     def test_streams_differ(self):
         reserved = [_SERVING_STREAM]
@@ -245,11 +259,9 @@ class TestBlockDriver:
         "call",
         [
             lambda: ps_can_curve_mc(MU, 1.0, [1.0], 2, 10, 1),
-            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=-1.0),
-            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=math.inf),
-            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2, 10, 1, radius=math.nan),
-            lambda: ps_can_curve_mc(0.0, 4.0, [1.0], 2, 10, 1, radius=100.0),
+            lambda: ps_can_curve_mc(0.0, 4.0, [1.0], 2, 10, 1),
             lambda: ps_can_curve_mc(MU, 4.0, [1.0], 2.5, 10, 1),
+            lambda: ps_can_curve_mc(MU, 4.0, [1.0], 1 << 10, 10, 1),
             lambda: simulate_min_load(1e-4, 5e-4, 0.0, [0.5], 10, 1),
             lambda: simulate_min_load(1e-4, 5e-4, -5.0, [0.5], 10, 1),
             lambda: simulate_min_load(0.0, 5e-4, 100.0, [0.5], 10, 1),
@@ -264,8 +276,7 @@ class TestBlockDriver:
             lambda: voronoi_load_histogram(1e-4, 0.0, 100, 1),
         ],
         ids=[
-            "can-alpha-1", "can-radius-neg", "can-radius-inf", "can-radius-nan", "can-mu_j-0",
-            "can-n_orders-2.5",
+            "can-alpha-1", "can-mu_j-0", "can-n_orders-2.5", "can-n_orders-over-cap",
             "minload-r_con-0", "minload-r_con-neg", "minload-lam-0", "minload-alpha-2",
             "sic-lambda_eq-0", "sic-mu_j-0", "sic-mu_j-neg", "stages-lambda_eq-neg",
             "sic-alpha-1.5", "sic-n_max-1.5", "voronoi-lam-0", "voronoi-mu_j-0",
@@ -829,44 +840,89 @@ class TestPsCanEstimators:
         dist = curves["distance_only"]
         assert dist["chain_survival"][0][0] == dist["direct"][0][0]
 
-    def test_fading_order_wins_on_the_same_field(self):
+    def test_fading_order_wins_in_the_mean(self):
         # n = 1 on one field: the strongest point's power is at least the
-        # nearest's and its residual is no larger, so it decodes whenever the
-        # nearest does, at every threshold
+        # nearest's and its residual is no larger, so it decodes whenever
+        # the nearest does; the two orders draw fields of their own, so
+        # this holds for their means, at every threshold
         etas = [10.0 ** (d / 10.0) for d in (-10.0, -3.0, 0.0, 3.0, 10.0, 20.0)]
         curves = ps_can_curve_mc(MU, 4.0, etas, 2, BLOCK_TRIALS + 700, seed=43)
         for dist, fade in zip(curves["distance_only"]["direct"], curves["power_with_fading"]["direct"]):
-            assert fade[0].mean >= dist[0].mean
+            assert fade[0].mean >= dist[0].mean - 3.0 * math.hypot(fade[0].stderr, dist[0].stderr)
 
     def test_distance_order_is_the_field_block_construction(self):
-        # the distance-ordered counts, rebuilt block by block from
-        # _field_block as a per-ordering simulator drew them
         etas, n_orders, trials, seed = [0.5, 1.0, 4.0], 4, BLOCK_TRIALS + 900, 47
-        radius = 2.0 * window_radius(MU)
-        direct = np.zeros((len(etas), n_orders), dtype=np.int64)
-        alive_after = np.zeros_like(direct)
+        got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed, threads=2)["distance_only"]
+        # a scalar loop, trial by trial, over the block's n_orders nearest
+        # interferers, exact over every fading and the field beyond them
+        direct = np.zeros((len(etas), n_orders))
+        chain = np.zeros_like(direct)
+        for block, size in enumerate((BLOCK_TRIALS, trials - BLOCK_TRIALS)):
+            draws = _stream(seed, block).standard_exponential((size, n_orders))
+            for e_idx, eta in enumerate(etas):
+                for row in draws.tolist():
+                    d, c = _scalar_can_trial(row, eta, MU)
+                    assert all(ci <= di for ci, di in zip(c, d))
+                    direct[e_idx] += d
+                    chain[e_idx] += c
+        # the 0/1 counts of fields sampled out to twice window_radius
+        # (about 1600 points per trial)
+        wins = np.zeros((2, len(etas), n_orders), dtype=np.int64)
         for block, size in enumerate((BLOCK_TRIALS, trials - BLOCK_TRIALS)):
             total, top, cum, counts = _field_block(
-                _stream(seed, block), size, MU, radius, n_orders, 4.0
+                _stream(seed, block), size, MU, 2.0 * window_radius(MU), n_orders, 4.0
             )
             enough = counts[:, None] >= np.arange(1, n_orders + 1)[None, :]
             for e_idx, eta in enumerate(etas):
                 ok = (top >= eta * (total[:, None] - cum)) & enough
-                direct[e_idx] += ok.sum(axis=0)
-                alive = np.ones(size, dtype=bool)
+                wins[0, e_idx] += ok.sum(axis=0)
+                wins[1, e_idx] += np.logical_and.accumulate(ok, axis=1).sum(axis=0)
+        for key, scalar, counted in zip(("direct", "chain_survival"), (direct, chain), wins):
+            for e_idx in range(len(etas)):
                 for n in range(n_orders):
-                    alive = alive & ok[:, n]
-                    alive_after[e_idx, n] += alive.sum()
-        got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed, threads=2, radius=radius)
-        got = got["distance_only"]
-        for e_idx in range(len(etas)):
-            for n in range(n_orders):
-                c = int(direct[e_idx, n])
-                assert got["direct"][e_idx][n] == Estimate.from_sums(c, c, trials, seed)
-                c = int(alive_after[e_idx, n])
-                assert got["chain_survival"][e_idx][n] == Estimate.from_sums(
-                    c, c, trials, seed
-                )
+                    est = got[key][e_idx][n]
+                    assert est.mean == pytest.approx(scalar[e_idx, n] / trials, rel=1e-12)
+                    c = int(counted[e_idx, n])
+                    ref = Estimate.from_sums(c, c, trials, seed)
+                    assert abs(est.mean - ref.mean) <= 4.0 * math.hypot(est.stderr, ref.stderr), (
+                        key, e_idx, n, est, ref)
+                    assert got["chain_survival"][e_idx][n].mean <= got["direct"][e_idx][n].mean
+
+    def test_fading_order_law_at_n1_is_the_strongest_node_law(self):
+        # two routes that share no code: the product form and Campbell's
+        from sicnet.validation import _ps_strongest_exact
+
+        for alpha in (2.5, 3.0, 4.0, 6.0):
+            for eta in (1.0, 1.7, 10.0, 1e3):
+                want = float(_ps_strongest_exact(eta, alpha))
+                assert fading_order_law(eta, 1, alpha) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(DomainError):
+            fading_order_law(0.5, 1, 4.0)
+
+    def test_fading_order_matches_its_law(self):
+        # gates the Campbell mean that stands in for the powers past the
+        # _FADING_ARRIVALS drawn ones: fig2's grid, two-sided, under the
+        # binomial null stderr, at every point with p * trials >= 5; the
+        # Sidak multiplier holds the family false-alarm rate at 1e-3
+        from scipy import stats
+
+        trials, seed = 500_000, 4201
+        etas = [db_to_linear(d) for d in FIG2_ETA_DB]
+        fade = ps_can_curve_mc(DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, trials, seed)
+        fade = fade["power_with_fading"]["direct"]
+        points = [
+            (eta, n, fading_order_law(eta, n, 4.0), fade[e_idx][n - 1].mean)
+            for e_idx, eta in enumerate(etas)
+            for n in range(1, FIG2_ORDERS + 1)
+        ]
+        points = [pt for pt in points if pt[2] * trials >= 5.0]
+        per_point = 1.0 - (1.0 - 1e-3) ** (1.0 / len(points))
+        bound = stats.norm.isf(per_point / 2.0)
+        z = [abs(mean - p) / math.sqrt(p * (1.0 - p) / trials) for _, _, p, mean in points]
+        worst = int(np.argmax(z))
+        print(f"{len(points)} points, worst |z| {z[worst]:.2f} at eta {points[worst][0]:g}, "
+              f"n={points[worst][1]} (bound {bound:.2f}, K={_FADING_ARRIVALS})")
+        assert max(z) <= bound, points[worst]
 
     def test_invalid_arguments(self):
         for n_orders in (0, -2):
@@ -938,91 +994,34 @@ class TestRadialField:
         campbell = 2.0 * math.pi * lam * (r_in ** (2 - alpha) - r_out ** (2 - alpha)) / (alpha - 2)
         assert abs(sums.mean() - campbell) <= 4.0 * sums.std() / math.sqrt(size)
 
-    @pytest.mark.parametrize("radius", [300.0], ids=["disk"])
-    def test_in_place_matches_expression(self, radius):
-        # the in-place arithmetic against the expression it replaced, on
-        # the same stream: every field is bit for bit what it was
-        def reference(rng, size, density, radius, min_cols, alpha):
-            counts = rng.poisson(density * math.pi * radius * radius, size)
-            pmax = max(int(counts.max(initial=0)), min_cols, 1)
-            r2 = radius * radius * (1.0 - rng.random((size, pmax)))
-            r2[np.arange(pmax)[None, :] >= counts[:, None]] = np.inf
-            powers = rng.exponential(size=(size, pmax)) * r2 ** (-0.5 * alpha)
-            return powers, r2, counts
-
-        for alpha in (3.0, 4.0):
-            for min_cols in (1, 40):
-                chunks = _radial_chunks(_stream(79, 0), 50, 1e-4, radius, min_cols, alpha)
-                got = tuple(map(np.concatenate, zip(*chunks)))
-                want = reference(_stream(79, 0), 50, 1e-4, radius, min_cols, alpha)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and np.array_equal(g, w)
-
     def test_standard_exponential_is_exponential(self):
-        # the sampler draws fading marks with standard_exponential: the
-        # same draws, and the same stream position after them, as the
-        # unit-scale exponential
+        # the oracles' sampler draws fading marks, and the simulators their
+        # exponentials, with standard_exponential: the same draws, and the
+        # same stream position after them, as the unit-scale exponential
         a, b = _stream(83, 0), _stream(83, 0)
         for shape in ((1000,), (37, 29), (0, 5)):
             assert np.array_equal(a.standard_exponential(shape), b.exponential(size=shape))
         assert a.random() == b.random()
 
-    # (size, density, radius, min_cols, fewest chunks), built on the chunk
-    # budget so that each case spans the chunks it names
-    _FAR = 400.0 / (math.pi * MU)  # squared radius of 400 expected points
-    CHUNK_CASES = {
-        # about 470 columns: 4 chunks, the last one partial
-        "disk": (2000, MU, math.sqrt(_FAR), 1, 3),
-        # nearly every row empty, the width set by min_cols alone
-        "min-cols": (2 * _CHUNK_POINTS // 100 + 11, 1e-8, 100.0, 100, 3),
-        # one row per chunk
-        "row-over-budget": (3, 1e-8, 100.0, _CHUNK_POINTS + 1, 3),
-        "one-chunk": (100, MU, math.sqrt(_FAR), 1, 1),
-    }
-
-    @pytest.mark.parametrize("alpha", [3.0, 4.0])
-    @pytest.mark.parametrize("case", list(CHUNK_CASES))
-    def test_chunks_are_the_block_sized_draw(self, case, alpha):
-        # the row chunks concatenate to the one-shot block draw bit for bit,
-        # and leave the generator where that draw leaves it
-        size, density, radius, min_cols, fewest = self.CHUNK_CASES[case]
-        rng, ref = _stream(101, 0), _stream(101, 0)
-        chunks = list(_radial_chunks(rng, size, density, radius, min_cols, alpha))
-        want = radial_field_oracle(ref, size, density, 0.0, radius, min_cols, alpha)
-        rows, cols = chunks[0][0].shape
-        assert len(chunks) >= fewest and (rows * cols <= _CHUNK_POINTS or rows == 1)
-        assert [len(c) for _, _, c in chunks] == [rows] * (len(chunks) - 1) + [
-            size - rows * (len(chunks) - 1)]
-        if case == "disk":
-            assert size % rows  # the last chunk is partial
-        for got, w in zip(zip(*chunks), want):
-            got = np.concatenate(got)
-            assert got.dtype == w.dtype and np.array_equal(got, w)
-        assert rng.random(8).tolist() == ref.random(8).tolist()
-        assert _same_state(rng, ref)
-        if case == "min-cols":
-            assert want[2].max() < min_cols
-
 
 class TestFieldMemory:
-    """``ps_can_curve_mc`` at the fig2 preset's doubled window (about 1700
-    points per trial) holds one row chunk of its field at a time.  Drawn
-    whole, one 4096-trial block peaked at 171.5 MB of numpy arrays."""
+    """``ps_can_curve_mc`` on the fig2 preset's grid draws a block's
+    arrivals, 4096 x (8 + 50) exponentials, and one (3, 4096, 8) array of
+    per-trial values at a time: a block peaks at 8.2 MB.  A sampled field
+    out to twice ``window_radius``, drawn whole, peaked at 171.5 MB."""
 
     BOUND_MB = 16.0
 
     @staticmethod
     def _peak_mb(trials, threads):
         etas = [db_to_linear(d) for d in FIG2_ETA_DB]
-        radius = 2.0 * window_radius(DENSITY_MACRO)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ps_can_curve_mc(DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, trials, 3,
-                            threads=threads, radius=radius)
+            ps_can_curve_mc(DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, trials, 3, threads=threads)
             return (tracemalloc.get_traced_memory()[1] - base) / 1e6
         finally:
             if not tracing:
@@ -1034,25 +1033,25 @@ class TestFieldMemory:
     def test_two_blocks_on_two_threads_peak(self):
         assert self._peak_mb(2 * BLOCK_TRIALS, 2) < 2.0 * self.BOUND_MB
 
-    def test_row_over_the_cap_raises_before_any_row_is_drawn(self):
-        with pytest.raises(DomainError, match=r"a field row of \d+ points exceeds the cap"):
-            ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e9)
-        # only the counts were drawn
-        rng, ref = _stream(107, 0), _stream(107, 0)
-        chunks = _radial_chunks(rng, 4, MU, 100.0, _MAX_ROW_POINTS + 1, 4.0)
-        with pytest.raises(DomainError, match=f"row of {_MAX_ROW_POINTS + 1} points"):
-            next(chunks)
-        ref.poisson(MU * math.pi * 100.0 * 100.0, 4)
-        assert _same_state(rng, ref)
+    def test_row_over_the_cap_raises_before_any_row_is_drawn(self, monkeypatch):
+        from sicnet import montecarlo
+
+        def no_draws(seed, index):
+            raise AssertionError("a stream was opened before the cap was checked")
+
+        monkeypatch.setattr(montecarlo, "_stream", no_draws)
+        widest = _MAX_BLOCK_DRAWS // BLOCK_TRIALS - _FADING_ARRIVALS
+        with pytest.raises(DomainError, match=r"a block of \d+ x \d+ draws exceeds the cap"):
+            ps_can_curve_mc(1e-4, 4.0, [1.0], widest + 1, 10, 1)
 
     def test_row_mean_over_the_cap_raises_before_the_counts(self):
-        # the mean, 3.1e20 points, is also past what numpy's Poisson sampler takes
-        with pytest.raises(DomainError, match=r"a field row of \d+ points exceeds the cap"):
-            ps_can_curve_mc(1e-4, 4.0, [1.0], 2, 10, 1, radius=1e12)
-        rng, ref = _stream(109, 0), _stream(109, 0)
-        with pytest.raises(DomainError, match="on average"):
-            next(_radial_chunks(rng, 4, MU, 1e12, 1, 4.0))
-        assert _same_state(rng, ref)
+        # the cap reads a full block's width, not the budget: the widest
+        # block that it admits runs, and one order more raises at 1 trial
+        widest = _MAX_BLOCK_DRAWS // BLOCK_TRIALS - _FADING_ARRIVALS
+        got = ps_can_curve_mc(1e-4, 4.0, [1.0], widest, 2, 1)
+        assert got["power_with_fading"]["direct"].shape == (1, widest)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            ps_can_curve_mc(1e-4, 4.0, [1.0], widest + 1, 1, 1)
 
 
 def _agree(a, b, what):
