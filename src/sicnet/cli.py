@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--trials", type=int, default=None,
         help="override MC budget; the allowances are fixed for the default budgets, "
-        "so at --trials 1000 three checks fail on working code",
+        "so at --trials 1000 two checks fail on working code",
     )
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--threads", type=int, default=os.cpu_count() or 1)

@@ -304,6 +304,7 @@ def _run_fig5(spec: SweepSpec, diagnostics: dict) -> list[dict]:
 def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
     rea_fraction = diagnostics["rea_fraction"] = {}
+    rea_raw = diagnostics["rea_raw"] = {}
     etas = [db_to_linear(d) for d in FIG6_ETA_DB]
     for b_idx, b in enumerate(FIG6_BIASES):
         cfg = two_tier_config(bias2=b)
@@ -311,6 +312,7 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
         res = simulate_rea(cfg, 1, etas, spec.trials, spec.seed + b_idx, threads=spec.threads)
         ms = _ms(t0) / len(etas)
         rea_fraction[f"{b:g}"] = res.rea_fraction
+        rea_raw[f"{b:g}"] = res.raw
         for e_idx, eta_db in enumerate(FIG6_ETA_DB):
             eta = etas[e_idx]
             rows.append(
@@ -382,7 +384,9 @@ def run_preset(spec: SweepSpec) -> SweepResult:
     metadata also carries the simulators' diagnostics that no row holds:
     fig3's ``rqmc_layout`` (the faithful chain's replicate count, smallest
     and largest replicate size and degrees of freedom), fig4's
-    ``no_candidate_trials`` and fig6's ``rea_fraction`` per bias."""
+    ``no_candidate_trials``, and fig6's ``rea_fraction`` and ``rea_raw``
+    per bias, the latter the means and standard errors of the strongest
+    and annulus rows before their control (``ReaResult.raw``)."""
     t0 = time.perf_counter()
     diagnostics = {}
     rows = _RUNNERS[spec.preset](spec, diagnostics)

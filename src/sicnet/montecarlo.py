@@ -60,23 +60,31 @@ and the sum of squares of these values per grid point (:func:`_moments`),
 and :func:`_run_blocks` adds the blocks' outputs in block order, so the
 sums do not depend on scheduling.  The window-free chains average each
 cancellation over the cancelled node's fading in the same way, and so
-does ``ps_can_curve_mc`` in distance order.  Only its order of faded
-power still counts 0/1 outcomes: the faded powers are what it draws.
+does ``ps_can_curve_mc`` in distance order.  Its order of faded power,
+which draws the faded powers themselves, conditions instead on the
+arrivals past the n-th: given those, the first n arrivals are the order
+statistics of n uniforms below the (n+1)-th (Kingman, *Poisson
+Processes*, 1993), so the n-th clears eta R_n with probability min(1,
+p_{n+1} / (eta R_n))^(2n/alpha), and no estimator counts 0/1 outcomes.
 
-The max-SIR chain with SIC (``simulate_max_inst_sir``, budgets N >= 1)
-also subtracts a control whose mean is known exactly (Asmussen and
-Glynn, ch. V; Glasserman, *Monte Carlo Methods in Financial Engineering*,
-2004, sec. 4.1): each trial reports y - x + mu, x the no-SIC success of
-the trial's own candidate APs with independent fields and mu = E[x]
-(:func:`_max_sir_sums`).  The coefficient of x is fixed at 1, a
-difference estimator.  An estimated one would need blocks of its own to
-avoid an O(1/n) bias, and the best one (0.98-1.16 on the fig5 grid) cuts
-the summed variance only 3.78 rather than 3.68 times with shared fields,
-6.04 rather than 5.67 times with independent ones.  At 1 every N
-subtracts the same x, so the estimates stay nondecreasing in N draw by
-draw.  N = 0 stays raw: it is the estimate that gates the control's own
-law (criterion 6), so an error in mu shows there rather than shifting
-the adjusted estimates unseen.
+Two simulators also subtract a control whose mean is known exactly
+(Asmussen and Glynn, ch. V; Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2004, sec. 4.1): each trial reports y - x + mu,
+x a value of the trial's own draws and mu = E[x].  The max-SIR chain with
+SIC (``simulate_max_inst_sir``, budgets N >= 1) takes for x the no-SIC
+success of the trial's own candidate APs with independent fields
+(:func:`_max_sir_sums`); ``simulate_rea``'s one-cancellation and
+annulus rows take the trial's uncancelled success, whose mean is the
+closed form's REA law (:func:`_rea_no_sic_law`).  The coefficient of x
+is fixed at 1, a difference estimator.  An estimated one would need
+blocks of its own to avoid an O(1/n) bias, and on the fig5 grid the best
+one (0.98-1.16) cuts the summed variance only 3.78 rather than 3.68
+times with shared fields, 6.04 rather than 5.67 times with independent
+ones.  At 1 every max-SIR budget N subtracts the same x, so the
+estimates stay nondecreasing in N draw by draw.  The raw rows stay raw
+-- max-SIR's N = 0 and REA's uncancelled row -- since they gate the
+controls' own laws (criteria 6 and 7), so an error in mu shows there
+rather than shifting the adjusted estimates unseen.
 
 Both chains of ``ps_sic_curve_mc`` are smooth functions of a fixed
 number of uniforms, so their trials are randomized quasi-Monte Carlo
@@ -87,8 +95,7 @@ their variance is a median 19 times (faithful chain) and about 27 times
 would cut it further, but ``scipy.stats.qmc`` costs about 0.5 s to import
 in a fresh interpreter, so the points are built with numpy alone.  The
 other estimators stay iid, with ``dof`` None: the dimension of most
-depends on its draws (field counts, candidate APs, REA rejections), and
-``ps_can_curve_mc``'s fading order counts 0/1 outcomes.
+depends on its draws (field counts, candidate APs, REA rejections).
 """
 
 from __future__ import annotations
@@ -269,12 +276,17 @@ class ReaResult:
     per threshold: without cancellation, with the one cancellation that
     ``cancel_mode`` names, and with the whole exclusion annulus cleared.
     Each trial contributes its success probability over every fading and
-    the field beyond its drawn APs (:func:`simulate_rea`)."""
+    the field beyond its drawn APs, the two cancelled rows adjusted by the
+    uncancelled one (:func:`simulate_rea`); ``raw`` holds their means and
+    standard errors before that adjustment, as plain floats."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
     annulus: tuple[Estimate, ...]
     rea_fraction: float                   # empirical REA association share
+    # the unadjusted strongest and annulus rows: {row: {"mean": [...],
+    # "stderr": [...]}}, one float per threshold
+    raw: dict
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +743,14 @@ def ps_can_curve_mc(
     for Wireless Networks*, 2012, ch. 2 and 5).  The n_orders +
     ``_FADING_ARRIVALS`` strongest are drawn as Gamma arrivals, the rest
     enter through their Campbell mean pi mu' r_last^(2-alpha) / (alpha/2 -
-    1), and each trial counts the 0/1 outcome p_n >= eta R_n, R_n the sum
-    of the powers past the n-th.
+    1), and R_n is the sum of the powers past the n-th.  Given the
+    arrivals Gamma_{n+1}, Gamma_{n+2}, ..., the first n are the order
+    statistics of n uniforms on (0, Gamma_{n+1}) (Kingman, *Poisson
+    Processes*, 1993), and R_n reads none of them.  So each trial reports
+    P(p_n >= eta R_n | the rest) = min(1, p_{n+1} / (eta R_n))^(2n/alpha)
+    in place of the 0/1 outcome, whose variance is never smaller; at eta
+    >= 1, where p_{n+1} <= R_n keeps the min from binding, every value
+    scales as eta^(-2n/alpha).
 
     Returns ``{ordering: {estimator: Estimates}}``, each an object array of
     shape (n_eta, n_orders).
@@ -747,6 +765,7 @@ def ps_can_curve_mc(
             f"a block of {BLOCK_TRIALS} x {cols} draws exceeds the cap of {_MAX_BLOCK_DRAWS}"
         )
     fade_density = mu_j * math.gamma(1.0 + 2.0 / alpha)
+    order_exponent = np.arange(1, n_orders + 1) * (2.0 / alpha)
 
     def block(rng: np.random.Generator, size: int) -> np.ndarray:
         x, r2_far = _nearest_users(rng.standard_exponential((size, n_orders)), mu_j, alpha)
@@ -755,6 +774,10 @@ def ps_can_curve_mc(
         # R_n summed from the weakest power up: the total minus a prefix
         # sum would lose R_n's digits where p_1 dwarfs it
         residual = np.cumsum(np.column_stack((tail, powers[:, :0:-1])), axis=1)[:, ::-1]
+        # P(p_n >= eta R_n | the arrivals past the n-th), n = 1..n_orders, is
+        # min(1, its value at eta = 1 times eta^(-2n/alpha)), since x^(2n/alpha)
+        # is increasing: one power per block
+        at_one = (powers[:, 1 : n_orders + 1] / residual[:, :n_orders]) ** order_exponent
         # (direct by distance, chain survival, direct by fading) x trial x n
         p = np.empty((3, size, n_orders))
         sums = np.empty((2, 3, len(etas), n_orders))
@@ -764,7 +787,7 @@ def ps_can_curve_mc(
             for n, (w, beta) in enumerate(weights, 1):
                 p[0, :, n - 1] = _field_factor(x[:, n:], r2_far, mu_j, eta / x[:, n - 1], alpha)
                 p[1, :, n - 1] = w * _field_factor(x[:, n:], r2_far, mu_j, beta, alpha)
-            p[2] = powers[:, :n_orders] >= eta * residual[:, :n_orders]
+            np.minimum(at_one * eta**-order_exponent, 1.0, out=p[2])
             sums[:, :, e_idx] = _moments(p, 1)
         return sums
 
@@ -1236,6 +1259,35 @@ def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
     return dist, x, r2_far, total_draws, n_kept
 
 
+def _rea_no_sic_law(cfg: NetworkConfig, k: int, etas: np.ndarray) -> np.ndarray:
+    """Exact mean of :func:`simulate_rea`'s uncancelled row at each of
+    ``etas``, the control of its cancelled rows.  With delta = 2/alpha,
+    w_i = (lam_i / lam_k) (P_i / P_k)^delta and b_i' = (b_i / b_k)^delta,
+    it is
+
+        (1 / sum_i w_i (eta^delta C(b_i' / eta^delta) + b_i')
+         - 1 / sum_i w_i (eta^delta C(eta^-delta) + 1)) / p_REA,k,
+
+    the PGFL of every tier's PPP over its biased exclusion disk, less the
+    same over the unbiased one where tier k also wins without its bias,
+    mixed over the serving distance (Haenggi, *Stochastic Geometry for
+    Wireless Networks*, 2012, ch. 4 and 5), over the REA association
+    probability.  One array call of :func:`c_integral` covers every
+    threshold and tier."""
+    e = 2.0 / cfg.alpha
+    lam = np.array([t.lam for t in cfg.tiers])
+    p_dl = np.array([t.p_dl for t in cfg.tiers])
+    bias = np.array([t.bias for t in cfg.tiers])
+    w = (lam / lam[k]) * (p_dl / p_dl[k]) ** e
+    eta_e = etas**e
+    c = c_integral(
+        np.column_stack(((bias / (etas[:, None] * bias[k])) ** e, etas**-e)), cfg.alpha
+    )
+    biased = (w * (eta_e[:, None] * c[:, :-1] + (bias / bias[k]) ** e)).sum(axis=1)
+    unit = (w * (eta_e[:, None] * c[:, -1:] + 1.0)).sum(axis=1)
+    return (1.0 / biased - 1.0 / unit) / rea_association_prob(cfg, k)
+
+
 def simulate_rea(
     cfg: NetworkConfig,
     k: int,
@@ -1273,9 +1325,15 @@ def simulate_rea(
                    because the field beyond the last arrival is independent
                    of the arrivals.
     ``annulus`` always holds the second; ``cancel_mode`` names the one
-    that ``cancelled`` reports.  A tier whose REA is empty by the closed
-    form's association probability raises :class:`DegenerateReaError`
-    before any draw.
+    that ``cancelled`` reports.  Both report each trial's y - x + mu (the
+    control of the module docstring): y the row's success, x the trial's
+    uncancelled success and mu = E[x], the closed form's uncancelled REA
+    law (:func:`_rea_no_sic_law`).  On the fig6 grid this cuts the
+    per-trial variance 1.1-28 times (strongest) and 1.1-14 times
+    (annulus).  The uncancelled row stays raw, and
+    ``raw`` keeps the unadjusted means and standard errors of the other
+    two.  A tier whose REA is empty by the closed form's association
+    probability raises :class:`DegenerateReaError` before any draw.
     """
     cfg.check_tier(k)
     if cancel_mode not in ("strongest", "annulus"):
@@ -1307,15 +1365,22 @@ def simulate_rea(
         lo2 = np.stack((r2_far, np.maximum(r2_far, exclusion * dist[:, k:k + 1] ** 2)))
         s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
         far = _far_field(lam, lo2, s, alpha).sum(axis=-1)
-        # eta x (uncancelled, strongest, annulus) x trial
-        exponent = np.stack(rows, axis=1) + far[:, [0, 0, 1]]
-        return _moments(np.exp(-exponent), 2), draws, kept
+        # eta x (uncancelled, strongest, annulus) x trial, then the
+        # cancelled rows adjusted by the uncancelled one x: y - (x - mu)
+        y = np.exp(-(np.stack(rows, axis=1) + far[:, [0, 0, 1]]))
+        adjusted = y[:, 1:] - (y[:, :1] - law[:, None, None])
+        return np.concatenate((_moments(y, 2), _moments(adjusted, 2)), axis=2), draws, kept
 
+    law = _rea_no_sic_law(cfg, k, etas)
     sums, draws, kept = _run_blocks(trials, seed, block, threads)
-    unc, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(3))
+    unc, *raw, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(5))
     return ReaResult(
         uncancelled=unc,
         cancelled=annulus if cancel_mode == "annulus" else strongest,
         annulus=annulus,
         rea_fraction=kept / max(draws, 1),
+        raw={
+            row: {"mean": [e.mean for e in ests], "stderr": [e.stderr for e in ests]}
+            for row, ests in zip(("strongest", "annulus"), raw)
+        },
     )

@@ -78,6 +78,33 @@ class TestFig6Preset:
             ]
 
 
+    def test_meta_carries_the_raw_rows(self, tmp_path):
+        # the strongest and annulus columns are control-adjusted; meta.json
+        # carries each bias's unadjusted rows, as simulate_rea reports them
+        trials, seed = 1000, 7
+        result = run_preset(default_spec("fig6", trials=trials, seed=seed))
+        run_dir = write_run_directory(result, tmp_path)
+        raw = json.loads((run_dir / "meta.json").read_text())["rea_raw"]
+        assert set(raw) == {f"{b:g}" for b in FIG6_BIASES}
+        etas = [db_to_linear(d) for d in FIG6_ETA_DB]
+        for i, b in enumerate(FIG6_BIASES):
+            res = simulate_rea(two_tier_config(bias2=b), 1, etas, trials, seed + i)
+            assert raw[f"{b:g}"] == res.raw
+            rows = [r for r in result.rows if r["bias"] == b]
+            assert [r["mc_rea_sic_mean"] for r in rows] != raw[f"{b:g}"]["strongest"]["mean"]
+
+
+class TestFig2Preset:
+    def test_fading_order_is_never_zero(self):
+        # each trial reports a conditional probability, positive at every
+        # point of the grid; the 0/1 count of the same draws read 0 +- 0 at
+        # 9 of the 24 points (10 dB n >= 4, 5 dB n >= 6, 0 dB n = 8)
+        result = run_preset(default_spec("fig2", trials=1000, seed=5))
+        assert len(result.rows) == 24
+        for row in result.rows:
+            assert row["mc_fade_mean"] > 0.0 and row["mc_fade_stderr"] > 0.0, row
+
+
 class TestCsv:
     def fig2_result(self):
         spec = default_spec("fig2", trials=1000, seed=5)

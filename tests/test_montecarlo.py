@@ -924,6 +924,103 @@ class TestPsCanEstimators:
               f"n={points[worst][1]} (bound {bound:.2f}, K={_FADING_ARRIVALS})")
         assert max(z) <= bound, points[worst]
 
+    @staticmethod
+    def _fading_order_draws(etas, n_orders, trials, seed):
+        """The fading order's 0/1 outcomes p_n >= eta R_n and their
+        probabilities given the arrivals past the n-th, min(1, p_{n+1} /
+        (eta R_n))^(n/2) at alpha = 4, both (n_eta, trials, n_orders), on
+        the draws of ``ps_can_curve_mc``: in each block the distance order's
+        exponentials, then the n_orders + K power-domain arrivals.  R_n
+        is summed plainly here, and the powers past the K-th enter through
+        their Campbell mean pi mu' / r_last^2.  Also returns p_{n+1} / (eta
+        R_n)."""
+        fade = MU * math.gamma(1.5)
+        blocks = []
+        for block in range(-(-trials // BLOCK_TRIALS)):
+            size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+            rng = _stream(seed, block)
+            rng.standard_exponential((size, n_orders))
+            powers, r2_last = _nearest_users(
+                rng.standard_exponential((size, n_orders + _FADING_ARRIVALS)), fade, 4.0
+            )
+            tail = math.pi * fade / r2_last
+            residual = np.column_stack([powers[:, n:].sum(axis=1) + tail for n in range(1, n_orders + 1)])
+            ratio = powers[:, 1 : n_orders + 1] / np.multiply.outer(etas, residual)
+            outcome = powers[:, :n_orders] >= np.multiply.outer(etas, residual)
+            blocks.append((outcome, np.minimum(ratio, 1.0) ** (np.arange(1, n_orders + 1) / 2.0), ratio))
+        return tuple(np.concatenate(a, axis=1).astype(float) for a in zip(*blocks))
+
+    def test_fading_order_against_its_count_below_0_db(self):
+        # at eta < 1 a trial's next power can exceed eta R_n, where min(1, .)
+        # binds; the conditional means against the 0/1 count of the same
+        # draws, within 4 combined standard errors, and never a larger
+        # standard error
+        etas, n_orders, trials, seed = [0.2, 0.4, 0.7], 3, BLOCK_TRIALS + 900, 53
+        got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed)["power_with_fading"]["direct"]
+        outcomes, cond, ratios = self._fading_order_draws(etas, n_orders, trials, seed)
+        assert np.all((ratios > 1.0).any(axis=1))  # the clip binds at every point
+        for e_idx in range(len(etas)):
+            for n in range(n_orders):
+                est = got[e_idx][n]
+                assert est.mean == pytest.approx(cond[e_idx, :, n].mean(), rel=1e-12)
+                c = int(outcomes[e_idx, :, n].sum())
+                ref = Estimate.from_sums(c, c, trials, seed)
+                assert abs(est.mean - ref.mean) <= 4.0 * math.hypot(est.stderr, ref.stderr), (
+                    etas[e_idx], n + 1, est, ref)
+                assert est.stderr <= ref.stderr, (etas[e_idx], n + 1, est, ref)
+
+    def test_fading_order_scale_law(self):
+        # at eta >= 1, p_{n+1} <= R_n keeps the clip from binding, so each
+        # trial's value, and each mean, is eta^(-n/2) times its eta = 1 value
+        etas, n_orders, trials, seed = [1.0, 1.7, 10.0, 1e3], 6, BLOCK_TRIALS + 300, 57
+        got = ps_can_curve_mc(MU, 4.0, etas, n_orders, trials, seed)["power_with_fading"]["direct"]
+        for e_idx, eta in enumerate(etas):
+            for n in range(1, n_orders + 1):
+                scale = eta ** (-n / 2.0)
+                assert got[e_idx][n - 1].mean == pytest.approx(scale * got[0][n - 1].mean, rel=1e-12)
+                # the plug-in variance p(1 - p) - E[X - X^2] keeps about
+                # eps / scale of its relative digits
+                assert got[e_idx][n - 1].stderr == pytest.approx(scale * got[0][n - 1].stderr, rel=1e-6)
+
+    # Calibration of the fading order's plug-in standard error on fig2's
+    # grid at the bench's 2048 trials against fading_order_law, over seeds
+    # fixed before the first run, with the bounds of TestRea.test_calibration.
+    # By the scale law each order's z is the same at all three thresholds,
+    # so the family is the 8 orders.  The values of an order are skewed
+    # right, more so as n grows (the mean of n = 8 at 0 dB is 4.3e-4, its
+    # largest value 1), so z is skewed left and its spread reaches 1.24
+    FADING_CALIBRATION_SEEDS = range(3700, 3764)
+
+    def test_fading_order_calibration(self):
+        from scipy import stats
+
+        etas, trials = [db_to_linear(d) for d in FIG2_ETA_DB], 2048
+        want = np.array([[fading_order_law(eta, n, 4.0) for n in range(1, FIG2_ORDERS + 1)]
+                         for eta in etas])
+        runs = [
+            ps_can_curve_mc(DENSITY_MACRO, 4.0, etas, FIG2_ORDERS, trials, seed)["power_with_fading"]["direct"]
+            for seed in self.FADING_CALIBRATION_SEEDS
+        ]
+        means, stderrs = (np.vectorize(lambda e, f=f: getattr(e, f))(np.array(runs)) for f in ("mean", "stderr"))
+        z = (means - want) / stderrs
+        assert np.allclose(z, z[:, :1], rtol=1e-6)
+        family = FIG2_ORDERS
+        p = 2.0 * stats.norm.sf(3.0)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / family, len(z), p)
+        print(f"|z| > 3 share {(np.abs(z) > 3.0).mean():.4f} vs normal rate {p:.4f}, "
+              f"largest count {counts.max()} vs bound {bound:g}; z sd {z.std():.3f}")
+        assert counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
+        bias = (means.mean(axis=0) - want) / (means.std(axis=0, ddof=1) / math.sqrt(len(z)))
+        limit = stats.t.isf(0.5e-3 / family, len(z) - 1)
+        print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
+        assert np.all(np.abs(bias) <= limit), bias
+
     def test_invalid_arguments(self):
         for n_orders in (0, -2):
             with pytest.raises(DomainError):
@@ -2066,9 +2163,11 @@ class TestRea:
                 simulate_rea(cfg, k, [1.0], 4096, seed=79)
 
     def test_cancellation_helps_pairwise(self):
+        # the raw rows hold trial by trial; the reported strongest row, less
+        # the uncancelled one plus its law, holds in the mean
         res = simulate_rea(two_tier(bias2=5.0), 1, [0.5, 1.0, 2.0], 20_000, seed=83)
-        for unc, can in zip(res.uncancelled, res.cancelled):
-            assert can.mean >= unc.mean
+        for unc, can, raw in zip(res.uncancelled, res.cancelled, res.raw["strongest"]["mean"]):
+            assert can.mean >= unc.mean and raw >= unc.mean
 
     def test_rea_fraction_matches_association_probability(self):
         from sicnet.model import rea_association_prob
@@ -2112,6 +2211,79 @@ class TestRea:
     def test_invalid_cancel_mode(self):
         with pytest.raises(DomainError):
             simulate_rea(two_tier(bias2=5.0), 1, [1.0], 1000, seed=1, cancel_mode="x")
+
+    def test_control_law_is_the_closed_form(self):
+        # the cancelled rows' control mean, restated in montecarlo, against
+        # ps_ic_rea(..., 0) on the fig6 grid and on random 2- and 3-tier
+        # configurations, each drawn until its tier k has a nonempty REA
+        from sicnet import montecarlo
+        from sicnet.analytic import ps_ic_rea
+        from sicnet.experiments import FIG6_BIASES, FIG6_ETA_DB, two_tier_config
+        from sicnet.model import rea_association_prob
+
+        cases = [(two_tier_config(bias2=b), 1, [db_to_linear(d) for d in FIG6_ETA_DB])
+                 for b in FIG6_BIASES]
+        rng = np.random.default_rng(3600)
+        while len(cases) < len(FIG6_BIASES) + 12:
+            n_tiers = 2 + len(cases) % 2
+            lam, p_dl, bias = 10.0 ** rng.uniform((-6.0, -1.0, 0.0), (-3.0, 2.0, 1.5), (n_tiers, 3)).T
+            cfg = NetworkConfig(
+                tiers=tuple(TierParams(*t) for t in zip(lam, p_dl, np.ones(n_tiers), bias)),
+                alpha=float(rng.choice([3.0, 3.5, 4.0, 5.0])),
+                mu=1e-4,
+                mu_j=1e-4,
+            )
+            k = int(rng.integers(n_tiers))
+            if rea_association_prob(cfg, k) > 1e-6:
+                cases.append((cfg, k, 10.0 ** rng.uniform(-1.5, 1.5, 7)))
+        for cfg, k, etas in cases:
+            got = montecarlo._rea_no_sic_law(cfg, k, np.array(etas))
+            want = [ps_ic_rea(eta, cfg, k, 0) for eta in etas]
+            assert got.tolist() == pytest.approx(want, rel=1e-12), (cfg, k)
+
+    # The strongest row at the bench's 2048 trials on the fig6 grid, over
+    # seeds fixed before the first run, against its raw row at a large
+    # budget, run with the control's law replaced by 10, which no
+    # probability reaches, so that it reads no law; an error in the law
+    # shows as a bias.  The bounds are those
+    # of TestNoSicControl.test_calibration with the normal law for t, the
+    # trials being iid, over the 33 points.
+    STRONGEST_CALIBRATION_SEEDS = range(3600, 3664)
+    STRONGEST_REFERENCE = (131_072, 3599)
+
+    def test_strongest_calibration(self, monkeypatch):
+        from scipy import stats
+
+        from sicnet import montecarlo
+        from sicnet.experiments import FIG6_BIASES, FIG6_ETA_DB, two_tier_config
+
+        etas = [db_to_linear(d) for d in FIG6_ETA_DB]
+        cfgs = [two_tier_config(bias2=b) for b in FIG6_BIASES]
+        runs = [
+            [simulate_rea(cfg, 1, etas, 2048, seed).cancelled for cfg in cfgs]
+            for seed in self.STRONGEST_CALIBRATION_SEEDS
+        ]
+        means, stderrs = (np.vectorize(lambda e, f=f: getattr(e, f))(np.array(runs)) for f in ("mean", "stderr"))
+        monkeypatch.setattr(montecarlo, "_rea_no_sic_law", lambda cfg, k, etas: np.full(len(etas), 10.0))
+        ref_trials, ref_seed = self.STRONGEST_REFERENCE
+        ref = [simulate_rea(cfg, 1, etas, ref_trials, ref_seed).raw["strongest"] for cfg in cfgs]
+        raw_mean, raw_se = (np.array([r[f] for r in ref]) for f in ("mean", "stderr"))
+        z = (means - raw_mean) / np.hypot(stderrs, raw_se)
+        counts = (np.abs(z) > 3.0).sum(axis=0)
+        bound = stats.binom.isf(1e-3 / raw_mean.size, len(z), 2.0 * stats.norm.sf(3.0))
+        variance_cut = raw_se**2 * ref_trials / ((stderrs**2).mean(axis=0) * 2048)
+        print(f"variance {variance_cut.min():.2f}-{variance_cut.max():.2f} times lower; "
+              f"|z| > 3 counts up to {counts.max()} vs bound {bound:g}; z mean {z.mean():+.3f}, sd {z.std():.3f}")
+        assert counts.max() <= bound, counts
+        ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
+        pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
+        print(f"spread / stderr: points {ratio.min():.3f}-{ratio.max():.3f}, pooled {pooled:.3f}")
+        assert np.all((ratio > 0.6) & (ratio < 1.5)), ratio
+        assert 0.8 < pooled < 1.25
+        bias = (means.mean(axis=0) - raw_mean) / np.sqrt(means.var(axis=0, ddof=1) / len(z) + raw_se**2)
+        limit = stats.t.isf(0.5e-3 / raw_mean.size, len(z) - 1)
+        print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
+        assert np.all(np.abs(bias) <= limit), bias
 
     # Calibration of the plug-in standard error on the fig6 grid at the
     # bench's 2048 trials, the uncancelled row against ps_ic_rea(..., 0) and
@@ -2355,10 +2527,16 @@ class TestConditionalEstimators:
         # arrivals.  The scalar loop (_scalar_rea) gives each trial's success
         # over every fading and the field beyond the arrivals, whose means
         # simulate_rea reports, ``cancelled`` the row that cancel_mode
-        # names.  The 0/1 oracle draws those fadings, the serving fading and
-        # each tier's field beyond its last arrival, sampled until 1% of its
-        # mean interference is left out, all separately; the annulus row
-        # clears the sampled points inside the exclusion radius too
+        # names: the uncancelled row and the unadjusted cancelled rows
+        # (``raw``) as they are, and the reported cancelled rows each less
+        # the trial's uncancelled value plus that row's exact mean,
+        # ps_ic_rea(..., 0).  The 0/1 oracle draws those fadings, the
+        # serving fading and each tier's field beyond its last arrival,
+        # sampled until 1% of its mean interference is left out, all
+        # separately; the annulus row clears the sampled points inside the
+        # exclusion radius too
+        from sicnet.analytic import ps_ic_rea
+
         cfg, etas, size, seed = two_tier(bias2=5.0), [0.5, 1.0, 2.0], 2000, 17
         dist, x, r2_far, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
         cond = np.array([
@@ -2366,11 +2544,19 @@ class TestConditionalEstimators:
             for eta in etas
         ])
         res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
-        rows = {"uncancelled": 0, "cancelled": 1 if cancel_mode == "strongest" else 2, "annulus": 2}
-        for e_idx in range(len(etas)):
+        rows = {"cancelled": 1 if cancel_mode == "strongest" else 2, "annulus": 2}
+        for e_idx, eta in enumerate(etas):
+            unc = cond[e_idx, :, 0]
+            assert res.uncancelled[e_idx].mean == pytest.approx(unc.sum() / size, rel=1e-12)
+            for name, c in (("strongest", 1), ("annulus", 2)):
+                raw = res.raw[name]["mean"][e_idx]
+                assert raw == pytest.approx(cond[e_idx, :, c].sum() / size, rel=1e-12)
+            law = ps_ic_rea(eta, cfg, 1, 0)
             for name, c in rows.items():
                 est = getattr(res, name)[e_idx]
-                assert est.mean == pytest.approx(cond[e_idx, :, c].sum() / size, rel=1e-12)
+                adjusted = cond[e_idx, :, c] - unc + law
+                assert est.mean == pytest.approx(adjusted.sum() / size, rel=1e-12)
+                assert est.stderr == pytest.approx(adjusted.std() / math.sqrt(size), rel=1e-9)
 
         other = np.random.default_rng(18)
         p_dl = np.array([t.p_dl for t in cfg.tiers])
