@@ -24,6 +24,7 @@ from .errors import DegenerateReaError, DomainError
 from .model import (
     NetworkConfig,
     _check_alpha,
+    _rea_weights,
     _require_count,
     _require_positive,
     association_prob_max_power,
@@ -484,52 +485,44 @@ def ps_sic_max_inst_sir(
 # ---------------------------------------------------------------------------
 
 
-def ps_ic_rea(
-    eta: float,
-    cfg: NetworkConfig,
-    k: int,
-    cancelled: int,
-) -> float:
-    """DL success probability for users in tier k's range-expanded area.
+def ps_ic_rea(eta, cfg: NetworkConfig, k: int, cancelled: int):
+    """DL success probability for users in tier k's range-expanded area, at
+    a threshold ``eta`` or an array of them (a float for a scalar).
 
     Both cases are differences of two PGFL terms mixed over the REA serving
-    distance: the first term carries the biased-association empty disks,
-    the second subtracts the configurations whose unbiased winner is also
-    tier k.  ``cancelled=1`` removes every tier's unbiased-stronger APs
-    (the closed form's model of canceling the dominant AP), which turns the
-    C-function argument into eta^(-2/alpha) everywhere.
+    distance (Haenggi, *Stochastic Geometry for Wireless Networks*, 2012,
+    ch. 4 and 5), over the REA association probability, in the weights of
+    :func:`model._rea_weights` with delta = 2/alpha:
 
-    For ``cancelled=0`` the exact second term also uses the unbiased
-    exclusion (argument eta^(-2/alpha)): conditioning on "no AP would win
-    unbiased" empties the disk out to the unbiased radius, so the residual
-    field starts there.  Reusing the biased exclusion argument in the
-    second term instead overstates the success probability substantially
-    (by ~0.17 at b=5, eta=1 in the two-tier reference scenario).
+        (1 / sum_i w_i (eta^delta C(c_i / eta^delta) + m_i)
+         - 1 / sum_i w_i (eta^delta C(M_i / eta^delta) + M_i)) / p_REA,k.
+
+    The first term carries the biased-association empty disks, the second
+    subtracts the configurations in which tier k also wins unbiased: given
+    that, tier i is empty out to its joint exclusion M_i, so its residual
+    field starts there.  ``cancelled=0`` keeps every interfering AP, c_i =
+    m_i.  ``cancelled=1`` removes every tier's unbiased-stronger APs (the
+    closed form's model of canceling the dominant AP), c_i = M_i.  Where
+    every b_i <= b_k, M_i = 1.  Reusing the biased exclusion in the second
+    term instead overstates the success probability substantially (by ~0.17
+    at b=5, eta=1 in the two-tier reference scenario).  One array call of
+    :func:`c_integral` covers every threshold and tier.
     """
-    _require_positive("eta", eta)
-    cfg.check_tier(k)
+    etas = np.asarray(eta, dtype=float)
+    for value in etas.flat:
+        _require_positive("eta", float(value))
     if cancelled not in (0, 1):
         raise DomainError(f"cancelled must be 0 or 1, got {cancelled}")
     p_re = rea_association_prob(cfg, k)
     if p_re <= 1e-15:
         raise DegenerateReaError(
-            f"tier {k} has an empty range-expanded area; REA success undefined"
+            f"tier {k + 1} has an empty range-expanded area; REA success undefined"
         )
-    e = 2.0 / cfg.alpha
-    eta_e = eta**e
-    ref = cfg.tiers[k]
-    c_second = [eta**-e] * cfg.n_tiers
-    if cancelled:
-        c_first = c_second
-    else:
-        c_first = [(t.bias / (eta * ref.bias)) ** e for t in cfg.tiers]
-    # one array call per side; the tiers are summed in order below
-    c_first = c_integral(np.array(c_first), cfg.alpha).tolist()
-    c_second = c_integral(np.array(c_second), cfg.alpha).tolist()
-    sum_biased = 0.0
-    sum_unit = 0.0
-    for t, c1, c2 in zip(cfg.tiers, c_first, c_second):
-        w = (t.lam / ref.lam) * (t.p_dl / ref.p_dl) ** e
-        sum_biased += w * (eta_e * c1 + (t.bias / ref.bias) ** e)
-        sum_unit += w * (eta_e * c2 + 1.0)
-    return (1.0 / sum_biased - 1.0 / sum_unit) / p_re
+    weights = _rea_weights(cfg, k)
+    eta_e = etas[..., None, None] ** (2.0 / cfg.alpha)
+    # the C arguments c_i and M_i: rows m and M, or the row M alone, which
+    # broadcasts to both
+    c = c_integral(weights[1 + cancelled:] / eta_e, cfg.alpha)
+    inv = 1.0 / (eta_e * c + weights[1:]).dot(weights[0])
+    out = (inv[..., 0] - inv[..., 1]) / p_re
+    return float(out) if out.ndim == 0 else out

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .errors import ConfigError, DomainError, NumericsError, SicnetError
+from .errors import ConfigError, DomainError, NumericsError
 from .model import (
     NetworkConfig,
     _require_count,
@@ -300,10 +300,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         )
         if t.bias > 1.0 or any(u.bias > 1.0 for u in cfg.tiers):
             line += f", p_assoc_biased={biased_association_prob(cfg, i):.4f}"
-            try:
-                line += f", p_rea={rea_association_prob(cfg, i):.4f}"
-            except SicnetError:
-                pass
+            line += f", p_rea={rea_association_prob(cfg, i):.4f}"
         print(line)
     print(f"  lambda_eq = {eq.lambda_eq:g} /m^2")
     print("  mu_tilde  = " + ", ".join(f"{v:g}" for v in eq.mu_tilde))

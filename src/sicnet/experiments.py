@@ -35,7 +35,14 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import DomainError
-from .model import NetworkConfig, TierParams, config_from_dict, db_to_linear, load_config
+from .model import (
+    NetworkConfig,
+    TierParams,
+    config_from_dict,
+    db_to_linear,
+    load_config,
+    rea_association_prob,
+)
 from .analytic import (
     outage_max_inst_sir,
     ps_can,
@@ -303,7 +310,7 @@ def _run_fig5(spec: SweepSpec, diagnostics: dict) -> list[dict]:
 
 def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
     rows = []
-    rea_fraction = diagnostics["rea_fraction"] = {}
+    p_rea = diagnostics["p_rea"] = {}
     rea_raw = diagnostics["rea_raw"] = {}
     etas = [db_to_linear(d) for d in FIG6_ETA_DB]
     for b_idx, b in enumerate(FIG6_BIASES):
@@ -311,7 +318,7 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
         t0 = time.perf_counter()
         res = simulate_rea(cfg, 1, etas, spec.trials, spec.seed + b_idx, threads=spec.threads)
         ms = _ms(t0) / len(etas)
-        rea_fraction[f"{b:g}"] = res.rea_fraction
+        p_rea[f"{b:g}"] = rea_association_prob(cfg, 1)
         rea_raw[f"{b:g}"] = res.raw
         for e_idx, eta_db in enumerate(FIG6_ETA_DB):
             eta = etas[e_idx]
@@ -384,8 +391,9 @@ def run_preset(spec: SweepSpec) -> SweepResult:
     metadata also carries the simulators' diagnostics that no row holds:
     fig3's ``rqmc_layout`` (the faithful chain's replicate count, smallest
     and largest replicate size and degrees of freedom), fig4's
-    ``no_candidate_trials``, and fig6's ``rea_fraction`` and ``rea_raw``
-    per bias, the latter the means and standard errors of the strongest
+    ``no_candidate_trials``, and fig6's ``p_rea`` and ``rea_raw`` per
+    bias: the exact REA association probability, whose event the
+    simulator samples, and the means and standard errors of the strongest
     and annulus rows before their control (``ReaResult.raw``)."""
     t0 = time.perf_counter()
     diagnostics = {}

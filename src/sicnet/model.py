@@ -14,10 +14,13 @@ code and reported 1-based.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -176,34 +179,54 @@ def association_prob_max_power(cfg: NetworkConfig, k: int) -> float:
     return cfg.tiers[k].lam / denom
 
 
-def biased_association_prob(cfg: NetworkConfig, k: int, bias_k: float | None = None) -> float:
-    """Association probability with range-expansion biases A_k = b_k P_k.
-
-    ``bias_k`` overrides tier k's own bias (used for the REA bookkeeping
-    where the same network is evaluated with b_k forced to 1).
-    """
+def biased_association_prob(cfg: NetworkConfig, k: int) -> float:
+    """Association probability with range-expansion biases A_k = b_k P_k."""
     cfg.check_tier(k)
     e = 2.0 / cfg.alpha
     ref = cfg.tiers[k]
-    b_ref = ref.bias if bias_k is None else bias_k
-    denom = 0.0
-    for i, t in enumerate(cfg.tiers):
-        b_i = b_ref if i == k else t.bias
-        denom += t.lam * ((t.p_dl * b_i) / (ref.p_dl * b_ref)) ** e
+    denom = sum(t.lam * ((t.p_dl * t.bias) / (ref.p_dl * ref.bias)) ** e for t in cfg.tiers)
     return ref.lam / denom
 
 
-def rea_association_prob(cfg: NetworkConfig, k: int) -> float:
-    """Probability of landing in tier k's range-expanded area: associated
-    to tier k under the biased rule but not when tier k's bias is removed.
-
-        p_a,k^(RE) = 1 - sum_{i != k} p_a,i(B) - p_a,k(B | b_k = 1)
-    """
+@functools.lru_cache(maxsize=256)
+def _rea_weights(cfg: NetworkConfig, k: int) -> np.ndarray:
+    """Tier k's REA event in tier-k units: the rows w, m and M of a
+    read-only (3, tiers) array, tier k's entries 1.  With delta = 2/alpha,
+    w_i = (lam_i / lam_k) (P_i / P_k)^delta, m_i = (b_i / b_k)^delta and
+    M_i = max(m_i, 1).  With u_i = pi lam_i x_i^2 for each tier's nearest
+    AP at x_i, tier i beats tier k in unbiased mean power if u_i < w_i u_k,
+    in biased power if u_i < w_i m_i u_k, and tier k wins both rules if
+    u_i >= w_i M_i u_k for every i.  The REA holds the users whom the
+    biases move to tier k: tier k wins the biased rule and another tier
+    the unbiased one (every bias removed).  :func:`rea_association_prob`,
+    ``analytic.ps_ic_rea`` and ``montecarlo.simulate_rea`` all read the
+    event from here.  Cached, since configurations are frozen: this keeps
+    a scalar ``ps_ic_rea`` call as cheap as Python floats made it."""
     cfg.check_tier(k)
-    others = sum(
-        biased_association_prob(cfg, i) for i in range(cfg.n_tiers) if i != k
-    )
-    return 1.0 - others - biased_association_prob(cfg, k, bias_k=1.0)
+    e = 2.0 / cfg.alpha
+    ref = cfg.tiers[k]
+    w = [(t.lam / ref.lam) * (t.p_dl / ref.p_dl) ** e for t in cfg.tiers]
+    m = [(t.bias / ref.bias) ** e for t in cfg.tiers]
+    weights = np.array([w, m, [max(x, 1.0) for x in m]])
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=256)
+def rea_association_prob(cfg: NetworkConfig, k: int) -> float:
+    """Probability of landing in tier k's range-expanded area: tier k wins
+    under the biased rule and some other tier under the unbiased one
+    (:func:`_rea_weights`).  That is P(k wins biased) less P(k wins both),
+
+        p_REA,k = 1 / sum_i w_i m_i - 1 / sum_i w_i M_i,
+
+    each the void probability of a PPP disk (Haenggi, *Stochastic Geometry
+    for Wireless Networks*, 2012, ch. 2).  Where every tier other than k is
+    unbiased, this is the paper's 1 - sum_{i != k} p_a,i(B) - p_a,k(B |
+    b_k = 1).  It is 0 where no other tier has a smaller bias than tier k.
+    Cached like the weights."""
+    w, m, big_m = _rea_weights(cfg, k)
+    return float(1.0 / (w @ m) - 1.0 / (w @ big_m))
 
 
 def equivalent_density(cfg: NetworkConfig) -> EquivalentNetwork:

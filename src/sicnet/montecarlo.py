@@ -75,13 +75,13 @@ SIC (``simulate_max_inst_sir``, budgets N >= 1) takes for x the no-SIC
 success of the trial's own candidate APs with independent fields
 (:func:`_max_sir_sums`); ``simulate_rea``'s one-cancellation and
 annulus rows take the trial's uncancelled success, whose mean is the
-closed form's REA law (:func:`_rea_no_sic_law`).  The coefficient of x
-is fixed at 1, a difference estimator.  An estimated one would need
-blocks of its own to avoid an O(1/n) bias, and on the fig5 grid the best
-one (0.98-1.16) cuts the summed variance only 3.78 rather than 3.68
-times with shared fields, 6.04 rather than 5.67 times with independent
-ones.  At 1 every max-SIR budget N subtracts the same x, so the
-estimates stay nondecreasing in N draw by draw.  The raw rows stay raw
+uncancelled REA closed form ``ps_ic_rea(etas, cfg, k, 0)``.  The
+coefficient of x is fixed at 1, a difference estimator.  An estimated
+one would need blocks of its own to avoid an O(1/n) bias, and on the
+fig5 grid the best one (0.98-1.16) cuts the summed variance only 3.78
+rather than 3.68 times with shared fields, 6.04 rather than 5.67 times
+with independent ones.  At 1 every max-SIR budget N subtracts the same
+x, so the estimates stay nondecreasing in N draw by draw.  The raw rows stay raw
 -- max-SIR's N = 0 and REA's uncancelled row -- since they gate the
 controls' own laws (criteria 6 and 7), so an error in mu shows there
 rather than shifting the adjusted estimates unseen.
@@ -95,7 +95,9 @@ their variance is a median 19 times (faithful chain) and about 27 times
 would cut it further, but ``scipy.stats.qmc`` costs about 0.5 s to import
 in a fresh interpreter, so the points are built with numpy alone.  The
 other estimators stay iid, with ``dof`` None: the dimension of most
-depends on its draws (field counts, candidate APs, REA rejections).
+depends on its draws (field counts, candidate APs), and
+``simulate_rea``'s, though fixed at tiers + 3 + tiers K draws per trial
+(:func:`_rea_block`), is not yet laid out as quasi-Monte Carlo points.
 """
 
 from __future__ import annotations
@@ -108,15 +110,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
-from .errors import DegenerateReaError, DomainError
+from .analytic import ps_ic_rea
+from .errors import DomainError
 from .model import (
     NetworkConfig,
     SicConfig,
     _check_alpha,
+    _rea_weights,
     _require_count,
     _require_positive,
     association_prob_max_power,
-    rea_association_prob,
 )
 from .numerics import c_integral
 
@@ -278,12 +281,13 @@ class ReaResult:
     Each trial contributes its success probability over every fading and
     the field beyond its drawn APs, the two cancelled rows adjusted by the
     uncancelled one (:func:`simulate_rea`); ``raw`` holds their means and
-    standard errors before that adjustment, as plain floats."""
+    standard errors before that adjustment, as plain floats.  Every trial
+    is drawn inside the REA, so the share of users there is no estimate:
+    it is ``model.rea_association_prob``."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
     annulus: tuple[Estimate, ...]
-    rea_fraction: float                   # empirical REA association share
     # the unadjusted strongest and annulus rows: {row: {"mean": [...],
     # "stderr": [...]}}, one float per threshold
     raw: dict
@@ -1213,79 +1217,54 @@ def simulate_max_inst_sir(
 
 def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
     """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
-    return (dist, x, r2_far, draws, kept): each tier's nearest-AP distance,
-    (trials, tiers); the unit mean powers r^-alpha of the K =
-    ``_ARRIVALS`` APs of each tier next beyond its nearest, (trials, tiers,
-    K), and the squared radius of the last of them, (trials, tiers); and
-    the rejection sampler's draws and REA hits.
+    return (dist, x, r2_far): each tier's nearest-AP distance, (trials,
+    tiers); the unit mean powers r^-alpha of the K = ``_ARRIVALS`` APs of
+    each tier next beyond its nearest, (trials, tiers, K), and the squared
+    radius of the last of them, (trials, tiers).
+
+    The nearest APs are drawn on the REA event exactly, tiers + 3 draws
+    per trial.  In the terms of :func:`model._rea_weights`, with A_i = w_i
+    m_i and D_i = w_i (M_i - m_i) = max(w_i - A_i, 0), the event is u_i >=
+    A_i u_k for every i and u_i - A_i u_k < D_i u_k for some i.  So u_k
+    has density proportional to e^(-a u) (1 - e^(-d u)), a = sum_i A_i
+    and d = sum_i D_i: it is E_1 / a + E_2 / (a + d).  Given u_k, the excesses (u_i - A_i
+    u_k) / D_i are the first arrivals of independent Poisson processes of
+    rates D_i, one at least before u_k.  The first of all, s, is Exp(d)
+    truncated to [0, u_k) and tier j's with probability D_j / d, and each
+    other tier's lies beyond s by a fresh Exp(D_i) (memorylessness;
+    Kingman, *Poisson Processes*, 1993).  Hence u_i = A_i u_k + D_i s +
+    E_i, with E_j = 0, and x_i^2 = u_i / (pi lam_i).
 
     Given its nearest distance x_i, tier i beyond x_i is again a PPP, so its
-    next APs are Gamma arrivals, pi lam_i r_j^2 = pi lam_i x_i^2 plus the
-    sum of j unit exponentials (:func:`_nearest_users`; Haenggi,
-    *Stochastic Geometry for Wireless Networks*, 2012, ch. 2), and the
-    tier beyond the last of them is a PPP independent of them."""
+    next APs are Gamma arrivals, pi lam_i r_j^2 = u_i plus the sum of j
+    unit exponentials (:func:`_nearest_users`; Haenggi, *Stochastic
+    Geometry for Wireless Networks*, 2012, ch. 2), and the tier beyond the
+    last of them is a PPP independent of them."""
     lam = np.array([t.lam for t in cfg.tiers])
-    p_dl = np.array([t.p_dl for t in cfg.tiers])
-    bias = np.array([t.bias for t in cfg.tiers])
-    n_tiers = cfg.n_tiers
+    w, m, big_m = _rea_weights(cfg, k)
+    a_i = w * m
+    d_i = w * (big_m - m)
+    cdf = np.cumsum(d_i)
+    a, d = a_i.sum(), cdf[-1]
 
-    # rejection sample nearest-distance tuples conditioned on REA_k
-    kept = []
-    n_kept = 0
-    batches = 0
-    total_draws = 0
-    while n_kept < size and batches < 10_000:
-        batch = max(4 * size, 1024)
-        x2 = rng.exponential(1.0 / (math.pi * lam), size=(batch, n_tiers))
-        unbiased = p_dl[None, :] * x2 ** (-0.5 * cfg.alpha)
-        biased = bias[None, :] * unbiased
-        is_rea = (np.argmax(biased, axis=1) == k) & (np.argmax(unbiased, axis=1) != k)
-        kept.append(np.sqrt(x2[is_rea]))
-        n_kept += int(is_rea.sum())
-        total_draws += batch
-        batches += 1
-    dist = np.concatenate(kept)[:size]
-    if len(dist) < size:
-        raise DomainError(
-            "REA rejection sampling starved; is the bias configuration sane?"
-        )
+    # E_i for every tier (tier k's is E_1), then E_2; two uniforms pick s and j
+    e = rng.standard_exponential((size, cfg.n_tiers + 1))
+    v = rng.random((size, 2))
+    u_k = e[:, k] / a + e[:, -1] / (a + d)
+    s = -np.log1p(v[:, 0] * np.expm1(-d * u_k)) / d
+    # side="right" skips the tiers with D_j = 0; the cap guards v d rounding to d
+    j = np.minimum(np.searchsorted(cdf, v[:, 1] * d, side="right"), np.flatnonzero(d_i)[-1])
+    e[np.arange(size), j] = 0.0
+    u = a_i * u_k[:, None] + d_i * s[:, None] + e[:, :-1]
+    u[:, k] = u_k
 
-    x = np.empty((size, n_tiers, _ARRIVALS))
-    r2_far = np.empty((size, n_tiers))
-    for i in range(n_tiers):
-        e = rng.standard_exponential((size, _ARRIVALS))
-        e[:, 0] += math.pi * lam[i] * dist[:, i] ** 2
-        x[:, i], r2_far[:, i] = _nearest_users(e, lam[i], cfg.alpha)
-    return dist, x, r2_far, total_draws, n_kept
-
-
-def _rea_no_sic_law(cfg: NetworkConfig, k: int, etas: np.ndarray) -> np.ndarray:
-    """Exact mean of :func:`simulate_rea`'s uncancelled row at each of
-    ``etas``, the control of its cancelled rows.  With delta = 2/alpha,
-    w_i = (lam_i / lam_k) (P_i / P_k)^delta and b_i' = (b_i / b_k)^delta,
-    it is
-
-        (1 / sum_i w_i (eta^delta C(b_i' / eta^delta) + b_i')
-         - 1 / sum_i w_i (eta^delta C(eta^-delta) + 1)) / p_REA,k,
-
-    the PGFL of every tier's PPP over its biased exclusion disk, less the
-    same over the unbiased one where tier k also wins without its bias,
-    mixed over the serving distance (Haenggi, *Stochastic Geometry for
-    Wireless Networks*, 2012, ch. 4 and 5), over the REA association
-    probability.  One array call of :func:`c_integral` covers every
-    threshold and tier."""
-    e = 2.0 / cfg.alpha
-    lam = np.array([t.lam for t in cfg.tiers])
-    p_dl = np.array([t.p_dl for t in cfg.tiers])
-    bias = np.array([t.bias for t in cfg.tiers])
-    w = (lam / lam[k]) * (p_dl / p_dl[k]) ** e
-    eta_e = etas**e
-    c = c_integral(
-        np.column_stack(((bias / (etas[:, None] * bias[k])) ** e, etas**-e)), cfg.alpha
-    )
-    biased = (w * (eta_e[:, None] * c[:, :-1] + (bias / bias[k]) ** e)).sum(axis=1)
-    unit = (w * (eta_e[:, None] * c[:, -1:] + 1.0)).sum(axis=1)
-    return (1.0 / biased - 1.0 / unit) / rea_association_prob(cfg, k)
+    x = np.empty((size, cfg.n_tiers, _ARRIVALS))
+    r2_far = np.empty((size, cfg.n_tiers))
+    for i in range(cfg.n_tiers):
+        arrivals = rng.standard_exponential((size, _ARRIVALS))
+        arrivals[:, 0] += u[:, i]
+        x[:, i], r2_far[:, i] = _nearest_users(arrivals, lam[i], cfg.alpha)
+    return np.sqrt(u / (math.pi * lam)), x, r2_far
 
 
 def simulate_rea(
@@ -1301,13 +1280,12 @@ def simulate_rea(
     cancellation and with each of two cancellations, all three on the same
     trials.
 
-    Trials are rejection-sampled on the per-tier nearest distances until
-    the user lands in the REA: the biased winner is tier k while the
-    unbiased winner is some other tier.  ``trials`` counts kept REA trials.
-    Each trial then draws the next APs of every tier as Gamma arrivals
-    (:func:`_rea_block`) and contributes, for each row below, its success
-    probability over every fading and the field beyond the arrivals,
-    exactly: with S the serving AP's mean power, each AP of mean power P
+    Each trial draws the per-tier nearest distances on the REA event of
+    :func:`model._rea_weights` (the biased winner is tier k, the unbiased
+    one another tier) exactly, then the next APs of every tier as Gamma
+    arrivals (:func:`_rea_block`).  It contributes, for each row below,
+    its success probability over every fading and the field beyond the
+    arrivals, exactly: with S the serving AP's mean power, each AP of mean power P
     that the row keeps gives (1 + eta P / S)^-1, and tier i's field beyond
     radius r_lo gives exp(-:func:`_far_field`) at s = eta P_i / S.  No
     decision reads a fading or the far field, so the estimates carry no
@@ -1327,20 +1305,18 @@ def simulate_rea(
     ``annulus`` always holds the second; ``cancel_mode`` names the one
     that ``cancelled`` reports.  Both report each trial's y - x + mu (the
     control of the module docstring): y the row's success, x the trial's
-    uncancelled success and mu = E[x], the closed form's uncancelled REA
-    law (:func:`_rea_no_sic_law`).  On the fig6 grid this cuts the
+    uncancelled success and mu = E[x], the uncancelled closed form
+    ``ps_ic_rea(etas, cfg, k, 0)``.  On the fig6 grid this cuts the
     per-trial variance 1.1-28 times (strongest) and 1.1-14 times
     (annulus).  The uncancelled row stays raw, and
     ``raw`` keeps the unadjusted means and standard errors of the other
-    two.  A tier whose REA is empty by the closed form's association
-    probability raises :class:`DegenerateReaError` before any draw.
+    two.  A tier whose REA is empty raises :class:`DegenerateReaError`
+    from that closed form, before any draw.
     """
-    cfg.check_tier(k)
     if cancel_mode not in ("strongest", "annulus"):
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
-    if rea_association_prob(cfg, k) <= 1e-15:
-        raise DegenerateReaError(f"tier {k} has an empty range-expanded area")
     etas = np.array(_check_etas(etas))
+    law = ps_ic_rea(etas, cfg, k, 0)  # checks k, and raises on an empty REA
     alpha = cfg.alpha
     lam = np.array([t.lam for t in cfg.tiers])
     p_dl = np.array([t.p_dl for t in cfg.tiers])
@@ -1349,7 +1325,7 @@ def simulate_rea(
     exclusion = (p_dl / p_dl[k]) ** (2.0 / alpha)
 
     def block(rng: np.random.Generator, size: int):
-        dist, x, r2_far, draws, kept = _rea_block(cfg, k, rng, size)
+        dist, x, r2_far = _rea_block(cfg, k, rng, size)
         signal = p_dl[k] * dist[:, k] ** -alpha
         # the unbiased mean powers of every drawn AP, the serving one at 0:
         # each tier's nearest, then its arrivals
@@ -1369,16 +1345,14 @@ def simulate_rea(
         # cancelled rows adjusted by the uncancelled one x: y - (x - mu)
         y = np.exp(-(np.stack(rows, axis=1) + far[:, [0, 0, 1]]))
         adjusted = y[:, 1:] - (y[:, :1] - law[:, None, None])
-        return np.concatenate((_moments(y, 2), _moments(adjusted, 2)), axis=2), draws, kept
+        return np.concatenate((_moments(y, 2), _moments(adjusted, 2)), axis=2)
 
-    law = _rea_no_sic_law(cfg, k, etas)
-    sums, draws, kept = _run_blocks(trials, seed, block, threads)
+    sums = _run_blocks(trials, seed, block, threads)
     unc, *raw, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(5))
     return ReaResult(
         uncancelled=unc,
         cancelled=annulus if cancel_mode == "annulus" else strongest,
         annulus=annulus,
-        rea_fraction=kept / max(draws, 1),
         raw={
             row: {"mean": [e.mean for e in ests], "stderr": [e.stderr for e in ests]}
             for row, ests in zip(("strongest", "annulus"), raw)

@@ -425,22 +425,26 @@ def fading_order_law(eta: float, n: int, alpha: float) -> float:
 
 
 def _rea_exponent_sums(cfg: NetworkConfig, k: int) -> tuple[float, float]:
-    """Area coefficients of the biased and unbiased exclusion disks for a
-    user served by tier k: S_B = sum_i lam_i (P_i b_i / P_k b_k)^(2/alpha)
-    and S_U = sum_i lam_i (P_i / P_k)^(2/alpha)."""
+    """Area coefficients of the exclusion disks for a user served by tier
+    k: S_B = sum_i lam_i (P_i b_i / P_k b_k)^(2/alpha), inside which no AP
+    wins the biased rule, and S_U = sum_i lam_i (P_i / P_k)^(2/alpha)
+    max(b_i / b_k, 1)^(2/alpha), inside which none wins either rule."""
     e = 2.0 / cfg.alpha
     ref = cfg.tiers[k]
     s_biased = sum(
         t.lam * ((t.p_dl * t.bias) / (ref.p_dl * ref.bias)) ** e for t in cfg.tiers
     )
-    s_unbiased = sum(t.lam * (t.p_dl / ref.p_dl) ** e for t in cfg.tiers)
+    s_unbiased = sum(
+        t.lam * (t.p_dl / ref.p_dl * max(t.bias / ref.bias, 1.0)) ** e for t in cfg.tiers
+    )
     return s_biased, s_unbiased
 
 
 def rea_distance_pdf(cfg: NetworkConfig, k: int, x) -> float:
-    """Serving-distance density for users in tier k's range-expanded area:
-    a difference of two Rayleigh-type exponentials normalized by the REA
-    association probability."""
+    """Serving-distance density for users in tier k's range-expanded area,
+    where tier k wins the biased rule and another tier the unbiased one
+    (every bias removed): a difference of two Rayleigh-type exponentials
+    normalized by the REA association probability."""
     cfg.check_tier(k)
     p_re = rea_association_prob(cfg, k)
     if p_re <= 1e-15:

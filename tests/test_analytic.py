@@ -590,6 +590,20 @@ class TestReaSuccess:
         with pytest.raises(DomainError):
             ps_ic_rea(1.0, two_tier(bias2=5.0), 1, 2)
 
+    def test_threshold_array(self):
+        # an array of thresholds gives the scalar calls' values, and a bad
+        # threshold anywhere in it raises
+        cfg, etas = two_tier(bias2=5.0), np.array([0.1, 1.0, 30.0])
+        for cancelled in (0, 1):
+            got = ps_ic_rea(etas, cfg, 1, cancelled)
+            assert got.shape == etas.shape
+            assert got.tolist() == pytest.approx(
+                [ps_ic_rea(float(eta), cfg, 1, cancelled) for eta in etas], rel=1e-14
+            )
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ps_ic_rea(np.array([1.0, bad]), cfg, 1, 0)
+
 
 class TestProbabilityRange:
     def test_all_outputs_in_unit_interval(self):

@@ -88,6 +88,20 @@ class TestEval:
         assert rc == 2
         assert "not both" in capsys.readouterr().err
 
+    def test_empty_rea_exits_2(self, tmp_path, capsys):
+        # a macro tier biased above the small cells (20 against 10) leaves
+        # tier 2 no range-expanded area: eval exits 2 rather than print a
+        # negative probability, and inspect reports that area as empty
+        macro, small = CFG["tiers"]
+        path = tmp_path / "macro_biased.json"
+        path.write_text(json.dumps({**CFG, "tiers": [{**macro, "bias": 20.0}, {**small, "bias": 10.0}]}))
+        rc = main(["eval", "ps_ic_rea", "--eta", "1", "--k", "2", "--cancelled", "0", "--config", str(path)])
+        assert rc == 2
+        assert "empty range-expanded area" in capsys.readouterr().err
+        assert main(["inspect", "--config", str(path)]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "tier 2:" in ln]
+        assert line.endswith("p_rea=0.0000"), line
+
 
 class TestSweep:
     def test_custom_sweep_writes_directory(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from sicnet.errors import DomainError
-from sicnet.model import config_from_dict, db_to_linear
+from sicnet.model import config_from_dict, db_to_linear, rea_association_prob
 from sicnet.montecarlo import simulate_rea
 from sicnet.experiments import (
     FIG6_BIASES,
@@ -230,11 +230,11 @@ class TestRunDirectory:
             result = run_preset(default_spec(preset, trials=1000, seed=7))
             run_dir = write_run_directory(result, tmp_path)
             meta[preset] = json.loads((run_dir / "meta.json").read_text())
-            assert not {"no_candidate_trials", "rea_fraction"} & set(result.columns)
+            assert not {"no_candidate_trials", "p_rea"} & set(result.columns)
         assert 0 <= meta["fig4"]["no_candidate_trials"] <= 1000
-        fractions = meta["fig6"]["rea_fraction"]
-        assert sorted(fractions) == sorted(f"{b:g}" for b in FIG6_BIASES)
-        assert all(0.0 < f < 1.0 for f in fractions.values())
+        assert meta["fig6"]["p_rea"] == {
+            f"{b:g}": rea_association_prob(two_tier_config(bias2=b), 1) for b in FIG6_BIASES
+        }
 
     def test_fig3_rqmc_layout_in_metadata(self, tmp_path):
         # 1000 trials: 8 replicates of 32 trials and 24 of 31

@@ -208,30 +208,60 @@ class TestReaAssociation:
         assert rea_association_prob(two_tier(), 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_tier_value(self):
-        cfg = two_tier(bias2=5.0)
-        expected = biased_association_prob(cfg, 1) - biased_association_prob(
-            cfg, 1, bias_k=1.0
-        )
-        assert rea_association_prob(cfg, 1) == pytest.approx(expected, rel=1e-12)
+        # the every-bias law 1 / sum_i w_i m_i - 1 / sum_i w_i max(m_i, 1),
+        # in tier 2's units: the macro tier has w = (1e-5 / 1e-4) sqrt(10)
+        # and m = sqrt(b_1 / b_2).  It reads the biases' ratio alone, and
+        # is empty when the macro bias is the larger
+        w, m = 0.1 * math.sqrt(10.0), math.sqrt(0.2)
+        expected = 1.0 / (1.0 + w * m) - 1.0 / (1.0 + w)
+        for macro_bias, bias2, want in ((1.0, 5.0, expected), (2.0, 10.0, expected), (20.0, 10.0, 0.0)):
+            cfg = NetworkConfig(
+                tiers=(TierParams(1e-5, 10.0, 10.0, macro_bias), TierParams(1e-4, 1.0, 1.0, bias2)),
+                alpha=4.0,
+                mu=1e-4,
+                mu_j=1e-4,
+            )
+            assert rea_association_prob(cfg, 1) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    # The fraction of users whose biased winner is tier k while the
+    # unbiased winner is another tier, by argmax over per-tier nearest
+    # distances, against the law at 3 binomial stderrs; then, per tier, the
+    # nearest distances of those users against _rea_block's exact draws of
+    # the event by a two-sample Kolmogorov-Smirnov test at a Sidak level
+    # for a family rate of 1e-3 over the 5 tiers.  The second config biases
+    # every tier, one of them above b_k
     def test_simulation_oracle(self):
-        # fraction of users whose biased winner is tier 2 while the unbiased
-        # winner is a different tier, from per-tier nearest distances
-        cfg = two_tier(bias2=5.0)
+        from scipy import stats
+
+        from sicnet.montecarlo import _rea_block
+
+        every_bias = NetworkConfig(
+            tiers=(
+                TierParams(1e-5, 10.0, bias=2.0),
+                TierParams(1e-4, 1.0, bias=5.0),
+                TierParams(3e-4, 0.5, bias=8.0),
+            ),
+            alpha=3.5,
+            mu=1e-4,
+            mu_j=1e-4,
+        )
+        level = 1.0 - (1.0 - 1e-3) ** (1.0 / 5)
         rng = np.random.default_rng(42)
         n = 1_000_000
-        lam = np.array([t.lam for t in cfg.tiers])
-        p = np.array([t.p_dl for t in cfg.tiers])
-        b = np.array([t.bias for t in cfg.tiers])
-        x2 = rng.exponential(1.0 / (math.pi * lam), size=(n, 2))
-        unbiased = p * x2**-2.0
-        biased = b * unbiased
-        frac = float(
-            np.mean((np.argmax(biased, 1) == 1) & (np.argmax(unbiased, 1) != 1))
-        )
-        target = rea_association_prob(cfg, 1)
-        stderr = math.sqrt(target * (1.0 - target) / n)
-        assert abs(frac - target) <= 3.0 * stderr
+        for cfg in (two_tier(bias2=5.0), every_bias):
+            lam, p, b = (np.array([getattr(t, f) for t in cfg.tiers]) for f in ("lam", "p_dl", "bias"))
+            x2 = rng.exponential(1.0 / (math.pi * lam), size=(n, cfg.n_tiers))
+            unbiased = p * x2 ** (-0.5 * cfg.alpha)
+            biased = b * unbiased
+            hit = (np.argmax(biased, 1) == 1) & (np.argmax(unbiased, 1) != 1)
+            target = rea_association_prob(cfg, 1)
+            stderr = math.sqrt(target * (1.0 - target) / n)
+            assert abs(hit.mean() - target) <= 3.0 * stderr
+            drawn = _rea_block(cfg, 1, np.random.default_rng(43), int(hit.sum()))[0]
+            p_values = [stats.ks_2samp(np.sqrt(x2[hit, i]), drawn[:, i]).pvalue for i in range(cfg.n_tiers)]
+            print(f"{cfg.n_tiers} tiers: REA share {hit.mean():.4f} vs {target:.4f}, "
+                  f"KS p-values {np.round(p_values, 3)} vs {level:.1e}")
+            assert min(p_values) > level, p_values
 
 
 class TestDistanceLaws:

@@ -17,6 +17,7 @@ from sicnet.model import (
     TierParams,
     association_prob_max_power,
     db_to_linear,
+    rea_association_prob,
 )
 from sicnet.analytic import outage_max_inst_sir, ps_can, ps_plain, ps_sic
 from sicnet.numerics import c_integral
@@ -294,23 +295,35 @@ class TestBlockDriver:
             call()
 
 
-def test_montecarlo_imports_nothing_from_analytic():
+def test_montecarlo_imports_from_analytic_only_the_rea_control_law():
     # the simulators are the closed forms' oracle, so they share no code
-    # with them
+    # with them, but for one exact mean: simulate_rea's cancelled rows
+    # subtract the uncancelled success less its closed form, ps_ic_rea(...,
+    # 0).  Its uncancelled row stays raw and gates that law
     import ast
     import inspect
 
     from sicnet import montecarlo
 
     tree = ast.parse(inspect.getsource(montecarlo))
-    imported = set()
+    imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            imported.update((alias.name, set()) for alias in node.names)
     assert imported
-    assert not {m for m in imported if m.split(".")[-1] == "analytic"}
+    assert {m: names for m, names in imported.items() if m.split(".")[-1] == "analytic"} == {
+        ".analytic": {"ps_ic_rea"}
+    }
+    readers = {
+        stmt.name
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "ps_ic_rea"
+    }
+    assert readers == {"simulate_rea"}
 
 
 class TestSamplePpp:
@@ -2147,18 +2160,45 @@ class TestNoSicControl:
         assert np.all(np.abs(bias) <= limit), bias
 
 
+def _every_bias_cases():
+    """Random 2- and 3-tier configurations, alternately, with every tier's
+    bias drawn, each with a tier k whose REA is nonempty and 7 thresholds:
+    12 cases from a fixed seed."""
+    cases = []
+    rng = np.random.default_rng(3600)
+    while len(cases) < 12:
+        n_tiers = 2 + len(cases) % 2
+        lam, p_dl, bias = 10.0 ** rng.uniform((-6.0, -1.0, 0.0), (-3.0, 2.0, 1.5), (n_tiers, 3)).T
+        cfg = NetworkConfig(
+            tiers=tuple(TierParams(*t) for t in zip(lam, p_dl, np.ones(n_tiers), bias)),
+            alpha=float(rng.choice([3.0, 3.5, 4.0, 5.0])),
+            mu=1e-4,
+            mu_j=1e-4,
+        )
+        k = int(rng.integers(n_tiers))
+        if rea_association_prob(cfg, k) > 1e-6:
+            cases.append((cfg, k, 10.0 ** rng.uniform(-1.5, 1.5, 7)))
+    return cases
+
+
 class TestRea:
     def test_degenerate_guard(self, monkeypatch):
-        # no bias at all, and tier 0 beside a biased tier 1, whose REA is
-        # empty (association probability -2.8e-17): both raise before any
-        # draw, where the rejection sampler would starve
+        # no bias at all, tier 0 beside a biased tier 1, and tier 1 biased
+        # 10 beside a macro tier biased 20: each REA is empty, and each
+        # raises before any draw
         from sicnet import montecarlo
 
         def no_draws(seed, index):
             raise AssertionError("a stream was opened for an empty REA")
 
+        macro_biased = NetworkConfig(
+            tiers=(TierParams(1e-5, 10.0, 10.0, bias=20.0), TierParams(1e-4, 1.0, 1.0, bias=10.0)),
+            alpha=4.0,
+            mu=1e-4,
+            mu_j=1e-4,
+        )
         monkeypatch.setattr(montecarlo, "_stream", no_draws)
-        for cfg, k in ((two_tier(bias2=1.0), 1), (two_tier(bias2=5.0), 0)):
+        for cfg, k in ((two_tier(bias2=1.0), 1), (two_tier(bias2=5.0), 0), (macro_biased, 1)):
             with pytest.raises(DegenerateReaError):
                 simulate_rea(cfg, k, [1.0], 4096, seed=79)
 
@@ -2169,13 +2209,17 @@ class TestRea:
         for unc, can, raw in zip(res.uncancelled, res.cancelled, res.raw["strongest"]["mean"]):
             assert can.mean >= unc.mean and raw >= unc.mean
 
-    def test_rea_fraction_matches_association_probability(self):
-        from sicnet.model import rea_association_prob
-
-        cfg = two_tier(bias2=5.0)
-        res = simulate_rea(cfg, 1, [1.0], 50_000, seed=89)
-        target = rea_association_prob(cfg, 1)
-        assert res.rea_fraction == pytest.approx(target, abs=0.01)
+    def test_scenes_lie_in_the_event(self):
+        # every scene that _rea_block draws is in the REA by the argmax
+        # definition, which shares no code with the sampler's law: tier k
+        # wins in biased mean power and another tier in unbiased mean power
+        cases = [(two_tier(bias2=5.0), 1)] + [(cfg, k) for cfg, k, _ in _every_bias_cases()]
+        for index, (cfg, k) in enumerate(cases):
+            dist = _rea_block(cfg, k, _stream(3800, index), 4096)[0]
+            p_dl, bias = (np.array([getattr(t, f) for t in cfg.tiers]) for f in ("p_dl", "bias"))
+            unbiased = p_dl * dist**-cfg.alpha
+            assert np.all(np.argmax(bias * unbiased, axis=1) == k), (cfg, k)
+            assert np.all(np.argmax(unbiased, axis=1) != k), (cfg, k)
 
     def test_serving_distance_law(self):
         # empirical REA serving distances against the closed-form density
@@ -2206,46 +2250,57 @@ class TestRea:
         assert annulus.cancelled == strongest.annulus == annulus.annulus
         assert strongest.cancelled != strongest.annulus
         assert strongest.uncancelled == annulus.uncancelled
-        assert strongest.rea_fraction == annulus.rea_fraction
 
     def test_invalid_cancel_mode(self):
         with pytest.raises(DomainError):
             simulate_rea(two_tier(bias2=5.0), 1, [1.0], 1000, seed=1, cancel_mode="x")
 
-    def test_control_law_is_the_closed_form(self):
-        # the cancelled rows' control mean, restated in montecarlo, against
-        # ps_ic_rea(..., 0) on the fig6 grid and on random 2- and 3-tier
-        # configurations, each drawn until its tier k has a nonempty REA
-        from sicnet import montecarlo
-        from sicnet.analytic import ps_ic_rea
-        from sicnet.experiments import FIG6_BIASES, FIG6_ETA_DB, two_tier_config
-        from sicnet.model import rea_association_prob
+    # Both rows of ps_ic_rea against simulate_rea on the random 2- and
+    # 3-tier configs of _every_bias_cases, every tier's bias drawn: the
+    # uncancelled row, and the annulus row before its control (``raw``),
+    # which would read the uncancelled closed form.  Seeds fixed before the
+    # first run; each point's |z| is bounded by the Sidak multiplier for a
+    # family false-alarm rate of 1e-3 over all points, the trials being iid
+    # and the normal law standing for t at 20 000 trials.
+    GATE_SEEDS = range(3700, 3712)
 
-        cases = [(two_tier_config(bias2=b), 1, [db_to_linear(d) for d in FIG6_ETA_DB])
-                 for b in FIG6_BIASES]
-        rng = np.random.default_rng(3600)
-        while len(cases) < len(FIG6_BIASES) + 12:
-            n_tiers = 2 + len(cases) % 2
-            lam, p_dl, bias = 10.0 ** rng.uniform((-6.0, -1.0, 0.0), (-3.0, 2.0, 1.5), (n_tiers, 3)).T
-            cfg = NetworkConfig(
-                tiers=tuple(TierParams(*t) for t in zip(lam, p_dl, np.ones(n_tiers), bias)),
-                alpha=float(rng.choice([3.0, 3.5, 4.0, 5.0])),
-                mu=1e-4,
-                mu_j=1e-4,
+    def test_every_bias_gate(self):
+        from scipy import stats
+
+        from sicnet.analytic import ps_ic_rea
+
+        cases = _every_bias_cases()
+        orders = {np.sign(t.bias - cfg.tiers[k].bias) for cfg, k, _ in cases for t in cfg.tiers}
+        assert orders == {-1.0, 0.0, 1.0}  # b_i below and above b_k both occur
+        z = []
+        for (cfg, k, etas), seed in zip(cases, self.GATE_SEEDS, strict=True):
+            res = simulate_rea(cfg, k, etas, 20_000, seed)
+            for row, mean, stderr in (
+                (0, [e.mean for e in res.uncancelled], [e.stderr for e in res.uncancelled]),
+                (1, res.raw["annulus"]["mean"], res.raw["annulus"]["stderr"]),
+            ):
+                z.extend((np.array(mean) - ps_ic_rea(etas, cfg, k, row)) / np.array(stderr))
+        z = np.abs(z)
+        bound = stats.norm.isf(0.5 * (1.0 - (1.0 - 1e-3) ** (1.0 / len(z))))
+        print(f"{len(z)} points: max |z| {z.max():.2f} vs {bound:.2f}, mean |z| {z.mean():.3f}")
+        assert z.max() <= bound, z
+
+    def test_distance_pdf_has_unit_mass(self):
+        # the oracle's serving-distance density, normalized by the law,
+        # integrates to 1 on the gate's configs, in units of tier k's
+        # nearest-AP scale
+        for cfg, k, _ in _every_bias_cases():
+            scale = 1.0 / math.sqrt(math.pi * cfg.tiers[k].lam)
+            mass, _ = scipy.integrate.quad(
+                lambda t: scale * rea_distance_pdf(cfg, k, scale * t), 0.0, np.inf, limit=200
             )
-            k = int(rng.integers(n_tiers))
-            if rea_association_prob(cfg, k) > 1e-6:
-                cases.append((cfg, k, 10.0 ** rng.uniform(-1.5, 1.5, 7)))
-        for cfg, k, etas in cases:
-            got = montecarlo._rea_no_sic_law(cfg, k, np.array(etas))
-            want = [ps_ic_rea(eta, cfg, k, 0) for eta in etas]
-            assert got.tolist() == pytest.approx(want, rel=1e-12), (cfg, k)
+            assert mass == pytest.approx(1.0, abs=1e-8), (cfg, k)
 
     # The strongest row at the bench's 2048 trials on the fig6 grid, over
     # seeds fixed before the first run, against its raw row at a large
-    # budget, run with the control's law replaced by 10, which no
-    # probability reaches, so that it reads no law; an error in the law
-    # shows as a bias.  The bounds are those
+    # budget, run with the control's law (montecarlo's ps_ic_rea) replaced
+    # by 10, which no probability reaches, so that it reads no law; an
+    # error in the law shows as a bias.  The bounds are those
     # of TestNoSicControl.test_calibration with the normal law for t, the
     # trials being iid, over the 33 points.
     STRONGEST_CALIBRATION_SEEDS = range(3600, 3664)
@@ -2264,7 +2319,7 @@ class TestRea:
             for seed in self.STRONGEST_CALIBRATION_SEEDS
         ]
         means, stderrs = (np.vectorize(lambda e, f=f: getattr(e, f))(np.array(runs)) for f in ("mean", "stderr"))
-        monkeypatch.setattr(montecarlo, "_rea_no_sic_law", lambda cfg, k, etas: np.full(len(etas), 10.0))
+        monkeypatch.setattr(montecarlo, "ps_ic_rea", lambda etas, cfg, k, cancelled: np.full(len(etas), 10.0))
         ref_trials, ref_seed = self.STRONGEST_REFERENCE
         ref = [simulate_rea(cfg, 1, etas, ref_trials, ref_seed).raw["strongest"] for cfg in cfgs]
         raw_mean, raw_se = (np.array([r[f] for r in ref]) for f in ("mean", "stderr"))
