@@ -47,8 +47,8 @@ only changes how blocks are dispatched, never what they draw, so results
 are bit-identical for any ``threads`` value.  :func:`_run_blocks` is the one
 place that checks the trial budget, hands each block its stream and
 dispatches the blocks; every simulator passes it a ``block(rng, size)``,
-except the two chains of ``ps_sic_curve_mc``, which lay out their own
-blocks (:func:`_rqmc_sums`).
+except the two chains of ``ps_sic_curve_mc`` and ``simulate_rea``, which
+lay out their own blocks (:func:`_rqmc_sums`).
 
 Estimators: the chain and policy simulators never draw the serving link's
 Rayleigh fading h.  Given everything else in a trial, success is the event
@@ -86,18 +86,18 @@ x, so the estimates stay nondecreasing in N draw by draw.  The raw rows stay raw
 controls' own laws (criteria 6 and 7), so an error in mu shows there
 rather than shifting the adjusted estimates unseen.
 
-Both chains of ``ps_sic_curve_mc`` are smooth functions of a fixed
-number of uniforms, so their trials are randomized quasi-Monte Carlo
-points rather than iid draws (:func:`_rqmc_sums`), with R - 1 degrees of
-freedom (``Estimate.dof``).  At the bench's 2048 trials on the fig3 grid
-their variance is a median 19 times (faithful chain) and about 27 times
-(independent stages) below that of iid draws.  A scrambled Sobol' set
-would cut it further, but ``scipy.stats.qmc`` costs about 0.5 s to import
-in a fresh interpreter, so the points are built with numpy alone.  The
-other estimators stay iid, with ``dof`` None: the dimension of most
-depends on its draws (field counts, candidate APs), and
-``simulate_rea``'s, though fixed at tiers + 3 + tiers K draws per trial
-(:func:`_rea_block`), is not yet laid out as quasi-Monte Carlo points.
+Both chains of ``ps_sic_curve_mc`` and ``simulate_rea`` are functions of
+a fixed number of uniforms, so their trials are randomized quasi-Monte
+Carlo points rather than iid draws (:func:`_rqmc_sums`), with R - 1
+degrees of freedom (``Estimate.dof``).  At the bench's 2048 trials their
+variance is a median 19 times (faithful chain) and about 27 times
+(independent stages) below that of iid draws on the fig3 grid, and 7-8
+times on the fig6 grid (:func:`simulate_rea`), whose rows are
+discontinuous in the uniforms.  A scrambled Sobol' set would cut it
+further, but ``scipy.stats.qmc`` costs about 0.5 s to import in a fresh
+interpreter, so the points are built with numpy alone.  The other
+estimators stay iid, with ``dof`` None: the dimension of most depends on
+its draws (field counts, candidate APs).
 """
 
 from __future__ import annotations
@@ -222,13 +222,14 @@ class Estimate:
     def from_sums(
         cls, total: float, total_sq: float, trials: int, seed: int
     ) -> "Estimate":
-        """From the sum and the sum of squares of ``trials`` samples.  The
-        plug-in variance E[X^2] - E[X]^2 is written p(1 - p) - E[X - X^2],
-        so that 0/1 samples (``total_sq == total``) give the Bernoulli
-        p(1 - p) bit for bit."""
+        """From the sum and the sum of squares of ``trials`` samples: the
+        plug-in variance E[X^2] - E[X]^2.  0/1 samples (``total_sq ==
+        total``) give the Bernoulli p(1 - p) bit for bit; other samples take
+        E[X^2] - p^2, whose two terms scale with the samples, so samples
+        much smaller than 1 keep their relative digits."""
         total, total_sq = float(total), float(total_sq)
         p = total / trials
-        var = p * (1.0 - p) - (total - total_sq) / trials
+        var = p * (1.0 - p) if total_sq == total else total_sq / trials - p * p
         return cls(
             mean=p,
             stderr=math.sqrt(max(var, 0.0) / trials),
@@ -281,9 +282,13 @@ class ReaResult:
     Each trial contributes its success probability over every fading and
     the field beyond its drawn APs, the two cancelled rows adjusted by the
     uncancelled one (:func:`simulate_rea`); ``raw`` holds their means and
-    standard errors before that adjustment, as plain floats.  Every trial
-    is drawn inside the REA, so the share of users there is no estimate:
-    it is ``model.rea_association_prob``."""
+    standard errors before that adjustment, as plain floats, from the same
+    replicates.  The trials are randomized quasi-Monte Carlo points, so
+    every standard error comes from the spread of 32 replicate means, with
+    ``dof`` 31; at 2048 trials on the fig6 grid their variance is 2.1-12
+    times (median 7-8) below that of iid trials.  Every trial is drawn
+    inside the REA, so the share of users there is no estimate: it is
+    ``model.rea_association_prob``."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
@@ -1215,56 +1220,76 @@ def simulate_max_inst_sir(
 # ---------------------------------------------------------------------------
 
 
-def _rea_block(cfg: NetworkConfig, k: int, rng: np.random.Generator, size: int):
-    """Draw ``size`` REA trials of tier k (see :func:`simulate_rea`) and
-    return (dist, x, r2_far): each tier's nearest-AP distance, (trials,
-    tiers); the unit mean powers r^-alpha of the K = ``_ARRIVALS`` APs of
-    each tier next beyond its nearest, (trials, tiers, K), and the squared
-    radius of the last of them, (trials, tiers).
+def _rea_layout(cfg: NetworkConfig, k: int):
+    """The coordinates that :func:`_rea_block` reads for tier k: whether a
+    uniform picks the tier j of the first excess (only when more than one
+    tier has D_i > 0; otherwise j is that tier), the tiers whose excess E_i
+    a coordinate gives, and the dimension of a scene."""
+    w, m, big_m = _rea_weights(cfg, k)
+    racing = np.flatnonzero(big_m > m)
+    pick = len(racing) > 1
+    free = [i for i in range(cfg.n_tiers) if i != k and (pick or i != racing[0])]
+    return pick, free, 3 + pick + len(free) + cfg.n_tiers * _ARRIVALS
 
-    The nearest APs are drawn on the REA event exactly, tiers + 3 draws
-    per trial.  In the terms of :func:`model._rea_weights`, with A_i = w_i
-    m_i and D_i = w_i (M_i - m_i) = max(w_i - A_i, 0), the event is u_i >=
-    A_i u_k for every i and u_i - A_i u_k < D_i u_k for some i.  So u_k
-    has density proportional to e^(-a u) (1 - e^(-d u)), a = sum_i A_i
-    and d = sum_i D_i: it is E_1 / a + E_2 / (a + d).  Given u_k, the excesses (u_i - A_i
-    u_k) / D_i are the first arrivals of independent Poisson processes of
-    rates D_i, one at least before u_k.  The first of all, s, is Exp(d)
-    truncated to [0, u_k) and tier j's with probability D_j / d, and each
-    other tier's lies beyond s by a fresh Exp(D_i) (memorylessness;
-    Kingman, *Poisson Processes*, 1993).  Hence u_i = A_i u_k + D_i s +
-    E_i, with E_j = 0, and x_i^2 = u_i / (pi lam_i).
 
-    Given its nearest distance x_i, tier i beyond x_i is again a PPP, so its
-    next APs are Gamma arrivals, pi lam_i r_j^2 = u_i plus the sum of j
-    unit exponentials (:func:`_nearest_users`; Haenggi, *Stochastic
-    Geometry for Wireless Networks*, 2012, ch. 2), and the tier beyond the
-    last of them is a PPP independent of them."""
+def _rea_block(cfg: NetworkConfig, k: int, u: np.ndarray):
+    """Map ``u``, one row of uniforms per REA trial of tier k (see
+    :func:`simulate_rea`), to (dist, x, r2_far): each tier's nearest-AP
+    distance, (trials, tiers); the unit mean powers r^-alpha of the K =
+    ``_ARRIVALS`` APs of each tier next beyond its nearest, (trials, tiers,
+    K), and the squared radius of the last of them, (trials, tiers).
+
+    The nearest APs lie on the REA event exactly.  In the terms of
+    :func:`model._rea_weights`, with A_i = w_i m_i and D_i = w_i (M_i -
+    m_i) = max(w_i - A_i, 0), the event is u_i >= A_i u_k for every i and
+    u_i - A_i u_k < D_i u_k for some i.  So u_k has density proportional to
+    e^(-a u) (1 - e^(-d u)), a = sum_i A_i and d = sum_i D_i: it is E_1 / a
+    + E_2 / (a + d).  Given u_k, the excesses (u_i - A_i u_k) / D_i are the
+    first arrivals of independent Poisson processes of rates D_i, one at
+    least before u_k.  The first of all, s, is Exp(d) truncated to [0, u_k)
+    and tier j's with probability D_j / d, and each other tier's lies
+    beyond s by a fresh Exp(D_i) (memorylessness; Kingman, *Poisson
+    Processes*, 1993).  Hence u_i = A_i u_k + D_i s + E_i, with E_j = 0, and
+    x_i^2 = u_i / (pi lam_i).  Given its nearest distance x_i, tier i beyond
+    x_i is again a PPP, so its next APs are Gamma arrivals, pi lam_i r_j^2 =
+    u_i plus the sum of j unit exponentials (:func:`_nearest_users`;
+    Haenggi, *Stochastic Geometry for Wireless Networks*, 2012, ch. 2), and
+    the tier beyond the last of them is a PPP independent of them.
+
+    Every draw is the inverse CDF of one coordinate, each exponential
+    -log(u), in the order of :func:`_rea_layout`, so that the nearest APs
+    take the low Halton bases: E_1 and E_2, then s = -log(1 - v (1 -
+    e^(-d u_k))) / d from v, then, where more than one tier has D_i > 0,
+    j, the tier whose share of d holds v d, then the E_i of the other
+    tiers, and last the K arrivals of each tier in turn."""
+    size, tiers = len(u), cfg.n_tiers
     lam = np.array([t.lam for t in cfg.tiers])
     w, m, big_m = _rea_weights(cfg, k)
     a_i = w * m
     d_i = w * (big_m - m)
     cdf = np.cumsum(d_i)
     a, d = a_i.sum(), cdf[-1]
+    pick, free, _ = _rea_layout(cfg, k)
 
-    # E_i for every tier (tier k's is E_1), then E_2; two uniforms pick s and j
-    e = rng.standard_exponential((size, cfg.n_tiers + 1))
-    v = rng.random((size, 2))
-    u_k = e[:, k] / a + e[:, -1] / (a + d)
-    s = -np.log1p(v[:, 0] * np.expm1(-d * u_k)) / d
-    # side="right" skips the tiers with D_j = 0; the cap guards v d rounding to d
-    j = np.minimum(np.searchsorted(cdf, v[:, 1] * d, side="right"), np.flatnonzero(d_i)[-1])
-    e[np.arange(size), j] = 0.0
-    u = a_i * u_k[:, None] + d_i * s[:, None] + e[:, :-1]
-    u[:, k] = u_k
+    e = -np.log(u[:, :2])
+    u_k = e[:, 0] / a + e[:, 1] / (a + d)
+    s = -np.log1p(u[:, 2] * np.expm1(-d * u_k)) / d
+    excess = np.zeros((size, tiers))
+    excess[:, free] = -np.log(u[:, 3 + pick : 3 + pick + len(free)])
+    if pick:
+        # side="right" skips the tiers with D_j = 0; the cap guards v d rounding to d
+        j = np.minimum(np.searchsorted(cdf, u[:, 3] * d, side="right"), np.flatnonzero(d_i)[-1])
+        excess[np.arange(size), j] = 0.0
+    near = a_i * u_k[:, None] + d_i * s[:, None] + excess
+    near[:, k] = u_k
 
-    x = np.empty((size, cfg.n_tiers, _ARRIVALS))
-    r2_far = np.empty((size, cfg.n_tiers))
-    for i in range(cfg.n_tiers):
-        arrivals = rng.standard_exponential((size, _ARRIVALS))
-        arrivals[:, 0] += u[:, i]
-        x[:, i], r2_far[:, i] = _nearest_users(arrivals, lam[i], cfg.alpha)
-    return np.sqrt(u / (math.pi * lam)), x, r2_far
+    arrivals = -np.log(u[:, -tiers * _ARRIVALS :]).reshape(size, tiers, _ARRIVALS)
+    arrivals[:, :, 0] += near
+    x = np.empty((size, tiers, _ARRIVALS))
+    r2_far = np.empty((size, tiers))
+    for i in range(tiers):
+        x[:, i], r2_far[:, i] = _nearest_users(arrivals[:, i], lam[i], cfg.alpha)
+    return np.sqrt(near / (math.pi * lam)), x, r2_far
 
 
 def simulate_rea(
@@ -1280,13 +1305,14 @@ def simulate_rea(
     cancellation and with each of two cancellations, all three on the same
     trials.
 
-    Each trial draws the per-tier nearest distances on the REA event of
-    :func:`model._rea_weights` (the biased winner is tier k, the unbiased
-    one another tier) exactly, then the next APs of every tier as Gamma
-    arrivals (:func:`_rea_block`).  It contributes, for each row below,
-    its success probability over every fading and the field beyond the
-    arrivals, exactly: with S the serving AP's mean power, each AP of mean power P
-    that the row keeps gives (1 + eta P / S)^-1, and tier i's field beyond
+    Each trial maps one row of uniforms to the per-tier nearest distances
+    on the REA event of :func:`model._rea_weights` (the biased winner is
+    tier k, the unbiased one another tier) exactly, then to the next APs of
+    every tier as Gamma arrivals (:func:`_rea_block`).  It contributes,
+    for each row below, its success probability over every fading and the
+    field beyond the arrivals, exactly: with S the serving AP's mean power,
+    each AP of mean power P that the row keeps gives (1 + eta P / S)^-1,
+    and tier i's field beyond
     radius r_lo gives exp(-:func:`_far_field`) at s = eta P_i / S.  No
     decision reads a fading or the far field, so the estimates carry no
     window-truncation bias.  The uncancelled row keeps every AP but the
@@ -1308,14 +1334,28 @@ def simulate_rea(
     uncancelled success and mu = E[x], the uncancelled closed form
     ``ps_ic_rea(etas, cfg, k, 0)``.  On the fig6 grid this cuts the
     per-trial variance 1.1-28 times (strongest) and 1.1-14 times
-    (annulus).  The uncancelled row stays raw, and
-    ``raw`` keeps the unadjusted means and standard errors of the other
-    two.  A tier whose REA is empty raises :class:`DegenerateReaError`
-    from that closed form, before any draw.
+    (annulus).  The uncancelled row stays raw, and ``raw`` keeps the
+    unadjusted means and standard errors of the other two.
+
+    The trials are randomized quasi-Monte Carlo points, R = min(32,
+    trials) shifted Halton replicates (:func:`_rqmc_sums`; Owen, *J.
+    Complexity*, 1998), in the coordinates of :func:`_rea_layout`, 5 on
+    the fig6 grid.  Every row comes from the same points: its estimate is
+    the mean over all trials, its standard error the spread of the R
+    replicate means, with R - 1 degrees of freedom (``Estimate.dof``).  At
+    2048 trials on the fig6 grid, iid trials had a variance 2.1-11 times
+    (median 7.0) that of these points in the uncancelled row, 2.4-12
+    times (median 7.9) in the adjusted strongest row and 2.4-9.2 times
+    (median 6.7) in the adjusted annulus row, 20 seeds per bias; the
+    strongest row's argmax and the annulus row's exclusion test are
+    discontinuities in the uniforms, and these figures include them.
+    ``trials`` must be >= 2.  A tier whose REA is empty raises
+    :class:`DegenerateReaError` from that closed form, before any draw.
     """
     if cancel_mode not in ("strongest", "annulus"):
         raise DomainError(f"cancel_mode must be strongest|annulus, got {cancel_mode}")
     etas = np.array(_check_etas(etas))
+    trials = _require_count("trials", trials, 2)
     law = ps_ic_rea(etas, cfg, k, 0)  # checks k, and raises on an empty REA
     alpha = cfg.alpha
     lam = np.array([t.lam for t in cfg.tiers])
@@ -1323,32 +1363,37 @@ def simulate_rea(
     # squared exclusion radii over the squared serving distance: P_i r^-alpha
     # exceeds the serving AP's mean power inside c_i
     exclusion = (p_dl / p_dl[k]) ** (2.0 / alpha)
+    dim = _rea_layout(cfg, k)[2]
 
-    def block(rng: np.random.Generator, size: int):
-        dist, x, r2_far = _rea_block(cfg, k, rng, size)
+    def integrand(u: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        dist, x, r2_far = _rea_block(cfg, k, u.reshape(-1, dim))
+        size = len(dist)
         signal = p_dl[k] * dist[:, k] ** -alpha
-        # the unbiased mean powers of every drawn AP, the serving one at 0:
-        # each tier's nearest, then its arrivals
+        # the unbiased mean powers of every drawn AP, AP x trial, the
+        # serving one at 0: each tier's nearest, then its arrivals
         near = p_dl * dist**-alpha
         near[:, k] = 0.0
-        powers = np.hstack((near, (p_dl[:, None] * x).reshape(size, -1)))
-        dropped = np.zeros((2,) + powers.shape, dtype=bool)
-        dropped[0, np.arange(size), np.argmax(near, axis=1)] = True
-        dropped[1] = powers > signal[:, None]
-        # eta x trial x AP
-        terms = np.log1p(np.divide.outer(etas, signal)[:, :, None] * powers)
-        rows = [terms.sum(axis=-1)] + [np.where(d, 0.0, terms).sum(axis=-1) for d in dropped]
+        powers = np.vstack((near.T, (p_dl[:, None] * x).reshape(size, -1).T))
+        # the APs that each row keeps, (uncancelled, strongest, annulus) x AP x trial
+        keeps = np.ones((3,) + powers.shape)
+        keeps[1, np.argmax(near, axis=1), np.arange(size)] = 0.0
+        keeps[2] = powers <= signal
+        # AP x eta x trial, summed over the kept APs: eta x row x trial
+        terms = np.log1p(powers[:, None, :] * (etas[:, None] / signal))
+        logs = (terms * keeps[:, :, None, :]).sum(axis=1).transpose(1, 0, 2)
         lo2 = np.stack((r2_far, np.maximum(r2_far, exclusion * dist[:, k:k + 1] ** 2)))
         s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
         far = _far_field(lam, lo2, s, alpha).sum(axis=-1)
         # eta x (uncancelled, strongest, annulus) x trial, then the
         # cancelled rows adjusted by the uncancelled one x: y - (x - mu)
-        y = np.exp(-(np.stack(rows, axis=1) + far[:, [0, 0, 1]]))
+        y = np.exp(-(logs + far[:, [0, 0, 1]]))
         adjusted = y[:, 1:] - (y[:, :1] - law[:, None, None])
-        return np.concatenate((_moments(y, 2), _moments(adjusted, 2)), axis=2)
+        values = np.concatenate((y, adjusted), axis=1).reshape(len(etas), 5, *kept.shape)
+        # replicate x eta x row, the padding left out
+        return values.sum(axis=-1, where=kept).transpose(2, 0, 1)
 
-    sums = _run_blocks(trials, seed, block, threads)
-    unc, *raw, strongest, annulus = (tuple(_estimates(sums[:, :, c], trials, seed)) for c in range(5))
+    est = _replicate_estimates(*_rqmc_sums(trials, seed, (dim,), threads, integrand), seed)
+    unc, *raw, strongest, annulus = (tuple(est[:, c]) for c in range(5))
     return ReaResult(
         uncancelled=unc,
         cancelled=annulus if cancel_mode == "annulus" else strongest,

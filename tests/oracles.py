@@ -21,13 +21,15 @@ paths against code that shares no kernel with them:
 - ``ORDERINGS`` names the two cancellation orders of the scalar scenes,
   the keys of ``sicnet.montecarlo.ps_can_curve_mc``'s result;
   ``fading_order_law`` is the exact law of fig2's fading-ordered event.
-- ``rqmc_replicates`` lays out the unit exponentials of the faithful
-  chain's randomized quasi-Monte Carlo replicates point by point, from a
-  scalar Halton sequence (``halton_point``), the values that the library's
-  chunked ``sicnet.montecarlo._rqmc_chain`` must reproduce bit for bit.
-  ``rqmc_stage_chain`` replays the independent-stage chain the same way,
-  one stage of one point at a time, with the chain of the stage means
-  summed level by level.
+- ``rqmc_uniforms`` lays out the uniforms of the randomized quasi-Monte
+  Carlo replicates point by point, from a scalar Halton sequence
+  (``halton_point``), and ``rqmc_replicates`` their unit exponentials, the
+  values that the library's chunked ``sicnet.montecarlo._rqmc_chain``
+  must reproduce bit for bit.  ``rqmc_stage_chain`` replays the
+  independent-stage chain the same way, one stage of one point at a time,
+  with the chain of the stage means summed level by level.
+  ``rea_scene`` maps one row of uniforms to a range-expansion scene by
+  scalar inverse CDFs, the oracle of ``sicnet.montecarlo._rea_block``.
 - ``two_call_gauss`` is the panel-at-a-time adaptive quadrature that
   every row of ``sicnet.numerics.adaptive_gauss`` must reproduce, panel
   for panel.
@@ -262,20 +264,26 @@ def halton_point(i: int, dim: int) -> list[float]:
     return point
 
 
-def rqmc_replicates(trials: int, seed: int, dim: int, replicates: int = 32) -> list[np.ndarray]:
-    """The unit exponentials of the faithful chain's min(``replicates``,
-    ``trials``) replicates, one (n_r, dim) array each: sizes differing by
-    at most one, the larger first; replicate r shifts the first n_r Halton
-    points by ``_stream(seed, r).random(dim)`` modulo 1, keeps each
-    uniform u in [2^-53, 1 - 2^-53] and takes -log(u)."""
+def rqmc_uniforms(trials: int, seed: int, dim: int, replicates: int = 32) -> list[np.ndarray]:
+    """The uniforms of min(``replicates``, ``trials``) randomized
+    quasi-Monte Carlo replicates, one (n_r, dim) array each: sizes
+    differing by at most one, the larger first; replicate r shifts the
+    first n_r Halton points by ``_stream(seed, r).random(dim)`` modulo 1 and
+    keeps each uniform in [2^-53, 1 - 2^-53]."""
     replicates = min(replicates, trials)
     out = []
     for r in range(replicates):
         n = trials // replicates + (r < trials % replicates)
         shift = _stream(seed, r).random(dim)
         u = (np.array([halton_point(i, dim) for i in range(n)]).reshape(n, dim) + shift) % 1.0
-        out.append(-np.log(np.clip(u, 2.0**-53, 1.0 - 2.0**-53)))
+        out.append(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
     return out
+
+
+def rqmc_replicates(trials: int, seed: int, dim: int, replicates: int = 32) -> list[np.ndarray]:
+    """The unit exponentials -log(u) of the faithful chain's replicates,
+    from the uniforms u of :func:`rqmc_uniforms`."""
+    return [-np.log(u) for u in rqmc_uniforms(trials, seed, dim, replicates)]
 
 
 def rqmc_stage_chain(
@@ -465,3 +473,60 @@ def rea_distance_pdf(cfg: NetworkConfig, k: int, x) -> float:
         )
     )
     return float(pdf) if np.ndim(x) == 0 else pdf
+
+
+def rea_scene(cfg: NetworkConfig, k: int, u, arrivals: int = 1):
+    """One REA scene of tier k from one row ``u`` of uniforms, one scalar
+    at a time: each tier's nearest-AP distance, the unit mean powers
+    r^-alpha of its next ``arrivals`` APs, and the squared radius of the
+    last of them.
+
+    With delta = 2/alpha and u_i = pi lam_i x_i^2 for tier i's nearest AP
+    at x_i: w_i = (lam_i / lam_k) (P_i / P_k)^delta, A_i = w_i (b_i /
+    b_k)^delta and D_i = w_i max(1 - (b_i / b_k)^delta, 0), a and d their
+    sums.  The coordinates are read in turn: E_1 = -log(u) and E_2 =
+    -log(u), which give u_k = E_1 / a + E_2 / (a + d); s from the inverse
+    of its CDF (1 - e^(-d s)) / (1 - e^(-d u_k)) on [0, u_k); where more
+    than one tier has D_i > 0, the tier j of the first excess, the first
+    whose running sum of D_i exceeds u d, and otherwise j is the one such
+    tier, which reads no coordinate; the excess E_i = -log(u) of every
+    tier other than k, in tier order, but for a j that read no coordinate;
+    last, tier by tier, the arrivals, pi lam_i r^2 = u_i plus running sums
+    of -log(u).  Tier i's nearest lies at u_i = A_i u_k + D_i s + E_i, with
+    E_j taken as 0."""
+    delta, ref = 2.0 / cfg.alpha, cfg.tiers[k]
+    w = [t.lam / ref.lam * (t.p_dl / ref.p_dl) ** delta for t in cfg.tiers]
+    m = [(t.bias / ref.bias) ** delta for t in cfg.tiers]
+    big_a = [w_i * m_i for w_i, m_i in zip(w, m)]
+    big_d = [w_i * max(1.0 - m_i, 0.0) for w_i, m_i in zip(w, m)]
+    a, d = sum(big_a), sum(big_d)
+    racing = [i for i, d_i in enumerate(big_d) if d_i > 0.0]
+    coords = iter(u)
+    u_k = -math.log(next(coords)) / a - math.log(next(coords)) / (a + d)
+    s = -math.log1p(next(coords) * math.expm1(-d * u_k)) / d
+    j = racing[0]
+    if len(racing) > 1:
+        v, running, j = next(coords) * d, 0.0, racing[-1]
+        for i, d_i in enumerate(big_d):
+            running += d_i
+            if v < running:
+                j = i
+                break
+    near = []
+    for i in range(cfg.n_tiers):
+        if i == k:
+            near.append(u_k)
+            continue
+        excess = 0.0 if i == j and len(racing) == 1 else -math.log(next(coords))
+        near.append(big_a[i] * u_k + big_d[i] * s + (0.0 if i == j else excess))
+    dist, x, r2_far = [], [], []
+    for i, tier in enumerate(cfg.tiers):
+        dist.append(math.sqrt(near[i] / (math.pi * tier.lam)))
+        lead, powers = near[i], []
+        for _ in range(arrivals):
+            lead -= math.log(next(coords))
+            powers.append((lead / (math.pi * tier.lam)) ** (-0.5 * cfg.alpha))
+        x.append(powers)
+        r2_far.append(lead / (math.pi * tier.lam))
+    assert next(coords, None) is None, "a coordinate was left unread"
+    return dist, x, r2_far

@@ -226,14 +226,14 @@ class TestReaAssociation:
     # The fraction of users whose biased winner is tier k while the
     # unbiased winner is another tier, by argmax over per-tier nearest
     # distances, against the law at 3 binomial stderrs; then, per tier, the
-    # nearest distances of those users against _rea_block's exact draws of
-    # the event by a two-sample Kolmogorov-Smirnov test at a Sidak level
-    # for a family rate of 1e-3 over the 5 tiers.  The second config biases
-    # every tier, one of them above b_k
+    # nearest distances of those users against _rea_block's exact map of
+    # iid uniforms onto the event, by a two-sample Kolmogorov-Smirnov test
+    # at a Sidak level for a family rate of 1e-3 over the 5 tiers.  The
+    # second config biases every tier, one of them above b_k
     def test_simulation_oracle(self):
         from scipy import stats
 
-        from sicnet.montecarlo import _rea_block
+        from sicnet.montecarlo import _rea_block, _rea_layout
 
         every_bias = NetworkConfig(
             tiers=(
@@ -257,7 +257,8 @@ class TestReaAssociation:
             target = rea_association_prob(cfg, 1)
             stderr = math.sqrt(target * (1.0 - target) / n)
             assert abs(hit.mean() - target) <= 3.0 * stderr
-            drawn = _rea_block(cfg, 1, np.random.default_rng(43), int(hit.sum()))[0]
+            u = np.random.default_rng(43).random((int(hit.sum()), _rea_layout(cfg, 1)[2]))
+            drawn = _rea_block(cfg, 1, u)[0]
             p_values = [stats.ks_2samp(np.sqrt(x2[hit, i]), drawn[:, i]).pvalue for i in range(cfg.n_tiers)]
             print(f"{cfg.n_tiers} tiers: REA share {hit.mean():.4f} vs {target:.4f}, "
                   f"KS p-values {np.round(p_values, 3)} vs {level:.1e}")

@@ -41,6 +41,7 @@ from sicnet.montecarlo import (
     _nearest_chain_success,
     _nearest_users,
     _rea_block,
+    _rea_layout,
     _reached,
     _replicate_estimates,
     _run_blocks,
@@ -73,7 +74,9 @@ from oracles import (
     halton_point,
     radial_field_oracle,
     rea_distance_pdf,
+    rea_scene,
     rqmc_replicates,
+    rqmc_uniforms,
     rqmc_stage_chain,
     run_sic_trial,
     sample_scene,
@@ -991,9 +994,11 @@ class TestPsCanEstimators:
             for n in range(1, n_orders + 1):
                 scale = eta ** (-n / 2.0)
                 assert got[e_idx][n - 1].mean == pytest.approx(scale * got[0][n - 1].mean, rel=1e-12)
-                # the plug-in variance p(1 - p) - E[X - X^2] keeps about
-                # eps / scale of its relative digits
-                assert got[e_idx][n - 1].stderr == pytest.approx(scale * got[0][n - 1].stderr, rel=1e-6)
+                # the plug-in variance E[X^2] - p^2 scales with the
+                # samples, so it keeps its relative digits at any scale;
+                # no absolute floor, since these stderrs reach 1e-13
+                want = scale * got[0][n - 1].stderr
+                assert got[e_idx][n - 1].stderr == pytest.approx(want, rel=1e-10, abs=0.0)
 
     # Calibration of the fading order's plug-in standard error on fig2's
     # grid at the bench's 2048 trials against fading_order_law, over seeds
@@ -2215,7 +2220,8 @@ class TestRea:
         # wins in biased mean power and another tier in unbiased mean power
         cases = [(two_tier(bias2=5.0), 1)] + [(cfg, k) for cfg, k, _ in _every_bias_cases()]
         for index, (cfg, k) in enumerate(cases):
-            dist = _rea_block(cfg, k, _stream(3800, index), 4096)[0]
+            u = _stream(3800, index).random((4096, _rea_layout(cfg, k)[2]))
+            dist = _rea_block(cfg, k, u)[0]
             p_dl, bias = (np.array([getattr(t, f) for t in cfg.tiers]) for f in ("p_dl", "bias"))
             unbiased = p_dl * dist**-cfg.alpha
             assert np.all(np.argmax(bias * unbiased, axis=1) == k), (cfg, k)
@@ -2224,9 +2230,10 @@ class TestRea:
     def test_serving_distance_law(self):
         # empirical REA serving distances against the closed-form density
         cfg = two_tier(bias2=5.0)
-        # the serving distances of simulate_rea(cfg, 1, ..., 100_000, seed=97)
+        dim = _rea_layout(cfg, 1)[2]
+        # the serving distances of 100 000 rows of iid uniforms (seed 97)
         serving = _run_blocks(
-            100_000, 97, lambda rng, size: [_rea_block(cfg, 1, rng, size)[0][:, 1]]
+            100_000, 97, lambda rng, size: [_rea_block(cfg, 1, rng.random((size, dim)))[0][:, 1]]
         )
         samples = np.sort(np.concatenate(serving))
         grid = np.linspace(5.0, 160.0, 60)
@@ -2238,6 +2245,44 @@ class TestRea:
             ]
         )
         assert float(np.max(np.abs(emp - cdf))) <= 0.02
+
+    def test_map_is_the_scalar_replay(self, monkeypatch):
+        # _rea_block against the scalar inverse-CDF replay of each row of
+        # uniforms (rea_scene), at one arrival and at three, on fig6's b = 5
+        # and the random configs, two of which read a tier pick
+        from sicnet import montecarlo
+
+        cases = [(two_tier(bias2=5.0), 1)] + [(cfg, k) for cfg, k, _ in _every_bias_cases()]
+        assert _rea_layout(*cases[0]) == (False, [], 5)
+        assert {_rea_layout(cfg, k)[0] for cfg, k in cases} == {False, True}
+        for arrivals in (1, 3):
+            monkeypatch.setattr(montecarlo, "_ARRIVALS", arrivals)
+            for index, (cfg, k) in enumerate(cases):
+                u = _stream(3900 + arrivals, index).random((100, _rea_layout(cfg, k)[2]))
+                got = _rea_block(cfg, k, u)
+                for t, row in enumerate(u):
+                    for a, b in zip(got, rea_scene(cfg, k, row, arrivals)):
+                        assert a[t] == pytest.approx(np.array(b), rel=1e-12), (index, t)
+
+    def test_small_budgets(self, monkeypatch):
+        # 2 and 16 trials are replicates of one point each; one trial leaves
+        # no spread to measure, and raises before any stream is opened
+        from sicnet import montecarlo
+
+        cfg = two_tier(bias2=5.0)
+        for trials in (2, 16):
+            res = simulate_rea(cfg, 1, [1.0], trials, 0)
+            ests = res.uncancelled + res.cancelled + res.annulus
+            assert {(e.trials, e.dof) for e in ests} == {(trials, trials - 1)}
+            assert all(0.0 < e.stderr < 1.0 for e in ests)
+
+        def no_draws(seed, index):
+            raise AssertionError("a stream was opened for a budget of one trial")
+
+        monkeypatch.setattr(montecarlo, "_stream", no_draws)
+        for trials in (1, np.int64(1)):
+            with pytest.raises(DomainError, match="trials must be >= 2"):
+                simulate_rea(cfg, 1, [1.0], trials, 0)
 
     def test_modes_share_their_draws(self):
         # one pass computes every estimate; the mode only picks the one
@@ -2260,8 +2305,8 @@ class TestRea:
     # uncancelled row, and the annulus row before its control (``raw``),
     # which would read the uncancelled closed form.  Seeds fixed before the
     # first run; each point's |z| is bounded by the Sidak multiplier for a
-    # family false-alarm rate of 1e-3 over all points, the trials being iid
-    # and the normal law standing for t at 20 000 trials.
+    # family false-alarm rate of 1e-3 over all points, read against
+    # Student's t with the estimates' 31 degrees of freedom.
     GATE_SEEDS = range(3700, 3712)
 
     def test_every_bias_gate(self):
@@ -2275,13 +2320,14 @@ class TestRea:
         z = []
         for (cfg, k, etas), seed in zip(cases, self.GATE_SEEDS, strict=True):
             res = simulate_rea(cfg, k, etas, 20_000, seed)
+            assert {e.dof for e in res.uncancelled} == {31}
             for row, mean, stderr in (
                 (0, [e.mean for e in res.uncancelled], [e.stderr for e in res.uncancelled]),
                 (1, res.raw["annulus"]["mean"], res.raw["annulus"]["stderr"]),
             ):
                 z.extend((np.array(mean) - ps_ic_rea(etas, cfg, k, row)) / np.array(stderr))
         z = np.abs(z)
-        bound = stats.norm.isf(0.5 * (1.0 - (1.0 - 1e-3) ** (1.0 / len(z))))
+        bound = stats.t.isf(0.5 * (1.0 - (1.0 - 1e-3) ** (1.0 / len(z))), 31)
         print(f"{len(z)} points: max |z| {z.max():.2f} vs {bound:.2f}, mean |z| {z.mean():.3f}")
         assert z.max() <= bound, z
 
@@ -2300,9 +2346,9 @@ class TestRea:
     # seeds fixed before the first run, against its raw row at a large
     # budget, run with the control's law (montecarlo's ps_ic_rea) replaced
     # by 10, which no probability reaches, so that it reads no law; an
-    # error in the law shows as a bias.  The bounds are those
-    # of TestNoSicControl.test_calibration with the normal law for t, the
-    # trials being iid, over the 33 points.
+    # error in the law shows as a bias.  The bounds are those of
+    # TestNoSicControl.test_calibration over the 33 points, with Student's
+    # t at the estimates' 31 degrees of freedom for the rate of |z| > 3.
     STRONGEST_CALIBRATION_SEEDS = range(3600, 3664)
     STRONGEST_REFERENCE = (131_072, 3599)
 
@@ -2318,6 +2364,7 @@ class TestRea:
             [simulate_rea(cfg, 1, etas, 2048, seed).cancelled for cfg in cfgs]
             for seed in self.STRONGEST_CALIBRATION_SEEDS
         ]
+        assert {e.dof for run in runs for row in run for e in row} == {31}
         means, stderrs = (np.vectorize(lambda e, f=f: getattr(e, f))(np.array(runs)) for f in ("mean", "stderr"))
         monkeypatch.setattr(montecarlo, "ps_ic_rea", lambda etas, cfg, k, cancelled: np.full(len(etas), 10.0))
         ref_trials, ref_seed = self.STRONGEST_REFERENCE
@@ -2325,10 +2372,9 @@ class TestRea:
         raw_mean, raw_se = (np.array([r[f] for r in ref]) for f in ("mean", "stderr"))
         z = (means - raw_mean) / np.hypot(stderrs, raw_se)
         counts = (np.abs(z) > 3.0).sum(axis=0)
-        bound = stats.binom.isf(1e-3 / raw_mean.size, len(z), 2.0 * stats.norm.sf(3.0))
-        variance_cut = raw_se**2 * ref_trials / ((stderrs**2).mean(axis=0) * 2048)
-        print(f"variance {variance_cut.min():.2f}-{variance_cut.max():.2f} times lower; "
-              f"|z| > 3 counts up to {counts.max()} vs bound {bound:g}; z mean {z.mean():+.3f}, sd {z.std():.3f}")
+        bound = stats.binom.isf(1e-3 / raw_mean.size, len(z), 2.0 * stats.t.sf(3.0, 31))
+        print(f"|z| > 3 counts up to {counts.max()} vs bound {bound:g}; "
+              f"z mean {z.mean():+.3f}, sd {z.std():.3f}")
         assert counts.max() <= bound, counts
         ratio = means.std(axis=0, ddof=1) / stderrs.mean(axis=0)
         pooled = math.sqrt(means.var(axis=0, ddof=1).sum() / (stderrs**2).mean(axis=0).sum())
@@ -2340,16 +2386,16 @@ class TestRea:
         print(f"mean error / its stderr: {np.abs(bias).max():.2f} at most vs {limit:.2f}")
         assert np.all(np.abs(bias) <= limit), bias
 
-    # Calibration of the plug-in standard error on the fig6 grid at the
-    # bench's 2048 trials, the uncancelled row against ps_ic_rea(..., 0) and
-    # the annulus row against ps_ic_rea(..., 1), over seeds fixed before the
-    # first run.  The bounds are those of TestRqmcStages.test_calibration
-    # with the normal law in place of t_31, the trials being iid: each
-    # point's count of |z| > 3 is Binomial(64, 2 P(Z > 3)), bounded for all
-    # 66 points at a family rate of 1e-3; a sample standard deviation over
-    # 64 seeds leaves (0.6, 1.5) of the true one with probability below
-    # 1e-7 (chi-square, 63 dof); the mean error over the seeds, in units of
-    # its own standard error, is read against t_63 at a family rate of 1e-3.
+    # Calibration of the replicate standard error on the fig6 grid at the
+    # bench's 2048 trials (32 replicates of 64), the uncancelled row against
+    # ps_ic_rea(..., 0) and the annulus row against ps_ic_rea(..., 1), over
+    # seeds fixed before the first run.  The bounds are those of
+    # TestRqmcStages.test_calibration: each point's count of |z| > 3 is
+    # Binomial(64, 2 P(T_31 > 3)), bounded for all 66 points at a family
+    # rate of 1e-3; a sample standard deviation over 64 seeds leaves (0.6,
+    # 1.5) of the true one with probability below 1e-7 (chi-square, 63
+    # dof); the mean error over the seeds, in units of its own standard
+    # error, is read against t_63 at a family rate of 1e-3.
     CALIBRATION_SEEDS = range(3500, 3564)
 
     def test_calibration(self):
@@ -2372,12 +2418,13 @@ class TestRea:
                        for row in rows] for run in runs])
             for field in ("mean", "stderr")
         )
+        assert {e.dof for run in runs for res in run for e in res.uncancelled + res.annulus} == {31}
         z = (means - want) / stderrs
-        p = 2.0 * stats.norm.sf(3.0)
+        p = 2.0 * stats.t.sf(3.0, 31)
         counts = (np.abs(z) > 3.0).sum(axis=0)
         bound = stats.binom.isf(1e-3 / want.size, len(z), p)
         share = (np.abs(z) > 3.0).mean(axis=(0, 2, 3))
-        print(f"|z| > 3 share {share[0]:.4f} / {share[1]:.4f} vs normal rate {p:.4f}, "
+        print(f"|z| > 3 share {share[0]:.4f} / {share[1]:.4f} vs t31 rate {p:.4f}, "
               f"largest count {counts.max()} vs bound {bound:g}; "
               f"z sd {z[:, 0].std():.3f} / {z[:, 1].std():.3f}")
         assert counts.max() <= bound, counts
@@ -2578,40 +2625,50 @@ class TestConditionalEstimators:
 
     @pytest.mark.parametrize("cancel_mode", ["strongest", "annulus"])
     def test_rea(self, cancel_mode):
-        # a block's scene (_rea_block): each tier's nearest AP and its next
-        # arrivals.  The scalar loop (_scalar_rea) gives each trial's success
-        # over every fading and the field beyond the arrivals, whose means
-        # simulate_rea reports, ``cancelled`` the row that cancel_mode
-        # names: the uncancelled row and the unadjusted cancelled rows
-        # (``raw``) as they are, and the reported cancelled rows each less
-        # the trial's uncancelled value plus that row's exact mean,
-        # ps_ic_rea(..., 0).  The 0/1 oracle draws those fadings, the
-        # serving fading and each tier's field beyond its last arrival,
-        # sampled until 1% of its mean interference is left out, all
-        # separately; the annulus row clears the sampled points inside the
-        # exclusion radius too
+        # the replicates' uniforms (rqmc_uniforms) give each trial's scene,
+        # each tier's nearest AP and its next arrivals, by the scalar map
+        # (rea_scene).  The scalar loop (_scalar_rea) gives each trial's
+        # success over every fading and the field beyond the arrivals:
+        # simulate_rea reports the uncancelled row and the unadjusted
+        # cancelled rows (``raw``) as they are, and the reported cancelled
+        # rows each less the trial's uncancelled value plus that row's exact
+        # mean, ps_ic_rea(..., 0), ``cancelled`` the row that cancel_mode
+        # names.  Each mean is that over all trials, each stderr that of the
+        # replicate means.  The 0/1 oracle draws those fadings, the serving
+        # fading and each tier's field beyond its last arrival, sampled
+        # until 1% of its mean interference is left out, all separately;
+        # the annulus row clears the sampled points inside the exclusion
+        # radius too
         from sicnet.analytic import ps_ic_rea
 
         cfg, etas, size, seed = two_tier(bias2=5.0), [0.5, 1.0, 2.0], 2000, 17
-        dist, x, r2_far, *_ = _rea_block(cfg, 1, _stream(seed, 0), size)
-        cond = np.array([
-            [_scalar_rea(cfg, 1, eta, dist[t], x[t], r2_far[t]) for t in range(size)]
-            for eta in etas
-        ])
+        reps = rqmc_uniforms(size, seed, _rea_layout(cfg, 1)[2])
+        sizes = np.array([len(r) for r in reps])
+        scenes = [rea_scene(cfg, 1, row) for row in np.concatenate(reps)]
+        dist, x, r2_far = (np.array([scene[i] for scene in scenes]) for i in range(3))
+        # eta x trial x (uncancelled, strongest, annulus)
+        cond = np.array([[_scalar_rea(cfg, 1, eta, *scene) for scene in scenes] for eta in etas])
         res = simulate_rea(cfg, 1, etas, size, seed, cancel_mode=cancel_mode)
-        rows = {"cancelled": 1 if cancel_mode == "strongest" else 2, "annulus": 2}
-        for e_idx, eta in enumerate(etas):
-            unc = cond[e_idx, :, 0]
-            assert res.uncancelled[e_idx].mean == pytest.approx(unc.sum() / size, rel=1e-12)
-            for name, c in (("strongest", 1), ("annulus", 2)):
-                raw = res.raw[name]["mean"][e_idx]
-                assert raw == pytest.approx(cond[e_idx, :, c].sum() / size, rel=1e-12)
-            law = ps_ic_rea(eta, cfg, 1, 0)
-            for name, c in rows.items():
-                est = getattr(res, name)[e_idx]
-                adjusted = cond[e_idx, :, c] - unc + law
-                assert est.mean == pytest.approx(adjusted.sum() / size, rel=1e-12)
-                assert est.stderr == pytest.approx(adjusted.std() / math.sqrt(size), rel=1e-9)
+        unc = cond[:, :, 0]
+        law = np.array([ps_ic_rea(eta, cfg, 1, 0) for eta in etas])[:, None]
+        raw = {row: list(zip(res.raw[row]["mean"], res.raw[row]["stderr"])) for row in res.raw}
+        reported = {
+            "uncancelled": (unc, res.uncancelled),
+            "raw strongest": (cond[:, :, 1], raw["strongest"]),
+            "raw annulus": (cond[:, :, 2], raw["annulus"]),
+            "cancelled": (cond[:, :, 1 if cancel_mode == "strongest" else 2] - unc + law, res.cancelled),
+            "annulus": (cond[:, :, 2] - unc + law, res.annulus),
+        }
+        for name, (values, got) in reported.items():
+            got = [(e.mean, e.stderr) if isinstance(e, Estimate) else e for e in got]
+            # replicate x eta
+            sums = np.array([v.sum(axis=1) for v in np.split(values, np.cumsum(sizes)[:-1], axis=1)])
+            mean = sums.sum(axis=0) / size
+            se = np.sqrt(sizes @ (sums / sizes[:, None] - mean) ** 2 / ((len(sizes) - 1) * size))
+            assert [m for m, _ in got] == pytest.approx(mean, rel=1e-12), name
+            assert [e for _, e in got] == pytest.approx(se, rel=1e-9), name
+        ests = res.uncancelled + res.cancelled + res.annulus
+        assert {(e.trials, e.dof) for e in ests} == {(size, len(sizes) - 1)}
 
         other = np.random.default_rng(18)
         p_dl = np.array([t.p_dl for t in cfg.tiers])
@@ -2684,8 +2741,7 @@ class TestConditionalEstimators:
             for t in (1, 4)
         ]
         single, multi = runs
-        assert single[0].uncancelled == multi[0].uncancelled
-        assert single[0].cancelled == multi[0].cancelled
+        assert single[0] == multi[0]  # every row, ``raw`` included
         assert single[1].coverage == multi[1].coverage
         assert single[1].coverage_sic == multi[1].coverage_sic
         assert single[2:] == multi[2:]
