@@ -25,14 +25,15 @@ nearest one as Gamma arrivals and integrates out every fading and the
 field beyond them in the same way.  ``ps_can_curve_mc`` in order of
 faded power draws the faded powers themselves as the Gamma arrivals of
 their power-domain PPP and adds the Campbell mean of those past the
-``_FADING_ARRIVALS`` strongest.  Without SIC
-(``max_sir_success_curve_mc``, N = 0) the max-SIR runs draw no field and
-take each AP's whole field from the PPP's Laplace transform
-(:func:`_far_field`).  The other simulators decide cancellations on the
-residual of a field that several decisions share, or decide loads inside
-their window, so the factor would not be exact there, and they truncate
-at a fixed disk, which drops a small share of the interference and so
-reads success slightly high: the shared-field max-SIR runs at R_sim = 20
+``_FADING_ARRIVALS`` strongest.  Without SIC (N = 0) the max-SIR runs
+with independent fields draw no field and take each AP's whole field
+from the PPP's Laplace transform (:func:`_far_field`); the shared-field
+ones draw the window's users and link fadings even then
+(:func:`_max_sir_block`).  The other simulators decide cancellations on
+the residual of a field that several decisions share, or decide loads
+inside their window, so the factor would not be exact there, and they
+truncate at a fixed disk, which drops a small share of the interference
+and so reads success slightly high: the shared-field max-SIR runs at R_sim = 20
 / sqrt(pi mu) (:func:`window_radius`, about 400 expected users),
 ``simulate_min_load`` at its connectivity range plus a margin.  The
 shared-field max-SIR runs draw a whole block's user counts at once, after
@@ -88,16 +89,19 @@ rather than shifting the adjusted estimates unseen.
 
 Both chains of ``ps_sic_curve_mc`` and ``simulate_rea`` are functions of
 a fixed number of uniforms, so their trials are randomized quasi-Monte
-Carlo points rather than iid draws (:func:`_rqmc_sums`), with R - 1
-degrees of freedom (``Estimate.dof``).  At the bench's 2048 trials their
-variance is a median 19 times (faithful chain) and about 27 times
-(independent stages) below that of iid draws on the fig3 grid, and 7-8
-times on the fig6 grid (:func:`simulate_rea`), whose rows are
-discontinuous in the uniforms.  A scrambled Sobol' set would cut it
-further, but ``scipy.stats.qmc`` costs about 0.5 s to import in a fresh
-interpreter, so the points are built with numpy alone.  The other
-estimators stay iid, with ``dof`` None: the dimension of most depends on
-its draws (field counts, candidate APs).
+Carlo points rather than iid draws (:func:`_rqmc_sums`): replicates of
+Sobol' points, each copy under its own random linear scramble and
+digital shift (Matousek, *J. Complexity*, 1998), with R - 1 degrees of
+freedom (``Estimate.dof``).  At the bench's 2048 trials their variance
+is a median 57 times (faithful chain) and 78 times (independent stages)
+below that of iid uniforms on the fig3 grid, and 21-47 times on the fig6
+grid (:func:`simulate_rea`), whose rows are discontinuous in the
+uniforms.  Summed over each grid, the shifted Halton points that they
+replaced had 3.4, 3.4 and 4.8 times this variance, and at least 2 times
+at every grid point.  The points are built with numpy alone, since
+``scipy.stats.qmc`` costs about 0.5 s to import in a fresh interpreter.
+The other estimators stay iid, with ``dof`` None: the dimension of most
+depends on its draws (field counts, candidate APs).
 """
 
 from __future__ import annotations
@@ -285,10 +289,10 @@ class ReaResult:
     standard errors before that adjustment, as plain floats, from the same
     replicates.  The trials are randomized quasi-Monte Carlo points, so
     every standard error comes from the spread of 32 replicate means, with
-    ``dof`` 31; at 2048 trials on the fig6 grid their variance is 2.1-12
-    times (median 7-8) below that of iid trials.  Every trial is drawn
-    inside the REA, so the share of users there is no estimate: it is
-    ``model.rea_association_prob``."""
+    ``dof`` 31; at 2048 trials on the fig6 grid their variance is 4.7-148
+    times (median 21-47 by row) below that of iid trials.  Every trial is
+    drawn inside the REA, so the share of users there is no estimate: it
+    is ``model.rea_association_prob``."""
 
     uncancelled: tuple[Estimate, ...]
     cancelled: tuple[Estimate, ...]
@@ -474,66 +478,190 @@ def _cancel_weights(x, eta: float, n_max: int):
         yield w, beta
 
 
-# The randomized quasi-Monte Carlo layout of both SIC chains: at most this
-# many replicates, each an independently shifted copy of one Halton point set.
+# The randomized quasi-Monte Carlo layout of every RQMC estimator: at most
+# this many replicates, each an independently scrambled copy of one Sobol'
+# point set.
 _REPLICATES = 32
 
 # Uniforms are kept in [this, 1 - this], so that no exponential is 0 or inf.
 _UNIFORM_EDGE = 2.0**-53
 
+# The binary digits of a Sobol' point, all exact in a float.
+_SOBOL_BITS = 52
 
-def _primes(n: int) -> list[int]:
-    """The first ``n`` primes, the bases of the Halton sequence."""
-    primes = []
-    k = 2
-    while len(primes) < n:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    return primes
+# Joe and Kuo's direction numbers (*SIAM J. Sci. Comput.*, 2008), the table
+# that scipy.stats.qmc.Sobol reads, for the first 128 coordinates, as
+# "poly:m_1,...,m_s" per coordinate: its primitive polynomial as an
+# integer, leading and constant terms included, and its initial m_1..m_s.
+# Coordinate 0 is van der Corput's.  A string, parsed once at import, costs
+# less to compile than the literal tuples.  The widest layout in use is REA's window check, 2 tiers of 50
+# arrivals in 103 coordinates; the presets read at most 9.
+_SOBOL_TABLE = tuple(
+    (int(poly), tuple(int(m) for m in init.split(",")))
+    for poly, init in (entry.split(":") for entry in """
+    1:1 3:1 7:1,3 11:1,3,1 13:1,1,1 19:1,1,3,3 25:1,3,5,13 37:1,1,5,5,17 41:1,1,5,5,5
+    47:1,1,7,11,19 55:1,1,5,1,1 59:1,1,1,3,11 61:1,3,5,5,31 67:1,3,3,9,7,49
+    91:1,1,1,15,21,21 97:1,3,1,13,27,49 103:1,1,1,15,7,5 109:1,3,1,15,13,25
+    115:1,1,5,5,19,61 131:1,3,7,11,23,15,103 137:1,3,7,13,13,15,69 143:1,1,3,13,7,35,63
+    145:1,3,5,9,1,25,53 157:1,3,1,13,9,35,107 167:1,3,1,5,27,61,31 171:1,1,5,11,19,41,61
+    185:1,3,5,3,3,13,69 191:1,1,7,13,1,19,1 193:1,3,7,5,13,19,59 203:1,1,3,9,25,29,41
+    211:1,3,5,13,23,1,55 213:1,3,7,3,13,59,17 229:1,3,1,3,5,53,69 239:1,1,5,5,23,33,13
+    241:1,1,7,7,1,61,123 247:1,1,7,9,13,61,49 253:1,3,3,5,3,55,33
+    285:1,3,1,15,31,13,49,245 299:1,3,5,15,31,59,63,97 301:1,3,1,11,11,11,77,249
+    333:1,3,1,11,27,43,71,9 351:1,1,7,15,21,11,81,45 355:1,3,7,3,25,31,65,79
+    357:1,3,1,1,19,11,3,205 361:1,1,5,9,19,21,29,157 369:1,3,7,11,1,33,89,185
+    391:1,3,3,3,15,9,79,71 397:1,3,7,11,15,39,119,27 425:1,1,3,1,11,31,97,225
+    451:1,1,1,3,23,43,57,177 463:1,3,7,7,17,17,37,71 487:1,3,1,5,27,63,123,213
+    501:1,1,3,5,11,43,53,133 529:1,3,5,5,29,17,47,173,479 539:1,3,3,11,3,1,109,9,69
+    545:1,1,1,5,17,39,23,5,343 557:1,3,1,5,25,15,31,103,499
+    563:1,1,1,11,11,17,63,105,183 601:1,1,5,11,9,29,97,231,363
+    607:1,1,5,15,19,45,41,7,383 617:1,3,7,7,31,19,83,137,221
+    623:1,1,1,3,23,15,111,223,83 631:1,1,5,13,31,15,55,25,161
+    637:1,1,3,13,25,47,39,87,257 647:1,1,1,11,21,53,125,249,293
+    661:1,1,7,11,11,7,57,79,323 675:1,1,5,5,17,13,81,3,131 677:1,1,7,13,23,7,65,251,475
+    687:1,3,5,1,9,43,3,149,11 695:1,1,3,13,31,13,13,255,487 701:1,3,3,1,5,63,89,91,127
+    719:1,1,3,3,1,19,123,127,237 721:1,1,5,7,23,31,37,243,289
+    731:1,1,5,11,17,53,117,183,491 757:1,1,1,5,1,13,13,209,345
+    761:1,1,3,15,1,57,115,7,33 787:1,3,1,11,7,43,81,207,175 789:1,3,1,1,15,27,63,255,49
+    799:1,3,5,3,27,61,105,171,305 803:1,1,5,3,1,3,57,249,149 817:1,1,3,5,5,57,15,13,159
+    827:1,1,1,11,7,11,105,141,225 847:1,3,3,5,27,59,121,101,271
+    859:1,3,5,9,11,49,51,59,115 865:1,1,7,1,23,45,125,71,419 875:1,1,3,5,23,5,105,109,75
+    877:1,1,7,15,7,11,67,121,453 883:1,3,7,3,9,13,31,27,449 895:1,3,1,15,19,39,39,89,15
+    901:1,1,1,1,1,33,73,145,379 911:1,3,1,15,15,43,29,13,483
+    949:1,1,7,3,19,27,85,131,431 953:1,3,3,3,5,35,23,195,349 967:1,3,3,7,9,27,39,59,297
+    971:1,1,3,9,11,17,13,241,157 973:1,3,7,15,25,57,33,189,213
+    981:1,1,7,1,9,55,73,83,217 985:1,3,3,13,19,27,23,113,249 995:1,3,5,3,23,43,3,253,479
+    1001:1,1,5,5,11,5,45,117,217 1019:1,3,3,7,29,37,33,123,147
+    1033:1,3,1,15,5,5,37,227,223,459 1051:1,1,7,5,5,39,63,255,135,487
+    1063:1,3,1,7,9,7,87,249,217,599 1069:1,1,3,13,9,47,7,225,363,247
+    1125:1,3,7,13,19,13,9,67,9,737 1135:1,3,5,5,19,59,7,41,319,677
+    1153:1,1,5,3,31,63,15,43,207,789 1163:1,1,7,9,13,39,3,47,497,169
+    1221:1,3,1,7,21,17,97,19,415,905 1239:1,3,7,1,3,31,71,111,165,127
+    1255:1,1,5,11,1,61,83,119,203,847 1267:1,3,3,13,9,61,19,97,47,35
+    1279:1,1,7,7,15,29,63,95,417,469 1293:1,3,1,9,25,9,71,57,213,385
+    1305:1,3,5,13,31,47,101,57,39,341 1315:1,1,3,3,31,57,125,173,365,551
+    1329:1,3,7,1,13,57,67,157,451,707 1341:1,1,1,7,21,13,105,89,429,965
+    1347:1,1,5,9,17,51,45,119,157,141 1367:1,3,7,7,13,45,91,9,129,741
+    1387:1,3,7,1,23,57,67,141,151,571 1413:1,1,3,11,17,47,93,107,375,157
+    1423:1,3,3,5,11,21,43,51,169,915 1431:1,1,5,3,15,55,101,67,455,625
+    1441:1,3,5,9,1,23,29,47,345,595 1479:1,3,7,7,5,49,29,155,323,589
+    1509:1,3,3,7,5,41,127,61,261,717
+""".split())
+)
 
 
-def _halton(lo: int, hi: int, dim: int) -> np.ndarray:
-    """Points lo..hi-1 of the ``dim``-dimensional Halton sequence, a (hi -
-    lo, dim) array: column k holds the radical inverse of the point's index
-    in the k-th prime base, its base-b digits mirrored about the radix
-    point (Halton, *Numer. Math.*, 1960).  Point 0 is the origin."""
-    index = np.arange(lo, hi)
-    points = np.zeros((len(index), dim))
-    for k, base in enumerate(_primes(dim)):
-        rest, scale = index, 1.0
-        while rest.any():
-            rest, digit = np.divmod(rest, base)
-            scale /= base
-            points[:, k] += digit * scale
-    return points
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(dim: int, bits: int) -> np.ndarray:
+    """The first ``bits`` direction numbers of the first ``dim`` Sobol'
+    coordinates, a read-only (dim, bits) array of 52-bit integers: entry k
+    - 1 is m_k 2^(52 - k), the k-th column of the coordinate's generator
+    matrix, most significant digit first.  Past the table's initial values,
+    the polynomial x^s + a_1 x^(s-1) + ... + a_(s-1) x + 1 gives m_k = 2
+    a_1 m_(k-1) ^ 4 a_2 m_(k-2) ^ ... ^ 2^s m_(k-s) ^ m_(k-s), ^ the
+    bitwise XOR (Joe and Kuo, 2008); coordinate 0 has every m_k = 1."""
+    table = np.empty((dim, bits), dtype=np.uint64)
+    for d, (poly, init) in enumerate(_SOBOL_TABLE[:dim]):
+        s, m = poly.bit_length() - 1, list(init)
+        while len(m) < bits:
+            new = m[-s] ^ (m[-s] << s) if s else 1
+            for j in range(1, s):
+                if poly >> (s - j) & 1:
+                    new ^= m[-j] << j
+            m.append(new)
+        table[d] = [m_k << (_SOBOL_BITS - k) for k, m_k in enumerate(m[:bits], 1)]
+    table.flags.writeable = False
+    return table
+
+
+def _scramble(directions: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Direction numbers of independent copies of a Sobol' set under
+    linear matrix scrambling (Matousek, *J. Complexity*, 1998): each copy's
+    generator matrices multiplied over GF(2) on the left by a random
+    lower-triangular binary matrix with unit diagonal, one per coordinate.
+    ``directions`` is (dim, bits) (:func:`_sobol_directions`) and
+    ``draws`` (..., dim, bits) 52-bit integers: column l of a copy's
+    matrix is the digit 2^(52 - l) on its diagonal plus ``draws[..., l -
+    1] >> l`` below it.  Direction number k has no digit below position k,
+    so it meets only columns 1..k: its image is the XOR of the columns l
+    at which its digit is 1.  Returns the copies' direction numbers, the
+    shape of ``draws``."""
+    bits = directions.shape[1]
+    depth = np.arange(1, bits + 1, dtype=np.uint64)
+    columns = (draws >> depth) | (np.uint64(1) << (_SOBOL_BITS - depth))
+    out = np.zeros(draws.shape, dtype=np.uint64)
+    for l in range(bits):
+        digit = (directions >> np.uint64(_SOBOL_BITS - 1 - l)) & np.uint64(1)
+        out ^= columns[..., l, None] * digit
+    return out
+
+
+def _sobol(lo: int, hi: int, directions: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Points lo..hi-1 of base-2 digital sequences in natural index order,
+    an (..., hi - lo, dim) array in [0, 1): point i of a copy is its
+    digital ``shift`` (..., dim) XOR the copy's ``directions`` (..., dim,
+    bits) at every set bit of i, over 2^52.  ``lo`` is a multiple of 2^t,
+    the least power of 2 >= hi - lo, as every chunk of :func:`_rqmc_sums`
+    is, so point lo + j is point lo XOR the directions at the set bits of
+    j < 2^t: the points are built from point lo by doubling, point j + 2^k
+    being point j XOR direction k."""
+    lo, hi = int(lo), int(hi)
+    t = (hi - lo - 1).bit_length()
+    # built with the indices along the last axis, then written transposed
+    table = np.empty(shift.shape + (1 << t,), dtype=np.uint64)
+    table[..., 0] = shift
+    for k in range(t, directions.shape[-1]):
+        if lo >> k & 1:
+            table[..., 0] ^= directions[..., k]
+    for k in range(t):
+        np.bitwise_xor(
+            table[..., : 1 << k], directions[..., k, None], out=table[..., 1 << k : 2 << k]
+        )
+    out = np.empty(shift.shape[:-1] + (hi - lo, shift.shape[-1]))
+    np.multiply(table[..., : hi - lo], 2.0**-_SOBOL_BITS, out=np.swapaxes(out, -1, -2))
+    return out
 
 
 def _rqmc_sums(trials: int, seed: int, shape: tuple, threads: int, integrand):
     """Replicate sums of ``integrand`` over randomized quasi-Monte Carlo
     points, and the replicate sizes.  The ``trials`` >= 2 split into R =
     min(``_REPLICATES``, trials) replicates of near-equal size, the larger
-    first.  Replicate r shifts the first n_r points of the Halton sequence
-    (:func:`_halton`) in dimension shape[-1] modulo 1 by an array of
-    ``shape`` uniforms from ``_stream(seed, r)``, each of its rows shifting
-    its own independent copy (Cranley and Patterson, *SIAM J. Numer.
-    Anal.*, 1976).  The replicates run through :func:`_run_blocks` side by
-    side, in chunks of the same BLOCK_TRIALS // R Halton indices of each,
-    so memory does not grow with the budget.  A chunk returns
-    ``integrand(u, kept)``, every replicate's sums over its uniforms u, an
-    (R, *shape[:-1], n, shape[-1]) array in [2^-53, 1 - 2^-53], where the
-    (R, n) mask ``kept`` drops the last chunk's padding of the smaller
-    replicates.  The chunks add in order, whatever ``threads``."""
+    first.  Replicate r takes the first n_r points of its own copies of the
+    Sobol' sequence (:func:`_sobol`), one copy per row of ``shape[:-1]``
+    and per coordinate, each under its own linear matrix scramble
+    (:func:`_scramble`) and digital shift.  Every bit of them comes from
+    one draw, made before any block runs, ``_stream(seed, 0).integers(0,
+    2**52, (R, *shape, 53), dtype=np.uint64)``: per copy, entries 0..51
+    give the columns 1..52 of its scrambling matrix, of which the first B =
+    bit length of n_1 - 1 are read, and entry 52 its shift.  A layout of
+    more coordinates than :data:`_SOBOL_TABLE` holds, 128, raises
+    :class:`DomainError` before any stream is opened.  The replicates run
+    through :func:`_run_blocks` side by side, in chunks of the same
+    BLOCK_TRIALS // R indices of each, so memory does not grow with the
+    budget.  A chunk returns ``integrand(u, kept)``, every replicate's sums
+    over its uniforms u, an (R, *shape[:-1], n, shape[-1]) array in [2^-53,
+    1 - 2^-53], where the (R, n) mask ``kept`` drops the last chunk's
+    padding of the smaller replicates.  The chunks add in order, whatever
+    ``threads``."""
+    dim = shape[-1]
+    if dim > len(_SOBOL_TABLE):
+        raise DomainError(
+            f"a randomized quasi-Monte Carlo layout has at most {len(_SOBOL_TABLE)} "
+            f"coordinates, got {dim}"
+        )
     replicates = min(_REPLICATES, trials)
     sizes = np.full(replicates, trials // replicates)
     sizes[: trials % replicates] += 1
-    shifts = np.stack([_stream(seed, r).random(shape) for r in range(replicates)])
+    bits = int(sizes[0] - 1).bit_length()
+    draws = _stream(seed, 0).integers(
+        0, 1 << _SOBOL_BITS, (replicates, *shape, _SOBOL_BITS + 1), dtype=np.uint64
+    )
+    directions = _scramble(_sobol_directions(dim, bits), draws[..., :bits])
+    shift = draws[..., _SOBOL_BITS]
     step = BLOCK_TRIALS // replicates
 
     def block(_, lo: int) -> np.ndarray:
         hi = min(lo + step, sizes[0])
-        u = _halton(lo, hi, shape[-1]) + shifts[..., None, :]
-        u %= 1.0
+        u = _sobol(lo, hi, directions, shift)
         np.clip(u, _UNIFORM_EDGE, 1.0 - _UNIFORM_EDGE, out=u)
         return integrand(u, np.arange(lo, hi) < sizes[:, None])
 
@@ -641,9 +769,9 @@ def _rqmc_stages(
     """The independent-stage chain of :func:`ps_sic_curve_mc` on randomized
     quasi-Monte Carlo points.  Each of its 2 n_max + 1 stages is its own
     integral over 1 + ``_ARRIVALS`` uniforms (:func:`_stage_scenes`),
-    with its own shift of the points in every replicate
-    (:func:`_rqmc_sums`).  The stage means of a replicate are then
-    independent, so the chain success of those means
+    with its own scrambled and shifted copies of the points in every
+    replicate (:func:`_rqmc_sums`).  The stage means of a replicate are
+    then independent, so the chain success of those means
     (:func:`_stage_chain_success`), multilinear in them, is unbiased; the R
     replicate values give the estimate and its standard error."""
     stages = 2 * n_max + 1
@@ -692,10 +820,11 @@ def ps_sic_curve_mc(
     :func:`max_sir_success_curve_mc`.
 
     Both chains run on randomized quasi-Monte Carlo points, R = min(32,
-    trials) shifted Halton replicates (:func:`_rqmc_sums`; Owen, *J.
-    Complexity*, 1998): the estimate is the mean over all trials, and its
-    standard error comes from the spread of the R replicate values, with R
-    - 1 degrees of freedom (``Estimate.dof``).  ``trials`` must be >= 2.
+    trials) replicates of scrambled Sobol' points (:func:`_rqmc_sums`;
+    Owen, *J. Complexity*, 1998): the estimate is the mean over all
+    trials, and its standard error comes from the spread of the R
+    replicate values, with R - 1 degrees of freedom (``Estimate.dof``).
+    ``trials`` must be >= 2.
     """
     _require_positive("lambda_eq", lambda_eq)
     _require_positive("mu_j", mu_j)
@@ -1173,11 +1302,13 @@ def max_sir_success_curve_mc(
     independent per-link fading); ``independent_fields=True`` instead gives
     every AP a field of its own, which is exactly the decoupling the closed
     form assumes, so it isolates implementation errors from model error.
-    No decision reads those fields, so they are not drawn: each AP's
-    exp(-eta I_a / S_a) is averaged over its field exactly, by the PPP's
-    Laplace transform (:func:`_far_field` from radius 0), and only the
-    candidate APs are sampled, a whole block's in one set of array draws
-    (:func:`_max_sir_block`).  The trials are those of
+    Independent fields are not drawn, since no decision reads them: each
+    AP's exp(-eta I_a / S_a) is averaged over its field exactly, by the
+    PPP's Laplace transform (:func:`_far_field` from radius 0), and only
+    the candidate APs are sampled, a whole block's in one set of array
+    draws.  The shared field is drawn, the window's users and the fading
+    of every AP-user link, since the APs that observe it are not
+    independent (:func:`_max_sir_block`).  The trials are those of
     :func:`simulate_max_inst_sir` with N = 0.
     """
     etas = _check_etas(etas)
@@ -1258,7 +1389,7 @@ def _rea_block(cfg: NetworkConfig, k: int, u: np.ndarray):
 
     Every draw is the inverse CDF of one coordinate, each exponential
     -log(u), in the order of :func:`_rea_layout`, so that the nearest APs
-    take the low Halton bases: E_1 and E_2, then s = -log(1 - v (1 -
+    take the first coordinates: E_1 and E_2, then s = -log(1 - v (1 -
     e^(-d u_k))) / d from v, then, where more than one tier has D_i > 0,
     j, the tier whose share of d holds v d, then the E_i of the other
     tiers, and last the K arrivals of each tier in turn."""
@@ -1290,6 +1421,24 @@ def _rea_block(cfg: NetworkConfig, k: int, u: np.ndarray):
     for i in range(tiers):
         x[:, i], r2_far[:, i] = _nearest_users(arrivals[:, i], lam[i], cfg.alpha)
     return np.sqrt(near / (math.pi * lam)), x, r2_far
+
+
+def _rea_far_fields(lam, r2_far, c2, s, k: int, alpha: float) -> np.ndarray:
+    """The far-field exponents of :func:`simulate_rea`'s uncancelled and
+    annulus rows, an (eta, 2, trials) array: each the sum over the tiers, in
+    tier order, of :func:`_far_field` at ``s`` (eta, trials, tiers), tier
+    i's field beyond its last arrival (``r2_far``, (trials, tiers)) and, in
+    the annulus row, beyond the larger of that and its squared exclusion
+    radius ``c2``.  Tier k's exclusion radius is the serving distance,
+    inside its first arrival, so its annulus column is its uncancelled one
+    and is evaluated once."""
+    uncancelled = _far_field(lam, r2_far, s, alpha)
+    annulus = uncancelled.copy()
+    other = np.arange(len(lam)) != k
+    annulus[..., other] = _far_field(
+        lam[other], np.maximum(r2_far[:, other], c2[:, other]), s[..., other], alpha
+    )
+    return np.stack((uncancelled.sum(axis=-1), annulus.sum(axis=-1)), axis=1)
 
 
 def simulate_rea(
@@ -1338,17 +1487,18 @@ def simulate_rea(
     unadjusted means and standard errors of the other two.
 
     The trials are randomized quasi-Monte Carlo points, R = min(32,
-    trials) shifted Halton replicates (:func:`_rqmc_sums`; Owen, *J.
-    Complexity*, 1998), in the coordinates of :func:`_rea_layout`, 5 on
-    the fig6 grid.  Every row comes from the same points: its estimate is
-    the mean over all trials, its standard error the spread of the R
-    replicate means, with R - 1 degrees of freedom (``Estimate.dof``).  At
-    2048 trials on the fig6 grid, iid trials had a variance 2.1-11 times
-    (median 7.0) that of these points in the uncancelled row, 2.4-12
-    times (median 7.9) in the adjusted strongest row and 2.4-9.2 times
-    (median 6.7) in the adjusted annulus row, 20 seeds per bias; the
-    strongest row's argmax and the annulus row's exclusion test are
-    discontinuities in the uniforms, and these figures include them.
+    trials) replicates of scrambled Sobol' points (:func:`_rqmc_sums`;
+    Owen, *J. Complexity*, 1998), in the coordinates of
+    :func:`_rea_layout`, 5 on the fig6 grid.  Every row comes from the
+    same points: its estimate is the mean over all trials, its standard
+    error the spread of the R replicate means, with R - 1 degrees of
+    freedom (``Estimate.dof``).  At 2048 trials on the fig6 grid, iid
+    uniforms had a variance 4.7-128 times (median 47) that of these
+    points in the uncancelled row, 6.8-148 times (median 46) in the
+    adjusted strongest row and 6.8-41 times (median 21) in the adjusted
+    annulus row, 40 seeds per bias; the strongest row's argmax and the
+    annulus row's exclusion test are discontinuities in the uniforms,
+    and these figures include them.
     ``trials`` must be >= 2.  A tier whose REA is empty raises
     :class:`DegenerateReaError` from that closed form, before any draw.
     """
@@ -1381,9 +1531,8 @@ def simulate_rea(
         # AP x eta x trial, summed over the kept APs: eta x row x trial
         terms = np.log1p(powers[:, None, :] * (etas[:, None] / signal))
         logs = (terms * keeps[:, :, None, :]).sum(axis=1).transpose(1, 0, 2)
-        lo2 = np.stack((r2_far, np.maximum(r2_far, exclusion * dist[:, k:k + 1] ** 2)))
-        s = np.multiply.outer(etas, p_dl / signal[:, None])[:, None]
-        far = _far_field(lam, lo2, s, alpha).sum(axis=-1)
+        s = np.multiply.outer(etas, p_dl / signal[:, None])
+        far = _rea_far_fields(lam, r2_far, exclusion * dist[:, k:k + 1] ** 2, s, k, alpha)
         # eta x (uncancelled, strongest, annulus) x trial, then the
         # cancelled rows adjusted by the uncancelled one x: y - (x - mu)
         y = np.exp(-(logs + far[:, [0, 0, 1]]))

@@ -22,9 +22,12 @@ paths against code that shares no kernel with them:
   the keys of ``sicnet.montecarlo.ps_can_curve_mc``'s result;
   ``fading_order_law`` is the exact law of fig2's fading-ordered event.
 - ``rqmc_uniforms`` lays out the uniforms of the randomized quasi-Monte
-  Carlo replicates point by point, from a scalar Halton sequence
-  (``halton_point``), and ``rqmc_replicates`` their unit exponentials, the
-  values that the library's chunked ``sicnet.montecarlo._rqmc_chain``
+  Carlo replicates point by point and digit by digit: each Sobol'
+  coordinate's generator matrix from its polynomial recurrence
+  (``sobol_matrix``), scrambled by a binary matrix product
+  (``scrambled_matrix``) and read at one index under a digital shift
+  (``sobol_uniform``).  ``rqmc_replicates`` gives their unit exponentials,
+  the values that the library's chunked ``sicnet.montecarlo._rqmc_chain``
   must reproduce bit for bit.  ``rqmc_stage_chain`` replays the
   independent-stage chain the same way, one stage of one point at a time,
   with the chain of the stage means summed level by level.
@@ -56,7 +59,7 @@ from sicnet.model import (
     _require_positive,
     rea_association_prob,
 )
-from sicnet.montecarlo import _stream, sample_ppp, window_radius
+from sicnet.montecarlo import _SOBOL_TABLE, _stream, sample_ppp, window_radius
 
 
 # ---------------------------------------------------------------------------
@@ -242,41 +245,96 @@ def radial_field_oracle(rng, size, density, r_in, r_out, min_cols, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature, one panel at a time
+# Randomized quasi-Monte Carlo points, one digit at a time
 # ---------------------------------------------------------------------------
 
 
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_DIGITS = 52
 
 
-def halton_point(i: int, dim: int) -> list[float]:
-    """Point ``i`` of the ``dim``-dimensional Halton sequence, one radical
-    inverse at a time: the base-b digits of i, least significant first,
-    weighted b^-1, b^-2, ..."""
-    point = []
-    for base in _HALTON_BASES[:dim]:
-        rest, scale, x = i, 1.0, 0.0
-        while rest:
-            rest, digit = divmod(rest, base)
-            scale /= base
-            x += digit * scale
-        point.append(x)
-    return point
+def sobol_matrix(poly: int, init, bits: int) -> list[list[int]]:
+    """The 52 x ``bits`` generator matrix of the Sobol' coordinate of
+    primitive polynomial ``poly`` (leading and constant terms included) and
+    initial m_1..m_s ``init``, as rows of 0/1 digits, most significant
+    first: column k holds the binary digits of m_k / 2^k.  Past ``init``,
+    m_k = m_(k-s) XOR the 2^j a_j m_(k-j), j = 1..s, where a_j is the
+    coefficient of x^(s-j) and a_s = 1; a polynomial of degree 0 gives
+    every m_k = 1 (van der Corput)."""
+    s = poly.bit_length() - 1
+    coeff = [(poly >> (s - j)) & 1 for j in range(1, s + 1)]
+    m = list(init)
+    while len(m) < bits:
+        k = len(m)
+        new = m[k - s] if s else 1
+        for j in range(1, s + 1):
+            if coeff[j - 1]:
+                new ^= m[k - j] << j
+        m.append(new)
+    return [
+        [(m[k] >> (k - r)) & 1 if r <= k else 0 for k in range(bits)]
+        for r in range(_DIGITS)
+    ]
 
 
-def rqmc_uniforms(trials: int, seed: int, dim: int, replicates: int = 32) -> list[np.ndarray]:
+def scrambled_matrix(matrix: list[list[int]], draws) -> list[list[int]]:
+    """``matrix`` multiplied over GF(2), digit by digit, on the left by the
+    lower-triangular binary matrix of unit diagonal whose column l = 1..52
+    reads ``draws[l - 1]``, a 52-bit integer, below its diagonal: rows l +
+    1..52 take the draw's digits from the most significant down."""
+    bits = len(matrix[0])
+    scramble = [
+        [1 if r == c else (draws[c] >> (_DIGITS - r + c)) & 1 if r > c else 0
+         for c in range(_DIGITS)]
+        for r in range(_DIGITS)
+    ]
+    return [
+        [sum(scramble[r][c] & matrix[c][k] for c in range(r + 1)) & 1 for k in range(bits)]
+        for r in range(_DIGITS)
+    ]
+
+
+def sobol_uniform(i: int, matrix: list[list[int]], shift: int) -> float:
+    """Point ``i`` of the digital sequence of generator ``matrix``, in
+    natural index order, under the digital ``shift``: digit r is the XOR of
+    the shift's digit r and row r of the matrix at the set bits of i, the
+    point the sum of its digits times 2^-(r + 1), kept in [2^-53, 1 -
+    2^-53]."""
+    x = 0.0
+    for r, row in enumerate(matrix):
+        digit = (shift >> (_DIGITS - 1 - r)) & 1
+        for k, entry in enumerate(row):
+            digit ^= entry & (i >> k) & 1
+        x += digit * 2.0 ** -(r + 1)
+    return min(max(x, 2.0**-53), 1.0 - 2.0**-53)
+
+
+def rqmc_uniforms(trials: int, seed: int, shape, replicates: int = 32) -> list[np.ndarray]:
     """The uniforms of min(``replicates``, ``trials``) randomized
-    quasi-Monte Carlo replicates, one (n_r, dim) array each: sizes
-    differing by at most one, the larger first; replicate r shifts the
-    first n_r Halton points by ``_stream(seed, r).random(dim)`` modulo 1 and
-    keeps each uniform in [2^-53, 1 - 2^-53]."""
+    quasi-Monte Carlo replicates of layout ``shape`` (an int is a single
+    row), one (*shape[:-1], n_r, shape[-1]) array each: sizes differing by
+    at most one, the larger first.  Every copy of the Sobol' set, one per
+    replicate, row and coordinate, reads its 53 entries of
+    ``_stream(seed, 0).integers(0, 2**52, (R, *shape, 53), dtype=np.uint64)``:
+    the first 52 scramble its generator matrix (:func:`scrambled_matrix`),
+    the last is its digital shift.  The matrices have B = bit length of n_1
+    - 1 columns."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
     replicates = min(replicates, trials)
+    sizes = [trials // replicates + (r < trials % replicates) for r in range(replicates)]
+    bits = (sizes[0] - 1).bit_length()
+    draws = _stream(seed, 0).integers(
+        0, 1 << _DIGITS, (replicates, *shape, _DIGITS + 1), dtype=np.uint64
+    )
+    base = [sobol_matrix(poly, init, bits) for poly, init in _SOBOL_TABLE[: shape[-1]]]
     out = []
-    for r in range(replicates):
-        n = trials // replicates + (r < trials % replicates)
-        shift = _stream(seed, r).random(dim)
-        u = (np.array([halton_point(i, dim) for i in range(n)]).reshape(n, dim) + shift) % 1.0
-        out.append(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
+    for r, n in enumerate(sizes):
+        rows = draws[r].reshape(-1, shape[-1], _DIGITS + 1).tolist()
+        u = np.empty((len(rows), n, shape[-1]))
+        for row, copies in enumerate(rows):
+            for d, entries in enumerate(copies):
+                matrix = scrambled_matrix(base[d], entries[:_DIGITS])
+                u[row, :, d] = [sobol_uniform(i, matrix, entries[_DIGITS]) for i in range(n)]
+        out.append(u.reshape(*shape[:-1], n, shape[-1]))
     return out
 
 
@@ -295,9 +353,8 @@ def rqmc_stage_chain(
     success at ``etas[e]`` and budget N.
 
     Stage s (the decodes n = 0..n_max, then the cancellations n =
-    1..n_max) of replicate r shifts the first n_r Halton points by row s of
-    ``_stream(seed, r).random((2 n_max + 1, 1 + arrivals))`` modulo 1 and
-    keeps each uniform in [2^-53, 1 - 2^-53].  Decode n reads the serving
+    1..n_max) of replicate r reads row s of the replicate's uniforms in
+    the layout (2 n_max + 1, 1 + arrivals) (:func:`rqmc_uniforms`).  Decode n reads the serving
     distance from pi lambda_eq u^2 = -log(u_0) and fails inside pi mu_j
     R^2 = n; cancel n puts the cancelled node at pi mu_j r_n^2 =
     gammaincinv(n, u_0).  The arrivals lie at pi mu_j r_k^2 = L + the sum
@@ -310,21 +367,17 @@ def rqmc_stage_chain(
 
     from sicnet.numerics import c_integral
 
-    stages, dim = 2 * n_max + 1, 1 + arrivals
-    replicates = min(replicates, trials)
-    sizes = [trials // replicates + (r < trials % replicates) for r in range(replicates)]
-    points = [halton_point(i, dim) for i in range(sizes[0])]
-    edge = 2.0**-53
-    values = np.zeros((replicates, len(etas), n_max + 1))
-    for r, n_r in enumerate(sizes):
-        shifts = _stream(seed, r).random((stages, dim)).tolist()
+    stages = 2 * n_max + 1
+    uniforms = rqmc_uniforms(trials, seed, (stages, 1 + arrivals), replicates)
+    sizes = [u.shape[1] for u in uniforms]
+    values = np.zeros((len(sizes), len(etas), n_max + 1))
+    for r, (n_r, points) in enumerate(zip(sizes, uniforms)):
         for e_idx, eta in enumerate(etas):
             means = []
             for s in range(stages):
                 n = s if s <= n_max else s - n_max
                 total = 0.0
-                for point in points[:n_r]:
-                    u = [min(max((x + d) % 1.0, edge), 1.0 - edge) for x, d in zip(point, shifts[s])]
+                for u in points[s].tolist():
                     if s <= n_max:
                         served = -math.log(u[0])
                         if served < n * (lambda_eq / mu_j):
@@ -349,6 +402,11 @@ def rqmc_stage_chain(
                 outage *= 1.0 - means[n]
                 values[r, e_idx, n] = success
     return np.array(sizes), values
+
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature, one panel at a time
+# ---------------------------------------------------------------------------
 
 
 def two_call_gauss(f, a: float, b: float, settings) -> tuple[float, int]:

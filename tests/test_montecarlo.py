@@ -28,10 +28,10 @@ from sicnet.montecarlo import (
     _MAX_BLOCK_DRAWS,
     _NEAREST_USERS,
     _REPLICATES,
+    _SOBOL_TABLE,
     _chain_exponent,
     _estimates,
     _far_field,
-    _halton,
     _interferer_tiers,
     _max_sir_block,
     _max_sir_sums,
@@ -41,13 +41,18 @@ from sicnet.montecarlo import (
     _nearest_chain_success,
     _nearest_users,
     _rea_block,
+    _rea_far_fields,
     _rea_layout,
     _reached,
     _replicate_estimates,
+    _rqmc_sums,
     _run_blocks,
     _serving_block,
     _stage_chain_success,
     _stage_scenes,
+    _scramble,
+    _sobol,
+    _sobol_directions,
     _stage_success,
     _stream,
     _top_m,
@@ -71,7 +76,6 @@ from oracles import (
     _first_level,
     _ordered_powers,
     fading_order_law,
-    halton_point,
     radial_field_oracle,
     rea_distance_pdf,
     rea_scene,
@@ -80,6 +84,9 @@ from oracles import (
     rqmc_stage_chain,
     run_sic_trial,
     sample_scene,
+    scrambled_matrix,
+    sobol_matrix,
+    sobol_uniform,
     trimmed_sum_oracle,
 )
 
@@ -598,21 +605,78 @@ class TestChainEstimators:
 
 class TestRqmcChain:
     """The faithful chain's randomized quasi-Monte Carlo layout: R =
-    min(32, trials) shifted Halton replicates through the block driver."""
+    min(32, trials) scrambled Sobol' replicates through the block driver."""
 
     FIG3_ETAS = [db_to_linear(d) for d in FIG3_ETA_DB]
 
     def _grid(self, trials, seed, threads=1):
         return ps_sic_curve_mc(LAM, MU, 4.0, self.FIG3_ETAS, FIG3_N_MAX, trials, seed, threads)
 
-    def test_halton_points(self):
-        want = [halton_point(i, 6) for i in range(300)]
-        assert _halton(0, 300, 6).tolist() == want
-        # any index range, so chunks read the points of one whole draw
-        assert _halton(130, 300, 6).tolist() == want[130:]
-        assert _halton(0, 4, 2).tolist() == [[0.0, 0.0], [0.5, 1 / 3], [0.25, 2 / 3], [0.75, 1 / 9]]
-        # beyond the oracle's 15 bases
-        assert _halton(0, 2, 17)[1, -1] == 1.0 / 59.0
+    def test_sobol_points(self):
+        # unscrambled and unshifted: the scalar recurrence's points, chunks
+        # that start at a multiple of their size rounded up to a power of 2
+        # reading the points of one whole sequence
+        base = [sobol_matrix(poly, init, 9) for poly, init in _SOBOL_TABLE[:6]]
+        want = [[sobol_uniform(i, m, 0) for m in base] for i in range(300)]
+        zero = np.zeros(6, dtype=np.uint64)
+        for lo, hi in ((0, 300), (128, 256), (256, 300), (299, 300)):
+            got = np.clip(_sobol(lo, hi, _sobol_directions(6, 9), zero), 2.0**-53, 1.0 - 2.0**-53)
+            assert got.tolist() == want[lo:hi]
+        assert _sobol(0, 4, _sobol_directions(2, 2), zero[:2]).tolist() == [
+            [0.0, 0.0], [0.5, 0.5], [0.25, 0.75], [0.75, 0.25]
+        ]
+        # scrambled and shifted copies, two rows of three coordinates
+        draws = np.random.default_rng(41).integers(0, 2**52, (2, 3, 53), dtype=np.uint64)
+        got = _sobol(0, 40, _scramble(_sobol_directions(3, 6), draws[..., :6]), draws[..., 52])
+        for row, copies in enumerate(draws.tolist()):
+            for d, entries in enumerate(copies):
+                m = scrambled_matrix(sobol_matrix(*_SOBOL_TABLE[d], 6), entries[:52])
+                want = [sobol_uniform(i, m, entries[52]) for i in range(40)]
+                assert np.clip(got[row, :, d], 2.0**-53, 1.0 - 2.0**-53).tolist() == want
+
+    def test_unscrambled_points_are_scipys(self):
+        # the literal direction table against scipy's own Sobol' points, as
+        # a set: scipy walks the sequence in Gray-code order
+        from scipy.stats import qmc
+
+        dim = len(_SOBOL_TABLE)
+        ours = _sobol(0, 1024, _sobol_directions(dim, 10), np.zeros(dim, dtype=np.uint64))
+        theirs = qmc.Sobol(dim, scramble=False).random(1024)
+        assert sorted(map(tuple, ours.tolist())) == sorted(map(tuple, theirs.tolist()))
+
+    @pytest.mark.parametrize("shape, m", [((6,), 6), ((11, 2), 6), ((2,), 12)])
+    def test_replicates_are_nets(self, shape, m):
+        # at n = 2^m points per replicate, in one chunk and in 32, every
+        # scrambled and shifted copy is a (0, m, 2)-net in coordinates 0
+        # and 1 and stratifies every coordinate
+        seen = []
+
+        def integrand(u, kept):
+            seen.append(u)
+            return np.zeros(len(kept))
+
+        _rqmc_sums(_REPLICATES << m, 5, shape, 1, integrand)
+        u = np.concatenate(seen, axis=-2).reshape(-1, 1 << m, shape[-1])
+        cells = np.floor(u * (1 << m)).astype(np.int64)
+        assert np.all(np.sort(cells, axis=1) == np.arange(1 << m)[:, None])
+        for a in range(m + 1):
+            cell = (cells[..., 0] >> (m - a) << (m - a)) + (cells[..., 1] >> a)
+            assert all(len(set(row)) == 1 << m for row in cell.tolist()), a
+
+    def test_wide_layout_raises(self, monkeypatch):
+        # as many coordinates as the direction table holds, and a wider
+        # layout refused before any stream is opened
+        from sicnet import montecarlo
+
+        def no_stream(seed, index):
+            raise AssertionError("a stream was opened")
+
+        assert len(_SOBOL_TABLE) == 128
+        monkeypatch.setattr(montecarlo, "_stream", no_stream)
+        with pytest.raises(DomainError, match="at most 128 coordinates, got 129"):
+            ps_sic_curve_mc(LAM, MU, 4.0, [1.0], 128, 64, 0)
+        with pytest.raises(DomainError, match="got 129"):
+            _rqmc_sums(64, 0, (3, 129), 1, None)
 
     def test_replicate_estimates(self):
         # equal sizes: the replicate means' sample standard deviation over
@@ -634,7 +698,7 @@ class TestRqmcChain:
 
     @pytest.mark.parametrize("trials", [6000, 3 * BLOCK_TRIALS + 17])
     def test_chunks_replay_the_replicates(self, trials):
-        # budgets not divisible by 32, in several chunks of 128 Halton
+        # budgets not divisible by 32, in several chunks of 128 Sobol'
         # indices per replicate: bit for bit across reruns and threads, and
         # each mean and stderr that of the oracle's replicates taken whole
         assert trials % _REPLICATES and trials // _REPLICATES > BLOCK_TRIALS // _REPLICATES
@@ -671,13 +735,13 @@ class TestRqmcChain:
                     )
 
     def test_zero_shift_stays_finite(self, monkeypatch):
-        # Halton point 0 is the origin: unshifted, it would map to an
-        # infinite exponential, and a uniform of 1 to a zero one
+        # Sobol' point 0 is the origin: unscrambled and unshifted, it would
+        # map to an infinite exponential, and a uniform of 1 to a zero one
         from sicnet import montecarlo
 
         class Unshifted:
-            def random(self, size):
-                return np.zeros(size)
+            def integers(self, low, high, size, dtype):
+                return np.zeros(size, dtype=dtype)
 
         monkeypatch.setattr(montecarlo, "_stream", lambda seed, index: Unshifted())
         grid = self._grid(2 * _REPLICATES + 5, 3)
@@ -739,7 +803,7 @@ class TestRqmcChain:
 
 class TestRqmcStages:
     """The independent-stage chain on the faithful chain's replicate layout:
-    each of its 2 N + 1 stages shifts its own copy of the Halton points."""
+    each of its 2 N + 1 stages scrambles its own copies of the Sobol' points."""
 
     FIG3_ETAS = [db_to_linear(d) for d in FIG3_ETA_DB]
 
@@ -2263,6 +2327,24 @@ class TestRea:
                 for t, row in enumerate(u):
                     for a, b in zip(got, rea_scene(cfg, k, row, arrivals)):
                         assert a[t] == pytest.approx(np.array(b), rel=1e-12), (index, t)
+
+    def test_far_fields_are_the_two_radius_evaluation(self):
+        # tier k's annulus far field, evaluated once as its uncancelled one,
+        # leaves both rows equal bit for bit to the evaluation of every tier
+        # at both radii, on fig6's b = 5 and the random configs
+        cases = [(two_tier(bias2=5.0), 1, [0.1, 1.0, 10.0])] + _every_bias_cases()
+        for index, (cfg, k, etas) in enumerate(cases):
+            u = _stream(3950, index).random((200, _rea_layout(cfg, k)[2]))
+            dist, _, r2_far = _rea_block(cfg, k, u)
+            lam = np.array([t.lam for t in cfg.tiers])
+            p_dl = np.array([t.p_dl for t in cfg.tiers])
+            signal = p_dl[k] * dist[:, k] ** -cfg.alpha
+            s = np.multiply.outer(etas, p_dl / signal[:, None])
+            c2 = (p_dl / p_dl[k]) ** (2.0 / cfg.alpha) * dist[:, k:k + 1] ** 2
+            lo2 = np.stack((r2_far, np.maximum(r2_far, c2)))
+            want = _far_field(lam, lo2, s[:, None], cfg.alpha).sum(axis=-1)
+            got = _rea_far_fields(lam, r2_far, c2, s, k, cfg.alpha)
+            np.testing.assert_array_equal(got, want, err_msg=str(index))
 
     def test_small_budgets(self, monkeypatch):
         # 2 and 16 trials are replicates of one point each; one trial leaves

@@ -108,14 +108,17 @@ def test_traced_simulators_bind_their_library_signature():
 
 
 def test_chain_simulator_imports_no_scipy_stats():
-    # the bench's chain_mc set-up probe makes these two calls in a fresh
-    # interpreter; importing scipy.stats there would add about 0.5 s to its
-    # setup_s
+    # the bench's chain_mc set-up probe makes RQMC calls like these in a
+    # fresh interpreter, here also at fig3's width (n_max = 5); importing
+    # scipy.stats there would add about 0.5 s to its setup_s
     code = "\n".join((
         "import sys",
+        "from sicnet import experiments as ex",
         "from sicnet import montecarlo as mc",
         "mc.ps_sic_curve_mc(1e-4, 1e-4, 4.0, [1.0], 1, 16, 0)",
+        "mc.ps_sic_curve_mc(1e-4, 1e-4, 4.0, [1.0], 5, 16, 0)",
         "mc.ps_sic_curve_mc(1e-4, 1e-4, 4.0, [1.0], 1, 16, 0, independent_stages=True)",
+        "mc.simulate_rea(ex.two_tier_config(bias2=5.0), 1, [1.0], 16, 0)",
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
     ))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
