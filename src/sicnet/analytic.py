@@ -41,8 +41,6 @@ __all__ = [
     "ps_ic",
     "ps_can",
     "ps_can_tsd",
-    "tsd_cumulant",
-    "tsd_conditional_cancel_prob",
     "kurtosis_after_cancellation",
     "ps_sic",
     "load_pmf",
@@ -159,46 +157,6 @@ def ps_can_tsd(eta: float, n: int) -> float:
     if n == 0:
         return 1.0
     return (math.sqrt(2.25 + 3.0 * eta) - 0.5) ** -n
-
-
-def tsd_cumulant(
-    k: int,
-    q: float,
-    mu_j: float,
-    d_min: float,
-    alpha: float,
-    fading_moment: float,
-) -> float:
-    """k-th cumulant of the aggregate interference from a Poisson field with
-    an inner exclusion radius d_min:
-
-        kappa(k) = Q^k * 2 pi mu_j / (k alpha - 2) * d_min^(2 - k alpha) * E[h^k].
-
-    For unit-mean Rayleigh power fading E[h^k] = k!.
-    """
-    _require_count("cumulant order k", k, 1)
-    _require_positive("q", q)
-    _require_positive("mu_j", mu_j)
-    _require_positive("d_min", d_min)
-    _check_alpha(alpha)
-    if k * alpha <= 2.0:
-        raise DomainError(f"k*alpha={k * alpha} must exceed 2 for a finite cumulant")
-    if not (math.isfinite(fading_moment) and fading_moment > 0.0):
-        raise DomainError(f"fading_moment must be > 0, got {fading_moment}")
-    return q**k * 2.0 * math.pi * mu_j / (k * alpha - 2.0) * d_min ** (2.0 - k * alpha) * fading_moment
-
-
-def tsd_conditional_cancel_prob(eta: float, mu_j: float, r: float) -> float:
-    """Cancel probability conditioned on the exclusion radius r (alpha = 4):
-
-        exp(-(3/2) mu_j pi r^2 (sqrt(1 + 4 eta / 3) - 1)).
-    """
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise DomainError(f"eta must be >= 0, got {eta}")
-    _require_positive("mu_j", mu_j)
-    if r < 0.0:
-        raise DomainError(f"radius must be >= 0, got {r}")
-    return math.exp(-1.5 * mu_j * math.pi * r * r * (math.sqrt(1.0 + 4.0 * eta / 3.0) - 1.0))
 
 
 def kurtosis_after_cancellation(alpha: float, n: int) -> float:

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .errors import ConfigError, DomainError, NumericsError
 from .model import (
-    NetworkConfig,
     _require_count,
     association_prob_max_power,
     biased_association_prob,
@@ -50,183 +48,128 @@ from .analytic import (
 
 OUTPUT_DIR_ENV = "SICNET_OUTPUT_DIR"
 
-# formula name -> (callable, required params, one-line description)
+
+def _ps_sic_total(*args) -> float:
+    return ps_sic(*args).ps_sic_total
+
+
+def _ps_ic_rea_1based(eta, config, k, cancelled):
+    """:func:`ps_ic_rea` with tier k counted from 1, as the command line does."""
+    return ps_ic_rea(
+        eta, config, _require_count("k", k, 1) - 1, _require_count("cancelled", cancelled)
+    )
+
+
+# formula name -> (function, parameter names in call order, one-line description)
 FORMULAS = {
-    "ps_plain": (
-        lambda p: ps_plain(p["eta"], p["lambda_eq"], p["mu_j"], p["alpha"]),
-        ("eta", "lambda_eq", "mu_j", "alpha"),
-        "success probability without cancellation",
-    ),
-    "ps_ic": (
-        lambda p: ps_ic(p["eta"], p["n"], p["lambda_eq"], p["mu_j"], p["alpha"]),
-        ("eta", "n", "lambda_eq", "mu_j", "alpha"),
-        "decoding probability after n cancellations",
-    ),
-    "ps_can": (
-        lambda p: ps_can(p["eta"], p["n"], p["alpha"]),
-        ("eta", "n", "alpha"),
-        "probability of decoding the n-th strongest interferer",
-    ),
-    "ps_can_tsd": (
-        lambda p: ps_can_tsd(p["eta"], p["n"]),
-        ("eta", "n"),
-        "truncated-stable variant of ps_can (alpha = 4)",
-    ),
-    "ps_sic": (
-        lambda p: ps_sic(
-            p["eta"], p["n_max"], p["lambda_eq"], p["mu_j"], p["alpha"]
-        ).ps_sic_total,
-        ("eta", "n_max", "lambda_eq", "mu_j", "alpha"),
-        "full SIC success probability with budget N",
-    ),
-    "kurtosis": (
-        lambda p: kurtosis_after_cancellation(p["alpha"], p["n"]),
-        ("alpha", "n"),
-        "excess kurtosis of residual interference",
-    ),
-    "load_pmf": (
-        lambda p: load_pmf(p["m"], p["mu_j"], p["lam"]),
-        ("m", "mu_j", "lam"),
-        "cell load probability mass function",
-    ),
-    "rate_coverage_max_sir": (
-        lambda p: rate_coverage_max_sir(p["rho"], p["lam"], p["mu_j"], p["alpha"]),
-        ("rho", "lam", "mu_j", "alpha"),
-        "rate coverage under max-SIR association",
-    ),
-    "rate_coverage_min_load": (
-        lambda p: rate_coverage_min_load(
-            p["rho"], p["lam"], p["mu_j"], p["alpha"], p["r_con"]
-        ),
-        ("rho", "lam", "mu_j", "alpha", "r_con"),
-        "rate coverage under minimum-load association",
-    ),
-    "outage_max_inst_sir": (
-        lambda p: outage_max_inst_sir(p["eta"], p["config"]),
-        ("eta", "config"),
-        "outage of the max-instantaneous-SIR policy",
-    ),
-    "ps_sic_max_inst_sir": (
-        lambda p: ps_sic_max_inst_sir(p["eta"], p["n_max"], p["config"]),
-        ("eta", "n_max", "config"),
-        "max-instantaneous-SIR success with SIC",
-    ),
-    "ps_ic_rea": (
-        lambda p: ps_ic_rea(p["eta"], p["config"], _require_count("k", p["k"], 1) - 1,
-                            _require_count("cancelled", p["cancelled"])),
-        ("eta", "config", "k", "cancelled"),
-        "range-expanded-area success (tier k, 1-based)",
-    ),
-    "c_integral": (
-        lambda p: c_integral(p["b"], p["alpha"]),
-        ("b", "alpha"),
-        "interference integral C(b, alpha)",
-    ),
-    "pareto_cdf": (
-        lambda p: pareto_received_power_cdf(p["y"], p["alpha"], p["r_max"]),
-        ("y", "alpha", "r_max"),
-        "received-power Pareto CDF",
-    ),
-    "cancellation_radius": (
-        lambda p: cancellation_radius(p["mu_j"], p["n"]),
-        ("mu_j", "n"),
-        "radius enclosing on average n interferers [m]",
-    ),
+    "ps_plain": (ps_plain, ("eta", "lambda_eq", "mu_j", "alpha"),
+                 "success probability without cancellation"),
+    "ps_ic": (ps_ic, ("eta", "n", "lambda_eq", "mu_j", "alpha"),
+              "decoding probability after n cancellations"),
+    "ps_can": (ps_can, ("eta", "n", "alpha"),
+               "probability of decoding the n-th strongest interferer"),
+    "ps_can_tsd": (ps_can_tsd, ("eta", "n"),
+                   "truncated-stable variant of ps_can (alpha = 4)"),
+    "ps_sic": (_ps_sic_total, ("eta", "n_max", "lambda_eq", "mu_j", "alpha"),
+               "full SIC success probability with budget N"),
+    "kurtosis": (kurtosis_after_cancellation, ("alpha", "n"),
+                 "excess kurtosis of residual interference"),
+    "load_pmf": (load_pmf, ("m", "mu_j", "lam"),
+                 "cell load probability mass function"),
+    "rate_coverage_max_sir": (rate_coverage_max_sir, ("rho", "lam", "mu_j", "alpha"),
+                              "rate coverage under max-SIR association"),
+    "rate_coverage_min_load": (rate_coverage_min_load, ("rho", "lam", "mu_j", "alpha", "r_con"),
+                               "rate coverage under minimum-load association"),
+    "outage_max_inst_sir": (outage_max_inst_sir, ("eta", "config"),
+                            "outage of the max-instantaneous-SIR policy"),
+    "ps_sic_max_inst_sir": (ps_sic_max_inst_sir, ("eta", "n_max", "config"),
+                            "max-instantaneous-SIR success with SIC"),
+    "ps_ic_rea": (_ps_ic_rea_1based, ("eta", "config", "k", "cancelled"),
+                  "range-expanded-area success (tier k, 1-based)"),
+    "c_integral": (c_integral, ("b", "alpha"),
+                   "interference integral C(b, alpha)"),
+    "pareto_cdf": (pareto_received_power_cdf, ("y", "alpha", "r_max"),
+                   "received-power Pareto CDF"),
+    "cancellation_radius": (cancellation_radius, ("mu_j", "n"),
+                            "radius enclosing on average n interferers [m]"),
+}
+
+# eval flag -> argparse keywords, in --help order; --eta-db and --config are
+# read into eta and config, every other flag is the formula parameter of its name
+_PARAMS = {
+    "eta": dict(type=float, help="SIR threshold, linear"),
+    "eta_db": dict(type=float, help="SIR threshold in dB"),
+    "n": dict(type=int, help="cancellation order / count"),
+    "n_max": dict(type=int, help="maximum cancellations N"),
+    "alpha": dict(type=float, help="path-loss exponent (> 2)"),
+    "lambda_eq": dict(type=float, help="equivalent AP density [1/m^2]"),
+    "lam": dict(type=float, help="AP density [1/m^2]"),
+    "mu_j": dict(type=float, help="active-user density on the channel [1/m^2]"),
+    "rho": dict(type=float, help="rate threshold [bit/channel use]"),
+    "r_con": dict(type=float, help="connectivity range [m]"),
+    "m": dict(type=int, help="cell load value"),
+    "k": dict(type=int, help="tier index (1-based)"),
+    "cancelled": dict(type=int, choices=(0, 1), help="REA cancellation flag"),
+    "b": dict(type=float, help="lower integration limit of C(b, alpha)"),
+    "y": dict(type=float, help="received power value"),
+    "r_max": dict(type=float, help="maximum interferer range [m]"),
+    "config": dict(type=str, help="network config JSON path"),
 }
 
 
-def evaluate_formula(name: str, params: dict) -> float:
-    """Evaluate a registered formula; raises DomainError for unknown names
-    or missing parameters (used by both cmd_eval and custom sweeps)."""
+def _formula_args(name: str, params: dict):
+    """The registered formula's function and its arguments read from
+    ``params``; raises DomainError for unknown names or missing parameters."""
     if name not in FORMULAS:
         raise DomainError(
             f"unknown formula {name!r}; registry: {', '.join(sorted(FORMULAS))}"
         )
-    fn, required, _ = FORMULAS[name]
-    missing = [r for r in required if params.get(r) is None]
+    fn, names, _ = FORMULAS[name]
+    missing = [n for n in names if params.get(n) is None]
     if missing:
         raise DomainError(f"{name} needs parameters: {', '.join(missing)}")
-    return fn(params)
+    return fn, [params[n] for n in names]
+
+
+def evaluate_formula(name: str, params: dict) -> float:
+    """Evaluate a registered formula (used by both cmd_eval and custom sweeps)."""
+    fn, values = _formula_args(name, params)
+    return fn(*values)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("formula parameters (units noted)")
-    g.add_argument("--eta", type=float, help="SIR threshold, linear")
-    g.add_argument("--eta-db", type=float, help="SIR threshold in dB")
-    g.add_argument("--n", type=int, help="cancellation order / count")
-    g.add_argument("--n-max", type=int, help="maximum cancellations N")
-    g.add_argument("--alpha", type=float, help="path-loss exponent (> 2)")
-    g.add_argument("--lambda-eq", type=float, help="equivalent AP density [1/m^2]")
-    g.add_argument("--lam", type=float, help="AP density [1/m^2]")
-    g.add_argument("--mu-j", type=float, help="active-user density on the channel [1/m^2]")
-    g.add_argument("--rho", type=float, help="rate threshold [bit/channel use]")
-    g.add_argument("--r-con", type=float, help="connectivity range [m]")
-    g.add_argument("--m", type=int, help="cell load value")
-    g.add_argument("--k", type=int, help="tier index (1-based)")
-    g.add_argument("--cancelled", type=int, choices=(0, 1), help="REA cancellation flag")
-    g.add_argument("--b", type=float, help="lower integration limit of C(b, alpha)")
-    g.add_argument("--y", type=float, help="received power value")
-    g.add_argument("--r-max", type=float, help="maximum interferer range [m]")
-    g.add_argument("--config", type=str, help="network config JSON path")
+    for name, kwargs in _PARAMS.items():
+        g.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def _collect_params(args: argparse.Namespace) -> dict:
     if args.eta is not None and args.eta_db is not None:
         raise DomainError("supply either --eta or --eta-db, not both")
-    params = {
-        "eta": db_to_linear(args.eta_db) if args.eta_db is not None else args.eta,
-        "n": args.n,
-        "n_max": args.n_max,
-        "alpha": args.alpha,
-        "lambda_eq": args.lambda_eq,
-        "lam": args.lam,
-        "mu_j": args.mu_j,
-        "rho": args.rho,
-        "r_con": args.r_con,
-        "m": args.m,
-        "k": args.k,
-        "cancelled": args.cancelled,
-        "b": args.b,
-        "y": args.y,
-        "r_max": args.r_max,
-    }
+    params = {name: getattr(args, name) for name in _PARAMS}
+    if args.eta_db is not None:
+        params["eta"] = db_to_linear(args.eta_db)
     if args.config is not None:
         cfg = load_config(args.config)
-        overrides = {}
-        for key in ("alpha", "mu_j"):
-            if params.get(key) is not None:
-                overrides[key] = params[key]
+        overrides = {key: params[key] for key in ("alpha", "mu_j") if params[key] is not None}
         if overrides:
-            data = config_to_dict(cfg)
-            data.update(overrides)
-            cfg = config_from_dict(data)
-        params["config"] = cfg
-        if params.get("alpha") is None:
-            params["alpha"] = cfg.alpha
-        if params.get("mu_j") is None:
-            params["mu_j"] = cfg.mu_j
-    else:
-        params["config"] = None
+            cfg = config_from_dict({**config_to_dict(cfg), **overrides})
+        params.update(config=cfg, alpha=cfg.alpha, mu_j=cfg.mu_j)
     return params
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _collect_params(args)
-    value = evaluate_formula(args.formula, params)
-    _, required, _ = FORMULAS[args.formula]
-    echo = []
-    for key in required:
-        v = params[key]
-        if isinstance(v, NetworkConfig):
-            echo.append(f"config={args.config}")
-        else:
-            echo.append(f"{key}={v:g}" if isinstance(v, float) else f"{key}={v}")
-    print(f"{args.formula}({', '.join(echo)}) = {value:.6f}")
-    if args.formula == "ps_sic":
-        breakdown = ps_sic(
-            params["eta"], params["n_max"], params["lambda_eq"],
-            params["mu_j"], params["alpha"],
-        )
+    fn, values = _formula_args(args.formula, params)
+    breakdown = ps_sic(*values) if args.formula == "ps_sic" else None
+    value = fn(*values) if breakdown is None else breakdown.ps_sic_total
+    shown = {**params, "config": args.config}  # a config echoes as its path
+    echo = ", ".join(
+        f"{k}={shown[k]:g}" if isinstance(shown[k], float) else f"{k}={shown[k]}"
+        for k in FORMULAS[args.formula][1]
+    )
+    print(f"{args.formula}({echo}) = {value:.6f}")
+    if breakdown is not None:
         print(f"  no-cancellation term: {breakdown.ps_no_ic:.6f}")
         for lv in breakdown.per_level:
             print(
@@ -249,15 +192,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             grid = tuple(json.loads(raw))
     spec = default_spec(
-        args.preset,
-        trials=args.trials,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        threads=args.threads,
-        grid=grid,
+        args.preset, trials=args.trials, seed=args.seed, threads=args.threads, grid=grid
     )
     result = run_preset(spec)
-    run_dir = write_run_directory(result, spec.output_dir)
+    run_dir = write_run_directory(result, args.output_dir)
     print(f"wrote {len(result.rows)} rows to {run_dir}")
     return 0
 
@@ -273,18 +211,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_presets(args: argparse.Namespace) -> int:
-    from .experiments import _DEFAULT_TRIALS, PRESETS
+    from .experiments import PRESETS
 
-    descriptions = {
-        "fig2": "P_s,can vs order n; eta in {0,5,10} dB; mu_j = 1e-4",
-        "fig3": "P_s,SIC for N=0..5 over eta in [-10,10] dB; lambda_eq = mu_j = 1e-4",
-        "fig4": "rate coverage, max-SIR vs min-load; lambda = 1e-5, mu_j = 5e-5",
-        "fig5": "max-instantaneous-SIR with SIC; two tiers, P1/P2 = Q1/Q2 = 10",
-        "fig6": "range-expansion success; biases {2,5,10}, P1/P2 = 10",
-        "custom": "user-supplied grid of formula evaluations (--grid-json)",
-    }
-    for name in PRESETS:
-        print(f"{name:7s} trials={_DEFAULT_TRIALS[name]:>7d}  {descriptions[name]}")
+    for name, preset in PRESETS.items():
+        print(f"{name:7s} trials={preset.trials:>7d}  {preset.description}")
     return 0
 
 
@@ -346,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument(
         "--trials", type=int, default=None,
-        help="override MC budget; the allowances are fixed for the default budgets, "
-        "so at --trials 1000 two checks fail on working code",
+        help="override MC budget; the allowances are set for the default budgets, "
+        "and the load suite always samples 100000 Voronoi cells",
     )
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--threads", type=int, default=os.cpu_count() or 1)

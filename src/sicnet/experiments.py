@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -72,8 +73,6 @@ __all__ = [
     "write_run_directory",
 ]
 
-PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "custom")
-
 # Reference scenario parameters
 FIG2_ETA_DB = (0.0, 5.0, 10.0)
 FIG2_ORDERS = 8
@@ -113,12 +112,11 @@ class SweepSpec:
     grid: tuple = ()
     trials: int = 100_000
     seed: int = 0
-    output_dir: str = "results"
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
-            raise DomainError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+            raise DomainError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
         if self.preset == "custom" and not self.grid:
             raise DomainError("custom sweeps need a non-empty grid")
         if self.trials < 1000:
@@ -135,34 +133,18 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-_DEFAULT_TRIALS = {
-    "fig2": 100_000,
-    "fig3": 100_000,
-    "fig4": 20_000,
-    "fig5": 20_000,
-    "fig6": 100_000,
-    "custom": 1000,
-}
-
-
 def default_spec(
     preset: str,
     trials: int | None = None,
     seed: int = 0,
-    output_dir: str = "results",
     threads: int = 1,
     grid: tuple = (),
 ) -> SweepSpec:
-    if preset not in PRESETS:
-        raise DomainError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    return SweepSpec(
-        preset=preset,
-        grid=tuple(grid),
-        trials=trials if trials is not None else _DEFAULT_TRIALS[preset],
-        seed=seed,
-        output_dir=output_dir,
-        threads=threads,
-    )
+    """A spec at the preset's default trial count unless ``trials`` is given
+    (SweepSpec refuses an unknown preset)."""
+    if trials is None:
+        trials = PRESETS[preset].trials if preset in PRESETS else SweepSpec.trials
+    return SweepSpec(preset, tuple(grid), trials, seed, threads)
 
 
 def _ms(t0: float) -> float:
@@ -342,33 +324,71 @@ def _run_fig6(spec: SweepSpec, diagnostics: dict) -> list[dict]:
 
 
 def _run_custom(spec: SweepSpec, diagnostics: dict) -> list[dict]:
+    """One row per grid point, each holding every parameter that any point
+    names (in the order first named), None where the point lacks it."""
     from .cli import evaluate_formula  # registry lives with the CLI
 
+    if not all(isinstance(point, dict) and "formula" in point for point in spec.grid):
+        raise DomainError("custom grid points need to be objects with a 'formula' key")
+    names = dict.fromkeys(k for point in spec.grid for k in point if k != "formula")
     rows = []
     for point in spec.grid:
-        if "formula" not in point:
-            raise DomainError("custom grid points need a 'formula' key")
-        params = args = {k: v for k, v in point.items() if k != "formula"}
-        if "config" in params:  # an inline object or the path of a config file
-            read = load_config if isinstance(params["config"], str) else config_from_dict
-            args = {**params, "config": read(params["config"])}
+        args = point
+        if "config" in point:  # an inline object or the path of a config file
+            read = load_config if isinstance(point["config"], str) else config_from_dict
+            args = {**point, "config": read(point["config"])}
         t0 = time.perf_counter()
         value = evaluate_formula(point["formula"], args)
-        row = {"formula": point["formula"]}
-        row.update(params)
-        row["analytic_value"] = value
-        row["runtime_ms"] = _ms(t0)
-        rows.append(row)
+        rows.append({
+            "formula": point["formula"],
+            **{k: point.get(k) for k in names},
+            "analytic_value": value,
+            "runtime_ms": _ms(t0),
+        })
     return rows
 
 
-_RUNNERS = {
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "custom": _run_custom,
+@dataclass(frozen=True)
+class Preset:
+    """A sweep preset: its runner, default trial count, one-line
+    description and plot style.  The style is (x, y, x label, y label,
+    series, extra): one curve of y per series value, and the extra columns
+    as points at the first series value; without a series, one curve of y
+    and one per extra column."""
+
+    run: Callable[[SweepSpec, dict], list[dict]]
+    trials: int
+    description: str
+    plot: tuple | None = None
+
+
+PRESETS = {
+    "fig2": Preset(
+        _run_fig2, 100_000, "P_s,can vs order n; eta in {0,5,10} dB; mu_j = 1e-4",
+        ("n", "ps_can_pgfl", "cancellation order n", "P_s,can", "eta_db", ("mc_dist_mean",)),
+    ),
+    "fig3": Preset(
+        _run_fig3, 100_000,
+        "P_s,SIC for N=0..5 over eta in [-10,10] dB; lambda_eq = mu_j = 1e-4",
+        ("eta_db", "ps_sic_analytic", "threshold [dB]", "P_s,SIC", "n_max", ("mc_mean",)),
+    ),
+    "fig4": Preset(
+        _run_fig4, 20_000, "rate coverage, max-SIR vs min-load; lambda = 1e-5, mu_j = 5e-5",
+        ("rho", "p_cov_min_load", "rate threshold rho", "rate coverage", None,
+         ("p_cov_max_sir", "mc_min_load_mean", "mc_min_load_sic_mean")),
+    ),
+    "fig5": Preset(
+        _run_fig5, 20_000, "max-instantaneous-SIR with SIC; two tiers, P1/P2 = Q1/Q2 = 10",
+        ("eta_db", "ps_analytic", "threshold [dB]", "success probability", "n_max",
+         ("mc_model_mean",)),
+    ),
+    "fig6": Preset(
+        _run_fig6, 100_000, "range-expansion success; biases {2,5,10}, P1/P2 = 10",
+        ("eta_db", "ps_rea_analytic", "threshold [dB]", "REA success", "bias", ("mc_rea_mean",)),
+    ),
+    "custom": Preset(
+        _run_custom, 1000, "user-supplied grid of formula evaluations (--grid-json)"
+    ),
 }
 
 
@@ -397,7 +417,7 @@ def run_preset(spec: SweepSpec) -> SweepResult:
     and annulus rows before their control (``ReaResult.raw``)."""
     t0 = time.perf_counter()
     diagnostics = {}
-    rows = _RUNNERS[spec.preset](spec, diagnostics)
+    rows = PRESETS[spec.preset].run(spec, diagnostics)
     if not rows:
         raise DomainError(f"preset {spec.preset} produced no rows")
     columns = list(rows[0].keys())
@@ -417,6 +437,8 @@ def run_preset(spec: SweepSpec) -> SweepResult:
 
 
 def _format_cell(value) -> str:
+    if value is None:  # a custom row's parameter that its formula does not take
+        return ""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -429,7 +451,8 @@ def _format_cell(value) -> str:
 def emit_csv(result: SweepResult, path) -> Path:
     """RFC-4180-style CSV: header row naming every column, floats printed
     with 9 significant digits, dicts and lists (a custom row's inline
-    config) as JSON."""
+    config) as JSON, and None (a parameter that a custom row lacks) as an
+    empty cell."""
     path = Path(path)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -440,21 +463,6 @@ def emit_csv(result: SweepResult, path) -> Path:
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path
-
-
-_PLOT_STYLES = {
-    "fig2": (
-        "n",
-        "ps_can_pgfl",
-        "cancellation order n",
-        "P_s,can",
-        "eta_db",
-    ),
-    "fig3": ("eta_db", "ps_sic_analytic", "threshold [dB]", "P_s,SIC", "n_max"),
-    "fig4": ("rho", "p_cov_min_load", "rate threshold rho", "rate coverage", None),
-    "fig5": ("eta_db", "ps_analytic", "threshold [dB]", "success probability", "n_max"),
-    "fig6": ("eta_db", "ps_rea_analytic", "threshold [dB]", "REA success", "bias"),
-}
 
 
 def emit_plot_script(result: SweepResult, path, csv_name: str = "result.csv") -> Path:
@@ -480,20 +488,18 @@ def emit_plot_script(result: SweepResult, path, csv_name: str = "result.csv") ->
         lines.append(f"# custom sweep: {len(result.rows)} rows; plot by hand")
         lines.append(f"stats '{csv_name}' skip 1 nooutput")
     else:
-        x, y, xlabel, ylabel, series = _PLOT_STYLES[result.preset]
+        x, y, xlabel, ylabel, series, extra = PRESETS[result.preset].plot
         xi = result.columns.index(x) + 1
         yi = result.columns.index(y) + 1
         lines.append(f"set xlabel '{xlabel}'")
         lines.append(f"set ylabel '{ylabel}'")
         plots = []
         if series is None:
-            plots.append(f"'{csv_name}' skip 1 using {xi}:{yi} with linespoints title '{y}'")
-            for extra in ("p_cov_max_sir", "mc_min_load_mean", "mc_min_load_sic_mean"):
-                if extra in result.columns:
-                    ei = result.columns.index(extra) + 1
-                    plots.append(
-                        f"'{csv_name}' skip 1 using {xi}:{ei} with linespoints title '{extra}'"
-                    )
+            for col in (y, *extra):
+                ci = result.columns.index(col) + 1
+                plots.append(
+                    f"'{csv_name}' skip 1 using {xi}:{ci} with linespoints title '{col}'"
+                )
         else:
             si = result.columns.index(series) + 1
             values = sorted({row[series] for row in result.rows})
@@ -503,15 +509,13 @@ def emit_plot_script(result: SweepResult, path, csv_name: str = "result.csv") ->
                     f"(column({si})=={v} ? column({xi}) : NaN):{yi} "
                     f"with linespoints title '{series}={v}'"
                 )
-            for mc_col in ("mc_dist_mean", "mc_mean", "mc_model_mean", "mc_rea_mean"):
-                if mc_col in result.columns:
-                    mi = result.columns.index(mc_col) + 1
-                    plots.append(
-                        f"'{csv_name}' skip 1 using "
-                        f"(column({si})=={values[0]} ? column({xi}) : NaN):{mi} "
-                        f"with points title '{mc_col} ({series}={values[0]})'"
-                    )
-                    break
+            for col in extra:
+                mi = result.columns.index(col) + 1
+                plots.append(
+                    f"'{csv_name}' skip 1 using "
+                    f"(column({si})=={values[0]} ? column({xi}) : NaN):{mi} "
+                    f"with points title '{col} ({series}={values[0]})'"
+                )
         lines.append("plot \\")
         lines.append(", \\\n".join("  " + p for p in plots))
     try:

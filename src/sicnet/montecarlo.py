@@ -205,9 +205,9 @@ def _moments(p: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Mean of per-trial samples (success probabilities or 0/1 outcomes,
-    or the max-SIR chain's control-adjusted values, see the module
-    docstring) with its standard error.  An adjusted sample y - x + mu may
+    """Mean of per-trial samples (success probabilities, or the max-SIR
+    chain's control-adjusted values, see the module docstring) with its
+    standard error.  An adjusted sample y - x + mu may
     leave [0, 1], and so may the mean of a few of them; it is not clipped,
     since clipping would bias it.  ``dof`` is None for iid trials,
     whose standard error is the plug-in one over the trials; a randomized
@@ -227,13 +227,12 @@ class Estimate:
         cls, total: float, total_sq: float, trials: int, seed: int
     ) -> "Estimate":
         """From the sum and the sum of squares of ``trials`` samples: the
-        plug-in variance E[X^2] - E[X]^2.  0/1 samples (``total_sq ==
-        total``) give the Bernoulli p(1 - p) bit for bit; other samples take
-        E[X^2] - p^2, whose two terms scale with the samples, so samples
-        much smaller than 1 keep their relative digits."""
+        plug-in variance E[X^2] - p^2, whose two terms scale with the
+        samples, so samples much smaller than 1 keep their relative
+        digits."""
         total, total_sq = float(total), float(total_sq)
         p = total / trials
-        var = p * (1.0 - p) if total_sq == total else total_sq / trials - p * p
+        var = total_sq / trials - p * p
         return cls(
             mean=p,
             stderr=math.sqrt(max(var, 0.0) / trials),
@@ -245,8 +244,7 @@ class Estimate:
 def _estimates(sums, trials: int, seed: int):
     """One :class:`Estimate` per grid point from ``sums``, the per-point sums
     and sums of squares stacked on the first axis: an object array of the
-    grid's shape, or a single Estimate for a scalar grid point.  A count of
-    0/1 outcomes is both its own sum and its own sum of squares."""
+    grid's shape, or a single Estimate for a scalar grid point."""
     make = np.frompyfunc(lambda t, sq: Estimate.from_sums(t, sq, trials, seed), 2, 1)
     return make(sums[0], sums[1])
 

@@ -305,8 +305,8 @@ def check_fig3(trials=None, seed=303, threads=1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_load_model(trials=100_000, seed=404, threads=1) -> list[CheckResult]:
-    cells = trials or 100_000
+def check_load_model(trials=None, seed=404, threads=1) -> list[CheckResult]:
+    cells = 100_000  # fixed like the seed: the TV allowance is set for this many
     out = []
     pmf = load_pmf_table(5e-5, 1e-5, tail=1e-13)
     out.append(

@@ -35,8 +35,6 @@ from sicnet.analytic import (
     ps_sic_max_inst_sir,
     rate_coverage_max_sir,
     rate_coverage_min_load,
-    tsd_conditional_cancel_prob,
-    tsd_cumulant,
 )
 
 from oracles import nth_interferer_distance_pdf
@@ -247,28 +245,6 @@ class TestPsCan:
         # the two derivations approximate the same quantity
         for eta in np.logspace(-1, 2, 40):
             assert abs(ps_can(eta, 1, 4.0) - ps_can_tsd(eta, 1)) <= 0.01
-
-
-class TestTsd:
-    def test_cumulant_reference(self):
-        # Rayleigh fading, first moment E[h] = 1
-        assert tsd_cumulant(1, 1.0, 1e-4, 50.0, 4.0, 1.0) == pytest.approx(
-            2.0 * math.pi * 1e-4 / 2.0 * 50.0**-2.0, rel=1e-12
-        )
-
-    def test_ratio_scales_with_power(self):
-        k1 = tsd_cumulant(1, 1.0, 1e-4, 50.0, 4.0, 1.0)
-        k2 = tsd_cumulant(2, 1.0, 1e-4, 50.0, 4.0, 2.0)
-        k1b = tsd_cumulant(1, 2.0, 1e-4, 50.0, 4.0, 1.0)
-        k2b = tsd_cumulant(2, 2.0, 1e-4, 50.0, 4.0, 2.0)
-        assert k2b / k1b == pytest.approx(2.0 * k2 / k1, rel=1e-12)
-
-    def test_conditional_cancel_at_zero_threshold(self):
-        assert tsd_conditional_cancel_prob(0.0, 1e-4, 75.0) == 1.0
-
-    def test_invalid_cumulant_order(self):
-        with pytest.raises(DomainError):
-            tsd_cumulant(1, 1.0, 1e-4, 50.0, 1.9, 1.0)
 
 
 class TestKurtosis:
@@ -636,7 +612,6 @@ class TestIntegerOrders:
         "load_pmf": lambda n: load_pmf(n, MU, LAM),
         "ps_sic_max_inst_sir": lambda n: ps_sic_max_inst_sir(1.0, n, two_tier()),
         "ps_can_tsd": lambda n: ps_can_tsd(1.0, n),
-        "tsd_cumulant": lambda n: tsd_cumulant(n, 1.0, MU, 50.0, 4.0, 2.0),
         "kurtosis_after_cancellation": lambda n: kurtosis_after_cancellation(4.0, n),
         "cancellation_radius": lambda n: cancellation_radius(MU, n),
         "nth_interferer_distance_pdf": lambda n: nth_interferer_distance_pdf(MU, n, 50.0),

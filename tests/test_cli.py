@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from sicnet import validation
-from sicnet.cli import build_parser, main
+from sicnet import analytic, model, numerics, validation
+from sicnet.cli import FORMULAS, build_parser, main
 
 CFG = {
     "alpha": 4.0,
@@ -103,6 +103,66 @@ class TestEval:
         assert line.endswith("p_rea=0.0000"), line
 
 
+GRID_PATH = Path(__file__).parent / "data" / "formula_grid.json"
+
+# each registry entry's library function, called by keyword with its grid
+# point's parameters: a registry that passed them out of order would differ
+LIBRARY = {
+    "ps_plain": analytic.ps_plain,
+    "ps_ic": analytic.ps_ic,
+    "ps_can": analytic.ps_can,
+    "ps_can_tsd": analytic.ps_can_tsd,
+    "ps_sic": lambda **kw: analytic.ps_sic(**kw).ps_sic_total,
+    "kurtosis": analytic.kurtosis_after_cancellation,
+    "load_pmf": analytic.load_pmf,
+    "rate_coverage_max_sir": analytic.rate_coverage_max_sir,
+    "rate_coverage_min_load": analytic.rate_coverage_min_load,
+    "outage_max_inst_sir": analytic.outage_max_inst_sir,
+    "ps_sic_max_inst_sir": analytic.ps_sic_max_inst_sir,
+    "ps_ic_rea": lambda k, **kw: analytic.ps_ic_rea(k=k - 1, **kw),  # tiers from 1
+    "c_integral": numerics.c_integral,
+    "pareto_cdf": numerics.pareto_received_power_cdf,
+    "cancellation_radius": model.cancellation_radius,
+}
+
+
+class TestFormulaRoutes:
+    """Every registry formula gives one value by every route: the library
+    call, ``sicnet eval`` (6 printed digits) and a custom sweep's CSV cell
+    (9 significant digits), at one committed grid point per formula."""
+
+    GRID = {point["formula"]: point for point in json.loads(GRID_PATH.read_text())}
+
+    @pytest.fixture(scope="class")
+    def swept(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("swept")
+        argv = ["sweep", "--preset", "custom", "--grid-json", str(GRID_PATH), "--output-dir", str(out)]
+        assert main(argv) == 0
+        (run_dir,) = (out / "custom").iterdir()
+        with open(run_dir / "result.csv", encoding="utf-8") as fh:
+            return {row["formula"]: row["analytic_value"] for row in csv.DictReader(fh)}
+
+    def test_grid_covers_the_registry(self):
+        assert list(self.GRID) == list(FORMULAS) == list(LIBRARY)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_library_eval_and_sweep_agree(self, name, swept, tmp_path, capsys):
+        params = {k: v for k, v in self.GRID[name].items() if k != "formula"}
+        argv = ["eval", name]
+        for key, value in params.items():
+            if key == "config":
+                (tmp_path / "net.json").write_text(json.dumps(value))
+                value = tmp_path / "net.json"
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        kwargs = {"cfg" if k == "config" else k: v for k, v in params.items()}
+        if "cfg" in kwargs:
+            kwargs["cfg"] = model.config_from_dict(kwargs["cfg"])
+        want = LIBRARY[name](**kwargs)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f") = {want:.6f}")
+        assert swept[name] == format(want, ".9g")
+
+
 class TestSweep:
     def test_custom_sweep_writes_directory(self, tmp_path, capsys):
         grid = [{"formula": "ps_can", "eta": 1.0, "n": 2, "alpha": 4.0}]
@@ -177,6 +237,16 @@ class TestSweep:
         )
         assert rc == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", ['[{"eta": 1.0}]', "[1]", '{"formula": "ps_can_tsd", "eta": 1.0, "n": 1}'],
+        ids=["no-formula", "number", "object"],
+    )
+    def test_custom_sweep_rejects_malformed_points(self, tmp_path, capsys, grid):
+        # a grid is a JSON list of objects, each naming its formula
+        rc = main(["sweep", "--preset", "custom", "--grid-json", grid, "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "'formula' key" in capsys.readouterr().err
 
     def test_env_var_sets_default_output_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SICNET_OUTPUT_DIR", str(tmp_path / "from_env"))

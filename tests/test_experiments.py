@@ -206,14 +206,42 @@ class TestCustomCsv:
         assert by_path["config"] == str(path)
         assert inline["analytic_value"] == by_path["analytic_value"]
 
+    def test_mixed_grid_keeps_every_row_parameters(self, tmp_path):
+        # each row's cells hold its own parameters, the ones it lacks are
+        # empty, and the columns list the parameters in the order first named
+        config = {
+            "alpha": 4.0, "mu": 1e-4, "mu_j": 1e-4,
+            "tiers": [{"lambda": 1e-5, "p_dl": 10.0, "q_ul": 10.0}, {"lambda": 1e-4, "bias": 5.0}],
+        }
+        grid = (
+            {"formula": "ps_can", "eta": 1.0, "n": 1, "alpha": 4.0},
+            {"formula": "c_integral", "b": 4.0, "alpha": 4.0},
+            {"formula": "load_pmf", "m": 2, "mu_j": 1e-4, "lam": 1e-5},
+            {"formula": "ps_ic_rea", "eta": 2.0, "k": 2, "cancelled": 1, "config": config},
+        )
+        result = run_preset(default_spec("custom", grid=grid))
+        assert result.columns == [
+            "formula", "eta", "n", "alpha", "b", "m", "mu_j", "lam", "k", "cancelled",
+            "config", "analytic_value", "runtime_ms",
+        ]
+        emit_csv(result, tmp_path / "result.csv")
+        with open(tmp_path / "result.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for point, row in zip(grid, rows, strict=True):
+            params = {k: v for k, v in row.items() if k not in ("analytic_value", "runtime_ms")}
+            want = {k: "" for k in params}
+            want.update(
+                {k: f"{v:.9g}" if isinstance(v, float) else str(v) for k, v in point.items()}
+            )
+            if "config" in point:
+                assert config_from_dict(json.loads(params.pop("config"))) == config_from_dict(config)
+                del want["config"]
+            assert params == want
+
 
 class TestRunDirectory:
     def test_layout_and_metadata(self, tmp_path):
-        spec = default_spec(
-            "custom",
-            grid=({"formula": "ps_can_tsd", "eta": 1.0, "n": 2},),
-            output_dir=tmp_path,
-        )
+        spec = default_spec("custom", grid=({"formula": "ps_can_tsd", "eta": 1.0, "n": 2},))
         result = run_preset(spec)
         run_dir = write_run_directory(result, tmp_path)
         assert run_dir.parent == tmp_path / "custom"

@@ -15,11 +15,6 @@ from sicnet import montecarlo
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Reached by the tests alone: they leave the library only once ROADMAP
-# item 8 settles that no acceptance gate will call them.
-TEST_ONLY = {"tsd_cumulant", "tsd_conditional_cancel_prob"}
-
-
 def _referenced(node) -> set[str]:
     """Every name that ``node`` reads: a plain name, an attribute, or an
     imported name (under its own name, whatever its alias)."""
@@ -67,8 +62,7 @@ def test_library_defines_only_what_library_or_bench_uses():
         for path in modules
         for stmt in trees[path].body
         for name in _defined(stmt)
-        if name not in TEST_ONLY
-        and not (name.startswith("__") and name.endswith("__"))
+        if not (name.startswith("__") and name.endswith("__"))
         and not any(name in names for other, names in uses if other is not stmt)
     )
     assert not unused, unused
