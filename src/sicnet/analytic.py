@@ -27,9 +27,8 @@ from .model import (
     _rea_weights,
     _require_count,
     _require_positive,
-    association_prob_max_power,
+    _uplink_field,
     cancellation_radius,
-    equivalent_density,
     rea_association_prob,
 )
 from .numerics import adaptive_gauss, c_integral
@@ -379,18 +378,14 @@ def outage_max_inst_sir(eta: float, cfg: NetworkConfig) -> float:
         P_out = exp(- sum_j lam_j Q_j^(2/a)
                     / (eta^(2/a) C(0, a) sum_i mu_i Q_i^(2/a)))
 
-    with per-tier user densities mu_i = p_a,i * mu.  Assumes the per-AP
-    SIRs are independent, which is exact for eta > 1.
+    with per-tier user densities mu_i = p_a,i * mu: the exponent is w /
+    (eta^(2/a) C(0, a)), in the w of ``model._uplink_field``.  Assumes the
+    per-AP SIRs are independent, which is exact for eta > 1.
     """
     _require_positive("eta", eta)
-    e = 2.0 / cfg.alpha
-    num = sum(t.lam * t.q_ul**e for t in cfg.tiers)
-    den = sum(
-        association_prob_max_power(cfg, i) * cfg.mu * cfg.tiers[i].q_ul**e
-        for i in range(cfg.n_tiers)
-    )
+    lam_ul, mu_eq = _uplink_field(cfg)
     c0 = c_integral(0.0, cfg.alpha)
-    return math.exp(-num / (eta**e * c0 * den))
+    return math.exp(-lam_ul / (eta ** (2.0 / cfg.alpha) * c0 * mu_eq))
 
 
 def _sic_gain_integral(eta: float, n_max: int, alpha: float) -> float:
@@ -422,20 +417,18 @@ def ps_sic_max_inst_sir(
 
     where each tier-k factor uses the equivalent network referenced to that
     tier's UL power (interferer density mu_tilde_k, cancellation radii from
-    mu_tilde_k).  SIC can only help: the result is >= 1 - P_out.
+    mu_tilde_k); in tau = pi mu_tilde_k u^2 the factors multiply to exp(-w
+    int P_gain dtau) (``model._uplink_field``).  SIC can only help: the
+    result is >= 1 - P_out.
     """
     _require_positive("eta", eta)
     _require_count("n_max", n_max)
     p_out = outage_max_inst_sir(eta, cfg)
     if n_max == 0:
         return 1.0 - p_out
-    eq = equivalent_density(cfg)
+    lam_ul, mu_eq = _uplink_field(cfg)
     gain_integral = _sic_gain_integral(eta, n_max, cfg.alpha)
-    log_factor = 0.0
-    for k, tier in enumerate(cfg.tiers):
-        # 2 pi lam_k int P_gain u du = (lam_k / mu_tilde_k) int P_gain dtau
-        log_factor -= tier.lam / eq.mu_tilde[k] * gain_integral
-    return 1.0 - p_out * math.exp(log_factor)
+    return 1.0 - p_out * math.exp(-lam_ul / mu_eq * gain_integral)
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,18 @@ _PARAMS = {
 }
 
 
-def _formula_args(name: str, params: dict):
+def _formula_args(name: str, params: dict, given: list[str]):
     """The registered formula's function and its arguments read from
-    ``params``; raises DomainError for unknown names or missing parameters."""
+    ``params``; raises DomainError for unknown names, missing parameters or
+    ``given`` ones (those the user supplied) that the formula does not take."""
     if name not in FORMULAS:
         raise DomainError(
             f"unknown formula {name!r}; registry: {', '.join(sorted(FORMULAS))}"
         )
     fn, names, _ = FORMULAS[name]
+    extra = [n for n in given if n not in names]
+    if extra:
+        raise DomainError(f"{name} does not take parameters: {', '.join(extra)}")
     missing = [n for n in names if params.get(n) is None]
     if missing:
         raise DomainError(f"{name} needs parameters: {', '.join(missing)}")
@@ -132,8 +136,8 @@ def _formula_args(name: str, params: dict):
 
 
 def evaluate_formula(name: str, params: dict) -> float:
-    """Evaluate a registered formula (used by both cmd_eval and custom sweeps)."""
-    fn, values = _formula_args(name, params)
+    """Evaluate a registered formula on a custom sweep point's parameters."""
+    fn, values = _formula_args(name, params, [k for k in params if k != "formula"])
     return fn(*values)
 
 
@@ -143,10 +147,11 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
         g.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
-def _collect_params(args: argparse.Namespace) -> dict:
+def _collect_params(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if args.eta is not None and args.eta_db is not None:
         raise DomainError("supply either --eta or --eta-db, not both")
     params = {name: getattr(args, name) for name in _PARAMS}
+    given = ["eta" if k == "eta_db" else k for k, v in params.items() if v is not None]
     if args.eta_db is not None:
         params["eta"] = db_to_linear(args.eta_db)
     if args.config is not None:
@@ -155,12 +160,13 @@ def _collect_params(args: argparse.Namespace) -> dict:
         if overrides:
             cfg = config_from_dict({**config_to_dict(cfg), **overrides})
         params.update(config=cfg, alpha=cfg.alpha, mu_j=cfg.mu_j)
-    return params
+        given = [k for k in given if k not in overrides]  # they set the config's own
+    return params, given
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    params = _collect_params(args)
-    fn, values = _formula_args(args.formula, params)
+    params, given = _collect_params(args)
+    fn, values = _formula_args(args.formula, params, given)
     breakdown = ps_sic(*values) if args.formula == "ps_sic" else None
     value = fn(*values) if breakdown is None else breakdown.ps_sic_total
     shown = {**params, "config": args.config}  # a config echoes as its path
@@ -245,8 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate one closed-form formula")
-    p_eval.add_argument("formula", help="formula name (see 'sicnet presets' docs)")
+    p_eval = sub.add_parser(
+        "eval", help="evaluate one closed-form formula",
+        epilog="formulas:" + "".join(f"\n  {k:24s}{v[2]}" for k, v in FORMULAS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p_eval.add_argument("formula", help="formula name (listed below)")
     _add_param_flags(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 

@@ -7,7 +7,8 @@ single-tier network with density
 
     lambda_eq = sum_k lambda_k * P_k^(2/alpha)
 
-and unit transmit power.  Powers are linear everywhere in this module; dB
+and unit transmit power, and the uplink users to one field of density mu_eq
+(:func:`_uplink_field`).  Powers are linear everywhere in this module; dB
 conversion happens at the CLI boundary only.  Tier indices are 0-based in
 code and reported 1-based.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "EquivalentNetwork",
     "db_to_linear",
     "equivalent_density",
-    "power_weighted_user_density",
     "association_prob_max_power",
     "biased_association_prob",
     "rea_association_prob",
@@ -121,24 +121,6 @@ class NetworkConfig:
                 f"tier index {k} out of range for {self.n_tiers}-tier network"
             )
 
-    @classmethod
-    def single_tier(
-        cls,
-        lam: float,
-        mu_j: float,
-        alpha: float = 4.0,
-        mu: float | None = None,
-        p_dl: float = 1.0,
-        q_ul: float = 1.0,
-    ) -> "NetworkConfig":
-        mu_eff = mu_j if mu is None else mu
-        return cls(
-            tiers=(TierParams(lam=lam, p_dl=p_dl, q_ul=q_ul),),
-            alpha=alpha,
-            mu=mu_eff,
-            mu_j=mu_j,
-        )
-
 
 @dataclass(frozen=True)
 class SicConfig:
@@ -162,7 +144,7 @@ class EquivalentNetwork:
 
 
 # ---------------------------------------------------------------------------
-# Association probabilities
+# Association probabilities and the uplink user field
 # ---------------------------------------------------------------------------
 
 
@@ -177,15 +159,6 @@ def association_prob_max_power(cfg: NetworkConfig, k: int) -> float:
     p_k = cfg.tiers[k].p_dl
     denom = sum(t.lam * (t.p_dl / p_k) ** e for t in cfg.tiers)
     return cfg.tiers[k].lam / denom
-
-
-def biased_association_prob(cfg: NetworkConfig, k: int) -> float:
-    """Association probability with range-expansion biases A_k = b_k P_k."""
-    cfg.check_tier(k)
-    e = 2.0 / cfg.alpha
-    ref = cfg.tiers[k]
-    denom = sum(t.lam * ((t.p_dl * t.bias) / (ref.p_dl * ref.bias)) ** e for t in cfg.tiers)
-    return ref.lam / denom
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,35 +202,45 @@ def rea_association_prob(cfg: NetworkConfig, k: int) -> float:
     return float(1.0 / (w @ m) - 1.0 / (w @ big_m))
 
 
+def biased_association_prob(cfg: NetworkConfig, k: int) -> float:
+    """Association probability with range-expansion biases A_k = b_k P_k:
+    1 / sum_i w_i m_i in the weights of :func:`_rea_weights`."""
+    w, m, _ = _rea_weights(cfg, k)
+    return float(1.0 / (w @ m))
+
+
+def _interferer_tiers(cfg: NetworkConfig) -> list[tuple[float, float]]:
+    """``(density, UL power)`` of each tier's interfering users: the users
+    of tier k, density p_k mu under max-power association, transmit at Q_k."""
+    return [
+        (association_prob_max_power(cfg, k) * cfg.mu, t.q_ul)
+        for k, t in enumerate(cfg.tiers)
+    ]
+
+
+def _uplink_field(cfg: NetworkConfig) -> tuple[float, float]:
+    """``(lam_ul, mu_eq)``: by the mapping theorem (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, 2012, ch. 2) the users of
+    :func:`_interferer_tiers` look from any AP like one unit-power field of
+    density mu_eq = sum_k p_k mu Q_k^(2/alpha), and the APs, by the UL power
+    they receive, like one of density lam_ul = sum_k lam_k Q_k^(2/alpha).
+    The max-SIR closed forms read the tiers only through w = lam_ul / mu_eq."""
+    e = 2.0 / cfg.alpha
+    mu_eq = sum(mu_k * q**e for mu_k, q in _interferer_tiers(cfg))
+    return sum(t.lam * t.q_ul**e for t in cfg.tiers), mu_eq
+
+
 def equivalent_density(cfg: NetworkConfig) -> EquivalentNetwork:
     """Campbell reduction to the single-tier equivalent network.
 
-    ``mu_tilde[k]`` weights the per-tier user densities mu_i = p_a,i * mu
-    by the UL power ratios (Q_i/Q_k)^(2/alpha); it is the interferer
-    density seen in the equivalent network referenced to tier k's power.
+    ``mu_tilde[k]`` = mu_eq / Q_k^(2/alpha) (:func:`_uplink_field`) is the
+    interferer density seen in the equivalent network referenced to tier
+    k's UL power.
     """
     e = 2.0 / cfg.alpha
     lam_eq = sum(t.lam * t.p_dl**e for t in cfg.tiers)
-    mu_per_tier = [association_prob_max_power(cfg, i) * cfg.mu for i in range(cfg.n_tiers)]
-    q = [t.q_ul for t in cfg.tiers]
-    mu_tilde = tuple(
-        power_weighted_user_density(q, mu_per_tier, cfg.alpha, k)
-        for k in range(cfg.n_tiers)
-    )
-    return EquivalentNetwork(lambda_eq=lam_eq, mu_tilde=mu_tilde)
-
-
-def power_weighted_user_density(
-    q_powers: list[float] | tuple[float, ...],
-    mu_per_tier: list[float] | tuple[float, ...],
-    alpha: float,
-    k: int,
-) -> float:
-    """mu_tilde_k = sum_i mu_i (Q_i/Q_k)^(2/alpha) for explicit densities."""
-    if len(q_powers) != len(mu_per_tier):
-        raise DomainError("q_powers and mu_per_tier must have equal length")
-    e = 2.0 / alpha
-    return sum(m * (qi / q_powers[k]) ** e for qi, m in zip(q_powers, mu_per_tier))
+    mu_eq = _uplink_field(cfg)[1]
+    return EquivalentNetwork(lam_eq, tuple(mu_eq / t.q_ul**e for t in cfg.tiers))
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,11 @@ from .model import (
     NetworkConfig,
     SicConfig,
     _check_alpha,
+    _interferer_tiers,
     _rea_weights,
     _require_count,
     _require_positive,
-    association_prob_max_power,
+    _uplink_field,
 )
 from .numerics import c_integral
 
@@ -1085,15 +1086,6 @@ def voronoi_load_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _interferer_tiers(cfg: NetworkConfig):
-    """``(density, UL power)`` of each tier's interfering users: the users
-    of tier k, density p_k mu under max-power association, transmit at Q_k."""
-    return [
-        (association_prob_max_power(cfg, k) * cfg.mu, t.q_ul)
-        for k, t in enumerate(cfg.tiers)
-    ]
-
-
 # Radius of the disk in which the candidate APs of every tier are drawn, m.
 _CAND_RADIUS = 250.0
 
@@ -1230,7 +1222,7 @@ def _max_sir_sums(
     Every chain cancels in order of mean received power.  With independent
     fields P_a also averages over AP a's field, exactly: the user tiers map
     to one unit-power field of density mu_eq = sum_k mu_k Q_k^(2/alpha)
-    (:func:`_nearest_users`), whole for ``n_max = 0`` (:func:`_far_field`
+    (``model._uplink_field``, :func:`_nearest_users`), whole for ``n_max = 0`` (:func:`_far_field`
     from radius 0 at s = eta / S_a), else all but its nearest users, drawn
     after the candidate APs (:func:`_nearest_chain_success`).
 
@@ -1242,7 +1234,7 @@ def _max_sir_sums(
     (:func:`_no_sic_disk_law`); a trial without a candidate AP reports mu.
     N = 0 stays raw."""
     alpha = cfg.alpha
-    mu_eq = sum(mu_k * q ** (2.0 / alpha) for mu_k, q in _interferer_tiers(cfg))
+    mu_eq = _uplink_field(cfg)[1]
     control = [_no_sic_disk_law(cfg, mu_eq, eta) for eta in etas] if n_max else []
 
     def no_sic_miss(signal: np.ndarray, eta: float) -> np.ndarray:

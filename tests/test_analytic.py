@@ -496,13 +496,13 @@ class TestRateCoverage:
 
 class TestMaxInstSir:
     def test_single_tier_reference(self):
-        cfg = NetworkConfig.single_tier(lam=1e-4, mu_j=1e-4)
+        cfg = NetworkConfig((TierParams(1e-4),), alpha=4.0, mu=1e-4, mu_j=1e-4)
         assert outage_max_inst_sir(1.0, cfg) == pytest.approx(
             math.exp(-2.0 / math.pi), rel=1e-12
         )
 
     def test_single_tier_reduction_formula(self):
-        cfg = NetworkConfig.single_tier(lam=3e-5, mu_j=3e-5, alpha=4.0)
+        cfg = NetworkConfig((TierParams(3e-5),), alpha=4.0, mu=3e-5, mu_j=3e-5)
         eta = 2.0
         expected = math.exp(
             -cfg.tiers[0].lam / (math.sqrt(eta) * c_integral(0.0, 4.0) * cfg.mu)
@@ -595,7 +595,7 @@ class TestProbabilityRange:
                 ps_can(eta, n, alpha),
                 ps_can_tsd(eta, n),
             ]
-            cfg = NetworkConfig.single_tier(lam=lam, mu_j=mu, alpha=alpha)
+            cfg = NetworkConfig((TierParams(lam),), alpha=alpha, mu=mu, mu_j=mu)
             values.append(outage_max_inst_sir(eta, cfg))
             assert all(0.0 <= v <= 1.0 for v in values), values
 

@@ -81,6 +81,32 @@ class TestEval:
         assert main(["eval", "ps_can", "--eta", "1"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["ps_can_tsd", "--eta", "1", "--n", "2", "--alpha", "3"], "alpha"),
+            (["ps_can", "--eta", "1", "--n", "2", "--alpha", "4", "--lam", "5", "--rho", "2"],
+             "lam, rho"),
+        ],
+        ids=["ps_can_tsd-alpha", "ps_can-lam-rho"],
+    )
+    def test_parameter_the_formula_does_not_take_exits_2(self, capsys, argv, extra):
+        # a typed parameter that the formula would ignore is an error: ps_can_tsd
+        # is alpha = 4 whatever --alpha says
+        assert main(["eval", *argv]) == 2
+        assert f"{argv[0]} does not take parameters: {extra}" in capsys.readouterr().err
+
+    def test_alpha_and_mu_j_override_a_config(self, capsys, config_path):
+        # beside --config, --alpha and --mu-j set the config's own, so a
+        # config formula takes them
+        argv = ["eval", "outage_max_inst_sir", "--eta", "1", "--config", config_path]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--alpha", "3", "--mu-j", "5e-5"]) == 0
+        overridden = capsys.readouterr().out
+        want = analytic.outage_max_inst_sir(1.0, model.config_from_dict({**CFG, "alpha": 3.0}))
+        assert overridden.endswith(f" = {want:.6f}\n") and overridden != plain
+
     def test_eta_flags_mutually_exclusive(self, capsys):
         rc = main(
             ["eval", "ps_can", "--eta", "1", "--eta-db", "0", "--n", "1", "--alpha", "4"]
@@ -224,6 +250,19 @@ class TestSweep:
             values = [float(r["analytic_value"]) for r in csv.DictReader(fh)]
         assert [f"{v:.6f}" for v in values] == [want, want]
 
+    def test_custom_sweep_rejects_parameters_the_formula_does_not_take(self, tmp_path, capsys):
+        # the row would otherwise write alpha 3 beside ps_can_tsd's alpha = 4 value
+        row = {"formula": "ps_can_tsd", "eta": 2.0, "n": 2, "alpha": 3.0}
+        rc = main(
+            [
+                "sweep", "--preset", "custom", "--grid-json", json.dumps([row]),
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "ps_can_tsd does not take parameters: alpha" in capsys.readouterr().err
+        assert not (tmp_path / "custom").exists()
+
     @pytest.mark.parametrize(
         "config", [{"alpha": 4.0}, 5, ["net.json"]], ids=["missing-keys", "number", "list"]
     )
@@ -331,6 +370,15 @@ class TestHelpDocumentsUnits:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+    def test_eval_help_lists_every_formula(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, _, description) in FORMULAS.items():
+            assert any(
+                line.split()[:1] == [name] and line.endswith(description) for line in lines
+            ), name
 
     def test_eval_help_names_units(self, capsys):
         with pytest.raises(SystemExit):

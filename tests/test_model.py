@@ -20,7 +20,6 @@ from sicnet.model import (
     db_to_linear,
     equivalent_density,
     load_config,
-    power_weighted_user_density,
     rea_association_prob,
 )
 
@@ -103,7 +102,7 @@ class TestTypes:
 
 class TestEquivalentDensity:
     def test_single_tier_identity(self):
-        cfg = NetworkConfig.single_tier(lam=1e-4, mu_j=1e-4)
+        cfg = NetworkConfig((TierParams(1e-4),), alpha=4.0, mu=1e-4, mu_j=1e-4)
         assert equivalent_density(cfg).lambda_eq == pytest.approx(1e-4, rel=1e-14)
 
     def test_two_tier_value(self):
@@ -111,8 +110,14 @@ class TestEquivalentDensity:
         assert eq.lambda_eq == pytest.approx(1e-5 * math.sqrt(10.0) + 1e-4, rel=1e-12)
 
     def test_mu_tilde_explicit(self):
-        value = power_weighted_user_density([10.0, 1.0], [5e-5, 5e-5], 4.0, 1)
-        assert value == pytest.approx(5e-5 * math.sqrt(10.0) + 5e-5, rel=1e-12)
+        # two tiers of equal DL power and density share the users equally,
+        # mu_i = 5e-5; mu_tilde_k = sum_i mu_i (Q_i/Q_k)^(2/alpha)
+        cfg = NetworkConfig(
+            (TierParams(1e-4, q_ul=10.0), TierParams(1e-4)), alpha=4.0, mu=1e-4, mu_j=1e-4
+        )
+        want = 5e-5 * math.sqrt(10.0) + 5e-5
+        got = equivalent_density(cfg).mu_tilde
+        assert got == pytest.approx((want / math.sqrt(10.0), want), rel=1e-12)
 
     def test_power_scaling_homogeneity(self):
         # scaling every DL power by c scales lambda_eq by c^(2/alpha)
@@ -146,7 +151,7 @@ class TestAssociationProbabilities:
         )
 
     def test_single_tier_is_one(self):
-        cfg = NetworkConfig.single_tier(lam=1e-4, mu_j=1e-4)
+        cfg = NetworkConfig((TierParams(1e-4),), alpha=4.0, mu=1e-4, mu_j=1e-4)
         assert association_prob_max_power(cfg, 0) == 1.0
 
     def test_out_of_range(self):

@@ -1668,7 +1668,7 @@ def _shared_field_reference(cfg, tiers, rng, size, m):
 
 class TestMaxSir:
     def test_single_tier_matches_formula(self):
-        cfg = NetworkConfig.single_tier(lam=LAM, mu_j=MU)
+        cfg = NetworkConfig((TierParams(LAM),), alpha=4.0, mu=MU, mu_j=MU)
         ests = max_sir_success_curve_mc(
             cfg, [1.0, 10.0**0.5], 8000, seed=67, independent_fields=True
         )

@@ -43,6 +43,18 @@ def _defined(stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def _methods(stmt) -> list:
+    """The methods, properties and classmethods of a module-level class,
+    dunders aside."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        node for node in stmt.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def test_library_defines_only_what_library_or_bench_uses():
     modules = sorted((ROOT / "src" / "sicnet").glob("*.py"))
     trees = {
@@ -64,6 +76,16 @@ def test_library_defines_only_what_library_or_bench_uses():
         for name in _defined(stmt)
         if not (name.startswith("__") and name.endswith("__"))
         and not any(name in names for other, names in uses if other is not stmt)
+    )
+    # a method is used where another statement, or another method of its
+    # class, reads its name
+    unused += sorted(
+        f"{path.name}:{stmt.name}.{method.name}"
+        for path in modules
+        for stmt in trees[path].body
+        for method in _methods(stmt)
+        if not any(method.name in names for other, names in uses if other is not stmt)
+        and not any(method.name in _referenced(m) for m in _methods(stmt) if m is not method)
     )
     assert not unused, unused
 
